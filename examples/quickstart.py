@@ -49,9 +49,9 @@ def main() -> None:
     print("\n".join(dot.splitlines()[:6]) + "\n...\n")
 
     source = PythonSourceRenderer().render(machine)
-    vote_handler = source.index("def receive_vote")
+    vote_table = source.index("ON_VOTE = {")
     print("== generated source excerpt (paper Fig 16) ==")
-    print("\n".join(source[vote_handler:].splitlines()[:12]))
+    print("\n".join(source[vote_table:].splitlines()[:12]))
     print("...\n")
 
     # 5: deploy — compile the generated source and drive the protocol.

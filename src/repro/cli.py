@@ -466,6 +466,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="pre-spawn this many instances before serving (default: 0)",
     )
     serve.add_argument(
+        "--auto-recycle",
+        action="store_true",
+        dest="auto_recycle",
+        help="reset an instance to its start state (clearing its action "
+        "log) as soon as it finishes, so a sustained run keeps firing "
+        "transitions instead of only counting ignored events",
+    )
+    serve.add_argument(
         "--allow-remote-shutdown",
         action="store_true",
         dest="allow_remote_shutdown",
@@ -1017,6 +1025,7 @@ def _serve(args) -> int:
         workers=args.workers,
         shards=args.shards,
         log_policy=args.log_policy,
+        auto_recycle=args.auto_recycle,
         telemetry=None if args.no_telemetry else True,
         engine=args.engine,
         **supervision,

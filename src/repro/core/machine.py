@@ -26,14 +26,6 @@ from repro.core.errors import MachineStructureError
 from repro.core.state import State, Transition
 
 
-def strip_action_prefix(action: str) -> str:
-    """Action name without the ``->`` send marker — the dispatch-table
-    form.  The one strip implementation shared by every table builder
-    (:meth:`StateMachine.dispatch_table` and
-    :meth:`repro.opt.IndexedMachine.dispatch_table`)."""
-    return action[2:] if action.startswith("->") else action
-
-
 @dataclass(frozen=True)
 class FlatDispatchTable:
     """A machine flattened to index arithmetic for batched execution.
@@ -98,6 +90,7 @@ class StateMachine:
             raise MachineStructureError(f"duplicate messages: {list(messages)}")
         self._name = name
         self._messages = tuple(messages)
+        self._message_set = frozenset(messages)
         self._space = space
         self._parameters = dict(parameters or {})
         self._states: dict[str, State] = {}
@@ -117,6 +110,11 @@ class StateMachine:
     def messages(self) -> tuple[str, ...]:
         """The message alphabet, in declaration order."""
         return self._messages
+
+    @property
+    def message_set(self) -> frozenset[str]:
+        """The message alphabet as a set, for per-event membership tests."""
+        return self._message_set
 
     @property
     def space(self) -> Optional[StateSpace]:
@@ -272,10 +270,9 @@ class StateMachine:
         for state in self._states.values():
             row = state_index[state.name] * width
             for transition in state.transitions:
-                actions = tuple(strip_action_prefix(a) for a in transition.actions)
                 entries[row + message_index[transition.message]] = (
                     state_index[transition.target_name],
-                    actions,
+                    transition.action_names,
                 )
         return FlatDispatchTable(
             state_names=state_names,

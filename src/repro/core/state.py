@@ -18,6 +18,14 @@ from typing import Any, Optional
 from repro.core.errors import MachineStructureError
 
 
+def strip_action_prefix(action: str) -> str:
+    """Action name without the ``->`` send marker — the form action logs
+    and dispatch tables hold.  The one strip implementation, shared by
+    :attr:`Transition.action_names` and
+    :meth:`repro.opt.IndexedMachine.dispatch_table`."""
+    return action[2:] if action.startswith("->") else action
+
+
 class Transition:
     """A single outgoing transition: message -> actions + resultant state.
 
@@ -27,7 +35,9 @@ class Transition:
     does what it does.
     """
 
-    __slots__ = ("_message", "_actions", "_target_name", "_annotations")
+    __slots__ = (
+        "_message", "_actions", "_target_name", "_annotations", "_action_names",
+    )
 
     def __init__(
         self,
@@ -40,6 +50,7 @@ class Transition:
         self._target_name = target_name
         self._actions = tuple(actions)
         self._annotations = tuple(annotations)
+        self._action_names: Optional[tuple[str, ...]] = None
 
     @property
     def message(self) -> str:
@@ -55,6 +66,17 @@ class Transition:
     def actions(self) -> tuple[str, ...]:
         """Ordered external actions performed by this transition."""
         return self._actions
+
+    @property
+    def action_names(self) -> tuple[str, ...]:
+        """:attr:`actions` without their ``->`` markers, stripped on first
+        use and kept: what every executor of this transition logs."""
+        names = self._action_names
+        if names is None:
+            names = self._action_names = tuple(
+                strip_action_prefix(action) for action in self._actions
+            )
+        return names
 
     @property
     def annotations(self) -> tuple[str, ...]:

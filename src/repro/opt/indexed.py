@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.errors import MachineStructureError
-from repro.core.machine import FlatDispatchTable, StateMachine, strip_action_prefix
-from repro.core.state import State, Transition
+from repro.core.machine import FlatDispatchTable, StateMachine
+from repro.core.state import State, Transition, strip_action_prefix
 
 
 @dataclass(frozen=True)

@@ -72,6 +72,9 @@ class PythonEfsmRenderer(Renderer):
         buffer.add_line("serves every parameter value (paper 5.3).")
         buffer.add_line('"""')
         buffer.blank()
+        methods = tuple(action_method_name(a) for a in _distinct_actions(machine))
+        buffer.add_line("ACTION_METHODS = ", repr(methods))
+        buffer.blank()
 
         buffer.enter_block("def __init__(self, *args, **parameters):")
         buffer.add_line("super().__init__(*args)")

@@ -1,9 +1,35 @@
 """Source-code renderer: generates an executable protocol implementation.
 
-This is the paper's most important artefact (§3.5, Figs 16/17/19): the FSM
-is rendered as a source module containing one ``receive_<message>`` handler
-per message, each dispatching on the current state, performing the
-transition's actions and moving to the resultant state.
+This is the paper's most important artefact (§3.5, Figs 16/17/19).  The
+paper's Java has one ``receive<Message>()`` handler per message, each a
+``switch (getState())`` with one ``case`` per state (Fig 16;
+:class:`JavaSourceRenderer` reproduces that shape verbatim).  Python has
+no ``switch`` over strings, and an ``if state == ...`` chain would make
+every event pay for every state, so :class:`PythonSourceRenderer` writes
+each switch as what a ``switch`` compiles to — a table::
+
+    def _perform_7(self):
+        self.send_commit()
+
+    ON_VOTE = {
+        # Another member voted for this update.
+        'T/0/T/0/F/T/T': ('T/1/T/0/F/T/T', None),
+        # Another member voted for this update.
+        # Threshold reached (vote threshold 3 or ...): send commit.
+        'T/1/T/0/F/T/T': ('T/2/T/0/T/T/T', _perform_7),
+        ...
+    }
+    TRANSITIONS = {'update': ON_UPDATE, 'vote': ON_VOTE, ...}
+
+One ``ON_<MESSAGE>`` dict per message maps a state name to ``(resultant
+state name, perform)``: one ``case`` per line, the transition's commentary
+above it.  ``perform`` is ``None`` or a module-level ``_perform_<n>(self)``
+— one per *distinct* action sequence — whose body is the case's
+straight-line action calls.  ``receive(message)`` is
+``TRANSITIONS[message].get(self._state)``, run ``perform``, assign the
+state: constant work whatever the number of states.  Transitions assign
+``self._state`` themselves; ``set_state`` is the validated way in from
+outside (snapshot restore), not a hook every transition passes through.
 
 The renderer is *completely generic* with respect to the algorithm being
 modelled (paper §5.1): action strings such as ``->vote`` become calls to
@@ -13,7 +39,9 @@ deployment styles are supported:
 * **inheritance mode** (the paper's): ``action_base`` names a class the
   generated machine class inherits from; the surrounding application binds
   the name when compiling the module
-  (:func:`repro.runtime.compile.compile_machine` does this);
+  (:func:`repro.runtime.compile.compile_machine` does this).  The class
+  lists the action methods it calls in ``ACTION_METHODS`` so a generic
+  base (:mod:`repro.runtime.actions`) can define them once per class;
 * **standalone mode** (``action_base=None``): the generated class defines
   overridable no-op action methods, so the module runs on its own.
 
@@ -24,7 +52,7 @@ paper notes for its generated Java (§3.5).
 from __future__ import annotations
 
 from repro.core.machine import StateMachine
-from repro.core.state import State, Transition
+from repro.core.state import State
 from repro.render.base import Renderer, python_identifier
 from repro.render.codebuffer import CodeBuffer
 
@@ -45,41 +73,23 @@ def machine_class_name(machine: StateMachine) -> str:
     return "".join(parts) + "Machine"
 
 
-#: Emission modes for :class:`PythonSourceRenderer`.
-DISPATCH_MODES = ("handlers", "indexed")
+def table_name(message: str) -> str:
+    """Module-level transition table of a message: ``vote`` -> ``ON_VOTE``."""
+    return "ON_" + python_identifier(message).upper()
 
 
 class PythonSourceRenderer(Renderer):
-    """Render a machine as a Python module implementing the protocol.
-
-    ``dispatch`` selects the emission mode:
-
-    * ``"handlers"`` (the paper's Fig 16 shape, the default) — one
-      ``receive_<message>`` method per message, each an if-chain over
-      state names;
-    * ``"indexed"`` — the module embeds the machine's dense indexed form
-      (flat ``NEXT_STATE`` / per-offset action-method tuples, exactly the
-      :class:`repro.opt.IndexedMachine` layout) and ``receive`` is index
-      arithmetic: two array lookups per event instead of a name scan.
-      The public protocol is unchanged — ``receive_<message>`` wrappers,
-      ``get_state`` and ``set_state`` still speak state *names*.
-    """
+    """Render a machine as a Python module implementing the protocol."""
 
     def __init__(
         self,
         class_name: str | None = None,
         action_base: str | None = "ActionsBase",
         include_commentary: bool = True,
-        dispatch: str = "handlers",
     ):
-        if dispatch not in DISPATCH_MODES:
-            raise ValueError(
-                f"unknown dispatch mode {dispatch!r}; choose from {DISPATCH_MODES}"
-            )
         self._class_name = class_name
         self._action_base = action_base
         self._include_commentary = include_commentary
-        self._dispatch = dispatch
 
     def render(self, machine: StateMachine) -> str:
         machine.check_integrity()
@@ -88,21 +98,24 @@ class PythonSourceRenderer(Renderer):
 
         self._module_header(buffer, machine)
         self._module_constants(buffer, machine)
-        if self._dispatch == "indexed":
-            self._indexed_constants(buffer, machine)
-            self._class_header(buffer, machine, class_name)
-            self._indexed_lifecycle_methods(buffer)
-            self._indexed_dispatch_method(buffer)
-            for message in machine.messages:
-                self._indexed_handler_method(buffer, message)
-        else:
-            self._class_header(buffer, machine, class_name)
-            self._lifecycle_methods(buffer)
-            self._dispatch_method(buffer, machine)
-            for message in machine.messages:
-                self._handler_method(buffer, machine, message)
-        if self._action_base is None:
-            self._default_action_methods(buffer, machine)
+        performs = self._perform_functions(buffer, machine)
+        for message in machine.messages:
+            self._transition_table(buffer, machine, message, performs)
+        self._table_index(buffer, machine)
+        # Distinct actions in first-use order, as method names.
+        methods = tuple(
+            dict.fromkeys(
+                action_method_name(action)
+                for sequence in performs
+                for action in sequence
+            )
+        )
+        self._class_header(buffer, machine, class_name, methods)
+        self._lifecycle_methods(buffer)
+        self._receive_method(buffer)
+        for message in machine.messages:
+            self._message_method(buffer, message)
+        self._action_methods(buffer, methods)
         buffer.exit_block()
         return buffer.text()
 
@@ -137,10 +150,75 @@ class PythonSourceRenderer(Renderer):
             buffer.add_line(repr(state.name), ",")
         buffer.decrease_indent()
         buffer.add_line(")")
+        buffer.add_line("STATES = frozenset(STATE_NAMES)")
+        buffer.blank()
+
+    def _perform_functions(
+        self, buffer: CodeBuffer, machine: StateMachine
+    ) -> dict[tuple[str, ...], str]:
+        """Emit one ``_perform_<n>(self)`` per distinct non-empty action
+        sequence; returns the function name of each sequence (``"None"``
+        for the empty one), as the tables spell it."""
+        performs: dict[tuple[str, ...], str] = {(): "None"}
+        for _, transition in machine.transitions():
+            if transition.actions in performs:
+                continue
+            performs[transition.actions] = name = f"_perform_{len(performs)}"
+            buffer.blank()
+            buffer.enter_block(f"def {name}(self):")
+            for action in transition.actions:
+                buffer.add_line(f"self.{action_method_name(action)}()")
+            buffer.exit_block()
+            buffer.blank()
+        if len(performs) > 1:
+            buffer.blank()
+        return performs
+
+    def _transition_table(
+        self,
+        buffer: CodeBuffer,
+        machine: StateMachine,
+        message: str,
+        performs: dict[tuple[str, ...], str],
+    ) -> None:
+        """The paper's Fig 16 ``switch (getState())`` for one message, as a
+        dict literal: one ``case`` per line, its commentary above it."""
+        buffer.add_line(
+            f"# {message!r}: state -> (resultant state, actions to perform)."
+        )
+        buffer.add_line(table_name(message), " = {")
+        buffer.increase_indent()
+        for state in machine.states:
+            transition = state.get_transition(message)
+            if transition is None:
+                continue
+            if self._include_commentary:
+                for annotation in transition.annotations:
+                    buffer.add_line("# ", annotation)
+            buffer.add_line(
+                f"{state.name!r}: ({transition.target_name!r}, "
+                f"{performs[transition.actions]}),"
+            )
+        buffer.decrease_indent()
+        buffer.add_line("}")
+        buffer.blank()
+
+    def _table_index(self, buffer: CodeBuffer, machine: StateMachine) -> None:
+        buffer.add_line("TRANSITIONS = {")
+        buffer.increase_indent()
+        for message in machine.messages:
+            buffer.add_line(f"{message!r}: {table_name(message)},")
+        buffer.decrease_indent()
+        buffer.add_line("}")
+        buffer.blank()
         buffer.blank()
 
     def _class_header(
-        self, buffer: CodeBuffer, machine: StateMachine, class_name: str
+        self,
+        buffer: CodeBuffer,
+        machine: StateMachine,
+        class_name: str,
+        methods: tuple[str, ...],
     ) -> None:
         base = self._action_base if self._action_base is not None else "object"
         buffer.enter_block(f"class {class_name}({base}):")
@@ -154,6 +232,7 @@ class PythonSourceRenderer(Renderer):
         buffer.add_line("START_STATE = START_STATE")
         buffer.add_line("FINAL_STATES = FINAL_STATES")
         buffer.add_line("MESSAGES = MESSAGES")
+        buffer.add_line("ACTION_METHODS = ", repr(methods))
         buffer.blank()
 
     # ------------------------------------------------------------------
@@ -172,7 +251,11 @@ class PythonSourceRenderer(Renderer):
         buffer.exit_block()
         buffer.blank()
         buffer.enter_block("def set_state(self, state):")
-        buffer.add_line('"""Move to a new state (generated transitions call this)."""')
+        buffer.add_line('"""Move to a named state (snapshot restore calls this;')
+        buffer.add_line('transitions assign the state themselves)."""')
+        buffer.enter_block("if state not in STATES:")
+        buffer.add_line("raise ValueError('unknown state: %r' % (state,))")
+        buffer.exit_block()
         buffer.add_line("self._state = state")
         buffer.exit_block()
         buffer.blank()
@@ -181,129 +264,42 @@ class PythonSourceRenderer(Renderer):
         buffer.add_line("return self._state in FINAL_STATES")
         buffer.exit_block()
         buffer.blank()
-        self._reset_method(buffer, "self._state = START_STATE")
-
-    def _reset_method(self, buffer: CodeBuffer, restore_line: str) -> None:
-        """Emit ``reset()``: shared by both dispatch emission modes so the
-        clear_sent contract cannot drift between them."""
         buffer.enter_block("def reset(self):")
         buffer.add_line(
             '"""Return to the start state and clear any recorded actions."""'
         )
-        buffer.add_line(restore_line)
-        buffer.add_line("clear = getattr(self, 'clear_sent', None)")
-        buffer.enter_block("if clear is not None:")
-        buffer.add_line("clear()")
-        buffer.exit_block()
+        buffer.add_line("self._state = START_STATE")
+        buffer.add_line("self.clear_sent()")
         buffer.exit_block()
         buffer.blank()
 
-    def _dispatch_method(self, buffer: CodeBuffer, machine: StateMachine) -> None:
+    def _receive_method(self, buffer: CodeBuffer) -> None:
         buffer.enter_block("def receive(self, message):")
         buffer.add_line(
             '"""Dispatch a message by name; returns True if a transition fired."""'
         )
-        for message in machine.messages:
-            buffer.enter_block(f"if message == {message!r}:")
-            buffer.add_line(f"return self.receive_{python_identifier(message)}()")
-            buffer.exit_block()
-        buffer.add_line("raise ValueError('unknown message: %r' % (message,))")
+        buffer.enter_block("try:")
+        buffer.add_line("entry = TRANSITIONS[message].get(self._state)")
         buffer.exit_block()
-        buffer.blank()
-
-    # ------------------------------------------------------------------
-    # indexed-dispatch emission (dense arrays, repro.opt layout)
-    # ------------------------------------------------------------------
-
-    def _indexed_constants(self, buffer: CodeBuffer, machine: StateMachine) -> None:
-        from repro.opt import IndexedMachine
-
-        im = IndexedMachine.from_machine(machine)
-        width = len(im.messages)
-        buffer.add_line("# Dense indexed dispatch arrays (repro.opt.IndexedMachine")
-        buffer.add_line("# layout): offset = state_id * WIDTH + message column;")
-        buffer.add_line("# NEXT_STATE[offset] is the target state id (-1: ignored)")
-        buffer.add_line("# and ACTION_METHODS[offset] the methods to invoke.")
-        buffer.add_line("WIDTH = ", str(width))
-        buffer.add_line("START_ID = ", str(im.start))
+        buffer.enter_block("except (KeyError, TypeError):")
         buffer.add_line(
-            "STATE_INDEX = {name: i for i, name in enumerate(STATE_NAMES)}"
+            "raise ValueError('unknown message: %r' % (message,)) from None"
         )
-        buffer.add_line("MESSAGE_INDEX = {name: i for i, name in enumerate(MESSAGES)}")
-        buffer.add_line("FINAL = ", repr(im.final))
-        buffer.add_line("NEXT_STATE = (")
-        buffer.increase_indent()
-        for row in range(len(im.state_names)):
-            chunk = im.next_state[row * width : (row + 1) * width]
-            buffer.add_line(", ".join(str(t) for t in chunk), ",")
-        buffer.decrease_indent()
-        buffer.add_line(")")
-        buffer.add_line("ACTION_METHODS = (")
-        buffer.increase_indent()
-        for offset, target in enumerate(im.next_state):
-            if target < 0:
-                methods: tuple[str, ...] = ()
-            else:
-                methods = tuple(
-                    action_method_name(im.actions[a])
-                    for a in im.action_seqs[im.action_seq[offset]]
-                )
-            buffer.add_line(repr(methods), ",")
-        buffer.decrease_indent()
-        buffer.add_line(")")
-        buffer.blank()
-
-    def _indexed_lifecycle_methods(self, buffer: CodeBuffer) -> None:
-        buffer.enter_block("def __init__(self, *args, **kwargs):")
-        buffer.add_line("super().__init__(*args, **kwargs)")
-        buffer.add_line("self._state_id = START_ID")
         buffer.exit_block()
-        buffer.blank()
-        buffer.enter_block("def get_state(self):")
-        buffer.add_line('"""Current state name."""')
-        buffer.add_line("return STATE_NAMES[self._state_id]")
-        buffer.exit_block()
-        buffer.blank()
-        buffer.enter_block("def set_state(self, state):")
-        buffer.add_line('"""Move to a named state (snapshot restore calls this)."""')
-        buffer.add_line("index = STATE_INDEX.get(state)")
-        buffer.enter_block("if index is None:")
-        buffer.add_line("raise ValueError('unknown state: %r' % (state,))")
-        buffer.exit_block()
-        buffer.add_line("self._state_id = index")
-        buffer.exit_block()
-        buffer.blank()
-        buffer.enter_block("def is_finished(self):")
-        buffer.add_line('"""Whether the machine has reached a finish state."""')
-        buffer.add_line("return FINAL[self._state_id]")
-        buffer.exit_block()
-        buffer.blank()
-        self._reset_method(buffer, "self._state_id = START_ID")
-
-    def _indexed_dispatch_method(self, buffer: CodeBuffer) -> None:
-        buffer.enter_block("def receive(self, message):")
-        buffer.add_line(
-            '"""Dispatch by index arithmetic; returns True if a transition fired."""'
-        )
-        buffer.add_line("column = MESSAGE_INDEX.get(message)")
-        buffer.enter_block("if column is None:")
-        buffer.add_line("raise ValueError('unknown message: %r' % (message,))")
-        buffer.exit_block()
-        buffer.add_line("offset = self._state_id * WIDTH + column")
-        buffer.add_line("target = NEXT_STATE[offset]")
-        buffer.enter_block("if target < 0:")
+        buffer.enter_block("if entry is None:")
         buffer.add_line("# Message not applicable in the current state: ignored.")
         buffer.add_line("return False")
         buffer.exit_block()
-        buffer.enter_block("for method in ACTION_METHODS[offset]:")
-        buffer.add_line("getattr(self, method)()")
+        buffer.add_line("target, perform = entry")
+        buffer.enter_block("if perform is not None:")
+        buffer.add_line("perform(self)")
         buffer.exit_block()
-        buffer.add_line("self._state_id = target")
+        buffer.add_line("self._state = target")
         buffer.add_line("return True")
         buffer.exit_block()
         buffer.blank()
 
-    def _indexed_handler_method(self, buffer: CodeBuffer, message: str) -> None:
+    def _message_method(self, buffer: CodeBuffer, message: str) -> None:
         buffer.enter_block(f"def receive_{python_identifier(message)}(self):")
         buffer.add_line(f'"""Handle an incoming {message!r} message."""')
         buffer.add_line(f"return self.receive({message!r})")
@@ -311,51 +307,34 @@ class PythonSourceRenderer(Renderer):
         buffer.blank()
 
     # ------------------------------------------------------------------
-    # per-message handlers (the paper's Fig 16 switch)
+    # action methods
     # ------------------------------------------------------------------
 
-    def _handler_method(
-        self, buffer: CodeBuffer, machine: StateMachine, message: str
-    ) -> None:
-        buffer.enter_block(f"def receive_{python_identifier(message)}(self):")
-        buffer.add_line(f'"""Handle an incoming {message!r} message."""')
-        buffer.add_line("state = self._state")
-        for state in machine.states:
-            transition = state.get_transition(message)
-            if transition is None:
-                continue
-            buffer.enter_block(f"if state == {state.name!r}:")
-            self._commentary(buffer, transition)
-            for action in transition.actions:
-                buffer.add_line(f"self.{action_method_name(action)}()")
-            buffer.add_line(f"self.set_state({transition.target_name!r})")
-            buffer.add_line("return True")
+    def _action_methods(self, buffer: CodeBuffer, methods: tuple[str, ...]) -> None:
+        """Standalone mode defines every action method (and ``clear_sent``)
+        as an overridable no-op.  In inheritance mode the base supplies
+        them; only ``clear_sent`` is filled in, once per class, when the
+        base keeps no action log to clear."""
+        forget = "No recorded actions to forget (override to implement)."
+        if self._action_base is not None:
+            buffer.enter_block(
+                f"if not hasattr({self._action_base}, 'clear_sent'):"
+            )
+            self._noop_method(buffer, "clear_sent", forget)
             buffer.exit_block()
-        buffer.add_line("# Message not applicable in the current state: ignored.")
-        buffer.add_line("return False")
+            return
+        self._noop_method(buffer, "clear_sent", forget)
+        for method in methods:
+            self._noop_method(
+                buffer, method, f"Perform the {method} action (override to implement)."
+            )
+
+    @staticmethod
+    def _noop_method(buffer: CodeBuffer, name: str, doc: str) -> None:
+        buffer.enter_block(f"def {name}(self):")
+        buffer.add_line('"""', doc, '"""')
         buffer.exit_block()
         buffer.blank()
-
-    def _commentary(self, buffer: CodeBuffer, transition: Transition) -> None:
-        if not self._include_commentary:
-            return
-        for annotation in transition.annotations:
-            buffer.add_line("# ", annotation)
-
-    # ------------------------------------------------------------------
-    # standalone mode
-    # ------------------------------------------------------------------
-
-    def _default_action_methods(
-        self, buffer: CodeBuffer, machine: StateMachine
-    ) -> None:
-        for action in _distinct_actions(machine):
-            buffer.enter_block(f"def {action_method_name(action)}(self):")
-            buffer.add_line(
-                f'"""Perform the {action!r} action (override to implement)."""'
-            )
-            buffer.exit_block()
-            buffer.blank()
 
 
 class JavaSourceRenderer(Renderer):
@@ -418,12 +397,3 @@ def _java_action_call(action: str) -> str:
 
     name = action[2:] if action.startswith("->") else action
     return f"send{camel_case(name)}()"
-
-
-def _distinct_actions(machine: StateMachine) -> list[str]:
-    """All distinct action strings, in first-use order."""
-    seen: dict[str, None] = {}
-    for _, transition in machine.transitions():
-        for action in transition.actions:
-            seen.setdefault(action, None)
-    return list(seen)

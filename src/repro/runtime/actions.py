@@ -11,7 +11,9 @@ independent bases:
 * :class:`CallbackActions` — forwards each action to a callable (used by
   the storage substrate to turn actions into simulated network sends).
 
-Both synthesise any ``send_*`` method on demand, so they work for every
+A generated class names the action methods it calls in ``ACTION_METHODS``;
+both bases define those as plain methods when the class is created.  Any
+other ``send_*`` name is synthesised on demand, so the bases work for every
 abstract model without per-algorithm code.
 """
 
@@ -24,7 +26,32 @@ from typing import Optional
 _ACTION_PREFIX = "send_"
 
 
-class RecordingActions:
+class _SendMethods:
+    """``send_<action>`` methods: declared ones installed, others on demand."""
+
+    @staticmethod
+    def _action_method(action: str) -> Callable[..., None]:
+        """The function ``send_<action>`` is bound to."""
+        raise NotImplementedError
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in cls.__dict__.get("ACTION_METHODS", ()):
+            # A method the class or a hand-written base defines wins.
+            if not hasattr(cls, name):
+                action = name.removeprefix(_ACTION_PREFIX)
+                setattr(cls, name, cls._action_method(action))
+
+    def __getattr__(self, name: str):
+        if name.startswith(_ACTION_PREFIX):
+            action = name.removeprefix(_ACTION_PREFIX)
+            return self._action_method(action).__get__(self)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+
+class RecordingActions(_SendMethods):
     """Base class recording every performed action name, in order.
 
     The generated machine calls ``self.send_vote()``; this base records
@@ -35,26 +62,21 @@ class RecordingActions:
         self.sent: list[str] = []
         self._sink = sink
 
-    def __getattr__(self, name: str):
-        if name.startswith(_ACTION_PREFIX):
-            action = name[len(_ACTION_PREFIX):]
+    @staticmethod
+    def _action_method(action: str) -> Callable[..., None]:
+        def send(self) -> None:
+            self.sent.append(action)
+            if self._sink is not None:
+                self._sink(action)
 
-            def perform() -> None:
-                self.sent.append(action)
-                if self._sink is not None:
-                    self._sink(action)
-
-            return perform
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+        return send
 
     def clear_sent(self) -> None:
         """Forget recorded actions (keeps the machine state untouched)."""
         self.sent.clear()
 
 
-class CallbackActions:
+class CallbackActions(_SendMethods):
     """Base class forwarding every action to a single callback.
 
     Unlike :class:`RecordingActions` it keeps no history, making it suitable
@@ -66,14 +88,9 @@ class CallbackActions:
     def __init__(self, callback: Callable[[str], None]):
         self._callback = callback
 
-    def __getattr__(self, name: str):
-        if name.startswith(_ACTION_PREFIX):
-            action = name[len(_ACTION_PREFIX):]
+    @staticmethod
+    def _action_method(action: str) -> Callable[..., None]:
+        def send(self) -> None:
+            self._callback(action)
 
-            def perform() -> None:
-                self._callback(action)
-
-            return perform
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+        return send

@@ -46,15 +46,11 @@ def compile_machine(
     action_base: type = RecordingActions,
     class_name: str | None = None,
     include_commentary: bool = True,
-    dispatch: str = "handlers",
 ) -> CompiledMachine:
     """Render ``machine`` to Python source, compile and load it.
 
     ``action_base`` is the class supplying the ``send_*`` action methods;
-    the generated class inherits from it (paper §5.1).  ``dispatch``
-    selects the emitted shape — per-message handler if-chains
-    (``"handlers"``, the paper's) or dense indexed arrays
-    (``"indexed"``); both compile to protocol-identical classes.  Raises
+    the generated class inherits from it (paper §5.1).  Raises
     :class:`~repro.core.errors.DeploymentError` if the generated source
     fails to compile or the expected class is missing — both indicate a
     renderer bug, not a caller error.
@@ -64,7 +60,6 @@ def compile_machine(
         class_name=name,
         action_base=ACTION_BASE_NAME,
         include_commentary=include_commentary,
-        dispatch=dispatch,
     )
     source = renderer.render(machine)
 

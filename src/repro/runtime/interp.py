@@ -32,6 +32,7 @@ class MachineInterpreter:
         if validate:
             machine.check_integrity()
         self._machine = machine
+        self._messages = machine.message_set
         self._state = machine.start_state
         self._sink = sink
         self.sent: list[str] = []
@@ -60,13 +61,12 @@ class MachineInterpreter:
         the same semantics as the generated source (and as the protocol:
         a duplicate ``update`` changes nothing).
         """
-        if message not in self._machine.messages:
+        if message not in self._messages:
             raise DeploymentError(f"unknown message {message!r}")
         transition = self._state.get_transition(message)
         if transition is None:
             return False
-        for action in transition.actions:
-            name = action[2:] if action.startswith("->") else action
+        for name in transition.action_names:
             self.sent.append(name)
             if self._sink is not None:
                 self._sink(name)

@@ -6,14 +6,18 @@ trace-identical to its unoptimized input: action logs match exactly and
 state names match through the pipeline's ``state_map`` (a merged state
 answers to its representative's name).  Verified across:
 
-* the interpreter and compiled backends (both emission modes);
+* the interpreter and compiled backends, the latter under every way of
+  supplying its action methods and against a bare indexed-array walk;
 * both fleet dispatch modes (``naive`` / ``batched``), with the fleet's
   own ``optimize=`` hook;
 * both generation engines for the generated models and both flatten
   engines for the hierarchical ones (via the shared machine cache).
 """
 
+import json
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,7 +27,10 @@ from repro.models.commit import CommitModel
 from repro.models.termination import TerminationModel
 from repro.models.threshold_sig import ThresholdSignatureModel
 from repro.opt import IndexedMachine, standard_pipeline
+from repro.render.source import machine_class_name
+from repro.runtime.actions import CallbackActions, RecordingActions
 from repro.runtime.compile import compile_machine
+from repro.runtime.export import export_machine_module
 from repro.runtime.interp import MachineInterpreter
 from repro.serve import (
     HAS_NUMPY,
@@ -95,6 +102,140 @@ def replay(executor, schedule, recycle=True) -> tuple:
     return states, list(executor.sent)
 
 
+def step_log(executor, schedule, log) -> list:
+    """Per step ``[fired, state after, actions performed]``, recycling a
+    finished executor; ``log`` is the list the executor's actions land in
+    (cleared here too, for executors whose ``reset`` does not own it)."""
+    steps = []
+    for message in schedule:
+        before = len(log)
+        fired = executor.receive(message)
+        steps.append([fired, executor.get_state(), log[before:]])
+        if executor.is_finished():
+            executor.reset()
+            log.clear()
+    return steps
+
+
+class IndexedWalk:
+    """The executor protocol over bare ``IndexedMachine`` arrays."""
+
+    def __init__(self, machine):
+        self.im = IndexedMachine.from_machine(machine)
+        self.columns = self.im.message_index()
+        self.state = self.im.start
+        self.sent: list[str] = []
+
+    def receive(self, message):
+        offset = self.state * self.im.width + self.columns[message]
+        target = self.im.next_state[offset]
+        if target < 0:
+            return False
+        for action in self.im.action_seqs[self.im.action_seq[offset]]:
+            self.sent.append(self.im.actions[action].removeprefix("->"))
+        self.state = target
+        return True
+
+    def get_state(self):
+        return self.im.state_names[self.state]
+
+    def is_finished(self):
+        return self.im.final[self.state]
+
+    def reset(self):
+        self.state = self.im.start
+        self.sent.clear()
+
+
+def run_recording(machine, schedule, _tmp_path):
+    instance = compile_machine(machine).new_instance()
+    return step_log(instance, schedule, instance.sent)
+
+
+def run_callback(machine, schedule, _tmp_path):
+    seen: list[str] = []
+    compiled = compile_machine(machine, action_base=CallbackActions)
+    return step_log(compiled.new_instance(seen.append), schedule, seen)
+
+
+def run_partial_base(machine, schedule, _tmp_path):
+    """A hand-written base defining only the first action method: the
+    generated class must call it and get the rest from RecordingActions —
+    installed for declared names, synthesised by its ``__getattr__`` for a
+    name the class no longer declares (the last one, un-installed here)."""
+    names = compile_machine(machine).cls.ACTION_METHODS
+    first, last = names[0], names[-1]
+    calls = []
+
+    def by_hand(self):
+        calls.append(first)
+        self.sent.append(first.removeprefix("send_"))
+
+    base = type("PartialActions", (RecordingActions,), {first: by_hand})
+    cls = compile_machine(machine, action_base=base).cls
+    assert getattr(cls, first) is by_hand
+    if last != first:
+        delattr(cls, last)
+        assert not hasattr(cls, last)
+    instance = cls()
+    steps = step_log(instance, schedule, instance.sent)
+    assert calls
+    return steps
+
+
+_STANDALONE_DRIVER = """
+import importlib.util, json, sys
+path, class_name = sys.argv[1:3]
+def library_loaded():
+    return any(name.split(".")[0] == "repro" for name in sys.modules)
+assert not library_loaded()
+spec = importlib.util.spec_from_file_location("exported_machine", path)
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+assert not library_loaded()
+log = []
+def recorder(action):
+    return lambda self: log.append(action)
+cls = getattr(module, class_name)
+members = {name: recorder(name[len("send_"):]) for name in cls.ACTION_METHODS}
+instance = type("Recorded", (cls,), members)()
+steps = []
+for message in json.load(sys.stdin):
+    before = len(log)
+    fired = instance.receive(message)
+    steps.append([fired, instance.get_state(), log[before:]])
+    if instance.is_finished():
+        instance.reset()
+        del log[:]
+json.dump(steps, sys.stdout)
+"""
+
+
+def run_standalone_subprocess(machine, schedule, tmp_path):
+    """The exported module, imported by an isolated interpreter that has
+    no ``repro`` on its path: the artefact really is standalone."""
+    path = export_machine_module(machine, tmp_path / "exported_machine.py")
+    isolated = [sys.executable, "-I", "-c", _STANDALONE_DRIVER]
+    done = subprocess.run(
+        [*isolated, str(path), machine_class_name(machine)],
+        input=json.dumps(schedule),
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+COMPILED_FLAVOURS = {
+    "recording": run_recording,
+    "callback": run_callback,
+    "partial-base": run_partial_base,
+    "standalone-subprocess": run_standalone_subprocess,
+}
+
+
 @pytest.mark.parametrize("factory", BUNDLED_MACHINES)
 class TestInterpreterDifferential:
     def test_optimized_interpreter_replay_matches(self, factory, request):
@@ -129,15 +270,21 @@ class TestCompiledDifferential:
         assert opt_actions == base_actions
         assert opt_states == [report.state_map[state] for state in base_states]
 
-    def test_indexed_emission_matches_handlers(self, factory, request):
+    @pytest.mark.parametrize("flavour", sorted(COMPILED_FLAVOURS))
+    def test_compiled_matches_interpreter_and_indexed_walk(
+        self, flavour, factory, request, tmp_path
+    ):
+        """Three executors, one schedule, step for step: the generated
+        class (under every way of supplying its action methods), the
+        interpreter, and a bare walk over the IndexedMachine arrays."""
         _, optimized, _ = cached(request)
         schedule = random_schedule(optimized, 2000, seed=31)
-        handlers = compile_machine(optimized, dispatch="handlers").new_instance()
-        indexed = compile_machine(optimized, dispatch="indexed").new_instance()
-        h_states, h_actions = replay(handlers, schedule)
-        i_states, i_actions = replay(indexed, schedule)
-        assert i_states == h_states
-        assert i_actions == h_actions
+        interp = MachineInterpreter(optimized)
+        expected = step_log(interp, schedule, interp.sent)
+        walk = IndexedWalk(optimized)
+        assert step_log(walk, schedule, walk.sent) == expected
+        assert any(actions for _, _, actions in expected)
+        assert COMPILED_FLAVOURS[flavour](optimized, schedule, tmp_path) == expected
 
 
 @pytest.mark.parametrize("factory", BUNDLED_MACHINES)
@@ -222,7 +369,6 @@ class TestBlowupRecovery:
         optimized, _ = standard_pipeline(2).optimize_machine(flat)
         optimized.check_integrity()
         compile_machine(optimized)
-        compile_machine(optimized, dispatch="indexed")
         IndexedMachine.from_machine(optimized).check_integrity()
 
 

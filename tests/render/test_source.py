@@ -47,13 +47,57 @@ class TestPythonRenderer:
         assert instance.get_state() == "T/0/T/0/F/T/T"
 
     def test_handler_per_message(self):
+        """Each message keeps its ``receive_<message>()`` entry point and
+        gets one transition table, the Python spelling of Fig 16's switch."""
         source = PythonSourceRenderer().render(commit_machine(4))
         for message in ("update", "vote", "commit", "free", "not_free"):
             assert f"def receive_{message}(self):" in source
+            assert f"        return self.receive({message!r})" in source
+            assert source.count(f"\nON_{message.upper()} = {{\n") == 1
+            assert f"    {message!r}: ON_{message.upper()},\n" in source
 
     def test_dispatch_method(self):
         source = PythonSourceRenderer().render(commit_machine(4))
         assert "def receive(self, message):" in source
+        assert "TRANSITIONS[message].get(self._state)" in source
+
+    def test_table_entry_per_transition(self):
+        machine = commit_machine(4)
+        namespace: dict = {}
+        source = PythonSourceRenderer(action_base=None).render(machine)
+        exec(compile(source, "<test>", "exec"), namespace)
+        tables = namespace["TRANSITIONS"]
+        assert tuple(tables) == machine.messages
+        assert sum(len(table) for table in tables.values()) == (
+            machine.transition_count()
+        )
+        for state, transition in machine.transitions():
+            target, perform = tables[transition.message][state.name]
+            assert target == transition.target_name
+            assert (perform is None) == (not transition.actions)
+
+    def test_one_perform_function_per_distinct_action_sequence(self):
+        machine = commit_machine(4)
+        source = PythonSourceRenderer().render(machine)
+        sequences = {t.actions for _, t in machine.transitions() if t.actions}
+        assert source.count("\ndef _perform_") == len(sequences)
+        assert "\ndef _perform_1(self):\n    self.send_vote()\n" in source
+
+    def test_dispatch_does_not_scan_states(self):
+        """O(1) in the number of states: no per-state branch anywhere, and
+        ``receive`` compiles to the same bytecode whatever the machine."""
+        codes = []
+        for factor in (4, 16):
+            namespace: dict = {}
+            source = PythonSourceRenderer(action_base=None).render(
+                commit_machine(factor)
+            )
+            assert "if state ==" not in source
+            assert "elif" not in source
+            exec(compile(source, "<test>", "exec"), namespace)
+            cls = namespace[f"CommitR{factor}Machine"]
+            codes.append(cls.receive.__code__.co_code)
+        assert codes[0] == codes[1]
 
     def test_constants_present(self):
         source = PythonSourceRenderer().render(commit_machine(4))
@@ -62,12 +106,31 @@ class TestPythonRenderer:
 
     def test_inapplicable_messages_return_false(self):
         source = PythonSourceRenderer().render(commit_machine(4))
-        assert source.count("return False") == 5  # one per handler
+        assert source.count("return False") == 1  # the one dispatch method
+        assert "# Message not applicable in the current state: ignored." in source
 
     def test_commentary_included_by_default(self):
         source = PythonSourceRenderer().render(commit_machine(4))
         assert "# " in source
         assert "threshold" in source.lower()
+
+    def test_every_annotation_appears_exactly_once(self):
+        """Commentary sits above its own table entry and nowhere else."""
+        machine = commit_machine(4)
+        lines = PythonSourceRenderer().render(machine).splitlines()
+        expected = 0
+        for state, transition in machine.transitions():
+            table = lines.index(f"ON_{transition.message.upper()} = {{")
+            entry = next(
+                i
+                for i in range(table, len(lines))
+                if lines[i].startswith(f"    {state.name!r}: (")
+            )
+            notes = [f"    # {note}" for note in transition.annotations]
+            assert lines[entry - len(notes) : entry] == notes
+            expected += len(notes)
+        assert expected > 0
+        assert sum(line.startswith("    # ") for line in lines) == expected
 
     def test_commentary_can_be_disabled(self):
         with_comments = PythonSourceRenderer().render(commit_machine(4))
@@ -114,6 +177,29 @@ class TestGeneratedBehaviour:
     def test_unknown_message_raises(self, instance):
         with pytest.raises(ValueError):
             instance.receive("bogus")
+
+    def test_unhashable_message_raises_value_error(self, instance):
+        with pytest.raises(ValueError, match="unknown message"):
+            instance.receive(["vote"])
+        assert instance.get_state() == "F/0/F/0/F/F/F"
+
+    def test_transitions_do_not_pass_through_set_state(self):
+        """``set_state`` is the validated entry from outside; a transition
+        assigns the state itself, so overriding it observes restores only."""
+        from tests.conftest import compiled_commit
+
+        seen = []
+
+        class Observed(compiled_commit(4).cls):
+            def set_state(self, state):
+                seen.append(state)
+                super().set_state(state)
+
+        instance = Observed()
+        assert instance.receive("free")
+        assert seen == []
+        instance.set_state("FINISHED")
+        assert seen == ["FINISHED"] and instance.is_finished()
 
     def test_complete_run_finishes(self, instance):
         for message in ["free", "update", "vote", "vote", "commit", "commit"]:

@@ -26,6 +26,30 @@ class TestRecordingActions:
         with pytest.raises(AttributeError):
             RecordingActions().bogus_method
 
+    def test_declared_methods_are_defined_once_per_class(self):
+        class Generated(RecordingActions):
+            ACTION_METHODS = ("send_vote", "send_commit")
+
+        assert "send_vote" in vars(Generated)
+        assert "send_vote" not in vars(RecordingActions)
+        instance = Generated()
+        instance.send_vote()
+        instance.send_free()  # undeclared: synthesised on demand
+        assert instance.sent == ["vote", "free"]
+
+    def test_hand_written_method_wins(self):
+        class Partial(RecordingActions):
+            def send_vote(self):
+                self.sent.append("VOTE!")
+
+        class Generated(Partial):
+            ACTION_METHODS = ("send_vote", "send_commit")
+
+        instance = Generated()
+        instance.send_vote()
+        instance.send_commit()
+        assert instance.sent == ["VOTE!", "commit"]
+
     def test_clear_sent(self):
         base = RecordingActions()
         base.send_vote()
@@ -39,6 +63,17 @@ class TestCallbackActions:
         base = CallbackActions(seen.append)
         base.send_vote()
         base.send_free()
+        assert seen == ["vote", "free"]
+
+    def test_declared_and_undeclared_actions(self):
+        class Generated(CallbackActions):
+            ACTION_METHODS = ("send_vote",)
+
+        seen = []
+        instance = Generated(seen.append)
+        assert "send_vote" in vars(Generated)
+        instance.send_vote()
+        instance.send_free()
         assert seen == ["vote", "free"]
 
     def test_non_action_attribute_raises(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.errors import DeploymentError
+from repro.core.errors import DeploymentError, MachineStructureError
 from repro.models.commit import CommitModel
 from repro.runtime.cache import GeneratedCodeCache
 from repro.serve import make_backend
@@ -33,6 +33,21 @@ class TestBackendAdapter:
         adapter.restore_instance(instance, target, ("vote", "commit"))
         assert instance.get_state() == target
         assert instance.sent == ["vote", "commit"]
+
+    @pytest.mark.parametrize("kind", ["interp", "compiled"])
+    def test_restore_instance_rejects_unknown_state(self, kind):
+        """A state name the machine does not have (a snapshot of another
+        machine, a typo) must fail the restore, not park the instance
+        where every message is ignored and it never finishes."""
+        adapter = make_backend(kind, commit_machine())
+        instance = adapter.new_instance()
+        instance.receive("free")
+        before = instance.get_state()
+        with pytest.raises((ValueError, MachineStructureError), match="NO/SUCH"):
+            adapter.restore_instance(instance, "NO/SUCH/STATE", ("vote",))
+        assert instance.get_state() == before
+        assert instance.sent == []
+        assert instance.receive("update")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DeploymentError):

@@ -125,3 +125,45 @@ class TestOptFlags:
 
         with pytest.raises(ValueError, match="unknown optimization pass"):
             main(["optimize", "--model", "commit", "--opt", "bogus"])
+
+
+class TestServeAutoRecycle:
+    """``serve --auto-recycle`` reaches ``make_fleet(auto_recycle=)``."""
+
+    FINISHING_RUN = ["free", "update", "vote", "vote", "commit", "commit"]
+
+    def serve(self, monkeypatch, *flags):
+        """Run the ``serve`` command with the listening loop replaced by
+        one finishing run delivered to the fleet it built; returns what
+        the instance looked like afterwards."""
+        from repro.serve.gateway import FleetGateway
+
+        seen = {}
+
+        def drive_instead_of_listening(gateway, announce=None, port_file=None):
+            fleet = gateway._fleet
+            (key,) = fleet.spawn_many(1)
+            fired = [fleet.deliver(key, message) for message in self.FINISHING_RUN]
+            seen.update(
+                auto_recycle=fleet.auto_recycle,
+                fired=fired,
+                trace=fleet.trace(key),
+                start=fleet.machine.start_state.name,
+            )
+
+        monkeypatch.setattr(FleetGateway, "run_blocking", drive_instead_of_listening)
+        assert main(["serve", "--port", "0", *flags]) == 0
+        return seen
+
+    def test_flag_recycles_finished_instances(self, monkeypatch):
+        seen = self.serve(monkeypatch, "--auto-recycle")
+        assert seen["auto_recycle"] is True
+        assert all(seen["fired"])
+        assert seen["trace"].state == seen["start"]
+        assert list(seen["trace"].actions) == []
+
+    def test_default_leaves_finished_instances_parked(self, monkeypatch):
+        seen = self.serve(monkeypatch)
+        assert seen["auto_recycle"] is False
+        assert seen["trace"].state == "FINISHED"
+        assert list(seen["trace"].actions) == ["vote", "not_free", "commit", "free"]
