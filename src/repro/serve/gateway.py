@@ -3,7 +3,7 @@
 The front door of the serve plane.  A :class:`FleetGateway` binds any
 :class:`~repro.serve.api.Fleet` — in-process engine or multiprocess
 fleet alike — behind a small HTTP/1.1 + WebSocket API, hand-rolled on
-:mod:`asyncio` streams (the repository has a no-dependencies rule).
+:mod:`asyncio` (the repository has a no-dependencies rule).
 All fleet calls run on the event-loop thread, so the gateway serializes
 access to the fleet without any locking; the fleet's own batch paths
 stay the throughput story, the gateway is the *operability* story —
@@ -30,13 +30,45 @@ Unknown instances/messages surface as HTTP 400 with the fleet's
 canonical :class:`~repro.core.errors.DeploymentError` message — the
 error-shape guarantee of the Fleet protocol extends over the wire.
 
-The gateway degrades rather than wedges.  A connection that stalls
+The wire is handled in two layers.  :func:`parse_request` and
+:func:`parse_frame` are pure functions over bytes: given a buffer they
+return one parsed request (or frame) and how many bytes it took,
+``None`` when the buffer does not hold a whole one yet, or raise
+:class:`_HttpError`; they read no socket and keep no state, so they are
+tested byte by byte without a gateway.  :class:`_Connection` is the
+:class:`asyncio.Protocol` around them, one per client: ``data_received``
+appends to the connection's buffer, answers *every* complete request in
+it in arrival order (pipelining) and writes each reply to the transport
+before it returns — a request costs one event-loop turn, with no task,
+future or stream reader in between.  Replies that outrun the client
+pause the connection (reading and answering both) until the transport
+has drained, so a client that pipelines without reading cannot grow the
+write buffer without bound.
+
+The gateway degrades rather than wedges.  Each connection carries one
+read deadline, re-armed after every reply: a connection that stalls
 mid-request (or idles past the keep-alive window) is answered with
-``408`` and closed after ``read_timeout`` seconds; a request whose
+``408`` and closed after ``read_timeout`` seconds.  A request whose
 ``Content-Length`` exceeds ``max_body`` is refused with ``413`` before
-the body is read — a slow or hostile client can never hold a reader
-coroutine forever.  Requests that land on a supervised fleet's
-recovering partition return ``503`` with a ``Retry-After`` header (from
+the body is read, and a WebSocket frame that declares more than
+``max_body`` bytes is refused with close code 1009 — a slow or hostile
+client can never hold memory or a connection forever.  Framing the
+parser cannot trust is answered with ``400``, ``Connection: close`` and
+a closed connection (the stream cannot be resynchronised), never with a
+traceback:
+
+    ================================================  ======
+    request head over 64 KiB (``_MAX_HEAD``)          400
+    request line without a method and a target        400
+    header line without a colon                       400
+    ``Content-Length`` not a decimal number           400
+    two ``Content-Length`` headers that disagree      400
+    ``Transfer-Encoding`` (chunked bodies)            400
+    ``Content-Length`` over ``max_body``              413
+    ================================================  ======
+
+Requests that land on a supervised fleet's recovering partition return
+``503`` with a ``Retry-After`` header (from
 :class:`~repro.serve.recovery.FleetRecoveringError`) instead of an
 error: the partition is healing, not gone, and ``/healthz`` reports the
 per-worker ``live``/``recovering``/``dead`` states while it does.
@@ -54,6 +86,7 @@ import asyncio
 import base64
 import hashlib
 import json
+import re
 from math import ceil
 from time import perf_counter
 from typing import Optional
@@ -69,6 +102,8 @@ from repro.serve.store import InstanceSnapshot
 __all__ = ["FleetGateway", "snapshot_from_json", "snapshot_to_json"]
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+#: Close-frame payload: status 1009, "message too big".
+_WS_TOO_BIG = (1009).to_bytes(2, "big")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -126,6 +161,311 @@ class _HttpError(Exception):
         self.message = message
 
 
+# ----------------------------------------------------------------------
+# the wire: pure parsers over bytes, and the protocol that feeds them
+# ----------------------------------------------------------------------
+
+#: Cap on a request head (request line + headers), the limit the stream
+#: reader this parser replaced imposed on each line.
+_MAX_HEAD = 1 << 16
+
+#: The blank line that ends a head; bare ``\n`` line ends are accepted.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+
+
+def parse_request(buffer: bytes, max_body: int):
+    """The first HTTP request in ``buffer``, if it is all there.
+
+    Returns ``(method, target, headers, body, consumed)`` — header names
+    lower-cased, ``consumed`` the bytes the request took — or ``None``
+    when more bytes are needed.  Raises :class:`_HttpError` (``400``,
+    or ``413`` for a declared body over ``max_body``) for a request that
+    no further bytes can repair.  ``None`` is never returned for a buffer
+    longer than ``_MAX_HEAD + 4 + max_body``, which bounds what a
+    connection buffers.
+    """
+    found = _HEAD_END.search(buffer)
+    # Without the blank line yet, the last three bytes may be the start
+    # of it rather than head.
+    head_end = len(buffer) - 3 if found is None else found.start()
+    if head_end > _MAX_HEAD:
+        raise _HttpError(400, f"request head exceeds {_MAX_HEAD} bytes")
+    if found is None:
+        return None
+    lines = buffer[:head_end].decode("latin-1").split("\n")
+    request_line = lines[0].split()
+    if len(request_line) < 2:
+        raise _HttpError(400, "malformed request line")
+    headers: dict[str, str] = {}
+    for line in lines[1:]:
+        name, colon, value = line.partition(":")
+        if not colon:
+            raise _HttpError(400, "malformed header line (no colon)")
+        name = name.strip().lower()
+        value = value.strip()
+        if name == "content-length" and headers.get(name, value) != value:
+            raise _HttpError(400, "conflicting Content-Length headers")
+        headers[name] = value
+    if "transfer-encoding" in headers:
+        # Reading past a body framed some other way would parse its
+        # bytes as the next request.
+        raise _HttpError(
+            400, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    declared = headers.get("content-length") or "0"
+    if not (declared.isascii() and declared.isdigit() and len(declared) < 20):
+        raise _HttpError(400, f"malformed Content-Length {declared[:32]!r}")
+    length = int(declared)
+    if length > max_body:
+        raise _HttpError(
+            413,
+            f"request body of {length} bytes exceeds the "
+            f"{max_body}-byte limit",
+        )
+    body_start = found.end()
+    end = body_start + length
+    if len(buffer) < end:
+        return None
+    return (
+        request_line[0].upper(),
+        request_line[1],
+        headers,
+        buffer[body_start:end],
+        end,
+    )
+
+
+def parse_frame(buffer: bytes, max_body: int):
+    """The first WebSocket frame in ``buffer``, if it is all there.
+
+    Returns ``(opcode, payload, consumed)`` with the payload unmasked, or
+    ``None`` when more bytes are needed.  A frame that declares more
+    than ``max_body`` payload bytes raises :class:`_HttpError` ``413``
+    as soon as its length field is readable; the connection answers that
+    with close code 1009.
+    """
+    if len(buffer) < 2:
+        return None
+    length = buffer[1] & 0x7F
+    start = 2
+    if length >= 126:
+        start = 4 if length == 126 else 10
+        if len(buffer) < start:
+            return None
+        length = int.from_bytes(buffer[2:start], "big")
+    if length > max_body:
+        raise _HttpError(
+            413,
+            f"frame payload of {length} bytes exceeds the "
+            f"{max_body}-byte limit",
+        )
+    masked = buffer[1] & 0x80
+    if masked:
+        start += 4
+    end = start + length
+    if len(buffer) < end:
+        return None
+    payload = buffer[start:end]
+    if masked and length:
+        # One big-integer XOR against the mask repeated to length.
+        mask = (buffer[start - 4 : start] * (length // 4 + 1))[:length]
+        payload = (
+            int.from_bytes(payload, "big") ^ int.from_bytes(mask, "big")
+        ).to_bytes(length, "big")
+    return buffer[0] & 0x0F, payload, end
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection: bytes in, replies out, in the same loop turn."""
+
+    __slots__ = (
+        "_gateway",
+        "_transport",
+        "_buffer",
+        "_websocket",
+        "_paused",
+        "_deadline",
+        "_timer",
+    )
+
+    def __init__(self, gateway: "FleetGateway"):
+        self._gateway = gateway
+        self._transport = None
+        self._buffer = b""
+        self._websocket = False  # upgraded: the buffer holds frames
+        self._paused = False  # the transport's write buffer is full
+        self._deadline = 0.0
+        self._timer = None
+
+    # -- transport callbacks -------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        gateway = self._gateway
+        self._transport = transport
+        gateway._connections.add(self)
+        self._deadline = gateway._loop.time() + gateway._read_timeout
+        self._timer = gateway._loop.call_later(
+            gateway._read_timeout, self._on_deadline
+        )
+
+    def connection_lost(self, exc) -> None:
+        self._gateway._connections.discard(self)
+        self._disarm()
+
+    def data_received(self, data: bytes) -> None:
+        self._buffer = self._buffer + data if self._buffer else data
+        self._pump()
+
+    def pause_writing(self) -> None:
+        self._paused = True
+        self._transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self._paused = False
+        self._transport.resume_reading()
+        self._pump()
+
+    # -- the read deadline ---------------------------------------------
+
+    def _on_deadline(self) -> None:
+        """Fires ``read_timeout`` after it was armed.  Replies push
+        ``_deadline`` forward instead of re-creating the timer, so an
+        expired timer on a live connection only re-arms for what is left.
+        """
+        gateway = self._gateway
+        remaining = self._deadline - gateway._loop.time()
+        if self._paused:
+            # Waiting for the client to read replies, not for a request.
+            remaining = gateway._read_timeout
+        if remaining > 0:
+            self._timer = gateway._loop.call_later(remaining, self._on_deadline)
+            return
+        self._timer = None
+        self._refuse(408, "request read timed out")
+
+    def _disarm(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    # -- requests and frames -------------------------------------------
+
+    def close(self) -> None:
+        """Flush what was written, then close; buffered input is dropped."""
+        self._buffer = b""
+        self._disarm()
+        self._transport.close()
+
+    def _refuse(self, status: int, message: str) -> None:
+        """Count and answer a request that cannot be served, then close:
+        past bad framing the stream cannot be resynchronised."""
+        gateway = self._gateway
+        gateway._requests.add(1)
+        gateway._errors.add(1)
+        self._transport.write(
+            gateway._response(
+                *gateway._json(status, {"error": message}), True
+            )
+        )
+        self.close()
+
+    def _pump(self) -> None:
+        """Answer every complete request (or frame) buffered, in order."""
+        while self._buffer and not self._paused:
+            served = (
+                self._serve_frame()
+                if self._websocket
+                else self._serve_request()
+            )
+            if not served:
+                break
+
+    def _serve_request(self) -> bool:
+        """Serve one buffered HTTP request; false when none is complete."""
+        gateway = self._gateway
+        started = perf_counter()
+        try:
+            parsed = parse_request(self._buffer, gateway._max_body)
+        except _HttpError as exc:
+            self._refuse(exc.status, exc.message)
+            return False
+        if parsed is None:
+            return False
+        method, target, headers, body, consumed = parsed
+        self._buffer = self._buffer[consumed:]
+        if (
+            "upgrade" in headers
+            and headers["upgrade"].lower() == "websocket"
+            and target.split("?", 1)[0] == "/ws"
+        ):
+            return self._upgrade(headers)
+        status, payload, content_type, extra = gateway._route(
+            method, target, body
+        )
+        gateway._requests.add(1)
+        if status >= 400:
+            gateway._errors.add(1)
+        close = headers.get("connection", "").lower() == "close"
+        self._transport.write(
+            gateway._response(status, payload, content_type, close, extra)
+        )
+        gateway._latency.observe(perf_counter() - started)
+        if close:
+            self.close()
+            return False
+        self._deadline = gateway._loop.time() + gateway._read_timeout
+        return True
+
+    def _upgrade(self, headers: dict) -> bool:
+        """Answer the WebSocket handshake; from here the buffer is frames."""
+        key = headers.get("sec-websocket-key")
+        if not key:
+            self._refuse(400, "missing Sec-WebSocket-Key")
+            return False
+        accept = base64.b64encode(
+            hashlib.sha1((key + _WS_MAGIC).encode("latin-1")).digest()
+        ).decode("latin-1")
+        self._transport.write(
+            (
+                "HTTP/1.1 101 Switching Protocols\r\n"
+                "Upgrade: websocket\r\n"
+                "Connection: Upgrade\r\n"
+                f"Sec-WebSocket-Accept: {accept}\r\n"
+                "\r\n"
+            ).encode("latin-1")
+        )
+        # A WebSocket may idle: the read deadline guards HTTP requests.
+        self._disarm()
+        self._websocket = True
+        return True
+
+    def _serve_frame(self) -> bool:
+        """Serve one buffered WebSocket frame; false when none is complete."""
+        gateway = self._gateway
+        try:
+            parsed = parse_frame(self._buffer, gateway._max_body)
+        except _HttpError:
+            self._transport.write(gateway._frame(0x8, _WS_TOO_BIG))
+            self.close()
+            return False
+        if parsed is None:
+            return False
+        opcode, payload, consumed = parsed
+        self._buffer = self._buffer[consumed:]
+        if opcode == 0x8:  # close
+            self._transport.write(b"\x88\x00")
+            self.close()
+            return False
+        if opcode == 0x9:  # ping -> pong
+            self._transport.write(gateway._frame(0xA, payload))
+        elif opcode in (0x1, 0x2):
+            gateway._ws_messages.add(1)
+            self._transport.write(
+                gateway._frame(0x1, gateway._ws_reply(payload))
+            )
+        return True
+
+
 class FleetGateway:
     """Serve one fleet over HTTP and WebSocket."""
 
@@ -147,6 +487,8 @@ class FleetGateway:
         self._max_body = max_body
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown: Optional[asyncio.Event] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._connections: set[_Connection] = set()
         self.registry = MetricsRegistry()
         self._requests = self.registry.counter(
             "gateway_requests_total", "HTTP requests handled"
@@ -172,18 +514,26 @@ class FleetGateway:
     async def start(self) -> None:
         """Bind and start serving; ``self.port`` becomes the bound port."""
         self._shutdown = asyncio.Event()
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._loop = asyncio.get_running_loop()
+        self._server = await self._loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting and close the server (idempotent)."""
+        """Stop accepting, close open connections, close the server
+        (idempotent)."""
         if self._shutdown is not None:
             self._shutdown.set()
         if self._server is not None:
             self._server.close()
+            for connection in tuple(self._connections):
+                connection.close()
             await self._server.wait_closed()
+            # Python 3.11's wait_closed() does not wait for connections:
+            # one more turn lets the closed transports release their
+            # sockets before the loop can end.
+            await asyncio.sleep(0)
             self._server = None
 
     async def serve_until_shutdown(self) -> None:
@@ -216,103 +566,6 @@ class FleetGateway:
     # HTTP plumbing
     # ------------------------------------------------------------------
 
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await asyncio.wait_for(
-                        self._read_request(reader), timeout=self._read_timeout
-                    )
-                except asyncio.TimeoutError:
-                    # Stalled mid-request (or idle past the keep-alive
-                    # window): answer 408 and reclaim the coroutine.
-                    self._requests.add(1)
-                    self._errors.add(1)
-                    writer.write(
-                        self._response(
-                            408,
-                            b'{"error": "request read timed out"}\n',
-                            "application/json",
-                            True,
-                        )
-                    )
-                    await writer.drain()
-                    break
-                except _HttpError as exc:
-                    # Oversized body: refused before it is read, so the
-                    # connection cannot be resynchronized — close it.
-                    self._requests.add(1)
-                    self._errors.add(1)
-                    status, payload, content_type = self._json(
-                        exc.status, {"error": exc.message}
-                    )
-                    writer.write(
-                        self._response(status, payload, content_type, True)
-                    )
-                    await writer.drain()
-                    break
-                if request is None:
-                    break
-                method, target, headers, body = request
-                if (
-                    target.split("?", 1)[0] == "/ws"
-                    and headers.get("upgrade", "").lower() == "websocket"
-                ):
-                    await self._websocket(headers, reader, writer)
-                    break
-                started = perf_counter()
-                status, payload, content_type, extra = self._route(
-                    method, target, body
-                )
-                self._requests.add(1)
-                if status >= 400:
-                    self._errors.add(1)
-                close = headers.get("connection", "").lower() == "close"
-                writer.write(
-                    self._response(status, payload, content_type, close, extra)
-                )
-                await writer.drain()
-                self._latency.observe(perf_counter() - started)
-                if close:
-                    break
-        except (
-            ConnectionResetError,
-            BrokenPipeError,
-            asyncio.IncompleteReadError,
-        ):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _read_request(self, reader):
-        line = await reader.readline()
-        if not line or line in (b"\r\n", b"\n"):
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = header.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
-        if length > self._max_body:
-            raise _HttpError(
-                413,
-                f"request body of {length} bytes exceeds the "
-                f"{self._max_body}-byte limit",
-            )
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
     @staticmethod
     def _response(
         status: int,
@@ -321,8 +574,10 @@ class FleetGateway:
         close: bool,
         extra_headers: tuple = (),
     ) -> bytes:
-        extra = "".join(
-            f"{name}: {value}\r\n" for name, value in extra_headers
+        extra = (
+            "".join(f"{name}: {value}\r\n" for name, value in extra_headers)
+            if extra_headers
+            else ""
         )
         head = (
             f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
@@ -344,11 +599,15 @@ class FleetGateway:
 
     def _route(self, method: str, target: str, body: bytes):
         """Dispatch one request; returns ``(status, payload, type, headers)``."""
-        split = urlsplit(target)
-        path = split.path
-        query = {
-            name: values[0] for name, values in parse_qs(split.query).items()
-        }
+        if target.startswith("/") and "?" not in target and "#" not in target:
+            path, query = target, {}  # nothing for urlsplit to take apart
+        else:
+            split = urlsplit(target)
+            path = split.path
+            query = {
+                name: values[0]
+                for name, values in parse_qs(split.query).items()
+            }
         try:
             result = self._dispatch(method, path, query, body)
         except _HttpError as exc:
@@ -379,7 +638,7 @@ class FleetGateway:
             return {}
         try:
             parsed = json.loads(body)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes not UTF-8
             raise _HttpError(400, f"request body is not JSON: {exc}") from exc
         if not isinstance(parsed, dict):
             raise _HttpError(400, "request body must be a JSON object")
@@ -391,6 +650,24 @@ class FleetGateway:
         if missing:
             raise _HttpError(400, f"missing field(s): {', '.join(missing)}")
         return [payload[name] for name in names]
+
+    @staticmethod
+    def _event_pairs(events) -> list:
+        """``events`` as parsed from JSON, checked to be ``[[key, message],
+        ...]`` of strings — the fleet unpacks and hashes each pair, which
+        any other shape would fail with an IndexError or TypeError."""
+        refusal = _HttpError(400, "events must be [[key, message], ...]")
+        if type(events) is not list:
+            raise refusal
+        for event in events:
+            if (
+                type(event) is not list
+                or len(event) != 2
+                or type(event[0]) is not str
+                or type(event[1]) is not str
+            ):
+                raise refusal
+        return events
 
     def _dispatch(self, method: str, path: str, query: dict, body: bytes):
         fleet = self._fleet
@@ -428,9 +705,7 @@ class FleetGateway:
                 raise _HttpError(405, "use POST /deliver")
             payload = self._body_json(body)
             if "events" in payload:
-                events = [
-                    (event[0], event[1]) for event in payload["events"]
-                ]
+                events = self._event_pairs(payload["events"])
                 fleet.run(events, encoding="events")
                 return self._json(200, {"dispatched": len(events)})
             key, message = self._require(payload, "key", "message")
@@ -511,50 +786,6 @@ class FleetGateway:
     # WebSocket
     # ------------------------------------------------------------------
 
-    async def _websocket(self, headers, reader, writer) -> None:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            writer.write(
-                self._response(
-                    400, b'{"error": "missing Sec-WebSocket-Key"}\n',
-                    "application/json", True,
-                )
-            )
-            await writer.drain()
-            return
-        accept = base64.b64encode(
-            hashlib.sha1((key + _WS_MAGIC).encode("latin-1")).digest()
-        ).decode("latin-1")
-        writer.write(
-            (
-                "HTTP/1.1 101 Switching Protocols\r\n"
-                "Upgrade: websocket\r\n"
-                "Connection: Upgrade\r\n"
-                f"Sec-WebSocket-Accept: {accept}\r\n"
-                "\r\n"
-            ).encode("latin-1")
-        )
-        await writer.drain()
-        while True:
-            frame = await self._read_frame(reader)
-            if frame is None:
-                break
-            opcode, payload = frame
-            if opcode == 0x8:  # close
-                writer.write(b"\x88\x00")
-                await writer.drain()
-                break
-            if opcode == 0x9:  # ping -> pong
-                writer.write(self._frame(0xA, payload))
-                await writer.drain()
-                continue
-            if opcode not in (0x1, 0x2):
-                continue
-            self._ws_messages.add(1)
-            reply = self._ws_reply(payload)
-            writer.write(self._frame(0x1, reply))
-            await writer.drain()
-
     def _ws_reply(self, payload: bytes) -> bytes:
         try:
             message = json.loads(payload)
@@ -585,30 +816,10 @@ class FleetGateway:
                 result = {"error": f"unknown op {op!r}"}
         except DeploymentError as exc:
             result = {"error": str(exc)}
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # Not JSON (or not UTF-8), not an object, or a field missing.
             result = {"error": f"malformed frame: {exc}"}
         return json.dumps(result).encode("utf-8")
-
-    @staticmethod
-    async def _read_frame(reader):
-        try:
-            head = await reader.readexactly(2)
-        except asyncio.IncompleteReadError:
-            return None
-        opcode = head[0] & 0x0F
-        masked = bool(head[1] & 0x80)
-        length = head[1] & 0x7F
-        if length == 126:
-            length = int.from_bytes(await reader.readexactly(2), "big")
-        elif length == 127:
-            length = int.from_bytes(await reader.readexactly(8), "big")
-        mask = await reader.readexactly(4) if masked else b""
-        payload = await reader.readexactly(length) if length else b""
-        if masked and payload:
-            payload = bytes(
-                byte ^ mask[i % 4] for i, byte in enumerate(payload)
-            )
-        return opcode, payload
 
     @staticmethod
     def _frame(opcode: int, payload: bytes) -> bytes:
