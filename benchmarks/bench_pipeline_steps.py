@@ -4,8 +4,8 @@ Times each pipeline stage for r=4 and verifies the paper's step counts:
 512 possible states after step 1 (Fig 7), transitions attached after
 step 2 (Fig 11), 48 states after pruning (Fig 12), 33 after combining
 equivalent states (Fig 13).  Also benchmarks the merging ablation:
-Moore partition refinement vs iterated one-shot merging (the paper's
-literal description).
+Hopcroft partition refinement (``coarsest_partition``, what step 4 runs)
+vs iterated one-shot merging (the paper's literal description).
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ def test_step3_pruning(benchmark):
     benchmark.extra_info["pruned_states"] = len(machine)
 
 
-def test_step4_merging_moore(benchmark):
-    """Step 4 via partition refinement: 48 -> 33 states (Fig 13)."""
+def test_step4_merging_partition_refinement(benchmark):
+    """Step 4 as shipped (Hopcroft refinement): 48 -> 33 states (Fig 13)."""
     pruned = commit_machine(4, merge=False)
     merged = benchmark(lambda: merge_equivalent(pruned))
     assert len(merged) == 33

@@ -139,14 +139,16 @@ def table1(
 
 
 def format_table1(rows: list[Table1Row]) -> str:
-    """Render rows in the paper's Table 1 layout."""
+    """Render rows in the paper's Table 1 layout, plus whether each row's
+    machine-independent counts reproduce the published ones."""
     lines = [
-        "f   r   initial states   final states   generation time (s)",
-        "--  --  --------------   ------------   -------------------",
+        "f   r   initial states   final states   generation time (s)   matches paper",
+        "--  --  --------------   ------------   -------------------   -------------",
     ]
     for row in rows:
         lines.append(
             f"{row.f:<3d} {row.r:<3d} {row.initial_states:<16d} "
-            f"{row.final_states:<14d} {row.generation_time_s:.3f}"
+            f"{row.final_states:<14d} {row.generation_time_s:<21.3f} "
+            f"{'yes' if row.matches_paper() else 'NO'}"
         )
     return "\n".join(lines)

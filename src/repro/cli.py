@@ -557,8 +557,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "table1":
-        print(format_table1(table1(engine=args.engine)))
-        return 0
+        rows = table1(engine=args.engine)
+        print(format_table1(rows))
+        return 0 if all(row.matches_paper() for row in rows) else 1
 
     if args.command == "render":
         machine = CommitModel(args.replication_factor).generate_state_machine(

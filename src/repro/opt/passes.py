@@ -13,11 +13,16 @@ Shipped passes (see :data:`~repro.opt.pipeline.PASSES` for the registry):
   state.  The array form of the name-graph pruning that
   :meth:`~repro.core.machine.StateMachine.prune_unreachable` performs for
   the generation and flattening pipelines.
-* :class:`MergeEquivalentPass` — partition-refinement (Hopcroft-style
-  backwards splitting over predecessor sets) equivalent-state merging.
-  This is the pass that claws back hierarchical-flattening blow-up:
-  flattening copies inherited transitions into every leaf and routinely
-  leaves behaviourally identical leaves behind.
+* :class:`MergeEquivalentPass` — equivalent-state merging: the IR's
+  arrays handed to :func:`repro.core.minimize.coarsest_partition`, the
+  Hopcroft partition refinement generator step 4 also runs (initial
+  partition by finality and per-message action sequence, predecessor
+  lists per message, block splitters re-queued by the smaller-half
+  rule, O(w·n·log n); that module's docstring has the details and why
+  the classes do not depend on the algorithm).  This is the pass that
+  claws back hierarchical-flattening blow-up: flattening copies
+  inherited transitions into every leaf and routinely leaves
+  behaviourally identical leaves behind.
 * :class:`DeadActionEliminationPass` — compact the interned action and
   action-sequence pools: sequences no transition references (typically
   orphaned by pruning/merging) and duplicate sequences disappear.
@@ -32,6 +37,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.minimize import coarsest_partition
 from repro.opt.indexed import IndexedMachine
 
 #: Mapping produced by a pass: old state id -> new state id (None = removed).
@@ -116,78 +122,57 @@ class MergeEquivalentPass:
 
     Two states are equivalent iff they agree on finality and, per
     message, either both lack a transition or both have transitions with
-    the same interned action sequence into equivalent states — the same
-    relation :func:`repro.core.minimize.equivalence_classes` computes on
-    the name graph, evaluated here on int arrays.  Refinement runs to a
-    fixpoint (the bisimulation quotient); classes keep the name of their
-    lowest-id member, and the mapping records every member -> that
-    representative.
+    the same action sequence into equivalent states — the relation
+    :func:`repro.core.minimize.equivalence_classes` computes on the name
+    graph, from the same kernel
+    (:func:`repro.core.minimize.coarsest_partition`), fed here with the
+    IR's own arrays.  Classes keep the name of their lowest-id member,
+    and the mapping records every member -> that representative.
     """
 
     name = "merge"
 
     def run(self, im: IndexedMachine) -> tuple[IndexedMachine, StateMapping]:
         n = len(im.state_names)
-        width = len(im.messages)
         # Resolve sequence ids to action-name tuples so duplicate pool
         # entries (legal in hand-built IRs) still compare equal.
         seq_key = [tuple(im.actions[a] for a in seq) for seq in im.action_seqs]
-        cls = [1 if f else 0 for f in im.final]
-        while True:
-            signatures: dict[tuple, int] = {}
-            refined = [0] * n
-            for i in range(n):
-                row = i * width
-                outgoing = []
-                for col in range(width):
-                    target = im.next_state[row + col]
-                    if target >= 0:
-                        outgoing.append(
-                            (col, seq_key[im.action_seq[row + col]], cls[target])
-                        )
-                signature = (cls[i], tuple(outgoing))
-                refined[i] = signatures.setdefault(signature, len(signatures))
-            if refined == cls:
-                break
-            cls = refined
+        cls = coarsest_partition(
+            len(im.messages),
+            im.next_state,
+            [seq_key[seq] if seq >= 0 else None for seq in im.action_seq],
+            im.final,
+        )
 
-        # Representative of each class: its lowest member id; classes
-        # ordered by representative so surviving states keep their
-        # original relative order (and the start state stays first when
-        # it was).
-        members: dict[int, list[int]] = {}
-        for i in range(n):
-            members.setdefault(cls[i], []).append(i)
-        groups = sorted(members.values(), key=lambda group: group[0])
+        # Class ids are dense and numbered by lowest member, so class c
+        # is new state c, kept under the name of its lowest member:
+        # surviving states keep their original relative order (and the
+        # start state stays first when it was).
+        groups: list[list[int]] = [[] for _ in set(cls)]
+        for i, c in enumerate(cls):
+            groups[c].append(i)
         if len(groups) == n:
             return im, _identity_mapping(im)
-        representative = {i: group[0] for group in groups for i in group}
         keep = [group[0] for group in groups]
-        new_id = {old: new for new, old in enumerate(keep)}
-        mapping: StateMapping = {i: new_id[representative[i]] for i in range(n)}
-
-        merged = _rebuild(im, keep, lambda old: new_id[representative[old]])
-        merged = _record_merges(merged, im, groups, new_id)
-        return merged, mapping
+        merged = _rebuild(im, keep, cls.__getitem__)
+        merged = _record_merges(merged, im, groups)
+        return merged, dict(enumerate(cls))
 
 
 def _record_merges(
-    merged: IndexedMachine,
-    original: IndexedMachine,
-    groups: list[list[int]],
-    new_id: dict[int, int],
+    merged: IndexedMachine, original: IndexedMachine, groups: list[list[int]]
 ) -> IndexedMachine:
-    """Fold member names/annotations of multi-state classes into sidecars."""
+    """Fold member names/annotations of multi-state classes into sidecars;
+    ``groups[i]`` lists the original ids merged into new state ``i``."""
     from dataclasses import replace
 
     state_merged = list(merged.state_merged) or [()] * len(merged.state_names)
     state_annotations = list(merged.state_annotations) or [()] * len(
         merged.state_names
     )
-    for group in groups:
+    for rep, group in enumerate(groups):
         if len(group) < 2:
             continue
-        rep = new_id[group[0]]
         names: set[str] = set()
         for member in group:
             names.add(original.state_names[member])

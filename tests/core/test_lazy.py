@@ -85,6 +85,10 @@ class TestLazyReport:
         assert report.reachable_states == 48
         assert report.frontier_peak >= 1
         assert set(report.timings) == {"explore", "merge"}
+        assert report.timings["merge"] > 0
+        assert report.total_time == pytest.approx(
+            report.timings["explore"] + report.timings["merge"]
+        )
         assert "[lazy]" in str(report)
 
     def test_no_merge_timings(self):

@@ -1,5 +1,7 @@
 """Tests for the four-step generation pipeline (paper §3.4, Figs 7-13)."""
 
+import pytest
+
 from repro.core.components import BooleanComponent, IntComponent
 from repro.core.model import AbstractModel, StateView, TransitionBuilder
 from repro.core.pipeline import generate
@@ -68,6 +70,13 @@ class TestPipelineSteps:
     def test_timings_cover_all_steps(self):
         _, report = generate(TwoCounterModel())
         assert set(report.timings) == {"enumerate", "transitions", "prune", "merge"}
+        assert report.timings["merge"] > 0
+        assert report.total_time == pytest.approx(
+            sum(
+                report.timings[step]
+                for step in ("enumerate", "transitions", "prune", "merge")
+            )
+        )
 
 
 class TestCommitPipelineCounts:

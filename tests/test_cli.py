@@ -17,6 +17,20 @@ class TestCli:
         output = capsys.readouterr().out
         assert "67712" in output
         assert "2945" in output
+        assert "matches paper" in output
+        assert output.count("yes") == 5 and "NO" not in output
+
+    def test_table1_exits_1_on_a_row_the_paper_does_not_have(self, capsys, monkeypatch):
+        from repro.analysis.stats import Table1Row
+
+        def doctored(engine="eager"):
+            # r=4 with one state too many after merging (published: 33).
+            return [Table1Row(1, 4, 512, 48, 34, 0.001)]
+
+        monkeypatch.setattr("repro.cli.table1", doctored)
+        assert main(["table1"]) == 1
+        row = capsys.readouterr().out.splitlines()[-1]
+        assert "34" in row and row.endswith("NO")
 
     def test_render_text(self, capsys):
         assert main(["render", "-r", "4", "--format", "text"]) == 0
