@@ -1,0 +1,148 @@
+#!/usr/bin/env python3
+"""The alternating parent/change protocol of ``benchmarks/e2e`` as one command.
+
+    python3 scripts/e2e_pairs.py --parent HEAD~1 --workload gen-deploy
+    python3 scripts/e2e_pairs.py --parent 1bb3137 --workload gw-single \\
+        --pairs 10 --seeds 1,2 --seconds 12
+    python3 scripts/e2e_pairs.py --parent HEAD --workload gen-deploy --dry-run
+
+A perf claim in this repository is judged on pairs of runs — the parent
+commit and the change, same workload, seed and run length, alternating
+which side goes first so that drift in host speed lands on both — and then
+on ``benchmarks/e2e/compare.py``'s verdicts over the two sets of runs.  This
+script is that protocol and nothing else: it checks ``--parent`` out with
+``git worktree add`` into a temporary directory, runs ``benchmarks/e2e/run.py
+--json`` in both trees (the change is the working tree this script lives in,
+uncommitted edits included), hands the two comma lists to ``compare.py``
+unmodified, prints every run's value and the wins and ties per gated
+metric, and removes the worktree whatever happened.  It imports nothing from
+``benchmarks/e2e``; the gated metrics are read from ``BENCHMARK.json``.
+
+``--dry-run`` prints the commands in order and runs none.  Exits non-zero
+when ``compare.py`` does (a ``regressed`` row) or a run fails its oracle.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import shlex
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+RUN = "benchmarks/e2e/run.py"
+COMPARE = "benchmarks/e2e/compare.py"
+SIDES = ("parent", "change")
+
+
+def execute(argv, cwd, quiet=False) -> int:
+    """Run one command of the protocol; its exit status."""
+    stdout = subprocess.DEVNULL if quiet else None
+    return subprocess.run(argv, cwd=cwd, stdout=stdout, check=False).returncode
+
+
+def announce(argv, cwd, quiet=False) -> int:
+    """``--dry-run``'s stand-in for :func:`execute`."""
+    print(f"(cd {shlex.quote(str(cwd))} && {shlex.join(map(str, argv))})")
+    return 0
+
+
+def gated_metrics() -> dict[str, str]:
+    """``metric -> "higher" | "lower"`` for the metrics that carry a bound."""
+    contract = json.loads((REPO / "BENCHMARK.json").read_text(encoding="utf-8"))
+    return {row["name"]: row["better"] for row in contract["end_to_end"]}
+
+
+def read_run(path: pathlib.Path) -> dict:
+    (result,) = json.loads(path.read_text(encoding="utf-8"))["results"]
+    return result
+
+
+def report(seed: int, files: dict) -> None:
+    """Every run's value, then who won each pair, per gated metric."""
+    runs = {side: [read_run(path) for path in files[side]] for side in SIDES}
+    for side in SIDES:
+        failed = sum(run["failed"] for run in runs[side])
+        attempted = sum(run["attempted"] for run in runs[side])
+        print(f"seed {seed} {side}: {failed} of {attempted} operations failed")
+    for metric, better in gated_metrics().items():
+        values = {
+            side: [run["metrics"][metric]["median"] for run in runs[side]]
+            for side in SIDES
+        }
+        sign = 1 if better == "higher" else -1
+        gaps = [
+            sign * (new - old)
+            for old, new in zip(values["parent"], values["change"])
+        ]
+        wins = sum(gap > 0 for gap in gaps)
+        ties = sum(gap == 0 for gap in gaps)
+        medians = {side: statistics.median(values[side]) for side in SIDES}
+        print(
+            f"seed {seed} {metric} ({better} is better): change better in "
+            f"{wins} of {len(gaps)} pairs, {ties} ties; median "
+            f"{medians['parent']:.6g} -> {medians['change']:.6g} "
+            f"({medians['change'] / medians['parent']:.3f}x, base: parent)"
+        )
+        for side in SIDES:
+            listed = " ".join(f"{value:.6g}" for value in values[side])
+            print(f"    {side:6s} {listed}")
+
+
+def measure(args, trees: dict, work: pathlib.Path, run) -> int:
+    """The pairs and the comparison, given both trees; the worst status."""
+    status = 0
+    for seed in args.seeds:
+        bench = [sys.executable, RUN, "--workload", args.workload, "--seed", str(seed)]
+        bench += ["--seconds", f"{args.seconds:g}", "--json"]
+        files: dict = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                out = work / f"{side}-seed{seed}-pair{pair}.json"
+                if run([*bench, str(out)], trees[side], quiet=True):
+                    raise SystemExit(f"{side} run failed: seed {seed}, pair {pair}")
+                files[side].append(out)
+        lists = [",".join(map(str, files[side])) for side in SIDES]
+        status |= run([sys.executable, COMPARE, *lists], trees["change"])
+        if not args.dry_run:
+            report(seed, files)
+    return status
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="revision to compare with")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seeds",
+        type=lambda text: [int(seed) for seed in text.split(",")],
+        default=[1, 2],
+    )
+    parser.add_argument("--seconds", type=float, default=12)
+    parser.add_argument("--dry-run", action="store_true")
+    args = parser.parse_args(argv)
+
+    if args.dry_run:
+        # Named, never created: the commands are printed, not run.
+        run, work = announce, pathlib.Path(tempfile.gettempdir()) / "e2e-pairs"
+    else:
+        run, work = execute, pathlib.Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
+    parent = work / "parent"
+    try:
+        if run(["git", "worktree", "add", "--detach", str(parent), args.parent], REPO):
+            raise SystemExit(f"cannot check out {args.parent!r}")
+        return measure(args, {"parent": parent, "change": REPO}, work, run)
+    finally:
+        run(["git", "worktree", "remove", "--force", str(parent)], REPO)
+        if not args.dry_run:
+            shutil.rmtree(work, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

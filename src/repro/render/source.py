@@ -40,8 +40,10 @@ deployment styles are supported:
   generated machine class inherits from; the surrounding application binds
   the name when compiling the module
   (:func:`repro.runtime.compile.compile_machine` does this).  The class
-  lists the action methods it calls in ``ACTION_METHODS`` so a generic
-  base (:mod:`repro.runtime.actions`) can define them once per class;
+  lists the action methods it calls in ``ACTION_METHODS``, which is its
+  whole contract with the base: a generic base
+  (:mod:`repro.runtime.actions`) defines exactly those, once per class,
+  and ``compile_machine`` refuses a base that leaves one undefined;
 * **standalone mode** (``action_base=None``): the generated class defines
   overridable no-op action methods, so the module runs on its own.
 

@@ -11,10 +11,14 @@ independent bases:
 * :class:`CallbackActions` — forwards each action to a callable (used by
   the storage substrate to turn actions into simulated network sends).
 
-A generated class names the action methods it calls in ``ACTION_METHODS``;
-both bases define those as plain methods when the class is created.  Any
-other ``send_*`` name is synthesised on demand, so the bases work for every
-abstract model without per-algorithm code.
+``ACTION_METHODS`` is the whole contract: a class names the action methods
+it calls there (every generated class does) and both bases define exactly
+those, as plain methods, when the class is created — so the bases work for
+every abstract model without per-algorithm code.  A name nobody declared
+or defined is an ordinary ``AttributeError``: neither base intercepts
+attribute lookup, because on CPython a lookup hook anywhere in the MRO
+takes every instance of every generated class off the specialised
+attribute path (docs/architecture.md, "The action contract").
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ _ACTION_PREFIX = "send_"
 
 
 class _SendMethods:
-    """``send_<action>`` methods: declared ones installed, others on demand."""
+    """Defines the ``send_<action>`` methods a subclass declares."""
 
     @staticmethod
     def _action_method(action: str) -> Callable[..., None]:
@@ -36,19 +40,34 @@ class _SendMethods:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        for name in cls.__dict__.get("ACTION_METHODS", ()):
+        declared = cls.__dict__.get("ACTION_METHODS", ())
+        # ("send_vote") is a str: iterating it would install s, e, n, d, ...
+        if isinstance(declared, (str, bytes)):
+            raise TypeError(
+                f"{cls.__qualname__}.ACTION_METHODS must be a tuple of method "
+                f"names, not {declared!r} (missing comma?)"
+            )
+        for name in declared:
+            if not (
+                isinstance(name, str)
+                and name.isidentifier()
+                and name.startswith(_ACTION_PREFIX)
+            ):
+                raise TypeError(
+                    f"{cls.__qualname__}.ACTION_METHODS holds {name!r}, which is "
+                    f"not a {_ACTION_PREFIX}<action> method name"
+                )
             # A method the class or a hand-written base defines wins.
-            if not hasattr(cls, name):
-                action = name.removeprefix(_ACTION_PREFIX)
-                setattr(cls, name, cls._action_method(action))
-
-    def __getattr__(self, name: str):
-        if name.startswith(_ACTION_PREFIX):
-            action = name.removeprefix(_ACTION_PREFIX)
-            return self._action_method(action).__get__(self)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
+            if hasattr(cls, name):
+                continue
+            method = cls._action_method(name.removeprefix(_ACTION_PREFIX))
+            qualname = f"{cls.__qualname__}.{name}"
+            method.__name__, method.__qualname__ = name, qualname
+            # Tracebacks and profiles read the code object's names.
+            method.__code__ = method.__code__.replace(
+                co_name=name, co_qualname=qualname
+            )
+            setattr(cls, name, method)
 
 
 class RecordingActions(_SendMethods):

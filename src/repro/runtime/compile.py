@@ -41,6 +41,47 @@ class CompiledMachine:
         return self.cls(*args, **kwargs)
 
 
+def _load_generated(
+    source: str, origin: str, class_name: str, action_base: type
+) -> tuple[types.ModuleType, type]:
+    """Compile generated ``source`` into a fresh module bound to
+    ``action_base`` and return ``(module, generated class)``.
+
+    The generated class is the deployed artefact, so what it needs from
+    its action base is verified here, once, when it is loaded: a
+    ``send_*`` method found missing in the middle of a transition would
+    leave the transition half performed.
+    """
+    module = types.ModuleType(f"repro_generated_{next(_module_counter)}")
+    module.__dict__[ACTION_BASE_NAME] = action_base
+    try:
+        code = compile(source, filename=f"<generated {origin}>", mode="exec")
+        exec(code, module.__dict__)  # noqa: S102 - deliberate dynamic load
+    except SyntaxError as exc:
+        raise DeploymentError(f"generated source failed to compile: {exc}") from exc
+    try:
+        cls = module.__dict__[class_name]
+    except KeyError:
+        raise DeploymentError(
+            f"generated module does not define expected class {class_name!r}"
+        ) from None
+    # A base with its own __getattr__ resolves names itself: nothing to check.
+    if not hasattr(action_base, "__getattr__"):
+        missing = [
+            name
+            for name in cls.ACTION_METHODS
+            if not callable(getattr(cls, name, None))
+        ]
+        if missing:
+            raise DeploymentError(
+                f"action base {action_base.__qualname__!r} does not define "
+                f"{', '.join(missing)}, which generated class {class_name!r} "
+                f"calls (RecordingActions and CallbackActions define every "
+                f"name in ACTION_METHODS)"
+            )
+    return module, cls
+
+
 def compile_machine(
     machine: StateMachine,
     action_base: type = RecordingActions,
@@ -51,9 +92,11 @@ def compile_machine(
 
     ``action_base`` is the class supplying the ``send_*`` action methods;
     the generated class inherits from it (paper §5.1).  Raises
-    :class:`~repro.core.errors.DeploymentError` if the generated source
-    fails to compile or the expected class is missing — both indicate a
-    renderer bug, not a caller error.
+    :class:`~repro.core.errors.DeploymentError` if ``action_base`` lacks a
+    method the generated class names in ``ACTION_METHODS`` (the bundled
+    bases define them all), or if the generated source fails to compile or
+    the expected class is missing — those two indicate a renderer bug, not
+    a caller error.
     """
     name = class_name or machine_class_name(machine)
     renderer = PythonSourceRenderer(
@@ -62,22 +105,7 @@ def compile_machine(
         include_commentary=include_commentary,
     )
     source = renderer.render(machine)
-
-    module_name = f"repro_generated_{next(_module_counter)}"
-    module = types.ModuleType(module_name)
-    module.__dict__[ACTION_BASE_NAME] = action_base
-    try:
-        code = compile(source, filename=f"<generated {machine.name}>", mode="exec")
-        exec(code, module.__dict__)  # noqa: S102 - deliberate dynamic load
-    except SyntaxError as exc:
-        raise DeploymentError(f"generated source failed to compile: {exc}") from exc
-
-    try:
-        cls = module.__dict__[name]
-    except KeyError:
-        raise DeploymentError(
-            f"generated module does not define expected class {name!r}"
-        ) from None
+    module, cls = _load_generated(source, machine.name, name, action_base)
     return CompiledMachine(machine=machine, source=source, module=module, cls=cls)
 
 
@@ -117,20 +145,5 @@ def compile_efsm(
     name = class_name or efsm_class_name(efsm)
     renderer = PythonEfsmRenderer(class_name=name, action_base=ACTION_BASE_NAME)
     source = renderer.render(efsm)
-    module_name = f"repro_generated_efsm_{next(_module_counter)}"
-    module = types.ModuleType(module_name)
-    module.__dict__[ACTION_BASE_NAME] = action_base
-    try:
-        code = compile(source, filename=f"<generated {efsm.name}>", mode="exec")
-        exec(code, module.__dict__)  # noqa: S102 - deliberate dynamic load
-    except SyntaxError as exc:
-        raise DeploymentError(
-            f"generated EFSM source failed to compile: {exc}"
-        ) from exc
-    try:
-        cls = module.__dict__[name]
-    except KeyError:
-        raise DeploymentError(
-            f"generated EFSM module does not define expected class {name!r}"
-        ) from None
+    module, cls = _load_generated(source, efsm.name, name, action_base)
     return CompiledEfsm(source=source, module=module, cls=cls)
