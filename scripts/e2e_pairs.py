@@ -10,12 +10,14 @@ A perf claim in this repository is judged on pairs of runs — the parent
 commit and the change, same workload, seed and run length, alternating
 which side goes first so that drift in host speed lands on both — and then
 on ``benchmarks/e2e/compare.py``'s verdicts over the two sets of runs.  This
-script is that protocol and nothing else: it checks ``--parent`` out with
-``git worktree add`` into a temporary directory, runs ``benchmarks/e2e/run.py
---json`` in both trees (the change is the working tree this script lives in,
-uncommitted edits included), hands the two comma lists to ``compare.py``
-unmodified, prints every run's value and the wins and ties per gated
-metric, and removes the worktree whatever happened.  It imports nothing from
+script is that protocol and nothing else: it unpacks ``git archive`` of
+``--parent`` — the committed files, nothing else, which is what the parent
+is judged on — into a temporary directory (under ``$TMPDIR``), runs
+``benchmarks/e2e/run.py --json`` in both trees (the change is the working
+tree this script lives in, uncommitted edits included), hands the two comma
+lists to ``compare.py`` unmodified, prints every run's value and the wins
+and ties per gated metric, and removes the directory whatever happened; the
+repository's own ``.git`` is only read.  It imports nothing from
 ``benchmarks/e2e``; the gated metrics are read from ``BENCHMARK.json``.
 
 ``--dry-run`` prints the commands in order and runs none.  Exits non-zero
@@ -133,13 +135,18 @@ def main(argv=None) -> int:
         run, work = announce, pathlib.Path(tempfile.gettempdir()) / "e2e-pairs"
     else:
         run, work = execute, pathlib.Path(tempfile.mkdtemp(prefix="e2e-pairs-"))
-    parent = work / "parent"
+    parent, tarball = work / "parent", work / "parent.tar"
     try:
-        if run(["git", "worktree", "add", "--detach", str(parent), args.parent], REPO):
+        if not args.dry_run:
+            parent.mkdir()
+        checkout = (
+            ["git", "archive", "--output", str(tarball), args.parent],
+            ["tar", "-xf", str(tarball), "-C", str(parent)],
+        )
+        if any(run(argv, REPO) for argv in checkout):
             raise SystemExit(f"cannot check out {args.parent!r}")
         return measure(args, {"parent": parent, "change": REPO}, work, run)
     finally:
-        run(["git", "worktree", "remove", "--force", str(parent)], REPO)
         if not args.dry_run:
             shutil.rmtree(work, ignore_errors=True)
 

@@ -2,7 +2,7 @@
 
 PRs 2–7 grew the serve plane around one concrete class —
 :class:`~repro.serve.fleet.FleetEngine` — and its accreted method
-surface (``run``/``run_encoded``/``run_encoded_flat``, ad-hoc snapshot
+surface (one ``run`` spelling per schedule encoding, ad-hoc snapshot
 types).  A second engine cannot sanely implement that surface, so this
 module is the redesign that makes the process-parallel fleet
 (:mod:`repro.serve.mpfleet`) possible:

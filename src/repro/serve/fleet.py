@@ -52,9 +52,9 @@ policies — and :meth:`FleetEngine.drain_shard` dispatches a shard's queue
 in one pass.  Routing never re-hashes an interned key: the shard id is
 memoized per slot at spawn time.  :meth:`FleetEngine.run` additionally
 treats an already materialised event list as one arrival batch (encoded
-once, for the encoded modes); :meth:`FleetEngine.run_encoded` accepts a
-schedule that is *already* ``(slot, column)`` pairs, so a generator can
-pay the interning cost once per workload instead of once per run.
+once, for the encoded modes); ``run(schedule, encoding="pairs"|"flat")``
+accepts a schedule that is *already* interned, so a generator can pay
+the interning cost once per workload instead of once per run.
 
 Snapshot/restore captures every instance's ``(key, state, action log)``
 for recycling and failover; recycling itself rides the ``reset()``
@@ -80,7 +80,6 @@ observed: every drain records the drained batch's depth into
 
 from __future__ import annotations
 
-import warnings
 from array import array
 from dataclasses import dataclass
 from operator import itemgetter
@@ -508,15 +507,44 @@ class FleetEngine:
     # event intake
     # ------------------------------------------------------------------
 
+    def _intern(self, events):
+        """``(slots, cols, rejected)`` — the one walk from strings to ints.
+
+        Keys resolve through the store's intern table and messages
+        through the IR's message index into two parallel id lists, with
+        no per-event tuple or call.  Bad events (unknown instance or
+        message) are collected, not raised: the valid remainder still
+        interns, so callers can dispatch it before rejecting.
+        """
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        slot_of = self._store.slot_of
+        columns = self._columns
+        try:
+            return (
+                [slot_of[key] for key, _ in events],
+                [columns[message] for _, message in events],
+                (),
+            )
+        except KeyError:
+            # Walk again only to name the offenders.
+            valid: list[tuple[str, str]] = []
+            rejected: list[tuple[str, str]] = []
+            for key, message in events:
+                known = key in slot_of and message in columns
+                (valid if known else rejected).append((key, message))
+            slots, cols, _ = self._intern(valid)
+            return slots, cols, rejected
+
     def encode(self, events) -> list[tuple[int, int]]:
         """Intern ``(key, message)`` events to ``(slot, column)`` pairs.
 
-        The encoded serve path's batch half: keys resolve through the
-        store's intern table and messages through the IR's message index
-        exactly once, so :meth:`run_encoded` downstream never touches a
-        string.  Slot ids are fleet-specific — encode against the fleet
-        that will run the schedule.  Unknown keys or messages raise one
-        :class:`~repro.core.errors.DeploymentError` naming them.
+        The encoded serve path's batch half: keys and messages resolve
+        exactly once, so ``run(pairs, encoding="pairs")`` downstream
+        never touches a string.  Slot ids are fleet-specific — encode
+        against the fleet that will run the schedule.  Unknown keys or
+        messages raise one :class:`~repro.core.errors.DeploymentError`
+        naming them.
 
         With tracing attached, the whole schedule is minted one
         contiguous trace-id block (event *i* owns ``start + i``) and a
@@ -524,9 +552,10 @@ class FleetEngine:
         an arbitrarily large schedule, which is what keeps the encoded
         path inside its overhead budget.
         """
-        pairs, rejected = self._encode_batch(events)
+        slots, cols, rejected = self._intern(events)
         if rejected:
             self._raise_rejected(rejected)
+        pairs = list(zip(slots, cols))
         telemetry = self._telemetry
         if telemetry is not None and telemetry.trace is not None and pairs:
             ids = telemetry.trace.mint_range(len(pairs))
@@ -550,45 +579,23 @@ class FleetEngine:
 
         A ``vector`` fleet returns a
         :class:`~repro.serve.vector.VectorSchedule` instead of the raw
-        buffer: the batch's per-instance ordering rounds are computed
-        here, at encode time, so repeated runs of the schedule pay only
-        the gather/scatter.  The schedule carries the flat buffer as
+        buffer: the interned columns go straight into numpy and the
+        batch's per-instance ordering rounds are computed here, at encode
+        time, so repeated runs of the schedule pay only the
+        gather/scatter.  The schedule builds the flat buffer on demand as
         ``.flat``, supports ``+`` concatenation, and ``run`` accepts it
-        anywhere a flat array is accepted.
+        anywhere a flat array is accepted — on a scalar ``encoded`` fleet
+        too.
         """
-        slot_of = self._store.slot_of
-        columns = self._columns
-        flat = array("q")
-        append = flat.append
-        rejected: list[tuple[str, str]] = []
-        for key, message in events:
-            try:
-                slot = slot_of[key]
-                col = columns[message]
-            except KeyError:
-                rejected.append((key, message))
-            else:
-                append(slot)
-                append(col)
+        slots, cols, rejected = self._intern(events)
         if rejected:
             self._raise_rejected(rejected)
         if self._kernel is not None:
-            return self._kernel.schedule_flat(flat)
+            return VectorSchedule.of_columns(slots, cols)
+        flat = array("q", bytes(16 * len(slots)))
+        flat[0::2] = array("q", slots)
+        flat[1::2] = array("q", cols)
         return flat
-
-    def _encode_batch(self, events):
-        """``(pairs, rejected)`` — bad events are collected, not raised."""
-        slot_of = self._store.slot_of
-        columns = self._columns
-        pairs: list[tuple[int, int]] = []
-        rejected: list[tuple[str, str]] = []
-        append = pairs.append
-        for key, message in events:
-            try:
-                append((slot_of[key], columns[message]))
-            except KeyError:
-                rejected.append((key, message))
-        return pairs, rejected
 
     def _offer(self, shard_id: int, event, source: Optional[str] = None) -> bool:
         """Offer one event to a shard mailbox, applying the overflow policy."""
@@ -803,8 +810,8 @@ class FleetEngine:
         else:
             # count/off policies share the encoded inner loops: intern the
             # batch (collecting bad events), then run pure int dispatch.
-            pairs, rejected = self._encode_batch(batch)
-            self._dispatch_pairs(pairs)
+            slots, cols, rejected = self._intern(batch)
+            self._dispatch_columns(slots, cols)
             if rejected:
                 self._raise_rejected(rejected)
             return
@@ -838,15 +845,26 @@ class FleetEngine:
             rnd.sort(key=_BY_COLUMN)
         return rounds
 
-    def _dispatch_pairs(self, pairs) -> None:
-        """Dispatch a batch of pre-encoded ``(slot, column)`` pairs."""
+    def _dispatch_columns(self, slots, cols) -> None:
+        """Dispatch an interned batch held as two parallel id columns."""
         if self._kernel is not None:
-            self._kernel.dispatch(self._kernel.schedule_pairs(pairs), self.metrics)
+            self._kernel.dispatch(VectorSchedule.of_columns(slots, cols), self.metrics)
+        else:
+            self._dispatch_pairs(zip(slots, cols), len(slots))
+
+    def _dispatch_pairs(self, pairs, count: Optional[int] = None) -> None:
+        """Dispatch a batch of pre-encoded ``(slot, column)`` pairs
+        (``count`` as for :meth:`_run_pairs`)."""
+        if self._kernel is not None:
+            # A drained mailbox or a ``pairs`` schedule: always a list.
+            self._dispatch_columns(
+                [slot for slot, _ in pairs], [col for _, col in pairs]
+            )
         elif self._mode == "grouped":
             for rnd in self._group_rounds(pairs):
                 self._run_pairs(rnd)
         else:
-            self._run_pairs(pairs)
+            self._run_pairs(pairs, count)
 
     def _run_pairs(self, pairs, count: Optional[int] = None) -> None:
         """The encoded hot loop: pure int arithmetic on two flat arrays.
@@ -1021,17 +1039,21 @@ class FleetEngine:
         if not self._bounded:
             batch = events if isinstance(events, list) else list(events)
             if batch:
+                started = perf_counter()
+                rejected = ()
+                if self._encoded_intake:
+                    # Intern before counting: a batch that raises here (a
+                    # non-pair, an unhashable key) was never offered.
+                    slots, cols, rejected = self._intern(batch)
                 self.metrics.events_offered += len(batch)
                 self.metrics.batches_drained += 1
-                started = perf_counter()
                 try:
                     if self._encoded_intake:
-                        pairs, rejected = self._encode_batch(batch)
-                        self._dispatch_pairs(pairs)
-                        if rejected:
-                            self._raise_rejected(rejected)
+                        self._dispatch_columns(slots, cols)
                     else:
                         self._dispatch(batch)
+                    if rejected:
+                        self._raise_rejected(rejected)
                 finally:
                     if self._telemetry is not None:
                         self._telemetry.observe_batch(
@@ -1059,17 +1081,7 @@ class FleetEngine:
             raise DeploymentError("; ".join(errors))
         return self.metrics
 
-    def run_encoded(self, pairs) -> FleetMetrics:
-        """Deprecated alias for :meth:`run` with ``encoding="pairs"``."""
-        warnings.warn(
-            "FleetEngine.run_encoded is deprecated; "
-            'use run(pairs, encoding="pairs")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(pairs, encoding="pairs")
-
-    def _run_pairs_schedule(self, pairs) -> FleetMetrics:
+    def _run_pairs_schedule(self, pairs, count: Optional[int] = None) -> FleetMetrics:
         """:meth:`run` body for pre-encoded ``(slot, column)`` schedules.
 
         The zero-string serve path: the schedule comes from
@@ -1077,7 +1089,8 @@ class FleetEngine:
         :func:`repro.serve.workload.encode_schedule`) against *this*
         fleet — slot ids are fleet-specific — and dispatch goes straight
         to the int hot loop.  Only the encoded modes accept pairs; pairs
-        are trusted, exactly as documented on :meth:`encode`.
+        are trusted, exactly as documented on :meth:`encode`.  ``count``
+        comes with a one-shot ``pairs`` iterable (the flat path).
         """
         if not self._encoded_intake:
             raise DeploymentError(
@@ -1087,16 +1100,16 @@ class FleetEngine:
             )
         self.drain_all()
         if not self._bounded:
-            batch = pairs if isinstance(pairs, list) else list(pairs)
-            if batch:
-                self.metrics.events_offered += len(batch)
+            if count is None:
+                pairs = pairs if isinstance(pairs, list) else list(pairs)
+                count = len(pairs)
+            if count:
+                self.metrics.events_offered += count
                 self.metrics.batches_drained += 1
                 started = perf_counter()
-                self._dispatch_pairs(batch)
+                self._dispatch_pairs(pairs, count)
                 if self._telemetry is not None:
-                    self._telemetry.observe_batch(
-                        len(batch), perf_counter() - started
-                    )
+                    self._telemetry.observe_batch(count, perf_counter() - started)
             return self.metrics
         shard_ids = self._store.shard_ids
         offer = self._offer
@@ -1105,25 +1118,17 @@ class FleetEngine:
         self.drain_all()
         return self.metrics
 
-    def run_encoded_flat(self, flat) -> FleetMetrics:
-        """Deprecated alias for :meth:`run` with ``encoding="flat"``."""
-        warnings.warn(
-            "FleetEngine.run_encoded_flat is deprecated; "
-            'use run(flat, encoding="flat")',
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(flat, encoding="flat")
-
     def _run_flat(self, flat) -> FleetMetrics:
         """:meth:`run` body for flat ``[slot, col, ...]`` schedules.
 
         The ``pairs`` contract, minus per-event objects: pairs are
         formed inside ``zip``, whose result tuple the interpreter
-        recycles, so the hot loop neither allocates nor frees anything
-        per event.  Bounded and grouped fleets need real pair objects (to
-        queue, to sort into rounds) and take the ``pairs``
-        path; ``zip`` hands them freshly materialized pairs.
+        recycles, so the scalar hot loop neither allocates nor frees
+        anything per event (a mailbox or a grouped round that keeps a
+        pair gets a fresh one).  A scalar consumer — an
+        ``encoded``/``grouped`` fleet, any bounded fleet — handed a
+        vector fleet's schedule reads the same events back through the
+        schedule's flat buffer.
         """
         if not self._encoded_intake:
             raise DeploymentError(
@@ -1131,35 +1136,24 @@ class FleetEngine:
                 f"('encoded', 'grouped' or 'vector'); this fleet "
                 f"dispatches {self._mode!r}"
             )
-        if self._kernel is not None:
-            schedule = self._kernel.schedule_flat(flat)
-            if self._bounded:
-                it = iter(schedule.flat)
-                return self._run_pairs_schedule(list(zip(it, it)))
-            self.drain_all()
-            if schedule.count:
-                self.metrics.events_offered += schedule.count
-                self.metrics.batches_drained += 1
-                started = perf_counter()
-                self._kernel.dispatch(schedule, self.metrics)
-                if self._telemetry is not None:
-                    self._telemetry.observe_batch(
-                        schedule.count, perf_counter() - started
-                    )
-            return self.metrics
-        if self._bounded or self._mode == "grouped":
+        if self._kernel is None or self._bounded:
+            if isinstance(flat, VectorSchedule):
+                flat = flat.flat
             it = iter(flat)
-            return self._run_pairs_schedule(list(zip(it, it)))
+            return self._run_pairs_schedule(zip(it, it), len(flat) // 2)
+        schedule = flat
+        if not isinstance(flat, VectorSchedule):
+            schedule = VectorSchedule(
+                flat if isinstance(flat, array) else array("q", flat)
+            )
         self.drain_all()
-        count = len(flat) // 2
-        if count:
-            self.metrics.events_offered += count
+        if schedule.count:
+            self.metrics.events_offered += schedule.count
             self.metrics.batches_drained += 1
             started = perf_counter()
-            it = iter(flat)
-            self._run_pairs(zip(it, it), count)
+            self._kernel.dispatch(schedule, self.metrics)
             if self._telemetry is not None:
-                self._telemetry.observe_batch(count, perf_counter() - started)
+                self._telemetry.observe_batch(schedule.count, perf_counter() - started)
         return self.metrics
 
     # ------------------------------------------------------------------

@@ -1064,13 +1064,10 @@ class MultiprocessFleet:
     # event intake and dispatch
     # ------------------------------------------------------------------
 
-    def encode(self, events) -> EncodedFleetSchedule:
-        """Intern ``(key, message)`` events into per-worker flat buffers.
-
-        Same validation contract as the engine's ``encode``: unknown
-        keys or messages raise one canonical :class:`DeploymentError`
-        naming them.
-        """
+    def _partition(self, events) -> tuple[list, list]:
+        """``(parts, rejected)`` — events interned into one flat
+        ``[slot, col, ...]`` buffer per owning worker; bad events
+        (unknown instance or message) are collected, not raised."""
         parts = [array("q") for _ in self._workers]
         slots = self._slots
         columns = self._columns
@@ -1085,6 +1082,16 @@ class MultiprocessFleet:
             part = parts[wid]
             part.append(slot)
             part.append(col)
+        return parts, rejected
+
+    def encode(self, events) -> EncodedFleetSchedule:
+        """Intern ``(key, message)`` events into per-worker flat buffers.
+
+        Same validation contract as the engine's ``encode``: unknown
+        keys or messages raise one canonical :class:`DeploymentError`
+        naming them.
+        """
+        parts, rejected = self._partition(events)
         if rejected:
             raise_rejected(rejected)
         return EncodedFleetSchedule(tuple(parts))
@@ -1202,22 +1209,7 @@ class MultiprocessFleet:
         # partition by owning worker, fan out, then raise for rejects —
         # valid traffic is never stranded behind bad events.
         if self._encoded_intake:
-            parts: list = [None] * len(self._workers)
-            slots = self._slots
-            columns = self._columns
-            rejected: list[tuple[str, str]] = []
-            for key, message in events:
-                entry = slots.get(key)
-                col = columns.get(message)
-                if entry is None or col is None:
-                    rejected.append((key, message))
-                    continue
-                wid, slot = entry
-                part = parts[wid]
-                if part is None:
-                    part = parts[wid] = array("q")
-                part.append(slot)
-                part.append(col)
+            parts, rejected = self._partition(events)
             requests = {
                 wid: ("run_flat", part)
                 for wid, part in enumerate(parts)

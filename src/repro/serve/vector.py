@@ -15,19 +15,20 @@ A gather/scatter round is only race-free when each slot appears at most
 once, so a batch is first split into *occurrence rounds* — round *r*
 holds every slot's *r*-th event, exactly the per-instance ordering rounds
 ``grouped`` dispatch established — and the rounds execute sequentially.
-Round splitting is itself vectorized (a stable radix argsort of the slot
-column; slot ids below 2**16 sort as ``uint16``, where numpy's stable
-sort is an O(n) radix pass) and happens once per schedule at *encode*
-time: :class:`VectorSchedule` carries the pre-split per-round arrays, so
-a repeated ``run`` pays only the gathers — the same "intern once per
-workload" contract the encoded plane already has.
+Round splitting is itself vectorized (two stable radix argsorts; ids
+below 2**16 sort as ``uint16``, where numpy's stable sort is an O(n)
+radix pass) and happens once per schedule at *encode* time:
+:class:`VectorSchedule` is the batch's two int64 columns permuted into
+round order plus the round boundaries, so a repeated ``run`` pays only
+the gathers — the same "intern once per workload" contract the encoded
+plane already has.
 
 The non-vectorizable edges are masked out and post-processed scalar-side:
 
 * **inapplicable messages** never branch: the kernel's jump variant maps
   a ``-1`` (message inapplicable) entry to the *current* premultiplied
-  state, so the scatter is unconditional; the ignored count comes from
-  one boolean gather.
+  state, so the scatter is unconditional; the ignored and recycled
+  counts come from one flags gather over the whole batch's offsets.
 * **action logging** (``log_policy='full'``/``'count'``) gathers an
   actions-present mask and walks only the matching events in Python,
   appending the identical action tuples the scalar loop appends — traces
@@ -131,77 +132,102 @@ class StateColumn:
         self.data[slot] = value
 
 
-def _occurrence_rounds(slots, cols):
-    """Split a batch into per-instance occurrence rounds.
-
-    Returns ``[(slots_r, cols_r), ...]`` where round *r* holds every
-    slot's *r*-th event of the batch in original arrival order — the
-    exact round structure :meth:`FleetEngine._group_rounds` produces,
-    computed with array passes instead of a Python loop.  Within a round
-    every slot is unique, so gather/scatter execution is race-free.
-    """
-    n = len(slots)
-    if n == 0:
-        return []
-    top = int(slots.max()) + 1
-    counts = _np.bincount(slots, minlength=top)
-    if int(counts.max()) <= 1:
-        return [(slots, cols)]
-    # Occurrence index of each event among its slot's events: stable-sort
-    # by slot, then each event's rank inside its (contiguous) slot group
-    # is its position minus the group's start, scattered back to arrival
-    # order.  Group starts come from the exclusive prefix sum of the
-    # per-slot counts — no comparisons, no accumulate scan.
-    sort_key = slots.astype(_np.uint16) if top <= _RADIX_LIMIT else slots
-    order = _np.argsort(sort_key, kind="stable")
-    positions = _np.arange(n, dtype=_np.int64)
-    group_starts = _np.repeat(_np.cumsum(counts) - counts, counts)
-    occurrence = _np.empty(n, dtype=_np.int64)
-    occurrence[order] = positions - group_starts
-    # Regroup by occurrence round, preserving arrival order within each.
-    rounds_total = int(occurrence.max()) + 1
-    occ_key = (
-        occurrence.astype(_np.uint16)
-        if rounds_total <= _RADIX_LIMIT
-        else occurrence
-    )
-    by_round = _np.argsort(occ_key, kind="stable")
-    bounds = _np.cumsum(_np.bincount(occurrence, minlength=rounds_total))
-    rounds = []
-    start = 0
-    for end in bounds:
-        end = int(end)
-        picked = by_round[start:end]
-        rounds.append((slots[picked], cols[picked]))
-        start = end
-    return rounds
-
-
 class VectorSchedule:
     """A pre-encoded schedule with its round structure already computed.
 
-    The vector twin of the flat ``array('q')`` schedule: built once at
-    encode time from interned ``(slot, column)`` ids, it carries the flat
-    buffer (for bounded-mailbox fallbacks and cross-checks) plus the
-    per-round numpy arrays the kernel gathers over, so dispatch never
-    pays the round split.  Schedules are fleet-specific — encode against
-    the fleet that will run the schedule.
+    The vector twin of the flat ``array('q')`` schedule: the batch's
+    ``slots`` and ``cols`` as two int64 columns permuted into
+    occurrence-round order, and ``bounds`` — round *r* is
+    ``[bounds[r], bounds[r + 1])`` of both.  Every slot is unique inside
+    a round and rounds keep arrival order, so dispatch is a walk over
+    ``bounds`` and never pays the split; the number of arrays held does
+    not depend on the number of rounds.  Build one from a flat
+    ``[slot, col, ...]`` buffer (``VectorSchedule(flat)``) or straight
+    from two id columns (:meth:`of_columns`).  Schedules are
+    fleet-specific — encode against the fleet that will run the schedule.
     """
 
-    __slots__ = ("flat", "rounds", "count")
+    __slots__ = ("slots", "cols", "bounds", "count", "_order", "_flat")
 
     def __init__(self, flat: array):
         require_numpy("a vector schedule")
-        self.flat = flat
-        buffer = _np.frombuffer(flat, dtype=_np.int64) if len(flat) else None
-        if buffer is None:
-            self.rounds = []
-            self.count = 0
-        else:
-            slots = _np.ascontiguousarray(buffer[0::2])
-            cols = _np.ascontiguousarray(buffer[1::2])
-            self.rounds = _occurrence_rounds(slots, cols)
-            self.count = len(slots)
+        pairs = _np.frombuffer(flat, dtype=_np.int64)
+        self._split(
+            _np.ascontiguousarray(pairs[0::2]), _np.ascontiguousarray(pairs[1::2])
+        )
+
+    @classmethod
+    def of_columns(cls, slots, cols) -> "VectorSchedule":
+        """The schedule of two parallel id lists in arrival order."""
+        require_numpy("a vector schedule")
+        schedule = cls.__new__(cls)
+        # Through array('Q'): CPython fills one from a list at ~7 ns an
+        # element, against ~16 for 'q' and 20-26 for np.fromiter/np.array
+        # (3.11, numpy 2.4); ids are never negative, so the bits agree.
+        schedule._split(
+            _np.frombuffer(array("Q", slots), dtype=_np.int64),
+            _np.frombuffer(array("Q", cols), dtype=_np.int64),
+        )
+        return schedule
+
+    def _split(self, slots, cols) -> None:
+        """Permute arrival-order columns into occurrence-round order."""
+        count = self.count = len(slots)
+        self.slots, self.cols = slots, cols
+        self.bounds = [0, count] if count else [0]
+        #: Arrival position of each round-ordered event (``None``: the
+        #: batch is one round and the columns are still in arrival order).
+        self._order = None
+        self._flat = None
+        if count < 2:
+            return
+        # A stable sort by slot lines each slot's events up as one run,
+        # still in arrival order.
+        key = slots.astype(_np.uint16) if int(slots.max()) < _RADIX_LIMIT else slots
+        by_slot = _np.argsort(key, kind="stable")
+        runs = key[by_slot]
+        first = _np.empty(count, dtype=_np.bool_)
+        first[0] = True
+        _np.not_equal(runs[1:], runs[:-1], out=first[1:])
+        if first.all():
+            return
+        # An event's round is its distance from the start of its run;
+        # a stable sort by round keeps arrival order inside each round.
+        positions = _np.arange(count, dtype=_np.int64)
+        depth = positions - _np.maximum.accumulate(_np.where(first, positions, 0))
+        narrow = int(depth.max()) < _RADIX_LIMIT
+        round_of = _np.empty(count, dtype=_np.uint16 if narrow else _np.int64)
+        round_of[by_slot] = depth
+        order = _np.argsort(round_of, kind="stable")
+        self.slots, self.cols = slots[order], cols[order]
+        self.bounds = [0, *_np.cumsum(_np.bincount(depth)).tolist()]
+        self._order = order
+
+    @property
+    def rounds(self) -> list:
+        """Each round's ``(slots, cols)``, as views over the two columns."""
+        bounds = self.bounds
+        return [
+            (self.slots[start:end], self.cols[start:end])
+            for start, end in zip(bounds, bounds[1:])
+        ]
+
+    @property
+    def flat(self) -> array:
+        """The batch as a flat ``[slot, col, ...]`` buffer in arrival order.
+
+        Built on first use: only scalar consumers (bounded-mailbox
+        fallbacks, an ``encoded`` fleet handed this schedule, ``+``,
+        cross-checks) ever read it.
+        """
+        if self._flat is None:
+            flat = array("q", bytes(16 * self.count))
+            pairs = _np.frombuffer(flat, dtype=_np.int64).reshape(-1, 2)
+            arrival = slice(None) if self._order is None else self._order
+            pairs[arrival, 0] = self.slots
+            pairs[arrival, 1] = self.cols
+            self._flat = flat
+        return self._flat
 
     def __len__(self) -> int:
         return self.count
@@ -225,7 +251,7 @@ class VectorKernel:
       scatter needs no mask;
     * ``flags`` — ``int8``, 1 where the message is inapplicable, 2 where
       the transition carries the auto-recycle sentinel (the two are
-      disjoint), so both counters come out of *one* gather per round;
+      disjoint), so both counters come out of *one* gather per batch;
     * ``logged`` / ``recycles`` — booleans marking the offsets that need
       scalar-side post-processing (action retention, auto-recycle).
     """
@@ -236,7 +262,6 @@ class VectorKernel:
         "_acts",
         "_jump",
         "_flags",
-        "_ignored",
         "_logged",
         "_recycles",
         "_any_logged",
@@ -256,7 +281,6 @@ class VectorKernel:
         # state (offset // width * width) so the round scatter needs no
         # mask: an ignored event rewrites the state it read.
         self._jump = _np.where(inapplicable, offsets - (offsets % width), raw)
-        self._ignored = inapplicable
         self._logged = _np.fromiter(
             (entry is not None and len(entry) > 0 for entry in acts),
             dtype=_np.bool_,
@@ -266,33 +290,11 @@ class VectorKernel:
             (entry is None for entry in acts), dtype=_np.bool_, count=len(acts)
         )
         self._flags = (
-            self._ignored.astype(_np.int8) + 2 * self._recycles.astype(_np.int8)
+            inapplicable.astype(_np.int8) + 2 * self._recycles.astype(_np.int8)
         )
         self._any_logged = bool(self._logged.any()) and log_policy != "off"
         self._any_recycles = bool(self._recycles.any())
         self._any_flags = bool(inapplicable.any()) or self._any_recycles
-
-    # ------------------------------------------------------------------
-    # schedule construction
-    # ------------------------------------------------------------------
-
-    def schedule_flat(self, flat) -> VectorSchedule:
-        """Wrap a flat ``[slot, col, ...]`` buffer as a ready schedule."""
-        if isinstance(flat, VectorSchedule):
-            return flat
-        return VectorSchedule(flat if isinstance(flat, array) else array("q", flat))
-
-    def schedule_pairs(self, pairs) -> VectorSchedule:
-        """Wrap a ``(slot, column)`` pair batch as a ready schedule."""
-        flat = array("q")
-        for slot, col in pairs:
-            flat.append(slot)
-            flat.append(col)
-        return VectorSchedule(flat)
-
-    # ------------------------------------------------------------------
-    # dispatch
-    # ------------------------------------------------------------------
 
     def dispatch(self, schedule: VectorSchedule, metrics) -> None:
         """Run every round of a schedule; update the fleet counters.
@@ -300,39 +302,42 @@ class VectorKernel:
         Counter semantics are identical to the scalar encoded loop:
         ``events_dispatched`` counts the batch, ``transitions_fired``
         excludes inapplicable messages, ``instances_recycled`` counts
-        protocol-completing transitions under auto-recycle.
+        protocol-completing transitions under auto-recycle.  A round is
+        four array operations — gather the states, add the columns into
+        the batch's offsets buffer, gather the jumps, scatter — and the
+        counters come from one flags gather over that buffer afterwards.
         """
+        count = schedule.count
         states = self._store.states.data
         jump = self._jump
-        flags = self._flags
-        ignored = 0
-        recycled = 0
+        all_slots, all_cols = schedule.slots, schedule.cols
+        offsets = _np.empty(count, dtype=_np.int64)
+        add = _np.add
         # ``off`` never retains actions and a recycle only bumps the
-        # counter, so the pure-array flags path covers it; ``full``/
-        # ``count`` drop to the masked scalar walk per round.
+        # counter; ``full``/``count`` drop to the masked scalar walk,
+        # per round because a slot's log order is its round order.
         scalar_edges = self._any_logged or (
             self._any_recycles and self._policy != "off"
         )
-        check_flags = self._any_flags and not scalar_edges
-        for slots, cols in schedule.rounds:
-            offsets = states[slots] + cols
-            states[slots] = jump[offsets]
+        start = 0
+        for end in schedule.bounds[1:]:
+            slots = all_slots[start:end]
+            window = offsets[start:end]
+            add(states[slots], all_cols[start:end], out=window)
+            states[slots] = jump[window]
             if scalar_edges:
-                ignored += int(_np.count_nonzero(self._ignored[offsets]))
-                recycled += self._post_process(slots, offsets)
-            elif check_flags:
-                hit = flags[offsets]
-                total = int(hit.sum())
-                if total:
-                    dropped = int(_np.count_nonzero(hit & 1))
-                    ignored += dropped
-                    recycled += (total - dropped) >> 1
-        metrics.events_dispatched += schedule.count
-        metrics.transitions_fired += schedule.count - ignored
+                self._post_process(slots, window)
+            start = end
+        ignored = recycled = 0
+        if self._any_flags and count:
+            tally = _np.bincount(self._flags[offsets], minlength=3)
+            ignored, recycled = int(tally[1]), int(tally[2])
+        metrics.events_dispatched += count
+        metrics.transitions_fired += count - ignored
         metrics.events_ignored += ignored
         metrics.instances_recycled += recycled
 
-    def _post_process(self, slots, offsets) -> int:
+    def _post_process(self, slots, offsets) -> None:
         """Scalar-side handling of the masked edges of one round.
 
         Only the events whose offsets carry retained actions (under
@@ -358,12 +363,10 @@ class VectorKernel:
                     counts = store.counts
                     for slot, offset in zip(picked_slots, picked_offsets):
                         counts[slot] += len(acts_table[offset])
-        recycled = 0
         if self._any_recycles:
             mask = self._recycles[offsets]
             if mask.any():
                 recycled_slots = slots[mask].tolist()
-                recycled = len(recycled_slots)
                 if policy == "full":
                     logs = store.logs
                     for slot in recycled_slots:
@@ -372,4 +375,3 @@ class VectorKernel:
                     counts = store.counts
                     for slot in recycled_slots:
                         counts[slot] = 0
-        return recycled

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.errors import DeploymentError
 from repro.serve import (
+    HAS_NUMPY,
     FleetMetrics,
     OverflowPolicy,
     WorkloadSpec,
@@ -13,6 +14,9 @@ from repro.serve import (
     shard_of,
 )
 from tests.serve.conftest import BUNDLED_MODELS, machine_for
+
+#: The encoded-intake modes this environment can build.
+ENCODED_MODES = ["encoded", "grouped"] + (["vector"] if HAS_NUMPY else [])
 
 
 class TestDifferential:
@@ -350,6 +354,24 @@ class TestEncodedIntake:
             )
         assert fleet.trace("a").actions == ("vote", "not_free")
         assert fleet.metrics.events_dispatched == 2
+
+    @pytest.mark.parametrize("mode", ENCODED_MODES)
+    @pytest.mark.parametrize(
+        "bad_event,error",
+        [(("a", "update", "extra"), ValueError), (("a", ["update"]), TypeError)],
+        ids=["non-pair", "unhashable-message"],
+    )
+    def test_batch_that_raises_at_intake_is_not_counted(self, mode, bad_event, error):
+        # Interning comes before accounting: such a batch dispatches
+        # nothing, so it was neither offered nor drained.
+        fleet = self.make_fleet(dispatch=mode)
+        fresh = self.make_fleet(dispatch=mode)
+        for each in (fleet, fresh):
+            each.spawn("a")
+        with pytest.raises(error):
+            fleet.run([("a", "free"), bad_event, ("a", "update")])
+        assert fleet.metrics.as_dict() == fresh.metrics.as_dict()
+        assert fleet.trace("a") == fresh.trace("a")
 
     def test_encode_names_bad_events(self):
         fleet = self.make_fleet(dispatch="encoded")

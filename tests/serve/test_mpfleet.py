@@ -1,5 +1,5 @@
-"""Multiprocess-fleet specifics: error normalization, worker death,
-cross-implementation snapshot parity, and the deprecation shims.
+"""Multiprocess-fleet specifics: error normalization, worker death and
+cross-implementation snapshot parity.
 
 The conformance suite (``test_fleet_protocol.py``) proves both Fleet
 implementations honour the same contract; this file stresses the parts
@@ -9,8 +9,6 @@ without corrupting the surviving shard partitions, and snapshots moving
 between a 4-worker fleet and a single in-process engine in both
 directions.
 """
-
-import warnings
 
 import pytest
 
@@ -221,32 +219,3 @@ def test_telemetry_registry_is_none_when_disabled():
         assert fleet.telemetry_registry() is None
     finally:
         fleet.close()
-
-
-# ---------------------------------------------------------------------------
-# deprecation shims (in-process engine): old spellings, same traces
-# ---------------------------------------------------------------------------
-
-
-def test_run_encoded_shims_warn_and_match_run():
-    new = make_fleet("commit", mode="encoded", shards=2)
-    old = make_fleet("commit", mode="encoded", shards=2)
-    keys = new.spawn_many(8)
-    old.spawn_many(8)
-    events = workload(new.machine, 8, 100)
-
-    new.run(new.encode(events), encoding="pairs")
-    with pytest.warns(DeprecationWarning, match="run_encoded is deprecated"):
-        old.run_encoded(old.encode(events))
-    assert diff_fleets(new, old, keys) == []
-
-    flat_new = make_fleet("commit", mode="encoded", shards=2)
-    flat_old = make_fleet("commit", mode="encoded", shards=2)
-    flat_new.spawn_many(8)
-    flat_old.spawn_many(8)
-    flat_new.run(flat_new.encode_flat(events), encoding="flat")
-    with pytest.warns(
-        DeprecationWarning, match="run_encoded_flat is deprecated"
-    ):
-        flat_old.run_encoded_flat(flat_old.encode_flat(events))
-    assert diff_fleets(flat_new, flat_old, keys) == []

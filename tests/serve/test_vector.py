@@ -23,6 +23,7 @@ import sys
 from array import array
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.errors import DeploymentError
 from repro.serve import (
@@ -33,6 +34,7 @@ from repro.serve import (
     diff_against_standalone,
     generate_workload,
 )
+from repro.serve.vector import _RADIX_LIMIT
 from tests.serve.conftest import BUNDLED_MODELS, machine_for
 
 pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
@@ -40,7 +42,8 @@ pytestmark = pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
 if HAS_NUMPY:
     import numpy as np
 
-    from repro.serve.vector import StateColumn, _occurrence_rounds
+    from repro.serve.vector import StateColumn
+    from tests.serve.occurrence_rounds_reference import occurrence_rounds
 
 
 def build(machine, mode, **kwargs):
@@ -83,11 +86,8 @@ class TestStateColumn:
 
 class TestOccurrenceRounds:
     def _rounds(self, slot_list, col_list):
-        slots = np.asarray(slot_list, dtype=np.int64)
-        cols = np.asarray(col_list, dtype=np.int64)
-        return [
-            (list(s), list(c)) for s, c in _occurrence_rounds(slots, cols)
-        ]
+        rounds = VectorSchedule.of_columns(slot_list, col_list).rounds
+        return [(list(s), list(c)) for s, c in rounds]
 
     def test_matches_scalar_grouping(self):
         # Round r must hold every slot's r-th event in arrival order —
@@ -111,9 +111,7 @@ class TestOccurrenceRounds:
         rng = np.random.default_rng(13)
         slots = rng.integers(0, 50, size=2000)
         cols = rng.integers(0, 4, size=2000)
-        rounds = _occurrence_rounds(
-            slots.astype(np.int64), cols.astype(np.int64)
-        )
+        rounds = VectorSchedule.of_columns(slots.tolist(), cols.tolist()).rounds
         assert sum(len(s) for s, _ in rounds) == 2000
         for round_slots, _ in rounds:
             assert len(set(round_slots.tolist())) == len(round_slots)
@@ -129,6 +127,69 @@ class TestOccurrenceRounds:
         assert [
             ([s - 70_000 for s in rs], rc) for rs, rc in wide_rounds
         ] == narrow_rounds
+
+
+def _as_lists(rounds):
+    return [(s.tolist(), c.tolist()) for s, c in rounds]
+
+
+def _retained_arrays(held) -> int:
+    """numpy arrays a schedule holds, directly or inside its containers."""
+    if isinstance(held, VectorSchedule):
+        held = [getattr(held, name) for name in VectorSchedule.__slots__]
+    if isinstance(held, (list, tuple)):
+        return sum(_retained_arrays(item) for item in held)
+    return isinstance(held, np.ndarray)
+
+
+@st.composite
+def _batches(draw):
+    """Arrival-order ``(slots, cols)`` with heavy repeats: few distinct
+    slots (one slot alone gives a round per event, so sizes above 256 also
+    cross the one-byte round count), ids on both sides of the radix limit."""
+    size = draw(st.integers(0, 600))
+    distinct = draw(st.sampled_from([1, 2, 5, 40, 1000]))
+    base = draw(st.sampled_from([0, _RADIX_LIMIT - 3, _RADIX_LIMIT + 5000]))
+    ids = st.integers(base, base + distinct - 1)
+    slots = draw(st.lists(ids, min_size=size, max_size=size))
+    cols = draw(st.lists(st.integers(0, 7), min_size=size, max_size=size))
+    return slots, cols
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=_batches(), cut=st.floats(0, 1))
+@example(batch=([7] * 300, list(range(8)) * 37 + [0, 1, 2, 3]), cut=0.4)
+@example(
+    batch=(
+        [_RADIX_LIMIT - 1, _RADIX_LIMIT, _RADIX_LIMIT, _RADIX_LIMIT - 1],
+        [0, 1, 2, 3],
+    ),
+    cut=0.5,
+)
+def test_schedule_matches_the_reference_split(batch, cut):
+    slots, cols = batch
+    flat = array("q", [x for pair in zip(slots, cols) for x in pair])
+    schedule = VectorSchedule.of_columns(slots, cols)
+    expected = _as_lists(
+        occurrence_rounds(
+            np.asarray(slots, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        )
+    )
+    # Round for round what the per-round-array split produced ...
+    assert _as_lists(schedule.rounds) == expected
+    assert _as_lists(VectorSchedule(flat).rounds) == expected
+    assert len(schedule) == schedule.count == len(slots)
+    # ... race-free inside a round, arrival order recoverable ...
+    for round_slots, _ in schedule.rounds:
+        assert len(set(round_slots.tolist())) == len(round_slots)
+    assert schedule.flat == flat
+    # ... closed under concatenation ...
+    at = int(cut * len(slots))
+    head = VectorSchedule.of_columns(slots[:at], cols[:at])
+    joined = head + VectorSchedule.of_columns(slots[at:], cols[at:])
+    assert _as_lists(joined.rounds) == expected and joined.flat == flat
+    # ... and held in a fixed number of arrays however many rounds.
+    assert _retained_arrays(schedule) <= 3
 
 
 class TestVectorSchedule:
@@ -174,14 +235,20 @@ class TestVectorSchedule:
 @pytest.mark.parametrize("log_policy", ["full", "count", "off"])
 def test_vector_matches_encoded_metrics_and_states(model, log_policy):
     machine = machine_for(model)
-    events = workload(machine)
+    # A wide uniform batch, then a hotkey batch at least 60 rounds deep:
+    # ignored/recycled come from one gather per batch, not one per round.
+    uniform = workload(machine)
+    hotkey = workload(machine, scenario="hotkey", seed=8)
     fleets = {}
     for mode in ("encoded", "vector"):
         fleet = build(machine, mode, log_policy=log_policy, auto_recycle=True)
         keys = fleet.spawn_many(150)
-        fleet.run(events)
+        fleet.run(uniform)
+        fleet.run(hotkey)
         fleets[mode] = fleet
     enc, vec = fleets["encoded"], fleets["vector"]
+    assert len(vec.encode_flat(hotkey).rounds) >= 60
+    assert vec.metrics.instances_recycled > 0 and vec.metrics.events_ignored > 0
     assert enc.metrics.as_dict() == vec.metrics.as_dict()
     for key in keys:
         assert enc.state_name(key) == vec.state_name(key)
@@ -290,10 +357,99 @@ def test_scalar_modes_reject_vector_schedules_canonically():
     vec = build(machine, "vector")
     vec.spawn_many(10)
     schedule = vec.encode_flat(workload(machine, instances=10, events=50, seed=2))
-    batched = build(machine, "batched")
-    batched.spawn_many(10)
-    with pytest.raises(DeploymentError, match="needs an encoded dispatch mode"):
-        batched.run(schedule, encoding="flat")
+    for mode in ("batched", "naive"):
+        scalar = build(machine, mode)
+        scalar.spawn_many(10)
+        with pytest.raises(DeploymentError, match="needs an encoded dispatch mode"):
+            scalar.run(schedule, encoding="flat")
+
+
+@pytest.mark.parametrize("encoding", ["flat", "auto"])
+@pytest.mark.parametrize(
+    "twin",
+    [
+        {"mode": "encoded"},
+        {"mode": "grouped"},
+        {"mode": "encoded", "mailbox_capacity": 64},
+    ],
+    ids=["encoded", "grouped", "bounded"],
+)
+def test_encoded_twin_runs_a_vector_schedule(twin, encoding):
+    # encode_flat promises run() takes the schedule wherever it takes a
+    # flat array: same spawn order means same slots, so a scalar twin
+    # reads the schedule's flat buffer and must end where the vector
+    # fleet ends.
+    machine = machine_for("commit")
+    events = workload(machine, instances=40, events=1200, seed=5, scenario="hotkey")
+    bounded = {k: v for k, v in twin.items() if k == "mailbox_capacity"}
+    vec = build(machine, "vector", auto_recycle=True, **bounded)
+    scalar = build(machine, auto_recycle=True, **twin)
+    keys = vec.spawn_many(40)
+    scalar.spawn_many(40)
+    schedule = vec.encode_flat(events)
+    vec.run(schedule, encoding=encoding)
+    scalar.run(schedule, encoding=encoding)
+    assert scalar.metrics.events_dispatched > 0
+    assert scalar.metrics.as_dict() == vec.metrics.as_dict()
+    assert {k: scalar.trace(k) for k in keys} == {k: vec.trace(k) for k in keys}
+
+
+@pytest.mark.parametrize("mode", ["encoded", "vector"])
+def test_rejected_events_do_not_strand_a_large_batch(mode):
+    # 4096 events, 3 of them bad: the other 4093 dispatch first, then one
+    # error names the offenders — the same text in both modes.
+    machine = machine_for("commit")
+    events = workload(machine, instances=150, events=4096, seed=12)
+    bad = {100: ("ghost", "update"), 2000: ("session-3", "flarp"), 4095: ("", "")}
+    for index, event in bad.items():
+        events[index] = event
+    fleet = build(machine, mode)
+    fleet.spawn_many(150)
+    with pytest.raises(DeploymentError) as caught:
+        fleet.run(events)
+    assert str(caught.value) == (
+        "dispatch rejected 3 event(s) with unknown instance or message: "
+        "('ghost', 'update'), ('session-3', 'flarp'), ('', '')"
+    )
+    assert fleet.metrics.events_dispatched == 4093
+    assert fleet.metrics.events_offered == 4096
+    assert fleet.metrics.batches_drained == 1
+
+
+# ----------------------------------------------------------------------
+# structure: the batch is walked once, whatever its size
+# ----------------------------------------------------------------------
+
+
+def _profiled_calls(function) -> int:
+    """``call`` + ``c_call`` profile events ``function()`` emits."""
+    seen = []
+
+    def hook(frame, event, arg):
+        if event in ("call", "c_call"):
+            seen.append(event)
+
+    sys.setprofile(hook)
+    try:
+        function()
+    finally:
+        sys.setprofile(None)
+    return len(seen)
+
+
+@pytest.mark.parametrize("entry", ["run", "encode_flat"])
+def test_intake_makes_no_call_per_event(entry):
+    # No timing: a per-event tuple append or array.append shows up as one
+    # c_call per event, so a batch sixteen times the size must cost the
+    # very same number of calls.  Distinct keys keep both to one round.
+    machine = machine_for("commit")
+    fleet = build(machine, "vector", log_policy="off")
+    keys = fleet.spawn_many(4096)
+    calls = {}
+    for size in (256, 4096):
+        events = [(key, "update") for key in keys[:size]]
+        calls[size] = _profiled_calls(lambda: getattr(fleet, entry)(events))
+    assert calls[256] == calls[4096]
 
 
 # ----------------------------------------------------------------------

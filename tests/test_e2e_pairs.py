@@ -26,11 +26,11 @@ def test_dry_run_prints_the_protocol_and_runs_nothing(capsys, monkeypatch):
     for line in capsys.readouterr().out.splitlines():
         cwd, _, command = line.removeprefix("(cd ").removesuffix(")").partition(" && ")
         commands.append((cwd, shlex.split(command)))
-    (add_cwd, add), *body, (remove_cwd, remove) = commands
-    tree = add[-2]
-    assert add == ["git", "worktree", "add", "--detach", tree, "abc123"]
-    assert remove == ["git", "worktree", "remove", "--force", tree]
-    assert add_cwd == remove_cwd == REPO and tree != REPO
+    (archive_cwd, archive), (unpack_cwd, unpack), *body = commands
+    tarball, tree = archive[-2], unpack[-1]
+    assert archive == ["git", "archive", "--output", tarball, "abc123"]
+    assert unpack == ["tar", "-xf", tarball, "-C", tree]
+    assert archive_cwd == unpack_cwd == REPO and tree != REPO
 
     side_of = {tree: "parent", REPO: "change"}
     per_seed = len(body) // 2
@@ -55,7 +55,7 @@ def test_dry_run_prints_the_protocol_and_runs_nothing(capsys, monkeypatch):
         ]
 
 
-def test_worktree_is_removed_when_a_run_fails(monkeypatch):
+def test_parent_copy_is_removed_when_a_run_fails(monkeypatch):
     ran = []
 
     def fail_second_bench(argv, cwd, quiet=False):
@@ -65,5 +65,6 @@ def test_worktree_is_removed_when_a_run_fails(monkeypatch):
     monkeypatch.setattr(pairs, "execute", fail_second_bench)
     with pytest.raises(SystemExit, match="change run failed: seed 1, pair 0"):
         pairs.main(["--parent", "abc123", "--workload", "gen-deploy"])
-    assert ran[-1][:4] == ["git", "worktree", "remove", "--force"]
-    assert not pathlib.Path(ran[-1][-1]).parent.exists()
+    tree = pathlib.Path(ran[1][-1])
+    assert ran[1][:2] == ["tar", "-xf"] and tree.name == "parent"
+    assert not tree.parent.exists()
