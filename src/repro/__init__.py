@@ -37,34 +37,39 @@ machines that run unchanged on every backend and on the fleet;
 differential verification.
 """
 
-from repro.core import (
-    AbstractModel,
-    BooleanComponent,
-    CompositeState,
-    ENGINES,
-    EnumComponent,
-    FlattenReport,
-    GenerationReport,
-    HierarchicalModel,
-    HierarchicalSimulator,
-    IntComponent,
-    InvalidStateError,
-    State,
-    StateMachine,
-    StateSpace,
-    Transition,
-    TransitionBuilder,
-    generate,
-    generate_lazy,
-    generate_with_engine,
-)
-from repro.opt import (
-    IndexedMachine,
-    PassPipeline,
-    PassReport,
-    standard_pipeline,
-)
-from repro.serve import Fleet, FleetEngine, MultiprocessFleet, make_fleet
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        AbstractModel,
+        BooleanComponent,
+        CompositeState,
+        ENGINES,
+        EnumComponent,
+        FlattenReport,
+        GenerationReport,
+        HierarchicalModel,
+        HierarchicalSimulator,
+        IntComponent,
+        InvalidStateError,
+        State,
+        StateMachine,
+        StateSpace,
+        Transition,
+        TransitionBuilder,
+        generate,
+        generate_lazy,
+        generate_with_engine,
+    )
+    from repro.opt import (
+        IndexedMachine,
+        PassPipeline,
+        PassReport,
+        standard_pipeline,
+    )
+    from repro.serve import Fleet, FleetEngine, MultiprocessFleet, make_fleet
 
 __version__ = "1.0.0"
 
@@ -98,3 +103,33 @@ __all__ = [
     "generate_with_engine",
     "standard_pipeline",
 ]
+
+# Resolved on first use (see repro._lazy): ``import repro`` loads no
+# subpackage, so a process that only generates a machine never imports
+# the serving stack.
+_EXPORTS = {
+    "repro.core": (
+        "AbstractModel",
+        "BooleanComponent",
+        "CompositeState",
+        "ENGINES",
+        "EnumComponent",
+        "FlattenReport",
+        "GenerationReport",
+        "HierarchicalModel",
+        "HierarchicalSimulator",
+        "IntComponent",
+        "InvalidStateError",
+        "State",
+        "StateMachine",
+        "StateSpace",
+        "Transition",
+        "TransitionBuilder",
+        "generate",
+        "generate_lazy",
+        "generate_with_engine",
+    ),
+    "repro.opt": ("IndexedMachine", "PassPipeline", "PassReport", "standard_pipeline"),
+    "repro.serve": ("Fleet", "FleetEngine", "MultiprocessFleet", "make_fleet"),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

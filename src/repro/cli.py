@@ -36,65 +36,39 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.analysis.flatten_stats import (
-    DEFAULT_STATS_OPT,
-    flatten_blowup,
-    format_flatten_table,
-)
-from repro.analysis.peerset_check import check_contending_updates, check_single_update
-from repro.analysis.stats import format_table1, table1, table1_row
+# Module level holds only what build_parser() needs for ``choices=`` (and
+# what shares a module with it); every subcommand imports the areas it
+# uses, so ``--help``, ``table1`` and ``generate`` never load the gateway,
+# the scenario plane, the storage simulator or numpy.
 from repro.core.pipeline import ENGINES, generate_with_engine
 from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
 from repro.models.chandra_toueg import CoordinatorRoundModel
 from repro.models.chandra_toueg import scenario_profile as ct_scenario_profile
 from repro.models.commit import CommitModel, fault_tolerance
-from repro.obs import (
-    FleetTelemetry,
-    fleet_registry,
-    render_json,
-    render_prometheus,
-    scenario_registry,
-)
 from repro.models.commit import scenario_profile as commit_scenario_profile
 from repro.opt import PASSES, format_pass_table, parse_opt_spec, standard_pipeline
-from repro.render.dot import DotRenderer
-from repro.render.hsm import HierarchicalDotRenderer, HierarchicalOutlineRenderer
-from repro.render.html import HtmlRenderer
-from repro.render.markdown import MarkdownRenderer
-from repro.render.scxml import ScxmlRenderer
-from repro.render.source import JavaSourceRenderer, PythonSourceRenderer
-from repro.render.text import TextRenderer
-from repro.render.xml import XmlRenderer
-from repro.runtime.export import export_machine_module
-from repro.serve import (
-    DISPATCH_MODES,
-    HAS_NUMPY,
-    LOG_POLICIES,
-    NUMPY_UNAVAILABLE_REASON,
-    ScenarioFaultPlan,
-    ScenarioSpec,
-    WorkloadSpec,
-    diff_against_standalone,
-    diff_fleets,
-    encode_schedule,
-    generate_scenario,
-    generate_workload,
-    make_fleet,
-    run_scenario,
-)
-from repro.serve.adapter import BACKENDS as SERVE_BACKENDS
-from repro.serve.workload import SCENARIOS as SERVE_SCENARIOS
+from repro.serve import BACKENDS as SERVE_BACKENDS
+from repro.serve import DISPATCH_MODES, LOG_POLICIES
+from repro.serve import SCENARIOS as SERVE_SCENARIOS
 
+#: ``--format`` name -> renderer class name in :mod:`repro.render`.
 _RENDERERS = {
-    "text": TextRenderer,
-    "source": PythonSourceRenderer,
-    "java": JavaSourceRenderer,
-    "dot": DotRenderer,
-    "xml": XmlRenderer,
-    "scxml": ScxmlRenderer,
-    "html": HtmlRenderer,
-    "markdown": MarkdownRenderer,
+    "text": "TextRenderer",
+    "source": "PythonSourceRenderer",
+    "java": "JavaSourceRenderer",
+    "dot": "DotRenderer",
+    "xml": "XmlRenderer",
+    "scxml": "ScxmlRenderer",
+    "html": "HtmlRenderer",
+    "markdown": "MarkdownRenderer",
 }
+
+
+def _renderer(fmt: str):
+    """A fresh renderer for one ``--format`` name."""
+    from repro import render
+
+    return getattr(render, _RENDERERS[fmt])()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,6 +506,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "generate":
         pipeline = parse_opt_spec(args.opt)
         if pipeline is None:
+            from repro.analysis.stats import table1_row
+
             row = table1_row(args.replication_factor, engine=args.engine)
             print(
                 f"f={row.f} r={row.r} [{args.engine}]: {row.initial_states} initial "
@@ -557,6 +533,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "table1":
+        from repro.analysis.stats import format_table1, table1
+
         rows = table1(engine=args.engine)
         print(format_table1(rows))
         return 0 if all(row.matches_paper() for row in rows) else 1
@@ -565,8 +543,7 @@ def main(argv: list[str] | None = None) -> int:
         machine = CommitModel(args.replication_factor).generate_state_machine(
             engine=args.engine
         )
-        renderer = _RENDERERS[args.fmt]()
-        text = renderer.render(machine)
+        text = _renderer(args.fmt).render(machine)
         if args.output:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(text)
@@ -576,6 +553,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "describe":
+        from repro.render.text import TextRenderer
+
         machine = CommitModel(args.replication_factor).generate_state_machine(
             engine=args.engine
         )
@@ -587,6 +566,8 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.command == "export":
+        from repro.runtime.export import export_machine_module
+
         machine = CommitModel(args.replication_factor).generate_state_machine(
             engine=args.engine
         )
@@ -612,6 +593,11 @@ def main(argv: list[str] | None = None) -> int:
         return _serve_watch(args)
 
     if args.command == "modelcheck":
+        from repro.analysis.peerset_check import (
+            check_contending_updates,
+            check_single_update,
+        )
+
         if args.contention is not None:
             result = check_contending_updates(
                 args.replication_factor,
@@ -657,6 +643,13 @@ def _emit(text: str, output) -> int:
 
 def _flatten(args) -> int:
     """Flatten (or render) one bundled hierarchical model."""
+    from repro.analysis.flatten_stats import (
+        DEFAULT_STATS_OPT,
+        flatten_blowup,
+        format_flatten_table,
+    )
+    from repro.render.hsm import HierarchicalDotRenderer, HierarchicalOutlineRenderer
+
     model = build_hierarchical_model(
         args.model, args.replication_factor, engine=args.engine
     )
@@ -674,8 +667,7 @@ def _flatten(args) -> int:
         text = HierarchicalDotRenderer().render(model)
     else:
         machine = model.flatten(engine=args.engine, optimize=args.opt)
-        renderer = _RENDERERS[args.fmt.removeprefix("flat-")]()
-        text = renderer.render(machine)
+        text = _renderer(args.fmt.removeprefix("flat-")).render(machine)
     return _emit(text, args.output)
 
 
@@ -711,8 +703,7 @@ def _optimize(args) -> int:
         ]
         text = "\n".join(lines) + "\n"
     else:
-        renderer = _RENDERERS[args.fmt.removeprefix("flat-")]()
-        text = renderer.render(optimized)
+        text = _renderer(args.fmt.removeprefix("flat-")).render(optimized)
     return _emit(text, args.output)
 
 
@@ -729,6 +720,17 @@ def _serve_bench(args) -> int:
     skip the differential check.
     """
     import time
+
+    from repro.obs import FleetTelemetry, fleet_registry
+    from repro.serve import (
+        HAS_NUMPY,
+        NUMPY_UNAVAILABLE_REASON,
+        WorkloadSpec,
+        diff_against_standalone,
+        encode_schedule,
+        generate_workload,
+        make_fleet,
+    )
 
     machine = CommitModel(args.replication_factor).generate_state_machine(
         engine=args.engine
@@ -833,6 +835,8 @@ def _serve_bench(args) -> int:
 
 def _render_registry(registry, fmt: str) -> str:
     """One metrics registry in the requested exposition format."""
+    from repro.obs import render_json, render_prometheus
+
     if fmt == "prom":
         return render_prometheus(registry)
     return render_json(registry) + "\n"
@@ -846,6 +850,8 @@ def _parse_scenario_faults(spec: str | None, until: float):
     """Build a :class:`ScenarioFaultPlan` from the ``--faults`` flag."""
     if not spec:
         return None
+    from repro.serve import ScenarioFaultPlan
+
     kinds = {token.strip() for token in spec.split(",") if token.strip()}
     known = {"kill-shard", "drop", "duplicate", "delay"}
     unknown = kinds - known
@@ -867,6 +873,15 @@ def _parse_scenario_faults(spec: str | None, until: float):
 def _serve_scenario(args) -> int:
     """Run one interacting scenario, report metrics, differentially verify."""
     import time
+
+    from repro.obs import FleetTelemetry, scenario_registry
+    from repro.serve import (
+        ScenarioSpec,
+        diff_fleets,
+        generate_scenario,
+        make_fleet,
+        run_scenario,
+    )
 
     if args.model == "commit":
         machine = CommitModel(args.replication_factor).generate_state_machine(
@@ -958,6 +973,9 @@ def _serve_watch(args) -> int:
     """
     import time
 
+    from repro.obs import FleetTelemetry, fleet_registry
+    from repro.serve import WorkloadSpec, generate_workload, make_fleet
+
     machine = CommitModel(args.replication_factor).generate_state_machine(
         engine=args.engine
     )
@@ -1002,6 +1020,7 @@ def _serve_watch(args) -> int:
 
 def _serve(args) -> int:
     """Serve one fleet behind the HTTP/WebSocket gateway until shutdown."""
+    from repro.serve import make_fleet
     from repro.serve.gateway import FleetGateway
 
     if args.journal and not args.workers:

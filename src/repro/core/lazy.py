@@ -69,37 +69,40 @@ def generate_lazy(
         parameters=model.parameters,
     )
 
+    #: Every reachable vector's state, named once on discovery (vectors
+    #: are interned, so later sightings are an identity-fast dict hit).
+    discovered: dict[tuple, State] = {}
+
     def discover(vector: tuple) -> State:
         final = model.is_final(StateView(space, vector))
-        return machine.add_state(
+        state = discovered[vector] = machine.add_state(
             State(space.vector_name(vector), vector=vector, final=final)
         )
+        return state
 
     start_vector = space.intern(model.start_vector())
-    discover(start_vector)
-    machine.set_start(space.vector_name(start_vector))
+    machine.set_start(discover(start_vector).name)
 
     frontier: deque[tuple] = deque([start_vector])
-    seen: set[tuple] = {start_vector}
     frontier_peak = 1
 
     while frontier:
         if len(frontier) > frontier_peak:
             frontier_peak = len(frontier)
         vector = frontier.popleft()
-        state = machine.get_state(space.vector_name(vector))
+        state = discovered[vector]
         if state.final:
             continue  # terminal: the algorithm has completed here
         for message, builder in model.successors(vector):
             target = space.intern(builder.vector)
-            if target not in seen:
-                seen.add(target)
-                discover(target)
+            reached = discovered.get(target)
+            if reached is None:
+                reached = discover(target)
                 frontier.append(target)
             state.record_transition(
                 Transition(
                     message,
-                    space.vector_name(target),
+                    reached.name,
                     builder.actions,
                     builder.recorded_annotations,
                 )

@@ -22,79 +22,84 @@ optional numpy-backed gather/scatter dispatch kernel
 run here.
 """
 
-from repro.serve.adapter import BACKENDS, BackendAdapter, make_backend
-from repro.serve.api import (
-    ENCODINGS,
-    Fleet,
-    MODEL_FACTORIES,
-    fleet_machine,
-    make_fleet,
-)
-from repro.serve.differential import (
-    diff_against_hierarchical,
-    diff_against_standalone,
-    diff_fleets,
-    hierarchical_traces,
-    standalone_traces,
-)
-from repro.obs.telemetry import FleetTelemetry
-from repro.serve.fleet import DISPATCH_MODES, FleetEngine, FleetSnapshot
-from repro.serve.mpfleet import EncodedFleetSchedule, MultiprocessFleet
-from repro.serve.recovery import (
-    FleetRecoveringError,
-    PartitionCheckpoint,
-    RecoveryPolicy,
-    RecoveryTelemetry,
-    WorkerJournal,
-)
-from repro.serve.loadgen import (
-    Arrival,
-    ClosedLoopSpec,
-    LoadReport,
-    OpenLoopSpec,
-    generate_open_loop,
-    run_closed_loop,
-    run_open_loop,
-)
-from repro.serve.mailbox import Mailbox, OverflowPolicy
-from repro.serve.metrics import FleetMetrics
-from repro.serve.scenario import (
-    GroupTopology,
-    RouteRule,
-    Scenario,
-    ScenarioEngine,
-    ScenarioFaultPlan,
-    ScenarioMetrics,
-    ScenarioProfile,
-    ScenarioSnapshot,
-    TimedEvent,
-    TimerRule,
-    run_scenario,
-    scenario_traces,
-)
-from repro.serve.store import (
-    LOG_POLICIES,
-    InstanceSnapshot,
-    InstanceStore,
-    shard_of,
-)
-from repro.serve.vector import (
-    HAS_NUMPY,
-    NUMPY_UNAVAILABLE_REASON,
-    VectorKernel,
-    VectorSchedule,
-    require_numpy,
-)
-from repro.serve.workload import (
-    SCENARIOS,
-    ScenarioSpec,
-    SessionSimulator,
-    WorkloadSpec,
-    encode_schedule,
-    generate_scenario,
-    generate_workload,
-    session_keys,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serve.adapter import BACKENDS, BackendAdapter, make_backend
+    from repro.serve.api import (
+        ENCODINGS,
+        Fleet,
+        MODEL_FACTORIES,
+        fleet_machine,
+        make_fleet,
+    )
+    from repro.serve.differential import (
+        diff_against_hierarchical,
+        diff_against_standalone,
+        diff_fleets,
+        hierarchical_traces,
+        standalone_traces,
+    )
+    from repro.obs.telemetry import FleetTelemetry
+    from repro.serve.fleet import DISPATCH_MODES, FleetEngine, FleetSnapshot
+    from repro.serve.mpfleet import EncodedFleetSchedule, MultiprocessFleet
+    from repro.serve.recovery import (
+        FleetRecoveringError,
+        PartitionCheckpoint,
+        RecoveryPolicy,
+        RecoveryTelemetry,
+        WorkerJournal,
+    )
+    from repro.serve.loadgen import (
+        Arrival,
+        ClosedLoopSpec,
+        LoadReport,
+        OpenLoopSpec,
+        generate_open_loop,
+        run_closed_loop,
+        run_open_loop,
+    )
+    from repro.serve.mailbox import Mailbox, OverflowPolicy
+    from repro.serve.metrics import FleetMetrics
+    from repro.serve.scenario import (
+        GroupTopology,
+        RouteRule,
+        Scenario,
+        ScenarioEngine,
+        ScenarioFaultPlan,
+        ScenarioMetrics,
+        ScenarioProfile,
+        ScenarioSnapshot,
+        TimedEvent,
+        TimerRule,
+        run_scenario,
+        scenario_traces,
+    )
+    from repro.serve.store import (
+        LOG_POLICIES,
+        InstanceSnapshot,
+        InstanceStore,
+        shard_of,
+    )
+    from repro.serve.vector import (
+        HAS_NUMPY,
+        NUMPY_UNAVAILABLE_REASON,
+        VectorKernel,
+        VectorSchedule,
+        require_numpy,
+    )
+    from repro.serve.workload import (
+        SCENARIOS,
+        ScenarioSpec,
+        SessionSimulator,
+        WorkloadSpec,
+        encode_schedule,
+        generate_scenario,
+        generate_workload,
+        session_keys,
+    )
 
 __all__ = [
     "Arrival",
@@ -161,3 +166,83 @@ __all__ = [
     "shard_of",
     "standalone_traces",
 ]
+
+# Resolved on first use (see repro._lazy): building an ``encoded`` fleet
+# loads neither numpy, asyncio nor multiprocessing; ``mpfleet``, the
+# scenario plane and the load generator load when something names them.
+_EXPORTS = {
+    "repro.serve.adapter": ("BACKENDS", "BackendAdapter", "make_backend"),
+    "repro.serve.api": (
+        "ENCODINGS",
+        "Fleet",
+        "MODEL_FACTORIES",
+        "fleet_machine",
+        "make_fleet",
+    ),
+    "repro.serve.differential": (
+        "diff_against_hierarchical",
+        "diff_against_standalone",
+        "diff_fleets",
+        "hierarchical_traces",
+        "standalone_traces",
+    ),
+    "repro.obs.telemetry": ("FleetTelemetry",),
+    "repro.serve.fleet": ("DISPATCH_MODES", "FleetEngine", "FleetSnapshot"),
+    "repro.serve.mpfleet": ("EncodedFleetSchedule", "MultiprocessFleet"),
+    "repro.serve.recovery": (
+        "FleetRecoveringError",
+        "PartitionCheckpoint",
+        "RecoveryPolicy",
+        "RecoveryTelemetry",
+        "WorkerJournal",
+    ),
+    "repro.serve.loadgen": (
+        "Arrival",
+        "ClosedLoopSpec",
+        "LoadReport",
+        "OpenLoopSpec",
+        "generate_open_loop",
+        "run_closed_loop",
+        "run_open_loop",
+    ),
+    "repro.serve.mailbox": ("Mailbox", "OverflowPolicy"),
+    "repro.serve.metrics": ("FleetMetrics",),
+    "repro.serve.scenario": (
+        "GroupTopology",
+        "RouteRule",
+        "Scenario",
+        "ScenarioEngine",
+        "ScenarioFaultPlan",
+        "ScenarioMetrics",
+        "ScenarioProfile",
+        "ScenarioSnapshot",
+        "TimedEvent",
+        "TimerRule",
+        "run_scenario",
+        "scenario_traces",
+    ),
+    "repro.serve.store": (
+        "LOG_POLICIES",
+        "InstanceSnapshot",
+        "InstanceStore",
+        "shard_of",
+    ),
+    "repro.serve.vector": (
+        "HAS_NUMPY",
+        "NUMPY_UNAVAILABLE_REASON",
+        "VectorKernel",
+        "VectorSchedule",
+        "require_numpy",
+    ),
+    "repro.serve.workload": (
+        "SCENARIOS",
+        "ScenarioSpec",
+        "SessionSimulator",
+        "WorkloadSpec",
+        "encode_schedule",
+        "generate_scenario",
+        "generate_workload",
+        "session_keys",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

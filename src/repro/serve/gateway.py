@@ -29,6 +29,10 @@ Endpoints::
 Unknown instances/messages surface as HTTP 400 with the fleet's
 canonical :class:`~repro.core.errors.DeploymentError` message — the
 error-shape guarantee of the Fleet protocol extends over the wire.
+Fields are typed before the fleet sees them: ``key``, ``message`` and
+``prefix`` must be JSON strings and ``count`` a non-negative integer;
+anything else is a ``400`` (``field 'count' must be ...``) counted in
+``gateway_errors_total``, over HTTP and in ``/ws`` frames alike.
 
 The wire is handled in two layers.  :func:`parse_request` and
 :func:`parse_frame` are pure functions over bytes: given a buffer they
@@ -645,11 +649,26 @@ class FleetGateway:
         return parsed
 
     @staticmethod
-    def _require(payload: dict, *names: str) -> list:
-        missing = [name for name in names if name not in payload]
-        if missing:
-            raise _HttpError(400, f"missing field(s): {', '.join(missing)}")
-        return [payload[name] for name in names]
+    def _fields(payload: dict, *names: str) -> list:
+        """The named request fields, present and of the type the fleet
+        takes: ``count`` a non-negative integer (JSON ``true`` and ``2.7``
+        are not), every other field a string.  The fleet would hash,
+        encode or ``int()`` whatever it is handed, so a mistyped field is
+        refused here as the client's error, not answered as a 500."""
+        try:
+            values = [payload[name] for name in names]
+        except KeyError:
+            missing = ", ".join(name for name in names if name not in payload)
+            raise _HttpError(400, f"missing field(s): {missing}") from None
+        for name, value in zip(names, values):
+            if name == "count":
+                if type(value) is not int or value < 0:
+                    raise _HttpError(
+                        400, "field 'count' must be a non-negative integer"
+                    )
+            elif type(value) is not str:
+                raise _HttpError(400, f"field {name!r} must be a string")
+        return values
 
     @staticmethod
     def _event_pairs(events) -> list:
@@ -693,13 +712,12 @@ class FleetGateway:
                 raise _HttpError(405, "use POST /spawn")
             payload = self._body_json(body)
             if "key" in payload:
-                fleet.spawn(payload["key"])
-                return self._json(200, {"spawned": [payload["key"]]})
-            (count,) = self._require(payload, "count")
-            keys = fleet.spawn_many(
-                int(count), payload.get("prefix", "session")
-            )
-            return self._json(200, {"spawned": keys})
+                (key,) = self._fields(payload, "key")
+                fleet.spawn(key)
+                return self._json(200, {"spawned": [key]})
+            payload.setdefault("prefix", "session")
+            count, prefix = self._fields(payload, "count", "prefix")
+            return self._json(200, {"spawned": fleet.spawn_many(count, prefix)})
         if path == "/deliver":
             if method != "POST":
                 raise _HttpError(405, "use POST /deliver")
@@ -708,13 +726,13 @@ class FleetGateway:
                 events = self._event_pairs(payload["events"])
                 fleet.run(events, encoding="events")
                 return self._json(200, {"dispatched": len(events)})
-            key, message = self._require(payload, "key", "message")
+            key, message = self._fields(payload, "key", "message")
             fired = fleet.deliver(key, message)
             return self._json(200, {"fired": bool(fired)})
         if path == "/post":
             if method != "POST":
                 raise _HttpError(405, "use POST /post")
-            key, message = self._require(
+            key, message = self._fields(
                 self._body_json(body), "key", "message"
             )
             accepted = fleet.post(key, message, source="gateway")
@@ -787,37 +805,34 @@ class FleetGateway:
     # ------------------------------------------------------------------
 
     def _ws_reply(self, payload: bytes) -> bytes:
+        fleet = self._fleet
         try:
             message = json.loads(payload)
             op = message.get("op")
             if op == "deliver":
-                result = {
-                    "fired": bool(
-                        self._fleet.deliver(message["key"], message["message"])
-                    )
-                }
+                key, text = self._fields(message, "key", "message")
+                result = {"fired": bool(fleet.deliver(key, text))}
             elif op == "post":
-                result = {
-                    "accepted": bool(
-                        self._fleet.post(
-                            message["key"], message["message"], source="ws"
-                        )
-                    )
-                }
+                key, text = self._fields(message, "key", "message")
+                result = {"accepted": bool(fleet.post(key, text, source="ws"))}
             elif op == "state":
+                (key,) = self._fields(message, "key")
                 result = {
-                    "key": message["key"],
-                    "state": self._fleet.state_name(message["key"]),
-                    "finished": self._fleet.is_finished(message["key"]),
+                    "key": key,
+                    "state": fleet.state_name(key),
+                    "finished": fleet.is_finished(key),
                 }
             elif op == "len":
-                result = {"instances": len(self._fleet)}
+                result = {"instances": len(fleet)}
             else:
                 result = {"error": f"unknown op {op!r}"}
+        except _HttpError as exc:  # a missing or mistyped field
+            self._errors.add(1)
+            result = {"error": exc.message}
         except DeploymentError as exc:
             result = {"error": str(exc)}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            # Not JSON (or not UTF-8), not an object, or a field missing.
+            # Not JSON (or not UTF-8), or not an object.
             result = {"error": f"malformed frame: {exc}"}
         return json.dumps(result).encode("utf-8")
 

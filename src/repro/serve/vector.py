@@ -42,11 +42,13 @@ The non-vectorizable edges are masked out and post-processed scalar-side:
   every other encoded path.
 
 numpy is a *soft* dependency and this module is the single import guard:
-everything else asks :data:`HAS_NUMPY` / :func:`require_numpy`.  Without
-numpy (or with ``REPRO_NO_NUMPY`` set, which CI uses to exercise the
-fallback) a ``mode='vector'`` fleet raises the canonical
-:class:`~repro.core.errors.DeploymentError` at construction and the pure
--Python encoded path — which stays the differential oracle for the
+everything else asks :data:`HAS_NUMPY` / :func:`require_numpy`, and it is
+:func:`require_numpy` that imports it — a process that never builds a
+vector fleet or schedule never loads numpy.  Without numpy (or with
+``REPRO_NO_NUMPY`` set, which CI uses to exercise the fallback) a
+``mode='vector'`` fleet raises the canonical
+:class:`~repro.core.errors.DeploymentError` at construction and the
+pure-Python encoded path — which stays the differential oracle for the
 kernel — serves unchanged.
 """
 
@@ -54,6 +56,7 @@ from __future__ import annotations
 
 import os
 from array import array
+from importlib.util import find_spec
 
 from repro.core.errors import DeploymentError
 
@@ -66,24 +69,21 @@ __all__ = [
     "require_numpy",
 ]
 
+#: numpy itself, bound by the first :func:`require_numpy` that succeeds.
+_np = None
+
 if os.environ.get("REPRO_NO_NUMPY"):
-    _np = None
     NUMPY_UNAVAILABLE_REASON: str | None = (
         "numpy disabled via REPRO_NO_NUMPY (fallback-path testing)"
     )
+elif find_spec("numpy") is None:  # pragma: no cover - exercised via REPRO_NO_NUMPY
+    NUMPY_UNAVAILABLE_REASON = "numpy is not installed (pip install 'repro[vector]')"
 else:
-    try:
-        import numpy as _np
-    except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY
-        _np = None
-        NUMPY_UNAVAILABLE_REASON = (
-            "numpy is not installed (pip install 'repro[vector]')"
-        )
-    else:
-        NUMPY_UNAVAILABLE_REASON = None
+    NUMPY_UNAVAILABLE_REASON = None
 
-#: Whether the vectorized kernel can run in this environment.
-HAS_NUMPY = _np is not None
+#: Whether the vectorized kernel can run in this environment (decided by
+#: looking numpy up, not by importing it).
+HAS_NUMPY = NUMPY_UNAVAILABLE_REASON is None
 
 #: Slot/column ids sort as uint16 (numpy's O(n) stable radix path) below
 #: this; larger populations fall back to the comparison argsort.
@@ -91,9 +91,24 @@ _RADIX_LIMIT = 1 << 16
 
 
 def require_numpy(feature: str = "vector dispatch") -> None:
-    """Raise the canonical error when the soft numpy dependency is absent."""
-    if not HAS_NUMPY:
-        raise DeploymentError(f"{feature} needs numpy: {NUMPY_UNAVAILABLE_REASON}")
+    """Import numpy for the vector plane, or raise the canonical error.
+
+    Everything here that touches numpy calls this first, so the import
+    (0.1 s and ~15 MB) is paid by the first vector fleet or schedule a
+    process builds and by nothing else.
+    """
+    global _np
+    if _np is not None:
+        return
+    reason = NUMPY_UNAVAILABLE_REASON
+    if reason is None:
+        try:
+            import numpy as _np  # binds the module global
+
+            return
+        except ImportError as exc:
+            reason = f"numpy is installed but failed to import ({exc})"
+    raise DeploymentError(f"{feature} needs numpy: {reason}")
 
 
 class StateColumn:

@@ -14,6 +14,8 @@ import hashlib
 import json
 import os
 
+import pytest
+
 from repro.serve import diff_fleets, make_fleet
 from repro.serve.gateway import FleetGateway, snapshot_from_json
 
@@ -192,86 +194,146 @@ def test_snapshot_scrape_restores_into_fresh_fleet():
     gateway_test(body)
 
 
+async def ws_open(reader, writer):
+    """Upgrade this connection to ``/ws``; returns the ``ws(obj)``
+    coroutine that sends one masked JSON text frame and parses the reply."""
+    key = base64.b64encode(os.urandom(16)).decode()
+    writer.write(
+        (
+            "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
+            "Connection: Upgrade\r\n"
+            f"Sec-WebSocket-Key: {key}\r\n"
+            "Sec-WebSocket-Version: 13\r\n\r\n"
+        ).encode()
+    )
+    await writer.drain()
+    status_line = await reader.readline()
+    assert b"101" in status_line
+    accept = None
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            break
+        if line.lower().startswith(b"sec-websocket-accept:"):
+            accept = line.split(b":", 1)[1].strip().decode()
+    expected = base64.b64encode(
+        hashlib.sha1(
+            (key + "258EAFA5-E914-47DA-95CA-C5AB0DC85B11").encode()
+        ).digest()
+    ).decode()
+    assert accept == expected
+
+    async def ws(obj):
+        payload = json.dumps(obj).encode()
+        mask = os.urandom(4)
+        masked = bytes(b ^ mask[i % 4] for i, b in enumerate(payload))
+        writer.write(bytes((0x81, 0x80 | len(payload))) + mask + masked)
+        await writer.drain()
+        head = await reader.readexactly(2)
+        length = head[1] & 0x7F
+        if length == 126:
+            length = int.from_bytes(await reader.readexactly(2), "big")
+        return json.loads(await reader.readexactly(length))
+
+    return ws
+
+
 def test_websocket_roundtrip():
-    async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
-        gateway = FleetGateway(fleet, port=0)
-        await gateway.start()
-        try:
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", gateway.port
-            )
-            await http(reader, writer, "POST", "/spawn", {"count": 2})
-            writer.close()
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 2})
+        ws = await ws_open(reader, writer)
+        assert (await ws({"op": "len"})) == {"instances": 2}
+        out = await ws(
+            {"op": "deliver", "key": "session-0000000", "message": "update"}
+        )
+        assert out == {"fired": True}
+        out = await ws({"op": "state", "key": "session-0000000"})
+        assert out["key"] == "session-0000000"
+        out = await ws({"op": "deliver", "key": "ghost", "message": "x"})
+        assert out == {"error": "unknown instance 'ghost'"}
+        out = await ws({"op": "warp"})
+        assert "unknown op" in out["error"]
+        # Clean close handshake.
+        mask = os.urandom(4)
+        writer.write(bytes((0x88, 0x80)) + mask)
+        await writer.drain()
+        frame = await reader.readexactly(2)
+        assert frame[0] & 0x0F == 0x8
 
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", gateway.port
-            )
-            key = base64.b64encode(os.urandom(16)).decode()
-            writer.write(
-                (
-                    "GET /ws HTTP/1.1\r\nHost: t\r\nUpgrade: websocket\r\n"
-                    "Connection: Upgrade\r\n"
-                    f"Sec-WebSocket-Key: {key}\r\n"
-                    "Sec-WebSocket-Version: 13\r\n\r\n"
-                ).encode()
-            )
-            await writer.drain()
-            status_line = await reader.readline()
-            assert b"101" in status_line
-            accept = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                if line.lower().startswith(b"sec-websocket-accept:"):
-                    accept = line.split(b":", 1)[1].strip().decode()
-            expected = base64.b64encode(
-                hashlib.sha1(
-                    (key + "258EAFA5-E914-47DA-95CA-C5AB0DC85B11").encode()
-                ).digest()
-            ).decode()
-            assert accept == expected
+    gateway_test(body)
 
-            async def ws(obj):
-                payload = json.dumps(obj).encode()
-                mask = os.urandom(4)
-                masked = bytes(
-                    b ^ mask[i % 4] for i, b in enumerate(payload)
-                )
-                writer.write(
-                    bytes((0x81, 0x80 | len(payload))) + mask + masked
-                )
-                await writer.drain()
-                head = await reader.readexactly(2)
-                length = head[1] & 0x7F
-                if length == 126:
-                    length = int.from_bytes(await reader.readexactly(2), "big")
-                return json.loads(await reader.readexactly(length))
 
-            assert (await ws({"op": "len"})) == {"instances": 2}
-            out = await ws(
-                {"op": "deliver", "key": "session-0000000", "message": "update"}
-            )
-            assert out == {"fired": True}
-            out = await ws({"op": "state", "key": "session-0000000"})
-            assert out["key"] == "session-0000000"
-            out = await ws({"op": "deliver", "key": "ghost", "message": "x"})
-            assert out == {"error": "unknown instance 'ghost'"}
-            out = await ws({"op": "warp"})
-            assert "unknown op" in out["error"]
-            # Clean close handshake.
-            mask = os.urandom(4)
-            writer.write(bytes((0x88, 0x80)) + mask)
-            await writer.drain()
-            frame = await reader.readexactly(2)
-            assert frame[0] & 0x0F == 0x8
-            writer.close()
-        finally:
-            await gateway.stop()
-            fleet.close()
+# ---------------------------------------------------------------------------
+# mistyped fields: the client's 400, never a 500 with an exception name
+# ---------------------------------------------------------------------------
 
-    asyncio.run(main())
+_STRING = "field {!r} must be a string".format
+_COUNT = "field 'count' must be a non-negative integer"
+
+#: (path, payload, refusal).  At the parent the first three and every
+#: /deliver and /post row answered 500 with a Python exception name
+#: (ValueError, TypeError, AttributeError: 'int' object has no attribute
+#: 'encode', TypeError: unhashable type); the rest answered 200 and
+#: spawned 2, nothing, 1, and keys named "7-0000000".
+MISTYPED = [
+    ("/spawn", {"count": "x"}, _COUNT),
+    ("/spawn", {"count": None}, _COUNT),
+    ("/spawn", {"key": 5}, _STRING("key")),
+    ("/spawn", {"count": 2.7}, _COUNT),
+    ("/spawn", {"count": -3}, _COUNT),
+    ("/spawn", {"count": True}, _COUNT),
+    ("/spawn", {"count": 1, "prefix": 7}, _STRING("prefix")),
+    ("/deliver", {"key": ["a"], "message": "update"}, _STRING("key")),
+    ("/deliver", {"key": "session-0000000", "message": ["x"]}, _STRING("message")),
+    ("/post", {"key": ["a"], "message": "update"}, _STRING("key")),
+    ("/post", {"key": "session-0000000", "message": ["x"]}, _STRING("message")),
+]
+
+
+@pytest.mark.parametrize(
+    "path, payload, refusal",
+    MISTYPED,
+    ids=[f"{path} {json.dumps(payload)}" for path, payload, _ in MISTYPED],
+)
+def test_mistyped_field_is_a_counted_400(path, payload, refusal):
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 1})
+        status, out = await http(reader, writer, "POST", path, payload)
+        assert (status, out) == (400, {"error": refusal})
+        assert gateway._errors.value == 1
+        # Nothing was spawned or delivered, and the connection lives on.
+        status, out = await http(reader, writer, "GET", "/state?key=session-0000000")
+        assert status == 200 and out["state"] == gateway.fleet.machine.start_state.name
+        assert len(gateway.fleet) == 1
+
+    gateway_test(body)
+
+
+MISTYPED_FRAMES = [
+    ({"op": "deliver", "key": ["a"], "message": "update"}, _STRING("key")),
+    ({"op": "deliver", "key": 5, "message": "update"}, _STRING("key")),
+    ({"op": "post", "key": "session-0000000", "message": ["x"]}, _STRING("message")),
+    ({"op": "state", "key": 5}, _STRING("key")),
+    ({"op": "state"}, "missing field(s): key"),
+]
+
+
+@pytest.mark.parametrize(
+    "frame, refusal",
+    MISTYPED_FRAMES,
+    ids=[json.dumps(frame) for frame, _ in MISTYPED_FRAMES],
+)
+def test_mistyped_websocket_field_is_a_counted_error(frame, refusal):
+    # At the parent: "malformed frame: unhashable type: 'list'" and the
+    # like (the exception's text), and gateway_errors_total stayed 0.
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 1})
+        ws = await ws_open(reader, writer)
+        assert await ws(frame) == {"error": refusal}
+        assert gateway._errors.value == 1
+        assert await ws({"op": "len"}) == {"instances": 1}
+
+    gateway_test(body)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ class TestCli:
             # r=4 with one state too many after merging (published: 33).
             return [Table1Row(1, 4, 512, 48, 34, 0.001)]
 
-        monkeypatch.setattr("repro.cli.table1", doctored)
+        monkeypatch.setattr("repro.analysis.stats.table1", doctored)
         assert main(["table1"]) == 1
         row = capsys.readouterr().out.splitlines()[-1]
         assert "34" in row and row.endswith("NO")

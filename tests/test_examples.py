@@ -28,6 +28,15 @@ def test_example_runs(script):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip()
+    if script.name == "model_checking.py":
+        # One blank-line-separated block per result: a search that hit its
+        # budget says so, and only such a search does.
+        blocks = [b for b in result.stdout.split("\n\n") if "truncated=" in b]
+        assert len(blocks) == 5
+        for block in blocks:
+            assert ("budget reached: not exhaustive" in block) == (
+                "truncated=True" in block
+            ), block
 
 
 def test_quickstart_reports_paper_counts():
