@@ -7,7 +7,7 @@ Two questions, one artifact:
   hierarchical models, including commit-protocol wrappers of growing
   replication factor, together with the state/transition blow-up the
   expansion produces.
-* **Do flattened machines serve at fleet scale?**  The naive-vs-batched
+* **Do flattened machines serve at fleet scale?**  The naive-vs-encoded
   dispatch comparison of ``bench_serve``, re-run on machines produced by
   ``flatten()`` — every timed configuration differentially verified
   against *direct hierarchical simulation* first, so the speedup numbers
@@ -101,7 +101,7 @@ def _timed_fleet_run(machine, events, instances, shards, mode, runs, verifier=No
 
 
 def serve_sweep(points=SERVE_SWEEP, runs=3, seed=0):
-    """Naive-vs-batched fleet throughput on flattened machines."""
+    """Naive-vs-encoded fleet throughput on flattened machines."""
     rows = []
     for name, factor, instances, events_n, shards in points:
         model = build_hierarchical_model(name, factor)
@@ -117,8 +117,8 @@ def serve_sweep(points=SERVE_SWEEP, runs=3, seed=0):
         naive_s = _timed_fleet_run(
             machine, events, instances, shards, "naive", runs, verifier=verify
         )
-        batched_s = _timed_fleet_run(
-            machine, events, instances, shards, "batched", runs, verifier=verify
+        encoded_s = _timed_fleet_run(
+            machine, events, instances, shards, "encoded", runs, verifier=verify
         )
         rows.append(
             {
@@ -127,8 +127,8 @@ def serve_sweep(points=SERVE_SWEEP, runs=3, seed=0):
                 "events": len(events),
                 "shards": shards,
                 "naive_eps": len(events) / naive_s,
-                "batched_eps": len(events) / batched_s,
-                "speedup": naive_s / batched_s,
+                "encoded_eps": len(events) / encoded_s,
+                "speedup": naive_s / encoded_s,
             }
         )
     return rows
@@ -151,14 +151,14 @@ def format_flatten_rows(rows) -> str:
 
 def format_serve_rows(rows) -> str:
     lines = [
-        "model            instances  events   shards  naive ev/s   batched ev/s  speedup",
+        "model            instances  events   shards  naive ev/s   encoded ev/s  speedup",
         "---------------  ---------  -------  ------  -----------  ------------  -------",
     ]
     for row in rows:
         lines.append(
             f"{row['model']:<15}  {row['instances']:<9d}  {row['events']:<7d}  "
             f"{row['shards']:<6d}  {row['naive_eps']:>11,.0f}  "
-            f"{row['batched_eps']:>12,.0f}  {row['speedup']:>6.2f}x"
+            f"{row['encoded_eps']:>12,.0f}  {row['speedup']:>6.2f}x"
         )
     return "\n".join(lines)
 
@@ -176,7 +176,7 @@ def test_differential_flattened_fleet():
         events = generate_workload(
             machine, WorkloadSpec(instances=instances, events=events_n, seed=3)
         )
-        for mode in ("naive", "batched"):
+        for mode in ("naive", "encoded"):
             fleet = FleetEngine(
                 machine, shards=shards, mode=mode, auto_recycle=True
             )
@@ -190,7 +190,7 @@ def test_bench_flatten_commit_r10(benchmark):
     benchmark.pedantic(lambda: model.flatten("lazy"), rounds=3, iterations=1)
 
 
-def test_bench_batched_fleet_on_flattened_commit(benchmark):
+def test_bench_encoded_fleet_on_flattened_commit(benchmark):
     model = build_hierarchical_model("commit", 4)
     machine = model.flatten("lazy")
     events = generate_workload(
@@ -198,7 +198,7 @@ def test_bench_batched_fleet_on_flattened_commit(benchmark):
     )
 
     def run():
-        fleet = FleetEngine(machine, shards=16, mode="batched", auto_recycle=True)
+        fleet = FleetEngine(machine, shards=16, mode="encoded", auto_recycle=True)
         fleet.spawn_many(5_000)
         fleet.run(events)
         return fleet

@@ -205,9 +205,9 @@ def acceptance(runs=3, seed=0):
                 telemetry=FleetTelemetry() if telemetry else None,
             )
             fleet.spawn_many(instances)
-            pairs = fleet.encode(schedule)
+            flat = fleet.encode_flat(schedule)
             started = time.perf_counter()
-            fleet.run(pairs, encoding="pairs")
+            fleet.run(flat, encoding="flat")
             best = min(best, time.perf_counter() - started)
         return len(schedule) / best
 

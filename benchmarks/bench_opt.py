@@ -7,12 +7,12 @@ Two questions, one artifact:
   minimal: the pipeline must be cheap when there is nothing to do) and
   both flattened hierarchical models (where merging recovers the
   flattening blow-up).
-* **Does a minimized machine still serve at fleet scale?**  Batched
+* **Does a minimized machine still serve at fleet scale?**  Encoded
   fleet dispatch at >= 10k instances on the flattened commit HSM, raw
   versus optimized (``--opt full``), both differentially verified
   against direct hierarchical simulation.  The acceptance claim:
   **indexed-dispatch fleet throughput on the optimized machine sustains
-  at least** :data:`ACCEPT_RATIO` **of the raw batched baseline** —
+  at least** :data:`ACCEPT_RATIO` **of the raw encoded baseline** —
   optimization must never cost serving throughput (the per-event loop is
   index arithmetic either way; the optimized machine is strictly
   smaller).
@@ -62,7 +62,7 @@ FAST_PASS_SWEEP = PASS_SWEEP[:1] + PASS_SWEEP[2:4]
 SERVE_SWEEP = (("commit", 4, 10_000, 200_000, 16),)
 FAST_SERVE_SWEEP = (("commit", 4, 500, 10_000, 4),)
 
-#: Optimized batched throughput must sustain this fraction of raw batched
+#: Optimized encoded throughput must sustain this fraction of raw encoded
 #: throughput (1.0 modulo measurement noise: the machine only shrinks).
 ACCEPT_RATIO = 0.9
 
@@ -98,13 +98,13 @@ def pass_sweep(points=PASS_SWEEP, runs=3):
 
 
 def _timed_fleet_run(machine, events, instances, shards, optimize, runs, verifier):
-    """Best wall-clock over ``runs`` of a batched fleet; verified once."""
+    """Best wall-clock over ``runs`` of an encoded fleet; verified once."""
     best = float("inf")
     for _ in range(runs):
         fleet = FleetEngine(
             machine,
             shards=shards,
-            mode="batched",
+            mode="encoded",
             auto_recycle=True,
             optimize=optimize,
         )
@@ -209,7 +209,7 @@ def test_differential_optimized_fleet():
             fleet = FleetEngine(
                 machine,
                 shards=shards,
-                mode="batched",
+                mode="encoded",
                 auto_recycle=True,
                 optimize=optimize,
             )
@@ -233,7 +233,7 @@ def test_bench_full_pipeline_commit_hsm(benchmark):
     benchmark.pedantic(lambda: pipeline.run(im), rounds=3, iterations=1)
 
 
-def test_bench_optimized_batched_fleet(benchmark):
+def test_bench_optimized_encoded_fleet(benchmark):
     machine = build_hierarchical_model("commit", 4).flatten("lazy")
     events = generate_workload(
         machine, WorkloadSpec(instances=5_000, events=50_000, seed=0)
@@ -241,7 +241,7 @@ def test_bench_optimized_batched_fleet(benchmark):
 
     def run():
         fleet = FleetEngine(
-            machine, shards=16, mode="batched", auto_recycle=True, optimize="full"
+            machine, shards=16, mode="encoded", auto_recycle=True, optimize="full"
         )
         fleet.spawn_many(5_000)
         fleet.run(events)
@@ -284,7 +284,7 @@ def main() -> int:
     print("pass cost (IndexedMachine pipeline, best of runs):")
     print(format_pass_rows(pass_rows))
     print()
-    print("batched fleet throughput, raw vs optimized (differentially verified):")
+    print("encoded fleet throughput, raw vs optimized (differentially verified):")
     print(format_serve_rows(serve_rows))
 
     result = {"passes": pass_rows, "serve": serve_rows, "acceptance": None}
@@ -300,7 +300,7 @@ def main() -> int:
             "pass": ok,
         }
         print(
-            f"\nacceptance: optimized batched dispatch {accept['ratio']:.2f}x raw "
+            f"\nacceptance: optimized encoded dispatch {accept['ratio']:.2f}x raw "
             f"at {accept['instances']} instances -> {'PASS' if ok else 'FAIL'} "
             f"(needs >= {ACCEPT_RATIO}x)"
         )

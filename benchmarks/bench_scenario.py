@@ -3,8 +3,8 @@
 The scenario engine (:mod:`repro.serve.scenario`) fronts a fleet with a
 deterministic scheduled-event wheel.  When a scenario declares no
 timers, no routes and no faults, the engine runs *passthrough*: external
-batches are grouped per virtual instant at schedule time and — on
-encoded fleets — pre-interned to ``(slot, column)`` pairs, so the wheel
+batches are collected per virtual instant at schedule time and
+pre-interned to one flat ``[slot, col, ...]`` schedule each, so the wheel
 adds one heap pop and one encoded ``run`` call per distinct timestamp.
 
 This sweep measures that overhead directly: the same recorded workload
@@ -105,9 +105,9 @@ def _timed_raw(machine, schedule, instances, shards, runs=3):
             machine, shards=shards, mode="encoded", auto_recycle=True
         )
         candidate.spawn_many(instances)
-        pairs = candidate.encode(schedule)
+        flat = candidate.encode_flat(schedule)
         started = time.perf_counter()
-        candidate.run(pairs, encoding="pairs")
+        candidate.run(flat, encoding="flat")
         elapsed = time.perf_counter() - started
         if elapsed < best:
             best = elapsed

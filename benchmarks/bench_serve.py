@@ -1,24 +1,17 @@
-"""Fleet execution plane: per-event dispatch vs batched vs slot-encoded.
+"""Fleet execution plane: the three dispatch modes on one workload.
 
 The sweep hosts a population of commit-machine instances in a
 :class:`~repro.serve.fleet.FleetEngine` and pushes the same recorded
-workload through the dispatch-mode spectrum:
+workload, interned once per fleet with ``encode_flat`` outside the timed
+region, through every dispatch mode:
 
-* ``naive``   — one full interpreter protocol walk per event (the baseline
-  a straightforward deployment of the paper's runtime would use);
-* ``batched`` — sharded store + one-pass dispatch over the flat
-  ``jump``/``acts`` arrays, still paying a key-dict probe and a
-  message-dict probe per event;
-* ``encoded`` — the slot-indexed plane: events pre-interned to
-  ``(slot, column)`` int pairs (once, outside the timed region), so the
-  inner loop is pure int arithmetic on two flat arrays — measured with
+* ``naive``   — one full interpreter protocol walk per event (the
+  reference a straightforward deployment of the paper's runtime would
+  use);
+* ``encoded`` — pure int arithmetic on two flat arrays — measured with
   the ``full`` action-log policy and with ``off`` (per-event tuple
   appends dominate the profile at 10k+ instances, which is exactly what
   the log-policy knob removes);
-* ``grouped`` — the encoded loop with batches split into column-sorted
-  rounds (sequential ``jump``-row access); reported for the access-pattern
-  comparison — in pure Python the regrouping overhead outweighs the
-  locality win;
 * ``vector``  — the numpy gather/scatter kernel over the columnar store
   (:mod:`repro.serve.vector`), timed on its pre-split
   :class:`~repro.serve.vector.VectorSchedule` with ``log_policy="off"``
@@ -29,12 +22,9 @@ workload through the dispatch-mode spectrum:
 Every ``full``-policy configuration is differentially verified first: per
 instance, the fleet's final state/action trace must equal a standalone
 :class:`~repro.runtime.interp.MachineInterpreter` replay of the same
-schedule.  Two headline acceptance claims: **batched dispatch sustains at
-least 5x the naive per-event interpreter throughput at >= 10k instances**,
-and **encoded dispatch (log policy off) sustains at least 2x the batched
-throughput on the uniform 10k-instance scenario** — the latter measured
-against the batched run of the same sweep on the same host, which is also
-what the committed ``benchmarks/baselines/BENCH_serve.json`` records.
+schedule.  One headline acceptance claim, on the uniform 10k-instance
+scenario with ``log_policy="off"`` on both sides: **the vector kernel
+sustains at least 5x the encoded loop's throughput**.
 
 Run under pytest-benchmark::
 
@@ -109,19 +99,11 @@ FAST_SWEEP = (
     ("burst", 500, 10_000, 4),
 )
 
-#: Batched-vs-naive acceptance: >= 10k instances, batching-friendly
-#: bursty arrivals (events for one session collate into the same batch).
-ACCEPT_SCENARIO = ("burst", 10_000, 300_000, 16)
-ACCEPT_SPEEDUP = 5.0
-
-#: Encoded-vs-batched acceptance: the uniform 10k-instance point — no
-#: arrival-pattern help, so the speedup is purely the interned hot loop.
-ENCODED_ACCEPT_SCENARIO = ("uniform", 10_000, 300_000, 16)
-ENCODED_ACCEPT_SPEEDUP = 2.0
-
-#: Vector-vs-encoded acceptance: the same uniform 10k point, both sides
-#: with ``log_policy="off"`` — the ratio is purely bytecode loop vs
-#: gather/scatter kernel on the identical jump table.
+#: Vector-vs-encoded acceptance: the uniform 10k-instance point, both
+#: sides with ``log_policy="off"`` — no arrival-pattern help, and the
+#: ratio is purely bytecode loop vs gather/scatter kernel on the
+#: identical jump table.
+VECTOR_ACCEPT_SCENARIO = ("uniform", 10_000, 300_000, 16)
 VECTOR_ACCEPT_SPEEDUP = 5.0
 
 
@@ -137,10 +119,12 @@ def _timed_run(
 ):
     """Best events/sec over ``runs``; optionally differentially verified.
 
-    The encoded modes are timed on their pre-encoded ``(slot, column)``
-    schedule — interning happens once per workload, outside the timed
-    region, exactly as a generator feeding an encoded ``run`` would do it.
-    Throughput comes from the fleet's ``events_per_second`` helper.
+    Every mode is timed on its pre-encoded ``encode_flat`` schedule —
+    interning happens once per workload, outside the timed region,
+    exactly as a generator feeding ``run`` would do it (for a vector
+    fleet the schedule's rounds are split at encode time too, so its
+    timed region is pure gather/scatter).  Throughput comes from the
+    fleet's ``events_per_second`` helper.
     """
     best = float("inf")
     metrics = None
@@ -154,20 +138,9 @@ def _timed_run(
             log_policy=log_policy,
         )
         keys = fleet.spawn_many(instances)
-        if mode == "vector":
-            # The vector plane's pre-encoded form: the schedule's rounds
-            # are split at encode time, so the timed region is pure
-            # gather/scatter — the vector analogue of the pairs contract.
-            schedule = fleet.encode_flat(events)
-            started = time.perf_counter()
-            fleet.run(schedule, encoding="flat")
-        elif mode in ("encoded", "grouped"):
-            pairs = fleet.encode(events)
-            started = time.perf_counter()
-            fleet.run(pairs, encoding="pairs")
-        else:
-            started = time.perf_counter()
-            fleet.run(events)
+        schedule = fleet.encode_flat(events)
+        started = time.perf_counter()
+        fleet.run(schedule, encoding="flat")
         elapsed = time.perf_counter() - started
         if elapsed < best:
             best = elapsed
@@ -187,7 +160,7 @@ def sweep(points=SWEEP, runs=3, seed=0):
     """Run the dispatch-mode comparison over ``points``; return rows.
 
     Each row carries the configuration, per-mode events/sec and the
-    headline ratios.  Every ``full``-policy mode is differentially
+    headline ratio.  Every ``full``-policy mode is differentially
     verified once per configuration; the ``encoded_off`` and ``vector``
     columns run ``log_policy="off"`` (no trace retained, nothing to
     verify — the vector kernel's trace equality is verified by its own
@@ -196,9 +169,7 @@ def sweep(points=SWEEP, runs=3, seed=0):
     so the regression gate skips them cleanly.
     """
     machine = CommitModel(4).generate_state_machine()
-    modes = ("naive", "batched", "encoded", "grouped") + (
-        ("vector",) if HAS_NUMPY else ()
-    )
+    modes = ("naive", "encoded") + (("vector",) if HAS_NUMPY else ())
     rows = []
     for scenario, instances, events_n, shards in points:
         spec = WorkloadSpec(
@@ -226,12 +197,8 @@ def sweep(points=SWEEP, runs=3, seed=0):
             "events": len(events),
             "shards": shards,
             "naive_eps": eps["naive"],
-            "batched_eps": eps["batched"],
             "encoded_eps": eps["encoded"],
-            "grouped_eps": eps["grouped"],
             "encoded_off_eps": encoded_off,
-            "speedup": eps["batched"] / eps["naive"],
-            "encoded_speedup": encoded_off / eps["batched"],
         }
         if HAS_NUMPY:
             vector_off = _timed_run(
@@ -252,12 +219,10 @@ def sweep(points=SWEEP, runs=3, seed=0):
 def format_rows(rows) -> str:
     """Render sweep rows as an aligned table."""
     lines = [
-        "scenario  instances  events   shards  naive ev/s   batched ev/s  "
-        "encoded ev/s  grouped ev/s  enc-off ev/s  vector ev/s   "
-        "batch/naive  enc-off/batch  vec/enc-off",
-        "--------  ---------  -------  ------  -----------  ------------  "
-        "------------  ------------  ------------  ------------  "
-        "-----------  -------------  -----------",
+        "scenario  instances  events   shards  naive ev/s   "
+        "encoded ev/s  enc-off ev/s  vector ev/s   vec/enc-off",
+        "--------  ---------  -------  ------  -----------  "
+        "------------  ------------  ------------  -----------",
     ]
     for row in rows:
         vector_eps = (
@@ -271,62 +236,10 @@ def format_rows(rows) -> str:
         lines.append(
             f"{row['scenario']:<9} {row['instances']:<10d} {row['events']:<8d} "
             f"{row['shards']:<7d} {row['naive_eps']:>11,.0f}  "
-            f"{row['batched_eps']:>12,.0f}  {row['encoded_eps']:>12,.0f}  "
-            f"{row['grouped_eps']:>12,.0f}  {row['encoded_off_eps']:>12,.0f}  "
-            f"{vector_eps}  "
-            f"{row['speedup']:>10.2f}x  {row['encoded_speedup']:>12.2f}x  "
-            f"{vector_speedup}"
+            f"{row['encoded_eps']:>12,.0f}  {row['encoded_off_eps']:>12,.0f}  "
+            f"{vector_eps}  {vector_speedup}"
         )
     return "\n".join(lines)
-
-
-def acceptance_speedup(runs: int = 3) -> float:
-    """Batched-vs-naive speedup at the acceptance configuration."""
-    scenario, instances, events_n, shards = ACCEPT_SCENARIO
-    machine = CommitModel(4).generate_state_machine()
-    events = generate_workload(
-        machine,
-        WorkloadSpec(scenario=scenario, instances=instances, events=events_n, seed=0),
-    )
-    naive = _timed_run(machine, events, instances, shards, "naive", runs=runs)
-    batched = _timed_run(machine, events, instances, shards, "batched", runs=runs)
-    return batched / naive
-
-
-def encoded_acceptance(runs: int = 3) -> dict:
-    """Encoded-vs-batched throughput at the uniform 10k-instance point.
-
-    Measures both planes in one process on the same host — the committed
-    baseline's ``batched_eps`` for this configuration is produced the
-    same way, so the ratio is the artifact-comparable claim.
-    """
-    scenario, instances, events_n, shards = ENCODED_ACCEPT_SCENARIO
-    machine = CommitModel(4).generate_state_machine()
-    events = generate_workload(
-        machine,
-        WorkloadSpec(scenario=scenario, instances=instances, events=events_n, seed=0),
-    )
-    batched = _timed_run(
-        machine, events, instances, shards, "batched", runs=runs, verify=True
-    )
-    encoded = _timed_run(
-        machine,
-        events,
-        instances,
-        shards,
-        "encoded",
-        runs=runs,
-        log_policy="off",
-    )
-    return {
-        "scenario": scenario,
-        "instances": instances,
-        "batched_eps": batched,
-        "encoded_off_eps": encoded,
-        "speedup": encoded / batched,
-        "required": ENCODED_ACCEPT_SPEEDUP,
-        "pass": encoded / batched >= ENCODED_ACCEPT_SPEEDUP,
-    }
 
 
 def vector_acceptance(runs: int = 3) -> dict:
@@ -341,7 +254,7 @@ def vector_acceptance(runs: int = 3) -> dict:
     """
     if not HAS_NUMPY:
         return {"skipped": True, "reason": NUMPY_UNAVAILABLE_REASON}
-    scenario, instances, events_n, shards = ENCODED_ACCEPT_SCENARIO
+    scenario, instances, events_n, shards = VECTOR_ACCEPT_SCENARIO
     machine = CommitModel(4).generate_state_machine()
     events = generate_workload(
         machine,
@@ -375,9 +288,7 @@ def vector_acceptance(runs: int = 3) -> dict:
 def test_differential_all_scenarios():
     """Fleet == standalone for every scenario (the timing-free guarantee)."""
     machine = CommitModel(4).generate_state_machine()
-    modes = ("naive", "batched", "encoded", "grouped") + (
-        ("vector",) if HAS_NUMPY else ()
-    )
+    modes = ("naive", "encoded") + (("vector",) if HAS_NUMPY else ())
     for scenario in ("uniform", "hotkey", "burst"):
         events = generate_workload(
             machine,
@@ -388,24 +299,6 @@ def test_differential_all_scenarios():
             keys = fleet.spawn_many(200)
             fleet.run(events)
             assert diff_against_standalone(fleet, keys, events) == []
-
-
-def test_batched_beats_naive_5x_at_10k_instances():
-    """The batched acceptance criterion, at the bursty >= 10k point."""
-    speedup = acceptance_speedup()
-    assert speedup >= ACCEPT_SPEEDUP, (
-        f"batched dispatch is only {speedup:.2f}x the naive per-event "
-        f"throughput (needs >= {ACCEPT_SPEEDUP}x)"
-    )
-
-
-def test_encoded_beats_batched_2x_at_10k_instances():
-    """The encoded acceptance criterion, at the uniform 10k point."""
-    result = encoded_acceptance()
-    assert result["pass"], (
-        f"encoded dispatch is only {result['speedup']:.2f}x the batched "
-        f"throughput (needs >= {ENCODED_ACCEPT_SPEEDUP}x)"
-    )
 
 
 def test_vector_beats_encoded_5x_at_10k_instances():
@@ -437,22 +330,6 @@ def test_bench_naive_10k(benchmark):
     benchmark.extra_info["transitions_fired"] = fleet.metrics.transitions_fired
 
 
-def test_bench_batched_10k(benchmark):
-    machine = CommitModel(4).generate_state_machine()
-    events = generate_workload(
-        machine, WorkloadSpec(instances=10_000, events=100_000, seed=0)
-    )
-
-    def run():
-        fleet = FleetEngine(machine, shards=16, mode="batched", auto_recycle=True)
-        fleet.spawn_many(10_000)
-        fleet.run(events)
-        return fleet
-
-    fleet = benchmark.pedantic(run, rounds=3, iterations=1)
-    benchmark.extra_info["transitions_fired"] = fleet.metrics.transitions_fired
-
-
 def test_bench_encoded_10k(benchmark):
     machine = CommitModel(4).generate_state_machine()
     events = generate_workload(
@@ -462,7 +339,7 @@ def test_bench_encoded_10k(benchmark):
     def run():
         fleet = FleetEngine(machine, shards=16, mode="encoded", auto_recycle=True)
         fleet.spawn_many(10_000)
-        fleet.run(fleet.encode(events), encoding="pairs")
+        fleet.run(fleet.encode_flat(events), encoding="flat")
         return fleet
 
     fleet = benchmark.pedantic(run, rounds=3, iterations=1)
@@ -476,14 +353,14 @@ def test_bench_encoded_10k(benchmark):
 
 def main() -> int:
     parser = argparse.ArgumentParser(
-        description="fleet serving sweep: naive vs batched vs slot-encoded dispatch"
+        description="fleet serving sweep: naive vs encoded vs vector dispatch"
     )
     parser.add_argument(
         "--fast",
         action="store_true",
         help="trimmed sweep + single runs, for CI smoke testing (the "
-        "acceptance gates are skipped: tiny populations under-utilise "
-        "batching and interning)",
+        "acceptance gate is skipped: tiny populations under-utilise "
+        "the vector kernel)",
     )
     parser.add_argument(
         "--json",
@@ -503,50 +380,24 @@ def main() -> int:
 
     result = {
         "rows": rows,
-        "acceptance": None,
-        "encoded_acceptance": None,
         "vector_acceptance": None,
         "metrics": metrics_sample(),
     }
     ok = True
     if not args.fast:
-        speedup = acceptance_speedup()
-        batched_ok = speedup >= ACCEPT_SPEEDUP
-        result["acceptance"] = {
-            "scenario": ACCEPT_SCENARIO[0],
-            "instances": ACCEPT_SCENARIO[1],
-            "speedup": speedup,
-            "required": ACCEPT_SPEEDUP,
-            "pass": batched_ok,
-        }
-        print(
-            f"\nacceptance: batched {speedup:.2f}x naive at "
-            f"{ACCEPT_SCENARIO[1]} instances ({ACCEPT_SCENARIO[0]}) -> "
-            f"{'PASS' if batched_ok else 'FAIL'} (needs >= {ACCEPT_SPEEDUP}x)"
-        )
-        encoded = encoded_acceptance()
-        result["encoded_acceptance"] = encoded
-        print(
-            f"acceptance: encoded (log off) {encoded['speedup']:.2f}x batched "
-            f"at {encoded['instances']} instances ({encoded['scenario']}) -> "
-            f"{'PASS' if encoded['pass'] else 'FAIL'} "
-            f"(needs >= {ENCODED_ACCEPT_SPEEDUP}x)"
-        )
         vector = vector_acceptance()
         result["vector_acceptance"] = vector
         if vector.get("skipped"):
-            print(f"acceptance: vector skipped ({vector['reason']})")
-            vector_ok = True
+            print(f"\nacceptance: vector skipped ({vector['reason']})")
         else:
-            vector_ok = vector["pass"]
+            ok = vector["pass"]
             print(
-                f"acceptance: vector (log off) {vector['speedup']:.2f}x "
+                f"\nacceptance: vector (log off) {vector['speedup']:.2f}x "
                 f"encoded (log off) at {vector['instances']} instances "
                 f"({vector['scenario']}) -> "
-                f"{'PASS' if vector_ok else 'FAIL'} "
+                f"{'PASS' if ok else 'FAIL'} "
                 f"(needs >= {VECTOR_ACCEPT_SPEEDUP}x)"
             )
-        ok = batched_ok and encoded["pass"] and vector_ok
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

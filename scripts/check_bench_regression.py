@@ -46,9 +46,7 @@ import sys
 MEASURED = frozenset(
     {
         "naive_eps",
-        "batched_eps",
         "encoded_eps",
-        "grouped_eps",
         "encoded_off_eps",
         "vector_eps",
         "vector_speedup",
@@ -67,7 +65,6 @@ MEASURED = frozenset(
         "capacity_eps",
         "utilization",
         "speedup",
-        "encoded_speedup",
         "ratio",
         "scenario_ratio",
         "deliveries",
@@ -96,10 +93,8 @@ SATURATED_UTILIZATION = 1.0
 
 #: Metrics compared when --metric is not given.
 DEFAULT_METRICS = (
-    "batched_eps",
     "naive_eps",
     "encoded_eps",
-    "grouped_eps",
     "encoded_off_eps",
     "vector_eps",
     "raw_eps",

@@ -25,7 +25,7 @@ per call with ``generate_state_machine(engine="lazy")`` or on the command
 line with ``python -m repro.cli generate --engine lazy``.
 
 For serving a *population* of machine instances — sharded by session key
-with batched dispatch, backpressure and snapshot/restore — see
+with dispatch in batches, backpressure and snapshot/restore — see
 :class:`repro.FleetEngine` (the fleet execution plane,
 :mod:`repro.serve`).
 

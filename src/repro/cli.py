@@ -12,7 +12,7 @@ Mirrors the paper's Fig 6 usage from a shell::
     repro-fsm export -r 4 -o commit_r4.py    # §4.3 copy-into-codebase
     repro-fsm modelcheck -r 4 --silent 1     # exhaustive peer-set check
     repro-fsm serve-bench --instances 10000 --events 100000 --shards 16
-                                             # fleet plane: naive vs batched
+                                             # fleet plane: every dispatch mode
     repro-fsm flatten --model session --format outline
                                              # hierarchical design, outlined
     repro-fsm flatten --model commit -r 7 --engine lazy --format stats
@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_bench = commands.add_parser(
         "serve-bench",
-        help="benchmark the fleet execution plane: naive per-event dispatch "
-        "vs sharded+batched dispatch over a synthetic workload",
+        help="benchmark the fleet execution plane: the naive, encoded and "
+        "vector dispatch modes over one synthetic workload",
     )
     serve_bench.add_argument("-r", "--replication-factor", type=int, default=4)
     serve_bench.add_argument(
@@ -256,28 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_bench.add_argument("--seed", type=int, default=0)
     serve_bench.add_argument(
-        "--encoded",
-        action="store_true",
-        help="also measure the encoded and grouped slot-indexed dispatch "
-        "modes (events pre-interned to (slot, column) int pairs)",
-    )
-    serve_bench.add_argument(
-        "--dispatch",
-        action="append",
-        choices=DISPATCH_MODES,
-        metavar="MODE",
-        help="measure an additional dispatch mode (repeatable); "
-        "'--dispatch vector' adds the numpy gather/scatter kernel, "
-        "skipped with a note when numpy is unavailable",
-    )
-    serve_bench.add_argument(
         "--log-policy",
         choices=LOG_POLICIES,
         default="full",
         dest="log_policy",
         help="action-log retention for the table-dispatch modes (default: "
-        "full; 'count'/'off' trade the trace away for throughput, so the "
-        "differential check is skipped for them)",
+        "full; 'off' trades the trace away for throughput, so the "
+        "differential check is skipped for it)",
     )
     add_metrics_flag(serve_bench)
     add_engine_flag(serve_bench)
@@ -412,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes; omit for the in-process engine",
     )
     serve.add_argument("--shards", type=int, default=None)
-    serve.add_argument("--mode", choices=DISPATCH_MODES, default="batched")
+    serve.add_argument("--mode", choices=DISPATCH_MODES, default="encoded")
     serve.add_argument(
         "--backend", choices=SERVE_BACKENDS, default="interp"
     )
@@ -710,14 +695,12 @@ def _optimize(args) -> int:
 def _serve_bench(args) -> int:
     """Run one fleet dispatch-mode comparison and print the result.
 
-    ``naive`` and ``batched`` are always measured; ``--encoded`` adds the
-    ``encoded`` and ``grouped`` slot-indexed modes, whose schedules are
-    interned to ``(slot, column)`` pairs once, outside the timed region;
-    ``--dispatch`` appends further modes (``vector`` measures the numpy
-    gather/scatter kernel on a pre-split schedule, and is skipped with a
-    note when numpy is unavailable).  ``--log-policy`` applies to every
-    table-dispatch mode; reduced policies retain no trace, so their rows
-    skip the differential check.
+    Every mode is measured — ``naive``, ``encoded`` and ``vector`` (the
+    last skipped with a note when numpy is unavailable) — on the same
+    schedule, interned once per fleet with ``encode_flat`` outside the
+    timed region, so the timed region is dispatch alone.
+    ``--log-policy`` applies to the table-dispatch modes; ``off``
+    retains no trace, so those rows skip the differential check.
     """
     import time
 
@@ -727,7 +710,6 @@ def _serve_bench(args) -> int:
         NUMPY_UNAVAILABLE_REASON,
         WorkloadSpec,
         diff_against_standalone,
-        encode_schedule,
         generate_workload,
         make_fleet,
     )
@@ -750,13 +732,8 @@ def _serve_bench(args) -> int:
         f"backend {args.backend}, log {args.log_policy}{opt_note}"
     )
 
-    modes = ["naive", "batched"]
-    if args.encoded:
-        modes += ["encoded", "grouped"]
-    for extra in args.dispatch or []:
-        if extra not in modes:
-            modes.append(extra)
-    if "vector" in modes and not HAS_NUMPY:
+    modes = list(DISPATCH_MODES)
+    if not HAS_NUMPY:
         modes.remove("vector")
         print(f"  vector   skipped: {NUMPY_UNAVAILABLE_REASON}")
     elapsed: dict[str, float] = {}
@@ -774,19 +751,9 @@ def _serve_bench(args) -> int:
             telemetry=FleetTelemetry() if args.metrics else None,
         )
         keys = fleet.spawn_many(args.instances)
-        if mode == "vector" and args.workers is None:
-            # The vector plane's pre-encoded form: rounds are split at
-            # encode time, so the timed region is pure gather/scatter.
-            schedule = fleet.encode_flat(events)
-            started = time.perf_counter()
-            fleet.run(schedule, encoding="flat")
-        elif mode in ("encoded", "grouped", "vector"):
-            pairs = encode_schedule(fleet, events)
-            started = time.perf_counter()
-            fleet.run(pairs, encoding="pairs")
-        else:
-            started = time.perf_counter()
-            fleet.run(events)
+        schedule = fleet.encode_flat(events)
+        started = time.perf_counter()
+        fleet.run(schedule, encoding="flat")
         elapsed[mode] = time.perf_counter() - started
         if policy == "full":
             mismatched = diff_against_standalone(fleet, keys, events)
@@ -811,21 +778,11 @@ def _serve_bench(args) -> int:
         # worker registries are only reachable while workers live).
         registry = fleet_registry(fleet) if args.metrics else None
         fleet.close()
-    print(f"  speedup  {elapsed['naive'] / elapsed['batched']:.2f}x (batched/naive)")
-    if args.encoded:
-        print(
-            f"  encoded  {elapsed['batched'] / elapsed['encoded']:.2f}x batched, "
-            f"grouped {elapsed['batched'] / elapsed['grouped']:.2f}x batched"
-        )
+    print(f"  speedup  {elapsed['naive'] / elapsed['encoded']:.2f}x (encoded/naive)")
     if "vector" in elapsed:
-        vector_note = (
-            f", {elapsed['encoded'] / elapsed['vector']:.2f}x encoded"
-            if "encoded" in elapsed
-            else ""
-        )
         print(
-            f"  vector   {elapsed['batched'] / elapsed['vector']:.2f}x "
-            f"batched{vector_note}"
+            f"  vector   {elapsed['naive'] / elapsed['vector']:.2f}x naive, "
+            f"{elapsed['encoded'] / elapsed['vector']:.2f}x encoded"
         )
     if args.metrics:
         # The registry of the last measured fleet (metrics are per-fleet).

@@ -28,7 +28,7 @@ from repro.core.state import State, Transition
 
 @dataclass(frozen=True)
 class FlatDispatchTable:
-    """A machine flattened to index arithmetic for batched execution.
+    """A machine flattened to index arithmetic for table-driven execution.
 
     States and messages are assigned dense integer indices; ``entries`` is a
     flat row-major list of length ``len(state_names) * len(messages)`` where

@@ -1,13 +1,17 @@
-"""Fleet execution plane: sharded, batched serving of many machine instances.
+"""Fleet execution plane: sharded serving of many machine instances.
 
 Scales the paper's single-machine deployment story (§4) to a population:
 instances are partitioned by session key across shards
-(:mod:`repro.serve.store`), events queue in bounded per-shard mailboxes
-(:mod:`repro.serve.mailbox`) and are dispatched in batches over the
-machine's flat dispatch table (:mod:`repro.serve.fleet`), with
-snapshot/restore, backpressure and a metrics surface
-(:mod:`repro.serve.metrics`).  Both execution backends — interpreter and
-compiled generated class — plug in through :mod:`repro.serve.adapter`;
+(:mod:`repro.serve.store`), every event is interned to a ``(slot,
+column)`` int pair at intake, queues in bounded per-shard mailboxes
+(:mod:`repro.serve.mailbox`) and is dispatched in batches by one of three
+modes (:mod:`repro.serve.fleet`): ``naive``, the per-instance reference
+the differential suites compare against; ``encoded``, int arithmetic over
+the machine's flat dispatch table; ``vector``, the same table as numpy
+gather/scatter.  Snapshot/restore, backpressure and a metrics surface
+(:mod:`repro.serve.metrics`) come with every mode.  Both execution
+backends of the ``naive`` mode — interpreter and compiled generated
+class — plug in through :mod:`repro.serve.adapter`;
 :mod:`repro.serve.workload` fabricates arrival patterns and
 :mod:`repro.serve.differential` proves fleet runs identical to standalone
 single-instance runs.  :mod:`repro.serve.scenario` layers virtual time on
@@ -16,10 +20,10 @@ fault injection with snapshot-replay recovery.
 :mod:`repro.serve.loadgen` offers open/closed-loop load with
 measured-service latency replay, feeding the telemetry plane
 (:mod:`repro.obs`) that any engine accepts via
-``FleetEngine(telemetry=...)``.  :mod:`repro.serve.vector` adds the
-optional numpy-backed gather/scatter dispatch kernel
-(``make_fleet(mode="vector")``); ``HAS_NUMPY`` reports whether it can
-run here.
+``FleetEngine(telemetry=...)``.  :mod:`repro.serve.vector` holds the
+optional numpy-backed gather/scatter kernel behind
+``make_fleet(mode="vector")``; ``HAS_NUMPY`` reports whether it can run
+here.
 """
 
 from typing import TYPE_CHECKING
@@ -95,7 +99,6 @@ if TYPE_CHECKING:
         ScenarioSpec,
         SessionSimulator,
         WorkloadSpec,
-        encode_schedule,
         generate_scenario,
         generate_workload,
         session_keys,
@@ -149,7 +152,6 @@ __all__ = [
     "diff_against_hierarchical",
     "diff_against_standalone",
     "diff_fleets",
-    "encode_schedule",
     "fleet_machine",
     "generate_open_loop",
     "generate_scenario",
@@ -239,7 +241,6 @@ _EXPORTS = {
         "ScenarioSpec",
         "SessionSimulator",
         "WorkloadSpec",
-        "encode_schedule",
         "generate_scenario",
         "generate_workload",
         "session_keys",

@@ -19,10 +19,11 @@ module is the redesign that makes the process-parallel fleet
 
 The protocol's guarantees (what a caller may rely on from *any* fleet):
 
-* **One dispatch entry point.**  ``run(events, encoding=...)`` accepts
-  ``(key, message)`` string batches (``"events"``), pre-interned
-  schedules from ``encode`` (``"pairs"``), flat int buffers from
-  ``encode_flat`` (``"flat"``), or sniffs the batch (``"auto"``).
+* **One dispatch entry point, one intake.**  ``run(events,
+  encoding=...)`` accepts ``(key, message)`` string batches
+  (``"events"``), pre-interned schedules from ``encode_flat``
+  (``"flat"``), or sniffs the batch (``"auto"``); every dispatch mode
+  interns at ``post``/``run`` and executes ``(slot, column)`` ints.
   Encoded schedules are fleet-specific — encode against the fleet that
   will run the schedule.
 * **One error shape.**  Unknown instances and messages raise
@@ -107,8 +108,6 @@ class Fleet(Protocol):
     def is_finished(self, key: str) -> bool: ...
 
     # -- event intake and dispatch -------------------------------------
-    def encode(self, events): ...
-
     def encode_flat(self, events): ...
 
     def post(
@@ -190,7 +189,7 @@ def fleet_machine(model: str, engine: str = "eager") -> StateMachine:
 def make_fleet(
     model="commit",
     *,
-    mode: str = "batched",
+    mode: str = "encoded",
     backend: str = "interp",
     workers: Optional[int] = None,
     shards: Optional[int] = None,

@@ -10,8 +10,8 @@ and reports mismatches; the test suite and ``bench_serve`` both use it.
 The comparison is only meaningful when the fleet dropped nothing — use
 unbounded mailboxes (or check ``metrics.events_dropped == 0``) before
 trusting a clean result — and when the fleet retains full action logs:
-fleets running a reduced ``log_policy`` (``count`` / ``off``) have no
-trace to compare, so the harness rejects them up front.
+fleets running ``log_policy='off'`` have no trace to compare, so the
+harness rejects them up front.
 """
 
 from __future__ import annotations

@@ -5,44 +5,38 @@ state machine; this module is the production-scale counterpart: it hosts
 thousands-to-millions of instances of one generated machine, partitioned
 by session key across shards, and dispatches events in batches.
 
-Five dispatch modes expose the architectural spectrum the benchmarks
-measure — each step removes one more layer of per-event work:
+Every event enters the same way: it is *interned at intake* — the session
+key resolves to its dense store slot and the message to its column id
+once, at :meth:`FleetEngine.post` or :meth:`FleetEngine.run` — so
+mailboxes and arrival batches carry ``(slot, column)`` int pairs and no
+dispatch loop hashes a string.  The three dispatch modes differ only in
+what executes a pair:
 
-* ``naive`` — every event is delivered individually to a per-instance
+* ``naive`` — the reference: each pair is delivered to a per-instance
   backend object (a :class:`~repro.runtime.interp.MachineInterpreter` or a
-  compiled generated-class instance, selected by ``backend``): one full
-  protocol walk per event.
-* ``batched`` — events are queued as ``(key, message)`` string pairs and
-  whole batches are dispatched in one pass over the ``jump``/``acts``
-  arrays specialised from the shared
-  :class:`~repro.opt.IndexedMachine` IR.  Per event the loop still pays
-  one key-dict probe and one message-dict probe.
-* ``encoded`` — events are *interned at intake*: the session key resolves
-  to its dense store slot and the message to its column id once, so
-  mailboxes and arrival batches carry ``(slot, column)`` int pairs and
-  the inner loop is pure int arithmetic on two flat arrays
-  (``offset = states[slot] + column; next = jump[offset]``) — no hashing,
-  no string in sight.
-* ``grouped`` — the encoded loop, with each batch first split into
-  *rounds* (round *r* holds every slot's *r*-th event, preserving
-  per-instance order exactly) and each round sorted by column, so the
-  ``jump`` rows are walked in sequential column order.
+  compiled generated-class instance, selected by ``backend``), one full
+  protocol walk per event.  The differential suites compare the other
+  modes against it.
+* ``encoded`` (the default) — pure int arithmetic on two flat arrays
+  specialised from the shared :class:`~repro.opt.IndexedMachine` IR
+  (``offset = states[slot] + column; next = jump[offset]``): no object
+  per instance, no string in sight.
 * ``vector`` — the encoded plane with the Python bytecode loop removed:
-  the states column is a flat numpy array and each grouped round
+  the states column is a flat numpy array and each occurrence round
   executes as one gather/scatter over the jump table
   (:mod:`repro.serve.vector`).  Requires numpy (a soft dependency —
   construction raises the canonical error without it); the encoded
   path remains the always-on fallback and differential oracle.
 
 All modes produce identical per-instance state/action traces (the
-differential tests assert this against standalone interpreter replays), so
-the batched/encoded planes are pure throughput optimisations.
+differential tests assert this against standalone interpreter replays),
+so the table-dispatch planes are pure throughput optimisations.
 
-``log_policy`` controls what the hot loop does with fired actions —
-per-event tuple appends dominate profile time at 10k+ instances:
-``full`` (default) retains every action chunk and is required for traces,
-snapshots and differential comparison; ``count`` keeps only a per-slot
-count of performed actions; ``off`` mutates nothing per event.
+``log_policy`` controls what the table-dispatch loops do with fired
+actions — per-event tuple appends dominate profile time at 10k+
+instances: ``full`` (default) retains every action chunk and is required
+for traces, snapshots and differential comparison; ``off`` mutates
+nothing per event.  ``naive`` backends always keep their logs.
 
 Event intake is two-tier.  :meth:`FleetEngine.post` routes single events
 into per-shard bounded :class:`~repro.serve.mailbox.Mailbox` queues —
@@ -51,10 +45,10 @@ backpressure domain per shard, with *shed* (drop and count) or *block*
 policies — and :meth:`FleetEngine.drain_shard` dispatches a shard's queue
 in one pass.  Routing never re-hashes an interned key: the shard id is
 memoized per slot at spawn time.  :meth:`FleetEngine.run` additionally
-treats an already materialised event list as one arrival batch (encoded
-once, for the encoded modes); ``run(schedule, encoding="pairs"|"flat")``
-accepts a schedule that is *already* interned, so a generator can pay
-the interning cost once per workload instead of once per run.
+treats an already materialised event list as one arrival batch;
+``run(schedule, encoding="flat")`` accepts a schedule that is *already*
+interned by :meth:`FleetEngine.encode_flat`, so a generator can pay the
+interning cost once per workload instead of once per run.
 
 Snapshot/restore captures every instance's ``(key, state, action log)``
 for recycling and failover; recycling itself rides the ``reset()``
@@ -66,14 +60,14 @@ Telemetry is opt-in and engine-external:
 :mod:`repro.obs` context and the engine feeds it — per-event mailbox
 wait (post to drain) into ``fleet_queue_latency_seconds``, per-batch
 dispatch wall time and size into ``fleet_batch_*``, and (when the
-context carries a trace log) a trace id minted at :meth:`post` /
-:meth:`encode` and recorded through shed and dispatch decisions.  The
-cost model is deliberate: the encoded hot loop is untouched — batches
-pay two clock reads and two histogram observations *per batch* — while
-per-event stamping exists only on the mailbox path, which is already
-the slower intake tier.  The default ``telemetry=None`` leaves every
-path exactly as before.  Shard mailbox depths, by contrast, are always
-observed: every drain records the drained batch's depth into
+context carries a trace log) a trace id minted at :meth:`post` and
+recorded through shed and dispatch decisions.  The cost model is
+deliberate: the hot loops are untouched — batches pay two clock reads
+and two histogram observations *per batch* — while per-event stamping
+exists only on the mailbox path, which is already the slower intake
+tier.  The default ``telemetry=None`` leaves every path exactly as
+before.  Shard mailbox depths, by contrast, are always observed: every
+drain records the drained batch's depth into
 :class:`~repro.serve.metrics.FleetMetrics`, so ``shard_depths`` /
 ``peak_shard_depth`` are live without caller polling.
 """
@@ -82,7 +76,6 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from time import perf_counter
 from typing import Optional
 
@@ -94,28 +87,23 @@ from repro.runtime.cache import GeneratedCodeCache
 from repro.serve.adapter import BACKENDS, make_backend
 from repro.serve.mailbox import Mailbox, OverflowPolicy
 from repro.serve.metrics import FleetMetrics
-from repro.serve.store import (
-    LOG_POLICIES,
-    InstanceSnapshot,
-    InstanceStore,
-    shard_of,
+from repro.serve.store import LOG_POLICIES, InstanceSnapshot, InstanceStore
+from repro.serve.vector import (
+    VectorKernel,
+    VectorSchedule,
+    _flat_count,
+    require_numpy,
 )
-from repro.serve.vector import VectorKernel, VectorSchedule, require_numpy
 from repro.serve.workload import session_keys
 
 #: Event dispatch modes.
-DISPATCH_MODES = ("naive", "batched", "encoded", "grouped", "vector")
+DISPATCH_MODES = ("naive", "encoded", "vector")
 
 #: Schedule encodings :meth:`FleetEngine.run` accepts.  ``auto`` sniffs
-#: the batch (a flat int ``array`` dispatches as ``flat``, int-pair
-#: batches as ``pairs``, everything else as ``events``); the explicit
-#: names skip the sniff for callers that already know.
-ENCODINGS = ("auto", "events", "pairs", "flat")
-
-#: Modes whose mailboxes and arrival batches carry ``(slot, column)`` pairs.
-_ENCODED_MODES = frozenset({"encoded", "grouped", "vector"})
-
-_BY_COLUMN = itemgetter(1)
+#: the batch (a flat int ``array`` or a
+#: :class:`~repro.serve.vector.VectorSchedule` dispatches as ``flat``,
+#: everything else as ``events``); the explicit names skip the sniff.
+ENCODINGS = ("auto", "events", "flat")
 
 
 def raise_rejected(rejected: list[tuple[str, str]]) -> None:
@@ -154,6 +142,62 @@ class FleetSnapshot:
     lost: tuple[str, ...] = ()
 
 
+def resolve_snapshot(
+    snapshot: FleetSnapshot,
+    machine_name: str,
+    state_index: dict,
+    state_map: Optional[dict],
+    allow_partial: bool,
+) -> list[str]:
+    """Check a whole snapshot before any population is touched.
+
+    Returns the served state name of every instance, in snapshot order.
+    One pass checks everything a restore relies on — the machine, the
+    ``lost`` manifest, keys that are unique strings, states known to the
+    machine (through ``state_map``), actions a sequence of strings — so a
+    bad snapshot raises :class:`~repro.core.errors.DeploymentError` while
+    the fleet still holds its old population.  Both fleet
+    implementations restore through here, the multiprocess one in the
+    parent before anything fans out to a worker.
+    """
+    if snapshot.machine_name != machine_name:
+        raise DeploymentError(
+            f"snapshot is for machine {snapshot.machine_name!r}, "
+            f"this fleet serves {machine_name!r}"
+        )
+    if snapshot.lost and not allow_partial:
+        raise DeploymentError(
+            f"snapshot is partial: {len(snapshot.lost)} instance(s) "
+            "from lost partitions are missing; pass allow_partial=True "
+            "to restore the survivors"
+        )
+    served: list[str] = []
+    seen: set[str] = set()
+    for inst in snapshot.instances:
+        key, state, actions = inst.key, inst.state, inst.actions
+        if type(key) is not str:
+            raise DeploymentError(f"snapshot instance key {key!r} is not a string")
+        if key in seen:
+            raise DeploymentError(f"snapshot holds instance {key!r} more than once")
+        seen.add(key)
+        if type(state) is str and state_map is not None:
+            state = state_map.get(state, state)
+        if type(state) is not str or state not in state_index:
+            raise DeploymentError(
+                f"snapshot state {inst.state!r} does not exist in "
+                f"machine {machine_name!r}"
+            )
+        if not isinstance(actions, (tuple, list)) or not all(
+            type(action) is str for action in actions
+        ):
+            raise DeploymentError(
+                f"snapshot actions of instance {key!r} must be a sequence "
+                f"of strings, got {actions!r}"
+            )
+        served.append(state)
+    return served
+
+
 class FleetEngine:
     """Host a population of instances of one machine; dispatch events to them."""
 
@@ -163,7 +207,7 @@ class FleetEngine:
         *,
         shards: int = 8,
         backend: str = "interp",
-        mode: str = "batched",
+        mode: str = "encoded",
         mailbox_capacity: Optional[int] = None,
         overflow: OverflowPolicy = OverflowPolicy.SHED,
         auto_recycle: bool = False,
@@ -195,7 +239,6 @@ class FleetEngine:
             require_numpy("dispatch mode 'vector'")
         self._machine = machine
         self._mode = mode
-        self._encoded_intake = mode in _ENCODED_MODES
         self._backend_kind = backend
         self._auto_recycle = auto_recycle
         self._log_policy = log_policy
@@ -215,6 +258,7 @@ class FleetEngine:
         self._table = self._indexed.dispatch_table()
         self._width = self._table.width
         self._columns = self._table.message_index
+        self._messages = self._table.messages
         self._final = self._table.final
         self._start = self._indexed.start * self._width
         # The specialised jump/acts arrays serve every table-dispatch
@@ -401,12 +445,14 @@ class FleetEngine:
     def despawn(self, key: str) -> None:
         """Remove one instance; its slot returns to the free list for reuse.
 
-        Events still queued for the key are *not* purged: on the
-        string-keyed path they surface as unknown-instance rejects at
-        dispatch; on the encoded path, pairs already interned for the
-        slot would be delivered to the slot's next occupant — drain
-        before despawning when traffic may be in flight.
+        Events still queued on the key's shard are dispatched first:
+        they were interned to the key's slot at :meth:`post`, so they
+        reach the instance they were addressed to and never the slot's
+        next occupant.
         """
+        shard_id = self._store.shard_ids[self._store.slot(key)]
+        if self._mailboxes[shard_id]:
+            self.drain_shard(shard_id)
         self._store.release(key)
         self.metrics.instances_released += 1
 
@@ -420,8 +466,6 @@ class FleetEngine:
             store.states[slot] = self._start
             if self._log_policy == "full":
                 store.logs[slot].clear()
-            elif self._log_policy == "count":
-                store.counts[slot] = 0
         self.metrics.instances_recycled += 1
 
     def state_name(self, key: str) -> str:
@@ -434,21 +478,19 @@ class FleetEngine:
     def action_count(self, key: str) -> int:
         """Number of actions the instance has performed since its last reset.
 
-        Available under ``full`` (counted from the retained log) and
-        ``count`` (the per-slot counter); ``off`` retains nothing.
+        Counted from the retained log; ``log_policy='off'`` retains
+        nothing to count.
         """
         store = self._store
         slot = store.slot(key)
         if self._mode == "naive":
             return len(store.backends[slot].sent)
-        if self._log_policy == "full":
-            return sum(len(chunk) for chunk in store.logs[slot])
-        if self._log_policy == "count":
-            return store.counts[slot]
-        raise DeploymentError(
-            "log_policy 'off' retains no action information; "
-            "use 'count' or 'full'"
-        )
+        if self._log_policy != "full":
+            raise DeploymentError(
+                "log_policy 'off' retains no action information; "
+                "action_count needs log_policy='full'"
+            )
+        return sum(len(chunk) for chunk in store.logs[slot])
 
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]:
         """The instance's actions from index ``start`` onward, in fire order.
@@ -536,46 +578,17 @@ class FleetEngine:
             slots, cols, _ = self._intern(valid)
             return slots, cols, rejected
 
-    def encode(self, events) -> list[tuple[int, int]]:
-        """Intern ``(key, message)`` events to ``(slot, column)`` pairs.
-
-        The encoded serve path's batch half: keys and messages resolve
-        exactly once, so ``run(pairs, encoding="pairs")`` downstream
-        never touches a string.  Slot ids are fleet-specific — encode
-        against the fleet that will run the schedule.  Unknown keys or
-        messages raise one :class:`~repro.core.errors.DeploymentError`
-        naming them.
-
-        With tracing attached, the whole schedule is minted one
-        contiguous trace-id block (event *i* owns ``start + i``) and a
-        single ``encode`` record marks the block — O(1) telemetry for
-        an arbitrarily large schedule, which is what keeps the encoded
-        path inside its overhead budget.
-        """
-        slots, cols, rejected = self._intern(events)
-        if rejected:
-            self._raise_rejected(rejected)
-        pairs = list(zip(slots, cols))
-        telemetry = self._telemetry
-        if telemetry is not None and telemetry.trace is not None and pairs:
-            ids = telemetry.trace.mint_range(len(pairs))
-            telemetry.trace.record(
-                ids.start,
-                perf_counter(),
-                "encode",
-                detail=f"events={len(pairs)} ids={ids.start}..{ids.stop - 1}",
-            )
-        return pairs
-
     def encode_flat(self, events) -> array:
         """Intern events to a flat ``[slot, col, slot, col, ...]`` array.
 
-        The allocation-free twin of :meth:`encode`: one machine-int
-        buffer instead of one tuple per event, so a consumer holding many
-        encoded batches — the scenario wheel keeps one per future instant
-        — pays O(1) objects, not O(events), to build, keep and discard
-        each.  Same validation contract as :meth:`encode`; dispatch with
-        ``run(flat, encoding="flat")``.
+        The one pre-encoded schedule form: keys and messages resolve
+        exactly once, into one machine-int buffer — O(1) objects, not
+        O(events), to build, keep and discard, which is what lets the
+        scenario wheel keep one per future instant — and
+        ``run(flat, encoding="flat")`` downstream never touches a string.
+        Slot ids are fleet-specific: encode against the fleet that will
+        run the schedule.  Unknown keys or messages raise one
+        :class:`~repro.core.errors.DeploymentError` naming them.
 
         A ``vector`` fleet returns a
         :class:`~repro.serve.vector.VectorSchedule` instead of the raw
@@ -584,12 +597,11 @@ class FleetEngine:
         time, so repeated runs of the schedule pay only the
         gather/scatter.  The schedule builds the flat buffer on demand as
         ``.flat``, supports ``+`` concatenation, and ``run`` accepts it
-        anywhere a flat array is accepted — on a scalar ``encoded`` fleet
-        too.
+        anywhere a flat array is accepted — on a scalar fleet too.
         """
         slots, cols, rejected = self._intern(events)
         if rejected:
-            self._raise_rejected(rejected)
+            raise_rejected(rejected)
         if self._kernel is not None:
             return VectorSchedule.of_columns(slots, cols)
         flat = array("q", bytes(16 * len(slots)))
@@ -600,25 +612,16 @@ class FleetEngine:
     def _offer(self, shard_id: int, event, source: Optional[str] = None) -> bool:
         """Offer one event to a shard mailbox, applying the overflow policy."""
         mailbox = self._mailboxes[shard_id]
-        if mailbox.offer(event, source):
-            self.metrics.events_offered += 1
-            if self._telemetry is not None:
-                self._post_times[shard_id].append(perf_counter())
-            return True
-        if mailbox.policy is OverflowPolicy.BLOCK:
-            # The incoming event is enqueued even when the inline drain
-            # raises for bad previously-queued events (the drain empties
-            # the mailbox either way) — the error must not lose it.
-            try:
-                self.drain_shard(shard_id)
-            finally:
-                mailbox.offer(event, source)
-                self.metrics.events_offered += 1
-                if self._telemetry is not None:
-                    self._post_times[shard_id].append(perf_counter())
-            return True
-        self.metrics.events_dropped += 1
-        return False
+        if not mailbox.offer(event, source):
+            if mailbox.policy is not OverflowPolicy.BLOCK:
+                self.metrics.events_dropped += 1
+                return False
+            self.drain_shard(shard_id)
+            mailbox.offer(event, source)
+        self.metrics.events_offered += 1
+        if self._telemetry is not None:
+            self._post_times[shard_id].append(perf_counter())
+        return True
 
     def post(
         self,
@@ -627,15 +630,12 @@ class FleetEngine:
         source: Optional[str] = None,
         trace_id: Optional[int] = None,
     ) -> bool:
-        """Queue one event for batched dispatch; returns acceptance.
+        """Queue one event for its shard's next drain; returns acceptance.
 
-        Routing never re-hashes an interned key: the slot lookup yields
-        the shard id memoized at spawn time (unknown keys fall back to
-        the hash so the existence error still surfaces at dispatch, on
-        the right shard).  In the encoded modes the event is interned
-        here — the mailbox carries a ``(slot, column)`` pair — so an
-        unknown key or message raises at intake instead.  Under the
-        ``block`` policy a full mailbox is drained inline (the
+        The event is interned here — the mailbox carries a ``(slot,
+        column)`` pair, routed to the shard id memoized at spawn time —
+        so an unknown key or message raises at intake, in every mode.
+        Under the ``block`` policy a full mailbox is drained inline (the
         synchronous form of blocking the producer) and the event is then
         accepted.  ``source`` tags the enqueue's provenance in the shard
         mailbox (the scenario plane marks timed and routed traffic).
@@ -648,21 +648,13 @@ class FleetEngine:
         """
         store = self._store
         slot = store.slot_of.get(key)
-        if self._encoded_intake:
-            if slot is None:
-                raise DeploymentError(f"unknown instance {key!r}")
-            try:
-                event = (slot, self._columns[message])
-            except KeyError:
-                raise DeploymentError(f"unknown message {message!r}") from None
-            shard_id = store.shard_ids[slot]
-        else:
-            event = (key, message)
-            shard_id = (
-                store.shard_ids[slot]
-                if slot is not None
-                else shard_of(key, len(self._mailboxes))
-            )
+        if slot is None:
+            raise DeploymentError(f"unknown instance {key!r}")
+        try:
+            event = (slot, self._columns[message])
+        except KeyError:
+            raise DeploymentError(f"unknown message {message!r}") from None
+        shard_id = store.shard_ids[slot]
         telemetry = self._telemetry
         if telemetry is None or telemetry.trace is None:
             return self._offer(shard_id, event, source)
@@ -687,205 +679,92 @@ class FleetEngine:
         backend protocol walk.  Returns whether a transition fired.  An
         unknown instance and an unknown message both raise
         :class:`~repro.core.errors.DeploymentError`, whatever the mode
-        or backend.
+        or backend.  The one-event form of :meth:`_run_pairs`, kept
+        apart because a gateway calls it once per request.
         """
         store = self._store
         slot = store.slot(key)
-        metrics = self.metrics
-        if self._mode == "naive":
-            instance = store.backends[slot]
-            try:
-                fired = instance.receive(message)
-            except (ValueError, DeploymentError) as exc:
-                # Compiled generated classes raise raw ValueError for an
-                # unknown message, the interpreter its own DeploymentError;
-                # normalise both to one API error shape.
-                raise DeploymentError(f"unknown message {message!r}") from exc
-            metrics.events_dispatched += 1
-            if fired:
-                metrics.transitions_fired += 1
-                if self._auto_recycle and instance.is_finished():
-                    instance.reset()
-                    metrics.instances_recycled += 1
-            else:
-                metrics.events_ignored += 1
-            return fired
         try:
-            offset = store.states[slot] + self._columns[message]
+            offset = self._columns[message]
         except KeyError:
             raise DeploymentError(f"unknown message {message!r}") from None
+        metrics = self.metrics
         metrics.events_dispatched += 1
+        if self._mode == "naive":
+            instance = store.backends[slot]
+            if not instance.receive(message):
+                metrics.events_ignored += 1
+                return False
+            if self._auto_recycle and instance.is_finished():
+                instance.reset()
+                metrics.instances_recycled += 1
+            metrics.transitions_fired += 1
+            return True
+        offset += store.states[slot]
         next_state = self._jump[offset]
         if next_state < 0:
             metrics.events_ignored += 1
             return False
         acts = self._acts[offset]
-        policy = self._log_policy
-        if acts:
-            if policy == "full":
-                store.logs[slot].append(acts)
-            elif policy == "count":
-                store.counts[slot] += len(acts)
-        elif acts is None:
-            if policy == "full":
+        if acts is None:
+            if self._log_policy == "full":
                 store.logs[slot].clear()
-            elif policy == "count":
-                store.counts[slot] = 0
             metrics.instances_recycled += 1
+        elif acts and self._log_policy == "full":
+            store.logs[slot].append(acts)
         store.states[slot] = next_state
         metrics.transitions_fired += 1
         return True
 
     # ------------------------------------------------------------------
-    # batched dispatch
+    # dispatch
     # ------------------------------------------------------------------
-
-    def _raise_rejected(self, rejected: list[tuple[str, str]]) -> None:
-        raise_rejected(rejected)
-
-    def _dispatch(self, batch) -> None:
-        """Dispatch a batch of ``(key, message)`` events in one pass.
-
-        A bad event (unknown instance or message) does not poison the
-        batch: dispatch resumes with the events queued behind it, and one
-        :class:`~repro.core.errors.DeploymentError` naming the rejected
-        events is raised after the whole batch has been processed — so a
-        programming error is still loud, but never loses valid traffic.
-        """
-        metrics = self.metrics
-        store = self._store
-        ignored = 0
-        recycled = 0
-        rejected: list[tuple[str, str]] = []
-        # Iterating an explicit iterator lets the except clause resume the
-        # loop exactly after a failing event, at zero cost to the hot path.
-        events = iter(batch)
-        key = message = None
-        if self._mode == "naive":
-            slot_of = store.slot_of
-            backends = store.backends
-            auto = self._auto_recycle
-            fired = 0
-            while True:
-                try:
-                    for key, message in events:
-                        instance = backends[slot_of[key]]
-                        if instance.receive(message):
-                            fired += 1
-                            if auto and instance.is_finished():
-                                instance.reset()
-                                recycled += 1
-                        else:
-                            ignored += 1
-                    break
-                except (KeyError, ValueError, DeploymentError):
-                    rejected.append((key, message))
-        elif self._log_policy == "full":
-            slot_of = store.slot_of
-            states = store.states
-            logs = store.logs
-            columns = self._columns
-            jump = self._jump
-            acts_table = self._acts
-            while True:
-                try:
-                    for key, message in events:
-                        slot = slot_of[key]
-                        offset = states[slot] + columns[message]
-                        next_state = jump[offset]
-                        if next_state >= 0:
-                            acts = acts_table[offset]
-                            if acts:
-                                logs[slot].append(acts)
-                            elif acts is None:
-                                logs[slot].clear()
-                                recycled += 1
-                            states[slot] = next_state
-                        else:
-                            ignored += 1
-                    break
-                except KeyError:
-                    rejected.append((key, message))
-            fired = len(batch) - len(rejected) - ignored
-        else:
-            # count/off policies share the encoded inner loops: intern the
-            # batch (collecting bad events), then run pure int dispatch.
-            slots, cols, rejected = self._intern(batch)
-            self._dispatch_columns(slots, cols)
-            if rejected:
-                self._raise_rejected(rejected)
-            return
-        metrics.events_dispatched += len(batch) - len(rejected)
-        metrics.transitions_fired += fired
-        metrics.events_ignored += ignored
-        metrics.instances_recycled += recycled
-        if rejected:
-            self._raise_rejected(rejected)
-
-    def _group_rounds(self, pairs) -> list[list]:
-        """Split an encoded batch into column-sorted rounds.
-
-        Round *r* holds every slot's *r*-th event of the batch, so
-        per-slot event order is preserved exactly; within a round every
-        slot appears at most once, so sorting the round by column is
-        free of ordering hazards and turns the ``jump`` access pattern
-        sequential (all events of one message column dispatch together).
-        """
-        rounds: list[list] = []
-        occurrence: dict[int, int] = {}
-        get = occurrence.get
-        for pair in pairs:
-            slot = pair[0]
-            nth = get(slot, 0)
-            occurrence[slot] = nth + 1
-            if nth == len(rounds):
-                rounds.append([])
-            rounds[nth].append(pair)
-        for rnd in rounds:
-            rnd.sort(key=_BY_COLUMN)
-        return rounds
 
     def _dispatch_columns(self, slots, cols) -> None:
         """Dispatch an interned batch held as two parallel id columns."""
         if self._kernel is not None:
             self._kernel.dispatch(VectorSchedule.of_columns(slots, cols), self.metrics)
         else:
-            self._dispatch_pairs(zip(slots, cols), len(slots))
+            self._run_pairs(zip(slots, cols), len(slots))
 
-    def _dispatch_pairs(self, pairs, count: Optional[int] = None) -> None:
-        """Dispatch a batch of pre-encoded ``(slot, column)`` pairs
-        (``count`` as for :meth:`_run_pairs`)."""
+    def _dispatch_pairs(self, pairs: list) -> None:
+        """Dispatch a drained mailbox batch of ``(slot, column)`` pairs."""
         if self._kernel is not None:
-            # A drained mailbox or a ``pairs`` schedule: always a list.
             self._dispatch_columns(
                 [slot for slot, _ in pairs], [col for _, col in pairs]
             )
-        elif self._mode == "grouped":
-            for rnd in self._group_rounds(pairs):
-                self._run_pairs(rnd)
         else:
-            self._run_pairs(pairs, count)
+            self._run_pairs(pairs, len(pairs))
 
-    def _run_pairs(self, pairs, count: Optional[int] = None) -> None:
-        """The encoded hot loop: pure int arithmetic on two flat arrays.
+    def _run_pairs(self, pairs, count: int) -> None:
+        """The scalar hot loop over ``count`` trusted ``(slot, column)`` pairs.
 
-        Pairs are trusted (interned by :meth:`encode` / :meth:`post`), so
-        there is no error path inside the loop; the three variants differ
-        only in what they do with a fired transition's actions.  ``count``
-        is required when ``pairs`` is a one-shot iterable (the flat path)
-        rather than a sized sequence.
+        Pairs are interned (by :meth:`post`, :meth:`_intern` or
+        :meth:`encode_flat`), so there is no error path inside the
+        loops; ``pairs`` may be a one-shot iterable.  ``naive`` walks
+        each instance's backend object; the table modes do pure int
+        arithmetic on two flat arrays, and their two variants differ only
+        in what a fired transition does with its actions.
         """
-        if count is None:
-            count = len(pairs)
-        metrics = self.metrics
         store = self._store
-        states = store.states
-        jump = self._jump
-        acts_table = self._acts
         ignored = 0
         recycled = 0
-        policy = self._log_policy
-        if policy == "full":
+        if self._mode == "naive":
+            backends = store.backends
+            messages = self._messages
+            auto = self._auto_recycle
+            for slot, col in pairs:
+                instance = backends[slot]
+                if instance.receive(messages[col]):
+                    if auto and instance.is_finished():
+                        instance.reset()
+                        recycled += 1
+                else:
+                    ignored += 1
+        elif self._log_policy == "full":
+            states = store.states
+            jump = self._jump
+            acts_table = self._acts
             logs = store.logs
             for slot, col in pairs:
                 offset = states[slot] + col
@@ -900,22 +779,10 @@ class FleetEngine:
                     states[slot] = next_state
                 else:
                     ignored += 1
-        elif policy == "count":
-            counts = store.counts
-            for slot, col in pairs:
-                offset = states[slot] + col
-                next_state = jump[offset]
-                if next_state >= 0:
-                    acts = acts_table[offset]
-                    if acts:
-                        counts[slot] += len(acts)
-                    elif acts is None:
-                        counts[slot] = 0
-                        recycled += 1
-                    states[slot] = next_state
-                else:
-                    ignored += 1
         else:  # "off": no per-event log mutation at all
+            states = store.states
+            jump = self._jump
+            acts_table = self._acts
             for slot, col in pairs:
                 offset = states[slot] + col
                 next_state = jump[offset]
@@ -925,6 +792,7 @@ class FleetEngine:
                     states[slot] = next_state
                 else:
                     ignored += 1
+        metrics = self.metrics
         metrics.events_dispatched += count
         metrics.transitions_fired += count - ignored
         metrics.events_ignored += ignored
@@ -942,218 +810,141 @@ class FleetEngine:
         batch = self._mailboxes[shard_id].drain()
         if not batch:
             return 0
-        # The batch is drained at this point, so it counts even when
-        # _dispatch raises for bad events after processing the rest.
         self.metrics.batches_drained += 1
         self.metrics.observe_depth(shard_id, len(batch))
         telemetry = self._telemetry
         if telemetry is None:
-            if self._encoded_intake:
-                self._dispatch_pairs(batch)
-            else:
-                self._dispatch(batch)
+            self._dispatch_pairs(batch)
             return len(batch)
         times = self._post_times[shard_id]
         self._post_times[shard_id] = []
         started = perf_counter()
-        try:
-            if self._encoded_intake:
-                self._dispatch_pairs(batch)
-            else:
-                self._dispatch(batch)
-        finally:
-            telemetry.observe_batch(len(batch), perf_counter() - started)
-            observe = telemetry.queue_latency.observe
-            for stamp in times:
-                observe(started - stamp)
+        self._dispatch_pairs(batch)
+        telemetry.observe_batch(len(batch), perf_counter() - started)
+        observe = telemetry.queue_latency.observe
+        for stamp in times:
+            observe(started - stamp)
         return len(batch)
 
     def drain_all(self) -> int:
-        """Drain every shard; returns the number of events dispatched.
-
-        A shard whose batch contains bad events still raises, but only
-        after every shard has been drained — one failing shard does not
-        strand traffic queued behind it in the others.
-        """
-        total = 0
-        errors: list[str] = []
-        for shard_id, mailbox in enumerate(self._mailboxes):
-            if not mailbox:
-                # An empty shard would drain to nothing anyway; skipping
-                # it keeps back-to-back drains (every encoded dispatch
-                # call starts with one) allocation-free.
-                continue
-            try:
-                total += self.drain_shard(shard_id)
-            except DeploymentError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise DeploymentError("; ".join(errors))
-        return total
+        """Drain every shard; returns the number of events dispatched."""
+        # An empty shard would drain to nothing anyway; skipping it keeps
+        # back-to-back drains (every run starts with one) allocation-free.
+        return sum(
+            self.drain_shard(shard_id)
+            for shard_id, mailbox in enumerate(self._mailboxes)
+            if mailbox
+        )
 
     def run(self, events, encoding: str = "auto") -> FleetMetrics:
         """Feed a whole workload through the engine — the one entry point.
 
         ``encoding`` names what ``events`` carries:
 
-        * ``"events"`` — ``(key, message)`` string pairs (any mode).
-        * ``"pairs"`` — pre-interned ``(slot, column)`` int pairs from
-          :meth:`encode` (encoded modes only; pairs are trusted).
+        * ``"events"`` — ``(key, message)`` string pairs.
         * ``"flat"`` — a flat ``[slot, col, slot, col, ...]`` int array
-          from :meth:`encode_flat` (encoded modes only).
+          (or a :class:`~repro.serve.vector.VectorSchedule`) from
+          :meth:`encode_flat`; its pairs are trusted.
         * ``"auto"`` (default) — sniff the batch: a flat int ``array``
-          dispatches as ``flat``, a batch whose first element is an int
-          pair as ``pairs``, everything else as ``events``.
+          or a ``VectorSchedule`` dispatches as ``flat``, everything
+          else as ``events``.
 
         Every path first drains anything already queued (FIFO with
         previously posted traffic), then dispatches ``events`` as one
         arrival batch when the mailboxes are unbounded — with bad events
         collected and raised after the valid traffic dispatched — or
-        routes them through :meth:`post`/:meth:`drain_all` when a
-        capacity bound (and its overflow policy) is in force.
+        routes them through the mailboxes when a capacity bound (and its
+        overflow policy) is in force.
         """
         if encoding not in ENCODINGS:
             raise DeploymentError(
                 f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
             )
-        if encoding == "auto":
-            if isinstance(events, (array, VectorSchedule)):
-                encoding = "flat"
-            else:
-                events = events if isinstance(events, list) else list(events)
-                first = events[0] if events else None
-                encoding = (
-                    "pairs"
-                    if first is not None and not isinstance(first[0], str)
-                    else "events"
-                )
-        if encoding == "flat":
+        if encoding == "flat" or (
+            encoding == "auto" and isinstance(events, (array, VectorSchedule))
+        ):
             return self._run_flat(events)
-        if encoding == "pairs":
-            return self._run_pairs_schedule(events)
         return self._run_events(events)
 
     def _run_events(self, events) -> FleetMetrics:
         """:meth:`run` body for ``(key, message)`` string batches."""
         self.drain_all()
-        if not self._bounded:
-            batch = events if isinstance(events, list) else list(events)
-            if batch:
-                started = perf_counter()
-                rejected = ()
-                if self._encoded_intake:
-                    # Intern before counting: a batch that raises here (a
-                    # non-pair, an unhashable key) was never offered.
-                    slots, cols, rejected = self._intern(batch)
-                self.metrics.events_offered += len(batch)
-                self.metrics.batches_drained += 1
+        if self._bounded:
+            # Every event goes through post(), so capacity and overflow
+            # policy apply identically in every mode.  Intake errors
+            # (unknown keys/messages) are collected so they never strand
+            # the traffic still to be posted.
+            errors: list[str] = []
+            post = self.post
+            for key, message in events:
                 try:
-                    if self._encoded_intake:
-                        self._dispatch_columns(slots, cols)
-                    else:
-                        self._dispatch(batch)
-                    if rejected:
-                        self._raise_rejected(rejected)
-                finally:
-                    if self._telemetry is not None:
-                        self._telemetry.observe_batch(
-                            len(batch), perf_counter() - started
-                        )
-            return self.metrics
-        # Bounded: identical intake for every mode — capacity and overflow
-        # policy apply the same way, so bounded fleets shed/block
-        # identically and stay trace-identical across modes.  Errors from
-        # intake (encoded modes reject unknown keys/messages at post) and
-        # from inline drains (bad queued events under BLOCK) are collected
-        # so they never strand the traffic still to be posted.
-        errors: list[str] = []
-        post = self.post
-        for key, message in events:
-            try:
-                post(key, message)
-            except DeploymentError as exc:
-                errors.append(str(exc))
-        try:
+                    post(key, message)
+                except DeploymentError as exc:
+                    errors.append(str(exc))
             self.drain_all()
-        except DeploymentError as exc:
-            errors.append(str(exc))
-        if errors:
-            raise DeploymentError("; ".join(errors))
-        return self.metrics
-
-    def _run_pairs_schedule(self, pairs, count: Optional[int] = None) -> FleetMetrics:
-        """:meth:`run` body for pre-encoded ``(slot, column)`` schedules.
-
-        The zero-string serve path: the schedule comes from
-        :meth:`encode` (or
-        :func:`repro.serve.workload.encode_schedule`) against *this*
-        fleet — slot ids are fleet-specific — and dispatch goes straight
-        to the int hot loop.  Only the encoded modes accept pairs; pairs
-        are trusted, exactly as documented on :meth:`encode`.  ``count``
-        comes with a one-shot ``pairs`` iterable (the flat path).
-        """
-        if not self._encoded_intake:
-            raise DeploymentError(
-                f"a pre-encoded pair schedule needs an encoded dispatch mode "
-                f"('encoded', 'grouped' or 'vector'); this fleet "
-                f"dispatches {self._mode!r}"
-            )
-        self.drain_all()
-        if not self._bounded:
-            if count is None:
-                pairs = pairs if isinstance(pairs, list) else list(pairs)
-                count = len(pairs)
-            if count:
-                self.metrics.events_offered += count
-                self.metrics.batches_drained += 1
-                started = perf_counter()
-                self._dispatch_pairs(pairs, count)
-                if self._telemetry is not None:
-                    self._telemetry.observe_batch(count, perf_counter() - started)
+            if errors:
+                raise DeploymentError("; ".join(errors))
             return self.metrics
-        shard_ids = self._store.shard_ids
-        offer = self._offer
-        for pair in pairs:
-            offer(shard_ids[pair[0]], pair)
-        self.drain_all()
+        batch = events if isinstance(events, (list, tuple)) else list(events)
+        if batch:
+            started = perf_counter()
+            # Intern before counting: a batch that raises here (a
+            # non-pair, an unhashable key) was never offered.
+            slots, cols, rejected = self._intern(batch)
+            self.metrics.events_offered += len(batch)
+            self.metrics.batches_drained += 1
+            self._dispatch_columns(slots, cols)
+            if self._telemetry is not None:
+                self._telemetry.observe_batch(len(batch), perf_counter() - started)
+            if rejected:
+                raise_rejected(rejected)
         return self.metrics
 
     def _run_flat(self, flat) -> FleetMetrics:
-        """:meth:`run` body for flat ``[slot, col, ...]`` schedules.
+        """:meth:`run` body for pre-encoded ``[slot, col, ...]`` schedules.
 
-        The ``pairs`` contract, minus per-event objects: pairs are
-        formed inside ``zip``, whose result tuple the interpreter
-        recycles, so the scalar hot loop neither allocates nor frees
-        anything per event (a mailbox or a grouped round that keeps a
-        pair gets a fresh one).  A scalar consumer — an
-        ``encoded``/``grouped`` fleet, any bounded fleet — handed a
-        vector fleet's schedule reads the same events back through the
-        schedule's flat buffer.
+        The zero-string serve path: the schedule comes from
+        :meth:`encode_flat` against *this* fleet — slot ids are
+        fleet-specific — and its pairs are trusted.  A buffer of odd
+        length (a slot with no column) is refused before anything runs.
+        Pairs are formed inside ``zip``, whose result tuple the
+        interpreter recycles, so the scalar loop neither allocates nor
+        frees anything per event (a mailbox that keeps a pair gets a
+        fresh one).  A vector fleet hands the schedule to its kernel;
+        every other consumer — ``naive``, ``encoded``, any bounded
+        fleet — handed a vector schedule reads the same events back
+        through its flat buffer.
         """
-        if not self._encoded_intake:
-            raise DeploymentError(
-                f"a flat encoded schedule needs an encoded dispatch mode "
-                f"('encoded', 'grouped' or 'vector'); this fleet "
-                f"dispatches {self._mode!r}"
-            )
-        if self._kernel is None or self._bounded:
-            if isinstance(flat, VectorSchedule):
-                flat = flat.flat
-            it = iter(flat)
-            return self._run_pairs_schedule(zip(it, it), len(flat) // 2)
-        schedule = flat
-        if not isinstance(flat, VectorSchedule):
-            schedule = VectorSchedule(
-                flat if isinstance(flat, array) else array("q", flat)
-            )
+        if isinstance(flat, VectorSchedule):
+            count = flat.count
+        else:
+            if not isinstance(flat, array):
+                flat = array("q", flat)
+            count = _flat_count(flat)
         self.drain_all()
-        if schedule.count:
-            self.metrics.events_offered += schedule.count
+        if self._kernel is not None and not self._bounded:
+            if not isinstance(flat, VectorSchedule):
+                flat = VectorSchedule(flat)
+        elif isinstance(flat, VectorSchedule):
+            flat = flat.flat
+        if self._bounded:
+            shard_ids = self._store.shard_ids
+            offer = self._offer
+            it = iter(flat)
+            for pair in zip(it, it):
+                offer(shard_ids[pair[0]], pair)
+            self.drain_all()
+        elif count:
+            self.metrics.events_offered += count
             self.metrics.batches_drained += 1
             started = perf_counter()
-            self._kernel.dispatch(schedule, self.metrics)
+            if self._kernel is not None:
+                self._kernel.dispatch(flat, self.metrics)
+            else:
+                it = iter(flat)
+                self._run_pairs(zip(it, it), count)
             if self._telemetry is not None:
-                self._telemetry.observe_batch(schedule.count, perf_counter() - started)
+                self._telemetry.observe_batch(count, perf_counter() - started)
         return self.metrics
 
     # ------------------------------------------------------------------
@@ -1177,62 +968,43 @@ class FleetEngine:
     ) -> None:
         """Rebuild the instance population from a snapshot.
 
-        The current population — including any free slots accumulated by
-        :meth:`despawn` — and any still-queued events are discarded; the
-        snapshot's instances are interned afresh in snapshot order, so
-        per-key traces survive whatever spawn order and slot layout the
-        source fleet had.  Restoring a snapshot from a different machine
-        raises :class:`~repro.core.errors.DeploymentError`.  Snapshots
-        taken from an unoptimized fleet restore into an optimized one of
-        the same machine: state names resolve through ``state_map``, so
-        an instance parked in a merged-away state lands on the state
-        that represents it.
+        All or nothing: the whole snapshot is checked first
+        (:func:`resolve_snapshot` — same machine, unique string keys,
+        known states, string actions), and a bad one raises
+        :class:`~repro.core.errors.DeploymentError` with the current
+        population untouched.  Otherwise the current population —
+        including any free slots accumulated by :meth:`despawn` — and any
+        still-queued events are discarded, and the snapshot's instances
+        are interned afresh in snapshot order, so per-key traces survive
+        whatever spawn order and slot layout the source fleet had.
+        Snapshots taken from an unoptimized fleet restore into an
+        optimized one of the same machine: state names resolve through
+        ``state_map``, so an instance parked in a merged-away state lands
+        on the state that represents it.
         """
-        if snapshot.machine_name != self._machine.name:
-            raise DeploymentError(
-                f"snapshot is for machine {snapshot.machine_name!r}, "
-                f"this fleet serves {self._machine.name!r}"
-            )
-        if getattr(snapshot, "lost", ()) and not allow_partial:
-            raise DeploymentError(
-                f"snapshot is partial: {len(snapshot.lost)} instance(s) "
-                "from lost partitions are missing; pass allow_partial=True "
-                "to restore the survivors"
-            )
-        state_index = self._table.state_index
-        state_map = self.state_map
-        resolved: dict[str, str] = {}
-        for inst in snapshot.instances:
-            name = inst.state
-            if state_map is not None:
-                name = state_map.get(name, name)
-            if name not in state_index:
-                raise DeploymentError(
-                    f"snapshot state {inst.state!r} does not exist in "
-                    f"machine {self._machine.name!r}"
-                )
-            resolved[inst.key] = name
+        states = resolve_snapshot(
+            snapshot,
+            self._machine.name,
+            self._table.state_index,
+            self.state_map,
+            allow_partial,
+        )
         for mailbox in self._mailboxes:
             mailbox.drain()
         self._post_times = [[] for _ in self._mailboxes]
         store = self._store
         store.clear()
-        policy = self._log_policy
-        for inst in snapshot.instances:
-            backend = (
-                self._adapter.new_instance() if self._adapter is not None else None
-            )
-            slot = store.spawn(inst.key, backend)
-            if self._mode == "naive":
-                self._adapter.restore_instance(
-                    backend, resolved[inst.key], inst.actions
-                )
-            else:
-                store.states[slot] = state_index[resolved[inst.key]] * self._width
-                if policy == "full":
-                    store.logs[slot] = (
-                        [tuple(inst.actions)] if inst.actions else []
-                    )
-                elif policy == "count":
-                    store.counts[slot] = len(inst.actions)
+        adapter = self._adapter
+        state_index = self._table.state_index
+        full = self._log_policy == "full"
+        for inst, state in zip(snapshot.instances, states):
+            if adapter is not None:
+                backend = adapter.new_instance()
+                store.spawn(inst.key, backend)
+                adapter.restore_instance(backend, state, inst.actions)
+                continue
+            slot = store.spawn(inst.key)
+            store.states[slot] = state_index[state] * self._width
+            if full:
+                store.logs[slot] = [tuple(inst.actions)] if inst.actions else []
         self.metrics.snapshots_restored += 1

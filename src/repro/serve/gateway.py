@@ -142,16 +142,31 @@ def snapshot_to_json(snapshot: FleetSnapshot) -> dict:
 
 
 def snapshot_from_json(payload: dict) -> FleetSnapshot:
-    """Rebuild a :class:`FleetSnapshot` from its wire form."""
+    """Rebuild a :class:`FleetSnapshot` from its wire form.
+
+    Wire types are checked here — every ``key`` and ``state`` a string,
+    every ``actions`` a list of strings — so a mistyped body is the
+    client's ``400`` (a :class:`DeploymentError`), never an integer key
+    or a string split into one-letter actions reaching the fleet.
+    """
     try:
+        instances = []
+        for index, inst in enumerate(payload["instances"]):
+            key, state, actions = inst["key"], inst["state"], inst["actions"]
+            if (
+                type(key) is not str
+                or type(state) is not str
+                or type(actions) is not list
+                or not all(type(action) is str for action in actions)
+            ):
+                raise DeploymentError(
+                    f"malformed snapshot payload: instance {index} needs a "
+                    "string 'key' and 'state' and a list of strings as 'actions'"
+                )
+            instances.append(InstanceSnapshot(key, state, tuple(actions)))
         return FleetSnapshot(
             machine_name=payload["machine"],
-            instances=tuple(
-                InstanceSnapshot(
-                    inst["key"], inst["state"], tuple(inst["actions"])
-                )
-                for inst in payload["instances"]
-            ),
+            instances=tuple(instances),
             lost=tuple(payload.get("lost", ())),
         )
     except (KeyError, TypeError) as exc:

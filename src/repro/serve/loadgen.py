@@ -185,24 +185,22 @@ def _measure_services(fleet, schedule, chunk: int):
 
     Returns ``(services, capacity_eps, wall_seconds)`` where ``services``
     assigns every event its chunk's mean per-event dispatch time — the
-    measured-service half of the queueing replay.  Encoded fleets are
+    measured-service half of the queueing replay.  Every chunk is
     interned once up front so the timed region matches ``bench_serve``'s.
     """
-    encoded = fleet.mode in ("encoded", "grouped")
-    encoding = "pairs" if encoded else "events"
     schedule = list(schedule)
     # Chunk the string schedule, then intern each chunk up front: the
     # timed region stays interning-free whatever Fleet implementation
-    # (and whatever schedule type its encode() returns) is measured.
+    # (and whatever schedule type its encode_flat() returns) is measured.
     parts = []
     for i in range(0, len(schedule), chunk):
         piece = schedule[i : i + chunk]
-        parts.append((fleet.encode(piece) if encoded else piece, len(piece)))
+        parts.append((fleet.encode_flat(piece), len(piece)))
     services: list[float] = []
     wall = 0.0
     for part, size in parts:
         started = perf_counter()
-        fleet.run(part, encoding=encoding)
+        fleet.run(part, encoding="flat")
         elapsed = perf_counter() - started
         wall += elapsed
         services.extend([elapsed / size] * size)

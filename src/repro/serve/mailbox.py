@@ -1,15 +1,13 @@
 """Bounded per-shard event queues with explicit overflow policy.
 
 Each shard of the fleet owns one :class:`Mailbox`.  Producers ``offer``
-events — ``(session_key, message)`` string pairs on the string-keyed
-dispatch modes, pre-interned ``(slot, column)`` int pairs on the encoded
-modes, where the fleet translates at intake so the drain loop never
-hashes a string — and the engine drains a whole mailbox in one pass
-(batched dispatch).  Overflow is a first-class outcome, not an exception
-path: a bounded mailbox either **sheds** the new event (drop and count —
-load shedding for best-effort traffic) or **blocks** the producer
-(refuses the offer so the caller must drain before retrying — the
-synchronous analogue of a blocking put).
+events — pre-interned ``(slot, column)`` int pairs, which the fleet
+translates at intake so the drain loop never hashes a string — and the
+engine drains a whole mailbox in one pass.  Overflow is a first-class
+outcome, not an exception path: a bounded mailbox either **sheds** the
+new event (drop and count — load shedding for best-effort traffic) or
+**blocks** the producer (refuses the offer so the caller must drain
+before retrying — the synchronous analogue of a blocking put).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ class Mailbox:
     """FIFO event queue with an optional capacity bound.
 
     ``capacity=None`` means unbounded (no backpressure).  Events are
-    arbitrary tuples; the fleet enqueues ``(session_key, message)``.
+    arbitrary tuples; the fleet enqueues ``(slot, column)``.
     """
 
     __slots__ = ("_queue", "capacity", "policy", "dropped", "offered", "by_source")

@@ -92,8 +92,8 @@ from repro.serve.fleet import (
     ENCODINGS,
     FleetEngine,
     FleetSnapshot,
-    _ENCODED_MODES,
     raise_rejected,
+    resolve_snapshot,
 )
 from repro.serve.metrics import FleetMetrics
 from repro.serve.recovery import (
@@ -121,10 +121,10 @@ WORKER_DEAD = "dead"
 class EncodedFleetSchedule:
     """A pre-encoded schedule partitioned by worker.
 
-    The multiprocess counterpart of the engine's ``(slot, column)``
-    schedules: :meth:`MultiprocessFleet.encode` interns every event to
-    its owning worker's flat ``[slot, col, ...]`` buffer once, so a
-    repeated :meth:`MultiprocessFleet.run` pays only the fan-out.
+    The multiprocess counterpart of the engine's flat ``[slot, col,
+    ...]`` schedules: :meth:`MultiprocessFleet.encode_flat` interns every
+    event to its owning worker's flat buffer once, so a repeated
+    :meth:`MultiprocessFleet.run` pays only the fan-out.
     Schedules are fleet-specific (slot ids live in worker stores);
     encode against the fleet that will run the schedule.
     """
@@ -228,9 +228,6 @@ def _handle(engine: FleetEngine, request: tuple):
     if op == "run_flat":
         engine.run(request[1], encoding="flat")
         return None
-    if op == "run_events":
-        engine.run(request[1], encoding="events")
-        return None
     if op == "spawn":
         return engine.spawn(request[1])
     if op == "spawn_keys":
@@ -327,7 +324,6 @@ class MultiprocessFleet:
             require_numpy("dispatch mode 'vector'")
         self._machine = machine
         self._mode = mode
-        self._encoded_intake = mode in _ENCODED_MODES
         self._backend_kind = backend
         self._log_policy = log_policy
         self._auto_recycle = auto_recycle
@@ -341,7 +337,8 @@ class MultiprocessFleet:
             self._indexed, self.opt_report = pipeline.run(self._indexed)
         else:
             self.opt_report = None
-        self._columns = self._indexed.dispatch_table().message_index
+        self._table = self._indexed.dispatch_table()
+        self._columns = self._table.message_index
         #: key -> (worker id, worker-local slot); the authoritative
         #: population map — workers never report membership back.
         self._slots: dict[str, tuple[int, int]] = {}
@@ -391,7 +388,7 @@ class MultiprocessFleet:
         for wid in range(workers):
             self._recv(wid)
         #: Parent-side pending buffers, one per worker (post() -> drain).
-        self._pending = [self._new_buffer() for _ in range(workers)]
+        self._pending = [array("q") for _ in range(workers)]
         self._pending_counts = [0] * workers
         if journal:
             # Initial checkpoints: the journal's replay base is the
@@ -415,9 +412,6 @@ class MultiprocessFleet:
         child_conn.close()
         self._processes.append(process)
         return _Worker(process, parent_conn)
-
-    def _new_buffer(self):
-        return array("q") if self._encoded_intake else []
 
     def _mark_dead(self, wid: int) -> None:
         worker = self._workers[wid]
@@ -985,8 +979,8 @@ class MultiprocessFleet:
         return slot
 
     def spawn_many(self, count: int, prefix: str = "session") -> list[str]:
-        """Create ``count`` instances with generated session keys, batched
-        per worker (one round trip per worker, not per key).
+        """Create ``count`` instances with generated session keys, one
+        request per worker (one round trip per worker, not per key).
 
         Keys that already exist are skipped rather than re-spawned: the
         generated key sequence is deterministic, so this is the retry
@@ -1032,6 +1026,10 @@ class MultiprocessFleet:
 
     def despawn(self, key: str) -> None:
         wid, _slot = self._locate(key)
+        if self._pending[wid]:
+            # Posted traffic was interned to this slot: deliver it before
+            # the slot can pass to another key.
+            self.drain_all()
         self._request(wid, "despawn", key)
         del self._slots[key]
         self._journal_record(wid, ("despawn", key), 0)
@@ -1084,22 +1082,17 @@ class MultiprocessFleet:
             part.append(col)
         return parts, rejected
 
-    def encode(self, events) -> EncodedFleetSchedule:
+    def encode_flat(self, events) -> EncodedFleetSchedule:
         """Intern ``(key, message)`` events into per-worker flat buffers.
 
-        Same validation contract as the engine's ``encode``: unknown
-        keys or messages raise one canonical :class:`DeploymentError`
-        naming them.
+        Same validation contract as the engine's ``encode_flat``:
+        unknown keys or messages raise one canonical
+        :class:`DeploymentError` naming them.
         """
         parts, rejected = self._partition(events)
         if rejected:
             raise_rejected(rejected)
         return EncodedFleetSchedule(tuple(parts))
-
-    def encode_flat(self, events) -> EncodedFleetSchedule:
-        """Alias of :meth:`encode` — the partitioned schedule is already
-        flat ``array('q')`` buffers."""
-        return self.encode(events)
 
     def post(
         self,
@@ -1110,28 +1103,22 @@ class MultiprocessFleet:
     ) -> bool:
         """Buffer one event parent-side for its owning worker.
 
-        Validation timing mirrors the in-process engine: encoded intake
-        interns here, so unknown instances/messages raise the canonical
-        errors at post time; naive/batched intake accepts anything and
-        lets the drain's dispatch pass reject bad events (same message
-        shape, one drain later).  The buffered traffic flushes on the
-        next :meth:`drain_all` / :meth:`run`.  Mailboxes are unbounded —
+        Validation timing mirrors the in-process engine: the event is
+        interned here, so unknown instances/messages raise the canonical
+        errors at post time.  The buffered traffic flushes on the next
+        :meth:`drain_all` / :meth:`run`.  Mailboxes are unbounded —
         ``source``/``trace_id`` are accepted for protocol compatibility
         but not traced across the process boundary.  Posting never
         blocks on a recovering partition: the buffer is parent-side and
         the flush defers through the journal.
         """
-        if self._encoded_intake:
-            wid, slot = self._locate(key)
-            col = self._columns.get(message)
-            if col is None:
-                raise DeploymentError(f"unknown message {message!r}")
-            buffer = self._pending[wid]
-            buffer.append(slot)
-            buffer.append(col)
-        else:
-            wid = self.worker_of(key)
-            self._pending[wid].append((key, message))
+        wid, slot = self._locate(key)
+        col = self._columns.get(message)
+        if col is None:
+            raise DeploymentError(f"unknown message {message!r}")
+        buffer = self._pending[wid]
+        buffer.append(slot)
+        buffer.append(col)
         self._pending_counts[wid] += 1
         return True
 
@@ -1156,11 +1143,10 @@ class MultiprocessFleet:
         for wid, buffer in enumerate(self._pending):
             if not buffer:
                 continue
-            op = "run_flat" if self._encoded_intake else "run_events"
-            requests[wid] = (op, buffer)
+            requests[wid] = ("run_flat", buffer)
             counts[wid] = self._pending_counts[wid]
             total += self._pending_counts[wid]
-            self._pending[wid] = self._new_buffer()
+            self._pending[wid] = array("q")
             self._pending_counts[wid] = 0
         if requests:
             self._dispatch_fan_out(requests, counts)
@@ -1170,11 +1156,11 @@ class MultiprocessFleet:
         """Fan a workload out to the workers; returns merged metrics.
 
         Accepts ``(key, message)`` batches (``"events"``/``"auto"``) or
-        an :class:`EncodedFleetSchedule` from :meth:`encode` /
-        :meth:`encode_flat` (``"pairs"``/``"flat"``/``"auto"``).  Raw
-        ``(slot, column)`` schedules are meaningless across fleets and
-        are rejected.  Pending posted traffic flushes first (FIFO), and
-        per-key order is preserved — a key maps to one worker.
+        an :class:`EncodedFleetSchedule` from :meth:`encode_flat`
+        (``"flat"``/``"auto"``).  Raw ``[slot, col, ...]`` buffers are
+        meaningless across fleets and are rejected.  Pending posted
+        traffic flushes first (FIFO), and per-key order is preserved — a
+        key maps to one worker.
         """
         if encoding not in ENCODINGS:
             raise DeploymentError(
@@ -1188,58 +1174,26 @@ class MultiprocessFleet:
                     f"{len(events.parts)} worker(s); this fleet has "
                     f"{len(self._workers)}"
                 )
-            requests = {
-                wid: ("run_flat", part)
-                for wid, part in enumerate(events.parts)
-                if part
-            }
-            if requests:
-                self._dispatch_fan_out(
-                    requests,
-                    {wid: len(part) // 2 for wid, (_, part) in requests.items()},
-                )
-            return self.metrics
-        if encoding in ("pairs", "flat"):
+            parts, rejected = events.parts, ()
+        elif encoding == "flat":
             raise DeploymentError(
-                f"encoding {encoding!r} on a multiprocess fleet needs an "
-                "EncodedFleetSchedule from this fleet's encode()/"
-                "encode_flat(); raw slot schedules are worker-local"
+                "encoding 'flat' on a multiprocess fleet needs an "
+                "EncodedFleetSchedule from this fleet's encode_flat(); "
+                "raw slot schedules are worker-local"
             )
-        # String events: validate parent-side (canonical error shape),
-        # partition by owning worker, fan out, then raise for rejects —
-        # valid traffic is never stranded behind bad events.
-        if self._encoded_intake:
-            parts, rejected = self._partition(events)
-            requests = {
-                wid: ("run_flat", part)
-                for wid, part in enumerate(parts)
-                if part
-            }
-            counts = {
-                wid: len(part) // 2 for wid, (_, part) in requests.items()
-            }
         else:
-            batches: list = [None] * len(self._workers)
-            slots = self._slots
-            columns = self._columns
-            rejected = []
-            for key, message in events:
-                entry = slots.get(key)
-                if entry is None or message not in columns:
-                    rejected.append((key, message))
-                    continue
-                batch = batches[entry[0]]
-                if batch is None:
-                    batch = batches[entry[0]] = []
-                batch.append((key, message))
-            requests = {
-                wid: ("run_events", batch)
-                for wid, batch in enumerate(batches)
-                if batch
-            }
-            counts = {wid: len(batch) for wid, (_, batch) in requests.items()}
+            # String events: validate parent-side (canonical error
+            # shape), partition by owning worker, fan out, then raise for
+            # rejects — valid traffic is never stranded behind bad events.
+            parts, rejected = self._partition(events)
+        requests = {
+            wid: ("run_flat", part) for wid, part in enumerate(parts) if part
+        }
         if requests:
-            self._dispatch_fan_out(requests, counts)
+            self._dispatch_fan_out(
+                requests,
+                {wid: len(part) // 2 for wid, (_, part) in requests.items()},
+            )
         if rejected:
             raise_rejected(rejected)
         return self.metrics
@@ -1302,24 +1256,24 @@ class MultiprocessFleet:
     ) -> None:
         """Rebuild the population from a snapshot, partitioned by routing.
 
-        The current population and any pending parent-side traffic are
-        discarded; each worker restores the partition its keys route to,
-        so a snapshot taken under any worker/shard layout lands
-        correctly here.  A *partial* snapshot (non-empty ``lost``
+        All or nothing: the whole snapshot is checked here, in the
+        parent, before anything fans out
+        (:func:`~repro.serve.fleet.resolve_snapshot`), so a bad snapshot
+        raises with every partition still on its old population.
+        Otherwise the current population and any pending parent-side
+        traffic are discarded; each worker restores the partition its
+        keys route to, so a snapshot taken under any worker/shard layout
+        lands correctly here.  A *partial* snapshot (non-empty ``lost``
         manifest) is refused unless ``allow_partial=True`` — restoring
         one silently drops the lost instances.
         """
-        if snapshot.machine_name != self._machine.name:
-            raise DeploymentError(
-                f"snapshot is for machine {snapshot.machine_name!r}, "
-                f"this fleet serves {self._machine.name!r}"
-            )
-        if getattr(snapshot, "lost", ()) and not allow_partial:
-            raise DeploymentError(
-                f"snapshot is partial: {len(snapshot.lost)} instance(s) from "
-                "lost partitions are missing; pass allow_partial=True to "
-                "restore the survivors"
-            )
+        resolve_snapshot(
+            snapshot,
+            self._machine.name,
+            self._table.state_index,
+            self.state_map,
+            allow_partial,
+        )
         if self._journal_enabled:
             self.await_recovery()
         per_worker: list[list[InstanceSnapshot]] = [
@@ -1337,7 +1291,7 @@ class MultiprocessFleet:
             )
             for wid, instances in enumerate(per_worker)
         }
-        self._pending = [self._new_buffer() for _ in self._workers]
+        self._pending = [array("q") for _ in self._workers]
         self._pending_counts = [0] * len(self._workers)
         sent = list(requests)
         payloads = self._fan_out(requests)

@@ -100,10 +100,9 @@ class PartitionCheckpoint:
 
     Column ``i`` describes slot ``i``: ``keys[i]`` is the session key
     (``None`` when the slot was on the free list), ``states[i]`` its
-    state name (``""`` for free slots), ``actions[i]`` the retained
+    state name (``""`` for free slots) and ``actions[i]`` the retained
     action log (present under ``log_policy='full'`` and for naive
-    backends) and ``counts[i]`` the action count (``'count'`` policy);
-    ``free`` is the free-list stack bottom-to-top.  The layout is
+    backends); ``free`` is the free-list stack bottom-to-top.  The layout is
     columnar rather than one record object per slot because checkpoints
     cross the worker pipe on the dispatch clock: flat tuples pickle as
     memoized strings instead of thousands of per-slot object
@@ -119,7 +118,6 @@ class PartitionCheckpoint:
     keys: tuple[Optional[str], ...] = ()
     states: tuple[str, ...] = ()
     actions: tuple[tuple[str, ...], ...] = ()
-    counts: tuple[int, ...] = ()
     free: tuple[int, ...] = ()
     metrics: FleetMetrics = field(default_factory=FleetMetrics)
     registry: Optional[MetricsRegistry] = None
@@ -226,23 +224,16 @@ def partition_checkpoint(engine) -> PartitionCheckpoint:
         "" if key is None else names[packed[slot] // width]
         for slot, key in enumerate(keys)
     )
-    policy = engine.log_policy
-    if policy == "full":
-        logs = store.logs
-        actions = tuple(
-            ()
-            if key is None
-            else tuple(action for chunk in logs[slot] for action in chunk)
-            for slot, key in enumerate(keys)
-        )
-        return PartitionCheckpoint(
-            keys=keys, states=states, actions=actions, free=free
-        )
-    if policy == "count":
-        return PartitionCheckpoint(
-            keys=keys, states=states, counts=tuple(store.counts), free=free
-        )
-    return PartitionCheckpoint(keys=keys, states=states, free=free)
+    if engine.log_policy != "full":
+        return PartitionCheckpoint(keys=keys, states=states, free=free)
+    logs = store.logs
+    actions = tuple(
+        ()
+        if key is None
+        else tuple(action for chunk in logs[slot] for action in chunk)
+        for slot, key in enumerate(keys)
+    )
+    return PartitionCheckpoint(keys=keys, states=states, actions=actions, free=free)
 
 
 def rehydrate(engine, checkpoint: PartitionCheckpoint) -> None:
@@ -259,7 +250,7 @@ def rehydrate(engine, checkpoint: PartitionCheckpoint) -> None:
     store = engine._store
     adapter = engine._adapter
     naive = engine.mode == "naive"
-    policy = engine.log_policy
+    full = engine.log_policy == "full"
     state_index = engine._table.state_index
     width = engine._width
     for mailbox in engine._mailboxes:
@@ -267,7 +258,6 @@ def rehydrate(engine, checkpoint: PartitionCheckpoint) -> None:
     store.clear()
     states = checkpoint.states
     actions_col = checkpoint.actions
-    counts_col = checkpoint.counts
     for slot, key in enumerate(checkpoint.keys):
         backend = adapter.new_instance() if adapter is not None else None
         if key is None:
@@ -292,11 +282,9 @@ def rehydrate(engine, checkpoint: PartitionCheckpoint) -> None:
                 f"machine {engine.machine.name!r}"
             )
         store.states[slot] = state_index[state] * width
-        if policy == "full":
+        if full:
             actions = actions_col[slot] if actions_col else ()
             store.logs[slot] = [actions] if actions else []
-        elif policy == "count":
-            store.counts[slot] = counts_col[slot] if counts_col else 0
     for slot in checkpoint.free:
         placeholder = store.key_of[slot]
         if placeholder is None or not placeholder.startswith("\x00rehydrate-free-"):

@@ -41,13 +41,13 @@ batch, in schedule order; observation (which actions fired, which states
 are current) happens engine-side between instants, reading per-instance
 data that is provably identical across dispatch modes (the differential
 guarantee of PR 2-5).  A scenario therefore produces byte-identical
-per-instance traces on ``naive``, ``batched``, ``encoded`` and
-``grouped`` fleets, on either backend — the fuzz suite's claim (a).
+per-instance traces on ``naive``, ``encoded`` and ``vector`` fleets, on
+either backend — the fuzz suite's claim (a).
 
 When a profile has no timers and no routes and no faults are configured,
-the engine runs *passthrough*: externally scheduled events are grouped
-per instant at schedule time (and pre-encoded to ``(slot, column)``
-pairs for encoded fleets), so the wheel adds one heap pop per distinct
+the engine runs *passthrough*: externally scheduled events are collected
+per instant at schedule time and pre-encoded to one flat ``[slot, col,
+...]`` schedule each, so the wheel adds one heap pop per distinct
 timestamp, not per event — scenario overhead stays within a few percent
 of raw encoded throughput (gated at >= 0.8x by ``bench_scenario``).
 
@@ -377,13 +377,9 @@ class ScenarioEngine:
         #: rid -> (record, Timer); records are (rid, time, kind, payload).
         self._pending: dict[int, tuple] = {}
         #: rid -> flat pre-encoded [slot, col, ...] array for external
-        #: batches (encoded passthrough only; rebuilt after restore).
+        #: batches (passthrough only; rebuilt after restore).
         self._pairs: dict[int, object] = {}
-        self._pre_encode = (
-            not self._observing
-            and self._faults is None
-            and fleet.mode in ("encoded", "grouped", "vector")
-        )
+        self._pre_encode = not self._observing and self._faults is None
         self._due: list[tuple] = []
         #: Intern table for scheduled (key, message) tuples — engine-lived
         #: (size is population x message alphabet, the same order as the
@@ -455,12 +451,12 @@ class ScenarioEngine:
     def schedule_events(self, events) -> None:
         """Schedule a recorded timed workload.
 
-        Events are grouped by timestamp so the wheel pays one record per
-        distinct instant, not per event; within an instant, schedule
-        order is preserved.  On encoded passthrough fleets (no timers,
-        routes or faults) each batch is pre-encoded here, once — the
-        dispatch loop then never touches a string.  Spawn the population
-        (:meth:`spawn_topology`) before scheduling on such fleets.
+        Events are collected by timestamp so the wheel pays one record
+        per distinct instant, not per event; within an instant, schedule
+        order is preserved.  On passthrough scenarios (no timers, routes
+        or faults) each batch is pre-encoded here, once — the dispatch
+        loop then never touches a string.  Spawn the population
+        (:meth:`spawn_topology`) before scheduling such a scenario.
         """
         batches: dict[float, list] = {}
         interned = self._interned
@@ -661,8 +657,8 @@ class ScenarioEngine:
         ``fleet.run(flat, encoding="flat")`` — the usual one-record
         instant without even a copy — so passthrough pays the raw encoded
         per-event cost plus one heap pop per distinct timestamp.
-        Anything not interned (naive/batched fleets, records added via
-        :meth:`schedule_event`) falls back to the string path.
+        Anything not interned (records added via :meth:`schedule_event`)
+        falls back to the string path.
         """
         fleet = self._fleet
         if None not in pair_lists:

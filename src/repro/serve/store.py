@@ -2,9 +2,9 @@
 
 Instances are interned to dense integer *slots* at spawn time: the
 ``slot_of`` dict (key -> slot) is the only string-keyed structure, and it
-is consulted once per instance lifetime event (spawn, release, routing,
-string-keyed dispatch) — never inside the encoded hot loop, which indexes
-the flat columns directly by slot.  The columns are parallel arrays:
+is consulted once per event at intake (and at spawn and release) — never
+inside a dispatch loop, which indexes the flat columns directly by slot.
+The columns are parallel arrays:
 
 * ``states[slot]``    — current state, premultiplied by the message-alphabet
   width, so a dispatch-table offset is one addition
@@ -17,8 +17,7 @@ the flat columns directly by slot.  The columns are parallel arrays:
   routing an event for an interned key never re-hashes the key;
 * ``logs[slot]``      — the performed-action log as a list of per-transition
   action *chunks* (``log_policy="full"``), or ``None`` when the store does
-  not retain logs (``"count"`` / ``"off"``);
-* ``counts[slot]``    — number of actions performed (``log_policy="count"``);
+  not retain logs (``"off"``);
 * ``backends[slot]``  — the backing interpreter/compiled instance, present
   only when the owning fleet dispatches in ``naive`` mode;
 * ``key_of[slot]``    — the session key owning the slot (``None`` while the
@@ -57,9 +56,9 @@ from repro.core.machine import FlatDispatchTable
 
 #: Action-log retention policies.  ``full`` keeps every action chunk (the
 #: only policy under which traces, snapshots and differential comparison
-#: work); ``count`` keeps a per-slot count of performed actions; ``off``
-#: keeps nothing — the hot loop does no per-event log mutation at all.
-LOG_POLICIES = ("full", "count", "off")
+#: work); ``off`` keeps nothing — the hot loop does no per-event log
+#: mutation at all.
+LOG_POLICIES = ("full", "off")
 
 
 def shard_of(key: str, shards: int) -> int:
@@ -127,9 +126,8 @@ class InstanceStore:
         #: Memoized CRC-32 shard per slot (cold column: intake-time reads
         #: only, so the compact array representation costs nothing).
         self.shard_ids = array("i")
-        #: Action-log column (``full``) / action counters (``count``).
+        #: Action-log column (``full``; ``None`` entries under ``off``).
         self.logs: list[Optional[list]] = []
-        self.counts = array("q")
         #: Backend objects (naive-mode fleets only).
         self.backends: list = []
         #: Armed scenario timer per slot — ``(rid, armed_state)`` or ``None``.
@@ -159,10 +157,8 @@ class InstanceStore:
     def shard_id(self, key: str) -> int:
         """The shard a key routes to — memoized for interned keys.
 
-        Unknown keys still route (the hash is computed on the spot): the
-        fleet defers existence checks to dispatch time on the
-        string-keyed path, and the error must surface *there*, on the
-        shard the key would live on.
+        Unknown keys still route (the hash is computed on the spot), so
+        a caller can ask where a key *would* live before spawning it.
         """
         slot = self.slot_of.get(key)
         if slot is not None:
@@ -190,7 +186,6 @@ class InstanceStore:
             self.states[slot] = self._start
             self.shard_ids[slot] = shard_id
             self.logs[slot] = log
-            self.counts[slot] = 0
             self.backends[slot] = backend
             self.timers[slot] = None
         else:
@@ -199,7 +194,6 @@ class InstanceStore:
             self.states.append(self._start)
             self.shard_ids.append(shard_id)
             self.logs.append(log)
-            self.counts.append(0)
             self.backends.append(backend)
             self.timers.append(None)
         self.slot_of[key] = slot
@@ -219,7 +213,6 @@ class InstanceStore:
         del self.slot_of[key]
         self.key_of[slot] = None
         self.logs[slot] = None
-        self.counts[slot] = 0
         self.backends[slot] = None
         self.timers[slot] = None
         del self.shards[self.shard_ids[slot]].keys[key]
@@ -227,7 +220,7 @@ class InstanceStore:
         return slot
 
     def keys(self) -> list[str]:
-        """All session keys, grouped by shard in spawn order."""
+        """All session keys, shard by shard, in spawn order."""
         return [key for shard in self.shards for key in shard.keys]
 
     def clear(self) -> None:
@@ -237,7 +230,6 @@ class InstanceStore:
         self.states = self._new_states()
         self.shard_ids = array("i")
         self.logs = []
-        self.counts = array("q")
         self.backends = []
         self.timers = []
         self.free_slots = []

@@ -13,8 +13,8 @@ numpy gather/scatter over the same jump table the scalar loop walks:
 
 A gather/scatter round is only race-free when each slot appears at most
 once, so a batch is first split into *occurrence rounds* — round *r*
-holds every slot's *r*-th event, exactly the per-instance ordering rounds
-``grouped`` dispatch established — and the rounds execute sequentially.
+holds every slot's *r*-th event, which preserves per-instance order
+exactly — and the rounds execute sequentially.
 Round splitting is itself vectorized (two stable radix argsorts; ids
 below 2**16 sort as ``uint16``, where numpy's stable sort is an O(n)
 radix pass) and happens once per schedule at *encode* time:
@@ -29,7 +29,7 @@ The non-vectorizable edges are masked out and post-processed scalar-side:
   a ``-1`` (message inapplicable) entry to the *current* premultiplied
   state, so the scatter is unconditional; the ignored and recycled
   counts come from one flags gather over the whole batch's offsets.
-* **action logging** (``log_policy='full'``/``'count'``) gathers an
+* **action logging** (``log_policy='full'``) gathers an
   actions-present mask and walks only the matching events in Python,
   appending the identical action tuples the scalar loop appends — traces
   stay byte-identical.
@@ -37,9 +37,9 @@ The non-vectorizable edges are masked out and post-processed scalar-side:
   whose ``acts`` sentinel is ``None``) and clears those slots' logs
   scalar-side, mirroring the encoded loop exactly.
 * **unknown instances/messages** never reach the kernel: interning at
-  intake (``encode``/``encode_flat``/``post``) rejects them with the
-  canonical :class:`~repro.core.errors.DeploymentError`, exactly as on
-  every other encoded path.
+  intake (``run``/``encode_flat``/``post``) rejects them with the
+  canonical :class:`~repro.core.errors.DeploymentError`, exactly as in
+  every other mode.
 
 numpy is a *soft* dependency and this module is the single import guard:
 everything else asks :data:`HAS_NUMPY` / :func:`require_numpy`, and it is
@@ -88,6 +88,21 @@ HAS_NUMPY = NUMPY_UNAVAILABLE_REASON is None
 #: Slot/column ids sort as uint16 (numpy's O(n) stable radix path) below
 #: this; larger populations fall back to the comparison argsort.
 _RADIX_LIMIT = 1 << 16
+
+
+def _flat_count(flat) -> int:
+    """Events in a flat ``[slot, col, ...]`` buffer.
+
+    A buffer of odd length ends in a slot with no column; it raises the
+    one canonical error every dispatch mode refuses it with, before
+    anything is dispatched or a half-pair is paired with a neighbour.
+    """
+    if len(flat) % 2:
+        raise DeploymentError(
+            f"flat schedule has odd length {len(flat)}: a [slot, col, ...] "
+            "buffer must hold whole pairs"
+        )
+    return len(flat) // 2
 
 
 def require_numpy(feature: str = "vector dispatch") -> None:
@@ -166,6 +181,7 @@ class VectorSchedule:
 
     def __init__(self, flat: array):
         require_numpy("a vector schedule")
+        _flat_count(flat)
         pairs = _np.frombuffer(flat, dtype=_np.int64)
         self._split(
             _np.ascontiguousarray(pairs[0::2]), _np.ascontiguousarray(pairs[1::2])
@@ -268,12 +284,12 @@ class VectorKernel:
       the transition carries the auto-recycle sentinel (the two are
       disjoint), so both counters come out of *one* gather per batch;
     * ``logged`` / ``recycles`` — booleans marking the offsets that need
-      scalar-side post-processing (action retention, auto-recycle).
+      scalar-side post-processing under ``log_policy='full'`` (action
+      retention, clearing a recycled slot's log).
     """
 
     __slots__ = (
         "_store",
-        "_policy",
         "_acts",
         "_jump",
         "_flags",
@@ -287,7 +303,6 @@ class VectorKernel:
     def __init__(self, store, jump, acts, width: int, log_policy: str):
         require_numpy()
         self._store = store
-        self._policy = log_policy
         self._acts = acts
         offsets = _np.arange(len(jump), dtype=_np.int64)
         raw = _np.asarray(jump, dtype=_np.int64)
@@ -307,9 +322,12 @@ class VectorKernel:
         self._flags = (
             inapplicable.astype(_np.int8) + 2 * self._recycles.astype(_np.int8)
         )
-        self._any_logged = bool(self._logged.any()) and log_policy != "off"
-        self._any_recycles = bool(self._recycles.any())
-        self._any_flags = bool(inapplicable.any()) or self._any_recycles
+        # ``off`` keeps no logs, so neither edge needs the scalar walk;
+        # its recycles only bump a counter, which the flags gather covers.
+        full = log_policy == "full"
+        self._any_logged = full and bool(self._logged.any())
+        self._any_recycles = full and bool(self._recycles.any())
+        self._any_flags = bool(inapplicable.any() or self._recycles.any())
 
     def dispatch(self, schedule: VectorSchedule, metrics) -> None:
         """Run every round of a schedule; update the fleet counters.
@@ -328,12 +346,9 @@ class VectorKernel:
         all_slots, all_cols = schedule.slots, schedule.cols
         offsets = _np.empty(count, dtype=_np.int64)
         add = _np.add
-        # ``off`` never retains actions and a recycle only bumps the
-        # counter; ``full``/``count`` drop to the masked scalar walk,
-        # per round because a slot's log order is its round order.
-        scalar_edges = self._any_logged or (
-            self._any_recycles and self._policy != "off"
-        )
+        # The masked scalar walk runs per round because a slot's log
+        # order is its round order.
+        scalar_edges = self._any_logged or self._any_recycles
         start = 0
         for end in schedule.bounds[1:]:
             slots = all_slots[start:end]
@@ -355,38 +370,23 @@ class VectorKernel:
     def _post_process(self, slots, offsets) -> None:
         """Scalar-side handling of the masked edges of one round.
 
-        Only the events whose offsets carry retained actions (under
-        ``full``/``count``) or the auto-recycle sentinel are touched;
-        everything else stayed inside the vector path.  Appends the
-        identical action tuples the scalar loop appends, in the identical
-        per-slot order (rounds run sequentially; a slot appears at most
-        once per round).
+        Only the events whose offsets carry retained actions or the
+        auto-recycle sentinel are touched; everything else stayed inside
+        the vector path.  Appends the identical action tuples the scalar
+        loop appends, in the identical per-slot order (rounds run
+        sequentially; a slot appears at most once per round).
         """
-        store = self._store
-        acts_table = self._acts
-        policy = self._policy
+        logs = self._store.logs
         if self._any_logged:
             mask = self._logged[offsets]
             if mask.any():
-                picked_slots = slots[mask].tolist()
-                picked_offsets = offsets[mask].tolist()
-                if policy == "full":
-                    logs = store.logs
-                    for slot, offset in zip(picked_slots, picked_offsets):
-                        logs[slot].append(acts_table[offset])
-                else:  # "count"
-                    counts = store.counts
-                    for slot, offset in zip(picked_slots, picked_offsets):
-                        counts[slot] += len(acts_table[offset])
+                acts_table = self._acts
+                for slot, offset in zip(
+                    slots[mask].tolist(), offsets[mask].tolist()
+                ):
+                    logs[slot].append(acts_table[offset])
         if self._any_recycles:
             mask = self._recycles[offsets]
             if mask.any():
-                recycled_slots = slots[mask].tolist()
-                if policy == "full":
-                    logs = store.logs
-                    for slot in recycled_slots:
-                        logs[slot].clear()
-                elif policy == "count":
-                    counts = store.counts
-                    for slot in recycled_slots:
-                        counts[slot] = 0
+                for slot in slots[mask].tolist():
+                    logs[slot].clear()

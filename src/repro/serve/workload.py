@@ -56,20 +56,6 @@ def session_keys(count: int, prefix: str = "session") -> list[str]:
     return [f"{prefix}-{i:07d}" for i in range(count)]
 
 
-def encode_schedule(fleet, schedule) -> list[tuple[int, int]]:
-    """Intern a recorded ``(key, message)`` schedule for one fleet.
-
-    The encoded serve path's generator half: session keys resolve to
-    their dense store slots and messages to their column ids *once per
-    schedule*, producing the ``(slot, column)`` int pairs that
-    ``fleet.run(pairs, encoding="pairs")`` dispatches without touching a string.
-    Slot ids are fleet-specific — the returned pairs are only meaningful
-    for ``fleet`` (with its current population); re-encode after a
-    restore or despawn churn.
-    """
-    return fleet.encode(schedule)
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Parameters of a generated timed scenario (see ``generate_scenario``)."""

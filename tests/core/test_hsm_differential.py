@@ -5,8 +5,8 @@ be trace-identical to the flattened machine executed through
 
 * both execution backends (interpreter, compiled generated class),
 * both flatten engines (eager, lazy),
-* and the fleet dispatch-mode spectrum (naive per-event, sharded batched,
-  slot-encoded and grouped-by-column),
+* and the fleet dispatch-mode spectrum (naive per-event on both backends,
+  slot-encoded, and the numpy gather/scatter kernel where available),
 
 which is exactly the ISSUE's acceptance criterion.
 """
@@ -28,15 +28,13 @@ from repro.serve import (
 )
 
 #: (fleet dispatch mode, execution backend) configurations under test.
-#: The encoded/grouped entries exercise the slot-indexed (slot, column)
-#: dispatch plane on flattened hierarchies (backend is naive-only);
-#: vector exercises the numpy gather/scatter kernel where available.
+#: The encoded entry exercises the slot-indexed (slot, column) dispatch
+#: plane on flattened hierarchies (backend is naive-only); vector
+#: exercises the numpy gather/scatter kernel where available.
 FLEET_CONFIGS = (
     ("naive", "interp"),
     ("naive", "compiled"),
-    ("batched", "interp"),
     ("encoded", "interp"),
-    ("grouped", "interp"),
 ) + ((("vector", "interp"),) if HAS_NUMPY else ())
 
 
@@ -101,10 +99,15 @@ def test_fleet_matches_direct_simulation(model_name, engine, mode, backend):
 
 @pytest.mark.parametrize("model_name", HIERARCHICAL_MODELS)
 @pytest.mark.parametrize("scenario", ("hotkey", "burst"))
-def test_fleet_matches_direct_simulation_skewed_arrivals(model_name, scenario):
+@pytest.mark.parametrize("mode,backend", FLEET_CONFIGS)
+def test_fleet_matches_direct_simulation_skewed_arrivals(
+    model_name, scenario, mode, backend
+):
     model = build(model_name)
     machine = model.flatten("lazy")
-    fleet = FleetEngine(machine, shards=4, mode="batched", auto_recycle=True)
+    fleet = FleetEngine(
+        machine, shards=4, backend=backend, mode=mode, auto_recycle=True
+    )
     keys = fleet.spawn_many(100)
     events = generate_workload(
         machine,
@@ -115,18 +118,19 @@ def test_fleet_matches_direct_simulation_skewed_arrivals(model_name, scenario):
 
 
 @pytest.mark.parametrize("model_name", HIERARCHICAL_MODELS)
-def test_fleet_snapshot_restore_roundtrip_on_flattened_machine(model_name):
+@pytest.mark.parametrize("mode", sorted({mode for mode, _ in FLEET_CONFIGS}))
+def test_fleet_snapshot_restore_roundtrip_on_flattened_machine(model_name, mode):
     """Flattened machines ride the fleet's snapshot/restore unchanged."""
     model = build(model_name)
     machine = model.flatten()
-    fleet = FleetEngine(machine, shards=4, mode="batched", auto_recycle=True)
+    fleet = FleetEngine(machine, shards=4, mode=mode, auto_recycle=True)
     keys = fleet.spawn_many(50)
     events = generate_workload(
         machine, WorkloadSpec(instances=50, events=1000, seed=3)
     )
     fleet.run(events)
     snapshot = fleet.snapshot()
-    replacement = FleetEngine(machine, shards=8, mode="batched", auto_recycle=True)
+    replacement = FleetEngine(machine, shards=8, mode=mode, auto_recycle=True)
     replacement.restore(snapshot)
     assert {k: replacement.trace(k) for k in keys} == {
         k: fleet.trace(k) for k in keys

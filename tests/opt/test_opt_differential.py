@@ -8,8 +8,8 @@ answers to its representative's name).  Verified across:
 
 * the interpreter and compiled backends, the latter under every way of
   supplying its action methods and against a bare indexed-array walk;
-* both fleet dispatch modes (``naive`` / ``batched``), with the fleet's
-  own ``optimize=`` hook;
+* every fleet dispatch mode (``naive`` / ``encoded`` / ``vector``), with
+  the fleet's own ``optimize=`` hook;
 * both generation engines for the generated models and both flatten
   engines for the hierarchical ones (via the shared machine cache).
 """
@@ -72,6 +72,9 @@ BUNDLED_MACHINES = [
         id="commit-hsm-r4",
     ),
 ]
+
+#: Every fleet dispatch mode this environment can build.
+MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
 
 _CACHE: dict = {}
 
@@ -285,11 +288,7 @@ class TestCompiledDifferential:
 
 
 @pytest.mark.parametrize("factory", BUNDLED_MACHINES)
-@pytest.mark.parametrize(
-    "mode",
-    ["naive", "batched", "encoded", "grouped"]
-    + (["vector"] if HAS_NUMPY else []),
-)
+@pytest.mark.parametrize("mode", MODES)
 class TestFleetDifferential:
     def test_optimized_fleet_matches_standalone(self, factory, mode, request):
         machine, _, _ = cached(request)
@@ -324,7 +323,7 @@ class TestFleetDifferential:
 
 
 @pytest.mark.parametrize("hsm", ["session", "commit"])
-@pytest.mark.parametrize("mode", ["naive", "batched"])
+@pytest.mark.parametrize("mode", MODES)
 class TestHierarchicalOracle:
     """Optimized flattened HSMs still match direct hierarchical simulation."""
 
@@ -369,7 +368,7 @@ class TestBlowupRecovery:
         IndexedMachine.from_machine(optimized).check_integrity()
 
 
-@pytest.mark.parametrize("mode", ["naive", "batched"])
+@pytest.mark.parametrize("mode", MODES)
 class TestSnapshotAcrossOptimization:
     """Snapshots cross the optimization boundary through state_map."""
 

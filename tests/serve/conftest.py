@@ -1,11 +1,10 @@
 """Shared fixtures for the serve test suite.
 
-The model registry and fleet factory used to live here; PR 8 promoted
-them into the public API (:func:`repro.serve.make_fleet`,
-:func:`repro.serve.fleet_machine`).  The fixtures are now thin veneers
-over the public surface so the tests exercise exactly what users call —
-``make_fleet`` keeps its historical positional ``dispatch=`` spelling
-(the public keyword is ``mode=``) to avoid rewriting every call site.
+The fixtures are thin veneers over the public surface
+(:func:`repro.serve.make_fleet`, :func:`repro.serve.fleet_machine`) so
+the tests exercise exactly what users call.  The ``make_fleet`` fixture
+spells the dispatch mode ``dispatch=`` (the public keyword is ``mode=``)
+and defaults to the public default, ``encoded``.
 """
 
 import pytest
@@ -44,7 +43,7 @@ def make_fleet():
 
     def factory(
         model="commit",
-        dispatch: str = "batched",
+        dispatch: str = "encoded",
         backend: str = "interp",
         log_policy: str = "full",
         *,

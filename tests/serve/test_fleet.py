@@ -6,17 +6,27 @@ from repro.core.errors import DeploymentError
 from repro.serve import (
     HAS_NUMPY,
     FleetMetrics,
+    FleetSnapshot,
+    InstanceSnapshot,
     OverflowPolicy,
     WorkloadSpec,
     diff_against_standalone,
-    encode_schedule,
     generate_workload,
     shard_of,
 )
 from tests.serve.conftest import BUNDLED_MODELS, machine_for
 
-#: The encoded-intake modes this environment can build.
-ENCODED_MODES = ["encoded", "grouped"] + (["vector"] if HAS_NUMPY else [])
+#: The dispatch modes this environment can build.
+MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
+
+#: The table-dispatch modes (the ones a log policy applies to).
+TABLE_MODES = ["encoded"] + (["vector"] if HAS_NUMPY else [])
+
+#: (mode, backend) pairs that run different code: only ``naive`` reads
+#: ``backend``, so the table modes are built with the interpreter alone.
+CONFIGS = [("naive", "interp"), ("naive", "compiled")] + [
+    (mode, "interp") for mode in TABLE_MODES
+]
 
 
 class TestDifferential:
@@ -24,8 +34,7 @@ class TestDifferential:
 
     @pytest.mark.parametrize("model", BUNDLED_MODELS)
     @pytest.mark.parametrize("engine", ["eager", "lazy"])
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_fleet_equals_standalone(self, make_fleet, model, engine, backend, mode):
         machine = machine_for(model, engine)
         events = generate_workload(
@@ -40,33 +49,19 @@ class TestDifferential:
         assert fleet.metrics.events_dispatched == len(events)
 
     @pytest.mark.parametrize("model", BUNDLED_MODELS)
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
-    def test_encoded_fleet_equals_standalone(self, make_fleet, model, mode):
-        """The slot-indexed planes are observationally string-identical."""
-        machine = machine_for(model)
-        events = generate_workload(
-            machine, WorkloadSpec(instances=23, events=1_500, seed=11)
-        )
-        fleet = make_fleet(machine, dispatch=mode, shards=5, auto_recycle=True)
-        keys = fleet.spawn_many(23)
-        fleet.run(events)
-        assert diff_against_standalone(fleet, keys, events) == []
-        assert fleet.metrics.events_dispatched == len(events)
-
-    @pytest.mark.parametrize("model", BUNDLED_MODELS)
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_pre_encoded_schedule_equals_standalone(self, make_fleet, model, mode):
-        """An encoded run on a once-interned schedule matches the replay."""
+        """A run of a once-interned flat schedule matches the replay."""
         machine = machine_for(model)
         events = generate_workload(
             machine, WorkloadSpec(instances=17, events=1_200, seed=29)
         )
         fleet = make_fleet(machine, dispatch=mode, shards=3, auto_recycle=True)
         keys = fleet.spawn_many(17)
-        fleet.run(encode_schedule(fleet, events), encoding="pairs")
+        fleet.run(fleet.encode_flat(events), encoding="flat")
         assert diff_against_standalone(fleet, keys, events) == []
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_without_auto_recycle(self, make_fleet, mode):
         machine = machine_for("commit")
         events = generate_workload(
@@ -77,7 +72,7 @@ class TestDifferential:
         fleet.run(events)
         assert diff_against_standalone(fleet, keys, events) == []
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_posted_events_dispatch_before_bulk_run(self, make_fleet, mode):
         fleet = make_fleet(dispatch=mode, shards=2)
         fleet.spawn("s")
@@ -101,7 +96,7 @@ class TestLifecycle:
         with pytest.raises(DeploymentError):
             fleet.spawn("a")
 
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_spawn_duplicate_preserves_existing_instance(self, mode):
         """A rejected duplicate must not clobber the live instance's state."""
         fleet = self.make_fleet(dispatch=mode)
@@ -139,53 +134,54 @@ class TestLifecycle:
         with pytest.raises(DeploymentError):
             fleet.deliver("ghost", "free")
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_unknown_message_rejected(self, mode, backend):
         fleet = self.make_fleet(dispatch=mode, backend=backend)
         fleet.spawn("a")
         with pytest.raises(DeploymentError):
             fleet.deliver("a", "bogus")
-        fleet.post("a", "bogus")
-        with pytest.raises(DeploymentError):
-            fleet.drain_all()
+        # Every mode interns at post, so the bad event never queues.
+        with pytest.raises(DeploymentError, match="unknown message 'bogus'"):
+            fleet.post("a", "bogus")
+        assert fleet.drain_all() == 0
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_bad_event_does_not_poison_batch(self, mode, backend):
         fleet = self.make_fleet(dispatch=mode, backend=backend, shards=1)
         fleet.spawn("a")
-        fleet.post("a", "bogus")
-        fleet.post("ghost", "free")
+        with pytest.raises(DeploymentError, match="unknown message"):
+            fleet.post("a", "bogus")
         fleet.post("a", "free")
+        with pytest.raises(DeploymentError, match="unknown instance"):
+            fleet.post("ghost", "free")
         fleet.post("a", "update")
-        with pytest.raises(DeploymentError) as excinfo:
-            fleet.drain_all()
-        # The two bad events are named; the valid ones behind them fired.
-        assert "2 event(s)" in str(excinfo.value)
+        # The refused posts left the valid events around them queued.
+        assert fleet.drain_all() == 2
         assert fleet.trace("a").actions == ("vote", "not_free")
         assert fleet.metrics.events_dispatched == 2
         assert fleet.metrics.transitions_fired == 2
 
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_run_skips_bad_events_and_reports(self, mode):
         fleet = self.make_fleet(dispatch=mode)
         fleet.spawn("a")
-        with pytest.raises(DeploymentError):
-            fleet.run([("a", "bogus"), ("a", "free"), ("a", "update")])
-        # The valid events behind the bad one were still dispatched.
+        with pytest.raises(DeploymentError, match="2 event"):
+            fleet.run(
+                [("a", "bogus"), ("ghost", "free"), ("a", "free"), ("a", "update")]
+            )
+        # The valid events behind the bad ones were still dispatched.
         assert fleet.trace("a").actions == ("vote", "not_free")
         assert fleet.metrics.events_dispatched == 2
 
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_empty_run_counts_no_batch(self, mode):
         fleet = self.make_fleet(dispatch=mode)
         fleet.run([])
         assert fleet.metrics.batches_drained == 0
         assert fleet.metrics.events_dispatched == 0
 
-    @pytest.mark.parametrize("mode", ["naive", "batched"])
-    def test_bounded_run_collects_block_drain_errors(self, mode):
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bounded_run_collects_intake_errors(self, mode):
         fleet = self.make_fleet(
             dispatch=mode,
             shards=1,
@@ -194,7 +190,7 @@ class TestLifecycle:
         )
         fleet.spawn("a")
         events = [("a", "bogus"), ("a", "free"), ("a", "update"), ("a", "vote")]
-        with pytest.raises(DeploymentError):
+        with pytest.raises(DeploymentError, match="unknown message 'bogus'"):
             fleet.run(events)
         # Every valid event behind the bad one was still dispatched.
         assert fleet.trace("a").actions == ("vote", "not_free")
@@ -204,7 +200,7 @@ class TestLifecycle:
 
     def test_bounded_shed_identical_across_modes(self):
         results = []
-        for mode in ("naive", "batched"):
+        for mode in MODES:
             fleet = self.make_fleet(
                 dispatch=mode,
                 shards=1,
@@ -216,40 +212,10 @@ class TestLifecycle:
             results.append(
                 (fleet.trace("a"), fleet.metrics.events_dropped)
             )
-        assert results[0] == results[1]
+        assert results[0][1] == 2
+        assert all(result == results[0] for result in results)
 
-    def test_block_policy_keeps_incoming_event_when_drain_raises(self):
-        fleet = self.make_fleet(
-            shards=1,
-            mailbox_capacity=2,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        fleet.post("a", "bogus")
-        fleet.post("a", "free")
-        # Mailbox full: the inline drain raises for the bad queued event,
-        # but the incoming valid event must still be enqueued.
-        with pytest.raises(DeploymentError):
-            fleet.post("a", "update")
-        assert fleet.depths() == [1]
-        fleet.drain_all()
-        assert fleet.trace("a").actions == ("vote", "not_free")
-
-    def test_failing_shard_does_not_strand_other_shards(self):
-        fleet = self.make_fleet(shards=4)
-        keys = fleet.spawn_many(8)
-        bad = keys[0]
-        good = next(k for k in keys if fleet.shard_id(k) != fleet.shard_id(bad))
-        fleet.post(bad, "bogus")
-        fleet.post(good, "free")
-        with pytest.raises(DeploymentError):
-            fleet.drain_all()
-        # The good shard's event was still dispatched and fired.
-        assert fleet.metrics.transitions_fired == 1
-        assert fleet.metrics.events_dispatched == 1
-        assert all(depth == 0 for depth in fleet.depths())
-
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_recycle_returns_to_start(self, mode):
         fleet = self.make_fleet(dispatch=mode)
         fleet.spawn("a")
@@ -262,7 +228,7 @@ class TestLifecycle:
         assert trace.actions == ()
         assert fleet.metrics.instances_recycled == 1
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_auto_recycle_counts_completions(self, mode):
         fleet = self.make_fleet(dispatch=mode, auto_recycle=True)
         fleet.spawn("a")
@@ -275,12 +241,15 @@ class TestLifecycle:
         assert not fleet.is_finished("a")
 
     def test_bad_mode_and_backend_rejected(self):
-        with pytest.raises(DeploymentError):
-            self.make_fleet(dispatch="warp")
+        # Deleted modes and policies are unknown, not deprecated.
+        for mode in ("warp", "batched", "grouped"):
+            with pytest.raises(DeploymentError, match="unknown dispatch mode"):
+                self.make_fleet(dispatch=mode)
         with pytest.raises(DeploymentError):
             self.make_fleet(backend="quantum")
-        with pytest.raises(DeploymentError):
-            self.make_fleet(log_policy="verbose")
+        for policy in ("verbose", "count"):
+            with pytest.raises(DeploymentError, match="unknown log policy"):
+                self.make_fleet(log_policy=policy)
         # Naive backends always log; reduced policies need table dispatch.
         with pytest.raises(DeploymentError):
             self.make_fleet(dispatch="naive", log_policy="off")
@@ -295,16 +264,14 @@ class TestDeliverNormalisation:
         self.make_fleet = make_fleet
         self.machine = machine_for("commit")
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_deliver_unknown_instance(self, mode, backend):
         fleet = self.make_fleet(dispatch=mode, backend=backend)
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="unknown instance"):
             fleet.deliver("ghost", "free")
 
-    @pytest.mark.parametrize("backend", ["interp", "compiled"])
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_deliver_unknown_message(self, mode, backend):
         fleet = self.make_fleet(dispatch=mode, backend=backend)
         fleet.spawn("a")
@@ -316,15 +283,15 @@ class TestDeliverNormalisation:
 
 
 class TestEncodedIntake:
-    """The encoded modes intern events at intake: mailboxes carry
-    (slot, column) int pairs and unknown keys/messages fail fast."""
+    """Every mode interns events at intake: mailboxes carry (slot,
+    column) int pairs and unknown keys/messages fail fast."""
 
     @pytest.fixture(autouse=True)
     def _setup(self, make_fleet):
         self.make_fleet = make_fleet
         self.machine = machine_for("commit")
 
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_post_rejects_unknown_at_intake(self, mode):
         fleet = self.make_fleet(dispatch=mode, shards=2)
         fleet.spawn("a")
@@ -335,7 +302,9 @@ class TestEncodedIntake:
         assert fleet.depths() == [0, 0]
 
     def test_mailboxes_carry_int_pairs(self):
-        fleet = self.make_fleet(dispatch="encoded", shards=2)
+        # The reference mode too: its backends receive the message the
+        # column names, but the queue holds no string.
+        fleet = self.make_fleet(dispatch="naive", shards=2)
         slot = fleet.spawn("a")
         fleet.post("a", "free")
         box = fleet._mailboxes[fleet.shard_id("a")]
@@ -344,18 +313,7 @@ class TestEncodedIntake:
         fleet.drain_all()
         assert fleet.trace("a").actions == ("vote", "not_free")
 
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
-    def test_run_skips_bad_events_and_reports(self, mode):
-        fleet = self.make_fleet(dispatch=mode)
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError, match="2 event"):
-            fleet.run(
-                [("a", "bogus"), ("ghost", "free"), ("a", "free"), ("a", "update")]
-            )
-        assert fleet.trace("a").actions == ("vote", "not_free")
-        assert fleet.metrics.events_dispatched == 2
-
-    @pytest.mark.parametrize("mode", ENCODED_MODES)
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
         "bad_event,error",
         [(("a", "update", "extra"), ValueError), (("a", ["update"]), TypeError)],
@@ -373,68 +331,24 @@ class TestEncodedIntake:
         assert fleet.metrics.as_dict() == fresh.metrics.as_dict()
         assert fleet.trace("a") == fresh.trace("a")
 
-    def test_encode_names_bad_events(self):
-        fleet = self.make_fleet(dispatch="encoded")
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError, match="'ghost'"):
-            fleet.encode([("a", "free"), ("ghost", "free")])
-
-    def test_encode_matches_schedule_order(self):
-        fleet = self.make_fleet(dispatch="encoded")
-        fleet.spawn("a")
-        fleet.spawn("b")
-        columns = fleet.indexed_machine.message_index()
-        events = [("a", "free"), ("b", "update"), ("a", "update")]
-        assert encode_schedule(fleet, events) == [
-            (fleet._store.slot_of["a"], columns["free"]),
-            (fleet._store.slot_of["b"], columns["update"]),
-            (fleet._store.slot_of["a"], columns["update"]),
-        ]
-
-    def test_pairs_encoding_needs_encoded_mode(self):
-        fleet = self.make_fleet(dispatch="batched")
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError, match="encoded dispatch mode"):
-            fleet.run([(0, 0)], encoding="pairs")
-
     def test_encode_flat_is_the_pairwise_flattening(self):
         fleet = self.make_fleet(dispatch="encoded")
         fleet.spawn("a")
         fleet.spawn("b")
+        slot_of = fleet.store.slot_of
+        columns = fleet.indexed_machine.message_index()
         events = [("a", "free"), ("b", "update"), ("a", "update")]
-        pairs = fleet.encode(events)
-        assert list(fleet.encode_flat(events)) == [v for pair in pairs for v in pair]
+        assert list(fleet.encode_flat(events)) == [
+            slot_of["a"], columns["free"],
+            slot_of["b"], columns["update"],
+            slot_of["a"], columns["update"],
+        ]  # fmt: skip
 
     def test_encode_flat_names_bad_events(self):
         fleet = self.make_fleet(dispatch="encoded")
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="'ghost'"):
             fleet.encode_flat([("a", "free"), ("ghost", "free")])
-
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
-    def test_flat_encoding_matches_pairs_encoding(self, mode):
-        events = []
-        for i in range(20):
-            events.append((f"k{i}", "free"))
-            events.append((f"k{i}", "update"))
-        reference = self.make_fleet(dispatch=mode)
-        flatted = self.make_fleet(dispatch=mode)
-        for fleet in (reference, flatted):
-            for i in range(20):
-                fleet.spawn(f"k{i}")
-        reference.run(reference.encode(events), encoding="pairs")
-        flatted.run(flatted.encode_flat(events), encoding="flat")
-        assert [flatted.trace(f"k{i}") for i in range(20)] == [
-            reference.trace(f"k{i}") for i in range(20)
-        ]
-        assert flatted.metrics == reference.metrics
-
-    def test_flat_encoding_needs_encoded_mode(self):
-        fleet = self.make_fleet(dispatch="batched")
-        fleet.spawn("a")
-        from array import array
-        with pytest.raises(DeploymentError, match="encoded dispatch mode"):
-            fleet.run(array("q", [0, 0]), encoding="flat")
 
     def test_bounded_run_encoded_flat_applies_policy(self):
         fleet = self.make_fleet(
@@ -447,44 +361,6 @@ class TestEncodedIntake:
         fleet.run(fleet.encode_flat([("a", "free")] * 10), encoding="flat")
         assert fleet.metrics.events_dispatched == 10
 
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
-    def test_bounded_run_encoded_applies_policy(self, mode):
-        fleet = self.make_fleet(
-            dispatch=mode,
-            shards=1,
-            mailbox_capacity=3,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        pairs = fleet.encode([("a", "free")] * 10)
-        fleet.run(pairs, encoding="pairs")
-        assert fleet.metrics.events_dispatched == 10
-
-    def test_bounded_shed_identical_to_batched(self):
-        results = []
-        for mode in ("batched", "encoded"):
-            fleet = self.make_fleet(
-                dispatch=mode,
-                shards=1,
-                mailbox_capacity=2,
-                overflow=OverflowPolicy.SHED,
-            )
-            fleet.spawn("a")
-            fleet.run([("a", m) for m in ["free", "update", "vote", "vote"]])
-            results.append((fleet.trace("a"), fleet.metrics.events_dropped))
-        assert results[0] == results[1]
-
-    def test_grouped_preserves_per_instance_order(self):
-        """Column sorting must never reorder one instance's events."""
-        fleet = self.make_fleet(dispatch="grouped", shards=1)
-        fleet.spawn("a")
-        fleet.spawn("b")
-        # 'update' sorts before/after 'free' by column id; per-key order
-        # (free then update for a, update-only for b) must survive.
-        events = [("a", "free"), ("b", "free"), ("a", "update"), ("b", "update")]
-        fleet.run(events)
-        assert diff_against_standalone(fleet, ["a", "b"], events) == []
-
 
 class TestLogPolicies:
     @pytest.fixture(autouse=True)
@@ -496,23 +372,7 @@ class TestLogPolicies:
         )
         self.keys = [f"session-{i:07d}" for i in range(15)]
 
-    @pytest.mark.parametrize("mode", ["batched", "encoded", "grouped"])
-    def test_count_policy_counts_exactly(self, mode):
-        full = self.make_fleet(dispatch=mode, shards=3, auto_recycle=True)
-        counted = self.make_fleet(
-            dispatch=mode, shards=3, auto_recycle=True, log_policy="count"
-        )
-        full.spawn_many(15)
-        counted.spawn_many(15)
-        full.run(self.events)
-        counted.run(self.events)
-        for key in self.keys:
-            assert counted.action_count(key) == full.action_count(key)
-            assert counted.state_name(key) == full.state_name(key)
-        assert counted.metrics.transitions_fired == full.metrics.transitions_fired
-        assert counted.metrics.instances_recycled == full.metrics.instances_recycled
-
-    @pytest.mark.parametrize("mode", ["batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", TABLE_MODES)
     def test_off_policy_tracks_states_only(self, mode):
         full = self.make_fleet(dispatch=mode, shards=3, auto_recycle=True)
         off = self.make_fleet(
@@ -529,7 +389,7 @@ class TestLogPolicies:
             off.action_count(self.keys[0])
 
     def test_reduced_policies_reject_traces_and_snapshots(self):
-        fleet = self.make_fleet(dispatch="encoded", log_policy="count")
+        fleet = self.make_fleet(dispatch="encoded", log_policy="off")
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="log_policy"):
             fleet.trace("a")
@@ -538,22 +398,6 @@ class TestLogPolicies:
         with pytest.raises(DeploymentError, match="log_policy"):
             diff_against_standalone(fleet, ["a"], [])
 
-    def test_deliver_honours_count_policy(self):
-        fleet = self.make_fleet(dispatch="encoded", log_policy="count")
-        fleet.spawn("a")
-        fleet.deliver("a", "free")
-        fleet.deliver("a", "update")
-        assert fleet.action_count("a") == 2
-        assert fleet.state_name("a") != self.machine.start_state.name
-
-    def test_recycle_resets_count(self):
-        fleet = self.make_fleet(dispatch="encoded", log_policy="count")
-        fleet.spawn("a")
-        fleet.deliver("a", "free")
-        fleet.recycle("a")
-        assert fleet.action_count("a") == 0
-        assert fleet.state_name("a") == self.machine.start_state.name
-
 
 class TestSlotRecycling:
     @pytest.fixture(autouse=True)
@@ -561,7 +405,7 @@ class TestSlotRecycling:
         self.make_fleet = make_fleet
         self.machine = machine_for("commit")
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_despawn_frees_and_reuses_slot_without_leaking(self, mode):
         fleet = self.make_fleet(dispatch=mode, shards=4)
         slot = fleet.spawn("a")
@@ -577,6 +421,22 @@ class TestSlotRecycling:
         trace = fleet.trace("b")
         assert trace.state == self.machine.start_state.name
         assert trace.actions == ()
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_despawn_delivers_queued_events_first(self, mode):
+        """Posted pairs name the slot, not the key: despawn dispatches
+        them to the instance they were addressed to, never to the
+        slot's next occupant."""
+        fleet = self.make_fleet(dispatch=mode, shards=1)
+        slot = fleet.spawn("a")
+        fleet.post("a", "free")
+        fleet.post("a", "update")
+        fleet.despawn("a")
+        assert fleet.metrics.events_dispatched == 2
+        assert fleet.metrics.transitions_fired == 2
+        assert fleet.spawn("b") == slot
+        assert fleet.drain_all() == 0
+        assert fleet.trace("b").actions == ()
 
     def test_routing_is_stable_across_spawn_and_recycle(self):
         """The memoized shard id always equals the CRC-32 contract, even
@@ -658,7 +518,7 @@ class TestSnapshotRestore:
             self.machine, WorkloadSpec(instances=12, events=600, seed=5)
         )
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_round_trip_resumes_identically(self, mode):
         midpoint = len(self.events) // 2
         fleet = self.make_fleet(dispatch=mode, shards=3, auto_recycle=True)
@@ -758,14 +618,14 @@ class TestSnapshotRestore:
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:300])
         snapshot = fleet.snapshot()
-        for mode, backend in (("naive", "compiled"), ("batched", "interp")):
+        for mode, backend in CONFIGS:
             other = self.make_fleet(dispatch=mode, backend=backend, shards=4)
             other.restore(snapshot)
             assert {k: other.trace(k) for k in keys} == {
                 k: fleet.trace(k) for k in keys
             }
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_restore_after_recycle_rewinds_recycled_instances(self, mode):
         """Restoring a snapshot whose keys were recycled *after* the
         capture must rewind them to their snapshotted state and log."""
@@ -800,6 +660,34 @@ class TestSnapshotRestore:
         assert {k: fleet.trace(k) for k in keys} == {
             k: replacement.trace(k) for k in keys
         }
+
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "kind", ["duplicate-key", "unknown-state", "int-key", "str-actions"]
+    )
+    def test_restore_is_all_or_nothing(self, mode, kind):
+        """A snapshot that fails validation anywhere leaves the whole
+        population as it was — never cleared and half respawned."""
+        fleet = self.make_fleet(dispatch=mode, shards=2)
+        fleet.spawn_many(12)
+        fleet.run(self.events[:300])
+        before = fleet.snapshot()
+        last, start = before.instances[-1], self.machine.start_state.name
+        bad = {
+            "duplicate-key": InstanceSnapshot(last.key, start, ()),
+            "unknown-state": InstanceSnapshot("fresh", "NoSuchState", ()),
+            "int-key": InstanceSnapshot(5, start, ()),
+            "str-actions": InstanceSnapshot("fresh", start, "ab"),
+        }[kind]
+        torn = FleetSnapshot(before.machine_name, (*before.instances[1:], bad))
+        with pytest.raises(DeploymentError):
+            fleet.restore(torn)
+        assert fleet.metrics.snapshots_restored == 0
+        assert fleet.snapshot().instances == before.instances
+        # The untouched population keeps serving.
+        fleet.run(self.events[300:])
+        assert fleet.metrics.events_dispatched == len(self.events)
 
 
 class TestMetricsSurface:

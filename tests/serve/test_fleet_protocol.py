@@ -1,34 +1,45 @@
 """Shared conformance suite for the :class:`~repro.serve.api.Fleet` protocol.
 
-Every test here runs twice — once against the in-process
-:class:`FleetEngine`, once against the :class:`MultiprocessFleet` — via
-the ``any_fleet`` fixture.  This is the contract both implementations
+Every test here runs against the in-process :class:`FleetEngine` and
+the :class:`MultiprocessFleet`, each in every dispatch mode (``naive``,
+``encoded``, ``vector``), via the ``any_fleet`` fixture.  This is the
+contract both implementations
 must honour: one dispatch entry point (``run(events, encoding=...)``),
-one error shape (:class:`DeploymentError` with identical messages),
-portable snapshots, mergeable metrics, explicit shutdown.  A new Fleet
-implementation earns its place by passing this file unchanged.
+one intake (every dispatch mode interns at ``post``/``run`` and runs
+``encode_flat`` schedules), one error shape (:class:`DeploymentError`
+with identical messages), portable snapshots, mergeable metrics,
+explicit shutdown.  A new Fleet implementation earns its place by
+passing this file unchanged.
 """
+
+from array import array
 
 import pytest
 
 from repro.core.errors import DeploymentError
 from repro.serve import (
+    DISPATCH_MODES,
     ENCODINGS,
     HAS_NUMPY,
+    EncodedFleetSchedule,
     Fleet,
     FleetEngine,
     MultiprocessFleet,
+    VectorSchedule,
     diff_against_standalone,
     make_fleet,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload
 
-#: Implementation x dispatch plane matrix the whole suite runs over.
-#: The vector planes require numpy (a soft dependency) and are skipped,
-#: not silently dropped, where it is absent.
+#: Implementation x dispatch plane matrix the whole suite runs over:
+#: ``encoded`` unsuffixed, the ``naive`` reference mode, and the vector
+#: planes, which require numpy (a soft dependency) and are skipped, not
+#: silently dropped, where it is absent.
 IMPLEMENTATIONS = (
     "inproc",
     "mp",
+    "inproc-naive",
+    "mp-naive",
     pytest.param(
         "inproc-vector",
         marks=pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available"),
@@ -40,11 +51,25 @@ IMPLEMENTATIONS = (
 )
 
 
+#: Every dispatch mode, each built in-process and multiprocess.
+EVERY_MODE = [
+    pytest.param(
+        impl,
+        mode,
+        marks=pytest.mark.skipif(
+            mode == "vector" and not HAS_NUMPY, reason="numpy not available"
+        ),
+    )
+    for mode in DISPATCH_MODES
+    for impl in ("inproc", "mp")
+]
+
+
 def build_fleet(impl: str, **overrides):
     """One fleet of the requested implementation, encoded mode by default."""
     kwargs = dict(mode="encoded", shards=4)
-    if impl.endswith("-vector"):
-        kwargs["mode"] = "vector"
+    if "-" in impl:
+        kwargs["mode"] = impl.split("-", 1)[1]
     if impl.startswith("mp"):
         kwargs["workers"] = 2
     kwargs.update(overrides)
@@ -101,14 +126,9 @@ def test_run_events_matches_standalone(any_fleet):
     assert diff_against_standalone(any_fleet, keys, events) == []
 
 
-@pytest.mark.parametrize("encoding", ["pairs", "flat"])
-def test_preencoded_runs_match_event_runs(any_fleet, encoding):
+def test_preencoded_runs_match_event_runs(any_fleet):
     keys, events = workload(any_fleet)
-    if encoding == "pairs":
-        schedule = any_fleet.encode(events)
-    else:
-        schedule = any_fleet.encode_flat(events)
-    metrics = any_fleet.run(schedule, encoding=encoding)
+    metrics = any_fleet.run(any_fleet.encode_flat(events), encoding="flat")
     assert metrics.events_dispatched == len(events)
     assert diff_against_standalone(any_fleet, keys, events) == []
 
@@ -122,11 +142,45 @@ def test_auto_encoding_sniffs_preencoded_schedules(any_fleet):
 
 
 def test_unknown_encoding_is_rejected(any_fleet):
+    # "pairs" is gone, not deprecated: flat buffers are the one
+    # pre-encoded form.
+    for encoding in ("morse", "pairs"):
+        with pytest.raises(DeploymentError) as err:
+            any_fleet.run([], encoding=encoding)
+        assert str(err.value) == (
+            f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
+        )
+
+
+def with_dangling_slot(schedule):
+    """``schedule`` with one more slot and no column to go with it."""
+    if isinstance(schedule, EncodedFleetSchedule):
+        parts = [array("q", part) for part in schedule.parts]
+        live = next(part for part in parts if part)
+        live.append(live[0])
+        return EncodedFleetSchedule(tuple(parts))
+    if isinstance(schedule, VectorSchedule):
+        schedule = schedule.flat
+    flat = array("q", schedule)
+    flat.append(flat[0])
+    return flat
+
+
+def test_odd_length_flat_schedule_is_rejected(any_fleet):
+    # A dangling slot must be neither dropped (the scalar loop's zip)
+    # nor paired with a neighbouring column (numpy broadcasting): every
+    # mode refuses the buffer with one text before anything dispatches.
+    keys, _ = workload(any_fleet, instances=3, events=0)
+    odd = with_dangling_slot(any_fleet.encode_flat([(keys[0], "update")]))
     with pytest.raises(DeploymentError) as err:
-        any_fleet.run([], encoding="morse")
+        any_fleet.run(odd, encoding="flat")
     assert str(err.value) == (
-        f"unknown encoding 'morse'; choose from {ENCODINGS}"
+        "flat schedule has odd length 3: a [slot, col, ...] "
+        "buffer must hold whole pairs"
     )
+    assert any_fleet.metrics.events_dispatched == 0
+    start = any_fleet.machine.start_state.name
+    assert [any_fleet.state_name(key) for key in keys] == [start] * 3
 
 
 def test_unknown_instance_error_shape(any_fleet):
@@ -189,8 +243,31 @@ def test_metrics_counts_dispatches(any_fleet):
     assert metrics.transitions_fired + metrics.events_ignored == len(events)
 
 
+@pytest.mark.parametrize("impl,mode", EVERY_MODE)
+def test_every_mode_runs_flat_schedules(impl, mode):
+    with build_fleet(impl, mode=mode) as fleet:
+        keys, events = workload(fleet)
+        schedule = fleet.encode_flat(events)
+        assert fleet.run(schedule).events_dispatched == len(events)
+        assert diff_against_standalone(fleet, keys, events) == []
+
+
+@pytest.mark.parametrize("impl,mode", EVERY_MODE)
+def test_every_mode_rejects_unknown_at_post(impl, mode):
+    with build_fleet(impl, mode=mode) as fleet:
+        fleet.spawn("one")
+        with pytest.raises(DeploymentError, match="^unknown instance 'ghost'$"):
+            fleet.post("ghost", "update")
+        with pytest.raises(DeploymentError, match="^unknown message 'flarp'$"):
+            fleet.post("one", "flarp")
+        assert fleet.drain_all() == 0
+        assert fleet.metrics.events_dispatched == 0
+
+
 def test_close_is_idempotent_and_context_managed(request):
-    impls = ["inproc", "mp"] + (["inproc-vector", "mp-vector"] if HAS_NUMPY else [])
+    impls = ["inproc", "mp", "inproc-naive", "mp-naive"] + (
+        ["inproc-vector", "mp-vector"] if HAS_NUMPY else []
+    )
     for impl in impls:
         with build_fleet(impl) as fleet:
             fleet.spawn("x")

@@ -182,7 +182,7 @@ def test_snapshot_scrape_restores_into_fresh_fleet():
         status, snap = await http(reader, writer, "GET", "/snapshot")
         assert status == 200
 
-        replica = make_fleet("commit", mode="batched", shards=2)
+        replica = make_fleet("commit", mode="naive", shards=2)
         replica.restore(snapshot_from_json(snap))
         assert diff_fleets(gateway.fleet, replica, keys) == []
         replica.close()
@@ -190,6 +190,33 @@ def test_snapshot_scrape_restores_into_fresh_fleet():
         # And the wire snapshot restores back through the gateway too.
         status, out = await http(reader, writer, "POST", "/restore", snap)
         assert (status, out) == (200, {"restored": len(keys)})
+
+    gateway_test(body)
+
+
+#: Wire snapshot instances whose types are wrong.  At the parent
+#: ``snapshot_from_json`` accepted all three: the int key reached the
+#: fleet, which cleared its population and then failed with a 500; the
+#: int state was refused only by the fleet; "ab" restored as the actions
+#: ('a', 'b').
+MISTYPED_SNAPSHOTS = {
+    "int-key": {"key": 5, "state": "T/0/F/0/F/F/F", "actions": []},
+    "int-state": {"key": "fresh", "state": 3, "actions": []},
+    "str-actions": {"key": "fresh", "state": "T/0/F/0/F/F/F", "actions": "ab"},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MISTYPED_SNAPSHOTS))
+def test_mistyped_snapshot_is_a_400_and_restores_nothing(kind):
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 2})
+        status, snap = await http(reader, writer, "GET", "/snapshot")
+        snap["instances"].append(MISTYPED_SNAPSHOTS[kind])
+        status, out = await http(reader, writer, "POST", "/restore", snap)
+        assert status == 400
+        assert out["error"].startswith("malformed snapshot payload: instance 2")
+        assert len(gateway.fleet) == 2
+        assert "fresh" not in gateway.fleet
 
     gateway_test(body)
 

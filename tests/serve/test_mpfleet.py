@@ -14,14 +14,14 @@ import pytest
 
 from repro.core.errors import DeploymentError
 from repro.serve import (
-    DISPATCH_MODES,
     HAS_NUMPY,
     NUMPY_UNAVAILABLE_REASON,
+    FleetSnapshot,
+    InstanceSnapshot,
     MultiprocessFleet,
     diff_fleets,
     make_fleet,
 )
-from repro.serve.adapter import BACKENDS
 from repro.serve.mpfleet import EncodedFleetSchedule
 from repro.serve.workload import WorkloadSpec, generate_workload
 
@@ -32,12 +32,20 @@ def workload(machine, instances, events, seed=11):
 
 
 # ---------------------------------------------------------------------------
-# error normalization: every mode x backend behaves like the in-process engine
+# error normalization: every mode (and both naive backends) behaves like the
+# in-process engine
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-@pytest.mark.parametrize("mode", DISPATCH_MODES)
+@pytest.mark.parametrize(
+    "mode,backend",
+    [
+        ("naive", "interp"),
+        ("naive", "compiled"),
+        ("encoded", "interp"),
+        ("vector", "interp"),
+    ],
+)
 def test_error_shapes_match_inprocess(mode, backend):
     if mode == "vector" and not HAS_NUMPY:
         pytest.skip(NUMPY_UNAVAILABLE_REASON)
@@ -52,16 +60,11 @@ def test_error_shapes_match_inprocess(mode, backend):
                 fn(fleet)
             return str(err.value)
 
-        def post_then_drain(f):
-            # Encoded intake rejects at post; naive/batched at the next
-            # drain — either way both implementations must agree.
-            f.post("ghost", "flarp")
-            f.drain_all()
-
         probes = {
             "deliver unknown instance": lambda f: f.deliver("ghost", "update"),
             "deliver unknown message": lambda f: f.deliver("present", "flarp"),
-            "post bad event, drain": post_then_drain,
+            "post unknown instance": lambda f: f.post("ghost", "update"),
+            "post unknown message": lambda f: f.post("present", "flarp"),
             "trace unknown instance": lambda f: f.trace("ghost"),
             "run rejected batch": lambda f: f.run([("ghost", "flarp")]),
             "duplicate spawn": lambda f: f.spawn("present"),
@@ -156,6 +159,31 @@ def test_snapshot_inprocess_to_mp_trace_parity():
         mp.close()
 
 
+def test_restore_is_validated_before_fan_out():
+    """One unknown state in worker 1's partition must not restore worker
+    0 and leave worker 1 on the old population: the parent checks the
+    whole snapshot before any worker sees its share."""
+    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    try:
+        fleet.spawn_many(8)
+        before = fleet.snapshot()
+        start = fleet.machine.start_state.name
+        fresh = [f"new-{i}" for i in range(8)]
+        doomed = next(key for key in fresh if fleet.worker_of(key) == 1)
+        instances = tuple(
+            InstanceSnapshot(key, "NoSuchState" if key == doomed else start, ())
+            for key in fresh
+        )
+        assert {fleet.worker_of(key) for key in fresh} == {0, 1}
+        with pytest.raises(DeploymentError, match="'NoSuchState' does not exist"):
+            fleet.restore(FleetSnapshot(before.machine_name, instances))
+        after = fleet.snapshot()
+        assert set(after.instances) == set(before.instances)
+        assert len(after.instances) == 8
+    finally:
+        fleet.close()
+
+
 # ---------------------------------------------------------------------------
 # schedule object semantics + telemetry merge
 # ---------------------------------------------------------------------------
@@ -166,13 +194,13 @@ def test_encoded_schedule_concatenates_per_worker():
     try:
         fleet.spawn_many(8)
         events = workload(fleet.machine, 8, 40)
-        first = fleet.encode(events[:25])
-        second = fleet.encode(events[25:])
+        first = fleet.encode_flat(events[:25])
+        second = fleet.encode_flat(events[25:])
         combined = first + second
         assert isinstance(combined, EncodedFleetSchedule)
         assert len(combined) == len(events)
         assert bool(combined)
-        metrics = fleet.run(combined, encoding="pairs")
+        metrics = fleet.run(combined, encoding="flat")
         assert metrics.events_dispatched == len(events)
     finally:
         fleet.close()
@@ -184,14 +212,14 @@ def test_encoded_schedule_rejects_mismatched_worker_counts():
     try:
         two.spawn("a")
         three.spawn("a")
-        left = two.encode([("a", "update")])
-        right = three.encode([("a", "update")])
+        left = two.encode_flat([("a", "update")])
+        right = three.encode_flat([("a", "update")])
         with pytest.raises(
             DeploymentError, match="encoded for different fleets"
         ):
             left + right
         with pytest.raises(DeploymentError):
-            three.run(left, encoding="pairs")
+            three.run(left, encoding="flat")
     finally:
         two.close()
         three.close()

@@ -20,12 +20,16 @@ import pytest
 
 from repro.core.errors import DeploymentError
 from repro.serve import (
+    HAS_NUMPY,
     FleetRecoveringError,
     RecoveryPolicy,
     diff_fleets,
     make_fleet,
 )
 from repro.serve.workload import WorkloadSpec, generate_workload
+
+#: The dispatch modes this environment can build.
+MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
 
 
 def workload(machine, instances, events, seed=11):
@@ -76,11 +80,13 @@ def test_journal_noop_parity_without_failures():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("model", ["commit", "chandra-toueg"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sigkill_mid_burst_recovers_to_twin_parity(model, seed):
-    fleet = supervised(model, checkpoint_every=120)
-    twin = make_fleet(model, mode="encoded", workers=2, shards=2)
+def test_sigkill_mid_burst_recovers_to_twin_parity(model, seed, mode):
+    # Every mode journals and replays the same interned int buffers.
+    fleet = supervised(model, mode=mode, checkpoint_every=120)
+    twin = make_fleet(model, mode=mode, workers=2, shards=2)
     try:
         keys = fleet.spawn_many(16)
         twin.spawn_many(16)

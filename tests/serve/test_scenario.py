@@ -6,6 +6,7 @@ from repro.core.errors import DeploymentError, SimulationError
 from repro.models.chandra_toueg import scenario_profile as ct_profile
 from repro.models.commit import scenario_profile as commit_profile
 from repro.serve import (
+    HAS_NUMPY,
     GroupTopology,
     RouteRule,
     Scenario,
@@ -22,6 +23,9 @@ from repro.serve import (
 )
 from repro.serve.scenario import EXTERNAL, ROUTED, TIMER
 from tests.serve.conftest import machine_for
+
+#: The dispatch modes this environment can build.
+MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
 
 
 def _events(*triples):
@@ -83,7 +87,7 @@ class TestGroupTopology:
 
 class TestEngineValidation:
     def test_observing_scenario_needs_full_logs(self, make_fleet):
-        fleet = make_fleet(dispatch="encoded", log_policy="count")
+        fleet = make_fleet(dispatch="encoded", log_policy="off")
         profile = ScenarioProfile(timers=(TimerRule(5.0, "free"),))
         with pytest.raises(DeploymentError, match="observable"):
             ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
@@ -95,7 +99,7 @@ class TestEngineValidation:
             ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
 
     def test_passthrough_allows_reduced_logs(self, make_fleet):
-        fleet = make_fleet(dispatch="encoded", log_policy="count")
+        fleet = make_fleet(dispatch="encoded", log_policy="off")
         engine = ScenarioEngine(fleet, topology=GroupTopology.regular(1, 2))
         engine.spawn_topology()
         engine.schedule_event(1.0, "g0000-m0", "update")
@@ -115,7 +119,7 @@ class TestEngineValidation:
 class TestPassthrough:
     """No timers, no routes, no faults: the wheel is a thin timed front."""
 
-    @pytest.mark.parametrize("mode", ["naive", "batched", "encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_matches_untimed_fleet_run(self, make_fleet, mode):
         machine = machine_for("commit")
         events = _events(
@@ -392,7 +396,7 @@ class TestSnapshotRestore:
         engine.run(until=scenario.until)
         assert {k: fleet.trace(k) for k in scenario.topology.keys} == expected
 
-    @pytest.mark.parametrize("mode", ["encoded", "grouped"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_restore_with_inflight_encoded_batches(self, make_fleet, mode):
         """Snapshot while pre-encoded external batches are still pending:
         the restore must rebuild the (slot, column) pairs so the replay

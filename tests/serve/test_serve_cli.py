@@ -3,6 +3,10 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve import HAS_NUMPY
+
+#: The modes serve-bench measures here (vector needs numpy).
+MEASURED = 3 if HAS_NUMPY else 2
 
 
 class TestServeBenchCli:
@@ -20,7 +24,7 @@ class TestServeBenchCli:
         )
         output = capsys.readouterr().out
         assert "naive" in output
-        assert "batched" in output
+        assert "encoded" in output
         assert "speedup" in output
         assert "differential ok" in output
 
@@ -56,7 +60,7 @@ class TestServeBenchCli:
             == 0
         )
 
-    def test_serve_bench_encoded_modes(self, capsys):
+    def test_serve_bench_measures_every_mode(self, capsys):
         assert (
             main(
                 [
@@ -64,16 +68,15 @@ class TestServeBenchCli:
                     "--instances", "30",
                     "--events", "500",
                     "--shards", "2",
-                    "--encoded",
                 ]
             )
             == 0
         )
         output = capsys.readouterr().out
-        assert "encoded" in output
-        assert "grouped" in output
-        # All four modes were differentially verified.
-        assert output.count("differential ok") == 4
+        assert "  encoded " in output
+        assert ("  vector   skipped: " in output) != HAS_NUMPY
+        # Every measured mode was differentially verified.
+        assert output.count("differential ok") == MEASURED
 
     def test_serve_bench_log_policy_skips_differential(self, capsys):
         assert (
@@ -82,7 +85,6 @@ class TestServeBenchCli:
                     "serve-bench",
                     "--instances", "30",
                     "--events", "500",
-                    "--encoded",
                     "--log-policy", "off",
                 ]
             )
@@ -92,15 +94,30 @@ class TestServeBenchCli:
         # Naive always logs fully and stays verified; the table-dispatch
         # rows ran with logging off and say so.
         assert output.count("differential ok") == 1
-        assert output.count("skipped (log off)") == 3
+        assert output.count("skipped (log off)") == MEASURED - 1
 
     def test_parser_rejects_unknown_workload(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve-bench", "--workload", "tsunami"])
 
     def test_parser_rejects_unknown_log_policy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve-bench", "--log-policy", "verbose"])
+        for policy in ("verbose", "count"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["serve-bench", "--log-policy", policy])
+
+    def test_parser_rejects_removed_mode_flags(self):
+        # serve-bench always measures every mode; the selection flags
+        # and the deleted modes are gone, not deprecated.
+        parser = build_parser()
+        for argv in (
+            ["serve-bench", "--encoded"],
+            ["serve-bench", "--dispatch", "vector"],
+            ["serve", "--mode", "batched"],
+            ["serve", "--mode", "grouped"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        assert parser.parse_args(["serve"]).mode == "encoded"
 
     def test_parser_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):

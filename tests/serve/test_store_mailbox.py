@@ -121,16 +121,16 @@ class TestInstanceStore:
         assert sum(store.shard_sizes()) == 19
 
     def test_log_policy_columns(self):
-        store = InstanceStore(commit_table(), shards=2, log_policy="count")
-        slot = store.spawn("a")
-        assert store.logs[slot] is None
-        assert store.counts[slot] == 0
+        full = InstanceStore(commit_table(), shards=2, log_policy="full")
+        assert full.logs[full.spawn("a")] == []
         off = InstanceStore(commit_table(), shards=2, log_policy="off")
         assert off.logs[off.spawn("a")] is None
 
     def test_invalid_log_policy(self):
         with pytest.raises(DeploymentError):
             InstanceStore(commit_table(), shards=2, log_policy="verbose")
+        with pytest.raises(DeploymentError):
+            InstanceStore(commit_table(), shards=2, log_policy="count")
 
     def test_keys_grouped_by_shard(self):
         store = InstanceStore(commit_table(), shards=4)

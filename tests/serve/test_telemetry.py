@@ -3,7 +3,7 @@
 Covers the observability contract end to end: queue-latency histograms
 fed by the mailbox path, O(1) per-batch timing on the encoded path,
 automatic shard-depth observation at every drain, trace records for
-post/shed/encode and the scenario wheel's timer/route/fault decisions,
+post/shed and the scenario wheel's timer/route/fault decisions,
 and — the replay guarantee — trace ids minted identically when a
 snapshot is restored and the run replayed.
 """
@@ -48,7 +48,7 @@ class TestFleetInstruments:
         events = generate_workload(
             fleet.machine, WorkloadSpec(instances=50, events=300, seed=2)
         )
-        fleet.run(fleet.encode(events), encoding="pairs")
+        fleet.run(fleet.encode_flat(events), encoding="flat")
         assert telemetry.batches.value == 1
         assert telemetry.events.value == 300
         assert telemetry.batch_seconds.count == 1
@@ -93,7 +93,7 @@ class TestFleetInstruments:
         events = generate_workload(
             fleet.machine, WorkloadSpec(instances=20, events=100, seed=5)
         )
-        fleet.run(fleet.encode(events), encoding="pairs")
+        fleet.run(fleet.encode_flat(events), encoding="flat")
         assert telemetry.events.value == 100
 
 
@@ -129,17 +129,6 @@ class TestFleetTracing:
         kinds = [rec.kind for rec in telemetry.trace.records()]
         assert kinds.count("post") == 5
         assert kinds.count("shed") == 3
-
-    def test_encode_mints_contiguous_block(self, telemetered_fleet):
-        fleet, telemetry = telemetered_fleet
-        events = generate_workload(
-            fleet.machine, WorkloadSpec(instances=50, events=25, seed=6)
-        )
-        before = telemetry.trace.next_id
-        fleet.encode(events)
-        assert telemetry.trace.next_id == before + 25
-        rec = telemetry.trace.records()[-1]
-        assert rec.kind == "encode" and "events=25" in rec.detail
 
 
 def scenario_fixture(shards=4, groups=4, seed=2):

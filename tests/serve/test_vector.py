@@ -3,10 +3,10 @@
 Two families of checks:
 
 * **Differential** — a ``vector`` fleet must be trace-, metrics- and
-  snapshot-identical to its ``encoded``/``grouped`` scalar twins under
-  every log policy, including the masked edges the kernel post-processes
-  scalar-side (action logging, auto-recycle) and the bounded-mailbox
-  path.  The scalar encoded path is the oracle.
+  snapshot-identical to its scalar twins under every log policy,
+  including the masked edges the kernel post-processes scalar-side
+  (action logging, auto-recycle) and the bounded-mailbox path.  The
+  scalar encoded path is the oracle.
 * **Fallback** — without numpy (simulated via ``REPRO_NO_NUMPY``, the
   switch the no-numpy CI job flips) a ``vector`` fleet must fail with
   the canonical :class:`DeploymentError` at construction while every
@@ -90,9 +90,7 @@ class TestOccurrenceRounds:
         return [(list(s), list(c)) for s, c in rounds]
 
     def test_matches_scalar_grouping(self):
-        # Round r must hold every slot's r-th event in arrival order —
-        # the same structure FleetEngine._group_rounds produces (before
-        # its column sort, which the vector kernel does not need).
+        # Round r must hold every slot's r-th event in arrival order.
         slots = [3, 1, 3, 2, 1, 3, 3]
         cols = [0, 1, 2, 3, 4, 5, 6]
         rounds = self._rounds(slots, cols)
@@ -232,7 +230,7 @@ class TestVectorSchedule:
 
 
 @pytest.mark.parametrize("model", BUNDLED_MODELS)
-@pytest.mark.parametrize("log_policy", ["full", "count", "off"])
+@pytest.mark.parametrize("log_policy", ["full", "off"])
 def test_vector_matches_encoded_metrics_and_states(model, log_policy):
     machine = machine_for(model)
     # A wide uniform batch, then a hotkey batch at least 60 rounds deep:
@@ -352,33 +350,21 @@ def test_unknown_events_rejected_at_intake():
         fleet.deliver("known", "flarp")
 
 
-def test_scalar_modes_reject_vector_schedules_canonically():
-    machine = machine_for("commit")
-    vec = build(machine, "vector")
-    vec.spawn_many(10)
-    schedule = vec.encode_flat(workload(machine, instances=10, events=50, seed=2))
-    for mode in ("batched", "naive"):
-        scalar = build(machine, mode)
-        scalar.spawn_many(10)
-        with pytest.raises(DeploymentError, match="needs an encoded dispatch mode"):
-            scalar.run(schedule, encoding="flat")
-
-
 @pytest.mark.parametrize("encoding", ["flat", "auto"])
 @pytest.mark.parametrize(
     "twin",
     [
         {"mode": "encoded"},
-        {"mode": "grouped"},
+        {"mode": "naive"},
         {"mode": "encoded", "mailbox_capacity": 64},
     ],
-    ids=["encoded", "grouped", "bounded"],
+    ids=["encoded", "naive", "bounded"],
 )
 def test_encoded_twin_runs_a_vector_schedule(twin, encoding):
     # encode_flat promises run() takes the schedule wherever it takes a
-    # flat array: same spawn order means same slots, so a scalar twin
-    # reads the schedule's flat buffer and must end where the vector
-    # fleet ends.
+    # flat array: same spawn order means same slots, so a scalar twin —
+    # the naive reference included — reads the schedule's flat buffer
+    # and must end where the vector fleet ends.
     machine = machine_for("commit")
     events = workload(machine, instances=40, events=1200, seed=5, scenario="hotkey")
     bounded = {k: v for k, v in twin.items() if k == "mailbox_capacity"}

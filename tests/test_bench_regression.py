@@ -25,14 +25,14 @@ ROW = {
     "events": 10_000,
     "shards": 4,
     "naive_eps": 1_000_000.0,
-    "batched_eps": 5_000_000.0,
+    "encoded_eps": 5_000_000.0,
     "speedup": 5.0,
 }
 
 
 class TestRowMatching:
     def test_key_ignores_measured_fields(self):
-        faster = dict(ROW, batched_eps=9_000_000.0, speedup=9.0)
+        faster = dict(ROW, encoded_eps=9_000_000.0, speedup=9.0)
         assert checker.row_key(ROW) == checker.row_key(faster)
 
     def test_key_distinguishes_configurations(self):
@@ -104,33 +104,33 @@ class TestCheck:
     def test_within_threshold_passes(self, tmp_path, capsys):
         baseline = write_artifact(tmp_path / "base.json", [ROW])
         fresh = write_artifact(
-            tmp_path / "fresh.json", [dict(ROW, batched_eps=4_000_000.0)]
+            tmp_path / "fresh.json", [dict(ROW, encoded_eps=4_000_000.0)]
         )
-        assert checker.check(fresh, baseline, 0.30, ["batched_eps"]) == 0
+        assert checker.check(fresh, baseline, 0.30, ["encoded_eps"]) == 0
         assert "within 30%" in capsys.readouterr().out
 
     def test_regression_fails(self, tmp_path, capsys):
         baseline = write_artifact(tmp_path / "base.json", [ROW])
         fresh = write_artifact(
-            tmp_path / "fresh.json", [dict(ROW, batched_eps=3_000_000.0)]
+            tmp_path / "fresh.json", [dict(ROW, encoded_eps=3_000_000.0)]
         )
-        assert checker.check(fresh, baseline, 0.30, ["batched_eps"]) == 1
+        assert checker.check(fresh, baseline, 0.30, ["encoded_eps"]) == 1
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_improvement_passes(self, tmp_path):
         baseline = write_artifact(tmp_path / "base.json", [ROW])
         fresh = write_artifact(
-            tmp_path / "fresh.json", [dict(ROW, batched_eps=9_000_000.0)]
+            tmp_path / "fresh.json", [dict(ROW, encoded_eps=9_000_000.0)]
         )
-        assert checker.check(fresh, baseline, 0.30, ["batched_eps"]) == 0
+        assert checker.check(fresh, baseline, 0.30, ["encoded_eps"]) == 0
 
     def test_unmatched_configurations_are_skipped(self, tmp_path, capsys):
         baseline = write_artifact(tmp_path / "base.json", [ROW])
         fresh = write_artifact(
             tmp_path / "fresh.json",
-            [dict(ROW), dict(ROW, scenario="burst", batched_eps=1.0)],
+            [dict(ROW), dict(ROW, scenario="burst", encoded_eps=1.0)],
         )
-        assert checker.check(fresh, baseline, 0.30, ["batched_eps"]) == 0
+        assert checker.check(fresh, baseline, 0.30, ["encoded_eps"]) == 0
         assert "fresh-only configuration" in capsys.readouterr().out
 
     def test_missing_baseline_is_inconclusive(self, tmp_path):
@@ -142,7 +142,7 @@ class TestCheck:
         fresh = write_artifact(
             tmp_path / "fresh.json", [dict(ROW, scenario="hotkey")]
         )
-        assert checker.check(fresh, baseline, 0.30, ["batched_eps"]) == 2
+        assert checker.check(fresh, baseline, 0.30, ["encoded_eps"]) == 2
 
 
 class TestMain:
@@ -159,7 +159,7 @@ class TestMain:
         rows = checker.load_rows(baseline)
         assert rows
         for key, row in rows.items():
-            assert "batched_eps" in row
+            assert "encoded_eps" in row
             assert "naive_eps" in row
 
     def test_committed_flatten_baseline_exists_and_parses(self):
@@ -168,7 +168,7 @@ class TestMain:
         rows = checker.load_rows(baseline)
         sections = {row.get("_section") for row in rows.values()}
         assert sections == {"flatten", "serve"}
-        assert any("batched_eps" in row for row in rows.values())
+        assert any("naive_eps" in row for row in rows.values())
 
     def test_committed_opt_baseline_exists_and_parses(self):
         baseline = checker.BASELINE_DIR / "BENCH_opt.json"
@@ -188,7 +188,7 @@ class TestMain:
     def test_threshold_flag(self, tmp_path):
         baseline = write_artifact(tmp_path / "base.json", [ROW])
         fresh = write_artifact(
-            tmp_path / "fresh.json", [dict(ROW, batched_eps=4_000_000.0)]
+            tmp_path / "fresh.json", [dict(ROW, encoded_eps=4_000_000.0)]
         )
         assert (
             checker.main(
@@ -199,7 +199,7 @@ class TestMain:
                     "--threshold",
                     "0.10",
                     "--metric",
-                    "batched_eps",
+                    "encoded_eps",
                 ]
             )
             == 1

@@ -43,7 +43,7 @@ SERVE_ALL = [
     "SessionSimulator", "TimedEvent", "TimerRule", "VectorKernel",
     "VectorSchedule", "WorkerJournal", "WorkloadSpec",
     "diff_against_hierarchical", "diff_against_standalone", "diff_fleets",
-    "encode_schedule", "fleet_machine", "generate_open_loop",
+    "fleet_machine", "generate_open_loop",
     "generate_scenario", "generate_workload", "hierarchical_traces",
     "make_backend", "make_fleet", "require_numpy", "run_closed_loop",
     "run_open_loop", "run_scenario", "scenario_traces", "session_keys",
