@@ -22,8 +22,10 @@ The protocol's guarantees (what a caller may rely on from *any* fleet):
 * **One dispatch entry point, one intake.**  ``run(events,
   encoding=...)`` accepts ``(key, message)`` string batches
   (``"events"``), pre-interned schedules from ``encode_flat``
-  (``"flat"``), or sniffs the batch (``"auto"``); every dispatch mode
-  interns at ``post``/``run`` and executes ``(slot, column)`` ints.
+  (``"flat"``), or sniffs the batch (``"auto"``) — an explicit name is
+  never overridden, so a schedule passed as ``"events"`` is refused;
+  every dispatch mode interns at ``post``/``run`` and executes ``(slot,
+  column)`` ints.
   Encoded schedules are fleet-specific — encode against the fleet that
   will run the schedule.
 * **One error shape.**  Unknown instances and messages raise

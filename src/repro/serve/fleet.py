@@ -105,6 +105,12 @@ DISPATCH_MODES = ("naive", "encoded", "vector")
 #: everything else as ``events``); the explicit names skip the sniff.
 ENCODINGS = ("auto", "events", "flat")
 
+#: Every fleet's refusal of a pre-encoded schedule run as ``"events"``.
+_SCHEDULE_AS_EVENTS = (
+    "encoding 'events' needs (key, message) pairs, but the batch is a "
+    "pre-encoded schedule; run it with encoding 'flat' or 'auto'"
+)
+
 
 def raise_rejected(rejected: list[tuple[str, str]]) -> None:
     """Raise the canonical unknown instance/message dispatch error.
@@ -860,9 +866,10 @@ class FleetEngine:
             raise DeploymentError(
                 f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
             )
-        if encoding == "flat" or (
-            encoding == "auto" and isinstance(events, (array, VectorSchedule))
-        ):
+        pre_encoded = isinstance(events, (array, VectorSchedule))
+        if pre_encoded and encoding == "events":
+            raise DeploymentError(_SCHEDULE_AS_EVENTS)
+        if encoding == "flat" or pre_encoded:
             return self._run_flat(events)
         return self._run_events(events)
 

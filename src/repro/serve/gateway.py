@@ -32,7 +32,11 @@ error-shape guarantee of the Fleet protocol extends over the wire.
 Fields are typed before the fleet sees them: ``key``, ``message`` and
 ``prefix`` must be JSON strings and ``count`` a non-negative integer;
 anything else is a ``400`` (``field 'count' must be ...``) counted in
-``gateway_errors_total``, over HTTP and in ``/ws`` frames alike.
+``gateway_errors_total``, over HTTP and in ``/ws`` frames alike.  A
+batch body is the exception that keeps the same refusals without a
+per-event check: the gateway checks in C that every pair is a list and
+lets the fleet's one interning walk (``encode_flat``) type the rest;
+only a batch that walk refuses is checked pair by pair.
 
 The wire is handled in two layers.  :func:`parse_request` and
 :func:`parse_frame` are pure functions over bytes: given a buffer they
@@ -44,7 +48,10 @@ tested byte by byte without a gateway.  :class:`_Connection` is the
 appends to the connection's buffer, answers *every* complete request in
 it in arrival order (pipelining) and writes each reply to the transport
 before it returns — a request costs one event-loop turn, with no task,
-future or stream reader in between.  Replies that outrun the client
+future or stream reader in between.  A head is parsed once: while its
+body arrives, segments are collected and joined when the declared
+length is in, so buffering a body costs linear time however the client
+splits it.  Replies that outrun the client
 pause the connection (reading and answering both) until the transport
 has drained, so a client that pipelines without reading cannot grow the
 write buffer without bound.
@@ -203,6 +210,17 @@ def parse_request(buffer: bytes, max_body: int):
     longer than ``_MAX_HEAD + 4 + max_body``, which bounds what a
     connection buffers.
     """
+    head = _parse_head(buffer, max_body)
+    if head is None or len(buffer) < head[4]:
+        return None
+    method, target, headers, body_start, end = head
+    return method, target, headers, buffer[body_start:end], end
+
+
+def _parse_head(buffer: bytes, max_body: int):
+    """:func:`parse_request` up to the body: ``(method, target, headers,
+    body_start, end)`` once the head is whole, whether or not the body
+    has arrived (``end`` is where it will stop), else ``None``."""
     found = _HEAD_END.search(buffer)
     # Without the blank line yet, the last three bytes may be the start
     # of it rather than head.
@@ -242,15 +260,12 @@ def parse_request(buffer: bytes, max_body: int):
             f"{max_body}-byte limit",
         )
     body_start = found.end()
-    end = body_start + length
-    if len(buffer) < end:
-        return None
     return (
         request_line[0].upper(),
         request_line[1],
         headers,
-        buffer[body_start:end],
-        end,
+        body_start,
+        body_start + length,
     )
 
 
@@ -301,6 +316,9 @@ class _Connection(asyncio.Protocol):
         "_gateway",
         "_transport",
         "_buffer",
+        "_head",
+        "_chunks",
+        "_missing",
         "_websocket",
         "_paused",
         "_deadline",
@@ -311,6 +329,11 @@ class _Connection(asyncio.Protocol):
         self._gateway = gateway
         self._transport = None
         self._buffer = b""
+        #: The parsed head of a request whose body is still arriving, the
+        #: segments received since it was parsed, and the bytes missing.
+        self._head = None
+        self._chunks: list[bytes] = []
+        self._missing = 0
         self._websocket = False  # upgraded: the buffer holds frames
         self._paused = False  # the transport's write buffer is full
         self._deadline = 0.0
@@ -332,7 +355,17 @@ class _Connection(asyncio.Protocol):
         self._disarm()
 
     def data_received(self, data: bytes) -> None:
-        self._buffer = self._buffer + data if self._buffer else data
+        if self._head is not None:
+            # A body is arriving behind a parsed head: collect segments
+            # and join them once, when the last declared byte is here.
+            self._chunks.append(data)
+            self._missing -= len(data)
+            if self._missing > 0:
+                return
+            self._buffer = b"".join([self._buffer, *self._chunks])
+            self._chunks = []
+        else:
+            self._buffer = self._buffer + data if self._buffer else data
         self._pump()
 
     def pause_writing(self) -> None:
@@ -372,6 +405,8 @@ class _Connection(asyncio.Protocol):
     def close(self) -> None:
         """Flush what was written, then close; buffered input is dropped."""
         self._buffer = b""
+        self._head = None
+        self._chunks = []
         self._disarm()
         self._transport.close()
 
@@ -403,15 +438,22 @@ class _Connection(asyncio.Protocol):
         """Serve one buffered HTTP request; false when none is complete."""
         gateway = self._gateway
         started = perf_counter()
-        try:
-            parsed = parse_request(self._buffer, gateway._max_body)
-        except _HttpError as exc:
-            self._refuse(exc.status, exc.message)
-            return False
-        if parsed is None:
-            return False
-        method, target, headers, body, consumed = parsed
-        self._buffer = self._buffer[consumed:]
+        head = self._head
+        if head is None:
+            try:
+                head = _parse_head(self._buffer, gateway._max_body)
+            except _HttpError as exc:
+                self._refuse(exc.status, exc.message)
+                return False
+            if head is None:
+                return False
+            if len(self._buffer) < head[4]:
+                self._head, self._missing = head, head[4] - len(self._buffer)
+                return False
+        self._head = None
+        method, target, headers, body_start, end = head
+        body = self._buffer[body_start:end]
+        self._buffer = self._buffer[end:]
         if (
             "upgrade" in headers
             and headers["upgrade"].lower() == "websocket"
@@ -685,23 +727,33 @@ class FleetGateway:
                 raise _HttpError(400, f"field {name!r} must be a string")
         return values
 
-    @staticmethod
-    def _event_pairs(events) -> list:
-        """``events`` as parsed from JSON, checked to be ``[[key, message],
-        ...]`` of strings — the fleet unpacks and hashes each pair, which
-        any other shape would fail with an IndexError or TypeError."""
+    def _deliver_events(self, events) -> None:
+        """Run one ``{"events": [[key, message], ...]}`` batch.
+
+        Every pair must be a JSON list, checked in C: a string or a
+        two-key object would unpack into a pair nobody sent.  The fleet's
+        one interning walk (``encode_flat``) does the rest.  Only a batch
+        it refuses is checked pair by pair: a malformed pair refuses the
+        body with nothing dispatched; unknown keys or messages go through
+        ``run(events)``, which dispatches the valid traffic and then
+        raises the canonical rejection."""
         refusal = _HttpError(400, "events must be [[key, message], ...]")
-        if type(events) is not list:
+        if type(events) is not list or not set(map(type, events)) <= {list}:
             raise refusal
-        for event in events:
-            if (
-                type(event) is not list
-                or len(event) != 2
-                or type(event[0]) is not str
-                or type(event[1]) is not str
-            ):
-                raise refusal
-        return events
+        fleet = self._fleet
+        try:
+            schedule = fleet.encode_flat(events)
+        except (DeploymentError, TypeError, ValueError):
+            for event in events:
+                if (
+                    len(event) != 2
+                    or type(event[0]) is not str
+                    or type(event[1]) is not str
+                ):
+                    raise refusal from None
+            fleet.run(events, encoding="events")
+        else:
+            fleet.run(schedule, encoding="flat")
 
     def _dispatch(self, method: str, path: str, query: dict, body: bytes):
         fleet = self._fleet
@@ -738,9 +790,8 @@ class FleetGateway:
                 raise _HttpError(405, "use POST /deliver")
             payload = self._body_json(body)
             if "events" in payload:
-                events = self._event_pairs(payload["events"])
-                fleet.run(events, encoding="events")
-                return self._json(200, {"dispatched": len(events)})
+                self._deliver_events(payload["events"])
+                return self._json(200, {"dispatched": len(payload["events"])})
             key, message = self._fields(payload, "key", "message")
             fired = fleet.deliver(key, message)
             return self._json(200, {"fired": bool(fired)})

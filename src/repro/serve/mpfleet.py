@@ -19,11 +19,12 @@ current counters, so the parent's merged :attr:`MultiprocessFleet.metrics`
 view (via :meth:`~repro.serve.metrics.FleetMetrics.merge`) is always
 current without extra round trips.  Bulk dispatch fans out *flat*
 ``array('q')`` schedules — an ``array`` pickles as one memcpy, so the
-per-event IPC cost is two machine ints, not two Python objects — and the
-parent interns keys and messages itself (it builds the same
-:class:`~repro.opt.IndexedMachine` the workers do), which keeps the
-canonical unknown instance/message :class:`DeploymentError` shape
-identical on both sides of the process boundary.
+per-event IPC cost is two machine ints, not two Python objects.  The
+parent interns keys and messages itself, in one walk: its routing table
+maps each key to one int, ``slot * workers + wid``, and the columns come
+from the same :class:`~repro.opt.IndexedMachine` the workers build,
+which also keeps the canonical unknown instance/message
+:class:`DeploymentError` identical on both sides of the boundary.
 
 Telemetry follows the sharding design the obs plane documents: each
 worker feeds its own :class:`~repro.obs.telemetry.FleetTelemetry`
@@ -47,7 +48,9 @@ to a per-worker :class:`~repro.serve.recovery.WorkerJournal` — bulk
 dispatch journals the already-interned flat buffer *before* fan-out (one
 list append on the hot path), lifecycle operations journal after their
 acknowledgement — and each partition is checkpointed at its exact slot
-layout every ``checkpoint_every`` journaled events.  When a worker dies,
+layout every ``checkpoint_every`` journaled events, in one round trip
+that returns the worker's raw columns as opaque bytes (the parent
+journals them unread) beside its telemetry registry.  When a worker dies,
 a supervisor thread respawns it with bounded retry/backoff
 (:class:`~repro.serve.recovery.RecoveryPolicy`), rehydrates the
 partition from the last checkpoint, replays the journal verbatim (slot
@@ -76,7 +79,7 @@ import multiprocessing
 import threading
 import weakref
 from array import array
-from dataclasses import replace
+from contextlib import suppress
 from itertools import chain
 from time import perf_counter, sleep
 from typing import Optional
@@ -88,6 +91,7 @@ from repro.obs.telemetry import FleetTelemetry
 from repro.opt import IndexedMachine, as_pipeline
 from repro.serve.adapter import BACKENDS
 from repro.serve.fleet import (
+    _SCHEDULE_AS_EVENTS,
     DISPATCH_MODES,
     ENCODINGS,
     FleetEngine,
@@ -98,6 +102,7 @@ from repro.serve.fleet import (
 from repro.serve.metrics import FleetMetrics
 from repro.serve.recovery import (
     FleetRecoveringError,
+    PartitionCheckpoint,
     RecoveryPolicy,
     RecoveryTelemetry,
     WorkerJournal,
@@ -258,7 +263,7 @@ def _handle(engine: FleetEngine, request: tuple):
     if op == "registry":
         return engine.telemetry_registry()
     if op == "checkpoint":
-        return partition_checkpoint(engine)
+        return partition_checkpoint(engine), engine.telemetry_registry()
     if op == "rehydrate":
         rehydrate(engine, request[1])
         return None
@@ -339,9 +344,10 @@ class MultiprocessFleet:
             self.opt_report = None
         self._table = self._indexed.dispatch_table()
         self._columns = self._table.message_index
-        #: key -> (worker id, worker-local slot); the authoritative
-        #: population map — workers never report membership back.
-        self._slots: dict[str, tuple[int, int]] = {}
+        #: key -> ``slot * workers + wid`` (worker-local slot, owning
+        #: worker) as one int; the authoritative population map —
+        #: workers never report membership back.
+        self._route: dict[str, int] = {}
         self._closed = False
         self._closing = False
         self._join_timeout = join_timeout
@@ -416,10 +422,8 @@ class MultiprocessFleet:
     def _mark_dead(self, wid: int) -> None:
         worker = self._workers[wid]
         worker.status = WORKER_DEAD
-        try:
+        with suppress(OSError):
             worker.conn.close()
-        except OSError:
-            pass
 
     def _worker_failed(self, wid: int) -> bool:
         """A worker stopped responding: start recovery when supervised.
@@ -439,10 +443,8 @@ class MultiprocessFleet:
                 self._mark_dead(wid)
                 return False
             worker.status = WORKER_RECOVERING
-            try:
+            with suppress(OSError):
                 worker.conn.close()
-            except OSError:
-                pass
             # The dead incarnation's counters are discarded; the
             # partition's effective view falls back to its checkpoint
             # baseline until replay rebuilds the rest.
@@ -523,7 +525,9 @@ class MultiprocessFleet:
         self._send(wid, request)
         return self._recv(wid)
 
-    def _fan_out(self, requests: dict[int, tuple]) -> list:
+    def _fan_out(
+        self, requests: dict[int, tuple], landed=None, defer: bool = False
+    ) -> dict:
         """Send to every addressed worker first, then collect replies.
 
         The send/collect split is where the parallelism comes from: all
@@ -532,34 +536,35 @@ class MultiprocessFleet:
         worker never strands traffic already fanned out to the others,
         then re-raised as one :class:`DeploymentError` — or as the
         transient :class:`FleetRecoveringError` when a recovery window
-        was the only failure.
+        was the only failure.  Returns ``{wid: payload}``; ``landed(wid,
+        payload)`` is called for each reply as it arrives, so a caller
+        can record the workers that succeeded before anything raises.
+        ``defer=True`` (journaled bulk dispatch) drops recovery-window
+        errors instead: journal replay applies those shares.
         """
         sent: list[int] = []
-        errors: list[str] = []
-        payloads: list = []
-        recovering: Optional[FleetRecoveringError] = None
+        errors: list[DeploymentError] = []
+        payloads: dict = {}
         for wid, request in requests.items():
             try:
                 self._send(wid, request)
-            except FleetRecoveringError as exc:
-                recovering = recovering or exc
-                errors.append(str(exc))
-            except DeploymentError as exc:
-                errors.append(str(exc))
-            else:
                 sent.append(wid)
+            except DeploymentError as exc:
+                errors.append(exc)
         for wid in sent:
             try:
-                payloads.append(self._recv(wid))
-            except FleetRecoveringError as exc:
-                recovering = recovering or exc
-                errors.append(str(exc))
+                payloads[wid] = self._recv(wid)
             except DeploymentError as exc:
-                errors.append(str(exc))
+                errors.append(exc)
+            else:
+                if landed is not None:
+                    landed(wid, payloads[wid])
+        if defer:
+            errors = [e for e in errors if not isinstance(e, FleetRecoveringError)]
+        if len(errors) == 1 and isinstance(errors[0], FleetRecoveringError):
+            raise errors[0]
         if errors:
-            if recovering is not None and len(errors) == 1:
-                raise recovering
-            raise DeploymentError("; ".join(errors))
+            raise DeploymentError("; ".join(map(str, errors)))
         return payloads
 
     # -- journal plumbing ----------------------------------------------
@@ -588,28 +593,7 @@ class MultiprocessFleet:
             with self._lock:
                 for wid, request in requests.items():
                     self._journals[wid].append(request, counts.get(wid, 0))
-        sent: list[int] = []
-        errors: list[str] = []
-        for wid, request in requests.items():
-            if self._workers[wid].status == WORKER_RECOVERING:
-                continue  # journaled: replay applies this share
-            try:
-                self._send(wid, request)
-            except FleetRecoveringError:
-                continue
-            except DeploymentError as exc:
-                errors.append(str(exc))
-            else:
-                sent.append(wid)
-        for wid in sent:
-            try:
-                self._recv(wid)
-            except FleetRecoveringError:
-                continue
-            except DeploymentError as exc:
-                errors.append(str(exc))
-        if errors:
-            raise DeploymentError("; ".join(errors))
+        self._fan_out(requests, defer=True)
         self._maybe_checkpoint(requests)
 
     def _maybe_checkpoint(self, wids) -> None:
@@ -635,15 +619,8 @@ class MultiprocessFleet:
 
     def _take_checkpoint(self, wid: int) -> None:
         """Checkpoint one live worker's partition and truncate its journal."""
-        worker = self._workers[wid]
-        layout = self._request(wid, "checkpoint")
-        baseline = combine_metrics(worker.restart_base, worker.metrics)
-        registry = None
-        if self._telemetry_enabled:
-            registry = combine_registries(
-                worker.registry_base, self._request(wid, "registry")
-            )
-        checkpoint = replace(layout, metrics=baseline, registry=registry)
+        reply = self._request(wid, "checkpoint")
+        checkpoint = _checkpoint_of(self._workers[wid], reply)
         with self._lock:
             self._journals[wid].truncate(checkpoint)
         self._recovery.checkpointed(wid)
@@ -677,10 +654,8 @@ class MultiprocessFleet:
             except (DeploymentError, EOFError, OSError) as exc:
                 last_error = exc
                 if handle is not None:
-                    try:
+                    with suppress(OSError):
                         handle.conn.close()
-                    except OSError:
-                        pass
                     _reap(handle.process, timeout=self._join_timeout)
                 sleep(delay)
                 delay *= policy.backoff_factor
@@ -708,10 +683,8 @@ class MultiprocessFleet:
         checkpoint = journal.checkpoint
         handle.restart_base = combine_metrics(checkpoint.metrics, FleetMetrics())
         handle.registry_base = checkpoint.registry
-        self._worker_roundtrip(
-            handle,
-            ("rehydrate", replace(checkpoint, metrics=FleetMetrics(), registry=None)),
-        )
+        if checkpoint.blob:  # a fresh worker already is the empty partition
+            self._worker_roundtrip(handle, ("rehydrate", checkpoint.blob))
         replayed_ops = 0
         replayed_events = 0
         cursor = 0
@@ -746,17 +719,8 @@ class MultiprocessFleet:
         from :meth:`await_recovery` always finds the full
         die→respawn→replay→resume chain in the trace log.
         """
-        layout = self._worker_roundtrip(handle, ("checkpoint",))
-        baseline = combine_metrics(handle.restart_base, handle.metrics)
-        registry = handle.registry_base
-        if self._telemetry_enabled:
-            registry = combine_registries(
-                handle.registry_base,
-                self._worker_roundtrip(handle, ("registry",)),
-            )
-        self._journals[wid].truncate(
-            replace(layout, metrics=baseline, registry=registry)
-        )
+        reply = self._worker_roundtrip(handle, ("checkpoint",))
+        self._journals[wid].truncate(_checkpoint_of(handle, reply))
         self._recovery.checkpointed(wid)
         handle.status = WORKER_LIVE
         self._recovery_threads.pop(wid, None)
@@ -796,22 +760,23 @@ class MultiprocessFleet:
         """
         op = request[0]
         if op == "spawn" and payload is not None:
-            if self._slots.get(request[1]) != (wid, payload):
-                raise DeploymentError(
-                    f"replay slot drift for instance {request[1]!r}"
-                )
+            landed = {request[1]: payload}
         elif op == "spawn_keys" and payload is not None:
-            for key, slot in zip(request[1], payload):
-                if self._slots.get(key) != (wid, slot):
-                    raise DeploymentError(
-                        f"replay slot drift for instance {key!r}"
-                    )
+            landed = dict(zip(request[1], payload))
+        else:
+            return
+        workers = len(self._workers)
+        for key, slot in landed.items():
+            if self._route.get(key) != slot * workers + wid:
+                raise DeploymentError(f"replay slot drift for instance {key!r}")
 
     def _locate(self, key: str) -> tuple[int, int]:
-        entry = self._slots.get(key)
-        if entry is None:
+        """``(worker id, worker-local slot)`` of an existing key."""
+        code = self._route.get(key)
+        if code is None:
             raise DeploymentError(f"unknown instance {key!r}")
-        return entry
+        slot, wid = divmod(code, len(self._workers))
+        return wid, slot
 
     # ------------------------------------------------------------------
     # introspection
@@ -909,10 +874,10 @@ class MultiprocessFleet:
         return None if self._recovery is None else self._recovery.trace
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._route)
 
     def __contains__(self, key: str) -> bool:
-        return key in self._slots
+        return key in self._route
 
     def worker_of(self, key: str) -> int:
         """The worker a session key routes to (stable across fleets)."""
@@ -970,11 +935,11 @@ class MultiprocessFleet:
         """Create one instance on its owning worker; returns the
         worker-local slot (slots are not fleet-unique — address
         instances by key)."""
-        if key in self._slots:
+        if key in self._route:
             raise DeploymentError(f"instance {key!r} already exists")
         wid = self.worker_of(key)
         slot = self._request(wid, "spawn", key)
-        self._slots[key] = (wid, slot)
+        self._route[key] = slot * len(self._workers) + wid
         self._journal_record(wid, ("spawn", key), 0)
         return slot
 
@@ -990,38 +955,18 @@ class MultiprocessFleet:
         keys = session_keys(count, prefix)
         per_worker: dict[int, list[str]] = {}
         for key in keys:
-            if key in self._slots:
+            if key in self._route:
                 continue
             per_worker.setdefault(self.worker_of(key), []).append(key)
-        sent: list[int] = []
-        errors: list[str] = []
-        recovering: Optional[FleetRecoveringError] = None
-        for wid, worker_keys in per_worker.items():
-            try:
-                self._send(wid, ("spawn_keys", worker_keys))
-            except FleetRecoveringError as exc:
-                recovering = recovering or exc
-                errors.append(str(exc))
-            except DeploymentError as exc:
-                errors.append(str(exc))
-            else:
-                sent.append(wid)
-        for wid in sent:
-            try:
-                slots = self._recv(wid)
-            except FleetRecoveringError as exc:
-                recovering = recovering or exc
-                errors.append(str(exc))
-            except DeploymentError as exc:
-                errors.append(str(exc))
-            else:
-                for key, slot in zip(per_worker[wid], slots):
-                    self._slots[key] = (wid, slot)
-                self._journal_record(wid, ("spawn_keys", per_worker[wid]), 0)
-        if errors:
-            if recovering is not None and len(errors) == 1:
-                raise recovering
-            raise DeploymentError("; ".join(errors))
+        workers = len(self._workers)
+
+        def landed(wid: int, slots: list) -> None:
+            for key, slot in zip(per_worker[wid], slots):
+                self._route[key] = slot * workers + wid
+            self._journal_record(wid, ("spawn_keys", per_worker[wid]), 0)
+
+        requests = {wid: ("spawn_keys", ks) for wid, ks in per_worker.items()}
+        self._fan_out(requests, landed)
         return keys
 
     def despawn(self, key: str) -> None:
@@ -1031,7 +976,7 @@ class MultiprocessFleet:
             # the slot can pass to another key.
             self.drain_all()
         self._request(wid, "despawn", key)
-        del self._slots[key]
+        del self._route[key]
         self._journal_record(wid, ("despawn", key), 0)
 
     def recycle(self, key: str) -> None:
@@ -1064,23 +1009,31 @@ class MultiprocessFleet:
 
     def _partition(self, events) -> tuple[list, list]:
         """``(parts, rejected)`` — events interned into one flat
-        ``[slot, col, ...]`` buffer per owning worker; bad events
-        (unknown instance or message) are collected, not raised."""
-        parts = [array("q") for _ in self._workers]
-        slots = self._slots
+        ``[slot, col, ...]`` buffer per owning worker in one walk (a
+        routing int and a column per event); bad events (unknown instance
+        or message) are collected, not raised: only a ``KeyError`` walks
+        again, to sort valid from rejected as the engine's ``_intern`` does."""
+        if not isinstance(events, (list, tuple)):
+            events = list(events)
+        workers = len(self._workers)
+        route = self._route
         columns = self._columns
-        rejected: list[tuple[str, str]] = []
-        for key, message in events:
-            entry = slots.get(key)
-            col = columns.get(message)
-            if entry is None or col is None:
-                rejected.append((key, message))
-                continue
-            wid, slot = entry
-            part = parts[wid]
-            part.append(slot)
-            part.append(col)
-        return parts, rejected
+        parts = [[] for _ in range(workers)]
+        appends = [part.append for part in parts]
+        try:
+            for key, message in events:
+                code = route[key]
+                append = appends[code % workers]
+                append(code // workers)
+                append(columns[message])
+        except KeyError:
+            valid: list[tuple[str, str]] = []
+            rejected: list[tuple[str, str]] = []
+            for key, message in events:
+                known = key in route and message in columns
+                (valid if known else rejected).append((key, message))
+            return self._partition(valid)[0], rejected
+        return [array("q", part) for part in parts], ()
 
     def encode_flat(self, events) -> EncodedFleetSchedule:
         """Intern ``(key, message)`` events into per-worker flat buffers.
@@ -1166,8 +1119,11 @@ class MultiprocessFleet:
             raise DeploymentError(
                 f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
             )
+        pre_encoded = isinstance(events, EncodedFleetSchedule)
+        if pre_encoded and encoding == "events":
+            raise DeploymentError(_SCHEDULE_AS_EVENTS)
         self.drain_all()
-        if isinstance(events, EncodedFleetSchedule):
+        if pre_encoded:
             if len(events.parts) != len(self._workers):
                 raise DeploymentError(
                     "schedule was encoded for a fleet with "
@@ -1239,13 +1195,14 @@ class MultiprocessFleet:
             for wid in range(len(self._workers))
             if self._workers[wid].alive
         }
-        payloads = self._fan_out(requests)
+        payloads = self._fan_out(requests).values()
         instances = tuple(
             chain.from_iterable(snap.instances for snap in payloads)
         )
+        workers = len(self._workers)
         lost = tuple(
-            key for key, (wid, _slot) in self._slots.items()
-            if wid in unavailable
+            key for key, code in self._route.items()
+            if code % workers in unavailable
         )
         return FleetSnapshot(
             machine_name=self._machine.name, instances=instances, lost=lost
@@ -1293,12 +1250,12 @@ class MultiprocessFleet:
         }
         self._pending = [array("q") for _ in self._workers]
         self._pending_counts = [0] * len(self._workers)
-        sent = list(requests)
-        payloads = self._fan_out(requests)
-        self._slots = {}
-        for wid, slot_of in zip(sent, payloads):
-            for key, slot in slot_of.items():
-                self._slots[key] = (wid, slot)
+        workers = len(self._workers)
+        self._route = {
+            key: slot * workers + wid
+            for wid, slot_of in self._fan_out(requests).items()
+            for key, slot in slot_of.items()
+        }
         # A restore rewrites every partition wholesale: journals recording
         # the pre-restore history are obsolete, so re-baseline them.
         if self._journal_enabled:
@@ -1342,10 +1299,8 @@ class MultiprocessFleet:
                 pass
         self._closed = True
         for worker in self._workers:
-            try:
+            with suppress(OSError):
                 worker.conn.close()
-            except OSError:
-                pass
             _reap(worker.process, timeout=self._join_timeout)
             worker.status = WORKER_DEAD
         # Invoke (not detach) the finalizer: it sweeps every process this
@@ -1358,6 +1313,18 @@ class MultiprocessFleet:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _checkpoint_of(handle: _Worker, reply: tuple) -> PartitionCheckpoint:
+    """The journal's checkpoint from one ``(blob, registry)`` reply: the
+    layout bytes as they came, and the handle's effective counters and
+    registry as the next incarnation's restart baseline."""
+    blob, registry = reply
+    return PartitionCheckpoint(
+        blob,
+        combine_metrics(handle.restart_base, handle.metrics),
+        combine_registries(handle.registry_base, registry),
+    )
 
 
 def _reap(process, timeout: float = 5.0) -> None:

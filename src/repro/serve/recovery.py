@@ -23,7 +23,12 @@ Worker side
     valid) and keeps pre-encoded
     :class:`~repro.serve.mpfleet.EncodedFleetSchedule` objects usable
     across a recovery — slot assignment in the store is a deterministic
-    function of (layout, operation sequence).
+    function of (layout, operation sequence).  A checkpoint is one
+    ``bytes`` blob of the store's raw columns (slot keys, free list,
+    premultiplied states, logs as stored), built where the columns live
+    and read only by the next incarnation: checkpoints cross the pipe on
+    the dispatch clock, so neither side re-keys slots by state name and
+    the parent, which only journals the blob, never unpickles it.
 
 Shared
     :class:`FleetRecoveringError` — the transient flavour of
@@ -42,6 +47,7 @@ handles and the population map); this module never imports ``mpfleet``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Optional
@@ -96,18 +102,13 @@ class RecoveryPolicy:
 
 @dataclass(frozen=True)
 class PartitionCheckpoint:
-    """A worker partition frozen at its exact slot layout, columnar.
+    """A worker partition frozen at its exact slot layout, as the parent
+    keeps it.
 
-    Column ``i`` describes slot ``i``: ``keys[i]`` is the session key
-    (``None`` when the slot was on the free list), ``states[i]`` its
-    state name (``""`` for free slots) and ``actions[i]`` the retained
-    action log (present under ``log_policy='full'`` and for naive
-    backends); ``free`` is the free-list stack bottom-to-top.  The layout is
-    columnar rather than one record object per slot because checkpoints
-    cross the worker pipe on the dispatch clock: flat tuples pickle as
-    memoized strings instead of thousands of per-slot object
-    reconstructions, which keeps the cadence tax on hot-path throughput
-    near zero.
+    ``blob`` is :func:`partition_checkpoint`'s bytes exactly as they came
+    off the pipe: the parent never unpickles a layout, it journals the
+    bytes and hands them to the next incarnation's :func:`rehydrate`.
+    ``b""`` is the empty partition every worker starts with.
 
     The parent attaches the worker's *effective* metrics and telemetry
     registry at capture time — they become the restart baseline of the
@@ -115,10 +116,7 @@ class PartitionCheckpoint:
     die→respawn cycle.
     """
 
-    keys: tuple[Optional[str], ...] = ()
-    states: tuple[str, ...] = ()
-    actions: tuple[tuple[str, ...], ...] = ()
-    free: tuple[int, ...] = ()
+    blob: bytes = b""
     metrics: FleetMetrics = field(default_factory=FleetMetrics)
     registry: Optional[MetricsRegistry] = None
 
@@ -190,102 +188,95 @@ def combine_registries(
 # ---------------------------------------------------------------------------
 
 
-def partition_checkpoint(engine) -> PartitionCheckpoint:
+def partition_checkpoint(engine) -> bytes:
     """Freeze a worker engine's partition at its exact slot layout.
 
+    The result is one opaque blob, the store's raw columns pickled once:
+    ``key_of`` (``None`` on free slots), the free-list stack and the
+    premultiplied states as ``array('q')`` (on a vector fleet, the live
+    prefix of the numpy column), and the logs as stored (``None`` under
+    ``log_policy='off'``).  A naive fleet's states and logs are read from
+    its backends into the same container.
+
     Unlike :meth:`FleetEngine.snapshot` this works under every log
-    policy (capturing whatever the store retains), preserves slot
-    numbering and the free-list stack, and deliberately does *not* count
-    as a user-visible snapshot in the metrics — checkpoints are
-    infrastructure, and a supervised fleet must report the same counters
-    as an unsupervised twin.
+    policy, preserves slot numbering and the free-list stack, and
+    deliberately does *not* count as a user-visible snapshot in the
+    metrics — a supervised fleet must report the same counters as an
+    unsupervised twin.
     """
+    import pickle  # worker side only: an in-process gateway never loads it
+
     store = engine._store
-    keys = tuple(store.key_of)
-    free = tuple(store.free_slots)
+    states = store.states
+    logs = store.logs if engine.log_policy == "full" else None
     if engine.mode == "naive":
-        states = []
-        actions = []
-        for slot, key in enumerate(keys):
-            if key is None:
-                states.append("")
-                actions.append(())
-            else:
-                backend = store.backends[slot]
-                states.append(backend.get_state())
-                actions.append(tuple(backend.sent))
-        return PartitionCheckpoint(
-            keys=keys, states=tuple(states), actions=tuple(actions), free=free
-        )
-    names = engine._table.state_names
-    width = engine._width
-    packed = store.states
-    states = tuple(
-        "" if key is None else names[packed[slot] // width]
-        for slot, key in enumerate(keys)
-    )
-    if engine.log_policy != "full":
-        return PartitionCheckpoint(keys=keys, states=states, free=free)
-    logs = store.logs
-    actions = tuple(
-        ()
-        if key is None
-        else tuple(action for chunk in logs[slot] for action in chunk)
-        for slot, key in enumerate(keys)
-    )
-    return PartitionCheckpoint(keys=keys, states=states, actions=actions, free=free)
+        index = engine._table.state_index
+        width = engine._width
+        backends = store.backends
+        states = [0 if b is None else index[b.get_state()] * width for b in backends]
+        logs = [None if b is None else b.sent for b in backends]
+    elif store.vector:
+        states = states.data[: states.size].tobytes()
+    layout = (store.key_of, array("q", store.free_slots), array("q", states), logs)
+    return pickle.dumps(layout, pickle.HIGHEST_PROTOCOL)
 
 
-def rehydrate(engine, checkpoint: PartitionCheckpoint) -> None:
-    """Rebuild a fresh worker engine at a checkpoint's exact layout.
+def rehydrate(engine, blob: bytes) -> None:
+    """Rebuild a fresh worker engine at a checkpoint blob's exact layout.
 
-    Occupied slots are respawned in slot order, free slots are filled
-    with placeholders and released in recorded stack order — afterwards
-    ``store.free_slots == checkpoint.free`` and every key sits at its
-    original slot, so journaled flat schedules (and future spawns, which
-    pop the same stack) replay verbatim.  Metrics are deliberately left
-    untouched: the parent accounts for pre-checkpoint history via the
-    restart baseline, and journal replay re-counts the rest.
+    The blob is checked before the store is touched: it must unpickle to
+    the columns of one layout, and every state must be in range and a
+    multiple of the table width, else
+    :class:`~repro.core.errors.DeploymentError`.  Occupied slots are then
+    respawned in slot order, free slots are filled with placeholders and
+    released in recorded stack order, so every key sits at its original
+    slot and journaled flat schedules (and future spawns, which pop the
+    same stack) replay verbatim.  Metrics are left untouched: the parent
+    keeps pre-checkpoint history as the restart baseline, and journal
+    replay re-counts the rest.
     """
+    import pickle
+
+    naive = engine.mode == "naive"
+    logged = naive or engine.log_policy == "full"
+    try:
+        key_of, free, states, logs = pickle.loads(blob)
+        if len(states) != len(key_of) or (logs is not None) != logged:
+            raise ValueError("columns do not describe one layout")
+        if logged and len(logs) != len(key_of):
+            raise ValueError("log column does not describe the layout")
+    except Exception as exc:  # corrupt pickle bytes can raise almost anything
+        raise DeploymentError(f"corrupt partition checkpoint: {exc!r}") from None
+    width = engine._width
+    names = engine._table.state_names
+    for state in set(states):
+        if not 0 <= state < len(names) * width or state % width:
+            raise DeploymentError(
+                f"corrupt partition checkpoint: state {state} is not a "
+                f"premultiplied state of machine {engine.machine.name!r}"
+            )
     store = engine._store
     adapter = engine._adapter
-    naive = engine.mode == "naive"
-    full = engine.log_policy == "full"
-    state_index = engine._table.state_index
-    width = engine._width
     for mailbox in engine._mailboxes:
         mailbox.drain()
     store.clear()
-    states = checkpoint.states
-    actions_col = checkpoint.actions
-    for slot, key in enumerate(checkpoint.keys):
+    for slot, key in enumerate(key_of):
         backend = adapter.new_instance() if adapter is not None else None
-        if key is None:
-            spawned = store.spawn(f"\x00rehydrate-free-{slot}", backend)
-        else:
-            spawned = store.spawn(key, backend)
+        placeholder = f"\x00rehydrate-free-{slot}"
+        spawned = store.spawn(placeholder if key is None else key, backend)
         if spawned != slot:
             raise DeploymentError(
                 f"rehydrate layout drift: slot {slot} spawned as {spawned}"
             )
         if key is None:
             continue
-        state = states[slot]
         if naive:
-            adapter.restore_instance(
-                backend, state, actions_col[slot] if actions_col else ()
-            )
+            adapter.restore_instance(backend, names[states[slot] // width], logs[slot])
             continue
-        if state not in state_index:
-            raise DeploymentError(
-                f"checkpoint state {state!r} does not exist in "
-                f"machine {engine.machine.name!r}"
-            )
-        store.states[slot] = state_index[state] * width
-        if full:
-            actions = actions_col[slot] if actions_col else ()
-            store.logs[slot] = [actions] if actions else []
-    for slot in checkpoint.free:
+        store.states[slot] = states[slot]
+        if logs is not None:
+            store.logs[slot] = logs[slot]
+    for slot in free:
         placeholder = store.key_of[slot]
         if placeholder is None or not placeholder.startswith("\x00rehydrate-free-"):
             raise DeploymentError(
@@ -345,47 +336,27 @@ class RecoveryTelemetry:
         )
         return tid
 
+    def _chain(self, tid: int, kind: str, detail: str) -> None:
+        """One incident record, chained under the death's trace id."""
+        self.trace.record(tid, perf_counter(), kind, parent_id=tid, detail=detail)
+
     def respawned(self, tid: int, wid: int, attempt: int) -> None:
         self._restarts.add()
-        self.trace.record(
-            tid,
-            perf_counter(),
-            "worker_respawn",
-            parent_id=tid,
-            detail=f"worker={wid} attempt={attempt}",
-        )
+        self._chain(tid, "worker_respawn", f"worker={wid} attempt={attempt}")
 
     def replayed(self, tid: int, wid: int, ops: int, events: int) -> None:
         self._replayed.add(events)
-        self.trace.record(
-            tid,
-            perf_counter(),
-            "worker_replay",
-            parent_id=tid,
-            detail=f"worker={wid} ops={ops} events={events}",
-        )
+        self._chain(tid, "worker_replay", f"worker={wid} ops={ops} events={events}")
 
     def resumed(self, tid: int, wid: int, mttr_s: float, recovering: int) -> None:
         self._mttr.observe(mttr_s)
         self._recovering.set(recovering)
-        self.trace.record(
-            tid,
-            perf_counter(),
-            "worker_resume",
-            parent_id=tid,
-            detail=f"worker={wid} mttr_s={mttr_s:.6f}",
-        )
+        self._chain(tid, "worker_resume", f"worker={wid} mttr_s={mttr_s:.6f}")
 
     def failed(self, tid: int, wid: int, reason: str, recovering: int) -> None:
         self._failures.add()
         self._recovering.set(recovering)
-        self.trace.record(
-            tid,
-            perf_counter(),
-            "worker_lost",
-            parent_id=tid,
-            detail=f"worker={wid}: {reason}",
-        )
+        self._chain(tid, "worker_lost", f"worker={wid}: {reason}")
 
     def checkpointed(self, wid: int) -> None:
         self._checkpoints.add()

@@ -152,6 +152,21 @@ def test_unknown_encoding_is_rejected(any_fleet):
         )
 
 
+def test_schedule_run_as_events_is_refused(any_fleet):
+    # The explicit name is never overridden by a sniff: the in-process
+    # engine used to fail unpacking an int, the multiprocess fleet ran
+    # the schedule anyway.
+    _, events = workload(any_fleet)
+    schedule = any_fleet.encode_flat(events)
+    with pytest.raises(DeploymentError) as err:
+        any_fleet.run(schedule, encoding="events")
+    assert str(err.value) == (
+        "encoding 'events' needs (key, message) pairs, but the batch is a "
+        "pre-encoded schedule; run it with encoding 'flat' or 'auto'"
+    )
+    assert any_fleet.metrics.events_dispatched == 0
+
+
 def with_dangling_slot(schedule):
     """``schedule`` with one more slot and no column to go with it."""
     if isinstance(schedule, EncodedFleetSchedule):

@@ -17,7 +17,7 @@ import os
 import pytest
 
 from repro.serve import diff_fleets, make_fleet
-from repro.serve.gateway import FleetGateway, snapshot_from_json
+from repro.serve.gateway import FleetGateway, snapshot_from_json, snapshot_to_json
 
 
 async def http(reader, writer, method, path, payload=None):
@@ -43,11 +43,12 @@ async def http(reader, writer, method, path, payload=None):
     return status, data.decode()
 
 
-def gateway_test(body, **gateway_kwargs):
-    """Run ``body(gateway, reader, writer)`` against a live gateway."""
+def gateway_test(body, fleet_kwargs=None, **gateway_kwargs):
+    """Run ``body(gateway, reader, writer)`` against a live gateway over an
+    in-process fleet, or one built with ``fleet_kwargs``."""
 
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        fleet = make_fleet("commit", mode="encoded", shards=4, **(fleet_kwargs or {}))
         gateway = FleetGateway(fleet, port=0, **gateway_kwargs)
         await gateway.start()
         try:
@@ -334,6 +335,79 @@ def test_mistyped_field_is_a_counted_400(path, payload, refusal):
         assert len(gateway.fleet) == 1
 
     gateway_test(body)
+
+
+#: The gateway's two production shapes: in-process, and two journaled
+#: workers (the ``gw-batch-mp`` server).
+GATEWAY_FLEETS = {"inproc": {}, "mp-journal": {"workers": 2, "journal": True}}
+
+#: ``{"events": ...}`` bodies that are not ``[[key, message], ...]`` of
+#: strings.  The two-key object names a spawned instance and a real
+#: message, so it would unpack into a valid pair if it were not refused.
+MALFORMED_BATCHES = [
+    7,
+    "ab",
+    {"session-0000000": "update"},
+    ["ab"],
+    [None],
+    [{"session-0000000": 1, "update": 2}],
+    [["session-0000000"]],
+    [["session-0000000", "update", "update"]],
+    [[5, "update"]],
+    [["session-0000000", 5]],
+    [[["session-0000000"], "update"]],
+    [["session-0000000", ["update"]]],
+    [["session-0000000", "update"], ["session-0000001"]],
+    [["session-0000000", "update"], ["ghost", {"update": 1}]],
+]
+
+
+@pytest.mark.parametrize("shape", sorted(GATEWAY_FLEETS))
+def test_malformed_batch_is_refused_whole(shape):
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 3})
+        _, before = await http(reader, writer, "GET", "/snapshot")
+        for events in MALFORMED_BATCHES:
+            status, out = await http(
+                reader, writer, "POST", "/deliver", {"events": events}
+            )
+            assert (status, out) == (
+                400,
+                {"error": "events must be [[key, message], ...]"},
+            ), events
+            # Nothing was dispatched, not even the well-formed pairs.
+            assert await http(reader, writer, "GET", "/snapshot") == (200, before)
+        assert gateway.fleet.metrics.events_dispatched == 0
+
+    gateway_test(body, GATEWAY_FLEETS[shape])
+
+
+@pytest.mark.parametrize("shape", sorted(GATEWAY_FLEETS))
+def test_batch_with_unknown_keys_dispatches_the_valid_events(shape):
+    valid = [["session-0000000", "update"], ["session-0000002", "update"]]
+    unknown = [["ghost", "update"], ["session-0000001", "flarp"]]
+    with make_fleet("commit") as reference:
+        reference.spawn_many(3)
+        reference.run([tuple(event) for event in valid])
+        expected = snapshot_to_json(reference.snapshot())["instances"]
+
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 3})
+        events = [valid[0], unknown[0], valid[1], unknown[1]]
+        status, out = await http(
+            reader, writer, "POST", "/deliver", {"events": events}
+        )
+        assert (status, out["error"]) == (
+            400,
+            "dispatch rejected 2 event(s) with unknown instance or message: "
+            "('ghost', 'update'), ('session-0000001', 'flarp')",
+        )
+        _, snap = await http(reader, writer, "GET", "/snapshot")
+        by_key = {inst["key"]: inst for inst in snap["instances"]}
+        assert by_key == {inst["key"]: inst for inst in expected}
+        assert gateway.fleet.metrics.events_dispatched == len(valid)
+
+    gateway_test(body, GATEWAY_FLEETS[shape])
 
 
 MISTYPED_FRAMES = [

@@ -27,6 +27,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import repro.serve.gateway as gateway_module
 from repro.serve import make_fleet
 from repro.serve.gateway import (
     _MAX_HEAD,
@@ -402,6 +403,32 @@ def test_live_replies_identical_whole_pipelined_and_split(capfd, caplog):
 
     live(body)
     assert_quiet(capfd, caplog)
+
+
+def test_batch_fed_one_byte_at_a_time_parses_its_head_once(monkeypatch):
+    events = [[f"session-000000{i % 4}", "update"] for i in range(64)]
+    request = post("/deliver", {"events": events})
+    heads = []
+    parse_head = gateway_module._parse_head
+
+    def counting(buffer, max_body):
+        head = parse_head(buffer, max_body)
+        if head is not None:
+            heads.append(head[1])
+        return head
+
+    async def body(gateway, exchange):
+        whole = await exchange(request + CLOSE)
+        monkeypatch.setattr(gateway_module, "_parse_head", counting)
+        single_bytes = [request[i : i + 1] for i in range(len(request))]
+        split = await exchange(*single_bytes, CLOSE)
+        assert split == whole
+        assert responses(split)[0][2] == b'{"dispatched": 64}\n'
+        # Each head was decoded once: the body's segments were collected,
+        # not handed to the parser again.
+        assert heads == ["/deliver", "/healthz"]
+
+    live(body)
 
 
 def test_two_pipelined_requests_in_one_send_get_two_in_order_replies():

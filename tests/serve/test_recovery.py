@@ -13,8 +13,11 @@ die→respawn cycle.
 """
 
 import os
+import pickle
 import signal
 import time
+from array import array
+from dataclasses import replace
 
 import pytest
 
@@ -26,6 +29,7 @@ from repro.serve import (
     diff_fleets,
     make_fleet,
 )
+from repro.serve.recovery import partition_checkpoint, rehydrate
 from repro.serve.workload import WorkloadSpec, generate_workload
 
 #: The dispatch modes this environment can build.
@@ -182,6 +186,155 @@ def test_lifecycle_ops_survive_recovery():
     finally:
         fleet.close()
         twin.close()
+
+
+# ---------------------------------------------------------------------------
+# routing: the parent's one int per key is each worker's own slot layout
+# ---------------------------------------------------------------------------
+
+
+def worker_layouts(fleet):
+    """``key -> (wid, slot)`` as each worker's store lays it out, read from
+    the worker's own checkpoint columns."""
+    layout = {}
+    for wid in range(fleet.workers):
+        blob, _registry = fleet._request(wid, "checkpoint")
+        key_of = pickle.loads(blob)[0]
+        for slot, key in enumerate(key_of):
+            if key is not None:
+                layout[key] = (wid, slot)
+    return layout
+
+
+def assert_routing_agrees(fleet, twins):
+    """The parent's routing table, each worker's store and one in-process
+    engine per worker (fed the same operations) name the same slots."""
+    routed = {key: fleet._locate(key) for key in fleet._route}
+    expected = {
+        key: (wid, slot)
+        for wid, twin in enumerate(twins)
+        for key, slot in twin.store.slot_of.items()
+    }
+    assert routed == worker_layouts(fleet) == expected
+
+
+def test_mp_routing_equals_inprocess_routing():
+    fleet = supervised(checkpoint_every=50)
+    reference = make_fleet("commit", mode="encoded")
+    twins = [make_fleet("commit", mode="encoded") for _ in range(fleet.workers)]
+    try:
+        keys = fleet.spawn_many(12)
+        reference.spawn_many(12)
+        for key in keys:
+            twins[fleet.worker_of(key)].spawn(key)
+        # Despawn, then spawn into the freed slots (LIFO reuse).
+        for key in (keys[2], keys[7], keys[5]):
+            for target in (fleet, reference, twins[fleet.worker_of(key)]):
+                target.despawn(key)
+        for key in ("late-a", "late-b"):
+            for target in (fleet, reference, twins[fleet.worker_of(key)]):
+                target.spawn(key)
+        assert_routing_agrees(fleet, twins)
+        live = sorted(fleet._route)
+        messages = [message for _, message in workload(fleet.machine, 12, 200, seed=5)]
+        events = [(live[i % len(live)], m) for i, m in enumerate(messages)]
+        fleet.run(events)
+        reference.run(events)
+        assert diff_fleets(fleet, reference, live) == []
+
+        # A restore lays each partition out in snapshot order.
+        snapshot = reference.snapshot()
+        snapshot = replace(snapshot, instances=snapshot.instances[::-1])
+        fleet.restore(snapshot)
+        for wid, twin in enumerate(twins):
+            mine = tuple(i for i in snapshot.instances if fleet.worker_of(i.key) == wid)
+            twin.restore(replace(snapshot, instances=mine))
+        assert_routing_agrees(fleet, twins)
+
+        # A SIGKILLed worker comes back at the same layout.
+        fleet.run(events)
+        reference.run(events)
+        sigkill_worker(fleet, 1)
+        fleet.check_workers()
+        assert fleet.await_recovery(timeout=30)
+        assert_routing_agrees(fleet, twins)
+        assert diff_fleets(fleet, reference, live) == []
+    finally:
+        fleet.close()
+
+
+# ---------------------------------------------------------------------------
+# checkpoint blobs: raw columns, round trip, refusal of a bad blob
+# ---------------------------------------------------------------------------
+
+CHECKPOINTED = [("naive", "full"), ("encoded", "full"), ("encoded", "off")] + (
+    [("vector", "full"), ("vector", "off")] if HAS_NUMPY else []
+)
+
+
+def churned_engine(mode, log_policy):
+    """An engine with traffic behind it and two slots on its free list."""
+    engine = make_fleet("commit", mode=mode, log_policy=log_policy, auto_recycle=True)
+    keys = engine.spawn_many(10)
+    engine.run(workload(engine.machine, 10, 150, seed=3))
+    engine.despawn(keys[6])
+    engine.despawn(keys[2])
+    return engine
+
+
+def layout_of(engine):
+    """Slot keys, free-list stack, and each instance in slot order."""
+    store = engine.store
+    observed = [
+        engine.trace(key) if engine.log_policy == "full" else engine.state_name(key)
+        for key in store.key_of
+        if key is not None
+    ]
+    return list(store.key_of), list(store.free_slots), observed
+
+
+@pytest.mark.parametrize("mode,log_policy", CHECKPOINTED)
+def test_checkpoint_round_trip_keeps_the_layout(mode, log_policy):
+    source = churned_engine(mode, log_policy)
+    blob = partition_checkpoint(source)
+    assert type(blob) is bytes
+    rebuilt = make_fleet("commit", mode=mode, log_policy=log_policy, auto_recycle=True)
+    rebuilt.spawn_many(3)  # whatever was there is replaced
+    rehydrate(rebuilt, blob)
+    assert layout_of(rebuilt) == layout_of(source)
+    # The rebuilt partition keeps serving identically: spawns pop the
+    # same free slots and the same traffic lands the same way.
+    more = workload(source.machine, 10, 100, seed=8)
+    more = [(key, message) for key, message in more if key in source]
+    for engine in (source, rebuilt):
+        engine.spawn("after")
+        engine.run(more)
+    assert layout_of(rebuilt) == layout_of(source)
+    assert rebuilt.store.slot_of["after"] == source.store.slot_of["after"]
+
+
+def test_bad_checkpoint_blob_is_refused_before_anything_changes():
+    source = churned_engine("encoded", "full")
+    blob = partition_checkpoint(source)
+    key_of, free, states, logs = pickle.loads(blob)
+    width = source._width
+    out_of_range = array("q", states)
+    out_of_range[0] = len(source._table.state_names) * width
+    misaligned = array("q", states)
+    misaligned[0] += 1
+    bad = {
+        "truncated": blob[: len(blob) // 2],
+        "out of range": pickle.dumps((key_of, free, out_of_range, logs)),
+        "misaligned": pickle.dumps((key_of, free, misaligned, logs)),
+        "short column": pickle.dumps((key_of, free, states[:-1], logs)),
+    }
+    target = make_fleet("commit", mode="encoded")
+    target.spawn_many(4)
+    before = target.snapshot()
+    for label, corrupt in bad.items():
+        with pytest.raises(DeploymentError, match="corrupt partition checkpoint"):
+            rehydrate(target, corrupt)
+        assert target.snapshot().instances == before.instances, label
 
 
 # ---------------------------------------------------------------------------
