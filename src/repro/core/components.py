@@ -182,7 +182,6 @@ class StateSpace:
             raise ComponentError(f"duplicate component names: {names}")
         self._components = tuple(components)
         self._index = {c.name: i for i, c in enumerate(self._components)}
-        self._interned: dict[tuple, tuple] = {}
 
     @property
     def components(self) -> tuple[StateComponent, ...]:
@@ -224,21 +223,6 @@ class StateSpace:
     def initial_vector(self) -> tuple:
         """Vector of initial values (all flags clear, all counters zero)."""
         return tuple(c.initial_value() for c in self._components)
-
-    def intern(self, vector: Sequence[Any]) -> tuple:
-        """Canonical shared tuple for ``vector``.
-
-        The lazy generation engine discovers the same state vector many
-        times (once per incoming transition); interning gives every
-        discovery the *same* tuple object, so frontier/seen-set membership
-        checks short-circuit on identity and the engine's bookkeeping
-        references one copy per reachable state.  The cache lives on the
-        space and holds one entry per vector ever interned — for the lazy
-        engine that is exactly the reachable set, the vectors the generated
-        states retain anyway.
-        """
-        key = tuple(vector)
-        return self._interned.setdefault(key, key)
 
     def validate_vector(self, vector: Sequence[Any]) -> tuple:
         """Check ``vector`` against the component ranges; return it as a tuple."""

@@ -9,20 +9,19 @@ quadratically with the replication factor, capping the parameter range
 that can be explored.
 
 ``generate_lazy(model)`` instead starts from the model's start state and
-expands **only reachable states** via a BFS worklist:
+expands **only reachable states**, breadth first:
 
-1. seed the frontier with the start vector;
-2. pop a vector, elaborate its successors on demand
-   (:meth:`~repro.core.model.AbstractModel.successors` — the same
-   per-message transition logic the eager engine uses, so the two engines
-   cannot diverge semantically);
-3. intern each target vector on the model's state space
-   (:meth:`~repro.core.components.StateSpace.intern`) so every state is
-   discovered exactly once regardless of fan-in, and push unseen targets;
-4. when the frontier drains, every state in the machine is reachable by
-   construction — the pipeline's ``initial -> reachable`` pruning step
-   disappears entirely — and the standard bisimulation quotient
-   (:func:`~repro.core.minimize.merge_equivalent`) finishes the job.
+1. the start vector is state id 0;
+2. the next unexpanded id's successors are elaborated on demand
+   (:meth:`~repro.core.model.AbstractModel.successors`, the eager
+   engine's per-message logic, so the engines cannot diverge) into its
+   row of the same arrays the eager engine fills;
+3. each target vector is interned to an id on first sight, so every state
+   is discovered once whatever its fan-in; ids follow discovery order, so
+   the frontier is simply the ids not yet expanded;
+4. once every id is expanded, every state is reachable by construction —
+   step 3 disappears — and the engines' shared tail (step 4, names and
+   commentary for the states that are left) finishes the job.
 
 Work and memory are proportional to the *reachable* state count (roughly
 linear in ``r`` for the commit family) instead of the product-space size
@@ -36,13 +35,10 @@ and the peak frontier size actually observed.
 from __future__ import annotations
 
 import time
-from collections import deque
 
 from repro.core.machine import StateMachine
-from repro.core.minimize import merge_equivalent
 from repro.core.model import AbstractModel, StateView
-from repro.core.pipeline import GenerationReport, _annotate_states, _designate_finish
-from repro.core.state import State, Transition
+from repro.core.pipeline import GenerationReport, _Arrays, _finish
 
 
 def generate_lazy(
@@ -62,65 +58,26 @@ def generate_lazy(
     report.initial_states = space.size()
 
     started = time.perf_counter()
-    machine = StateMachine(
-        model.messages,
-        space=space,
-        name=model.machine_name(),
-        parameters=model.parameters,
-    )
+    vectors: list[tuple] = []
+    final: list[bool] = []
+    ids: dict[tuple, int] = {}
 
-    #: Every reachable vector's state, named once on discovery (vectors
-    #: are interned, so later sightings are an identity-fast dict hit).
-    discovered: dict[tuple, State] = {}
-
-    def discover(vector: tuple) -> State:
-        final = model.is_final(StateView(space, vector))
-        state = discovered[vector] = machine.add_state(
-            State(space.vector_name(vector), vector=vector, final=final)
-        )
+    def discover(vector: tuple) -> int:
+        state = ids.get(vector)
+        if state is None:
+            state = ids[vector] = len(vectors)
+            vectors.append(vector)
+            final.append(model.is_final(StateView(space, vector)))
         return state
 
-    start_vector = space.intern(model.start_vector())
-    machine.set_start(discover(start_vector).name)
+    discover(tuple(model.start_vector()))
+    arrays = _Arrays(model)
+    frontier_peak = expanded = 0
+    while expanded < len(vectors):
+        frontier_peak = max(frontier_peak, len(vectors) - expanded)
+        arrays.add_row(vectors[expanded], final[expanded], discover)
+        expanded += 1
 
-    frontier: deque[tuple] = deque([start_vector])
-    frontier_peak = 1
-
-    while frontier:
-        if len(frontier) > frontier_peak:
-            frontier_peak = len(frontier)
-        vector = frontier.popleft()
-        state = discovered[vector]
-        if state.final:
-            continue  # terminal: the algorithm has completed here
-        for message, builder in model.successors(vector):
-            target = space.intern(builder.vector)
-            reached = discovered.get(target)
-            if reached is None:
-                reached = discover(target)
-                frontier.append(target)
-            state.record_transition(
-                Transition(
-                    message,
-                    reached.name,
-                    builder.actions,
-                    builder.recorded_annotations,
-                )
-            )
-
-    report.reachable_states = len(machine)
-    report.transition_count = machine.transition_count()
     report.frontier_peak = frontier_peak
     report.timings["explore"] = time.perf_counter() - started
-
-    _designate_finish(machine)
-    _annotate_states(model, machine)
-
-    if merge:
-        started = time.perf_counter()
-        machine = merge_equivalent(machine)
-        report.timings["merge"] = time.perf_counter() - started
-    report.merged_states = len(machine)
-
-    machine.check_integrity()
-    return machine, report
+    return _finish(model, report, vectors, final, arrays, 0, range(len(vectors)), merge)

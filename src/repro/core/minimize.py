@@ -10,11 +10,11 @@ computes the bisimulation quotient of the machine.  We implement both:
 * :func:`equivalence_classes` / :func:`merge_equivalent` — the fixpoint,
   the variant whose output matches the paper's published Table 1 counts.
 
-The fixpoint is computed by :func:`coarsest_partition`, the one
-implementation of the relation in the library: this module indexes a
-:class:`StateMachine` into its int arrays, and the optimizer's ``merge``
-pass (:class:`repro.opt.passes.MergeEquivalentPass`) hands it the arrays
-of an :class:`~repro.opt.indexed.IndexedMachine`.  It is Hopcroft's
+Both run on the arrays of an :class:`~repro.opt.indexed.IndexedMachine`:
+the generation engines hand step 4 the IR they enumerated, and a
+hand-built machine is interned first.  The fixpoint is
+:func:`coarsest_partition`, the one implementation of the relation in the
+library (the optimizer's ``merge`` pass runs it too), Hopcroft's
 partition refinement:
 
 * the *initial partition* separates states by finality and, per message,
@@ -22,33 +22,33 @@ partition refinement:
   about a state that does not depend on where its transitions lead;
 * a *splitter* is a block ``B`` and a message ``m``: a block holding both
   states whose ``m``-transition enters ``B`` and states whose does not
-  cannot be one class, and is split in two along that line, found from
-  per-message predecessor lists in time proportional to the predecessors
-  of ``B``;
-* the *smaller-half rule*: the half a split cuts off becomes a new
-  splitter only if it is the smaller one, so a state is re-examined at
-  most ``log n`` times — O(w·n·log n) for ``n`` states and ``w``
-  messages, where re-deriving every state's signature until nothing
-  changes (Moore's algorithm) is O(w·n²) on a chain.
+  is split in two along that line, found from per-message predecessor
+  lists in time proportional to the predecessors of ``B``;
+* the *smaller-half rule*: only the smaller half a split cuts off becomes
+  a new splitter, so a state is re-examined at most ``log n`` times —
+  O(w·n·log n) for ``n`` states and ``w`` messages, where Moore's
+  signature fixpoint is O(w·n²) on a chain.
 
-The relation has one coarsest stable partition, so which algorithm finds
-it — and in which order splitters are taken — cannot change the classes;
-``tests/core/moore_reference.py`` keeps the signature fixpoint as the
-independent oracle.
+The relation has one coarsest stable partition, so neither the algorithm
+nor the splitter order can change the classes.  The oracles are kept in
+``tests/core``: ``moore_reference.py`` (the signature fixpoint) and
+``quotient_reference.py`` (the object quotient the array remap replaced).
 
-Merged states keep the name of a canonical representative (the first member
-in the original machine's insertion order); all reachable final states merge
-into a single state named :data:`FINISH_NAME`, which becomes the machine's
-``finish_state`` (paper Fig 5).
+The quotient keeps each class under its first member (lowest id, i.e.
+original insertion order), with that member's row, vector and
+annotations; every class records its members' names, and a class of more
+than one is annotated "Represents N equivalent states".  All reachable
+final states merge into one state named :data:`FINISH_NAME`, the
+machine's ``finish_state`` (paper Fig 5).
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
+from dataclasses import replace
 
-from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
-from repro.core.state import State, Transition
+from repro.core.state import State
 
 #: Name given to the merged terminal state (the machine's finish state).
 FINISH_NAME = "FINISHED"
@@ -153,43 +153,17 @@ def equivalence_classes(machine: StateMachine) -> list[list[State]]:
     order.  Raises :class:`MachineStructureError` for a transition that
     targets a state, or is on a message, the machine lacks.
     """
-    states = machine.states
-    state_index = {state.name: i for i, state in enumerate(states)}
-    message_index = {message: m for m, message in enumerate(machine.messages)}
-    width = len(message_index)
-    next_state = [-1] * (len(states) * width)
-    output: list[Hashable] = [None] * len(next_state)
-    for i, state in enumerate(states):
-        row = i * width
-        for t in state.transitions:
-            target = state_index.get(t.target_name)
-            if target is None:
-                raise MachineStructureError(
-                    f"transition {t!r} from {state.name!r} targets "
-                    f"unknown state {t.target_name!r}"
-                )
-            column = message_index.get(t.message)
-            if column is None:
-                raise MachineStructureError(
-                    f"transition {t!r} from {state.name!r} is on "
-                    f"undeclared message {t.message!r}"
-                )
-            next_state[row + column] = target
-            output[row + column] = t.actions
-
-    cls = coarsest_partition(
-        width, next_state, output, [state.final for state in states]
-    )
-    groups: dict[int, list[State]] = {}
-    for state, c in zip(states, cls):
-        groups.setdefault(c, []).append(state)
-    return list(groups.values())
+    cls = _classes(_indexed(machine))
+    groups: list[list[State]] = [[] for _ in range(max(cls) + 1)]
+    for state, c in zip(machine.states, cls):
+        groups[c].append(state)
+    return groups
 
 
 def merge_equivalent(machine: StateMachine) -> StateMachine:
     """Return a new machine with each equivalence class collapsed to one state."""
-    classes = equivalence_classes(machine)
-    return _quotient(machine, classes)
+    im = _indexed(machine)
+    return StateMachine._over(_quotient(im, _classes(im)), machine.space)
 
 
 def one_shot_merge(machine: StateMachine) -> StateMachine:
@@ -200,80 +174,105 @@ def one_shot_merge(machine: StateMachine) -> StateMachine:
     further merges possible; iterating this operation until it stabilises
     yields the same machine as :func:`merge_equivalent`.
     """
-    groups: dict[tuple, list[State]] = {}
-    for state in machine.states:
-        key = (state.final, state.transition_signature())
-        groups.setdefault(key, []).append(state)
-    return _quotient(machine, list(groups.values()))
+    im = _indexed(machine)
+    names, width, seq_key = im.state_names, im.width, _seq_key(im)
+    outgoing = [
+        t >= 0 and (names[t], seq_key[a]) for t, a in zip(im.next_state, im.action_seq)
+    ]
+    signatures: dict[tuple, int] = {}
+    cls = [
+        signatures.setdefault(
+            (final, *outgoing[s * width : (s + 1) * width]), len(signatures)
+        )
+        for s, final in enumerate(im.final)
+    ]
+    return StateMachine._over(_quotient(im, cls), machine.space)
 
 
-def _quotient(machine: StateMachine, classes: list[list[State]]) -> StateMachine:
-    """Build the quotient machine for a given partition of states.
+def _indexed(machine: StateMachine):
+    """The machine's IR: the one it carries, or its objects interned."""
+    from repro.opt.indexed import IndexedMachine
 
-    ``classes`` come in insertion order of their first member (both
-    callers build them while walking ``machine.states``), and that is the
-    insertion order of the quotient's states.
+    return IndexedMachine.from_machine(machine)
+
+
+def _seq_key(im) -> list[tuple[str, ...]]:
+    """Action strings per pool entry, so duplicate entries compare equal."""
+    return [tuple(im.actions[a] for a in seq) for seq in im.action_seqs]
+
+
+def _classes(im) -> list[int]:
+    """:func:`coarsest_partition` of an IR's arrays."""
+    seq_key = _seq_key(im)
+    output = [seq_key[a] if a >= 0 else None for a in im.action_seq]
+    return coarsest_partition(im.width, im.next_state, output, im.final)
+
+
+def _quotient(im, cls: Sequence[int]):
+    """The quotient IR for a partition of ``im``'s states into classes.
+
+    ``cls`` numbers classes by lowest member, so class ``c`` becomes
+    state ``c`` and the quotient keeps the original order of first
+    members (see the module docstring for names and annotations).
     """
-    representative: dict[str, str] = {}
-    for group in classes:
-        name = _class_name(group)
-        for member in group:
-            representative[member.name] = name
-
-    merged = StateMachine(
-        machine.messages,
-        space=machine.space,
-        name=machine.name,
-        parameters=machine.parameters,
+    groups: list[list[int]] = [[] for _ in range(max(cls) + 1)]
+    for s, c in enumerate(cls):
+        groups[c].append(s)
+    names, final, notes = im.state_names, im.final, im.state_annotations
+    keep = [group[0] for group in groups]
+    members = [tuple(sorted(names[s] for s in group)) for group in groups]
+    annotations = []
+    for group, merged in zip(groups, members):
+        lines = notes[group[0]] if notes else ()
+        if len(group) > 1:
+            lines += (
+                f"Represents {len(group)} equivalent states: " + ", ".join(merged),
+            )
+        annotations.append(lines)
+    return replace(
+        im,
+        state_names=tuple(
+            FINISH_NAME if len(group) > 1 and final[group[0]] else names[group[0]]
+            for group in groups
+        ),
+        start=cls[im.start],
+        finish=next((c for c, s in enumerate(keep) if final[s]), -1),
+        final=tuple(final[s] for s in keep),
+        state_annotations=tuple(annotations),
+        state_vectors=tuple(im.state_vectors[s] for s in keep)
+        if im.state_vectors
+        else (),
+        state_merged=tuple(members),
+        **_remap_rows(im, _seq_key(im), keep, cls),
     )
 
-    finish_name: str | None = None
-    for group in classes:
-        leader = group[0]
-        name = representative[leader.name]
-        new_state = State(
-            name,
-            vector=leader.vector,
-            annotations=leader.annotations,
-            final=leader.final,
-        )
-        member_names = sorted(member.name for member in group)
-        new_state.set_merged_names(member_names)
-        if len(group) > 1:
-            new_state.annotate(
-                f"Represents {len(group)} equivalent states: "
-                + ", ".join(member_names)
-            )
-        merged.add_state(new_state)
-        if leader.final and finish_name is None:
-            finish_name = name
 
-    for group in classes:
-        leader = group[0]
-        target_state = merged.get_state(representative[leader.name])
-        if leader.final:
-            continue
-        rewritten = []
-        for transition in leader.transitions:
-            rewritten.append(
-                Transition(
-                    transition.message,
-                    representative[transition.target_name],
-                    transition.actions,
-                    transition.annotations,
-                )
-            )
-        target_state.replace_transitions(rewritten)
-
-    merged.set_start(representative[machine.start_state.name])
-    if finish_name is not None:
-        merged.set_finish(finish_name)
-    merged.check_integrity()
-    return merged
-
-
-def _class_name(group: list[State]) -> str:
-    """Name for a merged class: FINISHED for final classes, else the leader."""
-    if len(group) > 1 and all(member.final for member in group):
-        return FINISH_NAME
-    return group[0].name
+def _remap_rows(arrays, seq_actions, keep, target_of) -> dict:
+    """Rows ``keep`` of ``arrays`` (an IR, or anything with its
+    ``next_state``/``action_seq``/``transition_annotations`` and
+    ``width``), targets rewritten through ``target_of``, and the action
+    pools rebuilt from those rows alone in order of first use (the pools
+    :meth:`~repro.opt.indexed.IndexedMachine.from_machine` would intern);
+    ``seq_actions[i]`` is the action-string tuple of sequence id ``i``.
+    Returns the matching :class:`~repro.opt.indexed.IndexedMachine`
+    fields as keywords."""
+    width, notes = arrays.width, arrays.transition_annotations
+    offsets = [o for row in keep for o in range(row * width, (row + 1) * width)]
+    targets = [arrays.next_state[o] for o in offsets]
+    seqs = [arrays.action_seq[o] for o in offsets]
+    pool: dict[tuple[int, ...], int] = {(): 0}
+    actions: dict[str, int] = {}
+    seq_id = {-1: -1}
+    for seq in dict.fromkeys(seqs):
+        if seq >= 0:
+            ids = tuple(actions.setdefault(a, len(actions)) for a in seq_actions[seq])
+            seq_id[seq] = pool.setdefault(ids, len(pool))
+    return {
+        "next_state": tuple([target_of[t] if t >= 0 else -1 for t in targets]),
+        "action_seq": tuple([seq_id[seq] for seq in seqs]),
+        "action_seqs": tuple(pool),
+        "actions": tuple(actions),
+        "transition_annotations": {
+            new: notes[old] for new, old in enumerate(offsets) if old in notes
+        },
+    }

@@ -10,6 +10,12 @@
    state (512 → 48 for r=4, Fig 12).
 4. **Combine equivalent states** — bisimulation quotient (48 → 33, Fig 13).
 
+Both engines (this one and :mod:`repro.core.lazy`) intern each vector to
+a state id and write step 2 straight into the rows of an
+:class:`~repro.opt.indexed.IndexedMachine`.  Names and the model's
+commentary are computed only for the states steps 3 and 4 leave, and the
+machine returned is a :class:`~repro.core.machine.StateMachine` view.
+
 The returned :class:`GenerationReport` records the state counts after each
 step together with wall-clock timings, which is exactly the data behind the
 paper's Table 1.
@@ -18,12 +24,12 @@ paper's Table 1.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
+from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
-from repro.core.minimize import merge_equivalent
+from repro.core.minimize import _classes, _quotient, _remap_rows
 from repro.core.model import AbstractModel, StateView
-from repro.core.state import State, Transition
 
 #: The generation engines selectable via ``engine=`` / ``--engine``.
 ENGINES = ("eager", "lazy")
@@ -91,59 +97,31 @@ def generate(
 
     # ------------------------------------------------------------- step 1
     started = time.perf_counter()
-    machine = StateMachine(
-        model.messages,
-        space=space,
-        name=model.machine_name(),
-        parameters=model.parameters,
-    )
-    vectors: list[tuple] = []
-    for vector in space.enumerate_vectors():
-        vectors.append(vector)
-        final = model.is_final(StateView(space, vector))
-        machine.add_state(State(space.vector_name(vector), vector=vector, final=final))
-    report.initial_states = len(machine)
+    vectors = list(space.enumerate_vectors())
+    final = [model.is_final(StateView(space, vector)) for vector in vectors]
+    report.initial_states = len(vectors)
     report.timings["enumerate"] = time.perf_counter() - started
 
     # ------------------------------------------------------------- step 2
     started = time.perf_counter()
-    for vector in vectors:
-        state = machine.get_state(space.vector_name(vector))
-        if state.final:
-            continue
-        for message, builder in model.successors(vector):
-            state.record_transition(
-                Transition(
-                    message,
-                    space.vector_name(builder.vector),
-                    builder.actions,
-                    builder.recorded_annotations,
-                )
-            )
-    start_name = space.vector_name(model.start_vector())
-    machine.set_start(start_name)
-    report.transition_count = machine.transition_count()
+    ids = {vector: i for i, vector in enumerate(vectors)}
+    arrays = _Arrays(model)
+    for vector, is_final in zip(vectors, final):
+        arrays.add_row(vector, is_final, ids.__getitem__)
+    start = ids.get(tuple(model.start_vector()))
+    if start is None:
+        raise MachineStructureError("the start vector is outside the state space")
     report.timings["transitions"] = time.perf_counter() - started
 
     # ------------------------------------------------------------- step 3
+    keep = range(len(vectors))
     if prune:
         started = time.perf_counter()
-        machine.prune_unreachable()
+        keep = sorted(_reachable(arrays.next_state, arrays.width, start))
         report.timings["prune"] = time.perf_counter() - started
-    report.reachable_states = len(machine)
-
-    _designate_finish(machine)
-    _annotate_states(model, machine)
 
     # ------------------------------------------------------------- step 4
-    if merge:
-        started = time.perf_counter()
-        machine = merge_equivalent(machine)
-        report.timings["merge"] = time.perf_counter() - started
-    report.merged_states = len(machine)
-
-    machine.check_integrity()
-    return machine, report
+    return _finish(model, report, vectors, final, arrays, start, keep, merge)
 
 
 def generate_with_engine(
@@ -202,30 +180,88 @@ def _run_optimizer(machine: StateMachine, optimize):
     return pipeline.optimize_machine(machine)
 
 
-def _designate_finish(machine: StateMachine) -> None:
-    """Set the machine's finish state when it is unambiguous.
+class _Arrays:
+    """A machine under construction: one row per state id, in id order."""
 
-    Before merging there may be many final states; the single finish state
-    of the paper's Fig 5 only exists once step 4 has collapsed them.
-    """
-    finals = machine.final_states()
-    if len(finals) == 1:
-        machine.set_finish(finals[0].name)
-    else:
-        machine.set_finish(None)
+    def __init__(self, model: AbstractModel):
+        self.model = model
+        self.column = {message: c for c, message in enumerate(model.messages)}
+        self.width = len(self.column)
+        self.next_state: list[int] = []
+        self.action_seq: list[int] = []
+        #: Action-string tuple -> sequence id, interned on first use.
+        self.seqs: dict[tuple[str, ...], int] = {(): 0}
+        self.transition_annotations: dict[int, tuple[str, ...]] = {}
+
+    def add_row(self, vector: tuple, final: bool, target_id) -> None:
+        """Step 2 for the next state id: its transitions written into a new
+        row, each target vector turned into an id by ``target_id``."""
+        row = len(self.next_state)
+        self.next_state += [-1] * self.width
+        self.action_seq += [-1] * self.width
+        if final:
+            return  # terminal: the algorithm has completed here
+        seqs, notes = self.seqs, self.transition_annotations
+        for message, builder in self.model.successors(vector):
+            offset = row + self.column[message]
+            self.next_state[offset] = target_id(builder.vector)
+            self.action_seq[offset] = seqs.setdefault(builder.actions, len(seqs))
+            annotations = builder.recorded_annotations
+            if annotations:
+                notes[offset] = annotations
 
 
-def _annotate_states(model: AbstractModel, machine: StateMachine) -> None:
-    """Attach model commentary to the states that survived pruning.
+def _reachable(next_state, width: int, start: int) -> set[int]:
+    """Step 3: the ids reachable from ``start`` over row-major targets."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        row = frontier.pop() * width
+        for target in next_state[row : row + width]:
+            if target >= 0 and target not in seen:
+                seen.add(target)
+                frontier.append(target)
+    return seen
 
-    Annotation is deferred until after step 3 so that enumerating very
-    large spaces (67,712 states at r=46) does not pay for documenting
-    states that will immediately be discarded.
-    """
+
+def _finish(model, report, vectors, final, arrays, start, keep, merge):
+    """Both engines' tail once the reachable ids ``keep`` are known: those
+    rows as an IR, step 4 when ``merge`` (else the finish state is the one
+    final state, if there is exactly one), the model's commentary on the
+    states that are left, one validation, and the machine view."""
+    from repro.opt.indexed import IndexedMachine
+
     space = model.space
-    for state in machine.states:
-        if state.vector is None:
-            continue
-        lines = model.describe_state(StateView(space, state.vector))
-        if lines:
-            state.annotate(*lines)
+    report.transition_count = len(arrays.next_state) - arrays.next_state.count(-1)
+    report.reachable_states = len(keep)
+    new_id = [-1] * len(vectors)
+    for new, old in enumerate(keep):
+        new_id[old] = new
+    im = IndexedMachine(
+        name=model.machine_name(),
+        parameters=model.parameters,
+        messages=model.messages,
+        state_names=tuple(space.vector_name(vectors[s]) for s in keep),
+        start=new_id[start],
+        finish=-1,
+        final=tuple(final[s] for s in keep),
+        state_vectors=tuple(vectors[s] for s in keep),
+        **_remap_rows(arrays, list(arrays.seqs), keep, new_id),
+    )
+    if merge:
+        started = time.perf_counter()
+        im = _quotient(im, _classes(im))
+        report.timings["merge"] = time.perf_counter() - started
+    elif im.final.count(True) == 1:
+        im = replace(im, finish=im.final.index(True))
+    notes = im.state_annotations or [()] * im.state_count
+    im = replace(
+        im,
+        state_annotations=tuple(
+            tuple(model.describe_state(StateView(space, vector))) + lines
+            for vector, lines in zip(im.state_vectors, notes)
+        ),
+    )
+    report.merged_states = im.state_count
+    im.check_integrity()
+    return StateMachine._over(im, space), report

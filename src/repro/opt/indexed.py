@@ -1,12 +1,16 @@
-"""The dense indexed IR shared by the optimization passes and the backends.
+"""The dense indexed IR: what the generator produces and every stage consumes.
 
-Every consumer of a generated :class:`~repro.core.machine.StateMachine`
-used to rebuild its own view of the machine — the fleet engine flattened
-a dispatch table, the source renderer walked states per message, the
-flattening pipeline pruned by name.  :class:`IndexedMachine` is the one
-shared form: states, messages and actions interned to contiguous integer
-ids, transitions stored as flat row-major arrays of length
-``len(states) * len(messages)``.
+:class:`IndexedMachine` is the one form a machine takes from step 1 to the
+rendered class: states, messages and actions interned to contiguous
+integer ids, transitions stored as flat row-major arrays of length
+``len(states) * len(messages)``.  Both generation engines write it
+directly, step 4 and the optimization passes map it to new instances,
+and the source renderer and the fleet read it.  The public
+:class:`~repro.core.machine.StateMachine` a producer hands out is a view
+over it: :meth:`from_machine` on such a view returns the carried IR
+without interning anything, and the ``State``/``Transition`` objects are
+built only for consumers that ask for them (text, DOT, HTML, the
+interpreter, user code).
 
 Layout (all offsets are ``state_id * width + message_id``):
 
@@ -20,11 +24,12 @@ Layout (all offsets are ``state_id * width + message_id``):
 
 Interning makes the structural passes cheap: equivalent-state merging
 compares ``action_seq`` ids instead of string tuples, and dead/duplicate
-action elimination is pool compaction.  Name sidecars (annotations,
-vectors, merged-name sets) ride along untouched so :meth:`to_machine`
-reconstructs a machine renderers can still document.
+action elimination is pool compaction.  The sidecars (state annotations,
+vectors and merged-name sets, sparse transition annotations) carry the
+commentary the renderers emit.
 
-Instances are immutable by convention: passes build new ones.
+Instances are immutable by convention: passes build new ones.  Whoever
+builds one validates it once (:meth:`check_integrity`); consumers trust it.
 """
 
 from __future__ import annotations
@@ -34,7 +39,8 @@ from typing import Optional
 
 from repro.core.errors import MachineStructureError
 from repro.core.machine import FlatDispatchTable, StateMachine
-from repro.core.state import State, Transition, strip_action_prefix
+from repro.core.pipeline import _reachable
+from repro.core.state import strip_action_prefix
 
 
 @dataclass(frozen=True)
@@ -79,7 +85,7 @@ class IndexedMachine:
 
     def transition_count(self) -> int:
         """Number of populated transition slots."""
-        return sum(1 for target in self.next_state if target >= 0)
+        return len(self.next_state) - self.next_state.count(-1)
 
     def state_index(self) -> dict[str, int]:
         """Name -> id map (computed; hot paths use the arrays directly)."""
@@ -103,17 +109,17 @@ class IndexedMachine:
 
     @classmethod
     def from_machine(cls, machine: StateMachine) -> "IndexedMachine":
-        """Intern a :class:`StateMachine` (insertion order becomes id order)."""
+        """The IR a machine view carries; a hand-built machine is interned
+        (insertion order becomes id order)."""
+        if machine._ir is not None:
+            return machine._ir
         machine.check_integrity()
         state_names = machine.state_names()
         state_index = {name: i for i, name in enumerate(state_names)}
-        messages = machine.messages
-        message_index = {message: i for i, message in enumerate(messages)}
-        width = len(messages)
-        size = len(state_names) * width
-
-        next_state = [-1] * size
-        action_seq = [-1] * size
+        message_index = {message: i for i, message in enumerate(machine.messages)}
+        width = len(message_index)
+        next_state = [-1] * (len(state_names) * width)
+        action_seq = list(next_state)
         action_pool: dict[str, int] = {}
         seq_pool: dict[tuple[int, ...], int] = {(): 0}
         transition_annotations: dict[int, tuple[str, ...]] = {}
@@ -134,12 +140,12 @@ class IndexedMachine:
         return cls(
             name=machine.name,
             parameters=machine.parameters,
-            messages=messages,
+            messages=machine.messages,
             state_names=state_names,
             next_state=tuple(next_state),
             action_seq=tuple(action_seq),
-            action_seqs=tuple(sorted(seq_pool, key=seq_pool.__getitem__)),
-            actions=tuple(sorted(action_pool, key=action_pool.__getitem__)),
+            action_seqs=tuple(seq_pool),
+            actions=tuple(action_pool),
             start=state_index[machine.start_state.name],
             finish=state_index[finish.name] if finish is not None else -1,
             final=tuple(state.final for state in machine.states),
@@ -150,49 +156,10 @@ class IndexedMachine:
         )
 
     def to_machine(self) -> StateMachine:
-        """Rebuild a :class:`StateMachine` (id order becomes insertion order).
-
-        Transition insertion order is normalised to alphabet order, which
-        is behaviourally irrelevant (lookups are by message) but fixes
-        renderer output for machines whose transitions were recorded in a
-        different order.
-        """
-        machine = StateMachine(
-            self.messages, name=self.name, parameters=self.parameters
-        )
-        width = len(self.messages)
-        for i, name in enumerate(self.state_names):
-            state = State(
-                name,
-                vector=self.state_vectors[i] if self.state_vectors else None,
-                annotations=self.state_annotations[i] if self.state_annotations else (),
-                final=self.final[i],
-            )
-            if self.state_merged and self.state_merged[i]:
-                state.set_merged_names(self.state_merged[i])
-            machine.add_state(state)
-        for i, name in enumerate(self.state_names):
-            state = machine.get_state(name)
-            row = i * width
-            for col, message in enumerate(self.messages):
-                target = self.next_state[row + col]
-                if target < 0:
-                    continue
-                seq = self.action_seqs[self.action_seq[row + col]]
-                actions = tuple(self.actions[a] for a in seq)
-                state.record_transition(
-                    Transition(
-                        message,
-                        self.state_names[target],
-                        actions,
-                        self.transition_annotations.get(row + col, ()),
-                    )
-                )
-        machine.set_start(self.state_names[self.start])
-        if self.finish >= 0:
-            machine.set_finish(self.state_names[self.finish])
-        machine.check_integrity()
-        return machine
+        """Validate, and return a :class:`StateMachine` view over the IR
+        (whose objects, once asked for, list transitions in alphabet order)."""
+        self.check_integrity()
+        return StateMachine._over(self)
 
     def jump_arrays(self, auto_recycle: bool = False) -> tuple[list[int], list]:
         """Specialise the IR into the serve plane's two hot-loop arrays.
@@ -209,8 +176,7 @@ class IndexedMachine:
         width = len(self.messages)
         start = self.start * width
         final = self.final
-        stripped = tuple(strip_action_prefix(a) for a in self.actions)
-        seq_names = tuple(tuple(stripped[a] for a in seq) for seq in self.action_seqs)
+        seq_names = self._action_names()
         jump: list[int] = []
         acts: list = []
         for offset, target in enumerate(self.next_state):
@@ -226,82 +192,78 @@ class IndexedMachine:
         return jump, acts
 
     def dispatch_table(self) -> FlatDispatchTable:
-        """Export the IR as the fleet plane's :class:`FlatDispatchTable`.
-
-        Identical to ``to_machine().dispatch_table()`` but built straight
-        from the arrays: action ids resolve through the pools once, with
-        the ``->`` prefix stripped exactly as the table contract requires.
-        """
-        stripped = tuple(strip_action_prefix(a) for a in self.actions)
-        seq_names = tuple(tuple(stripped[a] for a in seq) for seq in self.action_seqs)
-        entries: list[Optional[tuple[int, tuple[str, ...]]]] = []
-        for offset, target in enumerate(self.next_state):
-            if target < 0:
-                entries.append(None)
-            else:
-                entries.append((target, seq_names[self.action_seq[offset]]))
+        """Export the IR as the fleet plane's :class:`FlatDispatchTable`."""
+        seq_names = self._action_names()
         return FlatDispatchTable(
             state_names=self.state_names,
             messages=self.messages,
             state_index=self.state_index(),
             message_index=self.message_index(),
-            entries=tuple(entries),
+            entries=tuple(
+                (target, seq_names[seq]) if target >= 0 else None
+                for target, seq in zip(self.next_state, self.action_seq)
+            ),
             start_index=self.start,
             final=self.final,
         )
+
+    def _action_names(self) -> list[tuple[str, ...]]:
+        """Each pool sequence as action names without the ``->`` marker."""
+        stripped = [strip_action_prefix(a) for a in self.actions]
+        return [tuple(stripped[a] for a in seq) for seq in self.action_seqs]
 
     # ------------------------------------------------------------------
     # integrity
     # ------------------------------------------------------------------
 
     def check_integrity(self) -> None:
-        """Raise :class:`MachineStructureError` on malformed arrays."""
-        size = len(self.state_names) * len(self.messages)
-        if len(self.next_state) != size or len(self.action_seq) != size:
-            raise MachineStructureError(
-                f"indexed machine {self.name!r}: array length "
-                f"{len(self.next_state)}/{len(self.action_seq)} != "
-                f"{len(self.state_names)} states x {len(self.messages)} messages"
+        """Raise :class:`MachineStructureError`, naming the field, on any
+        array or sidecar that a consumer could not read as a machine."""
+        n, width = len(self.state_names), len(self.messages)
+        targets, seqs, pool = self.next_state, self.action_seq, len(self.action_seqs)
+
+        def fail(detail: str):
+            raise MachineStructureError(f"indexed machine {self.name!r}: {detail}")
+
+        if not width or len(set(self.messages)) != width:
+            fail(f"messages {self.messages} must be non-empty and distinct")
+        if len(set(self.state_names)) != n:
+            fail("state_names has duplicates")
+        for name in ("final", "state_annotations", "state_vectors", "state_merged"):
+            size = len(getattr(self, name))
+            if size != n and (size or name == "final"):
+                fail(f"{name} has {size} entries for {n} states")
+        if len(targets) != n * width or len(seqs) != n * width:
+            fail(f"array lengths {len(targets)}/{len(seqs)} != {n} x {width}")
+        if not 0 <= self.start < n:
+            fail(f"start id {self.start} out of range")
+        if self.finish != -1 and not (0 <= self.finish < n and self.final[self.finish]):
+            fail(f"finish id {self.finish} is not a final state")
+        if not -1 <= min(targets) <= max(targets) < n:
+            bad = next(t for t in targets if not -1 <= t < n)
+            fail(f"next_state[{targets.index(bad)}] targets unknown state id {bad}")
+        applicable = [t >= 0 for t in targets]
+        mismatched = applicable != [a >= 0 for a in seqs]
+        if mismatched or not -1 <= min(seqs) <= max(seqs) < pool:
+            offset = next(
+                o
+                for o, (t, a) in enumerate(zip(targets, seqs))
+                if (t >= 0) != (a >= 0) or not -1 <= a < pool
             )
-        for offset, target in enumerate(self.next_state):
-            if target >= len(self.state_names):
-                raise MachineStructureError(
-                    f"indexed machine {self.name!r}: offset {offset} targets "
-                    f"unknown state id {target}"
-                )
-            if (target < 0) != (self.action_seq[offset] < 0):
-                raise MachineStructureError(
-                    f"indexed machine {self.name!r}: offset {offset} has "
-                    f"mismatched next_state/action_seq sentinels"
-                )
-            if target >= 0 and self.final[offset // len(self.messages)]:
-                raise MachineStructureError(
-                    f"indexed machine {self.name!r}: final state "
-                    f"{self.state_names[offset // len(self.messages)]!r} has an "
-                    f"outgoing transition"
-                )
-            if self.action_seq[offset] >= len(self.action_seqs):
-                raise MachineStructureError(
-                    f"indexed machine {self.name!r}: offset {offset} references "
-                    f"unknown action sequence {self.action_seq[offset]}"
-                )
-        if not (0 <= self.start < len(self.state_names)):
-            raise MachineStructureError(
-                f"indexed machine {self.name!r}: start id {self.start} out of range"
-            )
+            fail(f"action_seq[{offset}] = {seqs[offset]} does not match next_state")
+        for s in (s for s, final in enumerate(self.final) if final):
+            if any(applicable[s * width : (s + 1) * width]):
+                fail(f"final state {self.state_names[s]!r} has an outgoing transition")
+        for i, seq in enumerate(self.action_seqs):
+            if not all(0 <= a < len(self.actions) for a in seq):
+                fail(f"action_seqs[{i}] = {seq} names an unknown action id")
+        for offset in self.transition_annotations:
+            if not (0 <= offset < n * width and targets[offset] >= 0):
+                fail(f"transition_annotations[{offset}] annotates no transition")
 
     def reachable_ids(self) -> set[int]:
         """State ids reachable from the start state (array BFS)."""
-        width = len(self.messages)
-        seen = {self.start}
-        frontier = [self.start]
-        while frontier:
-            row = frontier.pop() * width
-            for target in self.next_state[row : row + width]:
-                if target >= 0 and target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return seen
+        return _reachable(self.next_state, len(self.messages), self.start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

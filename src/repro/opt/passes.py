@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.minimize import coarsest_partition
+from repro.core.minimize import _classes
 from repro.opt.indexed import IndexedMachine
 
 #: Mapping produced by a pass: old state id -> new state id (None = removed).
@@ -55,22 +55,9 @@ def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
     action pools are carried over untouched (compaction is its own pass).
     """
     width = len(im.messages)
-    next_state: list[int] = []
-    action_seq: list[int] = []
-    transition_annotations: dict[int, tuple[str, ...]] = {}
-    for new_id, old_id in enumerate(keep):
-        row = old_id * width
-        for col in range(width):
-            target = im.next_state[row + col]
-            if target < 0:
-                next_state.append(-1)
-                action_seq.append(-1)
-            else:
-                next_state.append(target_of(target))
-                action_seq.append(im.action_seq[row + col])
-                notes = im.transition_annotations.get(row + col)
-                if notes:
-                    transition_annotations[new_id * width + col] = notes
+    offsets = [o for row in keep for o in range(row * width, (row + 1) * width)]
+    targets = [im.next_state[o] for o in offsets]
+    notes = im.transition_annotations
     finish = -1
     if im.finish >= 0:
         try:
@@ -82,8 +69,8 @@ def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
         parameters=im.parameters,
         messages=im.messages,
         state_names=tuple(im.state_names[i] for i in keep),
-        next_state=tuple(next_state),
-        action_seq=tuple(action_seq),
+        next_state=tuple([target_of(t) if t >= 0 else -1 for t in targets]),
+        action_seq=tuple([im.action_seq[o] for o in offsets]),
         action_seqs=im.action_seqs,
         actions=im.actions,
         start=target_of(im.start),
@@ -98,7 +85,9 @@ def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
         state_merged=tuple(im.state_merged[i] for i in keep)
         if im.state_merged
         else (),
-        transition_annotations=transition_annotations,
+        transition_annotations={
+            new: notes[old] for new, old in enumerate(offsets) if old in notes
+        },
     )
 
 
@@ -134,15 +123,9 @@ class MergeEquivalentPass:
 
     def run(self, im: IndexedMachine) -> tuple[IndexedMachine, StateMapping]:
         n = len(im.state_names)
-        # Resolve sequence ids to action-name tuples so duplicate pool
+        # Sequences compare by their action strings, so duplicate pool
         # entries (legal in hand-built IRs) still compare equal.
-        seq_key = [tuple(im.actions[a] for a in seq) for seq in im.action_seqs]
-        cls = coarsest_partition(
-            len(im.messages),
-            im.next_state,
-            [seq_key[seq] if seq >= 0 else None for seq in im.action_seq],
-            im.final,
-        )
+        cls = _classes(im)
 
         # Class ids are dense and numbered by lowest member, so class c
         # is new state c, kept under the name of its lowest member:

@@ -181,7 +181,8 @@ class PassPipeline:
         return tuple(p.name for p in self.passes)
 
     def run(self, im: IndexedMachine) -> tuple[IndexedMachine, PassReport]:
-        """Apply every pass in order; return the final IR and the report."""
+        """Apply every pass in order; return the final IR, validated once
+        when any pass ran, and the report."""
         report = PassReport(machine_name=im.name)
         original_names = im.state_names
         # Composed old-id -> current-id mapping over the original machine.
@@ -214,14 +215,17 @@ class PassPipeline:
             for old, current in composed.items()
             if current is not None
         }
+        if self.passes:
+            im.check_integrity()
         return im, report
 
     def optimize_machine(
         self, machine: StateMachine
     ) -> tuple[StateMachine, PassReport]:
-        """Convenience: machine -> IR -> passes -> machine."""
+        """Convenience: machine -> IR (free for a generated one) -> passes
+        -> a machine view over the result."""
         optimized, report = self.run(IndexedMachine.from_machine(machine))
-        return optimized.to_machine(), report
+        return StateMachine._over(optimized), report
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"PassPipeline({self.name!r}, {list(self.pass_names())})"

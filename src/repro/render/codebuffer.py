@@ -46,8 +46,11 @@ class CodeBuffer:
 
     def add_line(self, *items: str) -> "CodeBuffer":
         """Append items followed by a newline."""
-        self.add(*items)
-        self._parts.append("\n")
+        parts = self._parts
+        if self._at_line_start and any(items):
+            parts.append(self._indent_unit * self._level)
+        parts += items
+        parts.append("\n")
         self._at_line_start = True
         return self
 

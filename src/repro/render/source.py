@@ -49,12 +49,16 @@ deployment styles are supported:
 
 Commentary recorded by the abstract model is embedded as comments, as the
 paper notes for its generated Java (§3.5).
+
+The renderer walks the machine's :class:`~repro.opt.indexed.IndexedMachine`
+(carried by a generated machine, interned for a hand-built one) one
+message column at a time, reading commentary from the IR's sidecars.
 """
 
 from __future__ import annotations
 
 from repro.core.machine import StateMachine
-from repro.core.state import State
+from repro.opt.indexed import IndexedMachine
 from repro.render.base import Renderer, python_identifier
 from repro.render.codebuffer import CodeBuffer
 
@@ -94,28 +98,21 @@ class PythonSourceRenderer(Renderer):
         self._include_commentary = include_commentary
 
     def render(self, machine: StateMachine) -> str:
-        machine.check_integrity()
+        im = IndexedMachine.from_machine(machine)
         class_name = self._class_name or machine_class_name(machine)
         buffer = CodeBuffer()
+        names = [repr(name) for name in im.state_names]
 
-        self._module_header(buffer, machine)
-        self._module_constants(buffer, machine)
-        performs = self._perform_functions(buffer, machine)
-        for message in machine.messages:
-            self._transition_table(buffer, machine, message, performs)
-        self._table_index(buffer, machine)
-        # Distinct actions in first-use order, as method names.
-        methods = tuple(
-            dict.fromkeys(
-                action_method_name(action)
-                for sequence in performs
-                for action in sequence
-            )
-        )
-        self._class_header(buffer, machine, class_name, methods)
+        self._module_header(buffer, im)
+        self._module_constants(buffer, im, names)
+        performs, methods = self._perform_functions(buffer, im)
+        for column in range(im.width):
+            self._transition_table(buffer, im, column, names, performs)
+        self._table_index(buffer, im)
+        self._class_header(buffer, im, class_name, methods)
         self._lifecycle_methods(buffer)
         self._receive_method(buffer)
-        for message in machine.messages:
+        for message in im.messages:
             self._message_method(buffer, message)
         self._action_methods(buffer, methods)
         buffer.exit_block()
@@ -125,90 +122,98 @@ class PythonSourceRenderer(Renderer):
     # module-level sections
     # ------------------------------------------------------------------
 
-    def _module_header(self, buffer: CodeBuffer, machine: StateMachine) -> None:
-        buffer.add_line(
-            '"""Generated implementation of state machine: ', machine.name, "."
-        )
+    def _module_header(self, buffer: CodeBuffer, im: IndexedMachine) -> None:
+        buffer.add_line('"""Generated implementation of state machine: ', im.name, ".")
         buffer.blank()
         buffer.add_line("Produced by repro.render.source.PythonSourceRenderer.")
         buffer.add_line("DO NOT EDIT: regenerate from the abstract model instead.")
-        parameters = machine.parameters
-        if parameters:
+        if im.parameters:
             rendered = ", ".join(
-                f"{key}={value!r}" for key, value in sorted(parameters.items())
+                f"{key}={value!r}" for key, value in sorted(im.parameters.items())
             )
             buffer.add_line("Generation parameters: ", rendered, ".")
         buffer.add_line('"""')
         buffer.blank()
 
-    def _module_constants(self, buffer: CodeBuffer, machine: StateMachine) -> None:
-        buffer.add_line("START_STATE = ", repr(machine.start_state.name))
-        finals = sorted(state.name for state in machine.final_states())
+    def _module_constants(
+        self, buffer: CodeBuffer, im: IndexedMachine, names: list[str]
+    ) -> None:
+        buffer.add_line("START_STATE = ", names[im.start])
+        finals = sorted(name for name, final in zip(im.state_names, im.final) if final)
         buffer.add_line("FINAL_STATES = frozenset(", repr(finals), ")")
-        buffer.add_line("MESSAGES = ", repr(tuple(machine.messages)))
+        buffer.add_line("MESSAGES = ", repr(tuple(im.messages)))
         buffer.add_line("STATE_NAMES = (")
         buffer.increase_indent()
-        for state in machine.states:
-            buffer.add_line(repr(state.name), ",")
+        for name in names:
+            buffer.add_line(name, ",")
         buffer.decrease_indent()
         buffer.add_line(")")
         buffer.add_line("STATES = frozenset(STATE_NAMES)")
         buffer.blank()
 
     def _perform_functions(
-        self, buffer: CodeBuffer, machine: StateMachine
-    ) -> dict[tuple[str, ...], str]:
+        self, buffer: CodeBuffer, im: IndexedMachine
+    ) -> tuple[dict[int, str], tuple[str, ...]]:
         """Emit one ``_perform_<n>(self)`` per distinct non-empty action
-        sequence; returns the function name of each sequence (``"None"``
-        for the empty one), as the tables spell it."""
-        performs: dict[tuple[str, ...], str] = {(): "None"}
-        for _, transition in machine.transitions():
-            if transition.actions in performs:
+        sequence, in order of first use; return the table spelling of each
+        sequence id in use and the action method names in first-use order."""
+        sequences: dict[tuple[str, ...], str] = {(): "None"}
+        performs: dict[int, str] = {}
+        for seq in im.action_seq:
+            if seq < 0 or seq in performs:
                 continue
-            performs[transition.actions] = name = f"_perform_{len(performs)}"
+            actions = tuple(im.actions[a] for a in im.action_seqs[seq])
+            name = sequences.get(actions)
+            if name is None:
+                sequences[actions] = name = f"_perform_{len(sequences)}"
+                buffer.blank()
+                buffer.enter_block(f"def {name}(self):")
+                for action in actions:
+                    buffer.add_line(f"self.{action_method_name(action)}()")
+                buffer.exit_block()
+                buffer.blank()
+            performs[seq] = name
+        if len(sequences) > 1:
             buffer.blank()
-            buffer.enter_block(f"def {name}(self):")
-            for action in transition.actions:
-                buffer.add_line(f"self.{action_method_name(action)}()")
-            buffer.exit_block()
-            buffer.blank()
-        if len(performs) > 1:
-            buffer.blank()
-        return performs
+        methods = (action_method_name(a) for seq in sequences for a in seq)
+        return performs, tuple(dict.fromkeys(methods))
 
     def _transition_table(
         self,
         buffer: CodeBuffer,
-        machine: StateMachine,
-        message: str,
-        performs: dict[tuple[str, ...], str],
+        im: IndexedMachine,
+        column: int,
+        names: list[str],
+        performs: dict[int, str],
     ) -> None:
         """The paper's Fig 16 ``switch (getState())`` for one message, as a
         dict literal: one ``case`` per line, its commentary above it."""
+        message = im.messages[column]
         buffer.add_line(
             f"# {message!r}: state -> (resultant state, actions to perform)."
         )
         buffer.add_line(table_name(message), " = {")
         buffer.increase_indent()
-        for state in machine.states:
-            transition = state.get_transition(message)
-            if transition is None:
+        notes = im.transition_annotations if self._include_commentary else {}
+        width = im.width
+        for offset in range(column, len(im.next_state), width):
+            target = im.next_state[offset]
+            if target < 0:
                 continue
-            if self._include_commentary:
-                for annotation in transition.annotations:
-                    buffer.add_line("# ", annotation)
+            for annotation in notes.get(offset, ()):
+                buffer.add_line("# ", annotation)
             buffer.add_line(
-                f"{state.name!r}: ({transition.target_name!r}, "
-                f"{performs[transition.actions]}),"
+                f"{names[offset // width]}: ({names[target]}, "
+                f"{performs[im.action_seq[offset]]}),"
             )
         buffer.decrease_indent()
         buffer.add_line("}")
         buffer.blank()
 
-    def _table_index(self, buffer: CodeBuffer, machine: StateMachine) -> None:
+    def _table_index(self, buffer: CodeBuffer, im: IndexedMachine) -> None:
         buffer.add_line("TRANSITIONS = {")
         buffer.increase_indent()
-        for message in machine.messages:
+        for message in im.messages:
             buffer.add_line(f"{message!r}: {table_name(message)},")
         buffer.decrease_indent()
         buffer.add_line("}")
@@ -218,13 +223,13 @@ class PythonSourceRenderer(Renderer):
     def _class_header(
         self,
         buffer: CodeBuffer,
-        machine: StateMachine,
+        im: IndexedMachine,
         class_name: str,
         methods: tuple[str, ...],
     ) -> None:
         base = self._action_base if self._action_base is not None else "object"
         buffer.enter_block(f"class {class_name}({base}):")
-        buffer.add_line('"""Generated protocol implementation for ', machine.name, ".")
+        buffer.add_line('"""Generated protocol implementation for ', im.name, ".")
         buffer.blank()
         buffer.add_line("Call receive_<message>() (or receive(message)) whenever the")
         buffer.add_line("corresponding protocol message arrives; action methods named")
@@ -374,14 +379,13 @@ class JavaSourceRenderer(Renderer):
             transition = state.get_transition(message)
             if transition is None:
                 continue
-            buffer.enter_block(f"case ({_java_state_name(state)}) :")
+            buffer.enter_block(f"case ({_java_state_name(state.name)}) :")
             if self._include_commentary:
                 for annotation in transition.annotations:
                     buffer.add_line("// ", annotation)
             for action in transition.actions:
                 buffer.add_line(f"{_java_action_call(action)};")
-            target = machine.get_state(transition.target_name)
-            buffer.add_line(f"setState({_java_state_name(target)});")
+            buffer.add_line(f"setState({_java_state_name(transition.target_name)});")
             buffer.add_line("break;")
             buffer.exit_block()
         buffer.exit_block()
@@ -389,9 +393,9 @@ class JavaSourceRenderer(Renderer):
         buffer.blank()
 
 
-def _java_state_name(state: State) -> str:
+def _java_state_name(name: str) -> str:
     """Fig 16 encodes state variables with dashes: ``T-1-T-1-F-T-T``."""
-    return state.name.replace("/", "-")
+    return name.replace("/", "-")
 
 
 def _java_action_call(action: str) -> str:

@@ -146,3 +146,60 @@ class TestIntegrity:
             replace(
                 im, next_state=tuple(bad_next), action_seq=tuple(bad_seq)
             ).check_integrity()
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("finish", {"finish": 3}),
+            ("finish", {"finish": 0}),  # names a state that is not final
+            ("final", {"final": (False, False)}),
+            ("state_annotations", {"state_annotations": (("start here",),)}),
+            ("state_vectors", {"state_vectors": (None,) * 4}),
+            ("state_merged", {"state_merged": ((),)}),
+            ("action_seqs", {"action_seqs": ((), (0,), (9,))}),
+            ("next_state", {"next_state": (1, 2, 1, 2, -2, -1)}),
+            ("action_seq", {"action_seq": (1, 0, 1, 2, -1, 7)}),
+            ("state_names", {"state_names": ("A", "B", "B")}),
+            ("messages", {"messages": ("go", "go")}),
+            ("transition_annotations", {"transition_annotations": {4: ("x",)}}),
+        ],
+        ids=lambda value: value if isinstance(value, str) else "",
+    )
+    def test_malformed_field_named(self, field, change):
+        """Every field a consumer reads is checked, and the refusal names
+        it: none of these may pass, or surface as an ``IndexError``."""
+        from dataclasses import replace
+
+        im = IndexedMachine.from_machine(tiny_machine())
+        with pytest.raises(MachineStructureError, match=field):
+            replace(im, **change).check_integrity()
+        with pytest.raises(MachineStructureError, match=field):
+            replace(im, **change).to_machine()
+
+
+def bundled_machines():
+    from repro.models.chandra_toueg import CoordinatorRoundModel
+    from repro.models.commit import CommitModel
+    from repro.models.termination import TerminationModel
+    from repro.models.threshold_sig import ThresholdSignatureModel
+
+    for model in (
+        CommitModel(4),
+        CoordinatorRoundModel(processes=5),
+        TerminationModel(max_tasks=3),
+        ThresholdSignatureModel(signers=4, threshold=3),
+    ):
+        for engine in ("eager", "lazy"):
+            for merge in (True, False):
+                yield model.generate_state_machine(engine=engine, merge=merge)
+    for args in (("session",), ("commit", 4)):
+        yield build_hierarchical_model(*args).flatten()
+
+
+def test_every_bundled_finish_state_is_final():
+    """The integrity check refuses a finish state that is not final; no
+    bundled model's machine, merged or not, has one."""
+    for machine in bundled_machines():
+        im = IndexedMachine.from_machine(machine)
+        im.check_integrity()
+        assert im.finish == -1 or im.final[im.finish]
