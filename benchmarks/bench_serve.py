@@ -62,7 +62,7 @@ from repro.serve import (
 def metrics_sample(instances=500, events=10_000, shards=4, seed=0):
     """A telemetry snapshot for the artifact's ``metrics`` section.
 
-    Runs a small *separate* telemetered fleet over the mailbox path so
+    Runs a small *separate* telemetered fleet over the posted path so
     the queue-latency and batch histograms engage; the timed sweeps
     above stay untelemetered and unperturbed.
     """

@@ -566,16 +566,20 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "optimize":
         return _optimize(args)
 
-    if args.command == "serve-bench":
-        return _serve_bench(args)
+    serving = {
+        "serve-bench": _serve_bench,
+        "serve-scenario": _serve_scenario,
+        "serve": _serve,
+        "serve-watch": _serve_watch,
+    }
+    if args.command in serving:
+        from repro.core.errors import DeploymentError
 
-    if args.command == "serve-scenario":
-        return _serve_scenario(args)
-
-    if args.command == "serve":
-        return _serve(args)
-    if args.command == "serve-watch":
-        return _serve_watch(args)
+        try:
+            return serving[args.command](args)
+        except DeploymentError as exc:  # a refusal, such as a fleet option
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "modelcheck":
         from repro.analysis.peerset_check import (
@@ -743,7 +747,8 @@ def _serve_bench(args) -> int:
             machine,
             shards=args.shards,
             workers=args.workers,
-            backend=args.backend,
+            # Only the naive baseline reads a backend.
+            backend=args.backend if mode == "naive" else "interp",
             mode=mode,
             auto_recycle=True,
             optimize=args.opt,
@@ -923,7 +928,7 @@ def _serve_scenario(args) -> int:
 def _serve_watch(args) -> int:
     """Post a workload in intervals, watching the telemetry registry fill.
 
-    Every interval's events go through the mailbox path (``post`` then
+    Every interval's events go through the posted path (``post`` then
     ``drain_all``), so the queue-latency histograms, batch timings and
     shard-depth gauges all engage; one status line summarises each
     interval and the full registry is rendered at the end.

@@ -3,12 +3,12 @@
 Scales the paper's single-machine deployment story (§4) to a population:
 instances are partitioned by session key across shards
 (:mod:`repro.serve.store`), every event is interned to a ``(slot,
-column)`` int pair at intake, queues in bounded per-shard mailboxes
-(:mod:`repro.serve.mailbox`) and is dispatched in batches by one of three
-modes (:mod:`repro.serve.fleet`): ``naive``, the per-instance reference
-the differential suites compare against; ``encoded``, int arithmetic over
+column)`` int pair at intake, queues in its shard's flat ``[slot, col,
+...]`` schedule and is dispatched in batches by one of three modes
+(:mod:`repro.serve.fleet`): ``naive``, the per-instance reference the
+differential suites compare against; ``encoded``, int arithmetic over
 the machine's flat dispatch table; ``vector``, the same table as numpy
-gather/scatter.  Snapshot/restore, backpressure and a metrics surface
+gather/scatter.  Snapshot/restore and a metrics surface
 (:mod:`repro.serve.metrics`) come with every mode.  Both execution
 backends of the ``naive`` mode — interpreter and compiled generated
 class — plug in through :mod:`repro.serve.adapter`;
@@ -65,7 +65,6 @@ if TYPE_CHECKING:
         run_closed_loop,
         run_open_loop,
     )
-    from repro.serve.mailbox import Mailbox, OverflowPolicy
     from repro.serve.metrics import FleetMetrics
     from repro.serve.scenario import (
         GroupTopology,
@@ -128,8 +127,6 @@ __all__ = [
     "InstanceSnapshot",
     "InstanceStore",
     "LOG_POLICIES",
-    "Mailbox",
-    "OverflowPolicy",
     "PartitionCheckpoint",
     "RecoveryPolicy",
     "RecoveryTelemetry",
@@ -207,7 +204,6 @@ _EXPORTS = {
         "run_closed_loop",
         "run_open_loop",
     ),
-    "repro.serve.mailbox": ("Mailbox", "OverflowPolicy"),
     "repro.serve.metrics": ("FleetMetrics",),
     "repro.serve.scenario": (
         "GroupTopology",

@@ -221,11 +221,13 @@ def make_fleet(
     enables the per-worker instruments.  Passing an instance still works
     for the in-process engine.
 
+    ``backend`` is read only by ``mode="naive"``; the table modes refuse
+    any backend but the default ``"interp"``.
+
     Remaining keyword arguments pass through to the chosen constructor
-    (``mailbox_capacity=``/``overflow=``/``cache=`` are in-process
-    only; ``start_method=``, and the supervision knobs ``journal=``,
-    ``checkpoint_every=``, ``recovery=`` and ``join_timeout=``, are
-    multiprocess only).
+    (``cache=`` is in-process only; ``start_method=``, and the
+    supervision knobs ``journal=``, ``checkpoint_every=``, ``recovery=``
+    and ``join_timeout=``, are multiprocess only).
     """
     if isinstance(model, str):
         machine = fleet_machine(model, engine)

@@ -7,11 +7,9 @@ trace must match a standalone :class:`~repro.runtime.interp.MachineInterpreter`
 fed the same per-key subsequence.  This module replays schedules standalone
 and reports mismatches; the test suite and ``bench_serve`` both use it.
 
-The comparison is only meaningful when the fleet dropped nothing — use
-unbounded mailboxes (or check ``metrics.events_dropped == 0``) before
-trusting a clean result — and when the fleet retains full action logs:
-fleets running ``log_policy='off'`` have no trace to compare, so the
-harness rejects them up front.
+The comparison is only meaningful when the fleet retains full action
+logs: fleets running ``log_policy='off'`` have no trace to compare, so
+the harness rejects them up front.
 """
 
 from __future__ import annotations

@@ -7,10 +7,10 @@ by session key across shards, and dispatches events in batches.
 
 Every event enters the same way: it is *interned at intake* — the session
 key resolves to its dense store slot and the message to its column id
-once, at :meth:`FleetEngine.post` or :meth:`FleetEngine.run` — so
-mailboxes and arrival batches carry ``(slot, column)`` int pairs and no
-dispatch loop hashes a string.  The three dispatch modes differ only in
-what executes a pair:
+once, at :meth:`FleetEngine.post` or :meth:`FleetEngine.run` — so every
+pending or arriving batch is a flat ``[slot, col, slot, col, ...]`` int
+schedule and no dispatch loop hashes a string.  The three dispatch modes
+differ only in what executes a pair:
 
 * ``naive`` — the reference: each pair is delivered to a per-instance
   backend object (a :class:`~repro.runtime.interp.MachineInterpreter` or a
@@ -36,19 +36,21 @@ so the table-dispatch planes are pure throughput optimisations.
 actions — per-event tuple appends dominate profile time at 10k+
 instances: ``full`` (default) retains every action chunk and is required
 for traces, snapshots and differential comparison; ``off`` mutates
-nothing per event.  ``naive`` backends always keep their logs.
+nothing per event.  The policy is data, not a second loop: an ``off``
+fleet's acts table has no action to append, only the auto-recycle
+sentinels.  ``naive`` backends always keep their logs.
 
-Event intake is two-tier.  :meth:`FleetEngine.post` routes single events
-into per-shard bounded :class:`~repro.serve.mailbox.Mailbox` queues —
-backpressure domain per shard, with *shed* (drop and count) or *block*
-(drain inline, the synchronous form of blocking the producer) overflow
-policies — and :meth:`FleetEngine.drain_shard` dispatches a shard's queue
-in one pass.  Routing never re-hashes an interned key: the shard id is
-memoized per slot at spawn time.  :meth:`FleetEngine.run` additionally
-treats an already materialised event list as one arrival batch;
-``run(schedule, encoding="flat")`` accepts a schedule that is *already*
-interned by :meth:`FleetEngine.encode_flat`, so a generator can pay the
-interning cost once per workload instead of once per run.
+Event intake has three doors and one dispatch tail.
+:meth:`FleetEngine.post` appends one interned pair to its shard's
+pending schedule (the shard id is memoized per slot at spawn time, so
+routing never re-hashes a key) and :meth:`FleetEngine.drain_shard`
+dispatches that schedule in one pass; :meth:`FleetEngine.run` dispatches
+a materialised event list as one arrival batch, or — as
+``run(schedule, encoding="flat")`` — a schedule *already* interned by
+:meth:`FleetEngine.encode_flat`, so a generator can pay the interning
+cost once per workload instead of once per run.  Queues are unbounded:
+a producer that outruns the fleet drains it (every ``run`` starts with
+:meth:`FleetEngine.drain_all`).
 
 Snapshot/restore captures every instance's ``(key, state, action log)``
 for recycling and failover; recycling itself rides the ``reset()``
@@ -57,19 +59,19 @@ an instance's slot to the store's free list for reuse.
 
 Telemetry is opt-in and engine-external:
 ``FleetEngine(telemetry=FleetTelemetry())`` attaches a
-:mod:`repro.obs` context and the engine feeds it — per-event mailbox
-wait (post to drain) into ``fleet_queue_latency_seconds``, per-batch
+:mod:`repro.obs` context and the engine feeds it — per-event queue wait
+(post to drain) into ``fleet_queue_latency_seconds``, per-batch
 dispatch wall time and size into ``fleet_batch_*``, and (when the
-context carries a trace log) a trace id minted at :meth:`post` and
-recorded through shed and dispatch decisions.  The cost model is
-deliberate: the hot loops are untouched — batches pay two clock reads
-and two histogram observations *per batch* — while per-event stamping
-exists only on the mailbox path, which is already the slower intake
-tier.  The default ``telemetry=None`` leaves every path exactly as
-before.  Shard mailbox depths, by contrast, are always observed: every
-drain records the drained batch's depth into
-:class:`~repro.serve.metrics.FleetMetrics`, so ``shard_depths`` /
-``peak_shard_depth`` are live without caller polling.
+context carries a trace log) a ``post`` record under a trace id minted
+at :meth:`FleetEngine.post`.  The cost model is deliberate: the hot
+loops are untouched — batches pay two clock reads and two histogram
+observations *per batch* — while per-event stamping exists only on the
+posted path, which is already the slower intake door.  The default
+``telemetry=None`` leaves every path exactly as before.  Shard queue
+depths, by contrast, are always observed: every drain records the
+drained batch's depth into :class:`~repro.serve.metrics.FleetMetrics`,
+so ``shard_depths`` / ``peak_shard_depth`` are live without caller
+polling.
 """
 
 from __future__ import annotations
@@ -85,7 +87,6 @@ from repro.obs.telemetry import FleetTelemetry
 from repro.opt import IndexedMachine, as_pipeline
 from repro.runtime.cache import GeneratedCodeCache
 from repro.serve.adapter import BACKENDS, make_backend
-from repro.serve.mailbox import Mailbox, OverflowPolicy
 from repro.serve.metrics import FleetMetrics
 from repro.serve.store import LOG_POLICIES, InstanceSnapshot, InstanceStore
 from repro.serve.vector import (
@@ -128,12 +129,63 @@ def raise_rejected(rejected: list[tuple[str, str]]) -> None:
     )
 
 
+def _check_options(mode: str, backend: str, log_policy: str, shards: int) -> None:
+    """Refuse a fleet configuration that cannot run or means nothing.
+
+    Both fleet implementations call this before they build anything —
+    the multiprocess one in the parent, before any worker is forked — so
+    a bad option raises one :class:`~repro.core.errors.DeploymentError`
+    whichever fleet was asked for.
+    """
+    if mode not in DISPATCH_MODES:
+        raise DeploymentError(
+            f"unknown dispatch mode {mode!r}; choose from {DISPATCH_MODES}"
+        )
+    if backend not in BACKENDS:
+        raise DeploymentError(
+            f"unknown backend {backend!r}; choose from {BACKENDS}"
+        )
+    if backend != "interp" and mode != "naive":
+        raise DeploymentError(
+            f"backend {backend!r} is read only by dispatch mode 'naive'; "
+            f"mode {mode!r} executes the dispatch table itself"
+        )
+    if log_policy not in LOG_POLICIES:
+        raise DeploymentError(
+            f"unknown log policy {log_policy!r}; choose from {LOG_POLICIES}"
+        )
+    if mode == "naive" and log_policy != "full":
+        raise DeploymentError(
+            "naive-mode backends always retain their action logs; "
+            f"log_policy {log_policy!r} needs a table-dispatch mode"
+        )
+    if shards < 1:
+        raise DeploymentError(f"shards must be >= 1, got {shards}")
+    if mode == "vector":
+        # Fail here, not at first dispatch: numpy is a soft dependency
+        # and a deployment can still pick a scalar mode.
+        require_numpy("dispatch mode 'vector'")
+
+
+class _Unlogged:
+    """An ``off`` fleet's log column as the scalar loop reads it: every
+    slot's log is one shared empty list, which the ``off`` acts table
+    never appends to, so clearing it on an auto-recycle is a no-op."""
+
+    def __getitem__(self, slot: int) -> list:
+        return _EMPTY_LOG
+
+
+_EMPTY_LOG: list = []
+_UNLOGGED = _Unlogged()
+
+
 @dataclass(frozen=True)
 class FleetSnapshot:
     """Portable state of a whole fleet at a quiescent point.
 
     Pending (queued, undelivered) events are *not* part of a snapshot:
-    :meth:`FleetEngine.snapshot` drains all mailboxes first so the capture
+    :meth:`FleetEngine.snapshot` drains every shard queue first so the capture
     is consistent.
 
     ``lost`` is the manifest of a *partial* snapshot: keys whose shard
@@ -214,35 +266,13 @@ class FleetEngine:
         shards: int = 8,
         backend: str = "interp",
         mode: str = "encoded",
-        mailbox_capacity: Optional[int] = None,
-        overflow: OverflowPolicy = OverflowPolicy.SHED,
         auto_recycle: bool = False,
         cache: Optional[GeneratedCodeCache] = None,
         optimize=None,
         log_policy: str = "full",
         telemetry: Optional[FleetTelemetry] = None,
     ):
-        if mode not in DISPATCH_MODES:
-            raise DeploymentError(
-                f"unknown dispatch mode {mode!r}; choose from {DISPATCH_MODES}"
-            )
-        if backend not in BACKENDS:
-            raise DeploymentError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        if log_policy not in LOG_POLICIES:
-            raise DeploymentError(
-                f"unknown log policy {log_policy!r}; choose from {LOG_POLICIES}"
-            )
-        if mode == "naive" and log_policy != "full":
-            raise DeploymentError(
-                "naive-mode backends always retain their action logs; "
-                f"log_policy {log_policy!r} needs a table-dispatch mode"
-            )
-        if mode == "vector":
-            # Fail here, not at first dispatch: numpy is a soft
-            # dependency and a deployment can still pick a scalar mode.
-            require_numpy("dispatch mode 'vector'")
+        _check_options(mode, backend, log_policy, shards)
         self._machine = machine
         self._mode = mode
         self._backend_kind = backend
@@ -273,6 +303,10 @@ class FleetEngine:
             self._jump = self._acts = None
         else:
             self._jump, self._acts = self._indexed.jump_arrays(auto_recycle)
+            if log_policy == "off":
+                # Nothing to log: firing entries carry no actions, and
+                # only the auto-recycle sentinels (None) stay.
+                self._acts = [None if acts is None else () for acts in self._acts]
         # Backend objects only exist on the naive path; the table modes
         # execute instances as columns of the slot-indexed store.
         # Naive backends run the *serving* (optimized) machine so all
@@ -296,16 +330,9 @@ class FleetEngine:
             if mode == "vector"
             else None
         )
-        self._mailboxes = [
-            Mailbox(capacity=mailbox_capacity, policy=overflow)
-            for _ in range(shards)
-        ]
-        self._bounded = mailbox_capacity is not None
         self.metrics = FleetMetrics()
         self._telemetry = telemetry
-        #: Per-shard post() timestamps, parallel to the mailbox contents;
-        #: only stamped when telemetry is attached, consumed at drain.
-        self._post_times: list[list[float]] = [[] for _ in range(shards)]
+        self._discard_pending()
 
     # ------------------------------------------------------------------
     # introspection
@@ -417,14 +444,10 @@ class FleetEngine:
         return self._store.shard_sizes()
 
     def depths(self) -> list[int]:
-        """Current mailbox depth per shard; also recorded into metrics."""
-        depths = [len(box) for box in self._mailboxes]
+        """Events queued per shard right now; also recorded into metrics."""
+        depths = [len(queue) // 2 for queue in self._queues]
         self.metrics.observe_depths(depths)
         return depths
-
-    def dropped_per_shard(self) -> list[int]:
-        """Events shed per shard since construction."""
-        return [box.dropped for box in self._mailboxes]
 
     # ------------------------------------------------------------------
     # instance lifecycle
@@ -457,7 +480,7 @@ class FleetEngine:
         next occupant.
         """
         shard_id = self._store.shard_ids[self._store.slot(key)]
-        if self._mailboxes[shard_id]:
+        if self._queues[shard_id]:
             self.drain_shard(shard_id)
         self._store.release(key)
         self.metrics.instances_released += 1
@@ -615,20 +638,6 @@ class FleetEngine:
         flat[1::2] = array("q", cols)
         return flat
 
-    def _offer(self, shard_id: int, event, source: Optional[str] = None) -> bool:
-        """Offer one event to a shard mailbox, applying the overflow policy."""
-        mailbox = self._mailboxes[shard_id]
-        if not mailbox.offer(event, source):
-            if mailbox.policy is not OverflowPolicy.BLOCK:
-                self.metrics.events_dropped += 1
-                return False
-            self.drain_shard(shard_id)
-            mailbox.offer(event, source)
-        self.metrics.events_offered += 1
-        if self._telemetry is not None:
-            self._post_times[shard_id].append(perf_counter())
-        return True
-
     def post(
         self,
         key: str,
@@ -636,49 +645,48 @@ class FleetEngine:
         source: Optional[str] = None,
         trace_id: Optional[int] = None,
     ) -> bool:
-        """Queue one event for its shard's next drain; returns acceptance.
+        """Queue one event for its shard's next drain; always ``True``.
 
-        The event is interned here — the mailbox carries a ``(slot,
-        column)`` pair, routed to the shard id memoized at spawn time —
-        so an unknown key or message raises at intake, in every mode.
-        Under the ``block`` policy a full mailbox is drained inline (the
-        synchronous form of blocking the producer) and the event is then
-        accepted.  ``source`` tags the enqueue's provenance in the shard
-        mailbox (the scenario plane marks timed and routed traffic).
+        The event is interned here and its ``slot, column`` pair appended
+        to the flat schedule of the shard memoized for the slot at spawn
+        time, so an unknown key or message raises at intake, in every
+        mode.  Queues are unbounded: the next :meth:`drain_shard` of the
+        shard dispatches every accepted event.
 
         With tracing attached, the event gets a trace id — minted here,
         or the caller-propagated ``trace_id`` when the event already has
         one (the scenario plane mints at schedule time) — and a ``post``
-        record; an event refused under the ``shed`` policy additionally
-        records ``shed``, so dropped traffic stays traceable.
+        record whose detail is ``source``, the enqueue's provenance (the
+        scenario plane marks timed and routed traffic).
         """
         store = self._store
         slot = store.slot_of.get(key)
         if slot is None:
             raise DeploymentError(f"unknown instance {key!r}")
         try:
-            event = (slot, self._columns[message])
+            col = self._columns[message]
         except KeyError:
             raise DeploymentError(f"unknown message {message!r}") from None
         shard_id = store.shard_ids[slot]
+        queue = self._queues[shard_id]
+        queue.append(slot)
+        queue.append(col)
+        self.metrics.events_offered += 1
         telemetry = self._telemetry
-        if telemetry is None or telemetry.trace is None:
-            return self._offer(shard_id, event, source)
-        trace = telemetry.trace
-        if trace_id is None:
-            trace_id = trace.mint()
-        trace.record(
-            trace_id, perf_counter(), "post", key=key, message=message, detail=source
-        )
-        accepted = self._offer(shard_id, event, source)
-        if not accepted:
-            trace.record(
-                trace_id, perf_counter(), "shed", key=key, message=message
-            )
-        return accepted
+        if telemetry is not None:
+            now = perf_counter()
+            self._post_times[shard_id].append(now)
+            trace = telemetry.trace
+            if trace is not None:
+                if trace_id is None:
+                    trace_id = trace.mint()
+                trace.record(
+                    trace_id, now, "post", key=key, message=message, detail=source
+                )
+        return True
 
     def deliver(self, key: str, message: str) -> bool:
-        """Dispatch one event immediately, bypassing the mailboxes.
+        """Dispatch one event immediately, bypassing the shard queues.
 
         This is the per-event path — full routing, dispatch and metrics
         accounting for a single event; in ``naive`` mode one complete
@@ -716,7 +724,7 @@ class FleetEngine:
             if self._log_policy == "full":
                 store.logs[slot].clear()
             metrics.instances_recycled += 1
-        elif acts and self._log_policy == "full":
+        elif acts:
             store.logs[slot].append(acts)
         store.states[slot] = next_state
         metrics.transitions_fired += 1
@@ -726,21 +734,40 @@ class FleetEngine:
     # dispatch
     # ------------------------------------------------------------------
 
-    def _dispatch_columns(self, slots, cols) -> None:
-        """Dispatch an interned batch held as two parallel id columns."""
-        if self._kernel is not None:
-            self._kernel.dispatch(VectorSchedule.of_columns(slots, cols), self.metrics)
-        else:
-            self._run_pairs(zip(slots, cols), len(slots))
+    def _batch_of(self, flat):
+        """A trusted flat schedule in the form :meth:`_dispatch` runs.
 
-    def _dispatch_pairs(self, pairs: list) -> None:
-        """Dispatch a drained mailbox batch of ``(slot, column)`` pairs."""
+        The vector kernel runs a :class:`~repro.serve.vector.VectorSchedule`;
+        every other mode walks ``(slot, column)`` pairs formed inside
+        ``zip``, whose result tuple the interpreter recycles, so the
+        scalar loop neither allocates nor frees anything per event.
+        """
         if self._kernel is not None:
-            self._dispatch_columns(
-                [slot for slot, _ in pairs], [col for _, col in pairs]
-            )
+            return flat if isinstance(flat, VectorSchedule) else VectorSchedule(flat)
+        if isinstance(flat, VectorSchedule):
+            flat = flat.flat
+        it = iter(flat)
+        return zip(it, it)
+
+    def _dispatch(self, batch, count: int) -> float:
+        """The one dispatch tail of :meth:`run` and :meth:`drain_shard`.
+
+        Counts the batch of ``count`` events, hands it to the vector
+        kernel or the scalar loop and, with telemetry attached, observes
+        its size and wall time.  Returns the clock at dispatch start
+        (``0.0`` without telemetry), from which a drain measures queue
+        waits.
+        """
+        self.metrics.batches_drained += 1
+        telemetry = self._telemetry
+        started = 0.0 if telemetry is None else perf_counter()
+        if self._kernel is not None:
+            self._kernel.dispatch(batch, self.metrics)
         else:
-            self._run_pairs(pairs, len(pairs))
+            self._run_pairs(batch, count)
+        if telemetry is not None:
+            telemetry.observe_batch(count, perf_counter() - started)
+        return started
 
     def _run_pairs(self, pairs, count: int) -> None:
         """The scalar hot loop over ``count`` trusted ``(slot, column)`` pairs.
@@ -749,8 +776,10 @@ class FleetEngine:
         :meth:`encode_flat`), so there is no error path inside the
         loops; ``pairs`` may be a one-shot iterable.  ``naive`` walks
         each instance's backend object; the table modes do pure int
-        arithmetic on two flat arrays, and their two variants differ only
-        in what a fired transition does with its actions.
+        arithmetic on two flat arrays, in one loop for both log policies:
+        under ``off`` the acts table holds no action to append and the
+        log column is a shared empty list, so the same body mutates no
+        log.
         """
         store = self._store
         ignored = 0
@@ -767,11 +796,11 @@ class FleetEngine:
                         recycled += 1
                 else:
                     ignored += 1
-        elif self._log_policy == "full":
+        else:
             states = store.states
             jump = self._jump
             acts_table = self._acts
-            logs = store.logs
+            logs = store.logs if self._log_policy == "full" else _UNLOGGED
             for slot, col in pairs:
                 offset = states[slot] + col
                 next_state = jump[offset]
@@ -785,52 +814,45 @@ class FleetEngine:
                     states[slot] = next_state
                 else:
                     ignored += 1
-        else:  # "off": no per-event log mutation at all
-            states = store.states
-            jump = self._jump
-            acts_table = self._acts
-            for slot, col in pairs:
-                offset = states[slot] + col
-                next_state = jump[offset]
-                if next_state >= 0:
-                    if acts_table[offset] is None:
-                        recycled += 1
-                    states[slot] = next_state
-                else:
-                    ignored += 1
         metrics = self.metrics
         metrics.events_dispatched += count
         metrics.transitions_fired += count - ignored
         metrics.events_ignored += ignored
         metrics.instances_recycled += recycled
 
+    def _discard_pending(self) -> None:
+        """Drop every queued event with its post stamps (restore, rehydrate)."""
+        shards = self._store.shard_count
+        self._queues = [array("q") for _ in range(shards)]
+        #: Per-shard post() timestamps, parallel to the queued pairs; only
+        #: stamped when telemetry is attached, consumed at drain.
+        self._post_times: list[list[float]] = [[] for _ in range(shards)]
+
     def drain_shard(self, shard_id: int) -> int:
         """Dispatch every queued event of one shard in a single pass.
 
-        The drained batch's depth is recorded into :attr:`metrics`
-        automatically, so ``shard_depths``/``peak_shard_depth`` are
-        live without caller polling.  With telemetry attached the pass
-        is wall-clocked (two clock reads per batch) and every drained
-        event's mailbox wait lands in ``fleet_queue_latency_seconds``.
+        The shard's pending schedule runs through the same tail as
+        ``run(flat)``.  The drained batch's depth is recorded into
+        :attr:`metrics` automatically, so ``shard_depths`` /
+        ``peak_shard_depth`` are live without caller polling.  With
+        telemetry attached the pass is wall-clocked (two clock reads per
+        batch) and every drained event's queue wait lands in
+        ``fleet_queue_latency_seconds``.
         """
-        batch = self._mailboxes[shard_id].drain()
-        if not batch:
+        queue = self._queues[shard_id]
+        if not queue:
             return 0
-        self.metrics.batches_drained += 1
-        self.metrics.observe_depth(shard_id, len(batch))
-        telemetry = self._telemetry
-        if telemetry is None:
-            self._dispatch_pairs(batch)
-            return len(batch)
-        times = self._post_times[shard_id]
-        self._post_times[shard_id] = []
-        started = perf_counter()
-        self._dispatch_pairs(batch)
-        telemetry.observe_batch(len(batch), perf_counter() - started)
-        observe = telemetry.queue_latency.observe
-        for stamp in times:
-            observe(started - stamp)
-        return len(batch)
+        self._queues[shard_id] = array("q")
+        count = len(queue) // 2
+        self.metrics.observe_depth(shard_id, count)
+        started = self._dispatch(self._batch_of(queue), count)
+        if self._telemetry is not None:
+            times = self._post_times[shard_id]
+            self._post_times[shard_id] = []
+            observe = self._telemetry.queue_latency.observe
+            for stamp in times:
+                observe(started - stamp)
+        return count
 
     def drain_all(self) -> int:
         """Drain every shard; returns the number of events dispatched."""
@@ -838,8 +860,8 @@ class FleetEngine:
         # back-to-back drains (every run starts with one) allocation-free.
         return sum(
             self.drain_shard(shard_id)
-            for shard_id, mailbox in enumerate(self._mailboxes)
-            if mailbox
+            for shard_id, queue in enumerate(self._queues)
+            if queue
         )
 
     def run(self, events, encoding: str = "auto") -> FleetMetrics:
@@ -850,17 +872,18 @@ class FleetEngine:
         * ``"events"`` — ``(key, message)`` string pairs.
         * ``"flat"`` — a flat ``[slot, col, slot, col, ...]`` int array
           (or a :class:`~repro.serve.vector.VectorSchedule`) from
-          :meth:`encode_flat`; its pairs are trusted.
+          :meth:`encode_flat`; its pairs are trusted, and slot ids are
+          fleet-specific.  A buffer of odd length (a slot with no
+          column) is refused before anything runs.
         * ``"auto"`` (default) — sniff the batch: a flat int ``array``
           or a ``VectorSchedule`` dispatches as ``flat``, everything
           else as ``events``.
 
         Every path first drains anything already queued (FIFO with
         previously posted traffic), then dispatches ``events`` as one
-        arrival batch when the mailboxes are unbounded — with bad events
-        collected and raised after the valid traffic dispatched — or
-        routes them through the mailboxes when a capacity bound (and its
-        overflow policy) is in force.
+        arrival batch through the same tail as a drain.  Bad string
+        events (unknown instance or message) are collected and raised
+        after the valid traffic dispatched.
         """
         if encoding not in ENCODINGS:
             raise DeploymentError(
@@ -869,89 +892,35 @@ class FleetEngine:
         pre_encoded = isinstance(events, (array, VectorSchedule))
         if pre_encoded and encoding == "events":
             raise DeploymentError(_SCHEDULE_AS_EVENTS)
+        rejected = ()
         if encoding == "flat" or pre_encoded:
-            return self._run_flat(events)
-        return self._run_events(events)
-
-    def _run_events(self, events) -> FleetMetrics:
-        """:meth:`run` body for ``(key, message)`` string batches."""
-        self.drain_all()
-        if self._bounded:
-            # Every event goes through post(), so capacity and overflow
-            # policy apply identically in every mode.  Intake errors
-            # (unknown keys/messages) are collected so they never strand
-            # the traffic still to be posted.
-            errors: list[str] = []
-            post = self.post
-            for key, message in events:
-                try:
-                    post(key, message)
-                except DeploymentError as exc:
-                    errors.append(str(exc))
+            if not pre_encoded:
+                events = array("q", events)
+            offered = count = (
+                events.count
+                if isinstance(events, VectorSchedule)
+                else _flat_count(events)
+            )
             self.drain_all()
-            if errors:
-                raise DeploymentError("; ".join(errors))
-            return self.metrics
-        batch = events if isinstance(events, (list, tuple)) else list(events)
-        if batch:
-            started = perf_counter()
+            batch = self._batch_of(events) if count else ()
+        else:
+            if not isinstance(events, (list, tuple)):
+                events = list(events)
+            self.drain_all()
             # Intern before counting: a batch that raises here (a
             # non-pair, an unhashable key) was never offered.
-            slots, cols, rejected = self._intern(batch)
-            self.metrics.events_offered += len(batch)
-            self.metrics.batches_drained += 1
-            self._dispatch_columns(slots, cols)
-            if self._telemetry is not None:
-                self._telemetry.observe_batch(len(batch), perf_counter() - started)
-            if rejected:
-                raise_rejected(rejected)
-        return self.metrics
-
-    def _run_flat(self, flat) -> FleetMetrics:
-        """:meth:`run` body for pre-encoded ``[slot, col, ...]`` schedules.
-
-        The zero-string serve path: the schedule comes from
-        :meth:`encode_flat` against *this* fleet — slot ids are
-        fleet-specific — and its pairs are trusted.  A buffer of odd
-        length (a slot with no column) is refused before anything runs.
-        Pairs are formed inside ``zip``, whose result tuple the
-        interpreter recycles, so the scalar loop neither allocates nor
-        frees anything per event (a mailbox that keeps a pair gets a
-        fresh one).  A vector fleet hands the schedule to its kernel;
-        every other consumer — ``naive``, ``encoded``, any bounded
-        fleet — handed a vector schedule reads the same events back
-        through its flat buffer.
-        """
-        if isinstance(flat, VectorSchedule):
-            count = flat.count
-        else:
-            if not isinstance(flat, array):
-                flat = array("q", flat)
-            count = _flat_count(flat)
-        self.drain_all()
-        if self._kernel is not None and not self._bounded:
-            if not isinstance(flat, VectorSchedule):
-                flat = VectorSchedule(flat)
-        elif isinstance(flat, VectorSchedule):
-            flat = flat.flat
-        if self._bounded:
-            shard_ids = self._store.shard_ids
-            offer = self._offer
-            it = iter(flat)
-            for pair in zip(it, it):
-                offer(shard_ids[pair[0]], pair)
-            self.drain_all()
-        elif count:
-            self.metrics.events_offered += count
-            self.metrics.batches_drained += 1
-            started = perf_counter()
-            if self._kernel is not None:
-                self._kernel.dispatch(flat, self.metrics)
-            else:
-                it = iter(flat)
-                self._run_pairs(zip(it, it), count)
-            if self._telemetry is not None:
-                self._telemetry.observe_batch(count, perf_counter() - started)
+            slots, cols, rejected = self._intern(events)
+            offered, count = len(events), len(slots)
+            batch = (
+                zip(slots, cols)
+                if self._kernel is None
+                else VectorSchedule.of_columns(slots, cols)
+            )
+        if offered:
+            self.metrics.events_offered += offered
+            self._dispatch(batch, count)
+        if rejected:
+            raise_rejected(rejected)
         return self.metrics
 
     # ------------------------------------------------------------------
@@ -959,7 +928,7 @@ class FleetEngine:
     # ------------------------------------------------------------------
 
     def snapshot(self, allow_partial: bool = False) -> FleetSnapshot:
-        """Capture every instance's state after draining all mailboxes.
+        """Capture every instance's state after draining every shard queue.
 
         ``allow_partial`` is accepted for protocol uniformity with the
         multiprocess fleet; an in-process engine cannot lose a
@@ -996,9 +965,7 @@ class FleetEngine:
             self.state_map,
             allow_partial,
         )
-        for mailbox in self._mailboxes:
-            mailbox.drain()
-        self._post_times = [[] for _ in self._mailboxes]
+        self._discard_pending()
         store = self._store
         store.clear()
         adapter = self._adapter

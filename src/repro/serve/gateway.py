@@ -15,7 +15,7 @@ Endpoints::
     POST /spawn              {"key": k} | {"count": n, "prefix"?: p}
     POST /deliver            {"key": k, "message": m}
                              | {"events": [[k, m], ...]}  (one batch run)
-    POST /post               queue one event (mailbox path)
+    POST /post               queue one event (posted path)
     POST /drain              flush queued traffic
     GET  /state?key=k        current state name
     GET  /trace?key=k        state + full action log

@@ -19,19 +19,18 @@ from dataclasses import dataclass, field, fields
 class FleetMetrics:
     """Aggregate counters for one fleet engine."""
 
-    #: Events accepted for dispatch — into a mailbox by
-    #: :meth:`FleetEngine.post`, or as part of a bulk :meth:`FleetEngine.run`
-    #: arrival batch on unbounded fleets.
+    #: Events accepted for dispatch — into a shard queue by
+    #: :meth:`FleetEngine.post`, or as part of a :meth:`FleetEngine.run`
+    #: arrival batch.
     events_offered: int = 0
-    #: Events refused by a full mailbox under the ``shed`` policy.
-    events_dropped: int = 0
-    #: Events pulled out of mailboxes and dispatched (fired + ignored).
+    #: Events dispatched, from a shard queue or a run batch (fired +
+    #: ignored).
     events_dispatched: int = 0
     #: Dispatched events that fired a transition.
     transitions_fired: int = 0
     #: Dispatched events with no transition from the current state.
     events_ignored: int = 0
-    #: Non-empty batches drained from shard mailboxes.
+    #: Non-empty batches dispatched: shard-queue drains and run batches.
     batches_drained: int = 0
     #: Instances created by ``spawn``.
     instances_spawned: int = 0
@@ -42,16 +41,16 @@ class FleetMetrics:
     #: Fleet-wide snapshots taken / restored.
     snapshots_taken: int = 0
     snapshots_restored: int = 0
-    #: Mailbox depth per shard at its most recent observation.  The
+    #: Queue depth per shard at its most recent observation.  The
     #: engine records each shard's depth automatically at every drain
     #: (the depth *being* drained), so these are live without any caller
     #: involvement; :meth:`observe_depths` remains for explicit polls.
     shard_depths: list[int] = field(default_factory=list)
-    #: Deepest single-shard mailbox ever observed (high-water mark).
+    #: Deepest single-shard queue ever observed (high-water mark).
     peak_shard_depth: int = 0
 
     def observe_depth(self, shard_id: int, depth: int) -> None:
-        """Record one shard's mailbox depth (called by the engine per drain)."""
+        """Record one shard's queue depth (called by the engine per drain)."""
         depths = self.shard_depths
         if shard_id >= len(depths):
             depths.extend([0] * (shard_id + 1 - len(depths)))
@@ -60,16 +59,11 @@ class FleetMetrics:
             self.peak_shard_depth = depth
 
     def observe_depths(self, depths: list[int]) -> None:
-        """Record the current per-shard mailbox depths (a gauge, not a sum)."""
+        """Record the current per-shard queue depths (a gauge, not a sum)."""
         self.shard_depths = list(depths)
         deepest = max(depths, default=0)
         if deepest > self.peak_shard_depth:
             self.peak_shard_depth = deepest
-
-    @property
-    def max_shard_depth(self) -> int:
-        """Deepest mailbox at the last observation (0 when never observed)."""
-        return max(self.shard_depths, default=0)
 
     def merge(self, other: "FleetMetrics") -> "FleetMetrics":
         """Fold another engine's counters into this one; returns ``self``.
@@ -80,7 +74,6 @@ class FleetMetrics:
         vector) and ``peak_shard_depth`` takes the maximum.
         """
         self.events_offered += other.events_offered
-        self.events_dropped += other.events_dropped
         self.events_dispatched += other.events_dispatched
         self.transitions_fired += other.transitions_fired
         self.events_ignored += other.events_ignored

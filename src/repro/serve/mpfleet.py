@@ -68,9 +68,9 @@ baseline.  Recovery itself is observable through
 :meth:`recovery_registry` / :attr:`recovery_trace`
 (die→respawn→replay→resume causality, MTTR histogram).
 
-Unsupported relative to the in-process engine: bounded mailboxes and
-overflow policies (:meth:`MultiprocessFleet.post` buffers parent-side
-and :meth:`MultiprocessFleet.drain_all` flushes), and live trace logs.
+Posted traffic queues parent-side as one flat ``array('q')`` schedule
+per worker, which :meth:`MultiprocessFleet.drain_all` fans out; live
+trace logs do not cross the process boundary.
 """
 
 from __future__ import annotations
@@ -89,13 +89,12 @@ from repro.core.machine import StateMachine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FleetTelemetry
 from repro.opt import IndexedMachine, as_pipeline
-from repro.serve.adapter import BACKENDS
 from repro.serve.fleet import (
     _SCHEDULE_AS_EVENTS,
-    DISPATCH_MODES,
     ENCODINGS,
     FleetEngine,
     FleetSnapshot,
+    _check_options,
     raise_rejected,
     resolve_snapshot,
 )
@@ -111,8 +110,8 @@ from repro.serve.recovery import (
     partition_checkpoint,
     rehydrate,
 )
-from repro.serve.store import LOG_POLICIES, InstanceSnapshot, shard_of
-from repro.serve.vector import require_numpy
+from repro.serve.store import InstanceSnapshot, shard_of
+from repro.serve.vector import VectorSchedule
 from repro.serve.workload import session_keys
 
 __all__ = ["EncodedFleetSchedule", "MultiprocessFleet"]
@@ -299,34 +298,15 @@ class MultiprocessFleet:
         recovery: Optional[RecoveryPolicy] = None,
         join_timeout: float = 5.0,
     ):
+        # Every worker would build its engine with these options: check
+        # them here, with the engine's own check, before anything forks.
+        _check_options(mode, backend, log_policy, shards)
         if workers < 1:
             raise DeploymentError(f"workers must be >= 1, got {workers}")
-        if mode not in DISPATCH_MODES:
-            raise DeploymentError(
-                f"unknown dispatch mode {mode!r}; choose from {DISPATCH_MODES}"
-            )
-        if backend not in BACKENDS:
-            raise DeploymentError(
-                f"unknown backend {backend!r}; choose from {BACKENDS}"
-            )
-        if log_policy not in LOG_POLICIES:
-            raise DeploymentError(
-                f"unknown log policy {log_policy!r}; choose from {LOG_POLICIES}"
-            )
-        if mode == "naive" and log_policy != "full":
-            raise DeploymentError(
-                "naive-mode backends always retain their action logs; "
-                f"log_policy {log_policy!r} needs a table-dispatch mode"
-            )
         if checkpoint_every < 1:
             raise DeploymentError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
-        if mode == "vector":
-            # Workers inherit this interpreter's environment, so checking
-            # the soft numpy dependency here surfaces the canonical error
-            # before any worker process is forked.
-            require_numpy("dispatch mode 'vector'")
         self._machine = machine
         self._mode = mode
         self._backend_kind = backend
@@ -393,9 +373,9 @@ class MultiprocessFleet:
         # here instead of as an EOF on the first real request.
         for wid in range(workers):
             self._recv(wid)
-        #: Parent-side pending buffers, one per worker (post() -> drain).
+        #: Parent-side pending buffers, one flat ``[slot, col, ...]``
+        #: schedule per worker (post() -> drain).
         self._pending = [array("q") for _ in range(workers)]
-        self._pending_counts = [0] * workers
         if journal:
             # Initial checkpoints: the journal's replay base is the
             # empty population each worker starts with.
@@ -577,10 +557,8 @@ class MultiprocessFleet:
             self._journals[wid].append(request, events)
         self._maybe_checkpoint((wid,))
 
-    def _dispatch_fan_out(
-        self, requests: dict[int, tuple], counts: dict[int, int]
-    ) -> None:
-        """Fan out bulk dispatch with write-ahead journaling.
+    def _dispatch_fan_out(self, requests: dict[int, tuple]) -> None:
+        """Fan out ``run_flat`` requests with write-ahead journaling.
 
         Every share is journaled *before* it is sent, so a worker dying
         mid-batch (or already recovering) costs the caller nothing: the
@@ -592,7 +570,7 @@ class MultiprocessFleet:
         if self._journal_enabled:
             with self._lock:
                 for wid, request in requests.items():
-                    self._journals[wid].append(request, counts.get(wid, 0))
+                    self._journals[wid].append(request, len(request[1]) // 2)
         self._fan_out(requests, defer=True)
         self._maybe_checkpoint(requests)
 
@@ -1059,11 +1037,11 @@ class MultiprocessFleet:
         Validation timing mirrors the in-process engine: the event is
         interned here, so unknown instances/messages raise the canonical
         errors at post time.  The buffered traffic flushes on the next
-        :meth:`drain_all` / :meth:`run`.  Mailboxes are unbounded —
-        ``source``/``trace_id`` are accepted for protocol compatibility
-        but not traced across the process boundary.  Posting never
-        blocks on a recovering partition: the buffer is parent-side and
-        the flush defers through the journal.
+        :meth:`drain_all` / :meth:`run`.  Buffers are unbounded, so the
+        answer is always ``True``; ``source``/``trace_id`` are accepted
+        for protocol compatibility but not traced across the process
+        boundary.  Posting never blocks on a recovering partition: the
+        buffer is parent-side and the flush defers through the journal.
         """
         wid, slot = self._locate(key)
         col = self._columns.get(message)
@@ -1072,7 +1050,6 @@ class MultiprocessFleet:
         buffer = self._pending[wid]
         buffer.append(slot)
         buffer.append(col)
-        self._pending_counts[wid] += 1
         return True
 
     def deliver(self, key: str, message: str) -> bool:
@@ -1090,53 +1067,53 @@ class MultiprocessFleet:
         events still count as flushed (they have left the pending
         buffer and are durably scheduled).
         """
-        requests: dict[int, tuple] = {}
-        counts: dict[int, int] = {}
-        total = 0
-        for wid, buffer in enumerate(self._pending):
-            if not buffer:
-                continue
-            requests[wid] = ("run_flat", buffer)
-            counts[wid] = self._pending_counts[wid]
-            total += self._pending_counts[wid]
+        requests = {
+            wid: ("run_flat", buffer)
+            for wid, buffer in enumerate(self._pending)
+            if buffer
+        }
+        if not requests:
+            return 0
+        for wid in requests:
             self._pending[wid] = array("q")
-            self._pending_counts[wid] = 0
-        if requests:
-            self._dispatch_fan_out(requests, counts)
-        return total
+        self._dispatch_fan_out(requests)
+        return sum(len(request[1]) for request in requests.values()) // 2
 
     def run(self, events, encoding: str = "auto") -> FleetMetrics:
         """Fan a workload out to the workers; returns merged metrics.
 
         Accepts ``(key, message)`` batches (``"events"``/``"auto"``) or
         an :class:`EncodedFleetSchedule` from :meth:`encode_flat`
-        (``"flat"``/``"auto"``).  Raw ``[slot, col, ...]`` buffers are
-        meaningless across fleets and are rejected.  Pending posted
-        traffic flushes first (FIFO), and per-key order is preserved — a
-        key maps to one worker.
+        (``"flat"``/``"auto"``).  Raw ``[slot, col, ...]`` buffers and
+        :class:`~repro.serve.vector.VectorSchedule` objects are
+        meaningless across fleets and are refused with one error under
+        ``"flat"`` and ``"auto"`` alike, before anything dispatches.
+        Pending posted traffic flushes first (FIFO), and per-key order
+        is preserved — a key maps to one worker.
         """
         if encoding not in ENCODINGS:
             raise DeploymentError(
                 f"unknown encoding {encoding!r}; choose from {ENCODINGS}"
             )
         pre_encoded = isinstance(events, EncodedFleetSchedule)
-        if pre_encoded and encoding == "events":
+        raw = isinstance(events, (array, VectorSchedule))
+        if (pre_encoded or raw) and encoding == "events":
             raise DeploymentError(_SCHEDULE_AS_EVENTS)
-        self.drain_all()
-        if pre_encoded:
-            if len(events.parts) != len(self._workers):
-                raise DeploymentError(
-                    "schedule was encoded for a fleet with "
-                    f"{len(events.parts)} worker(s); this fleet has "
-                    f"{len(self._workers)}"
-                )
-            parts, rejected = events.parts, ()
-        elif encoding == "flat":
+        if raw or (encoding == "flat" and not pre_encoded):
             raise DeploymentError(
                 "encoding 'flat' on a multiprocess fleet needs an "
                 "EncodedFleetSchedule from this fleet's encode_flat(); "
                 "raw slot schedules are worker-local"
             )
+        if pre_encoded and len(events.parts) != len(self._workers):
+            raise DeploymentError(
+                "schedule was encoded for a fleet with "
+                f"{len(events.parts)} worker(s); this fleet has "
+                f"{len(self._workers)}"
+            )
+        self.drain_all()
+        if pre_encoded:
+            parts, rejected = events.parts, ()
         else:
             # String events: validate parent-side (canonical error
             # shape), partition by owning worker, fan out, then raise for
@@ -1146,10 +1123,7 @@ class MultiprocessFleet:
             wid: ("run_flat", part) for wid, part in enumerate(parts) if part
         }
         if requests:
-            self._dispatch_fan_out(
-                requests,
-                {wid: len(part) // 2 for wid, (_, part) in requests.items()},
-            )
+            self._dispatch_fan_out(requests)
         if rejected:
             raise_rejected(rejected)
         return self.metrics
@@ -1249,7 +1223,6 @@ class MultiprocessFleet:
             for wid, instances in enumerate(per_worker)
         }
         self._pending = [array("q") for _ in self._workers]
-        self._pending_counts = [0] * len(self._workers)
         workers = len(self._workers)
         self._route = {
             key: slot * workers + wid

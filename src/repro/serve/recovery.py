@@ -257,8 +257,7 @@ def rehydrate(engine, blob: bytes) -> None:
             )
     store = engine._store
     adapter = engine._adapter
-    for mailbox in engine._mailboxes:
-        mailbox.drain()
+    engine._discard_pending()
     store.clear()
     for slot, key in enumerate(key_of):
         backend = adapter.new_instance() if adapter is not None else None

@@ -69,7 +69,7 @@ from repro.serve.fleet import FleetSnapshot
 from repro.serve.store import InstanceSnapshot
 from repro.storage.sim.kernel import Simulator
 
-#: Wheel-record kinds (also the mailbox provenance tags).
+#: Wheel-record kinds (also the ``post`` provenance tags).
 EXTERNAL, ROUTED, TIMER = "external", "routed", "timer"
 _KILL, _SNAP = "kill", "snapshot"
 
@@ -324,7 +324,7 @@ class ScenarioEngine:
 
     The engine owns a :class:`Simulator` wheel whose records are plain
     data; at each distinct virtual instant it pops every due record,
-    posts the deliveries through the fleet's mailboxes (tagged with
+    posts the deliveries into the fleet's shard queues (tagged with
     their provenance), drains, and — when the profile declares timers or
     routes — observes the touched instances to cancel/arm timers and
     turn newly fired actions into routed traffic.  See the module

@@ -33,7 +33,7 @@ Python's per-process-randomised ``hash``), so the same key always routes
 to the same shard — across calls, across store rebuilds, and across
 processes; ``shard_ids`` merely caches that hash per slot.  Shards carry
 the membership (ordered key lists, used for snapshots, per-shard
-population counts and the per-shard mailbox alignment).
+population counts and the per-shard queue alignment).
 
 Released slots go on a free list and are reused by the next spawn, so a
 long-lived fleet with session churn keeps its columns dense; reuse always

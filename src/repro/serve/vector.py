@@ -247,9 +247,9 @@ class VectorSchedule:
     def flat(self) -> array:
         """The batch as a flat ``[slot, col, ...]`` buffer in arrival order.
 
-        Built on first use: only scalar consumers (bounded-mailbox
-        fallbacks, an ``encoded`` fleet handed this schedule, ``+``,
-        cross-checks) ever read it.
+        Built on first use: only scalar consumers (an ``encoded`` or
+        ``naive`` fleet handed this schedule, ``+``, cross-checks) ever
+        read it.
         """
         if self._flat is None:
             flat = array("q", bytes(16 * self.count))
@@ -322,11 +322,11 @@ class VectorKernel:
         self._flags = (
             inapplicable.astype(_np.int8) + 2 * self._recycles.astype(_np.int8)
         )
-        # ``off`` keeps no logs, so neither edge needs the scalar walk;
-        # its recycles only bump a counter, which the flags gather covers.
-        full = log_policy == "full"
-        self._any_logged = full and bool(self._logged.any())
-        self._any_recycles = full and bool(self._recycles.any())
+        # ``off`` keeps no logs, so neither edge needs the scalar walk:
+        # its acts table has no action to log, and its recycles only
+        # bump a counter, which the flags gather covers.
+        self._any_logged = bool(self._logged.any())
+        self._any_recycles = log_policy == "full" and bool(self._recycles.any())
         self._any_flags = bool(inapplicable.any() or self._recycles.any())
 
     def dispatch(self, schedule: VectorSchedule, metrics) -> None:

@@ -15,7 +15,7 @@ Arrival scenarios:
 
 * ``uniform`` — every event targets a uniformly random session;
 * ``hotkey``  — a small hot set of sessions receives most of the traffic
-  (skew stresses a single shard's mailbox and dispatch batch);
+  (skew stresses a single shard's queue and dispatch batch);
 * ``burst``   — one session receives a run of consecutive events before
   the next session is drawn (bursty arrival, deep per-shard batches).
 """

@@ -1,5 +1,7 @@
 """Fleet engine tests: differential equivalence, lifecycle, snapshots."""
 
+from array import array
+
 import pytest
 
 from repro.core.errors import DeploymentError
@@ -8,7 +10,6 @@ from repro.serve import (
     FleetMetrics,
     FleetSnapshot,
     InstanceSnapshot,
-    OverflowPolicy,
     WorkloadSpec,
     diff_against_standalone,
     generate_workload,
@@ -181,41 +182,6 @@ class TestLifecycle:
         assert fleet.metrics.events_dispatched == 0
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_bounded_run_collects_intake_errors(self, mode):
-        fleet = self.make_fleet(
-            dispatch=mode,
-            shards=1,
-            mailbox_capacity=2,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        events = [("a", "bogus"), ("a", "free"), ("a", "update"), ("a", "vote")]
-        with pytest.raises(DeploymentError, match="unknown message 'bogus'"):
-            fleet.run(events)
-        # Every valid event behind the bad one was still dispatched.
-        assert fleet.trace("a").actions == ("vote", "not_free")
-        assert fleet.metrics.events_dispatched == 3
-        assert fleet.metrics.transitions_fired == 3
-        assert fleet.depths() == [0]
-
-    def test_bounded_shed_identical_across_modes(self):
-        results = []
-        for mode in MODES:
-            fleet = self.make_fleet(
-                dispatch=mode,
-                shards=1,
-                mailbox_capacity=2,
-                overflow=OverflowPolicy.SHED,
-            )
-            fleet.spawn("a")
-            fleet.run([("a", m) for m in ["free", "update", "vote", "vote"]])
-            results.append(
-                (fleet.trace("a"), fleet.metrics.events_dropped)
-            )
-        assert results[0][1] == 2
-        assert all(result == results[0] for result in results)
-
-    @pytest.mark.parametrize("mode", MODES)
     def test_recycle_returns_to_start(self, mode):
         fleet = self.make_fleet(dispatch=mode)
         fleet.spawn("a")
@@ -283,7 +249,7 @@ class TestDeliverNormalisation:
 
 
 class TestEncodedIntake:
-    """Every mode interns events at intake: mailboxes carry (slot,
+    """Every mode interns events at intake: shard queues carry (slot,
     column) int pairs and unknown keys/messages fail fast."""
 
     @pytest.fixture(autouse=True)
@@ -301,14 +267,15 @@ class TestEncodedIntake:
             fleet.post("a", "bogus")
         assert fleet.depths() == [0, 0]
 
-    def test_mailboxes_carry_int_pairs(self):
+    def test_queues_carry_int_pairs(self):
         # The reference mode too: its backends receive the message the
-        # column names, but the queue holds no string.
+        # column names, but the queue holds no string — it is the flat
+        # schedule run(flat) takes.
         fleet = self.make_fleet(dispatch="naive", shards=2)
         slot = fleet.spawn("a")
         fleet.post("a", "free")
-        box = fleet._mailboxes[fleet.shard_id("a")]
-        assert box._queue == [(slot, fleet.indexed_machine.message_index()["free"])]
+        column = fleet.indexed_machine.message_index()["free"]
+        assert fleet._queues[fleet.shard_id("a")] == array("q", [slot, column])
         fleet.post("a", "update")
         fleet.drain_all()
         assert fleet.trace("a").actions == ("vote", "not_free")
@@ -349,17 +316,6 @@ class TestEncodedIntake:
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="'ghost'"):
             fleet.encode_flat([("a", "free"), ("ghost", "free")])
-
-    def test_bounded_run_encoded_flat_applies_policy(self):
-        fleet = self.make_fleet(
-            dispatch="encoded",
-            shards=1,
-            mailbox_capacity=3,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        fleet.run(fleet.encode_flat([("a", "free")] * 10), encoding="flat")
-        assert fleet.metrics.events_dispatched == 10
 
 
 class TestLogPolicies:
@@ -451,7 +407,7 @@ class TestSlotRecycling:
         for key in [k for k in keys if k in fleet] + replacements:
             assert fleet.shard_id(key) == shard_of(key, 8)
             fleet.post(key, "free")
-        # Every posted event sits in the mailbox its key hashes to.
+        # Every posted event sits in the queue of the shard its key hashes to.
         for shard_id, depth in enumerate(fleet.depths()):
             expected = sum(
                 1
@@ -461,52 +417,6 @@ class TestSlotRecycling:
             assert depth == expected
         fleet.drain_all()
         assert fleet.metrics.events_dispatched == len(fleet)
-
-
-class TestBackpressure:
-    @pytest.fixture(autouse=True)
-    def _setup(self, make_fleet):
-        self.make_fleet = make_fleet
-
-    def test_shed_drops_and_counts(self):
-        fleet = self.make_fleet(
-            shards=1,
-            mailbox_capacity=4,
-            overflow=OverflowPolicy.SHED,
-        )
-        fleet.spawn("a")
-        accepted = [fleet.post("a", "free") for _ in range(10)]
-        assert accepted.count(True) == 4
-        assert fleet.metrics.events_dropped == 6
-        assert fleet.dropped_per_shard() == [6]
-        assert fleet.depths() == [4]
-        fleet.drain_all()
-        assert fleet.metrics.events_dispatched == 4
-
-    def test_block_drains_inline(self):
-        fleet = self.make_fleet(
-            shards=1,
-            mailbox_capacity=2,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        for _ in range(7):
-            assert fleet.post("a", "free")
-        assert fleet.metrics.events_dropped == 0
-        fleet.drain_all()
-        # Every event was eventually dispatched: nothing was lost.
-        assert fleet.metrics.events_dispatched == 7
-
-    def test_bounded_run_applies_policy(self):
-        events = [("a", "free")] * 10
-        fleet = self.make_fleet(
-            shards=1,
-            mailbox_capacity=3,
-            overflow=OverflowPolicy.BLOCK,
-        )
-        fleet.spawn("a")
-        fleet.run(events)
-        assert fleet.metrics.events_dispatched == 10
 
 
 class TestSnapshotRestore:

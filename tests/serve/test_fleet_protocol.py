@@ -287,3 +287,79 @@ def test_close_is_idempotent_and_context_managed(request):
         with build_fleet(impl) as fleet:
             fleet.spawn("x")
         fleet.close()  # second close is a no-op
+
+
+#: The multiprocess builds: raw slot schedules mean nothing to them.
+MP_IMPLEMENTATIONS = ("mp", "mp-naive", IMPLEMENTATIONS[-1])
+
+
+@pytest.mark.parametrize("impl", MP_IMPLEMENTATIONS)
+def test_multiprocess_refuses_raw_schedules_under_every_encoding(impl):
+    # The in-process engine sniffs an array or a VectorSchedule as
+    # "flat"; across processes its slots name no worker's instances, so
+    # "auto" refuses it with the same text as an explicit "flat".
+    with build_fleet(impl) as fleet:
+        (key,) = fleet.spawn_many(1)
+        raws = [array("q", [0, 0])]
+        if HAS_NUMPY:
+            raws.append(VectorSchedule(array("q", [0, 0])))
+        for raw in raws:
+            for encoding in ("auto", "flat"):
+                with pytest.raises(DeploymentError) as err:
+                    fleet.run(raw, encoding=encoding)
+                assert str(err.value) == (
+                    "encoding 'flat' on a multiprocess fleet needs an "
+                    "EncodedFleetSchedule from this fleet's encode_flat(); "
+                    "raw slot schedules are worker-local"
+                )
+        assert fleet.metrics.events_dispatched == 0
+        assert fleet.state_name(key) == fleet.machine.start_state.name
+
+
+@pytest.mark.parametrize("workers", [None, 1], ids=["inproc", "mp"])
+@pytest.mark.parametrize(
+    "options,error",
+    [
+        (
+            {"shards": 0},
+            "shards must be >= 1, got 0",
+        ),
+        (
+            {"backend": "compiled"},
+            "backend 'compiled' is read only by dispatch mode 'naive'; "
+            "mode 'encoded' executes the dispatch table itself",
+        ),
+        (
+            {"backend": "compiled", "mode": "vector"},
+            "backend 'compiled' is read only by dispatch mode 'naive'; "
+            "mode 'vector' executes the dispatch table itself",
+        ),
+        (
+            {"mode": "warp"},
+            f"unknown dispatch mode 'warp'; choose from {DISPATCH_MODES}",
+        ),
+        (
+            {"backend": "quantum", "mode": "naive"},
+            "unknown backend 'quantum'; choose from ('interp', 'compiled')",
+        ),
+        (
+            {"mode": "naive", "log_policy": "off"},
+            "naive-mode backends always retain their action logs; "
+            "log_policy 'off' needs a table-dispatch mode",
+        ),
+    ],
+    ids=[
+        "no-shards",
+        "compiled-encoded",
+        "compiled-vector",
+        "unknown-mode",
+        "unknown-backend",
+        "naive-off",
+    ],
+)
+def test_both_fleets_refuse_options_with_one_error(workers, options, error):
+    # One check, run before anything is built: the multiprocess fleet
+    # refuses in the parent, so no worker is forked to fail instead.
+    with pytest.raises(DeploymentError) as err:
+        make_fleet("commit", workers=workers, **options)
+    assert str(err.value) == error

@@ -21,7 +21,7 @@ from repro.serve import (
     run_scenario,
     scenario_traces,
 )
-from repro.serve.scenario import EXTERNAL, ROUTED, TIMER
+from repro.serve.scenario import EXTERNAL
 from tests.serve.conftest import machine_for
 
 #: The dispatch modes this environment can build.
@@ -302,22 +302,6 @@ class TestRouting:
         fleet = make_fleet(machine)
         run_scenario(fleet, scenario)
         assert all(fleet.is_finished(k) for k in scenario.topology.keys)
-
-    def test_mailboxes_tally_provenance(self, make_fleet):
-        machine = machine_for("commit")
-        profile = commit_profile(retry_after=30.0)
-        scenario = generate_scenario(
-            machine, profile, ScenarioSpec(groups=2, group_size=4, seed=3)
-        )
-        fleet = make_fleet(machine, shards=4)
-        engine = run_scenario(fleet, scenario)
-        tally: dict = {}
-        for box in fleet._mailboxes:
-            for source, count in box.by_source.items():
-                tally[source] = tally.get(source, 0) + count
-        assert tally.get(EXTERNAL, 0) == engine.metrics.external_delivered
-        assert tally.get(ROUTED, 0) == engine.metrics.routed_delivered
-        assert tally.get(TIMER, 0) == engine.metrics.timers_fired
 
 
 class TestMessageFaults:

@@ -142,3 +142,24 @@ class TestModelcheckEngineCli:
             ["modelcheck", "--engine", "lazy"],
         ):
             assert parser.parse_args(argv).engine == "lazy"
+
+
+class TestServeOptionRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["serve", "--backend", "compiled", "--port", "0"],
+            ["serve-scenario", "--backend", "compiled", "--groups", "2"],
+        ],
+        ids=["serve", "serve-scenario"],
+    )
+    def test_table_mode_refuses_a_backend(self, argv, capsys):
+        # --backend is read by the naive mode only; the default encoded
+        # fleet refuses it before serving or running anything.
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "deliveries" not in captured.out and "serving" not in captured.out
+        assert captured.err == (
+            f"{argv[0]}: backend 'compiled' is read only by dispatch mode "
+            "'naive'; mode 'encoded' executes the dispatch table itself\n"
+        )

@@ -1,9 +1,9 @@
-"""Unit tests for shard routing, the columnar instance store and mailboxes."""
+"""Unit tests for shard routing and the columnar instance store."""
 
 import pytest
 
 from repro.core.errors import DeploymentError
-from repro.serve import InstanceStore, Mailbox, OverflowPolicy, shard_of
+from repro.serve import InstanceStore, shard_of
 from tests.serve.conftest import machine_for
 
 
@@ -158,34 +158,3 @@ class TestInstanceStore:
     def test_invalid_shard_count(self):
         with pytest.raises(ValueError):
             InstanceStore(commit_table(), shards=0)
-
-
-class TestMailbox:
-    def test_fifo_drain(self):
-        box = Mailbox()
-        for i in range(5):
-            assert box.offer(i)
-        assert len(box) == 5
-        assert box.drain() == [0, 1, 2, 3, 4]
-        assert len(box) == 0
-        assert box.offered == 5
-
-    def test_shed_policy_drops_newest(self):
-        box = Mailbox(capacity=2, policy=OverflowPolicy.SHED)
-        assert box.offer("a") and box.offer("b")
-        assert box.full
-        assert not box.offer("c")
-        assert box.dropped == 1
-        assert box.drain() == ["a", "b"]
-
-    def test_block_policy_refuses_without_counting(self):
-        box = Mailbox(capacity=1, policy=OverflowPolicy.BLOCK)
-        assert box.offer("a")
-        assert not box.offer("b")
-        assert box.dropped == 0
-        box.drain()
-        assert box.offer("b")
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Mailbox(capacity=0)

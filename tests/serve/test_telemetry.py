@@ -1,9 +1,9 @@
 """Telemetry plane integration: fleet instruments, tracing, exposition.
 
 Covers the observability contract end to end: queue-latency histograms
-fed by the mailbox path, O(1) per-batch timing on the encoded path,
+fed by the posted path, O(1) per-batch timing on the encoded path,
 automatic shard-depth observation at every drain, trace records for
-post/shed and the scenario wheel's timer/route/fault decisions,
+post and the scenario wheel's timer/route/fault decisions,
 and — the replay guarantee — trace ids minted identically when a
 snapshot is restored and the run replayed.
 """
@@ -13,7 +13,6 @@ import pytest
 from repro.models.commit import scenario_profile
 from repro.obs import FleetTelemetry, fleet_registry, scenario_registry
 from repro.serve import (
-    OverflowPolicy,
     ScenarioEngine,
     ScenarioSpec,
     WorkloadSpec,
@@ -78,7 +77,7 @@ class TestFleetInstruments:
         )
         for key, message in events:
             fleet.post(key, message)
-        fleet.restore(snap)  # drops mailboxes and their timestamps
+        fleet.restore(snap)  # drops the queues and their timestamps
         for key, message in events:
             fleet.post(key, message)
         fleet.drain_all()
@@ -113,22 +112,6 @@ class TestFleetTracing:
         (rec,) = telemetry.trace.records()
         assert rec.trace_id == tid
         assert telemetry.trace.next_id == tid + 1
-
-    def test_shed_recorded_on_overflow(self, make_fleet):
-        telemetry = FleetTelemetry()
-        fleet = make_fleet(
-            "commit",
-            dispatch="encoded",
-            telemetry=telemetry,
-            mailbox_capacity=2,
-            overflow=OverflowPolicy.SHED,
-        )
-        fleet.spawn_many(8)
-        for _ in range(5):
-            fleet.post("session-0000000", "update")
-        kinds = [rec.kind for rec in telemetry.trace.records()]
-        assert kinds.count("post") == 5
-        assert kinds.count("shed") == 3
 
 
 def scenario_fixture(shards=4, groups=4, seed=2):

@@ -296,19 +296,6 @@ def test_preencoded_schedule_reruns_match_event_runs():
     assert replayed.metrics.as_dict() == baseline.metrics.as_dict()
 
 
-def test_bounded_mailboxes_shed_identically():
-    machine = machine_for("commit")
-    events = workload(machine, instances=60, events=2000, seed=15)
-    snapshots = {}
-    for mode in ("encoded", "vector"):
-        fleet = build(machine, mode, mailbox_capacity=32)
-        fleet.spawn_many(60)
-        fleet.run(events)
-        assert fleet.metrics.events_dropped > 0  # capacity actually binds
-        snapshots[mode] = (fleet.metrics.as_dict(), fleet.snapshot())
-    assert snapshots["encoded"] == snapshots["vector"]
-
-
 # ----------------------------------------------------------------------
 # snapshots: bit-identical across vector <-> encoded restore
 # ----------------------------------------------------------------------
@@ -356,9 +343,8 @@ def test_unknown_events_rejected_at_intake():
     [
         {"mode": "encoded"},
         {"mode": "naive"},
-        {"mode": "encoded", "mailbox_capacity": 64},
     ],
-    ids=["encoded", "naive", "bounded"],
+    ids=["encoded", "naive"],
 )
 def test_encoded_twin_runs_a_vector_schedule(twin, encoding):
     # encode_flat promises run() takes the schedule wherever it takes a
@@ -367,8 +353,7 @@ def test_encoded_twin_runs_a_vector_schedule(twin, encoding):
     # and must end where the vector fleet ends.
     machine = machine_for("commit")
     events = workload(machine, instances=40, events=1200, seed=5, scenario="hotkey")
-    bounded = {k: v for k, v in twin.items() if k == "mailbox_capacity"}
-    vec = build(machine, "vector", auto_recycle=True, **bounded)
+    vec = build(machine, "vector", auto_recycle=True)
     scalar = build(machine, auto_recycle=True, **twin)
     keys = vec.spawn_many(40)
     scalar.spawn_many(40)

@@ -36,8 +36,8 @@ SERVE_ALL = [
     "FleetRecoveringError", "FleetSnapshot", "FleetTelemetry", "HAS_NUMPY",
     "NUMPY_UNAVAILABLE_REASON", "MODEL_FACTORIES", "MultiprocessFleet",
     "LoadReport", "OpenLoopSpec", "GroupTopology", "InstanceSnapshot",
-    "InstanceStore", "LOG_POLICIES", "Mailbox", "OverflowPolicy",
-    "PartitionCheckpoint", "RecoveryPolicy", "RecoveryTelemetry", "RouteRule",
+    "InstanceStore", "LOG_POLICIES", "PartitionCheckpoint", "RecoveryPolicy",
+    "RecoveryTelemetry", "RouteRule",
     "SCENARIOS", "Scenario", "ScenarioEngine", "ScenarioFaultPlan",
     "ScenarioMetrics", "ScenarioProfile", "ScenarioSnapshot", "ScenarioSpec",
     "SessionSimulator", "TimedEvent", "TimerRule", "VectorKernel",
