@@ -13,7 +13,6 @@ from repro.obs.expo import (
     render_json,
     render_prometheus,
     scenario_registry,
-    telemetry_sample,
 )
 from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
 from repro.obs.telemetry import FleetTelemetry
@@ -31,5 +30,4 @@ __all__ = [
     "render_json",
     "render_prometheus",
     "scenario_registry",
-    "telemetry_sample",
 ]

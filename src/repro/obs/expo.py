@@ -5,7 +5,7 @@ Prometheus text exposition format (``# TYPE``/``# HELP`` headers,
 cumulative ``_bucket{le="..."}`` series, ``_sum``/``_count``) so the
 output of ``serve-watch`` / ``--metrics prom`` can be scraped or pasted
 into any Prometheus-aware tool; :func:`render_json` emits the same
-registry as the JSON object embedded in bench artifacts.
+registry as the JSON object ``--metrics json`` prints.
 
 The builders assemble the registry for a given engine:
 :func:`fleet_registry` folds a fleet's always-on
@@ -29,7 +29,6 @@ __all__ = [
     "render_json",
     "fleet_registry",
     "scenario_registry",
-    "telemetry_sample",
 ]
 
 
@@ -73,7 +72,7 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 
 
 def render_json(registry: MetricsRegistry, indent: int = 2) -> str:
-    """The registry as a JSON document (the bench-artifact form)."""
+    """The registry as a JSON document (the ``--metrics json`` form)."""
     return json.dumps(registry.as_dict(), indent=indent)
 
 
@@ -119,15 +118,3 @@ def scenario_registry(engine) -> MetricsRegistry:
         registry.counter(f"scenario_{name}_total").add(int(value))
     return registry
 
-
-def telemetry_sample(fleet) -> dict:
-    """The ``metrics`` section bench artifacts embed: one JSON-safe dict."""
-    out = fleet_registry(fleet).as_dict()
-    telemetry = getattr(fleet, "telemetry", None)
-    if telemetry is not None and telemetry.trace is not None:
-        out["trace"] = {
-            "records": len(telemetry.trace),
-            "dropped": telemetry.trace.dropped,
-            "next_id": telemetry.trace.next_id,
-        }
-    return out

@@ -18,7 +18,7 @@ primitives, deliberately Prometheus-shaped so the exposition layer
   engines and repeated runs combine by elementwise bucket addition.
   ``quantile(q)`` reads percentiles back with a worst-case error of one
   bucket width (it reports the upper edge of the quantile bucket), which
-  is the precision contract benchmarks assert against.
+  is the precision contract the tests assert against.
 * :class:`MetricsRegistry` — named instruments with get-or-create
   accessors, whole-registry :meth:`~MetricsRegistry.merge` (disjoint
   registries union; shared names combine per instrument kind) and a plain
@@ -26,8 +26,7 @@ primitives, deliberately Prometheus-shaped so the exposition layer
 
 Nothing here reads the clock or touches the serve plane: callers observe
 values they measured themselves, so the instruments stay usable from the
-fleet engine, the scenario wheel, the load harness and the benchmarks
-alike.
+fleet engine, the scenario wheel, the gateway and the benchmarks alike.
 """
 
 from __future__ import annotations
@@ -159,7 +158,7 @@ class LatencyHistogram:
 
         The upper edge of the overflow bucket is ``inf``; the lower edge
         of the first bucket is ``0.0``.  ``upper - lower`` is the "one
-        bucket width" tolerance benchmarks assert quantiles within.
+        bucket width" tolerance the tests assert quantiles within.
         """
         i = bisect_left(self.bounds, value)
         lower = self.bounds[i - 1] if i > 0 else 0.0

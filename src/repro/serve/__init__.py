@@ -16,14 +16,11 @@ class — plug in through :mod:`repro.serve.adapter`;
 :mod:`repro.serve.differential` proves fleet runs identical to standalone
 single-instance runs.  :mod:`repro.serve.scenario` layers virtual time on
 top: per-model timers, machine-driven routing between instances, and
-fault injection with snapshot-replay recovery.
-:mod:`repro.serve.loadgen` offers open/closed-loop load with
-measured-service latency replay, feeding the telemetry plane
-(:mod:`repro.obs`) that any engine accepts via
-``FleetEngine(telemetry=...)``.  :mod:`repro.serve.vector` holds the
-optional numpy-backed gather/scatter kernel behind
-``make_fleet(mode="vector")``; ``HAS_NUMPY`` reports whether it can run
-here.
+fault injection with snapshot-replay recovery.  Any engine feeds the
+telemetry plane (:mod:`repro.obs`) via ``FleetEngine(telemetry=...)``.
+:mod:`repro.serve.vector` holds the optional numpy-backed gather/scatter
+kernel behind ``make_fleet(mode="vector")``; ``HAS_NUMPY`` reports
+whether it can run here.
 """
 
 from typing import TYPE_CHECKING
@@ -55,15 +52,6 @@ if TYPE_CHECKING:
         RecoveryPolicy,
         RecoveryTelemetry,
         WorkerJournal,
-    )
-    from repro.serve.loadgen import (
-        Arrival,
-        ClosedLoopSpec,
-        LoadReport,
-        OpenLoopSpec,
-        generate_open_loop,
-        run_closed_loop,
-        run_open_loop,
     )
     from repro.serve.metrics import FleetMetrics
     from repro.serve.scenario import (
@@ -104,10 +92,8 @@ if TYPE_CHECKING:
     )
 
 __all__ = [
-    "Arrival",
     "BACKENDS",
     "BackendAdapter",
-    "ClosedLoopSpec",
     "DISPATCH_MODES",
     "ENCODINGS",
     "EncodedFleetSchedule",
@@ -121,8 +107,6 @@ __all__ = [
     "NUMPY_UNAVAILABLE_REASON",
     "MODEL_FACTORIES",
     "MultiprocessFleet",
-    "LoadReport",
-    "OpenLoopSpec",
     "GroupTopology",
     "InstanceSnapshot",
     "InstanceStore",
@@ -150,15 +134,12 @@ __all__ = [
     "diff_against_standalone",
     "diff_fleets",
     "fleet_machine",
-    "generate_open_loop",
     "generate_scenario",
     "generate_workload",
     "hierarchical_traces",
     "make_backend",
     "make_fleet",
     "require_numpy",
-    "run_closed_loop",
-    "run_open_loop",
     "run_scenario",
     "scenario_traces",
     "session_keys",
@@ -167,8 +148,8 @@ __all__ = [
 ]
 
 # Resolved on first use (see repro._lazy): building an ``encoded`` fleet
-# loads neither numpy, asyncio nor multiprocessing; ``mpfleet``, the
-# scenario plane and the load generator load when something names them.
+# loads neither numpy, asyncio nor multiprocessing; ``mpfleet`` and the
+# scenario plane load when something names them.
 _EXPORTS = {
     "repro.serve.adapter": ("BACKENDS", "BackendAdapter", "make_backend"),
     "repro.serve.api": (
@@ -194,15 +175,6 @@ _EXPORTS = {
         "RecoveryPolicy",
         "RecoveryTelemetry",
         "WorkerJournal",
-    ),
-    "repro.serve.loadgen": (
-        "Arrival",
-        "ClosedLoopSpec",
-        "LoadReport",
-        "OpenLoopSpec",
-        "generate_open_loop",
-        "run_closed_loop",
-        "run_open_loop",
     ),
     "repro.serve.metrics": ("FleetMetrics",),
     "repro.serve.scenario": (

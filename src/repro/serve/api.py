@@ -9,8 +9,8 @@ module is the redesign that makes the process-parallel fleet
 
 * :class:`Fleet` — the structural protocol both engines satisfy.
   Everything layered on the serve plane (the differential harness, the
-  scenario engine, the load generators, the gateway, the CLI) targets
-  this protocol, never a concrete class.
+  scenario engine, the gateway, the CLI) targets this protocol, never a
+  concrete class.
 * :func:`make_fleet` — the one keyword surface that builds either
   implementation: ``workers=None`` (default) yields the in-process
   :class:`~repro.serve.fleet.FleetEngine`; ``workers=N`` yields a

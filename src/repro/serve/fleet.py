@@ -874,7 +874,8 @@ class FleetEngine:
           (or a :class:`~repro.serve.vector.VectorSchedule`) from
           :meth:`encode_flat`; its pairs are trusted, and slot ids are
           fleet-specific.  A buffer of odd length (a slot with no
-          column) is refused before anything runs.
+          column) or of anything but ints is refused before anything
+          runs.
         * ``"auto"`` (default) — sniff the batch: a flat int ``array``
           or a ``VectorSchedule`` dispatches as ``flat``, everything
           else as ``events``.
@@ -895,7 +896,13 @@ class FleetEngine:
         rejected = ()
         if encoding == "flat" or pre_encoded:
             if not pre_encoded:
-                events = array("q", events)
+                try:
+                    events = array("q", events)
+                except (TypeError, OverflowError) as exc:
+                    raise DeploymentError(
+                        "encoding 'flat' needs a [slot, col, ...] int "
+                        f"schedule from encode_flat(); {exc}"
+                    ) from None
             offered = count = (
                 events.count
                 if isinstance(events, VectorSchedule)

@@ -48,8 +48,7 @@ When a profile has no timers and no routes and no faults are configured,
 the engine runs *passthrough*: externally scheduled events are collected
 per instant at schedule time and pre-encoded to one flat ``[slot, col,
 ...]`` schedule each, so the wheel adds one heap pop per distinct
-timestamp, not per event — scenario overhead stays within a few percent
-of raw encoded throughput (gated at >= 0.8x by ``bench_scenario``).
+timestamp, not per event.
 
 Timers, routes and faults require an observable fleet: ``naive`` mode or
 ``log_policy='full'`` (actions must be countable), and

@@ -134,8 +134,8 @@ def generate_scenario(machine: StateMachine, profile, spec: ScenarioSpec, faults
 class SessionSimulator:
     """Per-session protocol positions over a machine's dispatch table.
 
-    The message-choosing core shared by :func:`generate_workload` and the
-    load generators (:mod:`repro.serve.loadgen`): each session tracks its
+    The message-choosing core of :func:`generate_workload`, also driven
+    directly by the end-to-end benchmark's inputs: each session tracks its
     simulated state; :meth:`next_message` mostly draws a message enabled
     in that state (so transitions actually fire), mixed with a ``noise``
     fraction of arbitrary messages, and advances the position — mirroring

@@ -68,7 +68,7 @@ class TestDifferentialEquivalence:
         assert len(machine) == 33
         assert report.merged_states == 33
 
-    @pytest.mark.parametrize("r", [4, 5, 7, 10, 12])
+    @pytest.mark.parametrize("r", [4, 5, 7, 10, 12, 46])
     def test_commit_closed_form_holds(self, r):
         machine, _ = generate_lazy(CommitModel(r))
         assert len(machine) == merged_state_count(r)

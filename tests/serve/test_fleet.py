@@ -10,6 +10,7 @@ from repro.serve import (
     FleetMetrics,
     FleetSnapshot,
     InstanceSnapshot,
+    SCENARIOS,
     WorkloadSpec,
     diff_against_standalone,
     generate_workload,
@@ -61,6 +62,23 @@ class TestDifferential:
         keys = fleet.spawn_many(17)
         fleet.run(fleet.encode_flat(events), encoding="flat")
         assert diff_against_standalone(fleet, keys, events) == []
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("scenario", SCENARIOS)
+    def test_every_arrival_scenario_equals_standalone(
+        self, make_fleet, scenario, mode
+    ):
+        """Hot keys and bursts reorder per-shard work, never per-key order."""
+        machine = machine_for("commit")
+        events = generate_workload(
+            machine,
+            WorkloadSpec(scenario=scenario, instances=120, events=3_000, seed=3),
+        )
+        fleet = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        keys = fleet.spawn_many(120)
+        fleet.run(events)
+        assert diff_against_standalone(fleet, keys, events) == []
+        assert fleet.metrics.events_dispatched == len(events)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_without_auto_recycle(self, make_fleet, mode):

@@ -51,6 +51,20 @@ IMPLEMENTATIONS = (
 )
 
 
+#: Multiprocess fleets on one and on four workers, in every dispatch
+#: mode: a differential run must not depend on how keys are partitioned.
+WORKER_COUNTS = tuple(
+    pytest.param(
+        f"{kind}-{mode}" if mode != "encoded" else kind,
+        marks=pytest.mark.skipif(
+            mode == "vector" and not HAS_NUMPY, reason="numpy not available"
+        ),
+    )
+    for mode in DISPATCH_MODES
+    for kind in ("mp1", "mp4")
+)
+
+
 #: Every dispatch mode, each built in-process and multiprocess.
 EVERY_MODE = [
     pytest.param(
@@ -66,12 +80,14 @@ EVERY_MODE = [
 
 
 def build_fleet(impl: str, **overrides):
-    """One fleet of the requested implementation, encoded mode by default."""
-    kwargs = dict(mode="encoded", shards=4)
-    if "-" in impl:
-        kwargs["mode"] = impl.split("-", 1)[1]
-    if impl.startswith("mp"):
-        kwargs["workers"] = 2
+    """One fleet of the requested implementation, encoded mode by default.
+
+    ``mp`` runs two workers; ``mp1``/``mp4`` name another worker count.
+    """
+    kind, _, mode = impl.partition("-")
+    kwargs = dict(mode=mode or "encoded", shards=4)
+    if kind.startswith("mp"):
+        kwargs["workers"] = int(kind[2:] or 2)
     kwargs.update(overrides)
     return make_fleet("commit", **kwargs)
 
@@ -119,6 +135,7 @@ def test_spawn_observe_lifecycle(any_fleet):
     assert "solo" not in fleet and len(fleet) == 0
 
 
+@pytest.mark.parametrize("any_fleet", IMPLEMENTATIONS + WORKER_COUNTS, indirect=True)
 def test_run_events_matches_standalone(any_fleet):
     keys, events = workload(any_fleet)
     metrics = any_fleet.run(events)
@@ -126,6 +143,7 @@ def test_run_events_matches_standalone(any_fleet):
     assert diff_against_standalone(any_fleet, keys, events) == []
 
 
+@pytest.mark.parametrize("any_fleet", IMPLEMENTATIONS + WORKER_COUNTS, indirect=True)
 def test_preencoded_runs_match_event_runs(any_fleet):
     keys, events = workload(any_fleet)
     metrics = any_fleet.run(any_fleet.encode_flat(events), encoding="flat")
@@ -196,6 +214,29 @@ def test_odd_length_flat_schedule_is_rejected(any_fleet):
     assert any_fleet.metrics.events_dispatched == 0
     start = any_fleet.machine.start_state.name
     assert [any_fleet.state_name(key) for key in keys] == [start] * 3
+
+
+def test_string_pairs_run_as_flat_are_rejected(any_fleet):
+    # String pairs are not a slot schedule: both fleets refuse them with
+    # the protocol's error, before the queued post drains.
+    keys, _ = workload(any_fleet, instances=2, events=0)
+    any_fleet.post(keys[1], "update")
+    for batch in ([(keys[0], "update")], [[keys[0], "update"]]):
+        with pytest.raises(DeploymentError, match="encode_flat"):
+            any_fleet.run(batch, encoding="flat")
+    assert any_fleet.metrics.events_dispatched == 0
+
+
+def test_non_int64_flat_schedule_is_rejected(any_fleet):
+    # A list that no int64 buffer can hold (a float, an int past 2**63)
+    # is refused like string pairs, before the queued post drains.
+    keys, _ = workload(any_fleet, instances=2, events=0)
+    any_fleet.post(keys[1], "update")
+    for batch in ([0.5, 0.0], [2**70, 0]):
+        with pytest.raises(DeploymentError, match="encode_flat"):
+            any_fleet.run(batch, encoding="flat")
+    assert any_fleet.metrics.events_dispatched == 0
+    assert any_fleet.state_name(keys[0]) == any_fleet.machine.start_state.name
 
 
 def test_unknown_instance_error_shape(any_fleet):

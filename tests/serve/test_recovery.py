@@ -26,6 +26,7 @@ from repro.serve import (
     HAS_NUMPY,
     FleetRecoveringError,
     RecoveryPolicy,
+    diff_against_standalone,
     diff_fleets,
     make_fleet,
 )
@@ -77,6 +78,21 @@ def test_journal_noop_parity_without_failures():
     finally:
         fleet.close()
         twin.close()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_journaled_flat_run_matches_standalone(mode):
+    # The journal records the same interned buffers the workers run:
+    # a pre-encoded schedule through a journaled fleet still replays.
+    fleet = supervised(mode=mode, checkpoint_every=500)
+    try:
+        keys = fleet.spawn_many(60)
+        events = workload(fleet.machine, 60, 2_000, seed=3)
+        metrics = fleet.run(fleet.encode_flat(events), encoding="flat")
+        assert metrics.events_dispatched == len(events)
+        assert diff_against_standalone(fleet, keys, events) == []
+    finally:
+        fleet.close()
 
 
 # ---------------------------------------------------------------------------

@@ -17,9 +17,13 @@ from repro.serve import (
     ScenarioSpec,
     TimedEvent,
     TimerRule,
+    WorkloadSpec,
+    diff_fleets,
     generate_scenario,
+    generate_workload,
     run_scenario,
     scenario_traces,
+    session_keys,
 )
 from repro.serve.scenario import EXTERNAL
 from tests.serve.conftest import machine_for
@@ -142,6 +146,36 @@ class TestPassthrough:
         plain.spawn("g0000-m1")
         plain.run([(e.key, e.message) for e in events])
         assert traces == {k: plain.trace(k) for k in ("g0000-m0", "g0000-m1")}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_recorded_workload_matches_raw_flat_run(self, make_fleet, mode):
+        """A recorded workload spread over 50 instants, one key per group,
+        leaves the traces of one pre-encoded run of the same schedule."""
+        machine = machine_for("commit")
+        schedule = generate_workload(
+            machine, WorkloadSpec(instances=100, events=2_500, seed=0)
+        )
+        per_tick = len(schedule) // 50
+        scenario = Scenario(
+            profile=ScenarioProfile(),
+            topology=GroupTopology([[key] for key in session_keys(100)]),
+            events=tuple(
+                TimedEvent(float(i // per_tick), key, message)
+                for i, (key, message) in enumerate(schedule)
+            ),
+            until=50.0,
+        )
+        timed = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        engine = ScenarioEngine(timed, scenario.profile, scenario.topology)
+        engine.spawn_topology()
+        engine.schedule_events(scenario.events)
+        engine.run(scenario.until)
+
+        raw = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        raw.spawn_many(100)
+        raw.run(raw.encode_flat(schedule), encoding="flat")
+        assert diff_fleets(timed, raw, scenario.topology.keys) == []
+        assert timed.metrics.events_dispatched == len(schedule)
 
     def test_same_instant_events_share_a_wheel_record(self, make_fleet):
         fleet = make_fleet(dispatch="encoded")

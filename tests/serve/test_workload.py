@@ -1,11 +1,17 @@
 """Workload generator tests: determinism, scenario shapes, validity."""
 
+import random
 from collections import Counter
 
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.serve import WorkloadSpec, generate_workload, session_keys
+from repro.serve import (
+    SessionSimulator,
+    WorkloadSpec,
+    generate_workload,
+    session_keys,
+)
 from tests.serve.conftest import machine_for
 
 
@@ -103,3 +109,21 @@ class TestWorkload:
     def test_out_of_range_spec_rejected(self, spec):
         with pytest.raises(SimulationError):
             generate_workload(commit_machine(), spec)
+
+
+class TestSessionSimulator:
+    def test_messages_are_valid_and_deterministic(self):
+        machine = commit_machine()
+        table = machine.dispatch_table()
+        keys = ["a", "b"]
+        first = SessionSimulator(machine, keys, random.Random(7), noise=0.2)
+        second = SessionSimulator(machine, keys, random.Random(7), noise=0.2)
+        for i in range(200):
+            key = "a" if i % 2 else "b"
+            m1, m2 = first.next_message(key), second.next_message(key)
+            assert m1 == m2
+            assert m1 in table.messages
+
+    def test_noise_validated(self):
+        with pytest.raises(SimulationError):
+            SessionSimulator(commit_machine(), ["a"], random.Random(0), noise=2.0)

@@ -31,23 +31,21 @@ REPRO_ALL = [
     "generate_lazy", "generate_with_engine", "standard_pipeline",
 ]  # fmt: skip
 SERVE_ALL = [
-    "Arrival", "BACKENDS", "BackendAdapter", "ClosedLoopSpec", "DISPATCH_MODES",
-    "ENCODINGS", "EncodedFleetSchedule", "Fleet", "FleetEngine", "FleetMetrics",
+    "BACKENDS", "BackendAdapter", "DISPATCH_MODES", "ENCODINGS",
+    "EncodedFleetSchedule", "Fleet", "FleetEngine", "FleetMetrics",
     "FleetRecoveringError", "FleetSnapshot", "FleetTelemetry", "HAS_NUMPY",
     "NUMPY_UNAVAILABLE_REASON", "MODEL_FACTORIES", "MultiprocessFleet",
-    "LoadReport", "OpenLoopSpec", "GroupTopology", "InstanceSnapshot",
-    "InstanceStore", "LOG_POLICIES", "PartitionCheckpoint", "RecoveryPolicy",
-    "RecoveryTelemetry", "RouteRule",
+    "GroupTopology", "InstanceSnapshot", "InstanceStore", "LOG_POLICIES",
+    "PartitionCheckpoint", "RecoveryPolicy", "RecoveryTelemetry", "RouteRule",
     "SCENARIOS", "Scenario", "ScenarioEngine", "ScenarioFaultPlan",
     "ScenarioMetrics", "ScenarioProfile", "ScenarioSnapshot", "ScenarioSpec",
     "SessionSimulator", "TimedEvent", "TimerRule", "VectorKernel",
     "VectorSchedule", "WorkerJournal", "WorkloadSpec",
     "diff_against_hierarchical", "diff_against_standalone", "diff_fleets",
-    "fleet_machine", "generate_open_loop",
-    "generate_scenario", "generate_workload", "hierarchical_traces",
-    "make_backend", "make_fleet", "require_numpy", "run_closed_loop",
-    "run_open_loop", "run_scenario", "scenario_traces", "session_keys",
-    "shard_of", "standalone_traces",
+    "fleet_machine", "generate_scenario", "generate_workload",
+    "hierarchical_traces", "make_backend", "make_fleet", "require_numpy",
+    "run_scenario", "scenario_traces", "session_keys", "shard_of",
+    "standalone_traces",
 ]  # fmt: skip
 
 _PRELUDE = """
