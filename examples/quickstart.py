@@ -49,7 +49,7 @@ def main() -> None:
     print("\n".join(dot.splitlines()[:6]) + "\n...\n")
 
     source = PythonSourceRenderer().render(machine)
-    vote_table = source.index("ON_VOTE = {")
+    vote_table = source.index("ON_VOTE = _cases(")
     print("== generated source excerpt (paper Fig 16) ==")
     print("\n".join(source[vote_table:].splitlines()[:12]))
     print("...\n")

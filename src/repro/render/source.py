@@ -6,26 +6,39 @@ paper's Java has one ``receive<Message>()`` handler per message, each a
 :class:`JavaSourceRenderer` reproduces that shape verbatim).  Python has
 no ``switch`` over strings, and an ``if state == ...`` chain would make
 every event pay for every state, so :class:`PythonSourceRenderer` writes
-each switch as what a ``switch`` compiles to — a table::
+each switch as what a ``switch`` compiles to — a table — and writes the
+table as rows of text, one ``case`` per row with its commentary above::
 
     def _perform_7(self):
         self.send_commit()
 
-    ON_VOTE = {
-        # Another member voted for this update.
-        'T/0/T/0/F/T/T': ('T/1/T/0/F/T/T', None),
-        # Another member voted for this update.
-        # Threshold reached (vote threshold 3 or ...): send commit.
-        'T/1/T/0/F/T/T': ('T/2/T/0/T/T/T', _perform_7),
-        ...
-    }
+    # 'vote': state -> resultant state [actions to perform], one case per row.
+    ON_VOTE = _cases(r\"""
+    # Another member voted for this update.
+    T/0/T/0/F/T/T -> T/1/T/0/F/T/T
+    # Another member voted for this update.
+    # Threshold reached (vote threshold 3 or ...): send commit.
+    T/1/T/0/F/T/T -> T/2/T/0/T/T/T _perform_7
+    ...
+    \""")
     TRANSITIONS = {'update': ON_UPDATE, 'vote': ON_VOTE, ...}
 
-One ``ON_<MESSAGE>`` dict per message maps a state name to ``(resultant
-state name, perform)``: one ``case`` per line, the transition's commentary
-above it.  ``perform`` is ``None`` or a module-level ``_perform_<n>(self)``
-— one per *distinct* action sequence — whose body is the case's
-straight-line action calls.  ``receive(message)`` is
+``_cases``, defined in the generated module itself, reads the rows once
+when the module loads, with ``str`` methods only, into the dict
+``receive`` dispatches on: state name -> ``(resultant state name,
+perform)``.  Tables are data, not code: ``compile()`` sees one string
+constant per message instead of one literal per transition, so loading
+costs O(messages) constants whatever the number of states.  State names
+are written once, in ``STATE_NAMES``; every table key and target,
+``START_STATE`` and every ``FINAL_STATES`` member is the very object
+held there, so ``receive`` compares states by identity.  A row shows a
+name through one reversible escape, ``\\<hex>;`` for a character the
+row cannot show (the backslash itself, ``"``, ``#``, a space, anything
+unprintable) — the identity on every bundled model's names.
+
+``perform`` is ``None`` or a module-level ``_perform_<n>(self)`` — one
+per *distinct* action sequence — whose body is the case's straight-line
+action calls.  ``receive(message)`` is
 ``TRANSITIONS[message].get(self._state)``, run ``perform``, assign the
 state: constant work whatever the number of states.  Transitions assign
 ``self._state`` themselves; ``set_state`` is the validated way in from
@@ -33,8 +46,12 @@ outside (snapshot restore), not a hook every transition passes through.
 
 The renderer is *completely generic* with respect to the algorithm being
 modelled (paper §5.1): action strings such as ``->vote`` become calls to
-action methods (``self.send_vote()``) supplied by a separate class.  Two
-deployment styles are supported:
+action methods (``self.send_vote()``) supplied by a separate class.  An
+action whose method would log a different name than the interpreter does
+(``->not free`` calls ``send_not_free``, which logs ``not_free``) is
+refused with :class:`~repro.core.errors.RenderError`; messages whose
+table or ``receive_<message>`` names would coincide get distinct ones.
+Two deployment styles are supported:
 
 * **inheritance mode** (the paper's): ``action_base`` names a class the
   generated machine class inherits from; the surrounding application binds
@@ -47,8 +64,8 @@ deployment styles are supported:
 * **standalone mode** (``action_base=None``): the generated class defines
   overridable no-op action methods, so the module runs on its own.
 
-Commentary recorded by the abstract model is embedded as comments, as the
-paper notes for its generated Java (§3.5).
+Commentary recorded by the abstract model is embedded above each row, as
+the paper notes for its generated Java (§3.5).
 
 The renderer walks the machine's :class:`~repro.opt.indexed.IndexedMachine`
 (carried by a generated machine, interned for a hand-built one) one
@@ -57,13 +74,63 @@ message column at a time, reading commentary from the IR's sidecars.
 
 from __future__ import annotations
 
+from repro.core.errors import RenderError
 from repro.core.machine import StateMachine
+from repro.core.state import strip_action_prefix
 from repro.opt.indexed import IndexedMachine
 from repro.render.base import Renderer, python_identifier
 from repro.render.codebuffer import CodeBuffer
 
 #: Actions are rendered as calls to methods with this prefix.
 ACTION_METHOD_PREFIX = "send_"
+
+#: Characters a state name cannot show in a row: the escape itself, the
+#: quote that would close the rows' literal, the commentary mark and the
+#: field separator.  A commentary line only needs the first two.
+_NAME_ESCAPED = frozenset('\\"# ')
+_NOTE_ESCAPED = frozenset('\\"')
+
+#: The generated module's own readers, emitted verbatim: ``_unescape``
+#: undoes :func:`_escape`, ``_cases`` turns one table's rows into the dict
+#: ``receive`` dispatches on.
+_ROW_READERS = r'''
+def _unescape(text):
+    """A name as a row shows it: ``\\<hex>;`` stands for one character."""
+    if "\\" not in text:
+        return text
+    head, *rest = text.split("\\")
+    return head + "".join(
+        chr(int(code, 16)) + tail
+        for code, _, tail in (part.partition(";") for part in rest)
+    )
+
+
+def _cases(rows):
+    """One message's switch: each ``state -> resultant state [perform]``
+    row becomes ``state: (resultant state, perform or None)``; ``#``
+    lines are the case's commentary."""
+    state, performs, table = _STATE, globals(), {}
+    for row in rows.split("\n"):
+        if row and row[0] != "#":
+            case = row.split(" ")
+            table[state[case[0]]] = (
+                state[case[2]],
+                performs[case[3]] if len(case) > 3 else None,
+            )
+    return table
+'''
+
+
+def _escape(text: str, escaped: frozenset[str] = _NAME_ESCAPED) -> str:
+    """``text`` as a row shows it: each character in ``escaped``, and each
+    unprintable one, becomes ``\\<hex>;``.  The identity on every bundled
+    model's state names; the generated module's ``_unescape`` reverses it."""
+    if text.isprintable() and escaped.isdisjoint(text):
+        return text
+    return "".join(
+        f"\\{ord(ch):x};" if ch in escaped or not ch.isprintable() else ch
+        for ch in text
+    )
 
 
 def action_method_name(action: str) -> str:
@@ -79,9 +146,36 @@ def machine_class_name(machine: StateMachine) -> str:
     return "".join(parts) + "Machine"
 
 
-def table_name(message: str) -> str:
-    """Module-level transition table of a message: ``vote`` -> ``ON_VOTE``."""
-    return "ON_" + python_identifier(message).upper()
+def _checked_method_name(action: str) -> str:
+    """``action_method_name(action)``, refused when the action bases would
+    log the action under another name than the interpreter does."""
+    method = action_method_name(action)
+    logged = method[len(ACTION_METHOD_PREFIX) :]
+    expected = strip_action_prefix(action)
+    if logged != expected:
+        raise RenderError(
+            f"action {action!r} cannot be rendered: its method {method}() "
+            f"would log {logged!r} where the interpreter logs {expected!r}; "
+            f"name actions as lowercase Python identifiers"
+        )
+    return method
+
+
+def _distinct_names(names) -> list[str]:
+    """``names`` made distinct, in order: a name already taken gets the
+    smallest ``_<n>`` suffix still free.  Messages ``not free`` and
+    ``not_free`` would otherwise share ``ON_NOT_FREE``, and the second
+    table would replace the first."""
+    taken: set[str] = set()
+    out = []
+    for name in names:
+        candidate, n = name, 1
+        while candidate in taken:
+            n += 1
+            candidate = f"{name}_{n}"
+        taken.add(candidate)
+        out.append(candidate)
+    return out
 
 
 class PythonSourceRenderer(Renderer):
@@ -101,19 +195,25 @@ class PythonSourceRenderer(Renderer):
         im = IndexedMachine.from_machine(machine)
         class_name = self._class_name or machine_class_name(machine)
         buffer = CodeBuffer()
-        names = [repr(name) for name in im.state_names]
+        names = [_escape(name) for name in im.state_names]
+        tables = _distinct_names(
+            "ON_" + python_identifier(message).upper() for message in im.messages
+        )
+        handlers = _distinct_names(
+            "receive_" + python_identifier(message) for message in im.messages
+        )
 
         self._module_header(buffer, im)
         self._module_constants(buffer, im, names)
         performs, methods = self._perform_functions(buffer, im)
-        for column in range(im.width):
-            self._transition_table(buffer, im, column, names, performs)
-        self._table_index(buffer, im)
+        for column, table in enumerate(tables):
+            self._transition_table(buffer, im, column, table, names, performs)
+        self._table_index(buffer, im, tables)
         self._class_header(buffer, im, class_name, methods)
         self._lifecycle_methods(buffer)
         self._receive_method(buffer)
-        for message in im.messages:
-            self._message_method(buffer, message)
+        for message, handler in zip(im.messages, handlers):
+            self._message_method(buffer, message, handler)
         self._action_methods(buffer, methods)
         buffer.exit_block()
         return buffer.text()
@@ -134,20 +234,29 @@ class PythonSourceRenderer(Renderer):
             buffer.add_line("Generation parameters: ", rendered, ".")
         buffer.add_line('"""')
         buffer.blank()
+        buffer.add_line(_ROW_READERS)
+        buffer.blank()
 
     def _module_constants(
         self, buffer: CodeBuffer, im: IndexedMachine, names: list[str]
     ) -> None:
-        buffer.add_line("START_STATE = ", names[im.start])
-        finals = sorted(name for name, final in zip(im.state_names, im.final) if final)
-        buffer.add_line("FINAL_STATES = frozenset(", repr(finals), ")")
-        buffer.add_line("MESSAGES = ", repr(tuple(im.messages)))
-        buffer.add_line("STATE_NAMES = (")
-        buffer.increase_indent()
+        """``STATE_NAMES`` as one row of text per state; ``_STATE`` maps a
+        row's spelling to the name object every other constant shares."""
+        buffer.add_line("# State names, one per row.")
+        buffer.add_line('_NAME_ROWS = r"""')
         for name in names:
-            buffer.add_line(name, ",")
-        buffer.decrease_indent()
-        buffer.add_line(")")
+            buffer.add_line(name)
+        buffer.add_line('"""[1:-1].split("\\n")')
+        buffer.add_line("STATE_NAMES = tuple(map(_unescape, _NAME_ROWS))")
+        buffer.add_line("_STATE = dict(zip(_NAME_ROWS, STATE_NAMES))")
+        buffer.add_line("START_STATE = _STATE[", repr(names[im.start]), "]")
+        finals = ", ".join(
+            f"_STATE[{name!r}]"
+            for name, final in sorted(zip(names, im.final))
+            if final
+        )
+        buffer.add_line("FINAL_STATES = frozenset([", finals, "])")
+        buffer.add_line("MESSAGES = ", repr(tuple(im.messages)))
         buffer.add_line("STATES = frozenset(STATE_NAMES)")
         buffer.blank()
 
@@ -155,24 +264,28 @@ class PythonSourceRenderer(Renderer):
         self, buffer: CodeBuffer, im: IndexedMachine
     ) -> tuple[dict[int, str], tuple[str, ...]]:
         """Emit one ``_perform_<n>(self)`` per distinct non-empty action
-        sequence, in order of first use; return the table spelling of each
-        sequence id in use and the action method names in first-use order."""
-        sequences: dict[tuple[str, ...], str] = {(): "None"}
+        sequence, in order of first use; return each sequence id in use
+        as a row spells it and the action method names in first-use order.
+
+        Raises :class:`RenderError` for an action the generated class
+        would log under another name than the interpreter does."""
+        sequences: dict[tuple[str, ...], str] = {(): ""}
         performs: dict[int, str] = {}
         for seq in im.action_seq:
             if seq < 0 or seq in performs:
                 continue
             actions = tuple(im.actions[a] for a in im.action_seqs[seq])
-            name = sequences.get(actions)
-            if name is None:
-                sequences[actions] = name = f"_perform_{len(sequences)}"
+            spelling = sequences.get(actions)
+            if spelling is None:
+                function = f"_perform_{len(sequences)}"
+                sequences[actions] = spelling = " " + function
                 buffer.blank()
-                buffer.enter_block(f"def {name}(self):")
+                buffer.enter_block(f"def {function}(self):")
                 for action in actions:
-                    buffer.add_line(f"self.{action_method_name(action)}()")
+                    buffer.add_line(f"self.{_checked_method_name(action)}()")
                 buffer.exit_block()
                 buffer.blank()
-            performs[seq] = name
+            performs[seq] = spelling
         if len(sequences) > 1:
             buffer.blank()
         methods = (action_method_name(a) for seq in sequences for a in seq)
@@ -183,38 +296,46 @@ class PythonSourceRenderer(Renderer):
         buffer: CodeBuffer,
         im: IndexedMachine,
         column: int,
+        table: str,
         names: list[str],
         performs: dict[int, str],
     ) -> None:
-        """The paper's Fig 16 ``switch (getState())`` for one message, as a
-        dict literal: one ``case`` per line, its commentary above it."""
+        """The paper's Fig 16 ``switch (getState())`` for one message, as
+        rows of text: one ``case`` per row, its commentary above it."""
         message = im.messages[column]
         buffer.add_line(
-            f"# {message!r}: state -> (resultant state, actions to perform)."
+            f"# {message!r}: state -> resultant state "
+            "[actions to perform], one case per row."
         )
-        buffer.add_line(table_name(message), " = {")
-        buffer.increase_indent()
+        buffer.add_line(table, ' = _cases(r"""')
         notes = im.transition_annotations if self._include_commentary else {}
+        # Cases share their commentary: each distinct block is escaped once.
+        comments: dict[tuple[str, ...], str] = {(): ""}
         width = im.width
         for offset in range(column, len(im.next_state), width):
             target = im.next_state[offset]
             if target < 0:
                 continue
-            for annotation in notes.get(offset, ()):
-                buffer.add_line("# ", annotation)
+            above = notes.get(offset, ())
+            comment = comments.get(above)
+            if comment is None:
+                comment = comments[above] = "".join(
+                    f"# {_escape(note, _NOTE_ESCAPED)}\n" for note in above
+                )
             buffer.add_line(
-                f"{names[offset // width]}: ({names[target]}, "
-                f"{performs[im.action_seq[offset]]}),"
+                f"{comment}{names[offset // width]} -> {names[target]}"
+                f"{performs[im.action_seq[offset]]}"
             )
-        buffer.decrease_indent()
-        buffer.add_line("}")
+        buffer.add_line('""")')
         buffer.blank()
 
-    def _table_index(self, buffer: CodeBuffer, im: IndexedMachine) -> None:
+    def _table_index(
+        self, buffer: CodeBuffer, im: IndexedMachine, tables: list[str]
+    ) -> None:
         buffer.add_line("TRANSITIONS = {")
         buffer.increase_indent()
-        for message in im.messages:
-            buffer.add_line(f"{message!r}: {table_name(message)},")
+        for message, table in zip(im.messages, tables):
+            buffer.add_line(f"{message!r}: {table},")
         buffer.decrease_indent()
         buffer.add_line("}")
         buffer.blank()
@@ -306,8 +427,10 @@ class PythonSourceRenderer(Renderer):
         buffer.exit_block()
         buffer.blank()
 
-    def _message_method(self, buffer: CodeBuffer, message: str) -> None:
-        buffer.enter_block(f"def receive_{python_identifier(message)}(self):")
+    def _message_method(
+        self, buffer: CodeBuffer, message: str, handler: str
+    ) -> None:
+        buffer.enter_block(f"def {handler}(self):")
         buffer.add_line(f'"""Handle an incoming {message!r} message."""')
         buffer.add_line(f"return self.receive({message!r})")
         buffer.exit_block()

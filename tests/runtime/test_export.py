@@ -1,5 +1,9 @@
 """Tests for exporting generated source to disk (paper §4.3)."""
 
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.errors import DeploymentError
@@ -24,10 +28,26 @@ class TestExportImport:
         assert instance.is_finished()
 
     def test_exported_module_is_standalone(self, tmp_path):
-        path = export_machine_module(commit_machine(4), tmp_path / "m.py")
+        """The §4.3 artefact runs in an isolated interpreter (``-I``: no
+        PYTHONPATH, no user site) that cannot import this library."""
+        path = export_machine_module(commit_machine(4), tmp_path / "commit_r4.py")
         text = path.read_text()
         assert "import repro" not in text
         assert "ActionsBase" not in text
+        # The driver CI runs on the r=48 export: stdlib only, repro blocked.
+        smoke = pathlib.Path(__file__).parents[2] / "scripts" / "exported_smoke.py"
+        result = subprocess.run(
+            [sys.executable, "-I", str(smoke), path.name],
+            cwd=tmp_path,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stdout + result.stderr
+        assert result.stdout == (
+            "CommitR4Machine: 33 states, reached FINISHED in 2 events; "
+            "sent vote,commit\n"
+        )
 
     def test_custom_class_name(self, tmp_path):
         path = export_machine_module(

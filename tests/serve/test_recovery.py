@@ -15,6 +15,7 @@ die→respawn cycle.
 import os
 import pickle
 import signal
+import threading
 import time
 from array import array
 from dataclasses import replace
@@ -29,6 +30,7 @@ from repro.serve import (
     diff_against_standalone,
     diff_fleets,
     make_fleet,
+    mpfleet,
 )
 from repro.serve.recovery import partition_checkpoint, rehydrate
 from repro.serve.workload import WorkloadSpec, generate_workload
@@ -465,6 +467,88 @@ def test_restart_policy_exhaustion_declares_partition_lost():
             fleet.deliver(victim, "update")
         registry = fleet.recovery_registry()
         assert registry.counters["fleet_recovery_failures_total"].value == 1
+    finally:
+        fleet.close()
+
+
+def never_starting(fleet, monkeypatch, on_launch=lambda: None):
+    """Make every respawn a worker that never starts, and record the
+    supervisor's back-off sleeps instead of sleeping them.  Returns the
+    lists the launches and the delays are appended to."""
+    launches, delays = [], []
+    real_sleep = time.sleep
+
+    def launch():
+        launches.append(True)
+        on_launch()
+        raise DeploymentError("respawned worker never started")
+
+    def recorded_sleep(seconds):
+        if threading.current_thread().name.startswith("fleet-recovery"):
+            delays.append(seconds)
+        else:
+            real_sleep(seconds)
+
+    fleet._launch_worker = launch
+    monkeypatch.setattr(mpfleet, "sleep", recorded_sleep)
+    return launches, delays
+
+
+def lose_worker(fleet, wid=0):
+    fleet.spawn_many(4)
+    sigkill_worker(fleet, wid)
+    fleet.check_workers()
+
+
+def test_backoff_delay_grows_by_its_factor(monkeypatch):
+    fleet = supervised(
+        recovery=RecoveryPolicy(max_restarts=3, backoff_s=0.01, backoff_factor=3.0)
+    )
+    try:
+        _, delays = never_starting(fleet, monkeypatch)
+        lose_worker(fleet)
+        assert fleet.await_recovery(timeout=30)
+        assert delays == pytest.approx([0.01, 0.03, 0.09])
+    finally:
+        fleet.close()
+
+
+def test_worker_that_never_starts_is_launched_max_restarts_times(monkeypatch):
+    fleet = supervised(recovery=RecoveryPolicy(max_restarts=3, backoff_s=0.0))
+    try:
+        launches, _ = never_starting(fleet, monkeypatch)
+        lose_worker(fleet)
+        assert fleet.await_recovery(timeout=30)
+        assert len(launches) == 3
+        assert fleet.worker_states()[0] == "dead"
+        registry = fleet.recovery_registry()
+        assert registry.counters["fleet_recovery_failures_total"].value == 1
+    finally:
+        fleet.close()
+
+
+def test_close_during_recovery_launches_nothing_after_it(monkeypatch):
+    fleet = supervised(recovery=RecoveryPolicy(max_restarts=4, backoff_s=0.0))
+    closers = []
+
+    def close_meanwhile():
+        if closers:
+            return
+        closer = threading.Thread(target=fleet.close)
+        closers.append(closer)
+        closer.start()
+        deadline = time.perf_counter() + 10
+        while not fleet._closing and time.perf_counter() < deadline:
+            time.sleep(0.001)
+
+    try:
+        launches, _ = never_starting(fleet, monkeypatch, close_meanwhile)
+        lose_worker(fleet)
+        assert fleet.await_recovery(timeout=30)
+        closers[0].join(timeout=30)
+        assert not closers[0].is_alive()
+        assert len(launches) == 1
+        assert fleet.worker_states()[0] == "dead"
     finally:
         fleet.close()
 
