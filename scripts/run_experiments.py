@@ -9,13 +9,17 @@ the repository documents.  Usage::
 engine (:mod:`repro.core.lazy`) instead of the paper's eager pipeline;
 state counts are identical, only the generation times change.
 
-Runtime is a few minutes (dominated by Table 1's r=46 generation and the
-model-checking sweeps).
+Assertions beside the rows gate Table 1's counts and growth, the §4.2
+policy counts, the §4.4 protocol runs, Chord's hop bound and the
+model-checking outcomes, so the script exits non-zero when one of them
+no longer holds.  Runtime is a few minutes, dominated by the
+model-checking sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import statistics
 import time
@@ -25,13 +29,14 @@ from repro.analysis.properties import commit_protocol_properties
 from repro.analysis.spectrum import efsm_phase_transitions, phase_quotient
 from repro.analysis.stats import PAPER_TABLE1, machine_stats, table1
 from repro.baselines.generic_commit import GenericCommitAlgorithm
+from repro.models import build_commit_hsm, build_session_hsm
 from repro.models.commit import CommitModel
 from repro.models.commit_efsm import build_commit_efsm, commit_efsm_executor
 from repro.render.dot import DotRenderer
 from repro.render.source import JavaSourceRenderer, PythonSourceRenderer
 from repro.render.text import TextRenderer
 from repro.render.xml import XmlRenderer
-from repro.runtime.compile import compile_machine
+from repro.runtime.compile import compile_efsm, compile_machine
 from repro.runtime.interp import MachineInterpreter
 from repro.runtime.policy import GenerationPolicy, MachineFactory
 from repro.storage import DataBlock, FaultPlan, GUID, StorageCluster
@@ -71,7 +76,15 @@ def section_table1(out: list[str], engine: str = "eager") -> None:
             f"| {reference['generation_time_s']} | {row.generation_time_s:.3f} "
             f"| {'yes' if row.matches_paper() else '**NO**'} |"
         )
+    assert all(row.matches_paper() for row in rows), "Table 1 counts differ"
+    assert all(a.initial_states < b.initial_states for a, b in zip(rows, rows[1:]))
+    # Step 3 keeps under a tenth of the space and step 4 always merges.
+    assert all(
+        row.final_states < row.pruned_states < row.initial_states / 10 for row in rows
+    )
     ratio_measured = rows[-1].generation_time_s / rows[0].generation_time_s
+    # Shape only: the paper's 19.1 s / 0.10 s is ~191x; accept > 20x.
+    assert ratio_measured > 20, f"r=46/r=4 generation time only {ratio_measured:.0f}x"
     out.append(
         f"\nShape: measured time grows {ratio_measured:.0f}x from r=4 to r=46 "
         f"(paper: {19.1 / 0.10:.0f}x); generation remains sub-minute at the "
@@ -192,31 +205,74 @@ def section_efsm(out: list[str]) -> None:
     )
 
 
+def complete_run(r: int) -> list[str]:
+    """One complete commit protocol execution at replication factor ``r``."""
+    f = (r - 1) // 3
+    return ["free", "update"] + ["vote"] * (2 * f) + ["commit"] * (f + 1)
+
+
 def section_runtime(out: list[str]) -> None:
     out.append("## §4.4 — execution efficiency (the comparison the paper skipped)\n")
     trace = ["free", "update", "vote", "vote", "vote", "commit", "commit"]
     machine = CommitModel(4).generate_state_machine()
     compiled = compile_machine(machine)
+    compiled_efsm = compile_efsm(build_commit_efsm())
+    compiled_r13 = compile_machine(CommitModel(13).generate_state_machine())
 
-    def measure(factory, runs=2000):
+    def measure(factory, trace=trace, runs=2000):
         start = time.perf_counter()
         for _ in range(runs):
             instance = factory()
             for message in trace:
                 instance.receive(message)
-        return (time.perf_counter() - start) / runs * 1e6
+        micros = (time.perf_counter() - start) / runs * 1e6
+        assert instance.is_finished(), "a protocol run did not finish"
+        return micros
 
     rows = [
-        ("compiled generated FSM", measure(compiled.new_instance)),
-        ("interpreted FSM", measure(lambda: MachineInterpreter(machine))),
-        ("generic algorithm", measure(lambda: GenericCommitAlgorithm(4))),
-        ("EFSM executor", measure(lambda: commit_efsm_executor(4))),
+        ("compiled generated FSM", 4, measure(compiled.new_instance)),
+        ("interpreted FSM", 4, measure(lambda: MachineInterpreter(machine))),
+        ("generic algorithm", 4, measure(lambda: GenericCommitAlgorithm(4))),
+        ("EFSM executor", 4, measure(lambda: commit_efsm_executor(4))),
+        (
+            "compiled generated EFSM",
+            4,
+            measure(lambda: compiled_efsm.new_instance(replication_factor=4)),
+        ),
+        (
+            "compiled generated FSM",
+            13,
+            measure(compiled_r13.new_instance, complete_run(13)),
+        ),
     ]
-    out.append("| implementation | per protocol run (µs) |")
-    out.append("|----------------|----------------------|")
-    for name, micros in rows:
-        out.append(f"| {name} | {micros:.1f} |")
-    spread = max(m for _, m in rows[:3]) / min(m for _, m in rows[:3])
+    for r in (13, 46):
+        # The executor rebuilds its EFSM per instance (~2 ms): fewer runs.
+        efsm_us = measure(lambda: commit_efsm_executor(r), complete_run(r), runs=200)
+        rows.append(("EFSM executor", r, efsm_us))
+    # Flattening inlines the entry and exit actions of every region a
+    # transition crosses, so these machines do the most work per event.
+    hsm_runs = [
+        (
+            "session",
+            "—",
+            build_session_hsm(),
+            ("connect", "timeout", "resume", "syn_ack", "challenge", "proof_ok")
+            + ("request", "done", "ping", "pause", "resume", "fatal"),
+        ),
+        ("commit", 4, build_commit_hsm(4), ("begin", *trace, "finalize")),
+    ]
+    for name, r, model, hsm_trace in hsm_runs:
+        flat = model.flatten()
+        compiled_us = measure(compile_machine(flat).new_instance, hsm_trace)
+        interpreted = functools.partial(MachineInterpreter, flat, validate=False)
+        interpreted_us = measure(interpreted, hsm_trace)
+        rows.append((f"flattened {name} HSM, compiled", r, compiled_us))
+        rows.append((f"flattened {name} HSM, interpreted", r, interpreted_us))
+    out.append("| implementation | r | per protocol run (µs) |")
+    out.append("|----------------|---|----------------------|")
+    for name, r, micros in rows:
+        out.append(f"| {name} | {r} | {micros:.1f} |")
+    spread = max(m for _, _, m in rows[:3]) / min(m for _, _, m in rows[:3])
     out.append(
         f"\nThe paper expected \"no significant difference\"; measured spread "
         f"across compiled/interpreted/generic is {spread:.1f}x — same order "
@@ -229,12 +285,12 @@ def section_policies(out: list[str]) -> None:
     workload = [4, 4, 4, 7, 4, 4, 7, 4, 4, 4]
     out.append("| policy | generations for 10 deployments | cache hit rate |")
     out.append("|--------|-------------------------------|----------------|")
-    policies = (
-        GenerationPolicy.ONCE,
-        GenerationPolicy.PER_USE,
-        GenerationPolicy.ON_DEMAND,
-    )
-    for policy in policies:
+    expected_generations = {
+        GenerationPolicy.ONCE: 1,
+        GenerationPolicy.PER_USE: len(workload),
+        GenerationPolicy.ON_DEMAND: len(set(workload)),
+    }
+    for policy in expected_generations:
         factory = MachineFactory(
             lambda replication_factor: CommitModel(replication_factor), policy=policy
         )
@@ -247,6 +303,10 @@ def section_policies(out: list[str]) -> None:
             else "—"
         )
         out.append(f"| {policy.value} | {factory.generations} | {hit_rate} |")
+        assert factory.generations == expected_generations[policy]
+    # The last factory is ON_DEMAND: two distinct factors among ten
+    # deployments leave eight cache hits.
+    assert factory.cache.stats.hit_rate == 0.8
     out.append("")
 
 
@@ -327,6 +387,7 @@ def section_routing(out: list[str]) -> None:
         out.append(
             f"| {count} | {statistics.mean(hops):.2f} | {math.log2(count):.2f} |"
         )
+        assert statistics.mean(hops) <= 2 * math.log2(count)
     out.append("")
 
 
@@ -346,7 +407,7 @@ def section_modelcheck(out: list[str]) -> None:
     rows.append(("1 update, f+1=2 silent members", silent2))
     split22 = check_contending_updates(4, first_half=2)
     rows.append(("2 updates, 2/2 split (§2.2 deadlock)", split22))
-    split31 = check_contending_updates(4, first_half=3, max_states=400_000)
+    split31 = check_contending_updates(4, first_half=3, max_states=600_000)
     rows.append(("2 updates, 3/1 split (bounded)", split31))
     out.append("| scenario | system states | outcome |")
     out.append("|----------|---------------|---------|")
@@ -360,6 +421,13 @@ def section_modelcheck(out: list[str]) -> None:
         suffix = " (truncated)" if result.truncated else ""
         out.append(f"| {label} | {result.states_explored}{suffix} | {outcome} |")
     assert all(result.safe for _, result in rows)
+    assert clean.always_terminates and silent1.always_terminates
+    assert silent2.deadlock_possible
+    # The 2/2 space is complete and every interleaving stalls; the 3/1
+    # split serialises, so each outcome seen commits both updates.
+    assert not split22.truncated
+    assert split22.outcome_counts == {("none", "none"): split22.quiescent_states}
+    assert all(outcome == ("all", "all") for outcome in split31.outcome_counts)
     out.append(
         "\nNo explored interleaving in any scenario produced a partial "
         "commit (divergent histories): the safety property holds "
@@ -370,6 +438,7 @@ def section_modelcheck(out: list[str]) -> None:
 
     machine = CommitModel(4).generate_state_machine()
     reports = commit_protocol_properties(machine)
+    assert all(report.ok for report in reports)
     out.append("Per-machine path properties (all paths, r=4): "
                + "; ".join(str(report) for report in reports) + ".\n")
 

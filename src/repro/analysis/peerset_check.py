@@ -289,6 +289,8 @@ def check_single_update(
     legitimately stalls, which the result reports as deadlock.
     """
     r = replication_factor
+    if silent_members < 0:
+        raise SimulationError(f"silent_members must be >= 0, got {silent_members}")
     if silent_members >= r:
         raise SimulationError("at least one member must be live")
     machine = CommitModel(r).generate_state_machine(engine=engine)

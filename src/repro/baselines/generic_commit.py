@@ -11,7 +11,8 @@ same driving protocol as the generated machines (``receive`` /
   actions and visit the same encoded states;
 * **the §4.4 runtime comparison** the paper left unmeasured ("We have not
   yet compared the execution efficiency of a running FSM implementation
-  with that of a non-FSM solution") — see ``benchmarks/bench_runtime_exec``.
+  with that of a non-FSM solution") — see the §4.4 section of
+  ``scripts/run_experiments.py``.
 """
 
 from __future__ import annotations

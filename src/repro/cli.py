@@ -11,21 +11,15 @@ Mirrors the paper's Fig 6 usage from a shell::
     repro-fsm describe -r 4 --state T/2/F/0/F/F/F
     repro-fsm export -r 4 -o commit_r4.py    # §4.3 copy-into-codebase
     repro-fsm modelcheck -r 4 --silent 1     # exhaustive peer-set check
-    repro-fsm serve-bench --instances 10000 --events 100000 --shards 16
-                                             # fleet plane: every dispatch mode
     repro-fsm flatten --model session --format outline
                                              # hierarchical design, outlined
     repro-fsm flatten --model commit -r 7 --engine lazy --format stats
                                              # flattening blow-up factors
     repro-fsm optimize --model commit-hsm --opt 3
                                              # pass pipeline: per-pass deltas
-    repro-fsm serve-bench --instances 10000 --opt prune,merge
-                                             # fleet on an optimized machine
     repro-fsm serve-scenario --model commit --faults kill-shard --seed 7
                                              # interacting fleet under faults
     repro-fsm serve-scenario --metrics prom  # merged fleet+scenario metrics
-    repro-fsm serve-watch --events 50000 --interval 10000
-                                             # live telemetry over a workload
     repro-fsm serve --workers 4 --instances 100 --port 8080
                                              # HTTP/WebSocket gateway over a
                                              # process-parallel fleet
@@ -40,6 +34,7 @@ import sys
 # what shares a module with it); every subcommand imports the areas it
 # uses, so ``--help``, ``table1`` and ``generate`` never load the gateway,
 # the scenario plane, the storage simulator or numpy.
+from repro.core.errors import ReproError
 from repro.core.pipeline import ENGINES, generate_with_engine
 from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
 from repro.models.chandra_toueg import CoordinatorRoundModel
@@ -49,7 +44,6 @@ from repro.models.commit import scenario_profile as commit_scenario_profile
 from repro.opt import PASSES, format_pass_table, parse_opt_spec, standard_pipeline
 from repro.serve import BACKENDS as SERVE_BACKENDS
 from repro.serve import DISPATCH_MODES, LOG_POLICIES
-from repro.serve import SCENARIOS as SERVE_SCENARIOS
 
 #: ``--format`` name -> renderer class name in :mod:`repro.render`.
 _RENDERERS = {
@@ -210,64 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_engine_flag(optimize)
     add_opt_flag(optimize, default="3")
 
-    def add_metrics_flag(subparser: argparse.ArgumentParser) -> None:
-        subparser.add_argument(
-            "--metrics",
-            choices=("prom", "json"),
-            default=None,
-            help="attach the telemetry plane (queue-latency and batch "
-            "histograms, event tracing) and print the metrics registry "
-            "after the run, in Prometheus text or JSON exposition",
-        )
-
-    serve_bench = commands.add_parser(
-        "serve-bench",
-        help="benchmark the fleet execution plane: the naive, encoded and "
-        "vector dispatch modes over one synthetic workload",
-    )
-    serve_bench.add_argument("-r", "--replication-factor", type=int, default=4)
-    serve_bench.add_argument(
-        "--shards", type=int, default=8, help="instance partitions (default: 8)"
-    )
-    serve_bench.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="run each mode on a process-parallel fleet with this many "
-        "worker processes instead of the in-process engine",
-    )
-    serve_bench.add_argument(
-        "--instances", type=int, default=10_000, help="machine instances hosted"
-    )
-    serve_bench.add_argument(
-        "--events", type=int, default=100_000, help="events in the workload"
-    )
-    serve_bench.add_argument(
-        "--backend",
-        choices=SERVE_BACKENDS,
-        default="interp",
-        help="execution backend for the naive per-event baseline",
-    )
-    serve_bench.add_argument(
-        "--workload",
-        choices=SERVE_SCENARIOS,
-        default="uniform",
-        help="arrival pattern (default: uniform)",
-    )
-    serve_bench.add_argument("--seed", type=int, default=0)
-    serve_bench.add_argument(
-        "--log-policy",
-        choices=LOG_POLICIES,
-        default="full",
-        dest="log_policy",
-        help="action-log retention for the table-dispatch modes (default: "
-        "full; 'off' trades the trace away for throughput, so the "
-        "differential check is skipped for it)",
-    )
-    add_metrics_flag(serve_bench)
-    add_engine_flag(serve_bench)
-    add_opt_flag(serve_bench)
-
     serve_scenario = commands.add_parser(
         "serve-scenario",
         help="run an interacting timed scenario on the fleet — per-model "
@@ -339,44 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the differential check against a naive fleet",
     )
-    add_metrics_flag(serve_scenario)
-    add_engine_flag(serve_scenario)
-
-    serve_watch = commands.add_parser(
-        "serve-watch",
-        help="run a workload through a telemetered fleet in intervals, "
-        "printing a live status line per interval and the full metrics "
-        "registry at the end",
-    )
-    serve_watch.add_argument("-r", "--replication-factor", type=int, default=4)
-    serve_watch.add_argument("--shards", type=int, default=8)
-    serve_watch.add_argument(
-        "--instances", type=int, default=1_000, help="machine instances hosted"
-    )
-    serve_watch.add_argument(
-        "--events", type=int, default=50_000, help="events in the workload"
-    )
-    serve_watch.add_argument(
-        "--interval",
-        type=int,
-        default=10_000,
-        help="events posted per observation interval (default: 10000)",
-    )
-    serve_watch.add_argument(
-        "--workload",
-        choices=SERVE_SCENARIOS,
-        default="uniform",
-        help="arrival pattern (default: uniform)",
-    )
-    serve_watch.add_argument("--seed", type=int, default=0)
-    serve_watch.add_argument(
-        "--format",
+    serve_scenario.add_argument(
+        "--metrics",
         choices=("prom", "json"),
-        default="prom",
-        dest="fmt",
-        help="final exposition format (default: prom)",
+        default=None,
+        help="attach the telemetry plane (queue-latency and batch "
+        "histograms, event tracing) and print the metrics registry "
+        "after the run, in Prometheus text or JSON exposition",
     )
-    add_engine_flag(serve_watch)
+    add_engine_flag(serve_scenario)
 
     serve = commands.add_parser(
         "serve",
@@ -485,9 +392,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code.
 
+    Exit 1 is a command's own negative verdict (``modelcheck`` unsafe, a
+    ``table1`` row off the paper); a refusal of the arguments or input
+    (any :class:`ReproError`) is exit 2 with ``<command>: <message>`` on
+    stderr.
+    """
+    args = build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except ReproError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
+
+
+def _run(args) -> int:
+    """Dispatch one parsed command."""
     if args.command == "generate":
         pipeline = parse_opt_spec(args.opt)
         if pipeline is None:
@@ -566,20 +487,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "optimize":
         return _optimize(args)
 
-    serving = {
-        "serve-bench": _serve_bench,
-        "serve-scenario": _serve_scenario,
-        "serve": _serve,
-        "serve-watch": _serve_watch,
-    }
-    if args.command in serving:
-        from repro.core.errors import DeploymentError
+    if args.command == "serve-scenario":
+        return _serve_scenario(args)
 
-        try:
-            return serving[args.command](args)
-        except DeploymentError as exc:  # a refusal, such as a fleet option
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
+    if args.command == "serve":
+        return _serve(args)
 
     if args.command == "modelcheck":
         from repro.analysis.peerset_check import (
@@ -696,114 +608,6 @@ def _optimize(args) -> int:
     return _emit(text, args.output)
 
 
-def _serve_bench(args) -> int:
-    """Run one fleet dispatch-mode comparison and print the result.
-
-    Every mode is measured — ``naive``, ``encoded`` and ``vector`` (the
-    last skipped with a note when numpy is unavailable) — on the same
-    schedule, interned once per fleet with ``encode_flat`` outside the
-    timed region, so the timed region is dispatch alone.
-    ``--log-policy`` applies to the table-dispatch modes; ``off``
-    retains no trace, so those rows skip the differential check.
-    """
-    import time
-
-    from repro.obs import FleetTelemetry, fleet_registry
-    from repro.serve import (
-        HAS_NUMPY,
-        NUMPY_UNAVAILABLE_REASON,
-        WorkloadSpec,
-        diff_against_standalone,
-        generate_workload,
-        make_fleet,
-    )
-
-    machine = CommitModel(args.replication_factor).generate_state_machine(
-        engine=args.engine
-    )
-    spec = WorkloadSpec(
-        scenario=args.workload,
-        instances=args.instances,
-        events=args.events,
-        seed=args.seed,
-    )
-    events = generate_workload(machine, spec)
-    opt_note = f", opt {args.opt}" if args.opt else ""
-    print(
-        f"machine {machine.name} [{args.engine}]: {len(machine)} states; "
-        f"workload {args.workload}: {args.instances} instances, "
-        f"{len(events)} events, {args.shards} shards, "
-        f"backend {args.backend}, log {args.log_policy}{opt_note}"
-    )
-
-    modes = list(DISPATCH_MODES)
-    if not HAS_NUMPY:
-        modes.remove("vector")
-        print(f"  vector   skipped: {NUMPY_UNAVAILABLE_REASON}")
-    elapsed: dict[str, float] = {}
-    for mode in modes:
-        policy = "full" if mode == "naive" else args.log_policy
-        fleet = make_fleet(
-            machine,
-            shards=args.shards,
-            workers=args.workers,
-            # Only the naive baseline reads a backend.
-            backend=args.backend if mode == "naive" else "interp",
-            mode=mode,
-            auto_recycle=True,
-            optimize=args.opt,
-            log_policy=policy,
-            telemetry=FleetTelemetry() if args.metrics else None,
-        )
-        keys = fleet.spawn_many(args.instances)
-        schedule = fleet.encode_flat(events)
-        started = time.perf_counter()
-        fleet.run(schedule, encoding="flat")
-        elapsed[mode] = time.perf_counter() - started
-        if policy == "full":
-            mismatched = diff_against_standalone(fleet, keys, events)
-            verdict = "ok" if not mismatched else "MISMATCH"
-        else:
-            mismatched = []
-            verdict = f"skipped (log {policy})"
-        metrics = fleet.metrics
-        print(
-            f"  {mode:8s} "
-            f"{metrics.events_per_second(elapsed[mode]):>12,.0f} ev/s  "
-            f"({elapsed[mode]:.3f}s, {metrics.transitions_fired} fired, "
-            f"{metrics.events_ignored} ignored, "
-            f"{metrics.instances_recycled} recycled, "
-            f"differential {verdict})"
-        )
-        if mismatched:
-            print(f"  {len(mismatched)} mismatched traces", file=sys.stderr)
-            fleet.close()
-            return 1
-        # Harvest the registry before close (a multiprocess fleet's
-        # worker registries are only reachable while workers live).
-        registry = fleet_registry(fleet) if args.metrics else None
-        fleet.close()
-    print(f"  speedup  {elapsed['naive'] / elapsed['encoded']:.2f}x (encoded/naive)")
-    if "vector" in elapsed:
-        print(
-            f"  vector   {elapsed['naive'] / elapsed['vector']:.2f}x naive, "
-            f"{elapsed['encoded'] / elapsed['vector']:.2f}x encoded"
-        )
-    if args.metrics:
-        # The registry of the last measured fleet (metrics are per-fleet).
-        print(_render_registry(registry, args.metrics), end="")
-    return 0
-
-
-def _render_registry(registry, fmt: str) -> str:
-    """One metrics registry in the requested exposition format."""
-    from repro.obs import render_json, render_prometheus
-
-    if fmt == "prom":
-        return render_prometheus(registry)
-    return render_json(registry) + "\n"
-
-
 #: Per-copy disturbance rate used for each requested message-fault kind.
 _SCENARIO_FAULT_RATE = 0.05
 
@@ -908,7 +712,13 @@ def _serve_scenario(args) -> int:
     if args.metrics:
         # One merged blob: fleet counters and histograms plus the
         # scenario engine's timer/routing/fault counters.
-        print(_render_registry(scenario_registry(engine), args.metrics), end="")
+        from repro.obs import render_json, render_prometheus
+
+        registry = scenario_registry(engine)
+        if args.metrics == "prom":
+            print(render_prometheus(registry), end="")
+        else:
+            print(render_json(registry))
     if args.no_verify:
         return 0
     oracle = make_fleet(machine, mode="naive", shards=args.shards)
@@ -922,61 +732,6 @@ def _serve_scenario(args) -> int:
         )
         return 1
     print(f"  differential vs naive fleet: ok ({len(scenario.topology)} traces)")
-    return 0
-
-
-def _serve_watch(args) -> int:
-    """Post a workload in intervals, watching the telemetry registry fill.
-
-    Every interval's events go through the posted path (``post`` then
-    ``drain_all``), so the queue-latency histograms, batch timings and
-    shard-depth gauges all engage; one status line summarises each
-    interval and the full registry is rendered at the end.
-    """
-    import time
-
-    from repro.obs import FleetTelemetry, fleet_registry
-    from repro.serve import WorkloadSpec, generate_workload, make_fleet
-
-    machine = CommitModel(args.replication_factor).generate_state_machine(
-        engine=args.engine
-    )
-    spec = WorkloadSpec(
-        scenario=args.workload,
-        instances=args.instances,
-        events=args.events,
-        seed=args.seed,
-    )
-    events = generate_workload(machine, spec)
-    telemetry = FleetTelemetry()
-    fleet = make_fleet(
-        machine,
-        shards=args.shards,
-        mode="encoded",
-        auto_recycle=True,
-        telemetry=telemetry,
-    )
-    fleet.spawn_many(args.instances)
-    print(
-        f"machine {machine.name} [{args.engine}]: {len(machine)} states; "
-        f"watching {len(events)} events over intervals of {args.interval} "
-        f"({args.instances} instances, {args.shards} shards)"
-    )
-    queue = telemetry.queue_latency
-    for start in range(0, len(events), args.interval):
-        part = events[start : start + args.interval]
-        started = time.perf_counter()
-        for key, message in part:
-            fleet.post(key, message)
-        fleet.drain_all()
-        elapsed = time.perf_counter() - started
-        print(
-            f"  t+{start + len(part):>8d}  {len(part) / elapsed:>12,.0f} ev/s  "
-            f"queue p50 {queue.quantile(0.5):.2e}s  "
-            f"p99 {queue.quantile(0.99):.2e}s  "
-            f"peak depth {fleet.metrics.peak_shard_depth}"
-        )
-    print(_render_registry(fleet_registry(fleet), args.fmt), end="")
     return 0
 
 

@@ -3,8 +3,8 @@
 One registry, two audiences.  :func:`render_prometheus` emits the
 Prometheus text exposition format (``# TYPE``/``# HELP`` headers,
 cumulative ``_bucket{le="..."}`` series, ``_sum``/``_count``) so the
-output of ``serve-watch`` / ``--metrics prom`` can be scraped or pasted
-into any Prometheus-aware tool; :func:`render_json` emits the same
+output of ``--metrics prom`` or the gateway's ``/metrics`` can be
+scraped or pasted into any Prometheus-aware tool; :func:`render_json` emits the same
 registry as the JSON object ``--metrics json`` prints.
 
 The builders assemble the registry for a given engine:

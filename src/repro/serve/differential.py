@@ -5,8 +5,8 @@ execution plane is observationally identical to running it alone: for any
 recorded event schedule, every instance's final ``(state, action log)``
 trace must match a standalone :class:`~repro.runtime.interp.MachineInterpreter`
 fed the same per-key subsequence.  This module replays schedules standalone
-and reports mismatches; the test suite, ``serve-bench`` and the end-to-end
-benchmark's oracles use it.
+and reports mismatches; the test suite and the end-to-end benchmark's
+oracles use it.
 
 The comparison is only meaningful when the fleet retains full action
 logs: fleets running ``log_policy='off'`` have no trace to compare, so

@@ -6,8 +6,6 @@ counters are plain ints updated once per batch (not per event) so the hot
 dispatch loop stays tight.  The dataclass is ``slots=True``: fleets at
 10k+ instances poll metrics per batch, and a fixed layout keeps the
 counter object small and its attribute access dict-free.
-``events_per_second`` is derived from caller-measured wall-clock timing —
-the engine itself never reads the clock.
 """
 
 from __future__ import annotations
@@ -87,16 +85,6 @@ class FleetMetrics:
         if other.peak_shard_depth > self.peak_shard_depth:
             self.peak_shard_depth = other.peak_shard_depth
         return self
-
-    def events_per_second(self, elapsed_seconds: float) -> float:
-        """Dispatch throughput over a caller-measured interval.
-
-        Guards the zero/negative-duration edge (a timer that did not
-        advance) by reporting 0.0 instead of dividing by zero.
-        """
-        if elapsed_seconds <= 0:
-            return 0.0
-        return self.events_dispatched / elapsed_seconds
 
     def as_dict(self) -> dict:
         """All counters as a plain dict (for JSON artifacts and reports)."""

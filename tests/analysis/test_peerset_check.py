@@ -45,6 +45,11 @@ class TestSingleUpdate:
         assert result.truncated
         assert not result.always_terminates  # cannot claim termination
 
+    def test_negative_silent_count_rejected(self):
+        # Not a clean peer set in disguise: a count below zero is refused.
+        with pytest.raises(SimulationError, match="silent_members must be >= 0"):
+            check_single_update(4, silent_members=-1)
+
     def test_result_counters_consistent(self):
         result = check_single_update(4, silent_members=1)
         assert (
@@ -60,8 +65,9 @@ class TestContention:
 
     The exhaustive two-update space is large; a bounded exploration is
     still sound for what it asserts (every *visited* quiescent state is
-    either agreement or deadlock — never divergence), and the full-space
-    run lives in benchmarks/bench_modelcheck.py.
+    either agreement or deadlock — never divergence).  The full 2/2 space
+    and the 600 000-state 3/1 run are asserted by
+    scripts/run_experiments.py.
     """
 
     def test_bounded_exploration_safe(self):

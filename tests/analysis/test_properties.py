@@ -88,7 +88,7 @@ class TestPrimitives:
 class TestCommitProtocolProperties:
     """The protocol's correctness claims, verified over every path."""
 
-    @pytest.mark.parametrize("r", [4, 7, 10])
+    @pytest.mark.parametrize("r", [4, 7, 10, 13])
     def test_full_suite_holds(self, r):
         machine = commit_machine(r)
         for report in commit_protocol_properties(machine):

@@ -1,5 +1,7 @@
 """The textual renderer reproduces the paper's Fig 14 artefact."""
 
+import pytest
+
 from repro.render.text import TextRenderer
 from tests.conftest import commit_machine
 
@@ -73,11 +75,14 @@ class TestWholeMachineRendering:
         text = TextRenderer().render(commit_machine(4))
         assert "UPDATE, VOTE, COMMIT, FREE, NOT FREE" in text
 
-    def test_every_state_has_a_block(self):
-        machine = commit_machine(4)
+    @pytest.mark.parametrize("r", [4, 13])
+    def test_every_state_has_a_block(self, r):
+        machine = commit_machine(r)
         text = TextRenderer().render(machine)
         for state in machine.states:
             assert f"state: {state.name}" in text
+        blocks = [line for line in text.splitlines() if line.startswith("state: ")]
+        assert len(blocks) == len(machine)
 
     def test_finish_state_marked(self):
         text = TextRenderer().render(commit_machine(4))

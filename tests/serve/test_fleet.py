@@ -633,13 +633,6 @@ class TestMetricsSurface:
         assert metrics.instances_spawned == 20
         as_dict = metrics.as_dict()
         assert as_dict["events_dispatched"] == 500
-        assert metrics.events_per_second(2.0) == 250.0
-
-    def test_events_per_second_guards_zero_duration(self):
-        metrics = FleetMetrics(events_dispatched=500)
-        assert metrics.events_per_second(0) == 0.0
-        assert metrics.events_per_second(-1.0) == 0.0
-        assert metrics.events_per_second(0.5) == 1000.0
 
     def test_metrics_are_slotted(self):
         metrics = FleetMetrics()

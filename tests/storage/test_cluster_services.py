@@ -99,13 +99,15 @@ class TestDataStorage:
 
 
 class TestVersionHistory:
-    def test_append_and_agreement(self):
-        cluster = StorageCluster(node_count=12, replication_factor=4, seed=7)
+    @pytest.mark.parametrize("r", [4, 7])
+    def test_append_and_agreement(self, r):
+        cluster = StorageCluster(node_count=3 * r, replication_factor=r, seed=7)
         endpoint = cluster.add_endpoint("client")
         guid = GUID.for_name("file")
         append = endpoint.append_version(guid, DataBlock(b"v1").pid)
         assert cluster.run_until(lambda: append.done, timeout=2000)
         assert append.success
+        assert append.attempts == 1  # a healthy peer set needs no retry
         cluster.run(100)
         assert cluster.histories_prefix_consistent(guid.hex)
 
@@ -114,7 +116,7 @@ class TestVersionHistory:
         endpoint = cluster.add_endpoint("client")
         guid = GUID.for_name("file")
         pids = []
-        for payload in (b"v1", b"v2", b"v3"):
+        for payload in (b"v1", b"v2", b"v3", b"v4", b"v5"):
             pid = DataBlock(payload).pid
             pids.append(pid.hex)
             append = endpoint.append_version(guid, pid)
@@ -124,6 +126,7 @@ class TestVersionHistory:
         histories = cluster.histories(guid.hex)
         longest = max(histories.values(), key=len)
         assert [pid for _, pid in longest] == pids
+        assert cluster.histories_prefix_consistent(guid.hex)
 
     def test_byzantine_member_cannot_corrupt_history(self):
         guid = GUID.for_name("contested")
@@ -174,6 +177,8 @@ class TestVersionHistory:
         append = endpoint.append_version(guid, DataBlock(b"x").pid)
         assert cluster.run_until(lambda: append.done, timeout=3000)
         assert append.success
+        cluster.run(100)
+        assert cluster.histories_prefix_consistent(guid.hex)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_contention_converges(self, seed):
@@ -204,6 +209,8 @@ class TestVersionHistory:
         append = endpoint.append_version(guid, DataBlock(b"x").pid)
         assert cluster.run_until(lambda: append.done, timeout=5000)
         assert append.success  # 3 of 4 members suffice (2f+1 votes, f+1 commits)
+        cluster.run(100)
+        assert cluster.histories_prefix_consistent(guid.hex)
 
 
 class TestHistoryAgreement:

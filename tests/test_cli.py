@@ -66,6 +66,61 @@ class TestCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["render", "--format", "hologram"])
 
+    def test_parser_rejects_removed_commands_and_modes(self):
+        # Deleted subcommands and dispatch modes are unknown, not deprecated.
+        parser = build_parser()
+        for argv in (
+            ["serve-bench"],
+            ["serve-watch"],
+            ["serve", "--mode", "batched"],
+            ["serve", "--mode", "grouped"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+        assert parser.parse_args(["serve"]).mode == "encoded"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["generate", "-r", "3"], "replication factor must be >= 4"),
+            (["modelcheck", "--contention", "7"], "first_half must be in 0..4, got 7"),
+            (["serve-scenario", "--groups", "0"], "scenario needs >= 1 group"),
+            (["render", "-r", "3"], "replication factor must be >= 4"),
+            (
+                ["describe", "-r", "3", "--state", "T/2/F/0/F/F/F"],
+                "replication factor must be >= 4",
+            ),
+            (
+                ["export", "-r", "3", "-o", "unused.py"],
+                "replication factor must be >= 4",
+            ),
+            (
+                ["flatten", "--model", "commit", "-r", "3"],
+                "replication factor must be >= 4",
+            ),
+            (["optimize", "-r", "3"], "replication factor must be >= 4"),
+            (["serve", "-r", "3", "--port", "0"], "replication factor must be >= 4"),
+        ],
+        ids=[
+            "generate",
+            "modelcheck",
+            "serve-scenario",
+            "render",
+            "describe",
+            "export",
+            "flatten",
+            "optimize",
+            "serve",
+        ],
+    )
+    def test_refused_input_exits_2_with_one_line(self, argv, message, capsys):
+        # Exit 1 is a verdict (modelcheck unsafe, a Table 1 row off the
+        # paper), so a refused argument must not exit 1 as a traceback.
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{argv[0]}: {message}")
+        assert err.count("\n") == 1
+
 
 class TestFlattenCommand:
     def test_stats_default(self, capsys):

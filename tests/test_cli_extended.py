@@ -113,13 +113,6 @@ class TestOptFlags:
         assert main(args + ["--opt", "2"]) == 0
         assert "| States | 35 |" in capsys.readouterr().out
 
-    def test_serve_bench_with_opt(self, capsys):
-        args = ["serve-bench", "--instances", "50", "--events", "500", "--shards", "2"]
-        assert main(args + ["--opt", "full"]) == 0
-        output = capsys.readouterr().out
-        assert "opt full" in output
-        assert "differential ok" in output
-
     def test_bad_opt_spec_fails_loudly(self):
         import pytest
 
