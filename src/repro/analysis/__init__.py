@@ -9,49 +9,54 @@
   of the hierarchical flattening pipeline.
 """
 
-from repro.analysis.diff import MachineDiff, diff_machines, machines_isomorphic
-from repro.analysis.flatten_stats import (
-    bundled_flatten_reports,
-    flatten_blowup,
-    flatten_comparison,
-    format_flatten_table,
-)
-from repro.analysis.peerset_check import (
-    ExplorationResult,
-    PeerSetExplorer,
-    check_contending_updates,
-    check_single_update,
-)
-from repro.analysis.properties import (
-    PropertyReport,
-    action_at_most_once,
-    action_exactly_once,
-    action_required,
-    commit_protocol_properties,
-    finish_always_reachable,
-)
-from repro.analysis.spectrum import (
-    COMMIT_PHASE_FLAGS,
-    FINISHED_PHASE,
-    PhaseTransition,
-    commit_spectrum,
-    efsm_phase_transitions,
-    fsm_vs_efsm_table,
-    phase_names,
-    phase_quotient,
-)
-from repro.analysis.stats import (
-    PAPER_TABLE1,
-    MachineStats,
-    Table1Row,
-    format_table1,
-    initial_state_count,
-    machine_stats,
-    merged_state_count,
-    merged_state_formula,
-    table1,
-    table1_row,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.analysis.diff import MachineDiff, diff_machines, machines_isomorphic
+    from repro.analysis.flatten_stats import (
+        bundled_flatten_reports,
+        flatten_blowup,
+        flatten_comparison,
+        format_flatten_table,
+    )
+    from repro.analysis.peerset_check import (
+        ExplorationResult,
+        PeerSetExplorer,
+        check_contending_updates,
+        check_single_update,
+    )
+    from repro.analysis.properties import (
+        PropertyReport,
+        action_at_most_once,
+        action_exactly_once,
+        action_required,
+        commit_protocol_properties,
+        finish_always_reachable,
+    )
+    from repro.analysis.spectrum import (
+        COMMIT_PHASE_FLAGS,
+        FINISHED_PHASE,
+        PhaseTransition,
+        commit_spectrum,
+        efsm_phase_transitions,
+        fsm_vs_efsm_table,
+        phase_names,
+        phase_quotient,
+    )
+    from repro.analysis.stats import (
+        PAPER_TABLE1,
+        MachineStats,
+        Table1Row,
+        format_table1,
+        initial_state_count,
+        machine_stats,
+        merged_state_count,
+        merged_state_formula,
+        table1,
+        table1_row,
+    )
 
 __all__ = [
     "COMMIT_PHASE_FLAGS",
@@ -90,3 +95,52 @@ __all__ = [
     "table1",
     "table1_row",
 ]
+
+# Resolved on first use (see repro._lazy): a table1 run loads the
+# statistics, not the peer-set explorer or the flattening reports.
+_EXPORTS = {
+    "repro.analysis.diff": ("MachineDiff", "diff_machines", "machines_isomorphic"),
+    "repro.analysis.flatten_stats": (
+        "bundled_flatten_reports",
+        "flatten_blowup",
+        "flatten_comparison",
+        "format_flatten_table",
+    ),
+    "repro.analysis.peerset_check": (
+        "ExplorationResult",
+        "PeerSetExplorer",
+        "check_contending_updates",
+        "check_single_update",
+    ),
+    "repro.analysis.properties": (
+        "PropertyReport",
+        "action_at_most_once",
+        "action_exactly_once",
+        "action_required",
+        "commit_protocol_properties",
+        "finish_always_reachable",
+    ),
+    "repro.analysis.spectrum": (
+        "COMMIT_PHASE_FLAGS",
+        "FINISHED_PHASE",
+        "PhaseTransition",
+        "commit_spectrum",
+        "efsm_phase_transitions",
+        "fsm_vs_efsm_table",
+        "phase_names",
+        "phase_quotient",
+    ),
+    "repro.analysis.stats": (
+        "PAPER_TABLE1",
+        "MachineStats",
+        "Table1Row",
+        "format_table1",
+        "initial_state_count",
+        "machine_stats",
+        "merged_state_count",
+        "merged_state_formula",
+        "table1",
+        "table1_row",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

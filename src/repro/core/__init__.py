@@ -22,54 +22,59 @@ Public surface:
   pipeline that expands them into plain :class:`StateMachine` objects.
 """
 
-from repro.core.components import (
-    BooleanComponent,
-    EnumComponent,
-    IntComponent,
-    StateComponent,
-    StateSpace,
-)
-from repro.core.errors import (
-    ComponentError,
-    DeploymentError,
-    InvalidStateError,
-    MachineStructureError,
-    ModelDefinitionError,
-    RenderError,
-    ReproError,
-    SimulationError,
-)
-from repro.core.hsm import (
-    CompositeState,
-    FlattenReport,
-    HierarchicalModel,
-    HierarchicalSimulator,
-    HsmTransition,
-    LeafState,
-)
-from repro.core.lazy import generate_lazy
-from repro.core.machine import StateMachine
-from repro.core.minimize import (
-    FINISH_NAME,
-    equivalence_classes,
-    merge_equivalent,
-    one_shot_merge,
-)
-from repro.core.model import AbstractModel, StateView, TransitionBuilder
-from repro.core.pipeline import (
-    ENGINES,
-    GenerationReport,
-    generate,
-    generate_with_engine,
-)
-from repro.core.state import State, Transition
-from repro.core.trace import (
-    Trace,
-    TraceRecorder,
-    TraceStep,
-    enumerate_traces,
-    replay,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.components import (
+        BooleanComponent,
+        EnumComponent,
+        IntComponent,
+        StateComponent,
+        StateSpace,
+    )
+    from repro.core.errors import (
+        ComponentError,
+        DeploymentError,
+        InvalidStateError,
+        MachineStructureError,
+        ModelDefinitionError,
+        RenderError,
+        ReproError,
+        SimulationError,
+    )
+    from repro.core.hsm import (
+        CompositeState,
+        FlattenReport,
+        HierarchicalModel,
+        HierarchicalSimulator,
+        HsmTransition,
+        LeafState,
+    )
+    from repro.core.lazy import generate_lazy
+    from repro.core.machine import StateMachine
+    from repro.core.minimize import (
+        FINISH_NAME,
+        equivalence_classes,
+        merge_equivalent,
+        one_shot_merge,
+    )
+    from repro.core.model import AbstractModel, StateView, TransitionBuilder
+    from repro.core.pipeline import (
+        ENGINES,
+        GenerationReport,
+        generate,
+        generate_with_engine,
+    )
+    from repro.core.state import State, Transition
+    from repro.core.trace import (
+        Trace,
+        TraceRecorder,
+        TraceStep,
+        enumerate_traces,
+        replay,
+    )
 
 __all__ = [
     "AbstractModel",
@@ -112,3 +117,57 @@ __all__ = [
     "merge_equivalent",
     "one_shot_merge",
 ]
+
+# Resolved on first use (see repro._lazy): a process that only serves a
+# generated table never loads the hierarchical, EFSM or trace layers.
+_EXPORTS = {
+    "repro.core.components": (
+        "BooleanComponent",
+        "EnumComponent",
+        "IntComponent",
+        "StateComponent",
+        "StateSpace",
+    ),
+    "repro.core.errors": (
+        "ComponentError",
+        "DeploymentError",
+        "InvalidStateError",
+        "MachineStructureError",
+        "ModelDefinitionError",
+        "RenderError",
+        "ReproError",
+        "SimulationError",
+    ),
+    "repro.core.hsm": (
+        "CompositeState",
+        "FlattenReport",
+        "HierarchicalModel",
+        "HierarchicalSimulator",
+        "HsmTransition",
+        "LeafState",
+    ),
+    "repro.core.lazy": ("generate_lazy",),
+    "repro.core.machine": ("StateMachine",),
+    "repro.core.minimize": (
+        "FINISH_NAME",
+        "equivalence_classes",
+        "merge_equivalent",
+        "one_shot_merge",
+    ),
+    "repro.core.model": ("AbstractModel", "StateView", "TransitionBuilder"),
+    "repro.core.pipeline": (
+        "ENGINES",
+        "GenerationReport",
+        "generate",
+        "generate_with_engine",
+    ),
+    "repro.core.state": ("State", "Transition"),
+    "repro.core.trace": (
+        "Trace",
+        "TraceRecorder",
+        "TraceStep",
+        "enumerate_traces",
+        "replay",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -21,25 +21,30 @@ to the report's ``state_map`` (merged states answer to their
 representative's name); action logs match exactly.
 """
 
-from repro.opt.indexed import IndexedMachine
-from repro.opt.passes import (
-    DeadActionEliminationPass,
-    HotStateRenumberPass,
-    MergeEquivalentPass,
-    PruneUnreachablePass,
-)
-from repro.opt.pipeline import (
-    LEVELS,
-    PASSES,
-    Pass,
-    PassDelta,
-    PassPipeline,
-    PassReport,
-    as_pipeline,
-    format_pass_table,
-    parse_opt_spec,
-    standard_pipeline,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.opt.indexed import IndexedMachine
+    from repro.opt.passes import (
+        DeadActionEliminationPass,
+        HotStateRenumberPass,
+        MergeEquivalentPass,
+        PruneUnreachablePass,
+    )
+    from repro.opt.pipeline import (
+        LEVELS,
+        PASSES,
+        Pass,
+        PassDelta,
+        PassPipeline,
+        PassReport,
+        as_pipeline,
+        format_pass_table,
+        parse_opt_spec,
+        standard_pipeline,
+    )
 
 __all__ = [
     "DeadActionEliminationPass",
@@ -58,3 +63,28 @@ __all__ = [
     "parse_opt_spec",
     "standard_pipeline",
 ]
+
+# Resolved on first use (see repro._lazy): a fleet builds its dispatch
+# arrays from IndexedMachine without loading the pass pipeline.
+_EXPORTS = {
+    "repro.opt.indexed": ("IndexedMachine",),
+    "repro.opt.passes": (
+        "DeadActionEliminationPass",
+        "HotStateRenumberPass",
+        "MergeEquivalentPass",
+        "PruneUnreachablePass",
+    ),
+    "repro.opt.pipeline": (
+        "LEVELS",
+        "PASSES",
+        "Pass",
+        "PassDelta",
+        "PassPipeline",
+        "PassReport",
+        "as_pipeline",
+        "format_pass_table",
+        "parse_opt_spec",
+        "standard_pipeline",
+    ),
+}
+__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -72,6 +72,7 @@ if TYPE_CHECKING:
         LOG_POLICIES,
         InstanceSnapshot,
         InstanceStore,
+        session_keys,
         shard_of,
     )
     from repro.serve.vector import (
@@ -88,7 +89,6 @@ if TYPE_CHECKING:
         WorkloadSpec,
         generate_scenario,
         generate_workload,
-        session_keys,
     )
 
 __all__ = [
@@ -195,6 +195,7 @@ _EXPORTS = {
         "LOG_POLICIES",
         "InstanceSnapshot",
         "InstanceStore",
+        "session_keys",
         "shard_of",
     ),
     "repro.serve.vector": (
@@ -211,7 +212,6 @@ _EXPORTS = {
         "WorkloadSpec",
         "generate_scenario",
         "generate_workload",
-        "session_keys",
     ),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

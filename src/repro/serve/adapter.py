@@ -13,22 +13,22 @@ a million compiled-backend sessions compiles exactly once.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
-from repro.runtime.cache import GeneratedCodeCache, canonical_parameter_key
-from repro.runtime.compile import compile_machine
-from repro.runtime.interp import MachineInterpreter
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import GeneratedCodeCache
 
 #: Backend kinds the fleet accepts.
 BACKENDS = ("interp", "compiled")
 
 #: Process-wide cache of compiled machine classes, shared by every fleet
-#: that does not bring its own cache.  Unbounded: the set of distinct
-#: machine parameters in one process is small and an eviction would force
-#: a pointless recompilation.
-_SHARED_COMPILED_CACHE = GeneratedCodeCache(max_entries=None)
+#: that does not bring its own cache; built by the first compiled backend.
+#: Unbounded: the set of distinct machine parameters in one process is
+#: small and an eviction would force a pointless recompilation.
+_SHARED_COMPILED_CACHE: Optional[GeneratedCodeCache] = None
 
 
 class BackendAdapter:
@@ -49,6 +49,28 @@ class BackendAdapter:
         instance.sent[:] = actions
 
 
+def import_backend(kind: str) -> tuple:
+    """Import the runtime a ``kind`` backend runs and return its modules.
+
+    The one list of what each backend executes: :func:`make_backend`
+    reads every runtime name it uses from these modules, and a process
+    about to fork workers calls this first, so the modules are imported
+    once and shared by every worker instead of compiled again in each.
+    A table-dispatch fleet never calls it and loads none of them.
+    """
+    if kind == "interp":
+        import repro.runtime.interp as interp
+
+        return (interp,)
+    if kind == "compiled":
+        import repro.runtime.cache as cache
+        import repro.runtime.compile as compile_
+        import repro.runtime.export as export
+
+        return cache, compile_, export
+    raise DeploymentError(f"unknown backend {kind!r}; choose from {BACKENDS}")
+
+
 def make_backend(
     kind: str,
     machine: StateMachine,
@@ -59,25 +81,30 @@ def make_backend(
     ``interp`` instances share the one machine representation; ``compiled``
     instances share one generated class, produced at most once per machine
     parameters via ``cache`` (default: the process-wide shared cache).
+    The runtime comes from :func:`import_backend`, on first use: a
+    table-dispatch fleet loads neither the interpreter nor the renderers.
     """
+    global _SHARED_COMPILED_CACHE
+    runtime = import_backend(kind)
     if kind == "interp":
+        (interp,) = runtime
         # Validate once here, not once per spawned instance.
         machine.check_integrity()
         return BackendAdapter(
-            kind, machine, lambda: MachineInterpreter(machine, validate=False)
+            kind, machine, lambda: interp.MachineInterpreter(machine, validate=False)
         )
-    if kind == "compiled":
-        from repro.runtime.export import machine_fingerprint
-
-        store = cache if cache is not None else _SHARED_COMPILED_CACHE
-        # The canonical parameter key keeps the entry hashable whatever
-        # shape machine.parameters takes (nested dicts, lists, sets,
-        # unhashable user objects) and independent of dict ordering.
-        key = (
-            machine.name,
-            canonical_parameter_key(machine.parameters),
-            machine_fingerprint(machine),
-        )
-        compiled = store.get_or_generate(key, lambda: compile_machine(machine))
-        return BackendAdapter(kind, machine, compiled.new_instance)
-    raise DeploymentError(f"unknown backend {kind!r}; choose from {BACKENDS}")
+    cache_mod, compile_, export = runtime
+    if cache is None:
+        if _SHARED_COMPILED_CACHE is None:
+            _SHARED_COMPILED_CACHE = cache_mod.GeneratedCodeCache(max_entries=None)
+        cache = _SHARED_COMPILED_CACHE
+    # The canonical parameter key keeps the entry hashable whatever
+    # shape machine.parameters takes (nested dicts, lists, sets,
+    # unhashable user objects) and independent of dict ordering.
+    key = (
+        machine.name,
+        cache_mod.canonical_parameter_key(machine.parameters),
+        export.machine_fingerprint(machine),
+    )
+    compiled = cache.get_or_generate(key, lambda: compile_.compile_machine(machine))
+    return BackendAdapter(kind, machine, compiled.new_instance)

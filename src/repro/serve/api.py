@@ -46,9 +46,12 @@ The protocol's guarantees (what a caller may rely on from *any* fleet):
 
 from __future__ import annotations
 
+from importlib import import_module
 from typing import Optional, Protocol, runtime_checkable
 
+from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
+from repro.obs.telemetry import FleetTelemetry
 from repro.serve.fleet import ENCODINGS, FleetEngine, FleetSnapshot
 from repro.serve.metrics import FleetMetrics
 from repro.serve.store import InstanceSnapshot
@@ -142,25 +145,26 @@ class Fleet(Protocol):
     def close(self) -> None: ...
 
 
-def _model_factories() -> dict:
-    """Bundled model factories by short name (imported lazily: the serve
-    plane must not pay for the model zoo unless a name is actually
-    resolved)."""
-    from repro.models.chandra_toueg import CoordinatorRoundModel
-    from repro.models.commit import CommitModel
-    from repro.models.termination import TerminationModel
-    from repro.models.threshold_sig import ThresholdSignatureModel
-
-    return {
-        "commit": lambda: CommitModel(replication_factor=4),
-        "chandra-toueg": lambda: CoordinatorRoundModel(processes=5),
-        "termination": lambda: TerminationModel(max_tasks=3),
-        "threshold-sig": lambda: ThresholdSignatureModel(signers=4, threshold=3),
-    }
-
+#: Bundled models by short name: home module, class and canonical
+#: parameters.  Only the named model's module is imported — the serve
+#: plane does not pay for the rest of the zoo.
+_BUNDLED_MODELS = {
+    "commit": ("repro.models.commit", "CommitModel", {"replication_factor": 4}),
+    "chandra-toueg": (
+        "repro.models.chandra_toueg",
+        "CoordinatorRoundModel",
+        {"processes": 5},
+    ),
+    "termination": ("repro.models.termination", "TerminationModel", {"max_tasks": 3}),
+    "threshold-sig": (
+        "repro.models.threshold_sig",
+        "ThresholdSignatureModel",
+        {"signers": 4, "threshold": 3},
+    ),
+}
 
 #: Short model names :func:`make_fleet` resolves (canonical parameters).
-MODEL_FACTORIES = ("commit", "chandra-toueg", "termination", "threshold-sig")
+MODEL_FACTORIES = tuple(_BUNDLED_MODELS)
 
 _MACHINE_CACHE: dict = {}
 
@@ -172,17 +176,16 @@ def fleet_machine(model: str, engine: str = "eager") -> StateMachine:
     the same model (tests, benchmarks, the CLI) share one machine per
     ``(model, engine)``.
     """
-    factories = _model_factories()
-    if model not in factories:
-        from repro.core.errors import DeploymentError
-
+    if model not in _BUNDLED_MODELS:
         raise DeploymentError(
             f"unknown bundled model {model!r}; "
             f"choose from {MODEL_FACTORIES}"
         )
     cache_key = (model, engine)
     if cache_key not in _MACHINE_CACHE:
-        _MACHINE_CACHE[cache_key] = factories[model]().generate_state_machine(
+        home, name, parameters = _BUNDLED_MODELS[model]
+        factory = getattr(import_module(home), name)
+        _MACHINE_CACHE[cache_key] = factory(**parameters).generate_state_machine(
             engine=engine
         )
     return _MACHINE_CACHE[cache_key]
@@ -229,6 +232,16 @@ def make_fleet(
     supervision knobs ``journal=``, ``checkpoint_every=``, ``recovery=``
     and ``join_timeout=``, are multiprocess only).
     """
+    # One reading of telemetry= for both fleets, before anything is built.
+    if telemetry is False:
+        telemetry = None
+    elif not (telemetry is None or telemetry is True) and not isinstance(
+        telemetry, FleetTelemetry
+    ):
+        raise DeploymentError(
+            "telemetry must be None, True, False or a FleetTelemetry, "
+            f"got {telemetry!r}"
+        )
     if isinstance(model, str):
         machine = fleet_machine(model, engine)
     elif isinstance(model, StateMachine):
@@ -236,8 +249,6 @@ def make_fleet(
     else:
         machine = model.generate_state_machine(engine=engine)
     if telemetry is True and workers is None:
-        from repro.obs.telemetry import FleetTelemetry
-
         telemetry = FleetTelemetry()
     common = dict(
         mode=mode,

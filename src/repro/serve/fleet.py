@@ -79,23 +79,29 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
 from repro.obs.telemetry import FleetTelemetry
-from repro.opt import IndexedMachine, as_pipeline
-from repro.runtime.cache import GeneratedCodeCache
-from repro.serve.adapter import BACKENDS, make_backend
+from repro.opt.indexed import IndexedMachine
+from repro.serve.adapter import BACKENDS, import_backend, make_backend
 from repro.serve.metrics import FleetMetrics
-from repro.serve.store import LOG_POLICIES, InstanceSnapshot, InstanceStore
+from repro.serve.store import (
+    LOG_POLICIES,
+    InstanceSnapshot,
+    InstanceStore,
+    session_keys,
+)
 from repro.serve.vector import (
     VectorKernel,
     VectorSchedule,
     _flat_count,
     require_numpy,
 )
-from repro.serve.workload import session_keys
+
+if TYPE_CHECKING:
+    from repro.runtime.cache import GeneratedCodeCache
 
 #: Event dispatch modes.
 DISPATCH_MODES = ("naive", "encoded", "vector")
@@ -161,6 +167,10 @@ def _check_options(mode: str, backend: str, log_policy: str, shards: int) -> Non
         )
     if shards < 1:
         raise DeploymentError(f"shards must be >= 1, got {shards}")
+    if mode == "naive":
+        # Here, not in the first make_backend: a multiprocess parent's
+        # workers then share one import of the runtime they execute.
+        import_backend(backend)
     if mode == "vector":
         # Fail here, not at first dispatch: numpy is a soft dependency
         # and a deployment can still pick a scalar mode.
@@ -256,6 +266,23 @@ def resolve_snapshot(
     return served
 
 
+def optimized_ir(machine: StateMachine, optimize):
+    """The indexed IR a fleet serves, and the optimizer's report.
+
+    ``optimize`` is ``None``, a :class:`~repro.opt.PassPipeline`, a level
+    or a pass-list spec; the report is ``None`` when no pipeline ran.  The
+    pass pipeline is imported only when one is asked for.
+    """
+    indexed = IndexedMachine.from_machine(machine)
+    if optimize is not None:
+        from repro.opt.pipeline import as_pipeline
+
+        pipeline = as_pipeline(optimize)
+        if pipeline is not None:
+            return pipeline.run(indexed)
+    return indexed, None
+
+
 class FleetEngine:
     """Host a population of instances of one machine; dispatch events to them."""
 
@@ -282,12 +309,7 @@ class FleetEngine:
         # dispatch arrays are specialised from its int arrays, and an
         # optimize= pipeline (a repro.opt.PassPipeline, a level, or a
         # pass-list spec) runs over it before anything is built.
-        self._indexed = IndexedMachine.from_machine(machine)
-        pipeline = as_pipeline(optimize)
-        if pipeline is not None:
-            self._indexed, self.opt_report = pipeline.run(self._indexed)
-        else:
-            self.opt_report = None
+        self._indexed, self.opt_report = optimized_ir(machine, optimize)
         # Materialised lazily from the IR: only the naive backend and the
         # serving_machine accessor ever need the full object graph.
         self._serving_machine: Optional[StateMachine] = None
@@ -463,7 +485,7 @@ class FleetEngine:
     def spawn_many(self, count: int, prefix: str = "session") -> list[str]:
         """Create ``count`` instances with generated session keys.
 
-        The keys come from :func:`repro.serve.workload.session_keys`, so a
+        The keys come from :func:`repro.serve.store.session_keys`, so a
         generated workload targets exactly the instances spawned here.
         """
         keys = session_keys(count, prefix)

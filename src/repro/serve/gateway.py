@@ -104,7 +104,6 @@ from typing import Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import DeploymentError
-from repro.obs.expo import fleet_registry, render_prometheus
 from repro.obs.metrics import MetricsRegistry
 from repro.serve.fleet import FleetSnapshot
 from repro.serve.recovery import FleetRecoveringError
@@ -808,6 +807,8 @@ class FleetGateway:
                 raise _HttpError(405, "use POST /drain")
             return self._json(200, {"dispatched": fleet.drain_all()})
         if path == "/state":
+            if method != "GET":
+                raise _HttpError(405, "use GET /state?key=...")
             key = query.get("key")
             if key is None:
                 raise _HttpError(400, "use GET /state?key=...")
@@ -820,6 +821,8 @@ class FleetGateway:
                 },
             )
         if path == "/trace":
+            if method != "GET":
+                raise _HttpError(405, "use GET /trace?key=...")
             key = query.get("key")
             if key is None:
                 raise _HttpError(400, "use GET /trace?key=...")
@@ -847,6 +850,11 @@ class FleetGateway:
             fleet.restore(snapshot, allow_partial=partial)
             return self._json(200, {"restored": len(snapshot.instances)})
         if path == "/metrics":
+            if method != "GET":
+                raise _HttpError(405, "use GET /metrics")
+            # The exposition renderers load at the first scrape, not at start.
+            from repro.obs.expo import fleet_registry, render_prometheus
+
             registry = fleet_registry(fleet)
             registry.merge(self.registry)
             return (

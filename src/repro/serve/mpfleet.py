@@ -88,13 +88,13 @@ from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FleetTelemetry
-from repro.opt import IndexedMachine, as_pipeline
 from repro.serve.fleet import (
     _SCHEDULE_AS_EVENTS,
     ENCODINGS,
     FleetEngine,
     FleetSnapshot,
     _check_options,
+    optimized_ir,
     raise_rejected,
     resolve_snapshot,
 )
@@ -110,9 +110,8 @@ from repro.serve.recovery import (
     partition_checkpoint,
     rehydrate,
 )
-from repro.serve.store import InstanceSnapshot, shard_of
+from repro.serve.store import InstanceSnapshot, session_keys, shard_of
 from repro.serve.vector import VectorSchedule
-from repro.serve.workload import session_keys
 
 __all__ = ["EncodedFleetSchedule", "MultiprocessFleet"]
 
@@ -316,12 +315,7 @@ class MultiprocessFleet:
         # The parent interns keys/messages itself, so it builds the same
         # (optimized) IR the workers will — column ids and state names
         # are deterministic functions of (machine, optimize).
-        self._indexed = IndexedMachine.from_machine(machine)
-        pipeline = as_pipeline(optimize)
-        if pipeline is not None:
-            self._indexed, self.opt_report = pipeline.run(self._indexed)
-        else:
-            self.opt_report = None
+        self._indexed, self.opt_report = optimized_ir(machine, optimize)
         self._table = self._indexed.dispatch_table()
         self._columns = self._table.message_index
         #: key -> ``slot * workers + wid`` (worker-local slot, owning

@@ -66,6 +66,11 @@ def shard_of(key: str, shards: int) -> int:
     return zlib.crc32(key.encode("utf-8")) % shards
 
 
+def session_keys(count: int, prefix: str = "session") -> list[str]:
+    """The canonical key naming used by ``FleetEngine.spawn_many``."""
+    return [f"{prefix}-{i:07d}" for i in range(count)]
+
+
 @dataclass(frozen=True)
 class InstanceSnapshot:
     """Portable state of one instance: enough to restore it anywhere."""

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from repro.core.errors import SimulationError
 from repro.core.machine import StateMachine
+from repro.serve.store import session_keys
 
 #: Supported arrival scenarios.
 SCENARIOS = ("uniform", "hotkey", "burst")
@@ -49,11 +50,6 @@ class WorkloadSpec:
     hot_share: float = 0.9
     #: ``burst``: mean run length of consecutive events to one session.
     burst_length: int = 16
-
-
-def session_keys(count: int, prefix: str = "session") -> list[str]:
-    """The canonical key naming used by ``FleetEngine.spawn_many``."""
-    return [f"{prefix}-{i:07d}" for i in range(count)]
 
 
 @dataclass(frozen=True)

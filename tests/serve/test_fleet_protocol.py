@@ -404,3 +404,25 @@ def test_both_fleets_refuse_options_with_one_error(workers, options, error):
     with pytest.raises(DeploymentError) as err:
         make_fleet("commit", workers=workers, **options)
     assert str(err.value) == error
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["inproc", "mp"])
+def test_telemetry_false_is_off_and_anything_else_is_refused(workers):
+    # make_fleet reads telemetry= once for both fleets: False is None,
+    # and a value that is neither a flag nor a FleetTelemetry is refused
+    # before anything is built, not at the first dispatch.
+    from repro.obs.expo import fleet_registry
+
+    with make_fleet("commit", workers=workers, telemetry=False) as fleet:
+        keys = fleet.spawn_many(4)
+        fleet.run([(key, "update") for key in keys])
+        assert fleet.post(keys[0], "vote")
+        assert fleet.drain_all() == 1
+        assert fleet.telemetry_registry() is None
+        registry = fleet_registry(fleet)
+        assert registry.counter("fleet_events_dispatched_total").value == 5
+    with pytest.raises(DeploymentError) as err:
+        make_fleet("commit", workers=workers, telemetry="yes")
+    assert str(err.value) == (
+        "telemetry must be None, True, False or a FleetTelemetry, got 'yes'"
+    )

@@ -125,6 +125,28 @@ def test_error_shapes_carry_over_the_wire():
     gateway_test(body)
 
 
+@pytest.mark.parametrize(
+    "method, path, refusal",
+    [
+        ("POST", "/state?key=session-0000000", "use GET /state?key=..."),
+        ("DELETE", "/trace?key=session-0000000", "use GET /trace?key=..."),
+        ("POST", "/metrics", "use GET /metrics"),
+    ],
+    ids=["state", "trace", "metrics"],
+)
+def test_get_only_endpoints_refuse_other_methods(method, path, refusal):
+    # At the parent these three answered 200 to any method.
+    async def body(gateway, reader, writer):
+        await http(reader, writer, "POST", "/spawn", {"count": 1})
+        status, out = await http(reader, writer, method, path)
+        assert (status, out) == (405, {"error": refusal})
+        assert gateway._errors.value == 1
+        status, _ = await http(reader, writer, "GET", path)
+        assert status == 200
+
+    gateway_test(body)
+
+
 def test_shutdown_is_gated():
     async def body(gateway, reader, writer):
         status, out = await http(reader, writer, "POST", "/shutdown")

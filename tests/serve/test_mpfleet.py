@@ -142,6 +142,44 @@ def test_snapshot_mp_to_inprocess_trace_parity():
         inproc.close()
 
 
+def test_spawn_started_workers_match_an_inprocess_fleet():
+    # A worker started without fork imports everything afresh from
+    # pickled references: the path lazy package surfaces could break.
+    mp = make_fleet(
+        "commit", workers=2, journal=True, telemetry=True, start_method="spawn"
+    )
+    inproc = make_fleet("commit", mode="encoded", telemetry=True)
+    try:
+        for fleet in (mp, inproc):
+            keys = fleet.spawn_many(24)
+            events = workload(fleet.machine, 24, 400, seed=3)
+            fleet.run(events[:200])
+            for key, message in events[200:]:
+                fleet.post(key, message)
+            fleet.drain_all()
+
+        # Counters only: batch counts and depth gauges follow the layout.
+        layout = {"batches_drained", "shard_depths", "peak_shard_depth"}
+        counters = [
+            {k: v for k, v in fleet.metrics.as_dict().items() if k not in layout}
+            for fleet in (mp, inproc)
+        ]
+        assert counters[0] == counters[1]
+        assert counters[0]["events_dispatched"] == len(events)
+        snapshots = [
+            {one.key: one for one in fleet.snapshot().instances}
+            for fleet in (mp, inproc)
+        ]
+        assert snapshots[0] == snapshots[1] and len(snapshots[0]) == len(keys)
+        assert (
+            mp.telemetry_registry().counters["fleet_events_total"].value
+            == inproc.telemetry_registry().counters["fleet_events_total"].value
+        )
+    finally:
+        mp.close()
+        inproc.close()
+
+
 def test_snapshot_inprocess_to_mp_trace_parity():
     inproc = make_fleet("commit", mode="encoded", shards=1)
     mp = make_fleet("commit", mode="encoded", workers=4, shards=4)

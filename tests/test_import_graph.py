@@ -2,15 +2,19 @@
 
 ``import repro`` once loaded the whole serving stack — numpy, asyncio,
 multiprocessing, the scenario plane and the storage simulator — into
-every process, including one that only generates and runs a machine.
-The two package surfaces now resolve their re-exports on first use
-(:mod:`repro._lazy`) and numpy is imported by the first vector fleet;
-these tests pin that down by looking at ``sys.modules`` in fresh
-interpreters, as PR 18's MRO guard pins the action bases: a stray
+every process, including one that only generates and runs a machine,
+and a gateway once loaded the whole toolchain (every renderer, the
+compiler, the hierarchical and EFSM layers, six models it never
+serves).  Every package surface now resolves its re-exports on first
+use (:mod:`repro._lazy`), numpy is imported by the first vector fleet
+and each serving module imports only what it runs; these tests pin
+that down by looking at ``sys.modules`` in fresh interpreters: a stray
 top-level import fails here before it shows up as 0.2 s of ``setup_s``.
 """
 
+import multiprocessing
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -20,7 +24,7 @@ from repro.serve import HAS_NUMPY
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
-#: The two public surfaces as they stood before they turned lazy.
+#: Every package surface as it stood before it turned lazy.
 REPRO_ALL = [
     "AbstractModel", "BooleanComponent", "CompositeState", "ENGINES",
     "EnumComponent", "Fleet", "FleetEngine", "MultiprocessFleet", "make_fleet",
@@ -47,6 +51,131 @@ SERVE_ALL = [
     "run_scenario", "scenario_traces", "session_keys", "shard_of",
     "standalone_traces",
 ]  # fmt: skip
+CORE_ALL = [
+    "AbstractModel", "BooleanComponent", "ComponentError", "CompositeState",
+    "DeploymentError", "ENGINES", "EnumComponent", "FINISH_NAME",
+    "FlattenReport", "GenerationReport", "HierarchicalModel",
+    "HierarchicalSimulator", "HsmTransition", "LeafState", "IntComponent",
+    "InvalidStateError", "MachineStructureError", "ModelDefinitionError",
+    "RenderError", "ReproError", "SimulationError", "State", "StateComponent",
+    "StateMachine", "StateSpace", "StateView", "Trace", "TraceRecorder",
+    "TraceStep", "Transition", "TransitionBuilder", "equivalence_classes",
+    "enumerate_traces", "generate", "generate_lazy", "generate_with_engine",
+    "replay", "merge_equivalent", "one_shot_merge",
+]  # fmt: skip
+MODELS_ALL = [
+    "CommitModel", "CoordinatorRoundModel", "HIERARCHICAL_MODELS", "MESSAGES",
+    "MIN_REPLICATION_FACTOR", "TerminationModel", "ThresholdSignatureModel",
+    "build_commit_efsm", "build_commit_hsm", "build_hierarchical_model",
+    "build_session_hsm", "commit_efsm_executor", "fault_tolerance",
+    "generate_commit_machine", "majority",
+]  # fmt: skip
+RUNTIME_ALL = [
+    "ACTION_BASE_NAME", "CacheStats", "CallbackActions", "CompiledEfsm",
+    "CompiledMachine", "GeneratedCodeCache", "GenerationPolicy",
+    "MachineFactory", "MachineInterpreter", "RecordingActions", "compile_efsm",
+    "compile_machine", "export_machine_module", "import_machine_module",
+    "is_stale", "machine_fingerprint", "load_machine_class",
+]  # fmt: skip
+RENDER_ALL = [
+    "CodeBuffer", "DotRenderer", "EfsmTextRenderer", "HierarchicalDotRenderer",
+    "HierarchicalOutlineRenderer", "HtmlRenderer", "JavaSourceRenderer",
+    "MarkdownRenderer", "PythonEfsmRenderer", "PythonSourceRenderer",
+    "Renderer", "SCXML_NS", "ScxmlRenderer", "TextRenderer", "XmlRenderer",
+    "action_method_name", "camel_case", "display_action", "display_message",
+    "efsm_class_name", "machine_class_name", "parse_machine_xml",
+    "python_identifier",
+]  # fmt: skip
+OPT_ALL = [
+    "DeadActionEliminationPass", "HotStateRenumberPass", "IndexedMachine",
+    "LEVELS", "MergeEquivalentPass", "PASSES", "Pass", "PassDelta",
+    "PassPipeline", "PassReport", "PruneUnreachablePass", "as_pipeline",
+    "format_pass_table", "parse_opt_spec", "standard_pipeline",
+]  # fmt: skip
+OBS_ALL = [
+    "Counter", "Gauge", "LatencyHistogram", "MetricsRegistry", "FleetTelemetry",
+    "TraceLog", "TraceRecord", "fleet_registry", "render_json",
+    "render_prometheus", "scenario_registry",
+]  # fmt: skip
+
+ANALYSIS_ALL = [
+    "COMMIT_PHASE_FLAGS", "ExplorationResult", "PeerSetExplorer",
+    "PropertyReport", "action_at_most_once", "action_exactly_once",
+    "action_required", "bundled_flatten_reports", "check_contending_updates",
+    "check_single_update", "commit_protocol_properties",
+    "finish_always_reachable", "FINISHED_PHASE", "MachineDiff", "MachineStats",
+    "PAPER_TABLE1", "PhaseTransition", "Table1Row", "commit_spectrum",
+    "diff_machines", "efsm_phase_transitions", "flatten_blowup",
+    "flatten_comparison", "format_flatten_table", "format_table1",
+    "fsm_vs_efsm_table", "initial_state_count", "machine_stats",
+    "machines_isomorphic", "merged_state_count", "merged_state_formula",
+    "phase_names", "phase_quotient", "table1", "table1_row",
+]  # fmt: skip
+BASELINES_ALL = ["FINISHED_NAME", "GenericCommitAlgorithm"]
+STORAGE_ALL = [
+    "AppendOperation", "ByzantineBehaviour", "DataBlock",
+    "DistributedFileSystem", "FileSystemError", "FileVersion",
+    "ExponentialBackoff", "FaultPlan", "FixedBackoff", "GUID",
+    "GuidCommitEngine", "HistoryOperation", "MaintenanceStats", "PID",
+    "RandomBackoff", "ReplicaMaintainer", "RetrieveOperation", "RetryPolicy",
+    "ServerOrder", "ServiceEndpoint", "StorageCluster", "StorageNode",
+    "StoreOperation", "UpdateInstance", "VersionRecord", "agree_on_history",
+    "commit_machine_for",
+]  # fmt: skip
+P2P_ALL = [
+    "KEY_BITS", "KEY_SPACE", "ChordRing", "FingerTable", "RouteResult",
+    "Router", "distance", "format_key", "in_interval", "key_for_bytes",
+    "key_for_string", "parse_key", "replica_keys",
+]  # fmt: skip
+SIM_ALL = [
+    "ExponentialLatency", "FixedLatency", "LatencyModel", "Message", "Network",
+    "NetworkStats", "SimNode", "Simulator", "Timer", "UniformLatency",
+]  # fmt: skip
+
+#: Package -> its surface before the change.
+SURFACES = {
+    "repro": REPRO_ALL,
+    "repro.serve": SERVE_ALL,
+    "repro.core": CORE_ALL,
+    "repro.models": MODELS_ALL,
+    "repro.runtime": RUNTIME_ALL,
+    "repro.render": RENDER_ALL,
+    "repro.opt": OPT_ALL,
+    "repro.obs": OBS_ALL,
+    "repro.analysis": ANALYSIS_ALL,
+    "repro.baselines": BASELINES_ALL,
+    "repro.storage": STORAGE_ALL,
+    "repro.storage.p2p": P2P_ALL,
+    "repro.storage.sim": SIM_ALL,
+}
+
+#: The public names a package defines itself rather than re-exports;
+#: every other public name must sit in its ``_EXPORTS`` table.
+OWN = {
+    "repro": {"__version__"},
+    "repro.models": {"HIERARCHICAL_MODELS", "build_hierarchical_model"},
+}
+
+#: The toolchain a serving process never runs: the renderers, the
+#: compiler and exporter, the hierarchical, EFSM and trace layers, the
+#: models it does not serve, exposition (loaded at the first scrape),
+#: workload fabrication and the pass pipeline.
+TOOLCHAIN = (
+    "repro.render",
+    "repro.runtime.compile",
+    "repro.runtime.export",
+    "repro.core.hsm",
+    "repro.core.efsm",
+    "repro.core.trace",
+    "repro.models.commit_efsm",
+    "repro.models.commit_hsm",
+    "repro.models.session_hsm",
+    "repro.models.termination",
+    "repro.models.threshold_sig",
+    "repro.obs.expo",
+    "repro.serve.workload",
+    "repro.opt.pipeline",
+)
 
 _PRELUDE = """
 import sys
@@ -176,12 +305,22 @@ assert not loaded("numpy", "asyncio", "multiprocessing", "repro.storage")
     )
 
 
-@pytest.mark.parametrize(
-    "package, expected",
-    [("repro", REPRO_ALL), ("repro.serve", SERVE_ALL)],
-    ids=["repro", "repro.serve"],
-)
-def test_lazy_surface_is_the_surface_it_replaced(package, expected):
+def test_every_package_init_is_a_lazy_table():
+    # Read, not imported: every __init__ binds an _EXPORTS table and the
+    # hooks built from it, and SURFACES (which the surface test below
+    # runs over) names every package.
+    packages = set()
+    for path in pathlib.Path(SRC, "repro").rglob("__init__.py"):
+        packages.add(".".join(path.relative_to(SRC).parent.parts))
+        source = path.read_text(encoding="utf-8")
+        hooks = "__getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)"
+        assert "\n_EXPORTS = {" in source and f"\n{hooks}\n" in source, path
+    assert packages == set(SURFACES)
+
+
+@pytest.mark.parametrize("package", SURFACES)
+def test_lazy_surface_is_the_surface_it_replaced(package):
+    expected = SURFACES[package]
     probe(
         f"""
 from importlib import import_module
@@ -191,7 +330,10 @@ assert sorted(package.__all__) == sorted(expected), set(package.__all__) ^ set(e
 assert set(expected) <= set(dir(package)), set(expected) - set(dir(package))
 lazy = [name for names in package._EXPORTS.values() for name in names]
 assert len(lazy) == len(set(lazy))
-assert set(lazy) | ({{"__version__"}} & set(expected)) == set(expected)
+assert set(lazy) <= set(expected), set(lazy) - set(expected)
+own = {sorted(OWN.get(package, ()))!r}
+assert set(expected) - set(lazy) == set(own), set(expected) - set(lazy) ^ set(own)
+assert set(own) <= set(vars(package)), set(own) - set(vars(package))
 assert not set(lazy) & set(vars(package)), "resolved before anybody asked"
 for home, names in package._EXPORTS.items():
     for name in names:
@@ -208,3 +350,94 @@ else:
     raise SystemExit("an unknown name must be an AttributeError")
 """
     )
+
+
+_GATEWAY = """
+import asyncio, json
+from repro.serve import make_fleet
+from repro.serve.gateway import FleetGateway
+
+async def request(port, method, path, payload=None):
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    body = json.dumps(payload).encode() if payload is not None else b""
+    writer.write(
+        f"{{method}} {{path}} HTTP/1.1\\r\\nContent-Length: {{len(body)}}\\r\\n"
+        "Connection: close\\r\\n\\r\\n".encode() + body
+    )
+    status = int((await reader.readline()).split()[1])
+    await reader.read()
+    writer.close()
+    assert status == 200, (method, path, status)
+
+async def serve(fleet, paths):
+    gateway = FleetGateway(fleet, port=0)
+    await gateway.start()
+    try:
+        for method, path, payload in paths:
+            await request(gateway.port, method, path, payload)
+    finally:
+        await gateway.stop()
+
+supervision = {{"workers": {workers}, "journal": True}} if {workers} else {{}}
+fleet = make_fleet("commit", mode="encoded", telemetry=True, **supervision)
+try:
+    (key,) = fleet.spawn_many(1)
+    asyncio.run(serve(fleet, [
+        ("GET", "/healthz", None),
+        ("POST", "/deliver", {{"events": [[key, "update"]]}}),
+        ("GET", f"/state?key={{key}}", None),
+    ]))
+    toolchain = loaded(*{toolchain!r})
+    assert not toolchain, toolchain
+    asyncio.run(serve(fleet, [("GET", "/metrics", None)]))
+    assert loaded("repro.obs.expo") == ["repro.obs.expo"]  # at the first scrape
+finally:
+    fleet.close()
+"""
+
+
+@pytest.mark.parametrize("workers", [0, 2], ids=["in-process", "workers-2-parent"])
+def test_serving_path_loads_no_toolchain(workers):
+    # The benchmark's gateway server: one table-mode fleet behind a
+    # FleetGateway, in-process or as the parent of two forked workers.
+    probe(_GATEWAY.format(workers=workers, toolchain=TOOLCHAIN))
+
+
+@pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
+)
+def test_forked_workers_import_nothing_the_parent_has_not(tmp_path):
+    # Whatever a worker executes is imported by the parent before the
+    # fork, so no two workers compile the same module on one CPU.  The
+    # audit hook is inherited by every forked worker.
+    log = tmp_path / "imports"
+    vector = ", dict(mode='vector')" if HAS_NUMPY else ""
+    probe(
+        f"""
+import os
+parent = os.getpid()
+out = os.open({str(log)!r}, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+def hook(event, args):
+    if event == "import" and os.getpid() != parent:
+        os.write(out, f"{{args[0]}}\\n".encode())
+
+sys.addaudithook(hook)
+from repro.serve import make_fleet
+
+for options in (
+    dict(mode="encoded", journal=True, telemetry=True),
+    dict(mode="naive"),
+    dict(mode="naive", backend="compiled"),
+    dict(mode="encoded", optimize=3){vector},
+):
+    with make_fleet("commit", workers=2, **options) as fleet:
+        keys = fleet.spawn_many(8)
+        fleet.run([(key, "update") for key in keys])
+        fleet.post(keys[0], "vote")
+        fleet.drain_all()
+        fleet.snapshot()
+        fleet.telemetry_registry()
+"""
+    )
+    assert log.read_text() == ""
