@@ -15,8 +15,10 @@ script is that protocol and nothing else: it unpacks ``git archive`` of
 is judged on — into a temporary directory (under ``$TMPDIR``), runs
 ``benchmarks/e2e/run.py --json`` in both trees (the change is the working
 tree this script lives in, uncommitted edits included), hands the two comma
-lists to ``compare.py`` unmodified, prints every run's value and the wins
-and ties per gated metric, and removes the directory whatever happened; the
+lists to ``compare.py`` unmodified, prints every run's value, the wins
+and ties and the verdict on a gain per gated metric ("gain shown" when the
+change wins at least 9 of 10 pairs and the medians differ by more than the
+parent's interquartile range), and removes the directory whatever happened; the
 repository's own ``.git`` is only read.  It imports nothing from
 ``benchmarks/e2e``; the gated metrics are read from ``BENCHMARK.json``.
 
@@ -65,8 +67,32 @@ def read_run(path: pathlib.Path) -> dict:
     return result
 
 
+def quartiles(values) -> tuple[float, float]:
+    """``(q1, q3)`` as ``statistics.quantiles(values, n=4)`` gives them."""
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, q3
+
+
+def gain_shown(parent: list, change: list, better: str) -> tuple[float, bool]:
+    """``(parent IQR / parent median, shown)`` for one metric's pairs.
+
+    The rule a perf claim is held to: the change wins at least nine in
+    ten pairs (ties count for neither side), and the medians differ in
+    the better direction by more than the parent's interquartile range.
+    """
+    sign = 1 if better == "higher" else -1
+    wins = sum(sign * (new - old) > 0 for old, new in zip(parent, change))
+    q1, q3 = quartiles(parent)
+    gap = sign * (statistics.median(change) - statistics.median(parent))
+    shown = 10 * wins >= 9 * len(parent) and gap > q3 - q1
+    return (q3 - q1) / statistics.median(parent), shown
+
+
 def report(seed: int, files: dict) -> None:
-    """Every run's value, then who won each pair, per gated metric."""
+    """Every run's value, who won each pair and whether a gain is shown,
+    per gated metric."""
     runs = {side: [read_run(path) for path in files[side]] for side in SIDES}
     for side in SIDES:
         failed = sum(run["failed"] for run in runs[side])
@@ -94,6 +120,12 @@ def report(seed: int, files: dict) -> None:
         for side in SIDES:
             listed = " ".join(f"{value:.6g}" for value in values[side])
             print(f"    {side:6s} {listed}")
+        spread, shown = gain_shown(values["parent"], values["change"], better)
+        print(
+            f"    parent IQR {100 * spread:.1f} % of its median; "
+            f"gain {'shown' if shown else 'not shown'} "
+            "(>= 9/10 wins and median gap > parent IQR)"
+        )
 
 
 def measure(args, trees: dict, work: pathlib.Path, run) -> int:

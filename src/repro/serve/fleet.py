@@ -135,6 +135,20 @@ def raise_rejected(rejected: list[tuple[str, str]]) -> None:
     )
 
 
+def check_key(key) -> None:
+    """Refuse an instance key that is not a string, for both fleets."""
+    if type(key) is not str:
+        raise DeploymentError(f"instance key must be a string, got {key!r}")
+
+
+def check_count(count) -> None:
+    """Refuse a ``spawn_many`` count that is not a non-negative int."""
+    if type(count) is not int or count < 0:
+        raise DeploymentError(
+            f"count must be a non-negative integer, got {count!r}"
+        )
+
+
 def _check_options(mode: str, backend: str, log_policy: str, shards: int) -> None:
     """Refuse a fleet configuration that cannot run or means nothing.
 
@@ -228,6 +242,10 @@ def resolve_snapshot(
     implementations restore through here, the multiprocess one in the
     parent before anything fans out to a worker.
     """
+    if not isinstance(snapshot, FleetSnapshot):
+        raise DeploymentError(
+            f"restore needs a FleetSnapshot, got {type(snapshot).__name__}"
+        )
     if snapshot.machine_name != machine_name:
         raise DeploymentError(
             f"snapshot is for machine {snapshot.machine_name!r}, "
@@ -477,6 +495,7 @@ class FleetEngine:
 
     def spawn(self, key: str) -> int:
         """Create one instance at the machine's start state; returns its slot."""
+        check_key(key)
         backend = self._adapter.new_instance() if self._adapter is not None else None
         slot = self._store.spawn(key, backend)
         self.metrics.instances_spawned += 1
@@ -488,6 +507,7 @@ class FleetEngine:
         The keys come from :func:`repro.serve.store.session_keys`, so a
         generated workload targets exactly the instances spawned here.
         """
+        check_count(count)
         keys = session_keys(count, prefix)
         for key in keys:
             self.spawn(key)
@@ -925,7 +945,7 @@ class FleetEngine:
                         "encoding 'flat' needs a [slot, col, ...] int "
                         f"schedule from encode_flat(); {exc}"
                     ) from None
-            offered = count = (
+            count = (
                 events.count
                 if isinstance(events, VectorSchedule)
                 else _flat_count(events)
@@ -937,16 +957,17 @@ class FleetEngine:
                 events = list(events)
             self.drain_all()
             # Intern before counting: a batch that raises here (a
-            # non-pair, an unhashable key) was never offered.
+            # non-pair, an unhashable key) was never offered, and a
+            # rejected event is not accepted for dispatch.
             slots, cols, rejected = self._intern(events)
-            offered, count = len(events), len(slots)
+            count = len(slots)
             batch = (
                 zip(slots, cols)
                 if self._kernel is None
                 else VectorSchedule.of_columns(slots, cols)
             )
-        if offered:
-            self.metrics.events_offered += offered
+        if count:
+            self.metrics.events_offered += count
             self._dispatch(batch, count)
         if rejected:
             raise_rejected(rejected)

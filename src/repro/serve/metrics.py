@@ -11,6 +11,7 @@ counter object small and its attribute access dict-free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from operator import attrgetter
 
 
 @dataclass(slots=True)
@@ -89,3 +90,17 @@ class FleetMetrics:
     def as_dict(self) -> dict:
         """All counters as a plain dict (for JSON artifacts and reports)."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def as_tuple(self) -> tuple:
+        """Every field's value in declaration order: ints, with
+        ``shard_depths`` as its list.  The worker pipe carries this
+        instead of the dataclass, which costs far more to pickle."""
+        return _values(self)
+
+    @classmethod
+    def from_tuple(cls, values: tuple) -> "FleetMetrics":
+        """The inverse of :meth:`as_tuple`."""
+        return cls(*values)
+
+
+_values = attrgetter(*(f.name for f in fields(FleetMetrics)))

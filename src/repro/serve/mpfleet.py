@@ -11,15 +11,19 @@ end to end.  Each worker owns a full private
 :class:`~repro.serve.store.InstanceStore` columns are already
 shard-independent state, so nothing is shared between processes.
 
-The wire protocol is deliberately small.  Parent and worker speak over
-one duplex :func:`multiprocessing.Pipe` with request tuples
-``(op, *operands)`` and reply envelopes
-``(status, payload, FleetMetrics)``: every reply piggybacks the worker's
-current counters, so the parent's merged :attr:`MultiprocessFleet.metrics`
-view (via :meth:`~repro.serve.metrics.FleetMetrics.merge`) is always
-current without extra round trips.  Bulk dispatch fans out *flat*
-``array('q')`` schedules — an ``array`` pickles as one memcpy, so the
-per-event IPC cost is two machine ints, not two Python objects.  The
+The wire protocol is deliberately small.  Parent and worker speak
+request tuples ``(op, *operands)`` and replies ``(status, payload,
+counters)`` through a :class:`~repro.serve.channel.Channel`: hand-made
+frames over the descriptor of one duplex :func:`multiprocessing.Pipe`,
+whose ``Connection`` objects only carry the descriptor to the worker and
+close it.  Every reply piggybacks the worker's current counters as the
+flat tuple of :meth:`~repro.serve.metrics.FleetMetrics.as_tuple`, so the
+parent's merged :attr:`MultiprocessFleet.metrics` view (via
+:meth:`~repro.serve.metrics.FleetMetrics.merge`) is always current
+without extra round trips.  Bulk dispatch fans out *flat* ``array('q')``
+schedules, and a ``run_flat`` request's frame body is the buffer's raw
+bytes — nothing on the bulk path is pickled, so the per-event IPC cost is
+two machine ints, not two Python objects.  The
 parent interns keys and messages itself, in one walk: its routing table
 maps each key to one int, ``slot * workers + wid``, and the columns come
 from the same :class:`~repro.opt.IndexedMachine` the workers build,
@@ -88,12 +92,15 @@ from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FleetTelemetry
+from repro.serve.channel import Channel
 from repro.serve.fleet import (
     _SCHEDULE_AS_EVENTS,
     ENCODINGS,
     FleetEngine,
     FleetSnapshot,
     _check_options,
+    check_count,
+    check_key,
     optimized_ir,
     raise_rejected,
     resolve_snapshot,
@@ -156,11 +163,13 @@ class EncodedFleetSchedule:
 class _Worker:
     """Parent-side handle of one worker process (one incarnation)."""
 
-    __slots__ = ("process", "conn", "status", "metrics", "restart_base", "registry_base")
+    __slots__ = (
+        "process", "channel", "status", "metrics", "restart_base", "registry_base"
+    )
 
-    def __init__(self, process, conn):
+    def __init__(self, process, channel: Channel):
         self.process = process
-        self.conn = conn
+        self.channel = channel
         self.status = WORKER_LIVE
         #: Last counters reported by *this incarnation* (piggybacked on
         #: every reply).
@@ -178,6 +187,7 @@ class _Worker:
 
 def _worker_main(conn, machine, options) -> None:
     """Worker process body: one private engine, one request loop."""
+    channel = Channel(conn)
     try:
         telemetry = (
             FleetTelemetry(tracing=False) if options["telemetry"] else None
@@ -193,35 +203,35 @@ def _worker_main(conn, machine, options) -> None:
             telemetry=telemetry,
         )
     except Exception as exc:  # construction failed: report, then exit
-        _reply(conn, "fail", f"{type(exc).__name__}: {exc}", None)
-        conn.close()
+        _reply(channel, "fail", f"{type(exc).__name__}: {exc}", None)
+        channel.close()
         return
-    _reply(conn, "ok", "ready", engine)
+    _reply(channel, "ok", "ready", engine)
     while True:
         try:
-            request = conn.recv()
+            request = channel.recv_request()
         except (EOFError, OSError):
             break
         op = request[0]
         if op == "stop":
-            _reply(conn, "ok", None, engine)
+            _reply(channel, "ok", None, engine)
             break
         try:
             payload = _handle(engine, request)
         except DeploymentError as exc:
-            _reply(conn, "err", str(exc), engine)
+            _reply(channel, "err", str(exc), engine)
         except Exception as exc:
-            _reply(conn, "fail", f"{type(exc).__name__}: {exc}", engine)
+            _reply(channel, "fail", f"{type(exc).__name__}: {exc}", engine)
         else:
-            _reply(conn, "ok", payload, engine)
-    conn.close()
+            _reply(channel, "ok", payload, engine)
+    channel.close()
 
 
-def _reply(conn, status: str, payload, engine) -> None:
+def _reply(channel: Channel, status: str, payload, engine) -> None:
     metrics = engine.metrics if engine is not None else None
     try:
-        conn.send((status, payload, metrics))
-    except (BrokenPipeError, OSError):
+        channel.send_reply(status, payload, metrics)
+    except OSError:  # the parent is gone; the next read ends the loop
         pass
 
 
@@ -391,13 +401,13 @@ class MultiprocessFleet:
         process.start()
         child_conn.close()
         self._processes.append(process)
-        return _Worker(process, parent_conn)
+        return _Worker(process, Channel(parent_conn))
 
     def _mark_dead(self, wid: int) -> None:
         worker = self._workers[wid]
         worker.status = WORKER_DEAD
         with suppress(OSError):
-            worker.conn.close()
+            worker.channel.close()
 
     def _worker_failed(self, wid: int) -> bool:
         """A worker stopped responding: start recovery when supervised.
@@ -418,7 +428,7 @@ class MultiprocessFleet:
                 return False
             worker.status = WORKER_RECOVERING
             with suppress(OSError):
-                worker.conn.close()
+                worker.channel.close()
             # The dead incarnation's counters are discarded; the
             # partition's effective view falls back to its checkpoint
             # baseline until replay rebuilds the rest.
@@ -471,15 +481,15 @@ class MultiprocessFleet:
         if not worker.alive:
             self._raise_unavailable(wid, died=False)
         try:
-            worker.conn.send(request)
-        except (BrokenPipeError, OSError):
+            worker.channel.send_request(request)
+        except OSError:
             self._worker_failed(wid)
             self._raise_unavailable(wid, died=True)
 
     def _recv(self, wid: int):
         worker = self._workers[wid]
         try:
-            status, payload, metrics = worker.conn.recv()
+            status, payload, metrics = worker.channel.recv_reply()
         except (EOFError, OSError):
             self._worker_failed(wid)
             self._raise_unavailable(wid, died=True)
@@ -616,7 +626,7 @@ class MultiprocessFleet:
             handle: Optional[_Worker] = None
             try:
                 handle = self._launch_worker()
-                status, payload, metrics = handle.conn.recv()
+                status, payload, metrics = handle.channel.recv_reply()
                 if status != "ok":
                     raise DeploymentError(
                         f"respawned worker {wid} failed to start: {payload}"
@@ -627,7 +637,7 @@ class MultiprocessFleet:
                 last_error = exc
                 if handle is not None:
                     with suppress(OSError):
-                        handle.conn.close()
+                        handle.channel.close()
                     _reap(handle.process, timeout=self._join_timeout)
                 sleep(delay)
                 delay *= policy.backoff_factor
@@ -709,8 +719,8 @@ class MultiprocessFleet:
         validation path) rejects identically on replay — that *is* the
         original behaviour, not a recovery failure.
         """
-        handle.conn.send(request)
-        status, payload, metrics = handle.conn.recv()
+        handle.channel.send_request(request)
+        status, payload, metrics = handle.channel.recv_reply()
         if metrics is not None:
             handle.metrics = metrics
         if status == "ok":
@@ -907,6 +917,7 @@ class MultiprocessFleet:
         """Create one instance on its owning worker; returns the
         worker-local slot (slots are not fleet-unique — address
         instances by key)."""
+        check_key(key)
         if key in self._route:
             raise DeploymentError(f"instance {key!r} already exists")
         wid = self.worker_of(key)
@@ -924,6 +935,7 @@ class MultiprocessFleet:
         path after a :class:`FleetRecoveringError` left a previous call
         partially applied — the retry finishes the job exactly once.
         """
+        check_count(count)
         keys = session_keys(count, prefix)
         per_worker: dict[int, list[str]] = {}
         for key in keys:
@@ -1252,14 +1264,14 @@ class MultiprocessFleet:
             if not worker.alive:
                 continue
             try:
-                worker.conn.send(("stop",))
-            except (BrokenPipeError, OSError):
+                worker.channel.send_request(("stop",))
+            except OSError:
                 worker.status = WORKER_DEAD
                 continue
             stopping.append(worker)
         for worker in stopping:
             try:
-                status, payload, metrics = worker.conn.recv()
+                status, payload, metrics = worker.channel.recv_reply()
                 if metrics is not None:
                     worker.metrics = metrics
             except (EOFError, OSError):
@@ -1267,7 +1279,7 @@ class MultiprocessFleet:
         self._closed = True
         for worker in self._workers:
             with suppress(OSError):
-                worker.conn.close()
+                worker.channel.close()
             _reap(worker.process, timeout=self._join_timeout)
             worker.status = WORKER_DEAD
         # Invoke (not detach) the finalizer: it sweeps every process this

@@ -262,6 +262,43 @@ def test_batch_rejection_error_shape(any_fleet):
     assert "'ghost'" in str(err.value)
 
 
+def test_offered_counts_only_accepted_events(any_fleet):
+    # events_offered is "accepted for dispatch" on both sides of the
+    # process boundary: an unknown key or message is rejected, not offered.
+    (key,) = any_fleet.spawn_many(1)
+    with pytest.raises(DeploymentError, match="dispatch rejected 1 event"):
+        any_fleet.run([(1, "update")])
+    metrics = any_fleet.metrics
+    assert (metrics.events_offered, metrics.events_dispatched) == (0, 0)
+    assert metrics.batches_drained == 0
+    with pytest.raises(DeploymentError, match="dispatch rejected 1 event"):
+        any_fleet.run([(key, "update"), ("ghost", "update")])
+    metrics = any_fleet.metrics
+    assert (metrics.events_offered, metrics.events_dispatched) == (1, 1)
+
+
+def test_non_string_key_is_refused(any_fleet):
+    with pytest.raises(DeploymentError) as err:
+        any_fleet.spawn(5)
+    assert str(err.value) == "instance key must be a string, got 5"
+    assert len(any_fleet) == 0
+
+
+def test_negative_spawn_count_is_refused(any_fleet):
+    with pytest.raises(DeploymentError) as err:
+        any_fleet.spawn_many(-1)
+    assert str(err.value) == "count must be a non-negative integer, got -1"
+    assert any_fleet.spawn_many(0) == []
+
+
+def test_restore_of_a_non_snapshot_is_refused(any_fleet):
+    keys = any_fleet.spawn_many(2)
+    with pytest.raises(DeploymentError) as err:
+        any_fleet.restore("junk")
+    assert str(err.value) == "restore needs a FleetSnapshot, got str"
+    assert sorted(key for key in keys if key in any_fleet) == keys
+
+
 def test_duplicate_spawn_error_shape(any_fleet):
     any_fleet.spawn("twin")
     with pytest.raises(DeploymentError, match="instance 'twin' already exists"):

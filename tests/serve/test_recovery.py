@@ -135,6 +135,32 @@ def test_sigkill_mid_burst_recovers_to_twin_parity(model, seed, mode):
         twin.close()
 
 
+def test_spawn_started_worker_recovers_to_inprocess_twin():
+    # A respawn started without fork gets its end of the pipe pickled
+    # across: the channel must come up on it and replay the journal.
+    fleet = supervised(start_method="spawn", checkpoint_every=100)
+    twin = make_fleet("commit", mode="encoded", shards=2)
+    try:
+        fleet.spawn_many(16)
+        twin.spawn_many(16)
+        events = workload(fleet.machine, 16, 300, seed=4)
+        fleet.run(events[:150])
+        twin.run(events[:150])
+        sigkill_worker(fleet, 1)
+        fleet.run(events[150:])
+        twin.run(events[150:])
+        assert fleet.await_recovery(timeout=60)
+        assert fleet.worker_states() == ["live", "live"]
+        snapshots = [
+            {one.key: one for one in each.snapshot().instances}
+            for each in (fleet, twin)
+        ]
+        assert snapshots[0] == snapshots[1] and len(snapshots[0]) == 16
+    finally:
+        fleet.close()
+        twin.close()
+
+
 def test_all_workers_killed_recover_to_twin_parity():
     fleet = supervised(checkpoint_every=90)
     twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
@@ -751,7 +777,7 @@ def test_close_escalates_past_wedged_worker():
     real = fleet._workers[0].process
     fleet._workers[0].process = stuck
     fleet._workers[0].status = "dead"
-    fleet._workers[0].conn.close()
+    fleet._workers[0].channel.close()
     started = time.perf_counter()
     fleet.close()
     elapsed = time.perf_counter() - started

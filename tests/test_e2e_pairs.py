@@ -1,6 +1,7 @@
 """Tests for scripts/e2e_pairs.py: the protocol's commands, in order."""
 
 import importlib.util
+import json
 import pathlib
 import shlex
 
@@ -68,3 +69,58 @@ def test_parent_copy_is_removed_when_a_run_fails(monkeypatch):
     tree = pathlib.Path(ran[1][-1])
     assert ran[1][:2] == ["tar", "-xf"] and tree.name == "parent"
     assert not tree.parent.exists()
+
+
+def fabricate(tmp_path, side: str, events_per_s: list) -> list:
+    """One ``run.py --json`` file per value: only what the report reads."""
+    paths = []
+    for pair, value in enumerate(events_per_s):
+        metrics = {"events_per_s": value, "setup_s": 0.2, "peak_rss_mb": 70.0}
+        result = {
+            "failed": 0,
+            "attempted": 100,
+            "metrics": {name: {"median": v} for name, v in metrics.items()},
+        }
+        path = tmp_path / f"{side}-{pair}.json"
+        path.write_text(json.dumps({"results": [result]}))
+        paths.append(path)
+    return paths
+
+
+def verdict_line(capsys, tmp_path, parent, change) -> str:
+    files = {
+        "parent": fabricate(tmp_path, "parent", parent),
+        "change": fabricate(tmp_path, "change", change),
+    }
+    pairs.report(1, files)
+    lines = capsys.readouterr().out.splitlines()
+    heading = next(i for i, line in enumerate(lines) if "events_per_s" in line)
+    return lines[heading + 3]
+
+
+PARENT = [100.0, 101.0, 99.0, 100.5, 99.5, 100.0, 101.5, 98.5, 100.0, 100.2]
+
+
+def test_report_shows_a_gain_that_meets_both_rules(capsys, tmp_path):
+    change = [value * 1.1 for value in PARENT]
+    line = verdict_line(capsys, tmp_path, PARENT, change)
+    assert line.strip().startswith("parent IQR 1.2 % of its median;")
+    assert "gain shown" in line
+
+
+def test_report_refuses_a_gain_with_too_few_wins(capsys, tmp_path):
+    # Eight clear wins and two losses: the median moves far, the wins
+    # fall short of nine in ten.
+    change = [value * 1.2 for value in PARENT[:8]] + [90.0, 90.0]
+    line = verdict_line(capsys, tmp_path, PARENT, change)
+    assert "gain not shown" in line
+
+
+def test_report_refuses_a_gain_inside_the_parent_spread(capsys, tmp_path):
+    # Ten wins of one unit each, but the parent's own runs spread by
+    # tens: the gap cannot be told from that spread.
+    parent = [100.0, 160.0, 110.0, 150.0, 120.0, 140.0, 130.0, 100.0, 160.0, 130.0]
+    change = [value + 1 for value in parent]
+    line = verdict_line(capsys, tmp_path, parent, change)
+    assert "gain not shown" in line
+    assert pairs.gain_shown(parent, change, "higher")[1] is False
