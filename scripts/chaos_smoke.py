@@ -14,6 +14,10 @@ workload is drained the script asserts the supervisor's fingerprints —
 final ``/snapshot``, which must match an in-process replay of the same
 workload instance-for-instance: a murdered, healed, journal-replayed
 fleet lands on exactly the traces the library produces directly.
+``/metrics`` is scraped before the kill, right after the death is
+detected (by the first delivery to the dead partition, then confirmed
+by ``/healthz``) and after healing; no ``fleet_*_total`` series may
+fall from one scrape to the next.
 
 Exit codes: 0 on success, 1 on any mismatch or HTTP failure.
 
@@ -39,7 +43,12 @@ import urllib.request
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro.serve import WorkloadSpec, generate_workload, make_fleet  # noqa: E402
+from repro.serve import (  # noqa: E402
+    WorkloadSpec,
+    generate_workload,
+    make_fleet,
+    shard_of,
+)
 from repro.serve.gateway import snapshot_to_json  # noqa: E402
 
 RETRY_LIMIT = 200
@@ -53,6 +62,16 @@ def request(base: str, method: str, path: str, payload=None):
     with urllib.request.urlopen(req, timeout=10) as resp:
         body = resp.read().decode()
     return json.loads(body) if body.startswith(("{", "[")) else body
+
+
+def fleet_totals(metrics: str) -> dict:
+    """The ``fleet_*_total`` series of one ``/metrics`` scrape."""
+    totals = {}
+    for line in metrics.splitlines():
+        name, _, value = line.partition(" ")
+        if name.startswith("fleet_") and name.endswith("_total"):
+            totals[name] = float(value)
+    return totals
 
 
 def deliver_with_retry(base: str, key: str, message: str) -> int:
@@ -153,10 +172,35 @@ def main() -> int:
         for key, message in events[:cut]:
             outages += deliver_with_retry(base, key, message)
         assert outages == 0, f"{outages} outage(s) before the kill"
+        scrapes = [fleet_totals(request(base, "GET", "/metrics"))]
 
         victim = pids[0]
         os.kill(victim, signal.SIGKILL)
         print(f"SIGKILLed worker pid {victim} after {cut} deliveries")
+        # The first delivery to land on the dead partition detects the
+        # death and must come back 503; it is not applied, so the loop
+        # below sends it again in its place.  /healthz then reports the
+        # death and /metrics is scraped while the partition heals.
+        key, message = next(
+            (key, message)
+            for key, message in events[cut:]
+            if shard_of(key, args.workers) == 0
+        )
+        try:
+            request(base, "POST", "/deliver", {"key": key, "message": message})
+        except urllib.error.HTTPError as exc:
+            exc.read()
+            assert exc.code == 503, f"dead partition answered {exc.code}"
+            assert exc.headers.get("Retry-After"), "503 without Retry-After header"
+            outages += 1
+        else:
+            print("FAIL: the dead partition accepted a delivery", file=sys.stderr)
+            return 1
+        health = request(base, "GET", "/healthz")
+        if health["status"] == "ok" and victim in health["pids"]:
+            print(f"FAIL: /healthz missed the death: {health}", file=sys.stderr)
+            return 1
+        scrapes.append(fleet_totals(request(base, "GET", "/metrics")))
 
         for key, message in events[cut:]:
             outages += deliver_with_retry(base, key, message)
@@ -183,6 +227,23 @@ def main() -> int:
         print(f"healed: worker states {health['workers']}")
 
         metrics = request(base, "GET", "/metrics")
+        scrapes.append(fleet_totals(metrics))
+        fell = [
+            f"{name} {earlier[name]:g} -> {later.get(name, 0.0):g}"
+            for earlier, later in zip(scrapes, scrapes[1:])
+            for name in earlier
+            if later.get(name, 0.0) < earlier[name]
+        ]
+        if fell:
+            print(
+                f"FAIL: /metrics counters fell across the recovery: {fell}",
+                file=sys.stderr,
+            )
+            return 1
+        print(
+            f"{len(scrapes[-1])} fleet_*_total series never fell across "
+            f"{len(scrapes)} scrapes (before kill, at detection, healed)"
+        )
         fingerprints = {}
         for series in (
             "fleet_worker_restarts_total", "fleet_events_replayed_total"

@@ -20,10 +20,8 @@ The standard instruments:
     Per-batch dispatch wall time and batch size — two clock reads and
     two histogram observations per *batch*, which is what keeps full
     telemetry affordable on the encoded path (the per-event loop is
-    untouched).
-``fleet_batches_total`` / ``fleet_events_total``
-    Totals of the above, so exposition can report service rate without
-    reaching into :class:`~repro.serve.metrics.FleetMetrics`.
+    untouched).  The size histogram's ``_count`` and ``_sum`` are the
+    batch and event totals, so no separate counters repeat them.
 
 Sharding/merging: give each worker engine its own ``FleetTelemetry`` and
 fold them together with ``combined.registry.merge(worker.registry)`` —
@@ -49,8 +47,6 @@ class FleetTelemetry:
         "queue_latency",
         "batch_seconds",
         "batch_events",
-        "batches",
-        "events",
     )
 
     def __init__(
@@ -79,19 +75,11 @@ class FleetTelemetry:
             hi=1_048_576.0,
             factor=4.0,
         )
-        self.batches = self.registry.counter(
-            "fleet_batches_total", "batch dispatch passes observed"
-        )
-        self.events = self.registry.counter(
-            "fleet_events_total", "events dispatched through observed batches"
-        )
 
     def observe_batch(self, events: int, seconds: float) -> None:
         """Record one dispatch pass: O(1) regardless of batch size."""
         self.batch_seconds.observe(seconds)
         self.batch_events.observe(events)
-        self.batches.add(1)
-        self.events.add(events)
 
     def as_dict(self) -> dict:
         """Registry contents plus trace-log occupancy (artifact form)."""

@@ -48,7 +48,6 @@ if TYPE_CHECKING:
     from repro.serve.mpfleet import EncodedFleetSchedule, MultiprocessFleet
     from repro.serve.recovery import (
         FleetRecoveringError,
-        PartitionCheckpoint,
         RecoveryPolicy,
         RecoveryTelemetry,
         WorkerJournal,
@@ -111,7 +110,6 @@ __all__ = [
     "InstanceSnapshot",
     "InstanceStore",
     "LOG_POLICIES",
-    "PartitionCheckpoint",
     "RecoveryPolicy",
     "RecoveryTelemetry",
     "RouteRule",
@@ -171,7 +169,6 @@ _EXPORTS = {
     "repro.serve.mpfleet": ("EncodedFleetSchedule", "MultiprocessFleet"),
     "repro.serve.recovery": (
         "FleetRecoveringError",
-        "PartitionCheckpoint",
         "RecoveryPolicy",
         "RecoveryTelemetry",
         "WorkerJournal",

@@ -228,9 +228,9 @@ def make_fleet(
     any backend but the default ``"interp"``.
 
     Remaining keyword arguments pass through to the chosen constructor
-    (``cache=`` is in-process only; ``start_method=``, and the
-    supervision knobs ``journal=``, ``checkpoint_every=``, ``recovery=``
-    and ``join_timeout=``, are multiprocess only).
+    (``start_method=`` and the supervision knobs ``journal=``,
+    ``checkpoint_every=``, ``recovery=`` and ``join_timeout=`` are
+    multiprocess only).
     """
     # One reading of telemetry= for both fleets, before anything is built.
     if telemetry is False:

@@ -79,7 +79,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
@@ -99,9 +99,6 @@ from repro.serve.vector import (
     _flat_count,
     require_numpy,
 )
-
-if TYPE_CHECKING:
-    from repro.runtime.cache import GeneratedCodeCache
 
 #: Event dispatch modes.
 DISPATCH_MODES = ("naive", "encoded", "vector")
@@ -312,7 +309,6 @@ class FleetEngine:
         backend: str = "interp",
         mode: str = "encoded",
         auto_recycle: bool = False,
-        cache: Optional[GeneratedCodeCache] = None,
         optimize=None,
         log_policy: str = "full",
         telemetry: Optional[FleetTelemetry] = None,
@@ -352,7 +348,7 @@ class FleetEngine:
         # Naive backends run the *serving* (optimized) machine so all
         # modes report identical state names under one optimize setting.
         self._adapter = (
-            make_backend(backend, self.serving_machine, cache)
+            make_backend(backend, self.serving_machine)
             if mode == "naive"
             else None
         )

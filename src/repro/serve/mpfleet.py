@@ -53,8 +53,8 @@ dispatch journals the already-interned flat buffer *before* fan-out (one
 list append on the hot path), lifecycle operations journal after their
 acknowledgement — and each partition is checkpointed at its exact slot
 layout every ``checkpoint_every`` journaled events, in one round trip
-that returns the worker's raw columns as opaque bytes (the parent
-journals them unread) beside its telemetry registry.  When a worker dies,
+that returns the worker's raw columns, counters and telemetry registry
+as opaque bytes (the parent journals them unread).  When a worker dies,
 a supervisor thread respawns it with bounded retry/backoff
 (:class:`~repro.serve.recovery.RecoveryPolicy`), rehydrates the
 partition from the last checkpoint, replays the journal verbatim (slot
@@ -65,10 +65,11 @@ fresh worker in.  During the window callers see a *transient*
 :class:`DeploymentError` subclass carrying ``retry_after``) for
 operations that need a round trip, while bulk dispatch and ``post`` are
 accepted and deferred through the journal; :meth:`await_recovery`
-blocks until the fleet is whole.  Merged metrics and telemetry stay
-monotonic across the respawn: the checkpoint carries the worker's
-effective counters, which become the next incarnation's restart
-baseline.  Recovery itself is observable through
+blocks until the fleet is whole.  Merged metrics and telemetry never
+fall across the respawn: counters are partition state, so the next
+incarnation resumes them from the checkpoint and replay counts the rest,
+while the parent keeps serving each partition's last report until the
+fresh worker is swapped in.  Recovery itself is observable through
 :meth:`recovery_registry` / :attr:`recovery_trace`
 (die→respawn→replay→resume causality, MTTR histogram).
 
@@ -108,12 +109,9 @@ from repro.serve.fleet import (
 from repro.serve.metrics import FleetMetrics
 from repro.serve.recovery import (
     FleetRecoveringError,
-    PartitionCheckpoint,
     RecoveryPolicy,
     RecoveryTelemetry,
     WorkerJournal,
-    combine_metrics,
-    combine_registries,
     partition_checkpoint,
     rehydrate,
 )
@@ -163,22 +161,18 @@ class EncodedFleetSchedule:
 class _Worker:
     """Parent-side handle of one worker process (one incarnation)."""
 
-    __slots__ = (
-        "process", "channel", "status", "metrics", "restart_base", "registry_base"
-    )
+    __slots__ = ("process", "channel", "status", "metrics", "registry")
 
     def __init__(self, process, channel: Channel):
         self.process = process
         self.channel = channel
         self.status = WORKER_LIVE
-        #: Last counters reported by *this incarnation* (piggybacked on
-        #: every reply).
+        #: The partition's counters as last reported (piggybacked on
+        #: every reply; a respawned worker resumes them from its
+        #: checkpoint, so they include every earlier incarnation).
         self.metrics = FleetMetrics()
-        #: Counters accumulated by previous incarnations (the checkpoint
-        #: baseline installed at respawn) — the worker's effective view
-        #: is ``combine_metrics(restart_base, metrics)``.
-        self.restart_base = FleetMetrics()
-        self.registry_base: Optional[MetricsRegistry] = None
+        #: The partition's telemetry registry as last fetched.
+        self.registry: Optional[MetricsRegistry] = None
 
     @property
     def alive(self) -> bool:
@@ -263,15 +257,18 @@ def _handle(engine: FleetEngine, request: tuple):
         return engine.trace(request[1])
     if op == "finished":
         return engine.is_finished(request[1])
+    # A partition's share of a fleet-wide snapshot or restore is not one
+    # itself: the parent counts the fleet-wide operation once.
     if op == "snapshot":
-        return engine.snapshot()
+        return tuple(map(engine.trace, engine.store.keys()))
     if op == "restore":
         engine.restore(request[1])
+        engine.metrics.snapshots_restored -= 1
         return dict(engine.store.slot_of)
     if op == "registry":
         return engine.telemetry_registry()
     if op == "checkpoint":
-        return partition_checkpoint(engine), engine.telemetry_registry()
+        return partition_checkpoint(engine)
     if op == "rehydrate":
         rehydrate(engine, request[1])
         return None
@@ -332,6 +329,8 @@ class MultiprocessFleet:
         #: worker) as one int; the authoritative population map —
         #: workers never report membership back.
         self._route: dict[str, int] = {}
+        #: Fleet-wide snapshots taken / restored, counted once here.
+        self._snapshots_taken = self._snapshots_restored = 0
         self._closed = False
         self._closing = False
         self._join_timeout = join_timeout
@@ -429,15 +428,6 @@ class MultiprocessFleet:
             worker.status = WORKER_RECOVERING
             with suppress(OSError):
                 worker.channel.close()
-            # The dead incarnation's counters are discarded; the
-            # partition's effective view falls back to its checkpoint
-            # baseline until replay rebuilds the rest.
-            checkpoint = self._journals[wid].checkpoint
-            worker.metrics = FleetMetrics()
-            worker.restart_base = combine_metrics(
-                checkpoint.metrics, FleetMetrics()
-            )
-            worker.registry_base = checkpoint.registry
             tid = self._recovery.worker_died(wid, self._recovering_count())
             thread = threading.Thread(
                 target=self._recover_worker,
@@ -601,10 +591,9 @@ class MultiprocessFleet:
 
     def _take_checkpoint(self, wid: int) -> None:
         """Checkpoint one live worker's partition and truncate its journal."""
-        reply = self._request(wid, "checkpoint")
-        checkpoint = _checkpoint_of(self._workers[wid], reply)
+        blob = self._request(wid, "checkpoint")
         with self._lock:
-            self._journals[wid].truncate(checkpoint)
+            self._journals[wid].truncate(blob)
         self._recovery.checkpointed(wid)
 
     # -- the supervisor (runs on a background thread per incident) -----
@@ -662,11 +651,8 @@ class MultiprocessFleet:
         under the fleet lock so no entry can slip in between.
         """
         journal = self._journals[wid]
-        checkpoint = journal.checkpoint
-        handle.restart_base = combine_metrics(checkpoint.metrics, FleetMetrics())
-        handle.registry_base = checkpoint.registry
-        if checkpoint.blob:  # a fresh worker already is the empty partition
-            self._worker_roundtrip(handle, ("rehydrate", checkpoint.blob))
+        if journal.checkpoint:  # a fresh worker already is the empty partition
+            self._worker_roundtrip(handle, ("rehydrate", journal.checkpoint))
         replayed_ops = 0
         replayed_events = 0
         cursor = 0
@@ -701,8 +687,7 @@ class MultiprocessFleet:
         from :meth:`await_recovery` always finds the full
         die→respawn→replay→resume chain in the trace log.
         """
-        reply = self._worker_roundtrip(handle, ("checkpoint",))
-        self._journals[wid].truncate(_checkpoint_of(handle, reply))
+        self._journals[wid].truncate(self._worker_roundtrip(handle, ("checkpoint",)))
         self._recovery.checkpointed(wid)
         handle.status = WORKER_LIVE
         self._recovery_threads.pop(wid, None)
@@ -808,28 +793,31 @@ class MultiprocessFleet:
 
     @property
     def metrics(self) -> FleetMetrics:
-        """Merged counters of every worker.
+        """Merged counters of every worker, plus the fleet-wide snapshot
+        and restore counts the parent keeps.
 
-        Each worker contributes its *effective* view — restart baseline
-        plus current incarnation — so the fleet-wide counters are
-        monotonic across worker respawns.  A partition mid-recovery
-        reports its checkpoint baseline (journaled-but-unreplayed
-        traffic lands when replay completes); dead workers keep their
-        last effective values.
+        Each partition contributes its last report.  A partition
+        mid-recovery (or lost) keeps the report its dead worker sent
+        last, until the respawned worker — which resumed the counters
+        from its checkpoint and replayed the journal — is swapped in, so
+        no counter ever falls.
         """
-        merged = FleetMetrics()
+        merged = FleetMetrics(
+            snapshots_taken=self._snapshots_taken,
+            snapshots_restored=self._snapshots_restored,
+        )
         for worker in self._workers:
-            merged.merge(combine_metrics(worker.restart_base, worker.metrics))
+            merged.merge(worker.metrics)
         return merged
 
     def telemetry_registry(self) -> Optional[MetricsRegistry]:
         """One registry folding every worker's histograms together.
 
-        Includes each worker's checkpoint baseline (so counters never
-        move backwards across a die→respawn cycle) and, on supervised
-        fleets, the recovery plane's own instruments.  Returns ``None``
-        only when the fleet is entirely uninstrumented (no telemetry,
-        no journal).
+        Live workers are asked for their registry; a partition
+        mid-recovery (or lost) contributes the one it sent last, as
+        :attr:`metrics` does.  On supervised fleets the recovery plane's
+        own instruments are folded in too.  Returns ``None`` only when
+        the fleet is entirely uninstrumented (no telemetry, no journal).
         """
         if not self._telemetry_enabled and self._recovery is None:
             return None
@@ -838,12 +826,10 @@ class MultiprocessFleet:
             merged.merge(self._recovery.registry)
         if self._telemetry_enabled:
             for wid, worker in enumerate(self._workers):
-                if worker.registry_base is not None:
-                    merged.merge(worker.registry_base)
                 if worker.alive:
-                    registry = self._request(wid, "registry")
-                    if registry is not None:
-                        merged.merge(registry)
+                    worker.registry = self._request(wid, "registry")
+                if worker.registry is not None:
+                    merged.merge(worker.registry)
         return merged
 
     def recovery_registry(self) -> Optional[MetricsRegistry]:
@@ -1175,10 +1161,8 @@ class MultiprocessFleet:
             for wid in range(len(self._workers))
             if self._workers[wid].alive
         }
-        payloads = self._fan_out(requests).values()
-        instances = tuple(
-            chain.from_iterable(snap.instances for snap in payloads)
-        )
+        instances = tuple(chain.from_iterable(self._fan_out(requests).values()))
+        self._snapshots_taken += 1
         workers = len(self._workers)
         lost = tuple(
             key for key, code in self._route.items()
@@ -1235,6 +1219,7 @@ class MultiprocessFleet:
             for wid, slot_of in self._fan_out(requests).items()
             for key, slot in slot_of.items()
         }
+        self._snapshots_restored += 1
         # A restore rewrites every partition wholesale: journals recording
         # the pre-restore history are obsolete, so re-baseline them.
         if self._journal_enabled:
@@ -1292,18 +1277,6 @@ class MultiprocessFleet:
 
     def __exit__(self, *exc_info) -> None:
         self.close()
-
-
-def _checkpoint_of(handle: _Worker, reply: tuple) -> PartitionCheckpoint:
-    """The journal's checkpoint from one ``(blob, registry)`` reply: the
-    layout bytes as they came, and the handle's effective counters and
-    registry as the next incarnation's restart baseline."""
-    blob, registry = reply
-    return PartitionCheckpoint(
-        blob,
-        combine_metrics(handle.restart_base, handle.metrics),
-        combine_registries(handle.registry_base, registry),
-    )
 
 
 def _reap(process, timeout: float = 5.0) -> None:

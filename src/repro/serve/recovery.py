@@ -25,10 +25,12 @@ Worker side
     across a recovery — slot assignment in the store is a deterministic
     function of (layout, operation sequence).  A checkpoint is one
     ``bytes`` blob of the store's raw columns (slot keys, free list,
-    premultiplied states, logs as stored), built where the columns live
-    and read only by the next incarnation: checkpoints cross the pipe on
-    the dispatch clock, so neither side re-keys slots by state name and
-    the parent, which only journals the blob, never unpickles it.
+    premultiplied states, logs as stored) and the partition's counters
+    and telemetry registry, built where they live and read only by the
+    next incarnation: checkpoints cross the pipe on the dispatch clock,
+    so neither side re-keys slots by state name and the parent, which
+    only journals the blob, never unpickles it — nor keeps a second copy
+    of a worker's counters.
 
 Shared
     :class:`FleetRecoveringError` — the transient flavour of
@@ -48,9 +50,8 @@ handles and the population map); this module never imports ``mpfleet``.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Optional
 
 from repro.core.errors import DeploymentError
 from repro.obs.metrics import MetricsRegistry
@@ -59,11 +60,9 @@ from repro.serve.metrics import FleetMetrics
 
 __all__ = [
     "FleetRecoveringError",
-    "PartitionCheckpoint",
     "RecoveryPolicy",
     "RecoveryTelemetry",
     "WorkerJournal",
-    "combine_metrics",
     "partition_checkpoint",
     "rehydrate",
 ]
@@ -100,31 +99,14 @@ class RecoveryPolicy:
     retry_after_s: float = 1.0
 
 
-@dataclass(frozen=True)
-class PartitionCheckpoint:
-    """A worker partition frozen at its exact slot layout, as the parent
-    keeps it.
-
-    ``blob`` is :func:`partition_checkpoint`'s bytes exactly as they came
-    off the pipe: the parent never unpickles a layout, it journals the
-    bytes and hands them to the next incarnation's :func:`rehydrate`.
-    ``b""`` is the empty partition every worker starts with.
-
-    The parent attaches the worker's *effective* metrics and telemetry
-    registry at capture time — they become the restart baseline of the
-    next incarnation, so merged fleet counters stay monotonic across a
-    die→respawn cycle.
-    """
-
-    blob: bytes = b""
-    metrics: FleetMetrics = field(default_factory=FleetMetrics)
-    registry: Optional[MetricsRegistry] = None
-
-
 class WorkerJournal:
     """Write-ahead log of one worker's wire traffic since its checkpoint.
 
-    Entries are ``(request_tuple, event_count)`` pairs holding the exact
+    ``checkpoint`` is :func:`partition_checkpoint`'s blob exactly as it
+    came off the pipe — the parent never unpickles it, it hands the
+    bytes to the next incarnation's :func:`rehydrate`; ``b""`` is the
+    empty partition every worker starts with.  Entries are
+    ``(request_tuple, event_count)`` pairs holding the exact
     tuples sent over the pipe — for bulk dispatch that is a reference to
     the already-interned flat buffer, so the hot-path cost is one
     append.  ``events`` counts journaled dispatch events since the last
@@ -134,8 +116,8 @@ class WorkerJournal:
 
     __slots__ = ("checkpoint", "ops", "events")
 
-    def __init__(self, checkpoint: Optional[PartitionCheckpoint] = None):
-        self.checkpoint = checkpoint if checkpoint is not None else PartitionCheckpoint()
+    def __init__(self):
+        self.checkpoint = b""
         self.ops: list[tuple[tuple, int]] = []
         self.events = 0
 
@@ -143,44 +125,11 @@ class WorkerJournal:
         self.ops.append((request, events))
         self.events += events
 
-    def truncate(self, checkpoint: PartitionCheckpoint) -> None:
+    def truncate(self, checkpoint: bytes) -> None:
         """Install a fresh checkpoint; everything before it is obsolete."""
         self.checkpoint = checkpoint
         self.ops = []
         self.events = 0
-
-
-def combine_metrics(base: FleetMetrics, fresh: FleetMetrics) -> FleetMetrics:
-    """A worker's effective counters: restart baseline + this incarnation.
-
-    Unlike :meth:`FleetMetrics.merge` (which *concatenates*
-    ``shard_depths`` because each worker owns disjoint shards), both
-    operands here describe the *same* partition at different times:
-    counters add, the depth gauge takes the fresher observation, the
-    peak takes the maximum.
-    """
-    merged = FleetMetrics()
-    merged.merge(base)
-    merged.shard_depths = []
-    merged.peak_shard_depth = 0
-    merged.merge(fresh)
-    merged.shard_depths = list(fresh.shard_depths or base.shard_depths)
-    merged.peak_shard_depth = max(base.peak_shard_depth, fresh.peak_shard_depth)
-    return merged
-
-
-def combine_registries(
-    base: Optional[MetricsRegistry], fresh: Optional[MetricsRegistry]
-) -> Optional[MetricsRegistry]:
-    """Effective telemetry registry of one worker across restarts."""
-    if base is None and fresh is None:
-        return None
-    merged = MetricsRegistry()
-    if base is not None:
-        merged.merge(base)
-    if fresh is not None:
-        merged.merge(fresh)
-    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +145,10 @@ def partition_checkpoint(engine) -> bytes:
     premultiplied states as ``array('q')`` (on a vector fleet, the live
     prefix of the numpy column), and the logs as stored (``None`` under
     ``log_policy='off'``).  A naive fleet's states and logs are read from
-    its backends into the same container.
+    its backends into the same container.  The engine's counters (as
+    :meth:`~repro.serve.metrics.FleetMetrics.as_tuple`) and telemetry
+    registry (or ``None``) ride along: they are partition state, so the
+    next incarnation resumes counting where this one stood.
 
     Unlike :meth:`FleetEngine.snapshot` this works under every log
     policy, preserves slot numbering and the free-list stack, and
@@ -217,7 +169,14 @@ def partition_checkpoint(engine) -> bytes:
         logs = [None if b is None else b.sent for b in backends]
     elif store.vector:
         states = states.data[: states.size].tobytes()
-    layout = (store.key_of, array("q", store.free_slots), array("q", states), logs)
+    layout = (
+        store.key_of,
+        array("q", store.free_slots),
+        array("q", states),
+        logs,
+        engine.metrics.as_tuple(),
+        engine.telemetry_registry(),
+    )
     return pickle.dumps(layout, pickle.HIGHEST_PROTOCOL)
 
 
@@ -225,26 +184,31 @@ def rehydrate(engine, blob: bytes) -> None:
     """Rebuild a fresh worker engine at a checkpoint blob's exact layout.
 
     The blob is checked before the store is touched: it must unpickle to
-    the columns of one layout, and every state must be in range and a
-    multiple of the table width, else
-    :class:`~repro.core.errors.DeploymentError`.  Occupied slots are then
-    respawned in slot order, free slots are filled with placeholders and
-    released in recorded stack order, so every key sits at its original
-    slot and journaled flat schedules (and future spawns, which pop the
-    same stack) replay verbatim.  Metrics are left untouched: the parent
-    keeps pre-checkpoint history as the restart baseline, and journal
-    replay re-counts the rest.
+    the columns of one layout, a full counter tuple and a registry (or
+    ``None``), and every state must be in range and a multiple of the
+    table width, else :class:`~repro.core.errors.DeploymentError`.
+    Occupied slots are then respawned in slot order, free slots are
+    filled with placeholders and released in recorded stack order, so
+    every key sits at its original slot and journaled flat schedules
+    (and future spawns, which pop the same stack) replay verbatim.
+    Finally the checkpoint's counters replace the engine's and its
+    registry merges into the engine's telemetry, so journal replay
+    counts on from the checkpoint, as the dead incarnation did.
     """
     import pickle
 
     naive = engine.mode == "naive"
     logged = naive or engine.log_policy == "full"
     try:
-        key_of, free, states, logs = pickle.loads(blob)
+        key_of, free, states, logs, counters, registry = pickle.loads(blob)
         if len(states) != len(key_of) or (logs is not None) != logged:
             raise ValueError("columns do not describe one layout")
         if logged and len(logs) != len(key_of):
             raise ValueError("log column does not describe the layout")
+        if len(counters) != len(engine.metrics.as_tuple()):
+            raise ValueError("counters do not match FleetMetrics")
+        if not (registry is None or isinstance(registry, MetricsRegistry)):
+            raise ValueError("registry slot holds no MetricsRegistry")
     except Exception as exc:  # corrupt pickle bytes can raise almost anything
         raise DeploymentError(f"corrupt partition checkpoint: {exc!r}") from None
     width = engine._width
@@ -283,6 +247,10 @@ def rehydrate(engine, blob: bytes) -> None:
                 "checkpoint layout"
             )
         store.release(placeholder)
+    engine.metrics = FleetMetrics.from_tuple(counters)
+    telemetry = engine.telemetry_registry()
+    if registry is not None and telemetry is not None:
+        telemetry.merge(registry)
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,16 @@ def test_snapshot_restore_roundtrip(any_fleet):
         assert any_fleet.trace(key) == before[key]
 
 
+@pytest.mark.parametrize("any_fleet", IMPLEMENTATIONS + WORKER_COUNTS, indirect=True)
+def test_fleet_wide_snapshot_and_restore_count_once(any_fleet):
+    # However many workers hold a share of the population, one snapshot
+    # and one restore of the fleet are one of each in its counters.
+    workload(any_fleet, events=0)
+    any_fleet.restore(any_fleet.snapshot())
+    metrics = any_fleet.metrics
+    assert metrics.snapshots_taken == metrics.snapshots_restored == 1
+
+
 def test_metrics_counts_dispatches(any_fleet):
     _, events = workload(any_fleet)
     any_fleet.run(events)

@@ -172,8 +172,8 @@ def test_spawn_started_workers_match_an_inprocess_fleet():
         ]
         assert snapshots[0] == snapshots[1] and len(snapshots[0]) == len(keys)
         assert (
-            mp.telemetry_registry().counters["fleet_events_total"].value
-            == inproc.telemetry_registry().counters["fleet_events_total"].value
+            mp.telemetry_registry().histograms["fleet_batch_events"].total
+            == inproc.telemetry_registry().histograms["fleet_batch_events"].total
         )
     finally:
         mp.close()
@@ -274,7 +274,7 @@ def test_telemetry_registry_merges_all_workers():
         registry = fleet.telemetry_registry()
         assert registry is not None
         # Both workers dispatched, and the merged counter sees the union.
-        assert registry.counters["fleet_events_total"].value == len(events)
+        assert registry.histograms["fleet_batch_events"].total == len(events)
     finally:
         fleet.close()
 

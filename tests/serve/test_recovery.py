@@ -242,8 +242,7 @@ def worker_layouts(fleet):
     the worker's own checkpoint columns."""
     layout = {}
     for wid in range(fleet.workers):
-        blob, _registry = fleet._request(wid, "checkpoint")
-        key_of = pickle.loads(blob)[0]
+        key_of = pickle.loads(fleet._request(wid, "checkpoint"))[0]
         for slot, key in enumerate(key_of):
             if key is not None:
                 layout[key] = (wid, slot)
@@ -360,7 +359,7 @@ def test_checkpoint_round_trip_keeps_the_layout(mode, log_policy):
 def test_bad_checkpoint_blob_is_refused_before_anything_changes():
     source = churned_engine("encoded", "full")
     blob = partition_checkpoint(source)
-    key_of, free, states, logs = pickle.loads(blob)
+    key_of, free, states, logs, counters, registry = pickle.loads(blob)
     width = source._width
     out_of_range = array("q", states)
     out_of_range[0] = len(source._table.state_names) * width
@@ -368,9 +367,21 @@ def test_bad_checkpoint_blob_is_refused_before_anything_changes():
     misaligned[0] += 1
     bad = {
         "truncated": blob[: len(blob) // 2],
-        "out of range": pickle.dumps((key_of, free, out_of_range, logs)),
-        "misaligned": pickle.dumps((key_of, free, misaligned, logs)),
-        "short column": pickle.dumps((key_of, free, states[:-1], logs)),
+        "out of range": pickle.dumps(
+            (key_of, free, out_of_range, logs, counters, registry)
+        ),
+        "misaligned": pickle.dumps(
+            (key_of, free, misaligned, logs, counters, registry)
+        ),
+        "short column": pickle.dumps(
+            (key_of, free, states[:-1], logs, counters, registry)
+        ),
+        "short counters": pickle.dumps(
+            (key_of, free, states, logs, counters[:-1], registry)
+        ),
+        "registry slot": pickle.dumps(
+            (key_of, free, states, logs, counters, {"fleet_batch_events": 1})
+        ),
     }
     target = make_fleet("commit", mode="encoded")
     target.spawn_many(4)
@@ -646,22 +657,88 @@ def test_telemetry_merge_monotonic_across_recovery():
         half = len(events) // 2
         fleet.run(events[:half])
         twin.run(events[:half])
-        before = fleet.telemetry_registry().counters["fleet_events_total"].value
+        before = fleet.telemetry_registry().histograms["fleet_batch_events"].total
         sigkill_worker(fleet, 0)
         fleet.run(events[half:])
         twin.run(events[half:])
         assert fleet.await_recovery(timeout=30)
         merged = fleet.telemetry_registry()
-        after = merged.counters["fleet_events_total"].value
+        after = merged.histograms["fleet_batch_events"].total
         # No counter reset leaked into the merge: the respawned worker's
-        # registry rides on its checkpoint baseline.
+        # registry resumes from its checkpoint.
         assert after >= before
-        assert after == twin.telemetry_registry().counters[
-            "fleet_events_total"
-        ].value
+        assert after == twin.telemetry_registry().histograms["fleet_batch_events"].total
     finally:
         fleet.close()
         twin.close()
+
+
+def counter_readings(fleet):
+    """Every count a supervised, instrumented fleet reports: the merged
+    ``FleetMetrics`` but its shard-depth gauge, the merged registry's
+    counters, and the batch-size histogram's count and sum."""
+    readings = fleet.metrics.as_dict()
+    del readings["shard_depths"]
+    registry = fleet.telemetry_registry()
+    readings.update(
+        (name, counter.value) for name, counter in registry.counters.items()
+    )
+    batches = registry.histograms["fleet_batch_events"]
+    readings["fleet_batch_events_count"] = batches.count
+    readings["fleet_batch_events_sum"] = batches.total
+    return readings
+
+
+def test_no_counter_falls_during_a_recovery_window():
+    # Only the initial checkpoint exists: the dead worker's partition is
+    # rebuilt from an empty layout plus the whole journal.
+    fleet = supervised(telemetry=True, checkpoint_every=10_000)
+    twin = make_fleet("commit", mode="encoded", workers=2, shards=2, telemetry=True)
+    try:
+        fleet.spawn_many(12)
+        twin.spawn_many(12)
+        events = workload(fleet.machine, 12, 300, seed=4)
+        fleet.run(events)
+        twin.run(events)
+        readings = [counter_readings(fleet)]
+        slow_launch(fleet, delay=1.0)
+        sigkill_worker(fleet, 0)
+        fleet.check_workers()
+        assert fleet.worker_states()[0] == "recovering"
+        readings.append(counter_readings(fleet))
+        assert fleet.worker_states()[0] == "recovering"
+        assert fleet.await_recovery(timeout=30)
+        readings.append(counter_readings(fleet))
+        for name in readings[0]:
+            values = [reading[name] for reading in readings]
+            assert values == sorted(values), (name, values)
+        assert readings[0]["events_dispatched"] == len(events)
+        assert fleet.metrics.as_dict() == twin.metrics.as_dict()
+        healed = fleet.telemetry_registry().histograms["fleet_batch_events"]
+        unkilled = twin.telemetry_registry().histograms["fleet_batch_events"]
+        assert (healed.count, healed.total) == (unkilled.count, unkilled.total)
+    finally:
+        fleet.close()
+        twin.close()
+
+
+def test_snapshot_counts_survive_recovery():
+    # Fleet-wide snapshots and restores are counted once, by the parent,
+    # so a worker's death neither doubles nor loses them.
+    fleet = supervised()
+    try:
+        fleet.spawn_many(8)
+        fleet.restore(fleet.snapshot())
+        counts = (fleet.metrics.snapshots_taken, fleet.metrics.snapshots_restored)
+        assert counts == (1, 1)
+        sigkill_worker(fleet, 0)
+        fleet.check_workers()
+        assert fleet.await_recovery(timeout=30)
+        assert fleet.worker_states() == ["live", "live"]
+        counts = (fleet.metrics.snapshots_taken, fleet.metrics.snapshots_restored)
+        assert counts == (1, 1)
+    finally:
+        fleet.close()
 
 
 # ---------------------------------------------------------------------------

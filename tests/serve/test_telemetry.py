@@ -48,8 +48,8 @@ class TestFleetInstruments:
             fleet.machine, WorkloadSpec(instances=50, events=300, seed=2)
         )
         fleet.run(fleet.encode_flat(events), encoding="flat")
-        assert telemetry.batches.value == 1
-        assert telemetry.events.value == 300
+        assert telemetry.batch_events.count == 1
+        assert telemetry.batch_events.total == 300
         assert telemetry.batch_seconds.count == 1
         # Direct batches never queued, so no queue latency is invented.
         assert telemetry.queue_latency.count == 0
@@ -93,7 +93,7 @@ class TestFleetInstruments:
             fleet.machine, WorkloadSpec(instances=20, events=100, seed=5)
         )
         fleet.run(fleet.encode_flat(events), encoding="flat")
-        assert telemetry.events.value == 100
+        assert telemetry.batch_events.total == 100
 
 
 class TestFleetTracing:

@@ -40,7 +40,7 @@ SERVE_ALL = [
     "FleetRecoveringError", "FleetSnapshot", "FleetTelemetry", "HAS_NUMPY",
     "NUMPY_UNAVAILABLE_REASON", "MODEL_FACTORIES", "MultiprocessFleet",
     "GroupTopology", "InstanceSnapshot", "InstanceStore", "LOG_POLICIES",
-    "PartitionCheckpoint", "RecoveryPolicy", "RecoveryTelemetry", "RouteRule",
+    "RecoveryPolicy", "RecoveryTelemetry", "RouteRule",
     "SCENARIOS", "Scenario", "ScenarioEngine", "ScenarioFaultPlan",
     "ScenarioMetrics", "ScenarioProfile", "ScenarioSnapshot", "ScenarioSpec",
     "SessionSimulator", "TimedEvent", "TimerRule", "VectorKernel",
