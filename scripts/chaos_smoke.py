@@ -17,7 +17,9 @@ fleet lands on exactly the traces the library produces directly.
 ``/metrics`` is scraped before the kill, right after the death is
 detected (by the first delivery to the dead partition, then confirmed
 by ``/healthz``) and after healing; no ``fleet_*_total`` series may
-fall from one scrape to the next.
+fall from one scrape to the next.  Whether the run passes or fails, no
+worker pid ``/healthz`` ever reported may outlive the served process by
+more than five seconds.
 
 Exit codes: 0 on success, 1 on any mismatch or HTTP failure.
 
@@ -29,6 +31,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import pathlib
@@ -98,7 +101,50 @@ def deliver_with_retry(base: str, key: str, message: str) -> int:
     )
 
 
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        if os.path.isdir("/proc"):
+            return False
+    try:  # no /proc: ask the kernel whether the pid exists
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def main() -> int:
+    workers: set[int] = set()
+    code = 1
+    try:
+        code = serve_and_kill(workers)
+    finally:
+        deadline = time.monotonic() + 5
+        while any(map(running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = sorted(filter(running, workers))
+        for pid in survivors:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        if survivors:
+            print(
+                f"FAIL: worker(s) {survivors} outlived the served process",
+                file=sys.stderr,
+            )
+            code = 1
+        else:
+            print(f"no worker outlived the served process ({len(workers)} seen)")
+    if code == 0:
+        print("chaos smoke: ok")
+    return code
+
+
+def serve_and_kill(workers: set) -> int:
+    """Drive the served fleet through the kill; every worker pid
+    ``/healthz`` reports is added to ``workers``."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--instances", type=int, default=50)
@@ -146,6 +192,7 @@ def main() -> int:
         base = f"http://127.0.0.1:{port}"
 
         health = request(base, "GET", "/healthz")
+        workers.update(filter(None, health["pids"]))
         assert health["status"] == "ok", health
         pids = health["pids"]
         assert len(pids) == args.workers, health
@@ -197,6 +244,7 @@ def main() -> int:
             print("FAIL: the dead partition accepted a delivery", file=sys.stderr)
             return 1
         health = request(base, "GET", "/healthz")
+        workers.update(filter(None, health["pids"]))
         if health["status"] == "ok" and victim in health["pids"]:
             print(f"FAIL: /healthz missed the death: {health}", file=sys.stderr)
             return 1
@@ -219,6 +267,7 @@ def main() -> int:
         deadline = time.monotonic() + 30
         while time.monotonic() < deadline:
             health = request(base, "GET", "/healthz")
+            workers.update(filter(None, health["pids"]))
             if health["status"] == "ok":
                 break
             time.sleep(0.05)
@@ -298,7 +347,6 @@ def main() -> int:
         if code != 0:
             print(f"FAIL: server exited {code}", file=sys.stderr)
             return 1
-        print("chaos smoke: ok")
         return 0
     finally:
         if server.poll() is None:

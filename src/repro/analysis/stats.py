@@ -98,6 +98,8 @@ class Table1Row:
     pruned_states: int
     final_states: int
     generation_time_s: float
+    #: Handler runs step 2 took (:attr:`GenerationReport.elaborations`).
+    elaborations: int = 0
 
     def matches_paper(self) -> bool:
         """Whether the machine-independent counts equal the published ones."""
@@ -127,6 +129,7 @@ def table1_row(replication_factor: int, engine: str = "eager") -> Table1Row:
         pruned_states=report.reachable_states,
         final_states=report.merged_states,
         generation_time_s=report.total_time,
+        elaborations=report.elaborations,
     )
 
 

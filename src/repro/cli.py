@@ -737,6 +737,8 @@ def _serve_scenario(args) -> int:
 
 def _serve(args) -> int:
     """Serve one fleet behind the HTTP/WebSocket gateway until shutdown."""
+    import signal
+
     from repro.serve import make_fleet
     from repro.serve.gateway import FleetGateway
 
@@ -791,10 +793,14 @@ def _serve(args) -> int:
                 flush=True,
             )
 
+        # SIGTERM ends serving the way Ctrl-C does, through close().
+        previous = signal.signal(signal.SIGTERM, signal.default_int_handler)
         try:
             gateway.run_blocking(announce=announce, port_file=args.port_file)
         except KeyboardInterrupt:
             pass
+        finally:
+            signal.signal(signal.SIGTERM, previous)
     finally:
         fleet.close()
     return 0

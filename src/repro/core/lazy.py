@@ -13,8 +13,8 @@ expands **only reachable states**, breadth first:
 
 1. the start vector is state id 0;
 2. the next unexpanded id's successors are elaborated on demand
-   (:meth:`~repro.core.model.AbstractModel.successors`, the eager
-   engine's per-message logic, so the engines cannot diverge) into its
+   (:meth:`~repro.core.model.Elaborator.successors`, the eager engine's
+   memoised per-message logic, so the engines cannot diverge) into its
    row of the same arrays the eager engine fills;
 3. each target vector is interned to an id on first sight, so every state
    is discovered once whatever its fan-in; ids follow discovery order, so
@@ -37,7 +37,7 @@ from __future__ import annotations
 import time
 
 from repro.core.machine import StateMachine
-from repro.core.model import AbstractModel, StateView
+from repro.core.model import AbstractModel
 from repro.core.pipeline import GenerationReport, _Arrays, _finish
 
 
@@ -54,8 +54,8 @@ def generate_lazy(
     bisimulation quotient off for inspection of the raw reachable machine.
     """
     report = GenerationReport(model.machine_name(), model.parameters, engine="lazy")
-    space = model.space
-    report.initial_states = space.size()
+    report.initial_states = model.space.size()
+    arrays = _Arrays(model)
 
     started = time.perf_counter()
     vectors: list[tuple] = []
@@ -67,11 +67,10 @@ def generate_lazy(
         if state is None:
             state = ids[vector] = len(vectors)
             vectors.append(vector)
-            final.append(model.is_final(StateView(space, vector)))
+            final.append(arrays.hooks.is_final(vector))
         return state
 
     discover(tuple(model.start_vector()))
-    arrays = _Arrays(model)
     frontier_peak = expanded = 0
     while expanded < len(vectors):
         frontier_peak = max(frontier_peak, len(vectors) - expanded)

@@ -61,10 +61,12 @@ class StateView:
 
     def get(self, component: str) -> Any:
         """Value of the named component."""
-        return self._space.get(self._vector, component)
+        try:
+            return self._vector[self._space._index[component]]
+        except KeyError:  # index_of raises the ComponentError naming it
+            return self._vector[self._space.index_of(component)]
 
-    def __getitem__(self, component: str) -> Any:
-        return self.get(component)
+    __getitem__ = get
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"StateView({self.name})"
@@ -216,6 +218,16 @@ class AbstractModel:
         :class:`InvalidStateError` (or calling ``builder.invalid``) means
         the message is not applicable in the source state.  Must be
         overridden.
+
+        The outcome must be a function of the component values read
+        through ``builder`` (``builder[name]``, :meth:`~StateView.get`,
+        :meth:`~TransitionBuilder.increment`), as the paper's handlers
+        are: the engines run the handler once per distinct sequence of
+        values it reads and reuse that outcome for every state that
+        shares the sequence (:class:`Elaborator`).  ``vector``,
+        ``source_vector``, ``name``, ``changed`` and ``is_effective()``
+        count as reading every component, so a handler that uses them is
+        run once per state.
         """
         raise NotImplementedError
 
@@ -225,6 +237,9 @@ class AbstractModel:
         Final states are where the algorithm has completed; the generation
         pipeline produces no transitions from them and step 4 merges all
         reachable final states into the machine's single finish state.
+        Like :meth:`generate_transition`, a function of the values read
+        through ``view``: the engines evaluate it once per distinct read
+        path, and ``view.vector`` / ``view.name`` read every component.
         """
         return False
 
@@ -245,31 +260,6 @@ class AbstractModel:
         args = ",".join(f"{k}={v}" for k, v in sorted(self._parameters.items()))
         base = type(self).__name__
         return f"{base}[{args}]" if args else base
-
-    # ------------------------------------------------------------------
-    # successor enumeration (shared by the eager and lazy engines)
-    # ------------------------------------------------------------------
-
-    def successors(self, vector: tuple):
-        """Yield ``(message, builder)`` for each effective message in ``vector``.
-
-        One elaborated :class:`TransitionBuilder` per message that is both
-        applicable (no :class:`InvalidStateError`) and effective (changes
-        state or performs actions).  The eager pipeline calls this for every
-        state of the product space; the lazy engine
-        (:func:`repro.core.lazy.generate_lazy`) calls it on demand for
-        frontier states only, which is what makes on-the-fly reachable-set
-        construction possible without any model changes.
-        """
-        for message in self._messages:
-            builder = TransitionBuilder(self._space, vector)
-            try:
-                self.generate_transition(message, builder)
-            except InvalidStateError:
-                continue  # message not applicable in this state (Fig 10)
-            if not builder.is_effective():
-                continue  # no state change and no actions: not recorded
-            yield message, builder
 
     # ------------------------------------------------------------------
     # accessors
@@ -319,3 +309,176 @@ class AbstractModel:
         from repro.core.pipeline import generate_with_engine
 
         return generate_with_engine(self, engine, prune=prune, merge=merge)
+
+
+# ----------------------------------------------------------------------
+# step 2, memoised: once per distinct read, not once per state
+# ----------------------------------------------------------------------
+
+
+class _Recorder(TransitionBuilder):
+    """A builder that logs the source values its hook reads, in read order.
+
+    The log is the hook's memo key: the first read of each component the
+    hook has not written, as ``(index, value)``.  A read after a write is
+    not logged, since the written value follows from earlier reads.  The
+    accessors that expose the whole vector log every component not yet
+    logged.  The engines hand a recorder to ``is_final`` too, as its view.
+    """
+
+    __slots__ = ("_reads", "_known", "_written")
+
+    def __init__(self, space: StateSpace, vector: tuple):
+        super().__init__(space, vector)
+        self._reads: list[tuple[int, Any]] = []
+        self._known: set[int] = set()  # indices logged or written
+        self._written: set[int] = set()
+
+    def get(self, component: str) -> Any:
+        index = self._space.index_of(component)
+        if index not in self._known:
+            self._known.add(index)
+            self._reads.append((index, self._source[index]))
+        return self._vector[index]
+
+    __getitem__ = get
+
+    def set(self, component: str, value: Any, because: Optional[str] = None) -> None:
+        super().set(component, value, because)
+        index = self._space.index_of(component)
+        self._known.add(index)
+        self._written.add(index)
+
+    def _read_all(self) -> None:
+        logged = {index for index, _ in self._reads}
+        self._reads += [(i, v) for i, v in enumerate(self._source) if i not in logged]
+        self._known.update(range(len(self._source)))
+
+    @property
+    def vector(self) -> tuple:
+        self._read_all()
+        return super().vector
+
+    @property
+    def source_vector(self) -> tuple:
+        self._read_all()
+        return super().source_vector
+
+    @property
+    def name(self) -> str:
+        self._read_all()
+        return super().name
+
+    @property
+    def changed(self) -> bool:
+        self._read_all()
+        return super().changed
+
+
+class _Branch:
+    """A trie node: the hook's next logged read is component ``index``."""
+
+    __slots__ = ("index", "children")
+
+    def __init__(self, index: int):
+        self.index = index
+        self.children: dict = {}
+
+
+#: What a trie walk returns when no run has followed the state's path yet.
+_MISS = object()
+
+
+def _lookup(node, vector: tuple):
+    """The outcome recorded at the end of ``vector``'s path, or ``_MISS``."""
+    while type(node) is _Branch:
+        node = node.children.get(vector[node.index], _MISS)
+    return node
+
+
+def _grow(roots: dict, key, reads: list, outcome) -> None:
+    """Store ``outcome`` at the end of the path ``reads`` in ``roots[key]``."""
+    holder = roots
+    for index, value in reads:
+        node = holder.get(key, _MISS)
+        if node is _MISS:
+            node = holder[key] = _Branch(index)
+        elif type(node) is not _Branch or node.index != index:
+            raise ModelDefinitionError(
+                "a model hook read differently from an earlier run on the same "
+                "values: hooks must be functions of the values they read"
+            )
+        holder, key = node.children, value
+    holder[key] = outcome
+
+
+class Elaborator:
+    """A model's hooks, memoised for one generation call (paper §3.4 step 2).
+
+    Per message, a decision trie is keyed by the values the handler read
+    (see :class:`_Recorder`).  A leaf holds the outcome: ``None`` when the
+    message is inapplicable, else the written components' final values
+    with the action and annotation tuples.  A state whose values walk to
+    a leaf applies its writes, and drops the transition when that leaves
+    the state unchanged without actions (ineffective); any other state
+    runs the handler and adds its path.  ``is_final`` gets the same trie.
+    For hooks that keep the contract of
+    :meth:`AbstractModel.generate_transition` the result is exactly a
+    per-state loop's.  Both engines build one per call and keep nothing
+    on the model.
+    """
+
+    def __init__(self, model: AbstractModel):
+        self._model = model
+        self._space = model.space
+        self._messages = model.messages
+        self._roots: dict = {}  # message -> its trie; None -> is_final's
+        #: Handler runs (``generate_transition`` calls) so far.
+        self.elaborations = 0
+
+    def is_final(self, vector: tuple) -> bool:
+        """``model.is_final`` at ``vector``."""
+        final = _lookup(self._roots.get(None, _MISS), vector)
+        if final is _MISS:
+            view = _Recorder(self._space, vector)
+            final = self._model.is_final(view)
+            _grow(self._roots, None, view._reads, final)
+        return final
+
+    def successors(self, vector: tuple):
+        """Yield ``(message, target, actions, annotations)`` per message
+        that is applicable (no :class:`InvalidStateError`) and effective
+        (changes state or performs actions) in ``vector``."""
+        roots = self._roots
+        for message in self._messages:
+            outcome = _lookup(roots.get(message, _MISS), vector)
+            if outcome is _MISS:
+                outcome = self._elaborate(message, vector)
+            if outcome is None:
+                continue  # inapplicable on this path (Fig 10)
+            writes, actions, annotations = outcome
+            target = vector
+            if writes:
+                target = list(vector)
+                for index, value in writes:
+                    target[index] = value
+                target = tuple(target)
+            if target != vector or actions:  # else ineffective: not recorded
+                yield message, target, actions, annotations
+
+    def _elaborate(self, message: str, vector: tuple):
+        """Run the handler on ``vector``; record and return its outcome."""
+        self.elaborations += 1
+        builder = _Recorder(self._space, vector)
+        try:
+            self._model.generate_transition(message, builder)
+        except InvalidStateError:
+            outcome = None
+        else:
+            outcome = (
+                tuple((i, builder._vector[i]) for i in builder._written),
+                tuple(builder._actions),
+                tuple(builder._annotations),
+            )
+        _grow(self._roots, message, builder._reads, outcome)
+        return outcome

@@ -6,6 +6,9 @@
    space (``2^5 r^2`` = 512 states for the commit model at r=4, Fig 7).
 2. **Generate transitions** — run the model's per-message transition logic
    from every non-final state, recording actions and annotations (Fig 11).
+   Each handler runs once per distinct sequence of values it reads, and
+   states that share the sequence reuse its outcome
+   (:class:`~repro.core.model.Elaborator`).
 3. **Prune unreachable states** — keep only states reachable from the start
    state (512 → 48 for r=4, Fig 12).
 4. **Combine equivalent states** — bisimulation quotient (48 → 33, Fig 13).
@@ -29,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
 from repro.core.minimize import _classes, _quotient, _remap_rows
-from repro.core.model import AbstractModel, StateView
+from repro.core.model import AbstractModel, Elaborator, StateView
 
 #: The generation engines selectable via ``engine=`` / ``--engine``.
 ENGINES = ("eager", "lazy")
@@ -54,6 +57,9 @@ class GenerationReport:
     #: Which engine produced the machine: ``"eager"`` (four-step pipeline)
     #: or ``"lazy"`` (frontier-based on-the-fly construction).
     engine: str = "eager"
+    #: Handler runs (``generate_transition`` calls) step 2 took: one per
+    #: distinct read path per message, not one per (state, message) pair.
+    elaborations: int = 0
     #: Largest worklist size observed by the lazy engine (0 for eager runs);
     #: with the seen-set, this bounds the engine's peak working memory.
     frontier_peak: int = 0
@@ -93,19 +99,18 @@ def generate(
     intermediate data structures (Figs 7–13).
     """
     report = GenerationReport(model.machine_name(), model.parameters)
-    space = model.space
+    arrays = _Arrays(model)
 
     # ------------------------------------------------------------- step 1
     started = time.perf_counter()
-    vectors = list(space.enumerate_vectors())
-    final = [model.is_final(StateView(space, vector)) for vector in vectors]
+    vectors = list(model.space.enumerate_vectors())
+    final = [arrays.hooks.is_final(vector) for vector in vectors]
     report.initial_states = len(vectors)
     report.timings["enumerate"] = time.perf_counter() - started
 
     # ------------------------------------------------------------- step 2
     started = time.perf_counter()
     ids = {vector: i for i, vector in enumerate(vectors)}
-    arrays = _Arrays(model)
     for vector, is_final in zip(vectors, final):
         arrays.add_row(vector, is_final, ids.__getitem__)
     start = ids.get(tuple(model.start_vector()))
@@ -184,7 +189,8 @@ class _Arrays:
     """A machine under construction: one row per state id, in id order."""
 
     def __init__(self, model: AbstractModel):
-        self.model = model
+        #: The model's hooks, memoised for this generation call.
+        self.hooks = Elaborator(model)
         self.column = {message: c for c, message in enumerate(model.messages)}
         self.width = len(self.column)
         self.next_state: list[int] = []
@@ -202,11 +208,10 @@ class _Arrays:
         if final:
             return  # terminal: the algorithm has completed here
         seqs, notes = self.seqs, self.transition_annotations
-        for message, builder in self.model.successors(vector):
+        for message, target, actions, annotations in self.hooks.successors(vector):
             offset = row + self.column[message]
-            self.next_state[offset] = target_id(builder.vector)
-            self.action_seq[offset] = seqs.setdefault(builder.actions, len(seqs))
-            annotations = builder.recorded_annotations
+            self.next_state[offset] = target_id(target)
+            self.action_seq[offset] = seqs.setdefault(actions, len(seqs))
             if annotations:
                 notes[offset] = annotations
 
@@ -232,6 +237,7 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
     from repro.opt.indexed import IndexedMachine
 
     space = model.space
+    report.elaborations = arrays.hooks.elaborations
     report.transition_count = len(arrays.next_state) - arrays.next_state.count(-1)
     report.reachable_states = len(keep)
     new_id = [-1] * len(vectors)

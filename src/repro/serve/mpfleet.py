@@ -179,8 +179,16 @@ class _Worker:
         return self.status == WORKER_LIVE
 
 
-def _worker_main(conn, machine, options) -> None:
-    """Worker process body: one private engine, one request loop."""
+def _worker_main(conn, machine, options, inherited) -> None:
+    """Worker process body: one private engine, one request loop.
+
+    ``inherited`` holds the parent-side pipe ends a forked worker got a
+    copy of, its own and every other live worker's.  Closing them first
+    leaves the parent the only holder, so its death, however abrupt,
+    reads as end of file here and the loop ends.
+    """
+    for parent_end in inherited:
+        parent_end.close()
     channel = Channel(conn)
     try:
         telemetry = (
@@ -366,6 +374,9 @@ class MultiprocessFleet:
         #: Every process this fleet ever started (respawns included) —
         #: the GC finalizer sweeps this list so no incarnation leaks.
         self._processes: list = []
+        #: The parent-side pipe end of every worker not yet dropped; a
+        #: forked worker closes its copies (see ``_worker_main``).
+        self._parent_ends: weakref.WeakSet = weakref.WeakSet()
         self._workers: list[_Worker] = [
             self._launch_worker() for _ in range(workers)
         ]
@@ -392,9 +403,14 @@ class MultiprocessFleet:
     def _launch_worker(self) -> _Worker:
         """Start one worker process (no handshake — callers recv it)."""
         parent_conn, child_conn = self._ctx.Pipe()
+        inherited = ()
+        with self._lock:  # recovery threads launch concurrently
+            self._parent_ends.add(parent_conn)
+            if self._ctx.get_start_method() == "fork":
+                inherited = tuple(self._parent_ends)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._machine, self._options),
+            args=(child_conn, self._machine, self._options, inherited),
             daemon=True,
         )
         process.start()

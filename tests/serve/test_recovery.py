@@ -12,6 +12,7 @@ escalation with a wedged worker, and telemetry monotonicity across the
 die→respawn cycle.
 """
 
+import contextlib
 import os
 import pickle
 import signal
@@ -864,3 +865,77 @@ def test_close_escalates_past_wedged_worker():
     assert elapsed < 5.0
     real.join(timeout=10)  # the displaced real worker exits on conn EOF
     assert not real.is_alive()
+
+
+# ---------------------------------------------------------------------------
+# a worker never outlives its parent
+# ---------------------------------------------------------------------------
+
+#: Builds a journaled 2-worker fleet, has one worker killed and respawned,
+#: prints every live worker's pid, then waits to be killed itself.
+ORPHAN_PARENT = """
+import os, signal, sys, time
+from repro.serve import make_fleet
+
+fleet = make_fleet(
+    "commit", mode="encoded", workers=2, shards=2, journal=True,
+    start_method=sys.argv[1],
+)
+victim = fleet._workers[0].process
+os.kill(victim.pid, signal.SIGKILL)
+victim.join(timeout=10)
+fleet.check_workers()
+assert fleet.await_recovery(timeout=30)
+print(*fleet.worker_pids(), flush=True)
+time.sleep(60)
+"""
+
+
+def running(pid: int) -> bool:
+    """Whether ``pid`` is a process that has not exited (a zombie has)."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+@pytest.mark.parametrize(
+    "start_method, signum",
+    [("fork", signal.SIGKILL), ("spawn", signal.SIGTERM)],
+    ids=["fork-sigkill", "spawn-sigterm"],
+)
+def test_workers_never_outlive_their_parent(start_method, signum):
+    import multiprocessing
+    import pathlib
+    import subprocess
+    import sys
+
+    if start_method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {start_method} start method here")
+    src = str(pathlib.Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    parent = subprocess.Popen(
+        [sys.executable, "-c", ORPHAN_PARENT, start_method],
+        stdout=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+    pids = []
+    try:
+        pids = [int(pid) for pid in parent.stdout.readline().split()]
+        assert len(pids) == 2, pids
+        os.kill(parent.pid, signum)
+        parent.wait(timeout=10)
+        deadline = time.monotonic() + 5
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [pid for pid in pids if running(pid)] == []
+    finally:
+        for pid in [parent.pid, *pids]:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        parent.wait(timeout=10)
+        parent.stdout.close()

@@ -1,5 +1,9 @@
 """CLI tests for modelcheck --engine and the serving commands' refusals."""
 
+import os
+import signal
+import time
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -44,3 +48,28 @@ class TestServeOptionRefusals:
             f"{argv[0]}: backend 'compiled' is read only by dispatch mode "
             "'naive'; mode 'encoded' executes the dispatch table itself\n"
         )
+
+
+def test_sigterm_closes_the_served_fleet_like_ctrl_c(monkeypatch):
+    from repro.serve.gateway import FleetGateway
+
+    closed = []
+
+    def outer_handler(signum, frame):
+        raise AssertionError("serve left SIGTERM to the caller's handler")
+
+    def terminated(gateway, announce=None, port_file=None):
+        fleet = gateway._fleet
+        monkeypatch.setattr(fleet, "close", lambda: closed.append(fleet))
+        os.kill(os.getpid(), signal.SIGTERM)
+        time.sleep(5)  # the signal interrupts this
+        pytest.fail("SIGTERM did not stop serving")
+
+    monkeypatch.setattr(FleetGateway, "run_blocking", terminated)
+    previous = signal.signal(signal.SIGTERM, outer_handler)
+    try:
+        assert main(["serve", "--port", "0"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is outer_handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(closed) == 1
