@@ -32,17 +32,19 @@ from dataclasses import dataclass, field
 
 from repro.core.errors import SimulationError
 from repro.core.machine import StateMachine
+from repro.core.wiring import Wiring
 from repro.models.commit import CommitModel
 
 
 def _transition_table(machine: StateMachine):
-    """The machine as pure data: state -> message -> (actions, target)."""
-    table: dict[str, dict[str, tuple[tuple[str, ...], str]]] = {}
-    for state in machine.states:
-        table[state.name] = {
-            t.message: (t.actions, t.target_name) for t in state.transitions
+    """The machine as pure data: state -> message -> (target, action names)."""
+    return {
+        state.name: {
+            t.message: (t.target_name, tuple(a[2:] for a in t.actions))
+            for t in state.transitions
         }
-    return table
+        for state in machine.states
+    }
 
 
 @dataclass
@@ -87,18 +89,23 @@ class ExplorationResult:
 
 
 class PeerSetExplorer:
-    """DFS over delivery interleavings of commit FSM instances.
+    """DFS over delivery interleavings of one model's FSM instances.
 
     System state: per live member, a tuple of instance machine-states (one
     per update) plus the member-local chooser slot; and per
-    (member, update, kind) pending delivery counts.  ``free``/``not free``
-    between sibling instances are delivered synchronously inside a member
-    (they never cross the network), matching the deployment in
-    :mod:`repro.storage.version_history`.
+    (member, update, kind) pending delivery counts.  The model's
+    :class:`~repro.core.wiring.Wiring` says what an action does: peer
+    actions broadcast, sibling actions run :meth:`Wiring.cascade` inside
+    the member, as :mod:`repro.storage.version_history` deploys them.
     """
 
-    def __init__(self, machine: StateMachine, members: int, updates: int):
+    def __init__(
+        self, machine: StateMachine, members: int, updates: int, wiring: Wiring
+    ):
         self._table = _transition_table(machine)
+        self._wiring = wiring
+        self._sends_of = {a: m for a, m, _delay in wiring.peers}
+        self._siblings = frozenset(wiring.siblings or ())
         self._finish = {s.name for s in machine.final_states()}
         self._start = machine.start_state.name
         self.members = members
@@ -106,59 +113,54 @@ class PeerSetExplorer:
 
     # -- member-local mechanics -----------------------------------------
 
-    def deliver_local(self, states: list[str], chooser: int, update: int, kind: str):
-        """Deliver one message into one member; cascade sibling free/not_free.
+    def deliver_local(self, states: list[str], chooser, update: int, kind: str):
+        """Deliver one message into one member, sibling cascades included.
 
         Returns ``(chooser, broadcasts)`` where broadcasts is a list of
         (update, kind) messages the member sends to all peers.
         """
         out: list[tuple[int, str]] = []
-
-        def step(slot: int, msg: str, chooser: int) -> int:
-            row = self._table.get(states[slot], {})
-            if msg not in row:
-                return chooser
-            actions, target = row[msg]
-            states[slot] = target
-            for action in actions:
-                name = action[2:]
-                if name in ("vote", "commit"):
-                    out.append((slot, name))
-                elif name == "not_free":
-                    chooser = slot
-                    for other in range(self.updates):
-                        if other != slot and states[other] not in self._finish:
-                            chooser = step(other, "not_free", chooser)
-                elif name == "free":
-                    if chooser == slot:
-                        chooser = -1
-                        for other in range(self.updates):
-                            if chooser != -1:
-                                break
-                            if other != slot and states[other] not in self._finish:
-                                chooser = step(other, "free", chooser)
-            return chooser
-
-        chooser = step(update, kind, chooser)
+        chooser = self._step(states, chooser, update, kind, out)
         return chooser, out
+
+    def _step(self, states, chooser, slot: int, message: str, out):
+        entry = self._table[states[slot]].get(message)
+        if entry is None:
+            return chooser
+        states[slot], actions = entry
+        for action in actions:
+            sent = self._sends_of.get(action)
+            if sent is not None:
+                out.append((slot, sent))
+            elif action in self._siblings:
+                chooser = self._wiring.cascade(
+                    action,
+                    slot,
+                    chooser,
+                    range(self.updates),
+                    lambda other: states[other] not in self._finish,
+                    lambda other, msg, ch: self._step(states, ch, other, msg, out),
+                )
+        return chooser
 
     # -- scenario construction -------------------------------------------
 
-    def initial_members(self, live: list[bool], initial_free: bool = True):
-        """Fresh member states; live members get their creation `free`."""
+    def initial_members(self, live: list[bool]):
+        """Fresh member states; live members get the wiring's creation message."""
+        on_create = self._wiring.on_create
         members_state = []
         for m in range(self.members):
             states = [self._start] * self.updates
-            chooser = -1
-            if initial_free and live[m]:
+            chooser = None
+            if on_create is not None and live[m]:
                 for slot in range(self.updates):
-                    if chooser == -1:
-                        chooser, _ = self.deliver_local(states, chooser, slot, "free")
+                    if chooser is None:
+                        chooser = self._step(states, chooser, slot, on_create, [])
             members_state.append((tuple(states), chooser))
         return members_state
 
     def apply(self, members_state, pending, member: int, update: int, kind: str):
-        """Synchronously deliver one message during scenario setup."""
+        """Deliver one message in place: member states and pending bag."""
         states = list(members_state[member][0])
         chooser = members_state[member][1]
         chooser, broadcasts = self.deliver_local(states, chooser, update, kind)
@@ -178,6 +180,9 @@ class PeerSetExplorer:
         live: list[bool],
         max_states: int = 2_000_000,
     ) -> ExplorationResult:
+        if max_states < 1:
+            raise SimulationError(f"max_states must be >= 1, got {max_states}")
+
         def freeze(ms, pd):
             return (
                 tuple(ms),
@@ -200,11 +205,11 @@ class PeerSetExplorer:
         live_members = [m for m in range(self.members) if live[m]]
 
         while stack:
-            ms, pd = stack.pop()
-            explored += 1
-            if explored >= max_states:
+            if explored == max_states:
                 truncated = True
                 break
+            ms, pd = stack.pop()
+            explored += 1
 
             deliverable = [
                 (m, u, kind)
@@ -242,18 +247,10 @@ class PeerSetExplorer:
                 continue
 
             for m, u, kind in deliverable:
-                states = list(ms[m][0])
-                chooser = ms[m][1]
-                chooser, broadcasts = self.deliver_local(states, chooser, u, kind)
                 new_members = list(ms)
-                new_members[m] = (tuple(states), chooser)
                 new_pending = dict(pd)
                 new_pending[(m, u, kind)] -= 1
-                for slot, name in broadcasts:
-                    for d in range(self.members):
-                        if d != m:
-                            key = (d, slot, name)
-                            new_pending[key] = new_pending.get(key, 0) + 1
+                self.apply(new_members, new_pending, m, u, kind)
                 candidate = (tuple(new_members), new_pending)
                 key = freeze(*candidate)
                 if key not in seen:
@@ -293,11 +290,12 @@ def check_single_update(
         raise SimulationError(f"silent_members must be >= 0, got {silent_members}")
     if silent_members >= r:
         raise SimulationError("at least one member must be live")
-    machine = CommitModel(r).generate_state_machine(engine=engine)
-    explorer = PeerSetExplorer(machine, members=r, updates=1)
+    model = CommitModel(r)
+    machine = model.generate_state_machine(engine=engine)
+    explorer = PeerSetExplorer(machine, members=r, updates=1, wiring=model.wiring)
     live = [m >= silent_members for m in range(r)]
     members_state = explorer.initial_members(live)
-    pending = {(m, 0, "update"): 1 for m in range(r)}
+    pending = Counter((m, 0, kick) for m in range(r) for kick in model.wiring.client)
     return explorer.explore(members_state, pending, live, max_states=max_states)
 
 
@@ -325,14 +323,16 @@ def check_contending_updates(
     split = first_half if first_half is not None else r // 2
     if not 0 <= split <= r:
         raise SimulationError(f"first_half must be in 0..{r}, got {split}")
-    machine = CommitModel(r).generate_state_machine(engine=engine)
-    explorer = PeerSetExplorer(machine, members=r, updates=2)
+    model = CommitModel(r)
+    machine = model.generate_state_machine(engine=engine)
+    explorer = PeerSetExplorer(machine, members=r, updates=2, wiring=model.wiring)
     live = [True] * r
     members_state = explorer.initial_members(live)
     pending: dict[tuple[int, int, str], int] = {}
     for m in range(r):
         chosen = 0 if m < split else 1
         other = 1 - chosen
-        explorer.apply(members_state, pending, m, chosen, "update")
-        pending[(m, other, "update")] = pending.get((m, other, "update"), 0) + 1
+        for kick in model.wiring.client:
+            explorer.apply(members_state, pending, m, chosen, kick)
+            pending[(m, other, kick)] = pending.get((m, other, kick), 0) + 1
     return explorer.explore(members_state, pending, live, max_states=max_states)

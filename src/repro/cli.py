@@ -38,9 +38,7 @@ from repro.core.errors import ReproError
 from repro.core.pipeline import ENGINES, generate_with_engine
 from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
 from repro.models.chandra_toueg import CoordinatorRoundModel
-from repro.models.chandra_toueg import scenario_profile as ct_scenario_profile
 from repro.models.commit import CommitModel, fault_tolerance
-from repro.models.commit import scenario_profile as commit_scenario_profile
 from repro.opt import PASSES, format_pass_table, parse_opt_spec, standard_pipeline
 from repro.serve import BACKENDS as SERVE_BACKENDS
 from repro.serve import DISPATCH_MODES, LOG_POLICIES
@@ -206,9 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve_scenario = commands.add_parser(
         "serve-scenario",
-        help="run an interacting timed scenario on the fleet — per-model "
-        "timers, machine-driven routing between peers, optional fault "
-        "injection — differentially checked against a naive fleet",
+        help="run a model's wiring as interacting timed groups — peer "
+        "routing, timers, optional faults — checked against a naive fleet; "
+        "exit 1 if a run with no faults or noise leaves an instance unfinished",
     )
     serve_scenario.add_argument(
         "--model",
@@ -650,17 +648,12 @@ def _serve_scenario(args) -> int:
     )
 
     if args.model == "commit":
-        machine = CommitModel(args.replication_factor).generate_state_machine(
-            engine=args.engine
-        )
-        profile = commit_scenario_profile()
+        model = CommitModel(args.replication_factor)
         group_size = args.replication_factor
     else:
-        machine = CoordinatorRoundModel(args.processes).generate_state_machine(
-            engine=args.engine
-        )
-        profile = ct_scenario_profile()
+        model = CoordinatorRoundModel(args.processes)
         group_size = args.processes
+    machine = model.generate_state_machine(engine=args.engine)
     faults = _parse_scenario_faults(args.faults, args.until)
     spec = ScenarioSpec(
         groups=args.groups,
@@ -670,7 +663,7 @@ def _serve_scenario(args) -> int:
         noise=args.noise,
         until=args.until,
     )
-    scenario = generate_scenario(machine, profile, spec, faults=faults)
+    scenario = generate_scenario(machine, model.wiring, spec, faults=faults)
     print(
         f"machine {machine.name} [{args.engine}]: {len(machine)} states; "
         f"scenario: {args.groups} groups x {group_size}, "
@@ -708,6 +701,7 @@ def _serve_scenario(args) -> int:
             f"({m.instances_lost} instances lost), "
             f"{m.snapshots_restored} snapshot restore(s)"
         )
+    unfinished = len(scenario.topology) - finished
     print(f"  finished: {finished}/{len(scenario.topology)} instances")
     if args.metrics:
         # One merged blob: fleet counters and histograms plus the
@@ -719,6 +713,13 @@ def _serve_scenario(args) -> int:
             print(render_prometheus(registry), end="")
         else:
             print(render_json(registry))
+    if unfinished and faults is None and not args.noise:
+        print(
+            f"serve-scenario: {unfinished} instance(s) unfinished at "
+            f"t={args.until:g} with no faults or noise injected",
+            file=sys.stderr,
+        )
+        return 1
     if args.no_verify:
         return 0
     oracle = make_fleet(machine, mode="naive", shards=args.shards)

@@ -19,7 +19,9 @@ Public surface:
 * :mod:`~repro.core.hsm` provides hierarchical machines
   (:class:`~repro.core.hsm.CompositeState` trees owned by a
   :class:`~repro.core.hsm.HierarchicalModel`) and the flattening
-  pipeline that expands them into plain :class:`StateMachine` objects.
+  pipeline that expands them into plain :class:`StateMachine` objects;
+* :class:`~repro.core.wiring.Wiring` declares how a model's instances
+  talk to each other (storage, the checker and scenarios read it).
 """
 
 from typing import TYPE_CHECKING
@@ -75,6 +77,7 @@ if TYPE_CHECKING:
         enumerate_traces,
         replay,
     )
+    from repro.core.wiring import Wiring
 
 __all__ = [
     "AbstractModel",
@@ -108,6 +111,7 @@ __all__ = [
     "TraceStep",
     "Transition",
     "TransitionBuilder",
+    "Wiring",
     "equivalence_classes",
     "enumerate_traces",
     "generate",
@@ -169,5 +173,6 @@ _EXPORTS = {
         "enumerate_traces",
         "replay",
     ),
+    "repro.core.wiring": ("Wiring",),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

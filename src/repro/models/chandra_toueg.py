@@ -30,6 +30,7 @@ from __future__ import annotations
 from repro.core.components import BooleanComponent, IntComponent
 from repro.core.errors import ModelDefinitionError
 from repro.core.model import AbstractModel, StateView, TransitionBuilder
+from repro.core.wiring import Wiring
 
 MESSAGES = ("estimate", "ack", "suspect")
 
@@ -41,6 +42,16 @@ def majority(processes: int) -> int:
 
 class CoordinatorRoundModel(AbstractModel):
     """FSM family for one coordinator round of CT-style consensus."""
+
+    #: Each member coordinates its own round over the same process set: its
+    #: broadcast ``estimate`` reaches the peers as the ``ack`` they answer
+    #: with; ``suspect`` is the failure detector (a round stuck for 200
+    #: units aborts), and two client ``estimate`` s reach n=5's majority.
+    wiring = Wiring(
+        peers=(("estimate", "ack", 1.0),),
+        timer=("suspect", 200.0),
+        client=("estimate", "estimate"),
+    )
 
     def __init__(self, processes: int):
         if processes < 3:
@@ -112,26 +123,3 @@ class CoordinatorRoundModel(AbstractModel):
         """The failure detector suspects the coordinator: abort the round."""
         b.send("abort", because="Coordinator suspected: abort the round.")
         b.set("aborted", True)
-
-
-def scenario_profile(suspect_after: float = 200.0, route_delay: float = 1.0):
-    """Scenario annotations for an interacting CT coordinator round.
-
-    Every topology-group member runs the coordinator FSM for its own
-    round over the same process set: a member's broadcast ``estimate``
-    action routes to its peers as the ``ack`` they would answer with,
-    so one member reaching its broadcast threshold feeds every peer's
-    ack count.  The ``suspect`` timer plays the failure
-    detector: a round stuck in a non-final state for ``suspect_after``
-    virtual time units is aborted, exactly the eventual-suspicion
-    behaviour CT assumes.  Kick each member ``kicks_per_member`` times
-    with ``estimate`` to reach the external majority for ``n = 5``.
-    """
-    from repro.serve.scenario import RouteRule, ScenarioProfile, TimerRule
-
-    return ScenarioProfile(
-        timers=(TimerRule(delay=suspect_after, message="suspect"),),
-        routes=(RouteRule("estimate", "ack", delay=route_delay),),
-        kicks=("estimate",),
-        kicks_per_member=2,
-    )

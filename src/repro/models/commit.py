@@ -42,6 +42,7 @@ from repro.core.components import BooleanComponent, IntComponent
 from repro.core.errors import ModelDefinitionError
 from repro.core.machine import StateMachine
 from repro.core.model import AbstractModel, StateView, TransitionBuilder
+from repro.core.wiring import Wiring
 
 #: Message alphabet, in the paper's declaration order (Fig 20).
 MESSAGES = ("update", "vote", "commit", "free", "not_free")
@@ -61,6 +62,17 @@ class CommitModel(AbstractModel):
     ``CommitModel(replication_factor=r).generate_state_machine()`` plays the
     role of the paper's ``new AbstractModel().generateStateMachine(r)``.
     """
+
+    #: The deployed interactions (paper §2.2, §4.3): ``vote`` and ``commit``
+    #: go to the peer set, ``free`` / ``not free`` only to sibling instances
+    #: on the same member, a fresh instance is freed while no sibling holds
+    #: the member's vote, and a client sends each member one ``update``.
+    wiring = Wiring(
+        peers=(("vote", "vote", 1.0), ("commit", "commit", 1.0)),
+        siblings=("not_free", "free"),
+        on_create="free",
+        client=("update",),
+    )
 
     def __init__(self, replication_factor: int):
         if replication_factor < MIN_REPLICATION_FACTOR:
@@ -355,41 +367,4 @@ def generate_commit_machine(
     """
     return CommitModel(replication_factor).generate_state_machine(
         prune=prune, merge=merge
-    )
-
-
-def scenario_profile(retry_after: float = 60.0, route_delay: float = 1.0):
-    """Scenario annotations making the commit peer set an interacting fleet.
-
-    A topology group plays one peer set, one FSM instance per member for
-    the same update (paper §3.1).  The protocol's peer-to-peer messages
-    become routing rules — a member's fired ``vote``/``commit`` action
-    *is* the ``vote``/``commit`` message its peers receive, and the
-    sibling-serialisation actions ``free``/``not_free`` fan out the same
-    way — so one external ``update`` + ``free`` kick pair per member
-    (``free`` grants the initial local voting permission, since
-    ``could_choose`` starts cleared) runs the whole BFT commit round
-    machine-to-machine.
-
-    The timer is the liveness mechanism: a routed ``not_free`` can land
-    between a member's ``free`` and ``update`` kicks and clear its
-    voting permission for good — with few voters the vote threshold is
-    then out of reach and the group deadlocks.  An instance parked in
-    any non-final state for ``retry_after`` virtual time units receives
-    ``free`` again (a sibling retry releasing its claim), restoring
-    permission and with it progress; members that already voted take it
-    as a no-effect self-loop.
-    """
-    from repro.serve.scenario import RouteRule, ScenarioProfile, TimerRule
-
-    return ScenarioProfile(
-        timers=(TimerRule(delay=retry_after, message="free"),),
-        routes=(
-            RouteRule("vote", "vote", delay=route_delay),
-            RouteRule("commit", "commit", delay=route_delay),
-            RouteRule("free", "free", delay=route_delay),
-            RouteRule("not_free", "not_free", delay=route_delay),
-        ),
-        kicks=("update", "free"),
-        kicks_per_member=1,
     )

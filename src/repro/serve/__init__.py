@@ -55,15 +55,12 @@ if TYPE_CHECKING:
     from repro.serve.metrics import FleetMetrics
     from repro.serve.scenario import (
         GroupTopology,
-        RouteRule,
         Scenario,
         ScenarioEngine,
         ScenarioFaultPlan,
         ScenarioMetrics,
-        ScenarioProfile,
         ScenarioSnapshot,
         TimedEvent,
-        TimerRule,
         run_scenario,
         scenario_traces,
     )
@@ -112,18 +109,15 @@ __all__ = [
     "LOG_POLICIES",
     "RecoveryPolicy",
     "RecoveryTelemetry",
-    "RouteRule",
     "SCENARIOS",
     "Scenario",
     "ScenarioEngine",
     "ScenarioFaultPlan",
     "ScenarioMetrics",
-    "ScenarioProfile",
     "ScenarioSnapshot",
     "ScenarioSpec",
     "SessionSimulator",
     "TimedEvent",
-    "TimerRule",
     "VectorKernel",
     "VectorSchedule",
     "WorkerJournal",
@@ -176,15 +170,12 @@ _EXPORTS = {
     "repro.serve.metrics": ("FleetMetrics",),
     "repro.serve.scenario": (
         "GroupTopology",
-        "RouteRule",
         "Scenario",
         "ScenarioEngine",
         "ScenarioFaultPlan",
         "ScenarioMetrics",
-        "ScenarioProfile",
         "ScenarioSnapshot",
         "TimedEvent",
-        "TimerRule",
         "run_scenario",
         "scenario_traces",
     ),

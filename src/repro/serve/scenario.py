@@ -1,4 +1,4 @@
-"""Scenario plane: timers, machine-driven routing and fault injection.
+"""Scenario plane: a model's wiring, run machine-to-machine, with faults.
 
 The fleet plane (:mod:`repro.serve.fleet`) replays externally scripted,
 independent event streams — no notion of time, no instance ever talks to
@@ -6,24 +6,24 @@ another, nothing fails.  This module closes that gap, the paper's actual
 deployment conditions (§4-5): generated machines ran *protocols*, with
 timeouts, peers messaging each other, and nodes crashing mid-run.
 
-Three mechanisms compose over any unmodified :class:`~repro.serve.api.Fleet`, all
-driven by one deterministic scheduled-event wheel (the virtual clock
-lifted from :class:`repro.storage.sim.kernel.Simulator`):
+The engine runs the model's :class:`~repro.core.wiring.Wiring` — the
+declaration the storage system deploys and the peer-set checker proves
+— over any unmodified :class:`~repro.serve.api.Fleet`, driven by one
+deterministic scheduled-event wheel (the virtual clock lifted from
+:class:`repro.storage.sim.kernel.Simulator`).  A topology group hosts
+one instance per member, so sibling actions have no recipient here:
 
-* **Timers** — :class:`TimerRule` declares ``after(delay, message)``
-  per model: an instance sitting in a matching state for ``delay`` units
-  of virtual time receives ``message``.  Timers are armed when a rule
-  matches the instance's observed state and cancelled on state exit,
-  tracked in the store's per-slot ``timers`` column.  Observation is
-  batch-granular: the engine inspects states between dispatch instants,
-  so a state entered and exited within one batch never arms a timer.
-* **Routing** — :class:`RouteRule` turns a fired action into traffic: when
-  an instance performs ``action``, every peer in its
-  :class:`GroupTopology` group is scheduled to receive ``message`` after
-  ``delay``.  This is what makes the commit peer set an *interacting*
-  fleet: one member's ``vote`` action becomes ``vote`` messages to its
-  peers, and the whole BFT commit round runs machine-to-machine from a
-  single external kick.
+* **Creation** — each spawned instance first receives ``on_create``.
+* **Timers** — an instance sitting in one non-final state for the
+  ``timer`` delay receives its message; the armed timer is cancelled on
+  state exit and tracked in the store's per-slot ``timers`` column.
+  Observation is batch-granular (states are inspected between dispatch
+  instants), so a state entered and left within one batch arms nothing.
+* **Routing** — when an instance performs a ``peers`` action, every
+  peer in its :class:`GroupTopology` group is scheduled to receive the
+  mapped message after its delay: one member's ``vote`` becomes
+  ``vote`` messages to its peers, and the whole BFT commit round runs
+  machine-to-machine from one client ``update`` per member.
 * **Faults** — :class:`ScenarioFaultPlan` (the scenario-plane adaptation
   of :class:`repro.storage.faults.FaultPlan`) injects failures: routed
   messages can be dropped, duplicated or delayed (one seeded draw per
@@ -44,7 +44,7 @@ guarantee of PR 2-5).  A scenario therefore produces byte-identical
 per-instance traces on ``naive``, ``encoded`` and ``vector`` fleets, on
 either backend — the fuzz suite's claim (a).
 
-When a profile has no timers and no routes and no faults are configured,
+When a wiring has no timer and no peer routes and no faults are configured,
 the engine runs *passthrough*: externally scheduled events are collected
 per instant at schedule time and pre-encoded to one flat ``[slot, col,
 ...]`` schedule each, so the wheel adds one heap pop per distinct
@@ -59,10 +59,12 @@ the seen-action bookkeeping).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, fields
 from typing import Optional
 
 from repro.core.errors import DeploymentError, SimulationError
+from repro.core.wiring import Wiring
 from repro.serve.api import Fleet
 from repro.serve.fleet import FleetSnapshot
 from repro.serve.store import InstanceSnapshot
@@ -71,63 +73,6 @@ from repro.storage.sim.kernel import Simulator
 #: Wheel-record kinds (also the ``post`` provenance tags).
 EXTERNAL, ROUTED, TIMER = "external", "routed", "timer"
 _KILL, _SNAP = "kill", "snapshot"
-
-#: Record kinds that deliver a message to an instance.
-_DELIVERY_KINDS = frozenset({EXTERNAL, ROUTED, TIMER})
-
-
-@dataclass(frozen=True)
-class TimerRule:
-    """``after(delay, message)`` declared per model.
-
-    An instance observed in ``state`` (or in *any non-final* state when
-    ``state`` is ``None``) arms a timer; after ``delay`` units of
-    virtual time without leaving that state, the instance receives
-    ``message``.  Leaving the state cancels the timer.  At most one
-    timer is armed per instance — the first matching rule wins.
-    """
-
-    delay: float
-    message: str
-    state: Optional[str] = None
-
-    def __post_init__(self):
-        if self.delay <= 0:
-            raise SimulationError(f"timer delay must be > 0, got {self.delay}")
-
-
-@dataclass(frozen=True)
-class RouteRule:
-    """Fired ``action`` -> ``message`` to every group peer after ``delay``."""
-
-    action: str
-    message: str
-    delay: float = 1.0
-
-    def __post_init__(self):
-        if self.delay < 0:
-            raise SimulationError(f"route delay must be >= 0, got {self.delay}")
-
-
-@dataclass(frozen=True)
-class ScenarioProfile:
-    """A model's scenario annotations: timers, routes and kick messages.
-
-    ``kicks`` are the externally-driven messages that start the protocol
-    on one instance (``update`` + ``free`` for commit, ``estimate`` for
-    the CT coordinator round); generators send each of them, repeated
-    ``kicks_per_member`` times, to every group member at seeded times.
-    """
-
-    timers: tuple[TimerRule, ...] = ()
-    routes: tuple[RouteRule, ...] = ()
-    kicks: tuple[str, ...] = ()
-    kicks_per_member: int = 1
-
-    @property
-    def observing(self) -> bool:
-        """Whether scenarios under this profile must observe instances."""
-        return bool(self.timers or self.routes)
 
 
 class GroupTopology:
@@ -213,8 +158,10 @@ class ScenarioFaultPlan:
                 raise SimulationError(f"{name} rate must be in [0, 1], got {rate}")
         if self.drop + self.duplicate + self.delay > 1.0 + 1e-9:
             raise SimulationError("drop + duplicate + delay rates must sum to <= 1")
-        if self.delay_by < 0:
-            raise SimulationError(f"delay_by must be >= 0, got {self.delay_by}")
+        for name in ("delay_by", "kill_at"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise SimulationError(f"{name} must be finite and >= 0, got {value}")
 
     @property
     def active(self) -> bool:
@@ -250,9 +197,9 @@ class TimedEvent:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A fully specified, replayable scenario (profile x topology x schedule)."""
+    """A fully specified, replayable scenario (wiring x topology x schedule)."""
 
-    profile: ScenarioProfile
+    wiring: Wiring
     topology: GroupTopology
     events: tuple[TimedEvent, ...]
     faults: Optional[ScenarioFaultPlan] = None
@@ -324,8 +271,8 @@ class ScenarioEngine:
     The engine owns a :class:`Simulator` wheel whose records are plain
     data; at each distinct virtual instant it pops every due record,
     posts the deliveries into the fleet's shard queues (tagged with
-    their provenance), drains, and — when the profile declares timers or
-    routes — observes the touched instances to cancel/arm timers and
+    their provenance), drains, and — when the wiring declares a timer or
+    peer routes — observes the touched instances to cancel/arm timers and
     turn newly fired actions into routed traffic.  See the module
     docstring for the determinism argument.
     """
@@ -333,7 +280,7 @@ class ScenarioEngine:
     def __init__(
         self,
         fleet: Fleet,
-        profile: Optional[ScenarioProfile] = None,
+        wiring: Optional[Wiring] = None,
         topology: Optional[GroupTopology] = None,
         faults: Optional[ScenarioFaultPlan] = None,
         *,
@@ -342,13 +289,12 @@ class ScenarioEngine:
         max_events: int = 1_000_000,
     ):
         self._fleet = fleet
-        self._profile = profile if profile is not None else ScenarioProfile()
+        self._wiring = wiring if wiring is not None else Wiring()
         self._topology = topology if topology is not None else GroupTopology(())
         self._faults = faults if faults is not None and faults.active else None
-        self._observing = self._profile.observing
-        needs_trace = self._observing or (
-            self._faults is not None and self._faults.kill_at is not None
-        )
+        self._observing = bool(self._wiring.timer or self._wiring.peers)
+        kills = self._faults is not None and self._faults.kill_at is not None
+        needs_trace = self._observing or kills
         if needs_trace and fleet.mode != "naive" and fleet.log_policy != "full":
             raise DeploymentError(
                 "scenarios with timers, routes or kill-shard faults need an "
@@ -368,9 +314,13 @@ class ScenarioEngine:
                 "live in store columns); this fleet has none — passthrough "
                 "scenarios (no observation) run on any Fleet"
             )
-        self._routes: dict[str, tuple[RouteRule, ...]] = {}
-        for rule in self._profile.routes:
-            self._routes[rule.action] = self._routes.get(rule.action, ()) + (rule,)
+        shard = faults.kill_shard if kills else None
+        if shard is not None and not 0 <= shard < fleet.shard_count:
+            raise SimulationError(
+                f"kill_shard must be in range({fleet.shard_count}), got {shard}"
+            )
+        #: Peer action -> (message, delay) its group peers receive.
+        self._routes = {a: (m, d) for a, m, d in self._wiring.peers}
         self._sim = Simulator(seed)
         self._rng = self._sim.new_rng("scenario-faults")
         #: rid -> (record, Timer); records are (rid, time, kind, payload).
@@ -433,10 +383,15 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
 
     def spawn_topology(self) -> None:
-        """Spawn one instance per topology key (fresh fleets only)."""
-        for key in self._topology.keys:
+        """Spawn one instance per topology key (fresh fleets only); each
+        first receives the wiring's ``on_create`` at the current instant."""
+        keys = self._topology.keys
+        for key in keys:
             self._fleet.spawn(key)
-        self._seen = dict.fromkeys(self._topology.keys, 0)
+        self._seen = dict.fromkeys(keys, 0)
+        message, now = self._wiring.on_create, self._sim.now
+        if message is not None:
+            self.schedule_events(TimedEvent(now, key, message) for key in keys)
 
     def schedule_event(self, time: float, key: str, message: str) -> None:
         """Schedule one external delivery at absolute virtual time."""
@@ -696,22 +651,13 @@ class ScenarioEngine:
     # observation: timers armed/cancelled, actions routed
     # ------------------------------------------------------------------
 
-    def _timer_rule(self, state: str, finished: bool) -> Optional[TimerRule]:
-        for rule in self._profile.timers:
-            if rule.state is None:
-                if not finished:
-                    return rule
-            elif rule.state == state:
-                return rule
-        return None
-
     def _observe(self, keys) -> None:
         fleet = self._fleet
         store = fleet.store
         metrics = self.metrics
         slot_of = store.slot_of
         timers_col = store.timers
-        has_timers = bool(self._profile.timers)
+        timer = self._wiring.timer
         routes = self._routes
         seen = self._seen
         trace = self._trace
@@ -726,34 +672,34 @@ class ScenarioEngine:
                 timers_col[slot] = None
                 armed = None
                 metrics.timers_cancelled += 1
-            if has_timers and armed is None:
-                rule = self._timer_rule(state, fleet.is_finished(key))
-                if rule is not None:
-                    rid = self._schedule(rule.delay, TIMER, (key, rule.message))
-                    timers_col[slot] = (rid, state)
-                    metrics.timers_armed += 1
-                    if trace is not None:
-                        tid = trace.mint()
-                        trace.record(
-                            tid,
-                            self._sim.now,
-                            "timer_arm",
-                            parent_id=self._last_tid.get(key),
-                            key=key,
-                            message=rule.message,
-                            detail=f"delay={rule.delay}",
-                        )
-                        self._tids[rid] = (tid,)
+            if timer is not None and armed is None and not fleet.is_finished(key):
+                message, delay = timer
+                rid = self._schedule(delay, TIMER, (key, message))
+                timers_col[slot] = (rid, state)
+                metrics.timers_armed += 1
+                if trace is not None:
+                    tid = trace.mint()
+                    trace.record(
+                        tid,
+                        self._sim.now,
+                        "timer_arm",
+                        parent_id=self._last_tid.get(key),
+                        key=key,
+                        message=message,
+                        detail=f"delay={delay}",
+                    )
+                    self._tids[rid] = (tid,)
             if routes:
                 total = fleet.action_count(key)
                 done = seen.get(key, 0)
                 if total > done:
                     seen[key] = total
                     for action in fleet.actions_since(key, done):
-                        for rule in routes.get(action, ()):
-                            self._route(key, rule)
+                        route = routes.get(action)
+                        if route is not None:
+                            self._route(key, action, *route)
 
-    def _route(self, key: str, rule: RouteRule) -> None:
+    def _route(self, key: str, action: str, message: str, delay: float) -> None:
         metrics = self.metrics
         faults = self._faults
         trace = self._trace
@@ -761,7 +707,7 @@ class ScenarioEngine:
         lossy = faults is not None and faults.message_faults
         for peer in self._topology.peers(key):
             metrics.messages_routed += 1
-            delay = rule.delay
+            copy_delay = delay
             copies = 1
             delayed = False
             if lossy:
@@ -775,8 +721,8 @@ class ScenarioEngine:
                             "fault_drop",
                             parent_id=parent,
                             key=peer,
-                            message=rule.message,
-                            detail=rule.action,
+                            message=message,
+                            detail=action,
                         )
                     continue
                 if draw < faults.drop + faults.duplicate:
@@ -784,10 +730,10 @@ class ScenarioEngine:
                     copies = 2
                 elif draw < faults.drop + faults.duplicate + faults.delay:
                     metrics.messages_delayed += 1
-                    delay += faults.delay_by
+                    copy_delay += faults.delay_by
                     delayed = True
             for copy in range(copies):
-                rid = self._schedule(delay, ROUTED, (peer, rule.message))
+                rid = self._schedule(copy_delay, ROUTED, (peer, message))
                 if trace is not None:
                     tid = trace.mint()
                     kind = (
@@ -801,8 +747,8 @@ class ScenarioEngine:
                         kind,
                         parent_id=parent,
                         key=peer,
-                        message=rule.message,
-                        detail=rule.action,
+                        message=message,
+                        detail=action,
                     )
                     self._tids[rid] = (tid,)
 
@@ -907,7 +853,7 @@ def run_scenario(fleet: Fleet, scenario: Scenario) -> ScenarioEngine:
     """Spawn, schedule and run one :class:`Scenario` on a fresh fleet."""
     engine = ScenarioEngine(
         fleet,
-        scenario.profile,
+        scenario.wiring,
         scenario.topology,
         scenario.faults,
         seed=scenario.seed,

@@ -73,15 +73,16 @@ class ScenarioSpec:
     snapshot_every: float | None = None
 
 
-def generate_scenario(machine: StateMachine, profile, spec: ScenarioSpec, faults=None):
+def generate_scenario(machine: StateMachine, wiring, spec: ScenarioSpec, faults=None):
     """Produce a :class:`~repro.serve.scenario.Scenario` for ``machine``.
 
     The timed analogue of :func:`generate_workload`: a regular group
-    topology, ``profile.kicks_per_member`` kick messages per member at
+    topology, the wiring's ``client`` messages for every member at
     seeded integer ticks inside the arrival window, plus a seeded
-    fraction of arbitrary-message noise.  Everything downstream (timer
-    fires, routed fan-out, fault draws) is derived deterministically by
-    the scenario engine from the returned schedule and ``spec.seed``.
+    fraction of arbitrary-message noise.  Everything downstream
+    (creation messages, timer fires, routed fan-out, fault draws) is
+    derived deterministically by the scenario engine from the returned
+    schedule and ``spec.seed``.
     """
     # Imported here, not at module top: the fleet engine imports this
     # module, and the scenario plane sits above the fleet.
@@ -93,9 +94,9 @@ def generate_scenario(machine: StateMachine, profile, spec: ScenarioSpec, faults
         raise SimulationError("scenario spread must be >= 1 tick")
     if not 0.0 <= spec.noise <= 1.0:
         raise SimulationError("noise must be in [0, 1]")
-    if not profile.kicks:
+    if not wiring.client:
         raise SimulationError(
-            "profile declares no kick messages; generate_scenario needs some"
+            "wiring declares no client messages; generate_scenario needs some"
         )
     topology = GroupTopology.regular(spec.groups, spec.group_size)
     rng = random.Random(spec.seed)
@@ -103,8 +104,7 @@ def generate_scenario(machine: StateMachine, profile, spec: ScenarioSpec, faults
     events = [
         TimedEvent(float(rng.randrange(ticks)), key, kick)
         for key in topology.keys
-        for _ in range(profile.kicks_per_member)
-        for kick in profile.kicks
+        for kick in wiring.client
     ]
     messages = machine.dispatch_table().messages
     for _ in range(int(spec.noise * len(events))):
@@ -117,7 +117,7 @@ def generate_scenario(machine: StateMachine, profile, spec: ScenarioSpec, faults
         )
     events.sort(key=lambda event: event.time)
     return Scenario(
-        profile=profile,
+        wiring=wiring,
         topology=topology,
         events=tuple(events),
         faults=faults,

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.models.commit import CommitModel
 from repro.storage.blocks import DataBlock
 from repro.storage.faults import ByzantineBehaviour, FaultPlan
 from repro.storage.sim.network import Message, Network
@@ -32,6 +33,9 @@ from repro.storage.version_history import GuidCommitEngine, VersionRecord
 DEFAULT_ABANDON_TIMEOUT = 30.0
 #: How often members sweep for stalled instances.
 ABANDON_SWEEP_INTERVAL = 10.0
+
+#: Commit-protocol message kinds, as the model's wiring declares them.
+_PROTOCOL_KINDS = CommitModel.wiring.wire_messages
 
 
 class StorageNode(SimNode):
@@ -98,7 +102,7 @@ class StorageNode(SimNode):
             self._on_store_block(message)
         elif kind == "get_block":
             self._on_get_block(message)
-        elif kind in ("update", "vote", "commit"):
+        elif kind in _PROTOCOL_KINDS:
             self._on_protocol(message)
         elif kind == "get_history":
             self._on_get_history(message)

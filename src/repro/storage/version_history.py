@@ -7,11 +7,11 @@ per ongoing update** to a GUID's version history.  The engine
 * creates instances on first contact with an update (whether that contact
   is the client's ``update`` request or an early ``vote`` from a faster
   peer — the FSM family handles both orders);
-* delivers the local ``free`` / ``not free`` coordination messages between
-  sibling instances of the same GUID, which is how a member serialises its
-  vote among competing updates;
-* turns FSM actions (``vote`` / ``commit``) into outgoing network messages
-  via a callback, and ``free`` / ``not_free`` into sibling deliveries;
+* interprets the model's :class:`~repro.core.wiring.Wiring`: peer actions
+  (``vote`` / ``commit``) become outgoing network messages via a callback,
+  and the sibling pair (``free`` / ``not free``) runs the wiring's cascade
+  between instances of the same GUID, which is how a member serialises
+  its vote among competing updates;
 * records an update into the member's local history when its instance
   reaches the finish state;
 * implements the timeout/abandon rule the paper's "timeout/retry scheme"
@@ -41,6 +41,11 @@ from repro.runtime.compile import CompiledMachine, compile_machine
 #: factor (paper §4.2's caching generation policy: every simulated node
 #: with the same r shares one generated class).
 _MACHINE_CACHE = GeneratedCodeCache(max_entries=16)
+
+_WIRING = CommitModel.wiring
+#: Peer action -> the message peers receive (the network has its own delays).
+_SENDS = {action: message for action, message, _delay in _WIRING.peers}
+_RELEASE = _WIRING.siblings[1]
 
 
 def commit_machine_for(replication_factor: int) -> CompiledMachine:
@@ -74,7 +79,6 @@ class UpdateInstance:
     update_id: str
     machine: Any
     pid_hex: Optional[str] = None
-    update_received: bool = False
     abandoned: bool = False
     committed: bool = False
     commits_seen: int = 0
@@ -113,11 +117,6 @@ class GuidCommitEngine:
     # ------------------------------------------------------------------
 
     @property
-    def fault_tolerance(self) -> int:
-        """``f`` for this peer set."""
-        return self._f
-
-    @property
     def chooser(self) -> Optional[str]:
         """Update id currently holding this member's local vote, if any."""
         return self._chooser
@@ -125,10 +124,6 @@ class GuidCommitEngine:
     def instance(self, update_id: str) -> Optional[UpdateInstance]:
         """The instance for an update id, if one exists."""
         return self._instances.get(update_id)
-
-    def active_instances(self) -> list[UpdateInstance]:
-        """Instances still participating in the protocol."""
-        return [inst for inst in self._instances.values() if inst.active]
 
     # ------------------------------------------------------------------
     # message entry points
@@ -145,8 +140,6 @@ class GuidCommitEngine:
             self._catch_up(instance)
             return
         instance.last_activity = self._now()
-        if kind == "update":
-            instance.update_received = True
         instance.machine.receive(kind)
         self._after_receive(instance)
 
@@ -154,54 +147,47 @@ class GuidCommitEngine:
         instance = self._instances.get(update_id)
         if instance is not None:
             return instance
-        compiled = commit_machine_for(self._r)
-        holder: list[UpdateInstance] = []
-
-        def perform(action: str) -> None:
-            self._perform_action(holder[0], action)
-
-        machine = compiled.new_instance(perform)
         instance = UpdateInstance(
-            update_id=update_id, machine=machine, last_activity=self._now()
+            update_id=update_id, machine=None, last_activity=self._now()
         )
-        holder.append(instance)
+        instance.machine = commit_machine_for(self._r).new_instance(
+            lambda action: self._perform_action(instance, action)
+        )
         self._instances[update_id] = instance
         # A fresh instance may choose only if no sibling holds the local
-        # vote: the hosting member delivers `free` at creation time.
+        # vote: the hosting member delivers the wiring's creation message.
         if self._chooser is None:
-            machine.receive("free")
+            instance.machine.receive(_WIRING.on_create)
         return instance
 
     # ------------------------------------------------------------------
-    # FSM actions
+    # FSM actions, interpreted through the model's wiring
     # ------------------------------------------------------------------
 
     def _perform_action(self, instance: UpdateInstance, action: str) -> None:
-        if action in ("vote", "commit"):
-            self._send(action, instance.update_id)
-        elif action == "not_free":
-            self._chooser = instance.update_id
-            for sibling in self._instances.values():
-                if sibling is not instance and sibling.active:
-                    sibling.machine.receive("not_free")
-        elif action == "free":
-            self._release(instance)
+        message = _SENDS.get(action)
+        if message is not None:
+            self._send(message, instance.update_id)
+        else:
+            self._sibling_action(instance, action)
 
-    def _release(self, instance: UpdateInstance) -> None:
-        """The chooser finished or was abandoned: free the siblings.
+    def _sibling_action(self, instance: UpdateInstance, action: str) -> None:
+        self._chooser = _WIRING.cascade(
+            action,
+            instance.update_id,
+            self._chooser,
+            list(self._instances),
+            lambda update_id: self._instances[update_id].active,
+            self._offer,
+        )
 
-        Freeing a sibling can make it vote and claim the local vote for
-        itself (its ``not_free`` action re-sets the chooser), so delivery
-        stops as soon as the vote is taken again.
-        """
-        if self._chooser == instance.update_id:
-            self._chooser = None
-            for sibling in list(self._instances.values()):
-                if self._chooser is not None:
-                    break
-                if sibling is not instance and sibling.active:
-                    sibling.machine.receive("free")
-                    self._after_receive(sibling)
+    def _offer(self, update_id: str, message: str, chooser: Optional[str]):
+        """Deliver a sibling message; return the slot after the reaction."""
+        self._chooser = chooser
+        sibling = self._instances[update_id]
+        sibling.machine.receive(message)
+        self._after_receive(sibling)
+        return self._chooser
 
     # ------------------------------------------------------------------
     # commit recording
@@ -257,10 +243,11 @@ class GuidCommitEngine:
         # Mark everything stalled *before* releasing any lock: releasing
         # frees siblings, and freeing a sibling that is itself stalled
         # would resurrect a stale contender and break vote serialisation.
+        # Releasing an instance that does not hold the vote is a no-op.
         for instance in stalled:
             instance.abandoned = True
         for instance in stalled:
-            self._release(instance)
+            self._sibling_action(instance, _RELEASE)
         return [instance.update_id for instance in stalled]
 
     def history_tuples(self) -> list[tuple[str, str]]:

@@ -45,6 +45,27 @@ class TestSingleUpdate:
         assert result.truncated
         assert not result.always_terminates  # cannot claim termination
 
+    def test_budget_equal_to_the_state_count_completes(self):
+        full = check_single_update(4, silent_members=1)
+        exact = check_single_update(
+            4, silent_members=1, max_states=full.states_explored
+        )
+        assert not exact.truncated
+        assert exact.always_terminates
+        assert exact == full
+        short = check_single_update(
+            4, silent_members=1, max_states=full.states_explored - 1
+        )
+        assert short.truncated
+        assert short.states_explored == full.states_explored - 1
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_empty_budget_rejected(self, budget):
+        with pytest.raises(SimulationError, match="max_states must be >= 1"):
+            check_single_update(4, max_states=budget)
+        with pytest.raises(SimulationError, match="max_states must be >= 1"):
+            check_contending_updates(4, max_states=budget)
+
     def test_negative_silent_count_rejected(self):
         # Not a clean peer set in disguise: a count below zero is refused.
         with pytest.raises(SimulationError, match="silent_members must be >= 0"):

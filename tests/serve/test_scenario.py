@@ -1,22 +1,22 @@
 """Scenario plane unit tests: wheel, timers, routing, faults, recovery."""
 
+import math
+
 import pytest
 
-from repro.core.errors import DeploymentError, SimulationError
-from repro.models.chandra_toueg import scenario_profile as ct_profile
-from repro.models.commit import scenario_profile as commit_profile
+from repro.core import Wiring
+from repro.core.errors import DeploymentError, ModelDefinitionError, SimulationError
+from repro.models import CommitModel, CoordinatorRoundModel
+from repro.obs import FleetTelemetry
 from repro.serve import (
     HAS_NUMPY,
     GroupTopology,
-    RouteRule,
     Scenario,
     ScenarioEngine,
     ScenarioFaultPlan,
     ScenarioMetrics,
-    ScenarioProfile,
     ScenarioSpec,
     TimedEvent,
-    TimerRule,
     WorkloadSpec,
     diff_fleets,
     generate_scenario,
@@ -31,6 +31,9 @@ from tests.serve.conftest import machine_for
 #: The dispatch modes this environment can build.
 MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
 
+COMMIT_WIRING = CommitModel.wiring
+CT_WIRING = CoordinatorRoundModel.wiring
+
 
 def _events(*triples):
     return tuple(TimedEvent(t, k, m) for t, k, m in triples)
@@ -39,14 +42,47 @@ def _events(*triples):
 class TestRuleValidation:
     def test_timer_delay_must_be_positive(self):
         with pytest.raises(SimulationError):
-            TimerRule(delay=0.0, message="free")
+            Wiring(timer=("free", 0.0))
         with pytest.raises(SimulationError):
-            TimerRule(delay=-1.0, message="free")
+            Wiring(timer=("free", -1.0))
 
     def test_route_delay_must_be_non_negative(self):
         with pytest.raises(SimulationError):
-            RouteRule("vote", "vote", delay=-0.5)
-        RouteRule("vote", "vote", delay=0.0)  # zero is legal: same-instant
+            Wiring(peers=(("vote", "vote", -0.5),))
+        Wiring(peers=(("vote", "vote", 0.0),))  # zero is legal: same-instant
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_delays_refused(self, bad):
+        # A nan delay once hung the wheel (nan never compares due) and
+        # an inf route left its copies pending forever.
+        with pytest.raises(SimulationError, match="timer delay must be finite"):
+            Wiring(timer=("suspect", bad))
+        with pytest.raises(SimulationError, match="route delay must be finite"):
+            Wiring(peers=(("vote", "vote", bad),))
+        with pytest.raises(SimulationError, match="delay_by must be finite"):
+            ScenarioFaultPlan(delay=0.1, delay_by=bad)
+        with pytest.raises(SimulationError, match="kill_at must be finite"):
+            ScenarioFaultPlan(kill_at=bad)
+
+    def test_kill_at_must_be_non_negative(self):
+        with pytest.raises(SimulationError, match="kill_at must be finite and >= 0"):
+            ScenarioFaultPlan.kill(at=-1.0)
+        ScenarioFaultPlan.kill(at=0.0)
+
+    @pytest.mark.parametrize("shard", [-1, 8, 99])
+    def test_kill_shard_out_of_range_refused_at_construction(self, make_fleet, shard):
+        fleet = make_fleet(shards=8)
+        with pytest.raises(SimulationError, match=r"kill_shard must be in range\(8\)"):
+            ScenarioEngine(
+                fleet,
+                COMMIT_WIRING,
+                GroupTopology.regular(1, 4),
+                ScenarioFaultPlan.kill(at=50.0, shard=shard),
+            )
+
+    def test_peer_action_declared_once(self):
+        with pytest.raises(ModelDefinitionError, match="twice"):
+            Wiring(peers=(("vote", "vote", 1.0), ("vote", "commit", 1.0)))
 
     def test_fault_rates_validated(self):
         with pytest.raises(SimulationError):
@@ -61,11 +97,6 @@ class TestRuleValidation:
         assert ScenarioFaultPlan.kill(at=10.0).active
         assert ScenarioFaultPlan.lossy(drop=0.1).message_faults
         assert not ScenarioFaultPlan.kill(at=10.0).message_faults
-
-    def test_profile_observing_flag(self):
-        assert not ScenarioProfile().observing
-        assert ScenarioProfile(timers=(TimerRule(1.0, "free"),)).observing
-        assert ScenarioProfile(routes=(RouteRule("vote", "vote"),)).observing
 
 
 class TestGroupTopology:
@@ -92,15 +123,15 @@ class TestGroupTopology:
 class TestEngineValidation:
     def test_observing_scenario_needs_full_logs(self, make_fleet):
         fleet = make_fleet(dispatch="encoded", log_policy="off")
-        profile = ScenarioProfile(timers=(TimerRule(5.0, "free"),))
+        wiring = Wiring(timer=("free", 5.0))
         with pytest.raises(DeploymentError, match="observable"):
-            ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
+            ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 2))
 
     def test_observing_scenario_rejects_auto_recycle(self, make_fleet):
         fleet = make_fleet(auto_recycle=True)
-        profile = ScenarioProfile(routes=(RouteRule("vote", "vote"),))
+        wiring = Wiring(peers=(("vote", "vote", 1.0),))
         with pytest.raises(DeploymentError, match="auto_recycle"):
-            ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
+            ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 2))
 
     def test_passthrough_allows_reduced_logs(self, make_fleet):
         fleet = make_fleet(dispatch="encoded", log_policy="off")
@@ -133,7 +164,7 @@ class TestPassthrough:
             (2.0, "g0000-m1", "update"),
         )
         scenario = Scenario(
-            profile=ScenarioProfile(),
+            wiring=Wiring(),
             topology=GroupTopology.regular(1, 2),
             events=events,
             until=10.0,
@@ -157,7 +188,7 @@ class TestPassthrough:
         )
         per_tick = len(schedule) // 50
         scenario = Scenario(
-            profile=ScenarioProfile(),
+            wiring=Wiring(),
             topology=GroupTopology([[key] for key in session_keys(100)]),
             events=tuple(
                 TimedEvent(float(i // per_tick), key, message)
@@ -166,7 +197,7 @@ class TestPassthrough:
             until=50.0,
         )
         timed = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
-        engine = ScenarioEngine(timed, scenario.profile, scenario.topology)
+        engine = ScenarioEngine(timed, scenario.wiring, scenario.topology)
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
         engine.run(scenario.until)
@@ -206,8 +237,8 @@ class TestPassthrough:
 class TestTimers:
     def test_timer_fires_after_delay_in_place(self, make_fleet):
         fleet = make_fleet()
-        profile = ScenarioProfile(timers=(TimerRule(5.0, "free"),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 1))
+        wiring = Wiring(timer=("free", 5.0))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 1))
         engine.spawn_topology()
         engine.schedule_event(1.0, "g0000-m0", "update")
         engine.run(until=4.0)
@@ -224,8 +255,8 @@ class TestTimers:
 
     def test_timer_cancelled_on_state_exit(self, make_fleet):
         fleet = make_fleet()
-        profile = ScenarioProfile(timers=(TimerRule(50.0, "free"),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 1))
+        wiring = Wiring(timer=("free", 50.0))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 1))
         engine.spawn_topology()
         engine.schedule_event(10.0, "g0000-m0", "update")
         engine.run(until=100.0)
@@ -234,25 +265,12 @@ class TestTimers:
         assert engine.metrics.timers_cancelled >= 1
         assert engine.metrics.timers_armed >= 2
 
-    def test_state_scoped_timer_only_arms_in_that_state(self, make_fleet):
-        fleet = make_fleet()
-        start = machine_for("commit").start_state.name
-        profile = ScenarioProfile(timers=(TimerRule(5.0, "free", state=start),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 1))
-        engine.spawn_topology()
-        engine.schedule_event(1.0, "g0000-m0", "update")  # leaves start state
-        engine.run(until=100.0)
-        # Armed at priming, cancelled at t=1, never re-armed: no fire.
-        assert engine.metrics.timers_armed == 1
-        assert engine.metrics.timers_cancelled == 1
-        assert engine.metrics.timers_fired == 0
-
     def test_fired_timer_rearms_for_periodic_behaviour(self, make_fleet):
         fleet = make_fleet()
         # 'vote' in the start state is ignored (no transition): the
         # instance never moves, so the any-state timer re-arms each fire.
-        profile = ScenarioProfile(timers=(TimerRule(10.0, "vote"),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 1))
+        wiring = Wiring(timer=("vote", 10.0))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 1))
         engine.spawn_topology()
         engine.run(until=45.0)
         assert engine.metrics.timers_fired == 4  # t=10, 20, 30, 40
@@ -261,8 +279,8 @@ class TestTimers:
         """A timer that outlives its instance must raise, never deliver
         to the slot's next occupant."""
         fleet = make_fleet()
-        profile = ScenarioProfile(timers=(TimerRule(20.0, "free"),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
+        wiring = Wiring(timer=("free", 20.0))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 2))
         engine.spawn_topology()
         engine.run(until=1.0)  # primes: both instances arm timers
         victim_slot = fleet.store.slot("g0000-m0")
@@ -279,8 +297,8 @@ class TestTimers:
         """The engine-level despawn is the safe form: the dead key's
         timer is cancelled with it, so nothing fires later."""
         fleet = make_fleet()
-        profile = ScenarioProfile(timers=(TimerRule(20.0, "free"),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 2))
+        wiring = Wiring(timer=("free", 20.0))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 2))
         engine.spawn_topology()
         engine.run(until=1.0)
         engine.despawn("g0000-m0")
@@ -292,8 +310,8 @@ class TestRouting:
     def test_action_fans_out_to_group_peers(self, make_fleet):
         fleet = make_fleet()
         # One member's 'vote' action becomes 'vote' messages to peers.
-        profile = ScenarioProfile(routes=(RouteRule("vote", "vote", delay=1.0),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(1, 4))
+        wiring = Wiring(peers=(("vote", "vote", 1.0),))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 4))
         engine.spawn_topology()
         # update+free completes the pair: m0 fires 'vote' (and
         # 'not_free', which no rule routes).
@@ -305,8 +323,8 @@ class TestRouting:
 
     def test_routing_respects_topology_boundaries(self, make_fleet):
         fleet = make_fleet()
-        profile = ScenarioProfile(routes=(RouteRule("vote", "vote", delay=1.0),))
-        engine = ScenarioEngine(fleet, profile, GroupTopology.regular(2, 3))
+        wiring = Wiring(peers=(("vote", "vote", 1.0),))
+        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(2, 3))
         engine.spawn_topology()
         engine.schedule_event(1.0, "g0000-m0", "update")
         engine.schedule_event(2.0, "g0000-m0", "free")
@@ -316,22 +334,39 @@ class TestRouting:
         for key in ("g0001-m0", "g0001-m1", "g0001-m2"):
             assert fleet.trace(key).actions == ()
 
+    def test_creation_message_delivered_at_spawn(self, make_fleet):
+        fleet = make_fleet()
+        engine = ScenarioEngine(
+            fleet, Wiring(on_create="free"), GroupTopology.regular(2, 2)
+        )
+        engine.spawn_topology()
+        engine.schedule_event(0.0, "g0000-m0", "update")
+        engine.run(until=1.0)
+        # Everyone was freed first, so m0's same-instant update votes.
+        assert engine.metrics.external_delivered == 5
+        assert fleet.trace("g0000-m0").actions == ("vote", "not_free")
+        start = machine_for("commit").start_state.name
+        assert all(fleet.trace(k).state != start for k in engine.fleet.store.keys())
+
     def test_commit_group_completes_from_kicks_alone(self, make_fleet):
-        """The headline behaviour: one update+free kick per member and
-        the whole commit peer set runs machine-to-machine to COMMITTED."""
+        """The headline behaviour: one client update per member and the
+        whole commit peer set runs machine-to-machine to COMMITTED —
+        the deployed wiring, with no timer: each instance receives its
+        creation ``free``, one update, three votes and three commits."""
         machine = machine_for("commit")
         scenario = generate_scenario(
-            machine, commit_profile(), ScenarioSpec(groups=3, group_size=4, seed=0)
+            machine, COMMIT_WIRING, ScenarioSpec(groups=3, group_size=4, seed=0)
         )
         fleet = make_fleet(machine)
         engine = run_scenario(fleet, scenario)
         assert all(fleet.is_finished(k) for k in scenario.topology.keys)
-        assert engine.metrics.messages_routed > 0
+        assert engine.metrics.events_delivered == 12 * 8
+        assert engine.metrics.timers_armed == engine.metrics.timers_fired == 0
 
     def test_ct_rounds_complete_via_estimate_acks(self, make_fleet):
         machine = machine_for("chandra-toueg")
         scenario = generate_scenario(
-            machine, ct_profile(), ScenarioSpec(groups=3, group_size=5, seed=1)
+            machine, CT_WIRING, ScenarioSpec(groups=3, group_size=5, seed=1)
         )
         fleet = make_fleet(machine)
         run_scenario(fleet, scenario)
@@ -343,7 +378,7 @@ class TestMessageFaults:
         machine = machine_for("commit")
         scenario = generate_scenario(
             machine,
-            commit_profile(),
+            COMMIT_WIRING,
             ScenarioSpec(groups=4, group_size=4, seed=seed),
             faults=faults,
         )
@@ -380,27 +415,44 @@ class TestMessageFaults:
         b, _ = self._run(make_fleet, faults)
         assert a.metrics.as_dict() == b.metrics.as_dict()
 
-    def test_modest_loss_still_converges(self, make_fleet):
-        """The liveness claim: under modest loss every group still
-        commits, with the retry timer re-kicking stuck members."""
-        engine, scenario = self._run(
-            make_fleet, ScenarioFaultPlan.lossy(drop=0.1), seed=0
-        )
-        fleet = engine.fleet
-        assert engine.metrics.messages_dropped > 0
-        assert engine.metrics.timers_fired > 0
-        assert all(fleet.is_finished(k) for k in scenario.topology.keys)
+    def test_every_stranded_group_lost_a_copy(self, make_fleet):
+        """The deployed wiring has no retry timer, so a dropped vote or
+        commit can strand a member.  Under 10 % drop over seeds 0-7,
+        three seeds leave a group unfinished, and every such group had
+        a routed copy addressed to one of its members dropped."""
+        machine = machine_for("commit")
+        stranded_seeds = []
+        for seed in range(8):
+            scenario = generate_scenario(
+                machine,
+                COMMIT_WIRING,
+                ScenarioSpec(groups=4, group_size=4, seed=seed),
+                faults=ScenarioFaultPlan.lossy(drop=0.1),
+            )
+            telemetry = FleetTelemetry()
+            fleet = make_fleet(machine, telemetry=telemetry)
+            run_scenario(fleet, scenario)
+            dropped_to = {
+                rec.key
+                for rec in telemetry.trace.records()
+                if rec.kind == "fault_drop"
+            }
+            for group in scenario.topology.groups:
+                if not all(fleet.is_finished(key) for key in group):
+                    assert dropped_to & set(group), f"seed {seed}: {group}"
+                    stranded_seeds.append(seed)
+        assert len(set(stranded_seeds)) == 3
 
 
 class TestSnapshotRestore:
     def test_snapshot_restore_mid_scenario_is_exact(self, make_fleet):
         machine = machine_for("commit")
         scenario = generate_scenario(
-            machine, commit_profile(), ScenarioSpec(groups=3, group_size=4, seed=7)
+            machine, COMMIT_WIRING, ScenarioSpec(groups=3, group_size=4, seed=7)
         )
         fleet = make_fleet(machine)
         engine = ScenarioEngine(
-            fleet, scenario.profile, scenario.topology, seed=scenario.seed
+            fleet, scenario.wiring, scenario.topology, seed=scenario.seed
         )
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
@@ -428,13 +480,13 @@ class TestSnapshotRestore:
               for msg in ("free", "update")]
         )
         scenario = Scenario(
-            profile=ScenarioProfile(),
+            wiring=Wiring(),
             topology=GroupTopology.regular(2, 4),
             events=events,
             until=60.0,
         )
         fleet = make_fleet(machine, dispatch=mode)
-        engine = ScenarioEngine(fleet, scenario.profile, scenario.topology)
+        engine = ScenarioEngine(fleet, scenario.wiring, scenario.topology)
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
         engine.run(until=10.0)  # t=5 batch delivered; t=30, t=40 in flight
@@ -452,7 +504,7 @@ class TestSnapshotRestore:
         machine = machine_for("commit")
         scenario = generate_scenario(
             machine,
-            commit_profile(),
+            COMMIT_WIRING,
             ScenarioSpec(groups=2, group_size=4, seed=2, snapshot_every=50.0),
         )
         fleet = make_fleet(machine)
@@ -465,12 +517,12 @@ class TestKillRestore:
     @pytest.mark.parametrize("model", ["commit", "chandra-toueg"])
     def test_kill_shard_converges_to_undisturbed_run(self, make_fleet, model):
         machine = machine_for(model)
-        profile = commit_profile() if model == "commit" else ct_profile()
+        wiring = COMMIT_WIRING if model == "commit" else CT_WIRING
         size = 4 if model == "commit" else 5
         spec = ScenarioSpec(groups=4, group_size=size, seed=13)
-        baseline = generate_scenario(machine, profile, spec)
+        baseline = generate_scenario(machine, wiring, spec)
         faulted = generate_scenario(
-            machine, profile, spec, faults=ScenarioFaultPlan.kill(at=25.0)
+            machine, wiring, spec, faults=ScenarioFaultPlan.kill(at=25.0)
         )
 
         clean = scenario_traces(make_fleet(machine), baseline)
@@ -486,7 +538,7 @@ class TestKillRestore:
         machine = machine_for("commit")
         scenario = generate_scenario(
             machine,
-            commit_profile(),
+            COMMIT_WIRING,
             ScenarioSpec(groups=3, group_size=4, seed=4),
             faults=ScenarioFaultPlan.kill(at=15.0, shard=1),
         )
@@ -506,25 +558,25 @@ class TestMetricsAndGeneration:
     def test_generate_scenario_is_deterministic(self):
         machine = machine_for("commit")
         spec = ScenarioSpec(groups=3, group_size=4, seed=21, noise=0.2)
-        a = generate_scenario(machine, commit_profile(), spec)
-        b = generate_scenario(machine, commit_profile(), spec)
+        a = generate_scenario(machine, COMMIT_WIRING, spec)
+        b = generate_scenario(machine, COMMIT_WIRING, spec)
         assert a.events == b.events
 
     def test_generate_scenario_validates_spec(self):
         machine = machine_for("commit")
         with pytest.raises(SimulationError):
-            generate_scenario(machine, commit_profile(), ScenarioSpec(groups=0))
+            generate_scenario(machine, COMMIT_WIRING, ScenarioSpec(groups=0))
         with pytest.raises(SimulationError):
-            generate_scenario(machine, commit_profile(), ScenarioSpec(spread=0.5))
+            generate_scenario(machine, COMMIT_WIRING, ScenarioSpec(spread=0.5))
         with pytest.raises(SimulationError):
-            generate_scenario(machine, commit_profile(), ScenarioSpec(noise=1.5))
-        with pytest.raises(SimulationError, match="kick"):
-            generate_scenario(machine, ScenarioProfile(), ScenarioSpec())
+            generate_scenario(machine, COMMIT_WIRING, ScenarioSpec(noise=1.5))
+        with pytest.raises(SimulationError, match="client messages"):
+            generate_scenario(machine, Wiring(), ScenarioSpec())
 
     def test_events_sorted_and_within_window(self):
         machine = machine_for("commit")
         spec = ScenarioSpec(groups=2, group_size=4, seed=8, spread=30.0)
-        scenario = generate_scenario(machine, commit_profile(), spec)
+        scenario = generate_scenario(machine, COMMIT_WIRING, spec)
         times = [e.time for e in scenario.events]
         assert times == sorted(times)
         assert all(0.0 <= t < 30.0 for t in times)

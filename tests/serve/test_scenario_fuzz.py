@@ -1,7 +1,7 @@
 """Seeded differential fuzz suite for the scenario plane.
 
 Each master seed drives a stream of randomly drawn scenarios — model,
-topology shape, profile timing, noise, fault plan — and checks the two
+topology shape, wiring delays, noise, fault plan — and checks the two
 headline claims of the scenario plane:
 
 (a) **Dispatch equivalence** — the same scenario produces byte-identical
@@ -26,8 +26,7 @@ from dataclasses import replace
 
 import pytest
 
-from repro.models.chandra_toueg import scenario_profile as ct_profile
-from repro.models.commit import scenario_profile as commit_profile
+from repro.models import CommitModel, CoordinatorRoundModel
 from repro.serve import (
     HAS_NUMPY,
     FleetEngine,
@@ -51,21 +50,23 @@ if HAS_NUMPY:
     ALT_PLANES.append(("vector", "interp"))
 
 
+def _with_route_delay(wiring, delay):
+    """The wiring with every peer route taking ``delay``."""
+    return replace(wiring, peers=tuple((a, m, delay) for a, m, _ in wiring.peers))
+
+
 def _draw_scenario(rng):
     """One random (machine, scenario) pair from a seeded stream."""
     if rng.random() < 0.5:
         model = "commit"
-        profile = commit_profile(
-            retry_after=rng.choice([40.0, 60.0, 90.0]),
-            route_delay=rng.choice([0.5, 1.0, 2.0]),
-        )
+        wiring = _with_route_delay(CommitModel.wiring, rng.choice([0.5, 1.0, 2.0]))
         group_size = 4
     else:
         model = "chandra-toueg"
-        profile = ct_profile(
-            suspect_after=rng.choice([150.0, 200.0]),
-            route_delay=rng.choice([0.5, 1.0, 2.0]),
+        wiring = _with_route_delay(
+            CoordinatorRoundModel.wiring, rng.choice([0.5, 1.0, 2.0])
         )
+        wiring = replace(wiring, timer=("suspect", rng.choice([150.0, 200.0])))
         group_size = 5
     machine = machine_for(model)
     spec = ScenarioSpec(
@@ -95,7 +96,7 @@ def _draw_scenario(rng):
             duplicate=rng.choice([0.0, 0.05]),
             delay=rng.choice([0.0, 0.05]),
         )
-    return model, machine, generate_scenario(machine, profile, spec, faults=faults)
+    return model, machine, generate_scenario(machine, wiring, spec, faults=faults)
 
 
 def _run(machine, scenario, mode, backend):

@@ -10,7 +10,7 @@ snapshot is restored and the run replayed.
 
 import pytest
 
-from repro.models.commit import scenario_profile
+from repro.models import CommitModel, CoordinatorRoundModel
 from repro.obs import FleetTelemetry, fleet_registry, scenario_registry
 from repro.serve import (
     ScenarioEngine,
@@ -114,23 +114,23 @@ class TestFleetTracing:
         assert telemetry.trace.next_id == tid + 1
 
 
-def scenario_fixture(shards=4, groups=4, seed=2):
-    machine = machine_for("commit")
+def scenario_fixture(shards=4, groups=4, seed=2, model="commit"):
+    machine = machine_for(model)
+    if model == "commit":
+        wiring, size = CommitModel.wiring, 4
+    else:
+        wiring, size = CoordinatorRoundModel.wiring, 5
     scenario = generate_scenario(
-        machine,
-        scenario_profile(),
-        ScenarioSpec(groups=groups, group_size=4, seed=seed),
+        machine, wiring, ScenarioSpec(groups=groups, group_size=size, seed=seed)
     )
     return machine, scenario
 
 
-def run_traced_scenario(make_fleet, scenario, until=None):
+def run_traced_scenario(make_fleet, scenario, until=None, model="commit"):
     telemetry = FleetTelemetry()
-    fleet = make_fleet(
-        "commit", dispatch="encoded", shards=4, telemetry=telemetry
-    )
+    fleet = make_fleet(model, dispatch="encoded", shards=4, telemetry=telemetry)
     engine = ScenarioEngine(
-        fleet, scenario.profile, scenario.topology, seed=scenario.seed
+        fleet, scenario.wiring, scenario.topology, seed=scenario.seed
     )
     engine.spawn_topology()
     engine.schedule_events(scenario.events)
@@ -140,8 +140,11 @@ def run_traced_scenario(make_fleet, scenario, until=None):
 
 class TestScenarioTracing:
     def test_wheel_decisions_all_traced(self, make_fleet):
-        _machine, scenario = scenario_fixture()
-        _fleet, _engine, telemetry = run_traced_scenario(make_fleet, scenario)
+        # The CT round keeps a timer (its failure detector); commit has none.
+        _machine, scenario = scenario_fixture(model="chandra-toueg")
+        _fleet, _engine, telemetry = run_traced_scenario(
+            make_fleet, scenario, model="chandra-toueg"
+        )
         kinds = {rec.kind for rec in telemetry.trace.records()}
         assert {"schedule", "post", "timer_arm", "route"} <= kinds
 
@@ -161,7 +164,7 @@ class TestScenarioTracing:
             "commit", dispatch="encoded", shards=4, telemetry=telemetry
         )
         engine = ScenarioEngine(
-            fleet, scenario.profile, scenario.topology, seed=scenario.seed
+            fleet, scenario.wiring, scenario.topology, seed=scenario.seed
         )
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
@@ -185,7 +188,7 @@ class TestScenarioTracing:
             "commit", dispatch="encoded", shards=4, telemetry=telemetry
         )
         engine = ScenarioEngine(
-            fleet, scenario.profile, scenario.topology, seed=scenario.seed
+            fleet, scenario.wiring, scenario.topology, seed=scenario.seed
         )
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
@@ -204,7 +207,7 @@ class TestScenarioTracing:
         )
         plain = make_fleet("commit", dispatch="encoded", shards=4)
         engine = ScenarioEngine(
-            plain, scenario.profile, scenario.topology, seed=scenario.seed
+            plain, scenario.wiring, scenario.topology, seed=scenario.seed
         )
         engine.spawn_topology()
         engine.schedule_events(scenario.events)

@@ -122,6 +122,29 @@ class TestCli:
         assert err.count("\n") == 1
 
 
+class TestServeScenarioCommand:
+    @pytest.mark.parametrize("model", ["commit", "chandra-toueg"])
+    def test_fault_free_run_finishes_every_instance(self, model, capsys):
+        assert main(["serve-scenario", "--model", model, "--groups", "3"]) == 0
+        out = capsys.readouterr().out
+        size = 4 if model == "commit" else 5
+        assert f"finished: {3 * size}/{3 * size} instances" in out
+        assert "differential vs naive fleet: ok" in out
+
+    def test_unfinished_fault_free_run_exits_1_with_one_line(self, capsys):
+        # Cut before the protocol can finish: a verdict, not a refusal.
+        assert main(["serve-scenario", "--groups", "2", "--until", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("serve-scenario: ")
+        assert "unfinished at t=5" in err
+        assert err.count("\n") == 1
+
+    def test_faulty_run_may_leave_instances_unfinished(self, capsys):
+        argv = ["serve-scenario", "--groups", "2", "--until", "5", "--faults", "drop"]
+        assert main(argv) == 0
+        assert "differential vs naive fleet: ok" in capsys.readouterr().out
+
+
 class TestFlattenCommand:
     def test_stats_default(self, capsys):
         assert main(["flatten", "--model", "session"]) == 0

@@ -40,10 +40,10 @@ SERVE_ALL = [
     "FleetRecoveringError", "FleetSnapshot", "FleetTelemetry", "HAS_NUMPY",
     "NUMPY_UNAVAILABLE_REASON", "MODEL_FACTORIES", "MultiprocessFleet",
     "GroupTopology", "InstanceSnapshot", "InstanceStore", "LOG_POLICIES",
-    "RecoveryPolicy", "RecoveryTelemetry", "RouteRule",
+    "RecoveryPolicy", "RecoveryTelemetry",
     "SCENARIOS", "Scenario", "ScenarioEngine", "ScenarioFaultPlan",
-    "ScenarioMetrics", "ScenarioProfile", "ScenarioSnapshot", "ScenarioSpec",
-    "SessionSimulator", "TimedEvent", "TimerRule", "VectorKernel",
+    "ScenarioMetrics", "ScenarioSnapshot", "ScenarioSpec",
+    "SessionSimulator", "TimedEvent", "VectorKernel",
     "VectorSchedule", "WorkerJournal", "WorkloadSpec",
     "diff_against_hierarchical", "diff_against_standalone", "diff_fleets",
     "fleet_machine", "generate_scenario", "generate_workload",
@@ -59,7 +59,8 @@ CORE_ALL = [
     "InvalidStateError", "MachineStructureError", "ModelDefinitionError",
     "RenderError", "ReproError", "SimulationError", "State", "StateComponent",
     "StateMachine", "StateSpace", "StateView", "Trace", "TraceRecorder",
-    "TraceStep", "Transition", "TransitionBuilder", "equivalence_classes",
+    "TraceStep", "Transition", "TransitionBuilder", "Wiring",
+    "equivalence_classes",
     "enumerate_traces", "generate", "generate_lazy", "generate_with_engine",
     "replay", "merge_equivalent", "one_shot_merge",
 ]  # fmt: skip
