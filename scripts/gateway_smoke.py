@@ -4,8 +4,10 @@
 The CI end-to-end for the serve front door.  Starts the gateway as a
 real subprocess (``--port 0`` + ``--port-file`` for discovery), spawns a
 population over HTTP, drives a recorded workload through ``POST
-/deliver`` one request per event, scrapes ``/metrics``, downloads the
-final ``/snapshot``, and shuts the server down.  The same workload is
+/deliver`` one request per event, scrapes ``/metrics`` (its
+``fleet_events_dispatched_total`` must equal the requests driven, and
+every metric family must carry a ``# HELP`` line), downloads the final
+``/snapshot``, and shuts the server down.  The same workload is
 then replayed on an in-process fleet; the two snapshots must be
 identical instance-for-instance — the served fleet, behind two process
 boundaries and a JSON wire, lands on exactly the traces the library
@@ -128,11 +130,27 @@ def main() -> int:
             if series not in metrics:
                 print(f"FAIL: /metrics missing {series}", file=sys.stderr)
                 return 1
+        lines = metrics.splitlines()
         dispatched = [
-            line for line in metrics.splitlines()
-            if line.startswith("fleet_events_dispatched_total")
+            line for line in lines
+            if line.startswith("fleet_events_dispatched_total ")
         ][0]
         print(f"scraped /metrics: {dispatched}")
+        if float(dispatched.split()[1]) != delivered:
+            print(
+                f"FAIL: /metrics counted {dispatched.split()[1]} dispatched "
+                f"events for {delivered} /deliver requests",
+                file=sys.stderr,
+            )
+            return 1
+        typed = {line.split()[2] for line in lines if line.startswith("# TYPE ")}
+        helped = {line.split()[2] for line in lines if line.startswith("# HELP ")}
+        if typed - helped:
+            print(
+                f"FAIL: /metrics families without HELP: {sorted(typed - helped)}",
+                file=sys.stderr,
+            )
+            return 1
 
         served_snapshot = request(base, "GET", "/snapshot")
 

@@ -638,7 +638,7 @@ def _serve_scenario(args) -> int:
     """Run one interacting scenario, report metrics, differentially verify."""
     import time
 
-    from repro.obs import FleetTelemetry, scenario_registry
+    from repro.obs import FleetTelemetry
     from repro.serve import (
         ScenarioSpec,
         diff_fleets,
@@ -706,9 +706,11 @@ def _serve_scenario(args) -> int:
     if args.metrics:
         # One merged blob: fleet counters and histograms plus the
         # scenario engine's timer/routing/fault counters.
-        from repro.obs import render_json, render_prometheus
+        from repro.obs import MetricsRegistry, render_json, render_prometheus
 
-        registry = scenario_registry(engine)
+        registry = MetricsRegistry()
+        registry.merge(fleet.telemetry_registry())
+        registry.merge(engine.registry)
         if args.metrics == "prom":
             print(render_prometheus(registry), end="")
         else:

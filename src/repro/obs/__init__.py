@@ -4,7 +4,8 @@ The observability counterpart to the fleet/scenario planes — see
 :mod:`repro.obs.metrics` (counters, gauges, mergeable log-scaled latency
 histograms), :mod:`repro.obs.trace` (per-event trace ids, ring-buffer
 trace log, causal reconstruction), :mod:`repro.obs.telemetry` (the
-per-engine bundle ``FleetEngine(telemetry=...)`` feeds) and
+histograms and trace log ``FleetEngine(telemetry=...)`` adds to the
+fleet's registry) and
 :mod:`repro.obs.expo` (Prometheus-text and JSON renderers).
 """
 
@@ -13,12 +14,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.obs.expo import (
-        fleet_registry,
-        render_json,
-        render_prometheus,
-        scenario_registry,
-    )
+    from repro.obs.expo import render_json, render_prometheus
     from repro.obs.metrics import Counter, Gauge, LatencyHistogram, MetricsRegistry
     from repro.obs.telemetry import FleetTelemetry
     from repro.obs.trace import TraceLog, TraceRecord
@@ -31,21 +27,14 @@ __all__ = [
     "FleetTelemetry",
     "TraceLog",
     "TraceRecord",
-    "fleet_registry",
     "render_json",
     "render_prometheus",
-    "scenario_registry",
 ]
 
 # Resolved on first use (see repro._lazy): an instrumented fleet loads its
 # metrics and trace log; the exposition renderers load at the first scrape.
 _EXPORTS = {
-    "repro.obs.expo": (
-        "fleet_registry",
-        "render_json",
-        "render_prometheus",
-        "scenario_registry",
-    ),
+    "repro.obs.expo": ("render_json", "render_prometheus"),
     "repro.obs.metrics": ("Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"),
     "repro.obs.telemetry": ("FleetTelemetry",),
     "repro.obs.trace": ("TraceLog", "TraceRecord"),

@@ -7,15 +7,10 @@ output of ``--metrics prom`` or the gateway's ``/metrics`` can be
 scraped or pasted into any Prometheus-aware tool; :func:`render_json` emits the same
 registry as the JSON object ``--metrics json`` prints.
 
-The builders assemble the registry for a given engine:
-:func:`fleet_registry` folds a fleet's always-on
-:class:`~repro.serve.metrics.FleetMetrics` counters together with its
-optional :class:`~repro.obs.telemetry.FleetTelemetry` histograms;
-:func:`scenario_registry` adds the scenario engine's
-:class:`~repro.serve.scenario.ScenarioMetrics` on top, producing the one
-merged blob ``serve-scenario`` emits.  Both duck-type their engine
-argument (anything with a ``metrics.as_dict()``), so this module never
-imports the serve plane.
+There is nothing to translate: a fleet's counters, gauges and histograms
+already live in its one registry (``fleet.telemetry_registry()``), so a
+caller renders that registry, merged with the gateway's or a scenario
+engine's through :meth:`~repro.obs.metrics.MetricsRegistry.merge`.
 """
 
 from __future__ import annotations
@@ -24,12 +19,7 @@ import json
 
 from repro.obs.metrics import MetricsRegistry
 
-__all__ = [
-    "render_prometheus",
-    "render_json",
-    "fleet_registry",
-    "scenario_registry",
-]
+__all__ = ["render_prometheus", "render_json"]
 
 
 def _format_value(value: float) -> str:
@@ -74,47 +64,3 @@ def render_prometheus(registry: MetricsRegistry) -> str:
 def render_json(registry: MetricsRegistry, indent: int = 2) -> str:
     """The registry as a JSON document (the ``--metrics json`` form)."""
     return json.dumps(registry.as_dict(), indent=indent)
-
-
-def fleet_registry(fleet) -> MetricsRegistry:
-    """One registry covering a fleet: FleetMetrics + telemetry instruments.
-
-    The fleet's dataclass counters become ``fleet_*_total`` counters
-    (and its depth observations ``fleet_shard_depth_*`` gauges); when
-    the fleet is instrumented, its telemetry histograms and counters are
-    merged in unchanged — preferring the protocol-level
-    ``telemetry_registry()`` accessor (a multiprocess fleet folds every
-    worker's registry there), falling back to a ``telemetry`` attribute
-    for duck-typed callers.
-    """
-    registry = MetricsRegistry()
-    getter = getattr(fleet, "telemetry_registry", None)
-    if callable(getter):
-        worker_registry = getter()
-        if worker_registry is not None:
-            registry.merge(worker_registry)
-    else:
-        telemetry = getattr(fleet, "telemetry", None)
-        if telemetry is not None:
-            registry.merge(telemetry.registry)
-    snapshot = fleet.metrics.as_dict()
-    depths = snapshot.pop("shard_depths", [])
-    peak = snapshot.pop("peak_shard_depth", 0)
-    for name, value in snapshot.items():
-        registry.counter(f"fleet_{name}_total").add(int(value))
-    registry.gauge(
-        "fleet_shard_depth_max", "deepest mailbox at its last drain"
-    ).set(max(depths, default=0))
-    registry.gauge(
-        "fleet_shard_depth_peak", "deepest mailbox ever observed"
-    ).set(peak)
-    return registry
-
-
-def scenario_registry(engine) -> MetricsRegistry:
-    """One merged registry for a scenario run: scenario + fleet + telemetry."""
-    registry = fleet_registry(engine.fleet)
-    for name, value in engine.metrics.as_dict().items():
-        registry.counter(f"scenario_{name}_total").add(int(value))
-    return registry
-

@@ -1,11 +1,9 @@
 """Counters, gauges and log-scaled latency histograms behind one registry.
 
-The serve stack's quantitative surface (:class:`~repro.serve.metrics.FleetMetrics`,
-:class:`~repro.serve.scenario.ScenarioMetrics`) is plain dataclass counters —
-perfect for batch-granular accounting, useless for *distributions*: a
-throughput claim without p50/p95/p99 says nothing about tail behaviour, and
-the tail is where saturation shows first.  This module adds the missing
-primitives, deliberately Prometheus-shaped so the exposition layer
+Every count the serve stack keeps lives in a :class:`MetricsRegistry`: a
+fleet owns one (its ``fleet_*_total`` counters, its queue-depth gauges
+and, instrumented, its latency histograms), a scenario engine another.
+The primitives are deliberately Prometheus-shaped so the exposition layer
 (:mod:`repro.obs.expo`) renders them in the standard text format:
 
 * :class:`Counter` — a monotone count (``add``);
@@ -23,6 +21,11 @@ primitives, deliberately Prometheus-shaped so the exposition layer
   accessors, whole-registry :meth:`~MetricsRegistry.merge` (disjoint
   registries union; shared names combine per instrument kind) and a plain
   ``as_dict()`` for JSON artifacts.
+* :class:`CounterView` — the field-named, read-only face of a block of
+  counters declared once in a registry: ``fleet.metrics`` and a
+  scenario engine's ``metrics`` are views, so code reads
+  ``metrics.events_dispatched`` while the count itself lives in the
+  registry ``/metrics`` renders.
 
 Nothing here reads the clock or touches the serve plane: callers observe
 values they measured themselves, so the instruments stay usable from the
@@ -32,9 +35,9 @@ fleet engine, the scenario wheel, the gateway and the benchmarks alike.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Optional
+from operator import attrgetter
 
-__all__ = ["Counter", "Gauge", "LatencyHistogram", "MetricsRegistry"]
+__all__ = ["Counter", "CounterView", "Gauge", "LatencyHistogram", "MetricsRegistry"]
 
 #: Default bucket layout for second-valued latencies: 100ns to ~100s in
 #: factor-2 steps (31 bounds + overflow).  Wide enough for both a 10M ev/s
@@ -294,10 +297,57 @@ class MetricsRegistry:
             },
         }
 
-    def get(self, name: str) -> Optional[object]:
-        """The instrument registered under ``name``, whatever its kind."""
-        return (
-            self.counters.get(name)
-            or self.gauges.get(name)
-            or self.histograms.get(name)
+
+_value = attrgetter("value")
+
+
+class CounterView:
+    """A read-only, live view of declared counters, one field per counter.
+
+    A subclass declares its counters once, as ``(field, help)`` pairs in
+    ``COUNTERS``; building the view declares each in the registry as the
+    counter ``{PREFIX}{field}_total``, and the field reads its value.
+    The view holds instruments, never counts, and has no setters:
+    counting code bumps the :class:`Counter` objects (:meth:`handles`).
+    """
+
+    __slots__ = ("_counters",)
+    PREFIX = ""
+    COUNTERS: tuple[tuple[str, str], ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(field for field, _help in cls.COUNTERS)
+        for i, field in enumerate(fields):
+            setattr(cls, field, property(lambda self, i=i: self._counters[i].value))
+        cls._Handles = type(f"{cls.__name__}Counters", (), {"__slots__": fields})
+
+    def __init__(self, registry: MetricsRegistry):
+        self._counters = tuple(
+            registry.counter(f"{self.PREFIX}{field}_total", help)
+            for field, help in self.COUNTERS
         )
+
+    def handles(self):
+        """The registry's :class:`Counter` objects as slots named by
+        field — ``handles().events_dispatched.value += n`` counts."""
+        handles = self._Handles()
+        for field, counter in zip(self._Handles.__slots__, self._counters):
+            setattr(handles, field, counter)
+        return handles
+
+    @property
+    def counters(self) -> tuple[Counter, ...]:
+        """Every declared counter, in declaration order."""
+        return self._counters
+
+    def counts(self) -> tuple[int, ...]:
+        """Every counter's value, in declaration order (the wire form)."""
+        return tuple(map(_value, self._counters))
+
+    def as_dict(self) -> dict:
+        """Every field and its value (for JSON artifacts and reports)."""
+        return {
+            field: counter.value
+            for (field, _help), counter in zip(self.COUNTERS, self._counters)
+        }

@@ -1,13 +1,15 @@
 """The telemetry context a serve-plane engine feeds.
 
-:class:`FleetTelemetry` bundles the pieces one instrumented fleet (and
-any scenario engine fronting it) shares: a
-:class:`~repro.obs.metrics.MetricsRegistry` holding the standard
-instruments, and an optional :class:`~repro.obs.trace.TraceLog` for
-event tracing.  ``FleetEngine(telemetry=FleetTelemetry())`` switches
-instrumentation on; the default ``telemetry=None`` keeps every hot path
-exactly as fast as before — all engine-side telemetry code is behind one
-``is not None`` check.
+:class:`FleetTelemetry` bundles what one instrumented fleet (and any
+scenario engine fronting it) adds to the fleet's own
+:class:`~repro.obs.metrics.MetricsRegistry`: the three standard latency
+histograms, and an optional :class:`~repro.obs.trace.TraceLog` for event
+tracing.  ``FleetEngine(telemetry=FleetTelemetry())`` switches
+instrumentation on: the engine attaches the context to its registry, so
+the histograms sit beside the fleet's counters and one scrape reads
+both.  The default ``telemetry=None`` keeps every hot path exactly as
+fast as before — all engine-side telemetry code is behind one ``is not
+None`` check.
 
 The standard instruments:
 
@@ -23,15 +25,17 @@ The standard instruments:
     untouched).  The size histogram's ``_count`` and ``_sum`` are the
     batch and event totals, so no separate counters repeat them.
 
-Sharding/merging: give each worker engine its own ``FleetTelemetry`` and
-fold them together with ``combined.registry.merge(worker.registry)`` —
-the histograms share one layout, so the merge is exact.
+Sharding/merging: each worker engine of a multiprocess fleet feeds its
+own context, and the parent folds the workers' registries together with
+:meth:`~repro.obs.metrics.MetricsRegistry.merge` — the histograms share
+one layout, so the merge is exact.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from repro.core.errors import DeploymentError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import DEFAULT_CAPACITY, TraceLog
 
@@ -39,7 +43,7 @@ __all__ = ["FleetTelemetry"]
 
 
 class FleetTelemetry:
-    """Registry + optional trace log + the instruments the fleet feeds."""
+    """Optional trace log + the histograms a fleet feeds, in its registry."""
 
     __slots__ = (
         "registry",
@@ -52,23 +56,34 @@ class FleetTelemetry:
     def __init__(
         self,
         *,
-        registry: Optional[MetricsRegistry] = None,
         tracing: bool = True,
         trace_capacity: int = DEFAULT_CAPACITY,
     ):
-        self.registry = registry if registry is not None else MetricsRegistry()
+        #: The registry of the fleet this context feeds (``None`` until
+        #: a fleet attaches it).
+        self.registry: Optional[MetricsRegistry] = None
         self.trace: Optional[TraceLog] = (
             TraceLog(trace_capacity) if tracing else None
         )
-        self.queue_latency = self.registry.histogram(
+
+    def attach(self, registry: MetricsRegistry) -> None:
+        """Declare the three histograms in one fleet's registry.
+
+        A context feeds one fleet: attaching it to a second would leave
+        the first fleet's batches counted in the second's registry.
+        """
+        if self.registry is not None:
+            raise DeploymentError("this FleetTelemetry already feeds a fleet")
+        self.registry = registry
+        self.queue_latency = registry.histogram(
             "fleet_queue_latency_seconds",
             "per-event mailbox wait: post() to the drain that dispatched it",
         )
-        self.batch_seconds = self.registry.histogram(
+        self.batch_seconds = registry.histogram(
             "fleet_batch_seconds",
             "wall time of one batch dispatch pass",
         )
-        self.batch_events = self.registry.histogram(
+        self.batch_events = registry.histogram(
             "fleet_batch_events",
             "events dispatched per batch",
             lo=1.0,
@@ -80,14 +95,3 @@ class FleetTelemetry:
         """Record one dispatch pass: O(1) regardless of batch size."""
         self.batch_seconds.observe(seconds)
         self.batch_events.observe(events)
-
-    def as_dict(self) -> dict:
-        """Registry contents plus trace-log occupancy (artifact form)."""
-        out = self.registry.as_dict()
-        if self.trace is not None:
-            out["trace"] = {
-                "records": len(self.trace),
-                "dropped": self.trace.dropped,
-                "next_id": self.trace.next_id,
-            }
-        return out

@@ -58,7 +58,6 @@ if TYPE_CHECKING:
         Scenario,
         ScenarioEngine,
         ScenarioFaultPlan,
-        ScenarioMetrics,
         ScenarioSnapshot,
         TimedEvent,
         run_scenario,
@@ -113,7 +112,6 @@ __all__ = [
     "Scenario",
     "ScenarioEngine",
     "ScenarioFaultPlan",
-    "ScenarioMetrics",
     "ScenarioSnapshot",
     "ScenarioSpec",
     "SessionSimulator",
@@ -173,7 +171,6 @@ _EXPORTS = {
         "Scenario",
         "ScenarioEngine",
         "ScenarioFaultPlan",
-        "ScenarioMetrics",
         "ScenarioSnapshot",
         "TimedEvent",
         "run_scenario",

@@ -35,11 +35,11 @@ The protocol's guarantees (what a caller may rely on from *any* fleet):
 * **Portable snapshots.**  ``snapshot()`` returns a
   :class:`~repro.serve.fleet.FleetSnapshot` that any fleet of the same
   machine can ``restore()``, whatever its worker/shard layout.
-* **Mergeable observability.**  ``metrics`` is a single
-  :class:`~repro.serve.metrics.FleetMetrics` view of the whole fleet;
-  ``telemetry_registry()`` returns one merged
-  :class:`~repro.obs.metrics.MetricsRegistry` (or ``None`` when
-  uninstrumented).
+* **One metrics model.**  ``telemetry_registry()`` returns the fleet's
+  one :class:`~repro.obs.metrics.MetricsRegistry` — counters, depth
+  gauges and, instrumented, latency histograms, never ``None`` — and
+  ``metrics`` is the read-only
+  :class:`~repro.serve.metrics.FleetMetrics` view over its counters.
 * **Explicit shutdown.**  ``close()`` releases whatever the fleet owns
   (worker processes, pipes); every fleet is also a context manager.
 """
@@ -221,8 +221,9 @@ def make_fleet(
     ``telemetry=True`` is the portable "instrument this fleet" spelling:
     in-process it becomes a fresh
     :class:`~repro.obs.telemetry.FleetTelemetry`, multiprocess it
-    enables the per-worker instruments.  Passing an instance still works
-    for the in-process engine.
+    enables the per-worker instruments.  An instance is accepted by the
+    in-process engine only: a multiprocess fleet refuses it, since no
+    process would feed it.
 
     ``backend`` is read only by ``mode="naive"``; the table modes refuse
     any backend but the default ``"interp"``.

@@ -10,10 +10,10 @@ as an 8-byte integer — then the body.
   is the ``array('q')`` buffer's raw bytes (``8 * len(buffer)`` of
   them): the bulk path pickles nothing.
 * Every other request, and every reply, is a :data:`PICKLED` frame.  A
-  reply is ``(status, payload, counters)``, where ``counters`` is the
-  worker's :class:`~repro.serve.metrics.FleetMetrics` as the flat tuple
-  of :meth:`~repro.serve.metrics.FleetMetrics.as_tuple` (or ``None``),
-  so no dataclass is pickled on the way back either.
+  reply is ``(status, payload, counts)``, where ``counts`` is the
+  worker's fleet counters as a flat int tuple (or ``None``), in the
+  order :class:`~repro.serve.metrics.FleetMetrics` declares them, so no
+  registry is pickled on the way back either.
 
 The :class:`multiprocessing.connection.Connection` stays the owner of
 the descriptor: it is what crosses to a worker started with ``spawn``,
@@ -29,8 +29,6 @@ import os
 import pickle
 from array import array
 from struct import Struct
-
-from repro.serve.metrics import FleetMetrics
 
 __all__ = ["Channel", "FLAT", "HEADER", "PICKLED"]
 
@@ -72,17 +70,13 @@ class Channel:
 
     # -- replies (worker -> parent) -------------------------------------
 
-    def send_reply(self, status: str, payload, metrics) -> None:
-        counters = None if metrics is None else metrics.as_tuple()
-        self._send(PICKLED, pickle.dumps((status, payload, counters), _PROTOCOL))
+    def send_reply(self, status: str, payload, counts) -> None:
+        self._send(PICKLED, pickle.dumps((status, payload, counts), _PROTOCOL))
 
     def recv_reply(self) -> tuple:
-        """``(status, payload, FleetMetrics or None)``."""
+        """``(status, payload, counts)``: counts an int tuple or ``None``."""
         _, body = self._recv()
-        status, payload, counters = pickle.loads(body)
-        if counters is not None:
-            counters = FleetMetrics.from_tuple(counters)
-        return status, payload, counters
+        return pickle.loads(body)
 
     # -- frames ------------------------------------------------------------
 

@@ -57,21 +57,24 @@ for recycling and failover; recycling itself rides the ``reset()``
 protocol both backends implement, and :meth:`FleetEngine.despawn` returns
 an instance's slot to the store's free list for reuse.
 
-Telemetry is opt-in and engine-external:
-``FleetEngine(telemetry=FleetTelemetry())`` attaches a
-:mod:`repro.obs` context and the engine feeds it — per-event queue wait
-(post to drain) into ``fleet_queue_latency_seconds``, per-batch
-dispatch wall time and size into ``fleet_batch_*``, and (when the
-context carries a trace log) a ``post`` record under a trace id minted
-at :meth:`FleetEngine.post`.  The cost model is deliberate: the hot
-loops are untouched — batches pay two clock reads and two histogram
-observations *per batch* — while per-event stamping exists only on the
-posted path, which is already the slower intake door.  The default
-``telemetry=None`` leaves every path exactly as before.  Shard queue
-depths, by contrast, are always observed: every drain records the
-drained batch's depth into :class:`~repro.serve.metrics.FleetMetrics`,
-so ``shard_depths`` / ``peak_shard_depth`` are live without caller
-polling.
+Every count lives in the engine's one
+:class:`~repro.obs.metrics.MetricsRegistry`
+(:meth:`FleetEngine.telemetry_registry`), bumped once per batch;
+:attr:`FleetEngine.metrics` is the read-only view over it.  Telemetry is
+opt-in: ``FleetEngine(telemetry=FleetTelemetry())`` attaches a
+:mod:`repro.obs` context to that registry and the engine feeds it —
+per-event queue wait (post to drain) into
+``fleet_queue_latency_seconds``, per-batch dispatch wall time and size
+into ``fleet_batch_*``, and (when the context carries a trace log) a
+``post`` record under a trace id minted at :meth:`FleetEngine.post`.
+The cost model is deliberate: the hot loops are untouched — batches pay
+two clock reads and two histogram observations *per batch* — while
+per-event stamping exists only on the posted path, which is already the
+slower intake door.  The default ``telemetry=None`` leaves every path
+exactly as before.  Shard queue depths, by contrast, are always
+observed: every drain records the drained batch's depth into the
+``fleet_shard_depth_*`` gauges, so ``shard_depths`` /
+``peak_shard_depth`` are live without caller polling.
 """
 
 from __future__ import annotations
@@ -83,10 +86,11 @@ from typing import Optional
 
 from repro.core.errors import DeploymentError
 from repro.core.machine import StateMachine
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.telemetry import FleetTelemetry
 from repro.opt.indexed import IndexedMachine
 from repro.serve.adapter import BACKENDS, import_backend, make_backend
-from repro.serve.metrics import FleetMetrics
+from repro.serve.metrics import FleetMetrics, QueueDepths
 from repro.serve.store import (
     LOG_POLICIES,
     InstanceSnapshot,
@@ -366,7 +370,14 @@ class FleetEngine:
             if mode == "vector"
             else None
         )
-        self.metrics = FleetMetrics()
+        self._registry = MetricsRegistry()
+        self._depths = QueueDepths(self._registry)
+        #: The read-only live view over the registry's fleet counters.
+        self.metrics = FleetMetrics(self._registry, self._depths)
+        #: The counters themselves, which the engine bumps.
+        self._count = self.metrics.handles()
+        if telemetry is not None:
+            telemetry.attach(self._registry)
         self._telemetry = telemetry
         self._discard_pending()
 
@@ -427,14 +438,14 @@ class FleetEngine:
         """The attached telemetry context (``None`` when uninstrumented)."""
         return self._telemetry
 
-    def telemetry_registry(self):
-        """The telemetry metrics registry (``None`` when uninstrumented).
+    def telemetry_registry(self) -> MetricsRegistry:
+        """The fleet's one registry: its counters and depth gauges, plus
+        the telemetry histograms when instrumented.
 
-        The protocol-level accessor: multiprocess fleets merge their
-        workers' registries here, so exposition code asks any fleet the
-        same question instead of reaching for ``.telemetry.registry``.
+        The protocol-level accessor every fleet answers the same way, so
+        exposition code never reaches for ``.telemetry``.
         """
-        return None if self._telemetry is None else self._telemetry.registry
+        return self._registry
 
     def close(self) -> None:
         """Release resources; a no-op for the in-process engine.
@@ -480,10 +491,8 @@ class FleetEngine:
         return self._store.shard_sizes()
 
     def depths(self) -> list[int]:
-        """Events queued per shard right now; also recorded into metrics."""
-        depths = [len(queue) // 2 for queue in self._queues]
-        self.metrics.observe_depths(depths)
-        return depths
+        """Events queued per shard right now."""
+        return [len(queue) // 2 for queue in self._queues]
 
     # ------------------------------------------------------------------
     # instance lifecycle
@@ -494,7 +503,7 @@ class FleetEngine:
         check_key(key)
         backend = self._adapter.new_instance() if self._adapter is not None else None
         slot = self._store.spawn(key, backend)
-        self.metrics.instances_spawned += 1
+        self._count.instances_spawned.value += 1
         return slot
 
     def spawn_many(self, count: int, prefix: str = "session") -> list[str]:
@@ -521,7 +530,7 @@ class FleetEngine:
         if self._queues[shard_id]:
             self.drain_shard(shard_id)
         self._store.release(key)
-        self.metrics.instances_released += 1
+        self._count.instances_released.value += 1
 
     def recycle(self, key: str) -> None:
         """Return one instance to the start state (the ``reset()`` protocol)."""
@@ -533,7 +542,7 @@ class FleetEngine:
             store.states[slot] = self._start
             if self._log_policy == "full":
                 store.logs[slot].clear()
-        self.metrics.instances_recycled += 1
+        self._count.instances_recycled.value += 1
 
     def state_name(self, key: str) -> str:
         """The instance's current state name (works under every log policy)."""
@@ -709,7 +718,7 @@ class FleetEngine:
         queue = self._queues[shard_id]
         queue.append(slot)
         queue.append(col)
-        self.metrics.events_offered += 1
+        self._count.events_offered.value += 1
         telemetry = self._telemetry
         if telemetry is not None:
             now = perf_counter()
@@ -740,32 +749,32 @@ class FleetEngine:
             offset = self._columns[message]
         except KeyError:
             raise DeploymentError(f"unknown message {message!r}") from None
-        metrics = self.metrics
-        metrics.events_dispatched += 1
+        counted = self._count
+        counted.events_dispatched.value += 1
         if self._mode == "naive":
             instance = store.backends[slot]
             if not instance.receive(message):
-                metrics.events_ignored += 1
+                counted.events_ignored.value += 1
                 return False
             if self._auto_recycle and instance.is_finished():
                 instance.reset()
-                metrics.instances_recycled += 1
-            metrics.transitions_fired += 1
+                counted.instances_recycled.value += 1
+            counted.transitions_fired.value += 1
             return True
         offset += store.states[slot]
         next_state = self._jump[offset]
         if next_state < 0:
-            metrics.events_ignored += 1
+            counted.events_ignored.value += 1
             return False
         acts = self._acts[offset]
         if acts is None:
             if self._log_policy == "full":
                 store.logs[slot].clear()
-            metrics.instances_recycled += 1
+            counted.instances_recycled.value += 1
         elif acts:
             store.logs[slot].append(acts)
         store.states[slot] = next_state
-        metrics.transitions_fired += 1
+        counted.transitions_fired.value += 1
         return True
 
     # ------------------------------------------------------------------
@@ -790,25 +799,31 @@ class FleetEngine:
     def _dispatch(self, batch, count: int) -> float:
         """The one dispatch tail of :meth:`run` and :meth:`drain_shard`.
 
-        Counts the batch of ``count`` events, hands it to the vector
-        kernel or the scalar loop and, with telemetry attached, observes
-        its size and wall time.  Returns the clock at dispatch start
-        (``0.0`` without telemetry), from which a drain measures queue
-        waits.
+        Hands the batch of ``count`` events to the vector kernel or the
+        scalar loop, counts it from the ``(ignored, recycled)`` tally
+        either returns and, with telemetry attached, observes its size
+        and wall time.  Returns the clock at dispatch start (``0.0``
+        without telemetry), from which a drain measures queue waits.
         """
-        self.metrics.batches_drained += 1
         telemetry = self._telemetry
         started = 0.0 if telemetry is None else perf_counter()
         if self._kernel is not None:
-            self._kernel.dispatch(batch, self.metrics)
+            ignored, recycled = self._kernel.dispatch(batch)
         else:
-            self._run_pairs(batch, count)
+            ignored, recycled = self._run_pairs(batch)
         if telemetry is not None:
             telemetry.observe_batch(count, perf_counter() - started)
+        counted = self._count
+        counted.batches_drained.value += 1
+        counted.events_dispatched.value += count
+        counted.transitions_fired.value += count - ignored
+        counted.events_ignored.value += ignored
+        counted.instances_recycled.value += recycled
         return started
 
-    def _run_pairs(self, pairs, count: int) -> None:
-        """The scalar hot loop over ``count`` trusted ``(slot, column)`` pairs.
+    def _run_pairs(self, pairs) -> tuple[int, int]:
+        """The scalar hot loop over trusted ``(slot, column)`` pairs;
+        returns ``(ignored, recycled)``.
 
         Pairs are interned (by :meth:`post`, :meth:`_intern` or
         :meth:`encode_flat`), so there is no error path inside the
@@ -852,11 +867,7 @@ class FleetEngine:
                     states[slot] = next_state
                 else:
                     ignored += 1
-        metrics = self.metrics
-        metrics.events_dispatched += count
-        metrics.transitions_fired += count - ignored
-        metrics.events_ignored += ignored
-        metrics.instances_recycled += recycled
+        return ignored, recycled
 
     def _discard_pending(self) -> None:
         """Drop every queued event with its post stamps (restore, rehydrate)."""
@@ -870,8 +881,8 @@ class FleetEngine:
         """Dispatch every queued event of one shard in a single pass.
 
         The shard's pending schedule runs through the same tail as
-        ``run(flat)``.  The drained batch's depth is recorded into
-        :attr:`metrics` automatically, so ``shard_depths`` /
+        ``run(flat)``.  The drained batch's depth is recorded into the
+        depth gauges automatically, so ``metrics.shard_depths`` /
         ``peak_shard_depth`` are live without caller polling.  With
         telemetry attached the pass is wall-clocked (two clock reads per
         batch) and every drained event's queue wait lands in
@@ -882,7 +893,7 @@ class FleetEngine:
             return 0
         self._queues[shard_id] = array("q")
         count = len(queue) // 2
-        self.metrics.observe_depth(shard_id, count)
+        self._depths.drained(shard_id, count)
         started = self._dispatch(self._batch_of(queue), count)
         if self._telemetry is not None:
             times = self._post_times[shard_id]
@@ -963,7 +974,7 @@ class FleetEngine:
                 else VectorSchedule.of_columns(slots, cols)
             )
         if count:
-            self.metrics.events_offered += count
+            self._count.events_offered.value += count
             self._dispatch(batch, count)
         if rejected:
             raise_rejected(rejected)
@@ -982,7 +993,7 @@ class FleetEngine:
         """
         self.drain_all()
         instances = tuple(self.trace(key) for key in self._store.keys())
-        self.metrics.snapshots_taken += 1
+        self._count.snapshots_taken.value += 1
         return FleetSnapshot(machine_name=self._machine.name, instances=instances)
 
     def restore(
@@ -1004,6 +1015,12 @@ class FleetEngine:
         ``state_map``, so an instance parked in a merged-away state lands
         on the state that represents it.
         """
+        self._load(snapshot, allow_partial)
+        self._count.snapshots_restored.value += 1
+
+    def _load(self, snapshot: FleetSnapshot, allow_partial: bool = False) -> None:
+        """:meth:`restore` uncounted: a multiprocess worker's share of a
+        fleet-wide restore, which its parent counts once."""
         states = resolve_snapshot(
             snapshot,
             self._machine.name,
@@ -1027,4 +1044,3 @@ class FleetEngine:
             store.states[slot] = state_index[state] * self._width
             if full:
                 store.logs[slot] = [tuple(inst.actions)] if inst.actions else []
-        self.metrics.snapshots_restored += 1

@@ -853,9 +853,10 @@ class FleetGateway:
             if method != "GET":
                 raise _HttpError(405, "use GET /metrics")
             # The exposition renderers load at the first scrape, not at start.
-            from repro.obs.expo import fleet_registry, render_prometheus
+            from repro.obs.expo import render_prometheus
 
-            registry = fleet_registry(fleet)
+            registry = MetricsRegistry()
+            registry.merge(fleet.telemetry_registry())
             registry.merge(self.registry)
             return (
                 200,

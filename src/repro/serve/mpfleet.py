@@ -13,17 +13,18 @@ shard-independent state, so nothing is shared between processes.
 
 The wire protocol is deliberately small.  Parent and worker speak
 request tuples ``(op, *operands)`` and replies ``(status, payload,
-counters)`` through a :class:`~repro.serve.channel.Channel`: hand-made
+counts)`` through a :class:`~repro.serve.channel.Channel`: hand-made
 frames over the descriptor of one duplex :func:`multiprocessing.Pipe`,
 whose ``Connection`` objects only carry the descriptor to the worker and
-close it.  Every reply piggybacks the worker's current counters as the
-flat tuple of :meth:`~repro.serve.metrics.FleetMetrics.as_tuple`, so the
-parent's merged :attr:`MultiprocessFleet.metrics` view (via
-:meth:`~repro.serve.metrics.FleetMetrics.merge`) is always current
-without extra round trips.  Bulk dispatch fans out *flat* ``array('q')``
-schedules, and a ``run_flat`` request's frame body is the buffer's raw
-bytes — nothing on the bulk path is pickled, so the per-event IPC cost is
-two machine ints, not two Python objects.  The
+close it.  Every reply piggybacks the worker's current counters as a
+flat int tuple (:meth:`~repro.obs.metrics.CounterView.counts`), and the
+parent moves the fleet's own ``fleet_*_total`` counters by the change,
+so :attr:`MultiprocessFleet.metrics` — the same read-only view the
+in-process engine has, over the parent's one registry — is always
+current without extra round trips.  Bulk dispatch fans out *flat*
+``array('q')`` schedules, and a ``run_flat`` request's frame body is the
+buffer's raw bytes — nothing on the bulk path is pickled, so the
+per-event IPC cost is two machine ints, not two Python objects.  The
 parent interns keys and messages itself, in one walk: its routing table
 maps each key to one int, ``slot * workers + wid``, and the columns come
 from the same :class:`~repro.opt.IndexedMachine` the workers build,
@@ -32,9 +33,10 @@ which also keeps the canonical unknown instance/message
 
 Telemetry follows the sharding design the obs plane documents: each
 worker feeds its own :class:`~repro.obs.telemetry.FleetTelemetry`
-(tracing off — trace logs do not cross processes) and
-:meth:`MultiprocessFleet.telemetry_registry` folds the worker registries
-together with the bucketwise
+(tracing off — trace logs do not cross processes; ``telemetry=True``
+asks for it, and a caller's instance is refused because no process
+would feed it), and :meth:`MultiprocessFleet.telemetry_registry` folds
+the workers' histograms into the parent's registry with the bucketwise
 :meth:`~repro.obs.metrics.MetricsRegistry.merge`, so latency histograms
 aggregate exactly.
 
@@ -53,8 +55,8 @@ dispatch journals the already-interned flat buffer *before* fan-out (one
 list append on the hot path), lifecycle operations journal after their
 acknowledgement — and each partition is checkpointed at its exact slot
 layout every ``checkpoint_every`` journaled events, in one round trip
-that returns the worker's raw columns, counters and telemetry registry
-as opaque bytes (the parent journals them unread).  When a worker dies,
+that returns the worker's raw columns and registry as opaque bytes (the
+parent journals them unread).  When a worker dies,
 a supervisor thread respawns it with bounded retry/backoff
 (:class:`~repro.serve.recovery.RecoveryPolicy`), rehydrates the
 partition from the last checkpoint, replays the journal verbatim (slot
@@ -65,16 +67,19 @@ fresh worker in.  During the window callers see a *transient*
 :class:`DeploymentError` subclass carrying ``retry_after``) for
 operations that need a round trip, while bulk dispatch and ``post`` are
 accepted and deferred through the journal; :meth:`await_recovery`
-blocks until the fleet is whole.  Merged metrics and telemetry never
-fall across the respawn: counters are partition state, so the next
-incarnation resumes them from the checkpoint and replay counts the rest,
-while the parent keeps serving each partition's last report until the
-fresh worker is swapped in.  Recovery itself is observable through
-:meth:`recovery_registry` / :attr:`recovery_trace`
-(die→respawn→replay→resume causality, MTTR histogram).
+blocks until the fleet is whole.  The fleet's counters and histograms
+never fall across the respawn: a partition's registry is partition
+state, so the next incarnation resumes it from the checkpoint and
+replay counts the rest, while the parent keeps counting each
+partition's last report until the fresh worker is swapped in.
+Recovery itself is observable in the same registry (restarts, replayed
+events, the MTTR histogram) and in :attr:`recovery_trace`
+(die→respawn→replay→resume causality).
 
 Posted traffic queues parent-side as one flat ``array('q')`` schedule
-per worker, which :meth:`MultiprocessFleet.drain_all` fans out; live
+per worker, which :meth:`MultiprocessFleet.drain_all` fans out: these
+pending buffers are this fleet's queues, so their depths at each drain
+feed the ``fleet_shard_depth_*`` gauges (workers never queue).  Live
 trace logs do not cross the process boundary.
 """
 
@@ -106,7 +111,7 @@ from repro.serve.fleet import (
     raise_rejected,
     resolve_snapshot,
 )
-from repro.serve.metrics import FleetMetrics
+from repro.serve.metrics import FleetMetrics, QueueDepths
 from repro.serve.recovery import (
     FleetRecoveringError,
     RecoveryPolicy,
@@ -158,20 +163,24 @@ class EncodedFleetSchedule:
         )
 
 
+#: A fresh partition's counts: nothing counted yet.
+_UNCOUNTED = (0,) * len(FleetMetrics.COUNTERS)
+
+
 class _Worker:
     """Parent-side handle of one worker process (one incarnation)."""
 
-    __slots__ = ("process", "channel", "status", "metrics", "registry")
+    __slots__ = ("process", "channel", "status", "counts", "registry")
 
     def __init__(self, process, channel: Channel):
         self.process = process
         self.channel = channel
         self.status = WORKER_LIVE
-        #: The partition's counters as last reported (piggybacked on
-        #: every reply; a respawned worker resumes them from its
+        #: The partition's counter values as last reported (piggybacked
+        #: on every reply; a respawned worker resumes them from its
         #: checkpoint, so they include every earlier incarnation).
-        self.metrics = FleetMetrics()
-        #: The partition's telemetry registry as last fetched.
+        self.counts = _UNCOUNTED
+        #: The partition's registry as last fetched, for its histograms.
         self.registry: Optional[MetricsRegistry] = None
 
     @property
@@ -230,9 +239,9 @@ def _worker_main(conn, machine, options, inherited) -> None:
 
 
 def _reply(channel: Channel, status: str, payload, engine) -> None:
-    metrics = engine.metrics if engine is not None else None
+    counts = engine.metrics.counts() if engine is not None else None
     try:
-        channel.send_reply(status, payload, metrics)
+        channel.send_reply(status, payload, counts)
     except OSError:  # the parent is gone; the next read ends the loop
         pass
 
@@ -270,8 +279,7 @@ def _handle(engine: FleetEngine, request: tuple):
     if op == "snapshot":
         return tuple(map(engine.trace, engine.store.keys()))
     if op == "restore":
-        engine.restore(request[1])
-        engine.metrics.snapshots_restored -= 1
+        engine._load(request[1])
         return dict(engine.store.slot_of)
     if op == "registry":
         return engine.telemetry_registry()
@@ -321,6 +329,11 @@ class MultiprocessFleet:
             raise DeploymentError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}"
             )
+        if isinstance(telemetry, FleetTelemetry):
+            raise DeploymentError(
+                "each worker feeds a FleetTelemetry of its own, so no process "
+                "would feed this one; pass telemetry=True"
+            )
         self._machine = machine
         self._mode = mode
         self._backend_kind = backend
@@ -337,8 +350,12 @@ class MultiprocessFleet:
         #: worker) as one int; the authoritative population map —
         #: workers never report membership back.
         self._route: dict[str, int] = {}
-        #: Fleet-wide snapshots taken / restored, counted once here.
-        self._snapshots_taken = self._snapshots_restored = 0
+        #: The fleet's one registry: every partition's last report, plus
+        #: the fleet-wide snapshots and restores counted once here.
+        self._registry = MetricsRegistry()
+        self._depths = QueueDepths(self._registry)
+        self.metrics = FleetMetrics(self._registry, self._depths)
+        self._count = self.metrics.handles()
         self._closed = False
         self._closing = False
         self._join_timeout = join_timeout
@@ -369,7 +386,7 @@ class MultiprocessFleet:
         self._journals = (
             [WorkerJournal() for _ in range(workers)] if journal else []
         )
-        self._recovery = RecoveryTelemetry() if journal else None
+        self._recovery = RecoveryTelemetry(self._registry) if journal else None
 
         #: Every process this fleet ever started (respawns included) —
         #: the GC finalizer sweeps this list so no incarnation leaks.
@@ -495,12 +512,13 @@ class MultiprocessFleet:
     def _recv(self, wid: int):
         worker = self._workers[wid]
         try:
-            status, payload, metrics = worker.channel.recv_reply()
+            status, payload, counts = worker.channel.recv_reply()
         except (EOFError, OSError):
             self._worker_failed(wid)
             self._raise_unavailable(wid, died=True)
-        if metrics is not None:
-            worker.metrics = metrics
+        if counts is not None and counts != worker.counts:
+            self._absorb(worker.counts, counts)
+            worker.counts = counts
         if status == "ok":
             return payload
         if status == "err":
@@ -514,6 +532,19 @@ class MultiprocessFleet:
     def _request(self, wid: int, *request):
         self._send(wid, request)
         return self._recv(wid)
+
+    def _absorb(self, was: tuple, now: tuple) -> None:
+        """Move the fleet counters by one partition's change of report.
+
+        Each partition counts as its last report, so a partition
+        mid-recovery (or lost) keeps its dead worker's until the rebuilt
+        one is swapped in, and no counter falls.  Under the fleet lock:
+        a recovery thread swaps while the main thread counts replies.
+        """
+        with self._lock:
+            for counter, new, old in zip(self.metrics.counters, now, was):
+                if new != old:
+                    counter.value += new - old
 
     def _fan_out(
         self, requests: dict[int, tuple], landed=None, defer: bool = False
@@ -631,7 +662,7 @@ class MultiprocessFleet:
             handle: Optional[_Worker] = None
             try:
                 handle = self._launch_worker()
-                status, payload, metrics = handle.channel.recv_reply()
+                status, payload, _counts = handle.channel.recv_reply()
                 if status != "ok":
                     raise DeploymentError(
                         f"respawned worker {wid} failed to start: {payload}"
@@ -710,6 +741,7 @@ class MultiprocessFleet:
         self._recovery.resumed(
             tid, wid, perf_counter() - died_at, self._recovering_count() - 1
         )
+        self._absorb(self._workers[wid].counts, handle.counts)
         self._workers[wid] = handle
 
     def _worker_roundtrip(self, handle: _Worker, request: tuple, tolerate_err=False):
@@ -721,9 +753,9 @@ class MultiprocessFleet:
         original behaviour, not a recovery failure.
         """
         handle.channel.send_request(request)
-        status, payload, metrics = handle.channel.recv_reply()
-        if metrics is not None:
-            handle.metrics = metrics
+        status, payload, counts = handle.channel.recv_reply()
+        if counts is not None:
+            handle.counts = counts
         if status == "ok":
             return payload
         if status == "err" and tolerate_err:
@@ -807,50 +839,23 @@ class MultiprocessFleet:
             return None
         return self.opt_report.state_map
 
-    @property
-    def metrics(self) -> FleetMetrics:
-        """Merged counters of every worker, plus the fleet-wide snapshot
-        and restore counts the parent keeps.
+    def telemetry_registry(self) -> MetricsRegistry:
+        """The fleet's one registry, every worker's histograms folded in.
 
-        Each partition contributes its last report.  A partition
-        mid-recovery (or lost) keeps the report its dead worker sent
-        last, until the respawned worker — which resumed the counters
-        from its checkpoint and replayed the journal — is swapped in, so
-        no counter ever falls.
+        Its counters are always current (see :meth:`_absorb`).  The
+        histograms are fetched here from every live worker; a partition
+        mid-recovery (or lost) contributes the registry it sent last.  On
+        supervised fleets the supervisor's instruments live here too.
         """
-        merged = FleetMetrics(
-            snapshots_taken=self._snapshots_taken,
-            snapshots_restored=self._snapshots_restored,
-        )
-        for worker in self._workers:
-            merged.merge(worker.metrics)
-        return merged
-
-    def telemetry_registry(self) -> Optional[MetricsRegistry]:
-        """One registry folding every worker's histograms together.
-
-        Live workers are asked for their registry; a partition
-        mid-recovery (or lost) contributes the one it sent last, as
-        :attr:`metrics` does.  On supervised fleets the recovery plane's
-        own instruments are folded in too.  Returns ``None`` only when
-        the fleet is entirely uninstrumented (no telemetry, no journal).
-        """
-        if not self._telemetry_enabled and self._recovery is None:
-            return None
-        merged = MetricsRegistry()
-        if self._recovery is not None:
-            merged.merge(self._recovery.registry)
         if self._telemetry_enabled:
+            partitions = MetricsRegistry()
             for wid, worker in enumerate(self._workers):
                 if worker.alive:
                     worker.registry = self._request(wid, "registry")
                 if worker.registry is not None:
-                    merged.merge(worker.registry)
-        return merged
-
-    def recovery_registry(self) -> Optional[MetricsRegistry]:
-        """The supervisor's instruments (``None`` when ``journal=False``)."""
-        return None if self._recovery is None else self._recovery.registry
+                    partitions.merge(worker.registry)
+            self._registry.histograms.update(partitions.histograms)
+        return self._registry
 
     @property
     def recovery_trace(self):
@@ -1082,13 +1087,14 @@ class MultiprocessFleet:
         }
         if not requests:
             return 0
-        for wid in requests:
+        for wid, (_op, buffer) in requests.items():
             self._pending[wid] = array("q")
+            self._depths.drained(wid, len(buffer) // 2)
         self._dispatch_fan_out(requests)
         return sum(len(request[1]) for request in requests.values()) // 2
 
     def run(self, events, encoding: str = "auto") -> FleetMetrics:
-        """Fan a workload out to the workers; returns merged metrics.
+        """Fan a workload out to the workers; returns :attr:`metrics`.
 
         Accepts ``(key, message)`` batches (``"events"``/``"auto"``) or
         an :class:`EncodedFleetSchedule` from :meth:`encode_flat`
@@ -1178,7 +1184,7 @@ class MultiprocessFleet:
             if self._workers[wid].alive
         }
         instances = tuple(chain.from_iterable(self._fan_out(requests).values()))
-        self._snapshots_taken += 1
+        self._count.snapshots_taken.value += 1
         workers = len(self._workers)
         lost = tuple(
             key for key, code in self._route.items()
@@ -1235,7 +1241,7 @@ class MultiprocessFleet:
             for wid, slot_of in self._fan_out(requests).items()
             for key, slot in slot_of.items()
         }
-        self._snapshots_restored += 1
+        self._count.snapshots_restored.value += 1
         # A restore rewrites every partition wholesale: journals recording
         # the pre-restore history are obsolete, so re-baseline them.
         if self._journal_enabled:
@@ -1272,11 +1278,12 @@ class MultiprocessFleet:
             stopping.append(worker)
         for worker in stopping:
             try:
-                status, payload, metrics = worker.channel.recv_reply()
-                if metrics is not None:
-                    worker.metrics = metrics
+                _status, _payload, counts = worker.channel.recv_reply()
             except (EOFError, OSError):
-                pass
+                continue
+            if counts is not None:
+                self._absorb(worker.counts, counts)
+                worker.counts = counts
         self._closed = True
         for worker in self._workers:
             with suppress(OSError):

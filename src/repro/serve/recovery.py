@@ -25,12 +25,11 @@ Worker side
     across a recovery — slot assignment in the store is a deterministic
     function of (layout, operation sequence).  A checkpoint is one
     ``bytes`` blob of the store's raw columns (slot keys, free list,
-    premultiplied states, logs as stored) and the partition's counters
-    and telemetry registry, built where they live and read only by the
-    next incarnation: checkpoints cross the pipe on the dispatch clock,
-    so neither side re-keys slots by state name and the parent, which
-    only journals the blob, never unpickles it — nor keeps a second copy
-    of a worker's counters.
+    premultiplied states, logs as stored) and the partition's registry —
+    its counters, gauges and histograms — built where they live and read
+    only by the next incarnation: checkpoints cross the pipe on the
+    dispatch clock, so neither side re-keys slots by state name and the
+    parent, which only journals the blob, never unpickles it.
 
 Shared
     :class:`FleetRecoveringError` — the transient flavour of
@@ -56,7 +55,6 @@ from time import perf_counter
 from repro.core.errors import DeploymentError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceLog
-from repro.serve.metrics import FleetMetrics
 
 __all__ = [
     "FleetRecoveringError",
@@ -145,10 +143,9 @@ def partition_checkpoint(engine) -> bytes:
     premultiplied states as ``array('q')`` (on a vector fleet, the live
     prefix of the numpy column), and the logs as stored (``None`` under
     ``log_policy='off'``).  A naive fleet's states and logs are read from
-    its backends into the same container.  The engine's counters (as
-    :meth:`~repro.serve.metrics.FleetMetrics.as_tuple`) and telemetry
-    registry (or ``None``) ride along: they are partition state, so the
-    next incarnation resumes counting where this one stood.
+    its backends into the same container.  The engine's registry rides
+    along: its counters and histograms are partition state, so the next
+    incarnation resumes counting where this one stood.
 
     Unlike :meth:`FleetEngine.snapshot` this works under every log
     policy, preserves slot numbering and the free-list stack, and
@@ -174,7 +171,6 @@ def partition_checkpoint(engine) -> bytes:
         array("q", store.free_slots),
         array("q", states),
         logs,
-        engine.metrics.as_tuple(),
         engine.telemetry_registry(),
     )
     return pickle.dumps(layout, pickle.HIGHEST_PROTOCOL)
@@ -184,30 +180,28 @@ def rehydrate(engine, blob: bytes) -> None:
     """Rebuild a fresh worker engine at a checkpoint blob's exact layout.
 
     The blob is checked before the store is touched: it must unpickle to
-    the columns of one layout, a full counter tuple and a registry (or
-    ``None``), and every state must be in range and a multiple of the
-    table width, else :class:`~repro.core.errors.DeploymentError`.
+    the columns of one layout and a registry, and every state must be in
+    range and a multiple of the table width, else
+    :class:`~repro.core.errors.DeploymentError`.
     Occupied slots are then respawned in slot order, free slots are
     filled with placeholders and released in recorded stack order, so
     every key sits at its original slot and journaled flat schedules
     (and future spawns, which pop the same stack) replay verbatim.
-    Finally the checkpoint's counters replace the engine's and its
-    registry merges into the engine's telemetry, so journal replay
-    counts on from the checkpoint, as the dead incarnation did.
+    Finally the checkpoint's registry merges into the engine's — a fresh
+    incarnation's has counted nothing yet — so journal replay counts on
+    from the checkpoint, as the dead incarnation did.
     """
     import pickle
 
     naive = engine.mode == "naive"
     logged = naive or engine.log_policy == "full"
     try:
-        key_of, free, states, logs, counters, registry = pickle.loads(blob)
+        key_of, free, states, logs, registry = pickle.loads(blob)
         if len(states) != len(key_of) or (logs is not None) != logged:
             raise ValueError("columns do not describe one layout")
         if logged and len(logs) != len(key_of):
             raise ValueError("log column does not describe the layout")
-        if len(counters) != len(engine.metrics.as_tuple()):
-            raise ValueError("counters do not match FleetMetrics")
-        if not (registry is None or isinstance(registry, MetricsRegistry)):
+        if not isinstance(registry, MetricsRegistry):
             raise ValueError("registry slot holds no MetricsRegistry")
     except Exception as exc:  # corrupt pickle bytes can raise almost anything
         raise DeploymentError(f"corrupt partition checkpoint: {exc!r}") from None
@@ -247,10 +241,7 @@ def rehydrate(engine, blob: bytes) -> None:
                 "checkpoint layout"
             )
         store.release(placeholder)
-    engine.metrics = FleetMetrics.from_tuple(counters)
-    telemetry = engine.telemetry_registry()
-    if registry is not None and telemetry is not None:
-        telemetry.merge(registry)
+    engine.telemetry_registry().merge(registry)
 
 
 # ---------------------------------------------------------------------------
@@ -261,35 +252,34 @@ def rehydrate(engine, blob: bytes) -> None:
 class RecoveryTelemetry:
     """The supervisor's observability plane, on stock obs instruments.
 
-    One registry (restart/replay/checkpoint counters, a
-    ``workers_recovering`` gauge and the MTTR histogram
-    ``fleet_recovery_seconds``) plus one :class:`TraceLog` whose records
-    chain die→respawn→replay→resume under the death's trace id, so one
-    ``trace_event(tid)`` read reconstructs the whole incident.
+    Restart/replay/checkpoint counters, a ``workers_recovering`` gauge
+    and the MTTR histogram ``fleet_recovery_seconds``, declared in the
+    supervised fleet's own registry, plus one :class:`TraceLog` whose
+    records chain die→respawn→replay→resume under the death's trace id,
+    so one ``trace_event(tid)`` read reconstructs the whole incident.
     """
 
-    def __init__(self, trace_capacity: int = 4096):
-        self.registry = MetricsRegistry()
+    def __init__(self, registry: MetricsRegistry, trace_capacity: int = 4096):
         self.trace = TraceLog(capacity=trace_capacity)
-        self._restarts = self.registry.counter(
+        self._restarts = registry.counter(
             "fleet_worker_restarts_total",
             "worker processes respawned by the supervisor",
         )
-        self._replayed = self.registry.counter(
+        self._replayed = registry.counter(
             "fleet_events_replayed_total",
             "journaled events replayed into respawned workers",
         )
-        self._checkpoints = self.registry.counter(
+        self._checkpoints = registry.counter(
             "fleet_checkpoints_total", "partition checkpoints taken"
         )
-        self._failures = self.registry.counter(
+        self._failures = registry.counter(
             "fleet_recovery_failures_total",
             "recoveries abandoned after exhausting the restart policy",
         )
-        self._recovering = self.registry.gauge(
+        self._recovering = registry.gauge(
             "fleet_workers_recovering", "workers currently rehydrating"
         )
-        self._mttr = self.registry.histogram(
+        self._mttr = registry.histogram(
             "fleet_recovery_seconds",
             "worker death to resumed service (MTTR)",
         )

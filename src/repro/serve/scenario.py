@@ -60,11 +60,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import DeploymentError, SimulationError
 from repro.core.wiring import Wiring
+from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.serve.api import Fleet
 from repro.serve.fleet import FleetSnapshot
 from repro.serve.store import InstanceSnapshot
@@ -208,34 +209,31 @@ class Scenario:
     snapshot_every: Optional[float] = None
 
 
-@dataclass
-class ScenarioMetrics:
-    """Counters of everything the scenario engine did."""
+class _ScenarioCounters(CounterView):
+    """Read-only live view of everything the scenario engine counted."""
 
-    instants: int = 0
-    external_delivered: int = 0
-    routed_delivered: int = 0
-    timers_fired: int = 0
-    timers_armed: int = 0
-    timers_cancelled: int = 0
-    messages_routed: int = 0
-    messages_dropped: int = 0
-    messages_duplicated: int = 0
-    messages_delayed: int = 0
-    shards_killed: int = 0
-    instances_lost: int = 0
-    snapshots_taken: int = 0
-    snapshots_restored: int = 0
-
-    @property
-    def events_delivered(self) -> int:
-        """Messages delivered to instances, whatever their provenance."""
-        return self.external_delivered + self.routed_delivered + self.timers_fired
-
-    def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["events_delivered"] = self.events_delivered
-        return out
+    __slots__ = ()
+    PREFIX = "scenario_"
+    COUNTERS = (
+        ("instants", "distinct virtual instants processed"),
+        ("external_delivered", "scheduled external events delivered"),
+        ("routed_delivered", "routed peer messages delivered"),
+        ("timers_fired", "timer messages delivered"),
+        ("timers_armed", "timers armed on entering a state"),
+        ("timers_cancelled", "armed timers cancelled by a state exit"),
+        ("messages_routed", "routed copies scheduled for peers"),
+        ("messages_dropped", "routed copies dropped by a fault"),
+        ("messages_duplicated", "routed copies duplicated by a fault"),
+        ("messages_delayed", "routed copies delayed by a fault"),
+        ("shards_killed", "shards killed by a fault"),
+        ("instances_lost", "instances lost with a killed shard"),
+        ("snapshots_taken", "scenario snapshots taken"),
+        ("snapshots_restored", "scenario snapshots restored"),
+        (
+            "events_delivered",
+            "messages delivered to instances, whatever their provenance",
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -346,9 +344,10 @@ class ScenarioEngine:
         self._snap_scheduled = False
         self._snapshot_every = snapshot_every
         self._last_snapshot: Optional[ScenarioSnapshot] = None
-        self._delivered = 0
         self._max_events = max_events
-        telemetry = fleet.telemetry
+        # Trace logs do not cross processes: only an in-process fleet
+        # can carry one.
+        telemetry = getattr(fleet, "telemetry", None)
         #: The fleet's trace log, when one is attached: scenario records
         #: (schedule/timer/route/fault decisions, at virtual time) land
         #: in the same ring as the fleet's post/dispatch records.
@@ -358,7 +357,11 @@ class ScenarioEngine:
         #: key -> trace id of the last event delivered to the key: the
         #: causal parent for timers armed on and actions routed from it.
         self._last_tid: dict[str, int] = {}
-        self.metrics = ScenarioMetrics()
+        #: The scenario's own counters (``scenario_*_total``); an
+        #: exposition merges them with the fleet's registry.
+        self.registry = MetricsRegistry()
+        self.metrics = _ScenarioCounters(self.registry)
+        self._count = self.metrics.handles()
 
     # ------------------------------------------------------------------
     # introspection
@@ -499,7 +502,7 @@ class ScenarioEngine:
             self._sim.drain()
             self._cancels = 0
 
-    def run(self, until: float) -> ScenarioMetrics:
+    def run(self, until: float) -> _ScenarioCounters:
         """Advance virtual time to ``until``, processing every due instant."""
         sim = self._sim
         faults = self._faults
@@ -527,8 +530,6 @@ class ScenarioEngine:
         return self.metrics
 
     def _process(self, due) -> None:
-        metrics = self.metrics
-        metrics.instants += 1
         observing = self._observing
         trace = self._trace
         #: (kind, key, message, trace_id) — observing only.
@@ -538,12 +539,11 @@ class ScenarioEngine:
         timer_payloads: list[tuple] = []
         kills: list[tuple] = []
         snaps = 0
-        delivered = 0
+        external = routed = timers = 0
         for rid, rtime, kind, payload in due:
             tids = self._tids.pop(rid, None) if trace is not None else None
             if kind == EXTERNAL:
-                delivered += len(payload)
-                metrics.external_delivered += len(payload)
+                external += len(payload)
                 if observing:
                     if tids is None:
                         deliveries.extend(
@@ -558,8 +558,7 @@ class ScenarioEngine:
                     batches.append(payload)
                     pair_lists.append(self._pairs.pop(rid, None))
             elif kind == ROUTED:
-                delivered += 1
-                metrics.routed_delivered += 1
+                routed += 1
                 tid = tids[0] if tids else None
                 if observing:
                     deliveries.append((ROUTED, payload[0], payload[1], tid))
@@ -567,8 +566,7 @@ class ScenarioEngine:
                     batches.append((payload,))
                     pair_lists.append(None)
             elif kind == TIMER:
-                delivered += 1
-                metrics.timers_fired += 1
+                timers += 1
                 timer_payloads.append(payload)
                 tid = tids[0] if tids else None
                 if tid is not None:
@@ -585,8 +583,14 @@ class ScenarioEngine:
                     kills.append((rid, payload))
             else:  # _SNAP
                 snaps += 1
-        self._delivered += delivered
-        if self._delivered > self._max_events:
+        counted = self._count
+        counted.instants.value += 1
+        counted.external_delivered.value += external
+        counted.routed_delivered.value += routed
+        counted.timers_fired.value += timers
+        delivered = counted.events_delivered
+        delivered.value += external + routed + timers
+        if delivered.value > self._max_events:
             raise SimulationError(
                 f"scenario exceeded event budget of {self._max_events} "
                 "deliveries — routing livelock?"
@@ -654,7 +658,7 @@ class ScenarioEngine:
     def _observe(self, keys) -> None:
         fleet = self._fleet
         store = fleet.store
-        metrics = self.metrics
+        counted = self._count
         slot_of = store.slot_of
         timers_col = store.timers
         timer = self._wiring.timer
@@ -671,12 +675,12 @@ class ScenarioEngine:
                 self._cancel(armed[0])
                 timers_col[slot] = None
                 armed = None
-                metrics.timers_cancelled += 1
+                counted.timers_cancelled.value += 1
             if timer is not None and armed is None and not fleet.is_finished(key):
                 message, delay = timer
                 rid = self._schedule(delay, TIMER, (key, message))
                 timers_col[slot] = (rid, state)
-                metrics.timers_armed += 1
+                counted.timers_armed.value += 1
                 if trace is not None:
                     tid = trace.mint()
                     trace.record(
@@ -700,20 +704,20 @@ class ScenarioEngine:
                             self._route(key, action, *route)
 
     def _route(self, key: str, action: str, message: str, delay: float) -> None:
-        metrics = self.metrics
+        counted = self._count
         faults = self._faults
         trace = self._trace
         parent = self._last_tid.get(key) if trace is not None else None
         lossy = faults is not None and faults.message_faults
         for peer in self._topology.peers(key):
-            metrics.messages_routed += 1
+            counted.messages_routed.value += 1
             copy_delay = delay
             copies = 1
             delayed = False
             if lossy:
                 draw = self._rng.random()
                 if draw < faults.drop:
-                    metrics.messages_dropped += 1
+                    counted.messages_dropped.value += 1
                     if trace is not None:
                         trace.record(
                             trace.mint(),
@@ -726,10 +730,10 @@ class ScenarioEngine:
                         )
                     continue
                 if draw < faults.drop + faults.duplicate:
-                    metrics.messages_duplicated += 1
+                    counted.messages_duplicated.value += 1
                     copies = 2
                 elif draw < faults.drop + faults.duplicate + faults.delay:
-                    metrics.messages_delayed += 1
+                    counted.messages_delayed.value += 1
                     copy_delay += faults.delay_by
                     delayed = True
             for copy in range(copies):
@@ -757,13 +761,12 @@ class ScenarioEngine:
     # ------------------------------------------------------------------
 
     def _kill(self, shard: Optional[int]) -> None:
-        metrics = self.metrics
         if shard is None:
             shard = self._rng.randrange(self._fleet.shard_count)
         store = self._fleet.store
         victims = list(store.shards[shard].keys)
-        metrics.shards_killed += 1
-        metrics.instances_lost += len(victims)
+        self._count.shards_killed.value += 1
+        self._count.instances_lost.value += len(victims)
         if self._trace is not None:
             # Engine-level records use the reserved id 0 (mint starts at
             # 1), so a kill never perturbs the replayable id stream.
@@ -805,7 +808,7 @@ class ScenarioEngine:
             ),
         )
         self._last_snapshot = snap
-        self.metrics.snapshots_taken += 1
+        self._count.snapshots_taken.value += 1
         return snap
 
     def restore(self, snap: ScenarioSnapshot) -> None:
@@ -846,7 +849,7 @@ class ScenarioEngine:
                     if slot is not None:
                         store.timers[slot] = (rid, fleet.state_name(payload[0]))
         self._last_snapshot = snap
-        self.metrics.snapshots_restored += 1
+        self._count.snapshots_restored.value += 1
 
 
 def run_scenario(fleet: Fleet, scenario: Scenario) -> ScenarioEngine:

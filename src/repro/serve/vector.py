@@ -329,16 +329,15 @@ class VectorKernel:
         self._any_recycles = log_policy == "full" and bool(self._recycles.any())
         self._any_flags = bool(inapplicable.any() or self._recycles.any())
 
-    def dispatch(self, schedule: VectorSchedule, metrics) -> None:
-        """Run every round of a schedule; update the fleet counters.
+    def dispatch(self, schedule: VectorSchedule) -> tuple[int, int]:
+        """Run every round of a schedule; returns ``(ignored, recycled)``.
 
-        Counter semantics are identical to the scalar encoded loop:
-        ``events_dispatched`` counts the batch, ``transitions_fired``
-        excludes inapplicable messages, ``instances_recycled`` counts
-        protocol-completing transitions under auto-recycle.  A round is
-        four array operations — gather the states, add the columns into
-        the batch's offsets buffer, gather the jumps, scatter — and the
-        counters come from one flags gather over that buffer afterwards.
+        The tally means what the scalar encoded loop's does: ``ignored``
+        counts inapplicable messages, ``recycled`` protocol-completing
+        transitions under auto-recycle.  A round is four array
+        operations — gather the states, add the columns into the batch's
+        offsets buffer, gather the jumps, scatter — and the tally comes
+        from one flags gather over that buffer afterwards.
         """
         count = schedule.count
         states = self._store.states.data
@@ -362,10 +361,7 @@ class VectorKernel:
         if self._any_flags and count:
             tally = _np.bincount(self._flags[offsets], minlength=3)
             ignored, recycled = int(tally[1]), int(tally[2])
-        metrics.events_dispatched += count
-        metrics.transitions_fired += count - ignored
-        metrics.events_ignored += ignored
-        metrics.instances_recycled += recycled
+        return ignored, recycled
 
     def _post_process(self, slots, offsets) -> None:
         """Scalar-side handling of the masked edges of one round.

@@ -14,12 +14,12 @@ import threading
 import time
 import tracemalloc
 from array import array
-from dataclasses import fields
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.channel import FLAT, HEADER, PICKLED, Channel, _read_exact
-from repro.serve.metrics import FleetMetrics
+from repro.serve.metrics import FleetMetrics, QueueDepths
 
 
 @pytest.fixture
@@ -150,29 +150,28 @@ def test_other_requests_are_pickled_frames(pair):
     assert pickle.loads(wire[HEADER.size :]) == request
 
 
-def every_field_set() -> FleetMetrics:
-    """A FleetMetrics with every field distinct and off its default."""
-    metrics = FleetMetrics()
-    for index, spec in enumerate(fields(FleetMetrics)):
-        if spec.name == "shard_depths":
-            setattr(metrics, spec.name, [7, 0, 12, 3])
-        else:
-            setattr(metrics, spec.name, 1000 + 17 * index)
+def every_counter_set() -> FleetMetrics:
+    """A fleet counter view with every counter distinct and off zero."""
+    metrics = FleetMetrics(MetricsRegistry(), QueueDepths(MetricsRegistry()))
+    for index, counter in enumerate(metrics.counters):
+        counter.value = 1000 + 17 * index
     return metrics
 
 
 def test_the_counters_carry_every_field(pair):
     near, far = pair
-    sent = every_field_set()
-    assert all(
-        getattr(sent, spec.name) != getattr(FleetMetrics(), spec.name)
-        for spec in fields(FleetMetrics)
-    )
-    far.send_reply("ok", {"payload": 1}, sent)
+    sent = every_counter_set()
+    far.send_reply("ok", {"payload": 1}, sent.counts())
     status, payload, received = near.recv_reply()
     assert (status, payload) == ("ok", {"payload": 1})
-    assert received == sent and received.as_dict() == sent.as_dict()
-    assert all(type(value) in (int, list) for value in sent.as_tuple())
+    # One int per declared counter, in declaration order.
+    assert len(received) == len(FleetMetrics.COUNTERS)
+    assert all(type(value) is int for value in received)
+    assert dict(zip((f for f, _ in FleetMetrics.COUNTERS), received)) == {
+        field: value
+        for field, value in sent.as_dict().items()
+        if field not in ("shard_depths", "peak_shard_depth")
+    }
 
 
 def test_a_reply_without_counters_has_none(pair):

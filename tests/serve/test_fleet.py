@@ -634,7 +634,11 @@ class TestMetricsSurface:
         as_dict = metrics.as_dict()
         assert as_dict["events_dispatched"] == 500
 
-    def test_metrics_are_slotted(self):
-        metrics = FleetMetrics()
+    def test_metrics_are_slotted(self, make_fleet):
+        metrics = make_fleet().metrics
+        assert isinstance(metrics, FleetMetrics)
         with pytest.raises(AttributeError):
             metrics.events_dispactched = 1  # typo'd counters must not pass silently
+        # A read-only view: the count lives in the registry, not here.
+        with pytest.raises(AttributeError):
+            metrics.events_dispatched = 1

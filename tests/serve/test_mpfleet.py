@@ -10,9 +10,12 @@ between a 4-worker fleet and a single in-process engine in both
 directions.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro.core.errors import DeploymentError
+from repro.obs import FleetTelemetry
 from repro.serve import (
     HAS_NUMPY,
     NUMPY_UNAVAILABLE_REASON,
@@ -279,9 +282,46 @@ def test_telemetry_registry_merges_all_workers():
         fleet.close()
 
 
-def test_telemetry_registry_is_none_when_disabled():
+def test_telemetry_registry_without_telemetry_holds_the_counters():
+    # The fleet's one registry exists whether or not it is instrumented:
+    # uninstrumented, it holds the counters and depth gauges, no histogram.
     fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
     try:
-        assert fleet.telemetry_registry() is None
+        keys = fleet.spawn_many(4)
+        fleet.run([(key, "update") for key in keys])
+        registry = fleet.telemetry_registry()
+        assert registry is fleet.telemetry_registry()
+        assert registry.histograms == {}
+        assert registry.counters["fleet_events_dispatched_total"].value == 4
+        assert registry.counters["fleet_instances_spawned_total"].value == 4
+    finally:
+        fleet.close()
+
+
+def test_a_telemetry_instance_is_refused_before_any_fork():
+    # No process would feed a caller's context: each worker feeds its own.
+    started = len(multiprocessing.active_children())
+    with pytest.raises(DeploymentError, match="pass telemetry=True"):
+        make_fleet("commit", workers=2, telemetry=FleetTelemetry())
+    assert len(multiprocessing.active_children()) == started
+
+
+def test_depth_gauges_read_the_pending_buffers():
+    # A multiprocess fleet's queues are its per-worker pending buffers:
+    # each drain records their depths, as a shard drain does in-process.
+    fleet = make_fleet("commit", mode="encoded", workers=2, shards=4)
+    try:
+        keys = fleet.spawn_many(10)
+        for key in keys:
+            fleet.post(key, "update")
+        buffers = [len(buffer) // 2 for buffer in fleet._pending]
+        assert sum(buffers) == 10
+        assert fleet.drain_all() == 10
+        metrics = fleet.metrics
+        assert metrics.shard_depths == buffers
+        assert metrics.peak_shard_depth == max(buffers) > 0
+        gauges = fleet.telemetry_registry().gauges
+        assert gauges["fleet_shard_depth_peak"].value == max(buffers)
+        assert gauges["fleet_shard_depth_max"].value == max(buffers)
     finally:
         fleet.close()

@@ -4,7 +4,7 @@ The contract under test is the tentpole of the recovery subsystem: a
 supervised fleet (``journal=True``) that loses a worker to SIGKILL
 rebuilds the partition from checkpoint + journal replay and ends
 *indistinguishable* from an unkilled twin — traces via ``diff_fleets``
-AND the merged ``FleetMetrics`` counters — across bundled models and
+AND the fleet's ``FleetMetrics`` counters — across bundled models and
 seeded kill schedules.  Around it: the transient
 :class:`FleetRecoveringError` window, kill-during-recovery retries,
 restart-policy exhaustion, partial snapshots of survivors, shutdown
@@ -16,6 +16,7 @@ import contextlib
 import os
 import pickle
 import signal
+import sys
 import threading
 import time
 from array import array
@@ -127,7 +128,7 @@ def test_sigkill_mid_burst_recovers_to_twin_parity(model, seed, mode):
         assert fleet.worker_states() == ["live", "live"]
         assert diff_fleets(fleet, twin, keys) == []
         assert fleet.metrics.as_dict() == twin.metrics.as_dict()
-        restarts = fleet.recovery_registry().counters[
+        restarts = fleet.telemetry_registry().counters[
             "fleet_worker_restarts_total"
         ]
         assert restarts.value >= 1
@@ -190,7 +191,7 @@ def test_checkpoint_cadence_bounds_replay():
         fleet.spawn_many(8)
         events = workload(fleet.machine, 8, 400, seed=2)
         fleet.run(events)
-        registry = fleet.recovery_registry()
+        registry = fleet.telemetry_registry()
         # Initial checkpoints (one per worker) plus at least one cadence
         # checkpoint: 400 journaled events with a 60-event cadence.
         assert registry.counters["fleet_checkpoints_total"].value > 2
@@ -360,7 +361,7 @@ def test_checkpoint_round_trip_keeps_the_layout(mode, log_policy):
 def test_bad_checkpoint_blob_is_refused_before_anything_changes():
     source = churned_engine("encoded", "full")
     blob = partition_checkpoint(source)
-    key_of, free, states, logs, counters, registry = pickle.loads(blob)
+    key_of, free, states, logs, registry = pickle.loads(blob)
     width = source._width
     out_of_range = array("q", states)
     out_of_range[0] = len(source._table.state_names) * width
@@ -368,20 +369,13 @@ def test_bad_checkpoint_blob_is_refused_before_anything_changes():
     misaligned[0] += 1
     bad = {
         "truncated": blob[: len(blob) // 2],
-        "out of range": pickle.dumps(
-            (key_of, free, out_of_range, logs, counters, registry)
-        ),
-        "misaligned": pickle.dumps(
-            (key_of, free, misaligned, logs, counters, registry)
-        ),
-        "short column": pickle.dumps(
-            (key_of, free, states[:-1], logs, counters, registry)
-        ),
-        "short counters": pickle.dumps(
-            (key_of, free, states, logs, counters[:-1], registry)
-        ),
+        "out of range": pickle.dumps((key_of, free, out_of_range, logs, registry)),
+        "misaligned": pickle.dumps((key_of, free, misaligned, logs, registry)),
+        "short column": pickle.dumps((key_of, free, states[:-1], logs, registry)),
+        # The registry carries the partition's counters: it is required.
+        "no registry": pickle.dumps((key_of, free, states, logs, None)),
         "registry slot": pickle.dumps(
-            (key_of, free, states, logs, counters, {"fleet_batch_events": 1})
+            (key_of, free, states, logs, {"fleet_batch_events": 1})
         ),
     }
     target = make_fleet("commit", mode="encoded")
@@ -503,7 +497,7 @@ def test_restart_policy_exhaustion_declares_partition_lost():
         # Back to the permanent-loss contract of the unsupervised fleet.
         with pytest.raises(DeploymentError, match="shard partition is lost"):
             fleet.deliver(victim, "update")
-        registry = fleet.recovery_registry()
+        registry = fleet.telemetry_registry()
         assert registry.counters["fleet_recovery_failures_total"].value == 1
     finally:
         fleet.close()
@@ -559,7 +553,7 @@ def test_worker_that_never_starts_is_launched_max_restarts_times(monkeypatch):
         assert fleet.await_recovery(timeout=30)
         assert len(launches) == 3
         assert fleet.worker_states()[0] == "dead"
-        registry = fleet.recovery_registry()
+        registry = fleet.telemetry_registry()
         assert registry.counters["fleet_recovery_failures_total"].value == 1
     finally:
         fleet.close()
@@ -627,7 +621,7 @@ def test_recovery_trace_chains_incident_causality():
             "worker_replay",
             "worker_resume",
         )
-        registry = fleet.recovery_registry()
+        registry = fleet.telemetry_registry()
         assert registry.counters["fleet_worker_restarts_total"].value == 2
         assert registry.histograms["fleet_recovery_seconds"].count == 2
     finally:
@@ -675,8 +669,8 @@ def test_telemetry_merge_monotonic_across_recovery():
 
 
 def counter_readings(fleet):
-    """Every count a supervised, instrumented fleet reports: the merged
-    ``FleetMetrics`` but its shard-depth gauge, the merged registry's
+    """Every count a supervised, instrumented fleet reports: its
+    ``FleetMetrics`` but its shard-depth gauge, the fleet registry's
     counters, and the batch-size histogram's count and sum."""
     readings = fleet.metrics.as_dict()
     del readings["shard_depths"]
@@ -719,6 +713,38 @@ def test_no_counter_falls_during_a_recovery_window():
         unkilled = twin.telemetry_registry().histograms["fleet_batch_events"]
         assert (healed.count, healed.total) == (unkilled.count, unkilled.total)
     finally:
+        fleet.close()
+        twin.close()
+
+
+def test_the_swap_loses_no_count_under_a_tiny_switch_interval():
+    # The recovery thread moves the fleet counters when it swaps the
+    # rebuilt partition in, while the main thread keeps counting the
+    # survivors' replies: a lost update would leave them off the twin's.
+    fleet = supervised(workers=3, checkpoint_every=10_000)
+    twin = make_fleet("commit", mode="encoded", workers=3, shards=2)
+    interval = sys.getswitchinterval()
+    try:
+        keys = fleet.spawn_many(30)
+        twin.spawn_many(30)
+        events = workload(fleet.machine, 30, 600, seed=5)
+        fleet.run(events)
+        twin.run(events)
+        survivors = [key for key in keys if fleet.worker_of(key) != 0]
+        sys.setswitchinterval(1e-6)
+        slow_launch(fleet, delay=0.2)
+        sigkill_worker(fleet, 0)
+        fleet.check_workers()
+        deadline = time.monotonic() + 30
+        while fleet.is_recovering() and time.monotonic() < deadline:
+            for key in survivors:
+                fleet.deliver(key, "update")
+                twin.deliver(key, "update")
+        assert fleet.await_recovery(timeout=30)
+        assert fleet.worker_states() == ["live"] * 3
+        assert fleet.metrics.as_dict() == twin.metrics.as_dict()
+    finally:
+        sys.setswitchinterval(interval)
         fleet.close()
         twin.close()
 

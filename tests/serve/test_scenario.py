@@ -14,7 +14,6 @@ from repro.serve import (
     Scenario,
     ScenarioEngine,
     ScenarioFaultPlan,
-    ScenarioMetrics,
     ScenarioSpec,
     TimedEvent,
     WorkloadSpec,
@@ -177,6 +176,32 @@ class TestPassthrough:
         plain.spawn("g0000-m1")
         plain.run([(e.key, e.message) for e in events])
         assert traces == {k: plain.trace(k) for k in ("g0000-m0", "g0000-m1")}
+
+    def test_runs_on_a_multiprocess_fleet(self, make_fleet):
+        """Passthrough scenarios observe nothing, so they run on any
+        Fleet: a 2-worker fleet ends on the in-process fleet's traces.
+        An observing scenario still needs the in-process store."""
+        machine = machine_for("commit")
+        topology = GroupTopology.regular(2, 4)
+        kicks = ("free", "update", "vote", "vote")
+        scenario = Scenario(
+            wiring=Wiring(),
+            topology=topology,
+            events=tuple(
+                TimedEvent(float(tick), key, message)
+                for tick, message in enumerate(kicks)
+                for key in topology.keys
+            ),
+            until=10.0,
+        )
+        expected = scenario_traces(make_fleet(machine), scenario)
+        with make_fleet(machine, workers=2) as fleet:
+            engine = run_scenario(fleet, scenario)
+            assert engine.metrics.events_delivered == 32
+            traces = {key: fleet.trace(key) for key in topology.keys}
+            assert len(traces) == 8 and traces == expected
+            with pytest.raises(DeploymentError, match="in-process fleet"):
+                ScenarioEngine(fleet, COMMIT_WIRING, topology)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_recorded_workload_matches_raw_flat_run(self, make_fleet, mode):
@@ -549,11 +574,17 @@ class TestKillRestore:
 
 
 class TestMetricsAndGeneration:
-    def test_metrics_dict_includes_derived_total(self):
-        metrics = ScenarioMetrics(external_delivered=3, routed_delivered=2)
-        as_dict = metrics.as_dict()
-        assert as_dict["events_delivered"] == 5
-        assert as_dict["external_delivered"] == 3
+    def test_metrics_dict_includes_derived_total(self, make_fleet):
+        fleet = make_fleet(machine_for("commit"), shards=4)
+        engine = ScenarioEngine(fleet)
+        keys = fleet.spawn_many(3)
+        engine.schedule_events(TimedEvent(1.0, key, "update") for key in keys)
+        engine.schedule_event(2.0, keys[0], "free")
+        engine.run(5.0)
+        as_dict = engine.metrics.as_dict()
+        assert as_dict["events_delivered"] == 4
+        assert as_dict["external_delivered"] == 4
+        assert as_dict["instants"] == 2
 
     def test_generate_scenario_is_deterministic(self):
         machine = machine_for("commit")

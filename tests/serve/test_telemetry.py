@@ -11,7 +11,7 @@ snapshot is restored and the run replayed.
 import pytest
 
 from repro.models import CommitModel, CoordinatorRoundModel
-from repro.obs import FleetTelemetry, fleet_registry, scenario_registry
+from repro.obs import FleetTelemetry, MetricsRegistry
 from repro.serve import (
     ScenarioEngine,
     ScenarioSpec,
@@ -225,7 +225,8 @@ class TestExpositionBuilders:
         for key, message in events:
             fleet.post(key, message)
         fleet.drain_all()
-        registry = fleet_registry(fleet)
+        registry = fleet.telemetry_registry()
+        assert registry is _telemetry.registry
         assert registry.counters["fleet_events_dispatched_total"].value == 100
         assert registry.histograms["fleet_queue_latency_seconds"].count == 100
         assert registry.gauges["fleet_shard_depth_peak"].value > 0
@@ -234,8 +235,10 @@ class TestExpositionBuilders:
         # Satellite check: fleet counters, telemetry histograms and
         # scenario counters all land in a single registry.
         _machine, scenario = scenario_fixture()
-        _fleet, engine, _telemetry = run_traced_scenario(make_fleet, scenario)
-        registry = scenario_registry(engine)
+        fleet, engine, _telemetry = run_traced_scenario(make_fleet, scenario)
+        registry = MetricsRegistry()
+        registry.merge(fleet.telemetry_registry())
+        registry.merge(engine.registry)
         names = set(registry.counters)
         assert "fleet_events_dispatched_total" in names
         assert "scenario_events_delivered_total" in names

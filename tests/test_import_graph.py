@@ -42,7 +42,7 @@ SERVE_ALL = [
     "GroupTopology", "InstanceSnapshot", "InstanceStore", "LOG_POLICIES",
     "RecoveryPolicy", "RecoveryTelemetry",
     "SCENARIOS", "Scenario", "ScenarioEngine", "ScenarioFaultPlan",
-    "ScenarioMetrics", "ScenarioSnapshot", "ScenarioSpec",
+    "ScenarioSnapshot", "ScenarioSpec",
     "SessionSimulator", "TimedEvent", "VectorKernel",
     "VectorSchedule", "WorkerJournal", "WorkloadSpec",
     "diff_against_hierarchical", "diff_against_standalone", "diff_fleets",
@@ -95,8 +95,7 @@ OPT_ALL = [
 ]  # fmt: skip
 OBS_ALL = [
     "Counter", "Gauge", "LatencyHistogram", "MetricsRegistry", "FleetTelemetry",
-    "TraceLog", "TraceRecord", "fleet_registry", "render_json",
-    "render_prometheus", "scenario_registry",
+    "TraceLog", "TraceRecord", "render_json", "render_prometheus",
 ]  # fmt: skip
 
 ANALYSIS_ALL = [
