@@ -5,6 +5,7 @@
     python3 scripts/e2e_pairs.py --parent 1bb3137 --workload gw-single \\
         --pairs 10 --seeds 1,2 --seconds 12
     python3 scripts/e2e_pairs.py --parent HEAD --workload gen-deploy --dry-run
+    python3 scripts/e2e_pairs.py --parent HEAD --workload bulk-uniform,bulk-hotkey
 
 A perf claim in this repository is judged on pairs of runs — the parent
 commit and the change, same workload, seed and run length, alternating
@@ -22,13 +23,17 @@ parent's interquartile range), and removes the directory whatever happened; the
 repository's own ``.git`` is only read.  It imports nothing from
 ``benchmarks/e2e``; the gated metrics are read from ``BENCHMARK.json``.
 
-``--dry-run`` prints the commands in order and runs none.  Exits non-zero
-when ``compare.py`` does (a ``regressed`` row) or a run fails its oracle.
+``--workload`` takes a comma list: each workload runs in turn with the same
+pairs and seeds, so one command gives a claimed row and its no-regression
+twin.  ``--dry-run`` prints the commands in order and runs none.  Exits
+non-zero when any ``compare.py`` call does (a ``regressed`` row) or a run
+fails its oracle.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import pathlib
 import shlex
@@ -90,14 +95,14 @@ def gain_shown(parent: list, change: list, better: str) -> tuple[float, bool]:
     return (q3 - q1) / statistics.median(parent), shown
 
 
-def report(seed: int, files: dict) -> None:
+def report(label: str, files: dict) -> None:
     """Every run's value, who won each pair and whether a gain is shown,
-    per gated metric."""
+    per gated metric; each line starts with ``label`` (workload and seed)."""
     runs = {side: [read_run(path) for path in files[side]] for side in SIDES}
     for side in SIDES:
         failed = sum(run["failed"] for run in runs[side])
         attempted = sum(run["attempted"] for run in runs[side])
-        print(f"seed {seed} {side}: {failed} of {attempted} operations failed")
+        print(f"{label} {side}: {failed} of {attempted} operations failed")
     for metric, better in gated_metrics().items():
         values = {
             side: [run["metrics"][metric]["median"] for run in runs[side]]
@@ -112,7 +117,7 @@ def report(seed: int, files: dict) -> None:
         ties = sum(gap == 0 for gap in gaps)
         medians = {side: statistics.median(values[side]) for side in SIDES}
         print(
-            f"seed {seed} {metric} ({better} is better): change better in "
+            f"{label} {metric} ({better} is better): change better in "
             f"{wins} of {len(gaps)} pairs, {ties} ties; median "
             f"{medians['parent']:.6g} -> {medians['change']:.6g} "
             f"({medians['change'] / medians['parent']:.3f}x, base: parent)"
@@ -131,27 +136,33 @@ def report(seed: int, files: dict) -> None:
 def measure(args, trees: dict, work: pathlib.Path, run) -> int:
     """The pairs and the comparison, given both trees; the worst status."""
     status = 0
-    for seed in args.seeds:
-        bench = [sys.executable, RUN, "--workload", args.workload, "--seed", str(seed)]
+    for workload, seed in itertools.product(args.workload, args.seeds):
+        bench = [sys.executable, RUN, "--workload", workload, "--seed", str(seed)]
         bench += ["--seconds", f"{args.seconds:g}", "--json"]
+        label = f"{workload} seed {seed}"
         files: dict = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                out = work / f"{side}-seed{seed}-pair{pair}.json"
+                out = work / f"{side}-{workload}-seed{seed}-pair{pair}.json"
                 if run([*bench, str(out)], trees[side], quiet=True):
-                    raise SystemExit(f"{side} run failed: seed {seed}, pair {pair}")
+                    raise SystemExit(f"{side} run failed: {label}, pair {pair}")
                 files[side].append(out)
         lists = [",".join(map(str, files[side])) for side in SIDES]
         status |= run([sys.executable, COMPARE, *lists], trees["change"])
         if not args.dry_run:
-            report(seed, files)
+            report(label, files)
     return status
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="revision to compare with")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload",
+        required=True,
+        type=lambda text: text.split(","),
+        help="one workload or a comma list, run in turn",
+    )
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument(
         "--seeds",

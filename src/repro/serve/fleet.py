@@ -113,6 +113,11 @@ DISPATCH_MODES = ("naive", "encoded", "vector")
 #: everything else as ``events``); the explicit names skip the sniff.
 ENCODINGS = ("auto", "events", "flat")
 
+#: The head of every refusal of a ``"flat"`` batch that is no schedule.
+_NOT_A_SCHEDULE = (
+    "encoding 'flat' needs a [slot, col, ...] int schedule from encode_flat(); "
+)
+
 #: Every fleet's refusal of a pre-encoded schedule run as ``"events"``.
 _SCHEDULE_AS_EVENTS = (
     "encoding 'events' needs (key, message) pairs, but the batch is a "
@@ -659,9 +664,10 @@ class FleetEngine:
 
         The one pre-encoded schedule form: keys and messages resolve
         exactly once, into one machine-int buffer — O(1) objects, not
-        O(events), to build, keep and discard, which is what lets the
-        scenario wheel keep one per future instant — and
-        ``run(flat, encoding="flat")`` downstream never touches a string.
+        O(events), to build, keep and discard, at 16 bytes per event,
+        which is what lets the scenario wheel keep one per future
+        instant — and ``run(flat, encoding="flat")`` downstream never
+        touches a string.
         Slot ids are fleet-specific: encode against the fleet that will
         run the schedule.  Unknown keys or messages raise one
         :class:`~repro.core.errors.DeploymentError` naming them.
@@ -671,9 +677,12 @@ class FleetEngine:
         buffer: the interned columns go straight into numpy and the
         batch's per-instance ordering rounds are computed here, at encode
         time, so repeated runs of the schedule pay only the
-        gather/scatter.  The schedule builds the flat buffer on demand as
-        ``.flat``, supports ``+`` concatenation, and ``run`` accepts it
-        anywhere a flat array is accepted — on a scalar fleet too.
+        gather/scatter.  It holds O(1) arrays in compact dtypes — 5 bytes
+        per event below 65 536 instances, 256 messages and 65 536 events.
+        The schedule rebuilds the flat buffer on each read of ``.flat``
+        (it keeps no copy), supports ``+`` concatenation, and ``run``
+        accepts it anywhere a flat array is accepted — on a scalar fleet
+        too.
         """
         slots, cols, rejected = self._intern(events)
         if rejected:
@@ -795,6 +804,34 @@ class FleetEngine:
             flat = flat.flat
         it = iter(flat)
         return zip(it, it)
+
+    def _checked_flat(self, events) -> array:
+        """An untrusted flat schedule as the ``array('q')`` dispatch runs.
+
+        Only what :meth:`encode_flat` and :meth:`post` build — an
+        ``array('q')`` or a :class:`~repro.serve.vector.VectorSchedule` —
+        reaches dispatch unchecked.  Anything else (a list, an array of
+        another typecode) is converted here and refused with one
+        :class:`~repro.core.errors.DeploymentError`, before anything is
+        counted or dispatched, unless it holds whole pairs of ints, each
+        a slot of this store and a column of this machine.  Three C
+        passes per column; no Python loop.
+        """
+        try:
+            flat = array("q", events)
+        except (TypeError, OverflowError) as exc:
+            raise DeploymentError(f"{_NOT_A_SCHEDULE}{exc}") from None
+        _flat_count(flat)
+        for name, ids, bound in (
+            ("slot", flat[0::2], len(self._store.key_of)),
+            ("column", flat[1::2], self._width),
+        ):
+            if ids and not 0 <= min(ids) <= max(ids) < bound:
+                bad = min(ids) if min(ids) < 0 else max(ids)
+                raise DeploymentError(
+                    f"{_NOT_A_SCHEDULE}{name} {bad} is outside [0, {bound})"
+                )
+        return flat
 
     def _dispatch(self, batch, count: int) -> float:
         """The one dispatch tail of :meth:`run` and :meth:`drain_shard`.
@@ -921,10 +958,13 @@ class FleetEngine:
         * ``"events"`` — ``(key, message)`` string pairs.
         * ``"flat"`` — a flat ``[slot, col, slot, col, ...]`` int array
           (or a :class:`~repro.serve.vector.VectorSchedule`) from
-          :meth:`encode_flat`; its pairs are trusted, and slot ids are
-          fleet-specific.  A buffer of odd length (a slot with no
-          column) or of anything but ints is refused before anything
-          runs.
+          :meth:`encode_flat`; slot ids are fleet-specific.  Only
+          ``encode_flat``'s forms — an ``array('q')`` or a
+          ``VectorSchedule`` — are trusted; a list or an array of any
+          other typecode is checked whole first.  A buffer of odd length
+          (a slot with no column), of anything but ints, or naming a
+          slot or column this fleet does not have is refused before
+          anything is counted or runs.
         * ``"auto"`` (default) — sniff the batch: a flat int ``array``
           or a ``VectorSchedule`` dispatches as ``flat``, everything
           else as ``events``.
@@ -944,19 +984,13 @@ class FleetEngine:
             raise DeploymentError(_SCHEDULE_AS_EVENTS)
         rejected = ()
         if encoding == "flat" or pre_encoded:
-            if not pre_encoded:
-                try:
-                    events = array("q", events)
-                except (TypeError, OverflowError) as exc:
-                    raise DeploymentError(
-                        "encoding 'flat' needs a [slot, col, ...] int "
-                        f"schedule from encode_flat(); {exc}"
-                    ) from None
-            count = (
-                events.count
-                if isinstance(events, VectorSchedule)
-                else _flat_count(events)
-            )
+            if isinstance(events, VectorSchedule):
+                count = events.count
+            elif isinstance(events, array) and events.typecode == "q":
+                count = _flat_count(events)
+            else:
+                events = self._checked_flat(events)
+                count = len(events) // 2
             self.drain_all()
             batch = self._batch_of(events) if count else ()
         else:

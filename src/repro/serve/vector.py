@@ -18,10 +18,15 @@ exactly — and the rounds execute sequentially.
 Round splitting is itself vectorized (two stable radix argsorts; ids
 below 2**16 sort as ``uint16``, where numpy's stable sort is an O(n)
 radix pass) and happens once per schedule at *encode* time:
-:class:`VectorSchedule` is the batch's two int64 columns permuted into
+:class:`VectorSchedule` is the batch's two id columns permuted into
 round order plus the round boundaries, so a repeated ``run`` pays only
 the gathers — the same "intern once per workload" contract the encoded
-plane already has.
+plane already has.  Held schedules are what a workload keeps (the
+scenario wheel one per future instant, a bulk generator one per batch),
+so each column is stored in the narrowest unsigned dtype that holds it:
+5 bytes per event below 65 536 instances, 256 messages and 65 536
+events, against 24 for three ``int64`` values.  The kernel widens them
+once per batch.
 
 The non-vectorizable edges are masked out and post-processed scalar-side:
 
@@ -85,8 +90,9 @@ else:
 #: looking numpy up, not by importing it).
 HAS_NUMPY = NUMPY_UNAVAILABLE_REASON is None
 
-#: Slot/column ids sort as uint16 (numpy's O(n) stable radix path) below
-#: this; larger populations fall back to the comparison argsort.
+#: Occurrence ranks sort as uint16 (numpy's O(n) stable radix path) below
+#: this; deeper batches fall back to the comparison argsort.  Slots need no
+#: such cast: a compact slot column below it already is ``uint16``.
 _RADIX_LIMIT = 1 << 16
 
 
@@ -124,6 +130,34 @@ def require_numpy(feature: str = "vector dispatch") -> None:
         except ImportError as exc:
             reason = f"numpy is installed but failed to import ({exc})"
     raise DeploymentError(f"{feature} needs numpy: {reason}")
+
+
+def _unsigned_below(bound: int):
+    """The narrowest unsigned dtype holding every int in ``[0, bound)``
+    (``int64`` past 32 bits)."""
+    for dtype, limit in (
+        (_np.uint8, 1 << 8),
+        (_np.uint16, 1 << 16),
+        (_np.uint32, 1 << 32),
+    ):
+        if bound <= limit:
+            return dtype
+    return _np.int64
+
+
+def _compact(ids):
+    """An id column in the narrowest dtype that holds every value.
+
+    Non-negative ids take :func:`_unsigned_below` their maximum; a column
+    with a negative id (only a trusted ``array('q')`` can carry one) stays
+    ``int64``, so narrowing never changes a value.  A strided view is
+    copied, so a schedule does not keep the buffer it was built from.
+    """
+    if not len(ids):
+        return ids.astype(_np.uint8)
+    low, high = int(ids.min()), int(ids.max())
+    dtype = _np.int64 if low < 0 else _unsigned_below(high + 1)
+    return _np.ascontiguousarray(ids, dtype=dtype)
 
 
 class StateColumn:
@@ -166,7 +200,7 @@ class VectorSchedule:
     """A pre-encoded schedule with its round structure already computed.
 
     The vector twin of the flat ``array('q')`` schedule: the batch's
-    ``slots`` and ``cols`` as two int64 columns permuted into
+    ``slots`` and ``cols`` as two compact columns permuted into
     occurrence-round order, and ``bounds`` — round *r* is
     ``[bounds[r], bounds[r + 1])`` of both.  Every slot is unique inside
     a round and rounds keep arrival order, so dispatch is a walk over
@@ -175,17 +209,24 @@ class VectorSchedule:
     ``[slot, col, ...]`` buffer (``VectorSchedule(flat)``) or straight
     from two id columns (:meth:`of_columns`).  Schedules are
     fleet-specific — encode against the fleet that will run the schedule.
+
+    Each column, and the arrival position of each round-ordered event,
+    is stored in the narrowest unsigned dtype that holds every value, so
+    below 65 536 instances, 256 messages and 65 536 events a held event
+    costs 5 bytes (``uint16`` slot, ``uint8`` column, ``uint16``
+    position), not the 24 of three ``int64`` values.  Narrowing never
+    changes a value: a column with a negative id keeps ``int64``.  The
+    schedule keeps no derived copy — ``.flat`` and ``+`` rebuild arrival
+    order from the compact columns on each use.
     """
 
-    __slots__ = ("slots", "cols", "bounds", "count", "_order", "_flat")
+    __slots__ = ("slots", "cols", "bounds", "count", "_order")
 
     def __init__(self, flat: array):
         require_numpy("a vector schedule")
         _flat_count(flat)
         pairs = _np.frombuffer(flat, dtype=_np.int64)
-        self._split(
-            _np.ascontiguousarray(pairs[0::2]), _np.ascontiguousarray(pairs[1::2])
-        )
+        self._split(pairs[0::2], pairs[1::2])
 
     @classmethod
     def of_columns(cls, slots, cols) -> "VectorSchedule":
@@ -202,21 +243,22 @@ class VectorSchedule:
         return schedule
 
     def _split(self, slots, cols) -> None:
-        """Permute arrival-order columns into occurrence-round order."""
+        """Compact arrival-order columns and permute them into
+        occurrence-round order."""
         count = self.count = len(slots)
+        slots, cols = _compact(slots), _compact(cols)
         self.slots, self.cols = slots, cols
         self.bounds = [0, count] if count else [0]
         #: Arrival position of each round-ordered event (``None``: the
         #: batch is one round and the columns are still in arrival order).
         self._order = None
-        self._flat = None
         if count < 2:
             return
         # A stable sort by slot lines each slot's events up as one run,
-        # still in arrival order.
-        key = slots.astype(_np.uint16) if int(slots.max()) < _RADIX_LIMIT else slots
-        by_slot = _np.argsort(key, kind="stable")
-        runs = key[by_slot]
+        # still in arrival order; compact slots below 2**16 make it
+        # numpy's O(n) radix pass.
+        by_slot = _np.argsort(slots, kind="stable")
+        runs = slots[by_slot]
         first = _np.empty(count, dtype=_np.bool_)
         first[0] = True
         _np.not_equal(runs[1:], runs[:-1], out=first[1:])
@@ -232,7 +274,18 @@ class VectorSchedule:
         order = _np.argsort(round_of, kind="stable")
         self.slots, self.cols = slots[order], cols[order]
         self.bounds = [0, *_np.cumsum(_np.bincount(depth)).tolist()]
-        self._order = order
+        self._order = order.astype(_unsigned_below(count))
+
+    def _arrival(self) -> tuple:
+        """The two compact columns back in arrival order."""
+        order = self._order
+        if order is None:
+            return self.slots, self.cols
+        slots = _np.empty_like(self.slots)
+        cols = _np.empty_like(self.cols)
+        slots[order] = self.slots
+        cols[order] = self.cols
+        return slots, cols
 
     @property
     def rounds(self) -> list:
@@ -247,26 +300,26 @@ class VectorSchedule:
     def flat(self) -> array:
         """The batch as a flat ``[slot, col, ...]`` buffer in arrival order.
 
-        Built on first use: only scalar consumers (an ``encoded`` or
-        ``naive`` fleet handed this schedule, ``+``, cross-checks) ever
-        read it.
+        Built on each read and not kept: only scalar consumers (an
+        ``encoded`` or ``naive`` fleet handed this schedule,
+        cross-checks) read it, and the schedule stays at its compact
+        size.
         """
-        if self._flat is None:
-            flat = array("q", bytes(16 * self.count))
-            pairs = _np.frombuffer(flat, dtype=_np.int64).reshape(-1, 2)
-            arrival = slice(None) if self._order is None else self._order
-            pairs[arrival, 0] = self.slots
-            pairs[arrival, 1] = self.cols
-            self._flat = flat
-        return self._flat
+        flat = array("q", bytes(16 * self.count))
+        pairs = _np.frombuffer(flat, dtype=_np.int64).reshape(-1, 2)
+        pairs[:, 0], pairs[:, 1] = self._arrival()
+        return flat
 
     def __len__(self) -> int:
         return self.count
 
     def __add__(self, other: "VectorSchedule") -> "VectorSchedule":
-        merged = array("q", self.flat)
-        merged.extend(other.flat)
-        return VectorSchedule(merged)
+        (slots, cols), (more_slots, more_cols) = self._arrival(), other._arrival()
+        merged = VectorSchedule.__new__(VectorSchedule)
+        merged._split(
+            _np.concatenate((slots, more_slots)), _np.concatenate((cols, more_cols))
+        )
+        return merged
 
 
 class VectorKernel:
@@ -335,15 +388,18 @@ class VectorKernel:
         The tally means what the scalar encoded loop's does: ``ignored``
         counts inapplicable messages, ``recycled`` protocol-completing
         transitions under auto-recycle.  A round is four array
-        operations — gather the states, add the columns into the batch's
-        offsets buffer, gather the jumps, scatter — and the tally comes
-        from one flags gather over that buffer afterwards.
+        operations — gather the states, add them into the round's slice
+        of the batch's offsets buffer, gather the jumps, scatter — and the
+        tally comes from one flags gather over that buffer afterwards.
+        The compact columns widen once per batch, not per round: the
+        slots to ``intp`` indices, the columns into the offsets buffer
+        itself.
         """
         count = schedule.count
         states = self._store.states.data
         jump = self._jump
-        all_slots, all_cols = schedule.slots, schedule.cols
-        offsets = _np.empty(count, dtype=_np.int64)
+        all_slots = schedule.slots.astype(_np.intp, copy=False)
+        offsets = schedule.cols.astype(_np.int64)
         add = _np.add
         # The masked scalar walk runs per round because a slot's log
         # order is its round order.
@@ -352,7 +408,7 @@ class VectorKernel:
         for end in schedule.bounds[1:]:
             slots = all_slots[start:end]
             window = offsets[start:end]
-            add(states[slots], all_cols[start:end], out=window)
+            add(window, states[slots], out=window)
             states[slots] = jump[window]
             if scalar_edges:
                 self._post_process(slots, window)

@@ -335,6 +335,74 @@ class TestEncodedIntake:
         with pytest.raises(DeploymentError, match="'ghost'"):
             fleet.encode_flat([("a", "free"), ("ghost", "free")])
 
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize(
+        "batch,reason",
+        [
+            ([-1, 0], "slot -1 is outside [0, 3)"),
+            ([5, 0], "slot 5 is outside [0, 3)"),
+            ([70000, 0], "slot 70000 is outside [0, 3)"),
+            ([0, 0, 1, 99], "column 99 is outside [0, 5)"),
+            ([0, -1], "column -1 is outside [0, 5)"),
+            (array("i", [0, 0, 5, 0]), "slot 5 is outside [0, 3)"),
+            (array("b", [0, -1]), "column -1 is outside [0, 5)"),
+            (array("d", [0, 0]), "'float' object cannot be interpreted"),
+        ],
+        ids=[
+            "slot-negative",
+            "slot-past-end",
+            "slot-wide",
+            "column-past-end",
+            "column-negative",
+            "array-i",
+            "array-b",
+            "array-d",
+        ],
+    )
+    def test_untrusted_flat_batch_is_refused_before_it_counts(
+        self, mode, batch, reason
+    ):
+        # Only encode_flat's array('q') (or VectorSchedule) is trusted;
+        # any other batch is checked whole, so a bad id neither wraps to
+        # another instance, reads a foreign row, nor half-counts a batch.
+        fleet = self.make_fleet(dispatch=mode)
+        fresh = self.make_fleet(dispatch=mode)
+        for each in (fleet, fresh):
+            each.spawn_many(3)
+        assert len(fleet.indexed_machine.message_index()) == 5
+        for encoding in ("flat", "auto"):
+            if encoding == "auto" and isinstance(batch, list):
+                continue  # "auto" runs a list as (key, message) events
+            with pytest.raises(DeploymentError) as err:
+                fleet.run(batch, encoding=encoding)
+            assert str(err.value).startswith(
+                "encoding 'flat' needs a [slot, col, ...] int schedule "
+                f"from encode_flat(); {reason}"
+            )
+        assert fleet.metrics.as_dict() == fresh.metrics.as_dict()
+        assert fleet.snapshot().instances == fresh.snapshot().instances
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_untrusted_flat_batch_in_range_runs_like_the_trusted_one(self, mode):
+        # The conversion path changes nothing about a good batch: a list
+        # or a narrow array of valid ids runs as its array('q') twin.
+        fleets = []
+        for batch in (
+            array("q", [0, 1, 2, 4, 0, 3]),
+            [0, 1, 2, 4, 0, 3],
+            array("i", [0, 1, 2, 4, 0, 3]),
+            array("B", [0, 1, 2, 4, 0, 3]),
+        ):
+            fleet = self.make_fleet(dispatch=mode)
+            keys = fleet.spawn_many(3)
+            fleet.run(batch, encoding="flat")
+            fleets.append(fleet)
+        trusted, *converted = fleets
+        assert trusted.metrics.events_dispatched == 3
+        for fleet in converted:
+            assert fleet.metrics.as_dict() == trusted.metrics.as_dict()
+            assert [fleet.trace(k) for k in keys] == [trusted.trace(k) for k in keys]
+
 
 class TestLogPolicies:
     @pytest.fixture(autouse=True)

@@ -188,6 +188,110 @@ def test_schedule_matches_the_reference_split(batch, cut):
     assert _as_lists(joined.rounds) == expected and joined.flat == flat
     # ... and held in a fixed number of arrays however many rounds.
     assert _retained_arrays(schedule) <= 3
+    assert _retained_arrays(joined) <= 3
+
+
+def _held_bytes(schedule) -> int:
+    """Bytes in the numpy arrays and ``array`` buffers a schedule holds."""
+    held = [getattr(schedule, name) for name in VectorSchedule.__slots__]
+    return sum(
+        memoryview(item).nbytes
+        for item in held
+        if isinstance(item, (np.ndarray, array))
+    )
+
+
+class TestCompactLayout:
+    """A held event costs 5 bytes below 65 536 instances, 256 messages and
+    65 536 events, and narrowing never changes a value."""
+
+    def test_a_bulk_batch_holds_five_bytes_per_event(self):
+        machine = machine_for("commit")
+        fleet = build(machine, "vector", log_policy="off")
+        fleet.spawn_many(10_000)
+        events = workload(machine, instances=10_000, events=4096, seed=31)
+        schedule = fleet.encode_flat(events)
+        # Uniform keys over 10 000 instances repeat some slots, so the
+        # permutation is held too.
+        assert len(schedule.rounds) > 1
+        assert _held_bytes(schedule) <= 5 * 4096
+
+    @pytest.mark.parametrize(
+        "top,itemsize", [(255, 1), (256, 2), (65_535, 2), (65_536, 4)]
+    )
+    def test_id_widths_at_each_boundary(self, top, itemsize):
+        for schedule in (
+            VectorSchedule.of_columns([top, 0, top], [0, top, 1]),
+            VectorSchedule(array("q", [top, 0, 0, top, top, 1])),
+        ):
+            assert schedule.slots.dtype.itemsize == itemsize
+            assert schedule.cols.dtype.itemsize == itemsize
+            assert schedule.slots.dtype.kind == schedule.cols.dtype.kind == "u"
+            assert list(schedule.flat) == [top, 0, 0, top, top, 1]
+
+    @pytest.mark.parametrize("count,itemsize", [(65_536, 2), (65_537, 4)])
+    def test_permutation_width_at_the_event_boundary(self, count, itemsize):
+        # Two slots alternate, so every event but the first two is in a
+        # later round and the permutation is held.
+        slots = [index % 2 for index in range(count)]
+        schedule = VectorSchedule.of_columns(slots, [0] * count)
+        assert schedule._order.dtype.itemsize == itemsize
+        assert list(schedule.flat[0::2]) == slots
+
+    def test_a_negative_id_keeps_a_signed_dtype(self):
+        # A trusted array('q') is never checked; its values survive.
+        flat = array("q", [-1, 2, 3, -7, -1, 0, 1 << 40, 1])
+        schedule = VectorSchedule(flat)
+        assert schedule.slots.dtype == np.int64
+        assert schedule.cols.dtype == np.int64
+        assert schedule.flat == flat
+        tail = array("q", [0, 1])
+        assert (schedule + VectorSchedule(tail)).flat == flat + tail
+
+    def test_reads_and_runs_leave_the_held_bytes_unchanged(self):
+        machine = machine_for("commit")
+        vec = build(machine, "vector")
+        scalar = build(machine, "encoded")
+        vec.spawn_many(40)
+        scalar.spawn_many(40)
+        events = workload(machine, instances=40, events=600, seed=6)
+        first = vec.encode_flat(events[:300])
+        second = vec.encode_flat(events[300:])
+        held = _held_bytes(first), _held_bytes(second)
+        joined = first + second
+        scalar.run(first, encoding="flat")
+        assert len(first.flat) == 600
+        assert (_held_bytes(first), _held_bytes(second)) == held
+        assert _held_bytes(joined) <= sum(held)
+
+    @pytest.mark.parametrize(
+        "instances,events,wide",
+        [(65_537, 65_537, "slots"), (65_536, 70_000, "_order")],
+        ids=["wide-slots", "wide-permutation"],
+    )
+    def test_vector_matches_encoded_at_the_boundaries(self, instances, events, wide):
+        machine = machine_for("commit")
+        messages = list(machine.messages)
+        outcome = {}
+        for mode in ("encoded", "vector"):
+            fleet = build(machine, mode, log_policy="off", auto_recycle=True)
+            keys = fleet.spawn_many(instances)
+            # Every slot in turn from the last, so slot ids reach the
+            # top; a batch longer than the population repeats slots, so
+            # the permutation is held.
+            batch = [
+                (keys[-1 - index % instances], messages[index % len(messages)])
+                for index in range(events)
+            ]
+            schedule = fleet.encode_flat(batch)
+            if mode == "vector":
+                assert getattr(schedule, wide).dtype == np.uint32
+            fleet.run(schedule, encoding="flat")
+            outcome[mode] = (
+                fleet.metrics.as_dict(),
+                [fleet.state_name(key) for key in keys],
+            )
+        assert outcome["encoded"] == outcome["vector"]
 
 
 class TestVectorSchedule:
