@@ -13,7 +13,15 @@ identical instance-for-instance — the served fleet, behind two process
 boundaries and a JSON wire, lands on exactly the traces the library
 produces directly.
 
-Exit codes: 0 on success, 1 on any mismatch or HTTP failure.
+It also checks what the forked workers carry: the CLI imports the
+gateway before it builds the fleet, and the gateway loads ``asyncio``
+(with ``ssl``, libssl and libcrypto) only when it starts serving, so
+no ``/proc/<pid>/maps`` line of a worker ``/healthz`` reports may name
+``_ssl`` or ``libssl``.  Without ``/proc`` that check is skipped, and
+says so.
+
+Exit codes: 0 on success, 1 on any mismatch, HTTP failure or a worker
+that maps a TLS stack.
 
 Usage::
 
@@ -48,6 +56,21 @@ def request(base: str, method: str, path: str, payload=None):
     with urllib.request.urlopen(req, timeout=10) as resp:
         body = resp.read().decode()
     return json.loads(body) if body.startswith(("{", "[")) else body
+
+
+def tls_mappings(pids) -> list:
+    """The ``/proc/<pid>/maps`` lines of ``pids`` that name a TLS stack."""
+    found = []
+    for pid in pids:
+        with open(f"/proc/{pid}/maps", encoding="utf-8") as maps:
+            found += sorted(
+                {
+                    f"worker {pid}: {line.split()[-1]}"
+                    for line in maps
+                    if "_ssl" in line or "libssl" in line
+                }
+            )
+    return found
 
 
 def main() -> int:
@@ -151,6 +174,19 @@ def main() -> int:
                 file=sys.stderr,
             )
             return 1
+
+        pids = request(base, "GET", "/healthz").get("pids", [])
+        if not pathlib.Path("/proc/self/maps").exists():
+            print("worker mappings: skipped (no /proc on this platform)")
+        else:
+            tls = tls_mappings(pids)
+            if tls:
+                print(
+                    f"FAIL: forked workers map a TLS stack: {tls[:4]}",
+                    file=sys.stderr,
+                )
+                return 1
+            print(f"worker mappings: no TLS stack in {len(pids)} worker(s)")
 
         served_snapshot = request(base, "GET", "/snapshot")
 

@@ -44,14 +44,18 @@ return one parsed request (or frame) and how many bytes it took,
 ``None`` when the buffer does not hold a whole one yet, or raise
 :class:`_HttpError`; they read no socket and keep no state, so they are
 tested byte by byte without a gateway.  :class:`_Connection` is the
-:class:`asyncio.Protocol` around them, one per client: ``data_received``
-appends to the connection's buffer, answers *every* complete request in
-it in arrival order (pipelining) and writes each reply to the transport
-before it returns — a request costs one event-loop turn, with no task,
-future or stream reader in between.  A head is parsed once: while its
-body arrives, segments are collected and joined when the declared
-length is in, so buffering a body costs linear time however the client
-splits it.  Replies that outrun the client
+protocol around them, one per client — it defines every callback an
+asyncio transport calls rather than subclassing :class:`asyncio.Protocol`,
+and :mod:`asyncio` itself is imported by :meth:`FleetGateway.start`, so a
+process that imports the gateway but never serves (each worker a
+multiprocess fleet forks) maps no event loop and no TLS stack.
+``data_received`` appends to the connection's buffer, answers *every*
+complete request in it in arrival order (pipelining) and writes each
+reply to the transport before it returns — a request costs one
+event-loop turn, with no task, future or stream reader in between.  A
+head is parsed once: while its body arrives, segments are collected and
+joined when the declared length is in, so buffering a body costs linear
+time however the client splits it.  Replies that outrun the client
 pause the connection (reading and answering both) until the transport
 has drained, so a client that pipelines without reading cannot grow the
 write buffer without bound.
@@ -63,10 +67,13 @@ mid-request (or idles past the keep-alive window) is answered with
 ``Content-Length`` exceeds ``max_body`` is refused with ``413`` before
 the body is read, and a WebSocket frame that declares more than
 ``max_body`` bytes is refused with close code 1009 — a slow or hostile
-client can never hold memory or a connection forever.  Framing the
-parser cannot trust is answered with ``400``, ``Connection: close`` and
-a closed connection (the stream cannot be resynchronised), never with a
-traceback:
+client can never hold memory or a connection forever.  A frame the
+gateway cannot serve — a fragment (FIN clear, or a continuation), an RSV
+bit no extension negotiated, a reserved opcode — is refused with close
+code 1002 and counted in ``gateway_errors_total``; fragments are never
+reassembled.  Framing the parser cannot trust is answered with ``400``,
+``Connection: close`` and a closed connection (the stream cannot be
+resynchronised), never with a traceback:
 
     ================================================  ======
     request head over 64 KiB (``_MAX_HEAD``)          400
@@ -93,14 +100,11 @@ fleet's registry on every ``/metrics`` scrape.
 
 from __future__ import annotations
 
-import asyncio
-import base64
-import hashlib
 import json
 import re
 from math import ceil
 from time import perf_counter
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.errors import DeploymentError
@@ -109,11 +113,21 @@ from repro.serve.fleet import FleetSnapshot
 from repro.serve.recovery import FleetRecoveringError
 from repro.serve.store import InstanceSnapshot
 
+if TYPE_CHECKING:
+    import asyncio
+
 __all__ = ["FleetGateway", "snapshot_from_json", "snapshot_to_json"]
 
 _WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
 #: Close-frame payload: status 1009, "message too big".
 _WS_TOO_BIG = (1009).to_bytes(2, "big")
+#: Close-frame payload: status 1002, "protocol error".
+_WS_PROTOCOL_ERROR = (1002).to_bytes(2, "big")
+#: The first bytes of the frames the gateway serves: FIN set, no RSV
+#: bit, and text, binary, close, ping or pong.  Anything else is a
+#: fragment (the gateway does not reassemble), an extension it never
+#: negotiated or a reserved opcode, and is refused with 1002.
+_WS_SERVABLE = frozenset((0x81, 0x82, 0x88, 0x89, 0x8A))
 
 _STATUS_TEXT = {
     200: "OK",
@@ -308,8 +322,12 @@ def parse_frame(buffer: bytes, max_body: int):
     return buffer[0] & 0x0F, payload, end
 
 
-class _Connection(asyncio.Protocol):
-    """One client connection: bytes in, replies out, in the same loop turn."""
+class _Connection:
+    """One client connection: bytes in, replies out, in the same loop turn.
+
+    Every callback of :class:`asyncio.Protocol` is defined here rather
+    than inherited, so importing the gateway loads no event loop.
+    """
 
     __slots__ = (
         "_gateway",
@@ -366,6 +384,11 @@ class _Connection(asyncio.Protocol):
         else:
             self._buffer = self._buffer + data if self._buffer else data
         self._pump()
+
+    def eof_received(self) -> None:
+        # None, as asyncio.Protocol's default: the transport closes
+        # itself once the replies already written are flushed.
+        return None
 
     def pause_writing(self) -> None:
         self._paused = True
@@ -482,6 +505,9 @@ class _Connection(asyncio.Protocol):
         if not key:
             self._refuse(400, "missing Sec-WebSocket-Key")
             return False
+        import base64
+        import hashlib
+
         accept = base64.b64encode(
             hashlib.sha1((key + _WS_MAGIC).encode("latin-1")).digest()
         ).decode("latin-1")
@@ -502,6 +528,11 @@ class _Connection(asyncio.Protocol):
     def _serve_frame(self) -> bool:
         """Serve one buffered WebSocket frame; false when none is complete."""
         gateway = self._gateway
+        if self._buffer[0] not in _WS_SERVABLE:
+            gateway._errors.add(1)
+            self._transport.write(gateway._frame(0x8, _WS_PROTOCOL_ERROR))
+            self.close()
+            return False
         try:
             parsed = parse_frame(self._buffer, gateway._max_body)
         except _HttpError:
@@ -573,6 +604,11 @@ class FleetGateway:
 
     async def start(self) -> None:
         """Bind and start serving; ``self.port`` becomes the bound port."""
+        # Imported here, not at module load: a process that only imports
+        # the gateway — every worker a multiprocess fleet forks from the
+        # serving process — never maps the event loop or its TLS stack.
+        import asyncio
+
         self._shutdown = asyncio.Event()
         self._loop = asyncio.get_running_loop()
         self._server = await self._loop.create_server(
@@ -583,6 +619,8 @@ class FleetGateway:
     async def stop(self) -> None:
         """Stop accepting, close open connections, close the server
         (idempotent)."""
+        import asyncio
+
         if self._shutdown is not None:
             self._shutdown.set()
         if self._server is not None:
@@ -610,6 +648,7 @@ class FleetGateway:
         ``port_file`` (when given) receives the bound port as text — the
         robust way for a parent process to learn a ``--port 0`` binding.
         """
+        import asyncio
 
         async def _main() -> None:
             await self.start()

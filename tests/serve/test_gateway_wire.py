@@ -509,6 +509,117 @@ def test_live_oversized_frame_is_closed_with_1009(capfd, caplog):
     assert_quiet(capfd, caplog)
 
 
+def first_byte(data: bytes, first: int) -> bytes:
+    """``data`` with its first byte (FIN, RSV bits, opcode) replaced."""
+    return bytes((first,)) + data[1:]
+
+
+MASK = b"\x11\x22\x33\x44"
+PROTOCOL_ERROR = [(0x8, (1002).to_bytes(2, "big"))]
+
+
+async def assert_refused_with_1002(gateway, exchange, *frames: bytes) -> None:
+    """Each frame, sent on its own connection and followed by a valid one,
+    is answered with one 1002 close frame, counted, and nothing after it."""
+    for data in frames:
+        errors = gateway._errors.value
+        reply = await exchange(HANDSHAKE + data + frame(0x1, LEN_OP, mask=MASK))
+        head, _, frames_out = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 101")
+        assert feed(parse_frame, [frames_out]) == PROTOCOL_ERROR, data[:1]
+        assert gateway._errors.value == errors + 1
+    assert gateway._ws_messages.value == 0
+
+
+def test_live_unfinished_fragment_is_closed_with_1002(capfd, caplog):
+    # FIN clear: the first fragment of {"op": "len"} was answered as a
+    # whole (malformed) message, and its continuation dropped unnoticed.
+    async def body(gateway, exchange):
+        await assert_refused_with_1002(
+            gateway,
+            exchange,
+            first_byte(frame(0x1, b'{"op"', mask=MASK), 0x01)
+            + frame(0x0, b': "len"}', mask=MASK),
+            first_byte(frame(0x2, LEN_OP, mask=MASK), 0x02),
+            first_byte(frame(0x9, b"ping", mask=MASK), 0x09),
+        )
+
+    live(body)
+    assert_quiet(capfd, caplog)
+
+
+def test_live_bare_continuation_is_closed_with_1002(capfd, caplog):
+    async def body(gateway, exchange):
+        await assert_refused_with_1002(
+            gateway, exchange, frame(0x0, LEN_OP, mask=MASK), frame(0x0, LEN_OP)
+        )
+
+    live(body)
+    assert_quiet(capfd, caplog)
+
+
+def test_live_rsv_bit_is_closed_with_1002(capfd, caplog):
+    # No extension was negotiated, so no RSV bit may be set.
+    async def body(gateway, exchange):
+        await assert_refused_with_1002(
+            gateway,
+            exchange,
+            *(
+                first_byte(frame(opcode, LEN_OP, mask=MASK), 0x80 | rsv | opcode)
+                for rsv in (0x40, 0x20, 0x10, 0x70)
+                for opcode in (0x1, 0x9)
+            ),
+        )
+
+    live(body)
+    assert_quiet(capfd, caplog)
+
+
+def test_live_reserved_opcode_is_closed_with_1002(capfd, caplog):
+    async def body(gateway, exchange):
+        await assert_refused_with_1002(
+            gateway,
+            exchange,
+            *(
+                frame(opcode, LEN_OP, mask=MASK)
+                for opcode in (*range(0x3, 0x8), *range(0xB, 0x10))
+            ),
+        )
+
+    live(body)
+    assert_quiet(capfd, caplog)
+
+
+def test_live_half_closed_request_is_answered_then_closed(capfd, caplog):
+    # The client sends a request and shuts its write side down: the
+    # reply still arrives whole, then the gateway closes (eof_received).
+    async def main():
+        fleet = make_fleet("commit", mode="encoded", shards=4)
+        (key,) = fleet.spawn_many(1)
+        gateway = FleetGateway(fleet, port=0)
+        await gateway.start()
+        try:
+            reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)
+            writer.write(post("/deliver", {"key": key, "message": "update"}))
+            writer.write_eof()
+            reply = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            ((status, headers, payload),) = responses(reply)
+            assert (status, json.loads(payload)) == (200, {"fired": True})
+            assert headers["connection"] == "keep-alive"
+            for _ in range(500):  # the server drops the connection
+                if not gateway._connections:
+                    break
+                await asyncio.sleep(0.01)
+            assert not gateway._connections
+        finally:
+            await gateway.stop()
+            fleet.close()
+
+    asyncio.run(main())
+    assert_quiet(capfd, caplog)
+
+
 @pytest.mark.parametrize(
     "events",
     [[["k"]], 7, [["session-0000000", 5]], [[["k"], "update"]], ["ab"], [None]],

@@ -441,3 +441,62 @@ for options in (
 """
     )
     assert log.read_text() == ""
+
+
+_FORKED_GATEWAY = """
+import socket, threading
+from repro.serve import make_fleet
+from repro.serve.gateway import FleetGateway
+
+network = ("asyncio", "ssl", "_ssl", "hashlib", "_hashlib", "base64")
+fleet = make_fleet("commit", mode="encoded", telemetry=True, workers=2, journal=True)
+try:
+    # What each forked worker inherits: the gateway imported, no loop run.
+    assert not loaded(*network), loaded(*network)
+    gateway = FleetGateway(fleet, port=0, allow_remote_shutdown=True)
+    seen = {}
+
+    def send(port, request):
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as conn:
+            conn.sendall(request)
+            return conn.recv(4096).split(b"\\r\\n", 1)[0]
+
+    def client(url):
+        # A plain-socket client on its own thread: the probe itself never
+        # imports asyncio, so only the gateway can have loaded it.
+        port = int(url.rsplit(":", 1)[1])
+        try:
+            seen["started"] = loaded(*network)
+            seen["healthz"] = send(
+                port, b"GET /healthz HTTP/1.1\\r\\nConnection: close\\r\\n\\r\\n"
+            )
+            seen["served"] = loaded(*network)
+            seen["ws"] = send(
+                port,
+                b"GET /ws HTTP/1.1\\r\\nUpgrade: websocket\\r\\n"
+                b"Connection: Upgrade\\r\\nSec-WebSocket-Version: 13\\r\\n"
+                b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\\r\\n\\r\\n",
+            )
+            seen["upgraded"] = loaded(*network)
+        finally:
+            send(port, b"POST /shutdown HTTP/1.1\\r\\nContent-Length: 0\\r\\n\\r\\n")
+
+    gateway.run_blocking(
+        announce=lambda url: threading.Thread(target=client, args=(url,)).start()
+    )
+    assert seen["healthz"] == b"HTTP/1.1 200 OK", seen
+    assert seen["ws"] == b"HTTP/1.1 101 Switching Protocols", seen
+    assert "asyncio" in seen["started"], seen
+    assert not {"hashlib", "_hashlib"} & {*seen["started"], *seen["served"]}, seen
+    assert "_hashlib" in seen["upgraded"], seen
+finally:
+    fleet.close()
+"""
+
+
+def test_gateway_loads_its_network_stack_only_when_it_serves():
+    # A multiprocess fleet forks its workers from the serving process, so
+    # whatever importing the gateway loads is mapped once per worker:
+    # asyncio (with ssl, libssl and libcrypto) loads when serving starts,
+    # hashlib at the first WebSocket handshake.
+    probe(_FORKED_GATEWAY)
