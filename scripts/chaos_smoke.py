@@ -202,7 +202,7 @@ def serve_and_kill(workers: set) -> int:
         )["spawned"]
         assert len(spawned) == args.instances
 
-        replica = make_fleet("commit", mode="encoded", shards=4)
+        replica = make_fleet("commit", mode="encoded")
         keys = replica.spawn_many(args.instances)
         assert keys == spawned, "key naming diverged between spawn paths"
         events = generate_workload(

@@ -129,7 +129,7 @@ def main() -> int:
 
         # The workload generator names keys exactly like /spawn does, so
         # the recorded schedule drives the served population directly.
-        replica = make_fleet("commit", mode="encoded", shards=4)
+        replica = make_fleet("commit", mode="encoded")
         keys = replica.spawn_many(args.instances)
         assert keys == spawned, "key naming diverged between spawn paths"
         events = generate_workload(

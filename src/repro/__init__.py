@@ -24,8 +24,9 @@ and scales to parameter values the eager engine cannot touch.  Select one
 per call with ``generate_state_machine(engine="lazy")`` or on the command
 line with ``python -m repro.cli generate --engine lazy``.
 
-For serving a *population* of machine instances — sharded by session key
-with dispatch in batches, backpressure and snapshot/restore — see
+For serving a *population* of machine instances — partitioned by session
+key across worker processes, with dispatch in batches and
+snapshot/restore — see
 :class:`repro.FleetEngine` (the fleet execution plane,
 :mod:`repro.serve`).
 

@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_scenario.add_argument(
         "--backend", choices=SERVE_BACKENDS, default="interp"
     )
-    serve_scenario.add_argument("--shards", type=int, default=8)
     serve_scenario.add_argument("--seed", type=int, default=0)
     serve_scenario.add_argument(
         "--spread",
@@ -265,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="KINDS",
         help="comma-joined fault kinds from {kill-shard, drop, duplicate, "
-        "delay}: kill-shard fail-stops one shard mid-burst and restores "
-        "from snapshot; the rest disturb routed messages at 5%% each",
+        "delay}: kill-shard fail-stops one of 8 key shards mid-burst and "
+        "restores from snapshot; the rest disturb routed messages at 5%% each",
     )
     serve_scenario.add_argument(
         "--no-verify",
@@ -301,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="worker processes; omit for the in-process engine",
     )
-    serve.add_argument("--shards", type=int, default=None)
     serve.add_argument("--mode", choices=DISPATCH_MODES, default="encoded")
     serve.add_argument(
         "--backend", choices=SERVE_BACKENDS, default="interp"
@@ -675,7 +673,6 @@ def _serve_scenario(args) -> int:
         machine,
         mode=args.mode,
         backend=args.backend,
-        shards=args.shards,
         telemetry=FleetTelemetry() if args.metrics else None,
     )
     started = time.perf_counter()
@@ -724,7 +721,7 @@ def _serve_scenario(args) -> int:
         return 1
     if args.no_verify:
         return 0
-    oracle = make_fleet(machine, mode="naive", shards=args.shards)
+    oracle = make_fleet(machine, mode="naive")
     run_scenario(oracle, scenario)
     mismatched = diff_fleets(fleet, oracle, scenario.topology.keys)
     if mismatched:
@@ -765,7 +762,6 @@ def _serve(args) -> int:
         mode=args.mode,
         backend=args.backend,
         workers=args.workers,
-        shards=args.shards,
         log_policy=args.log_policy,
         auto_recycle=args.auto_recycle,
         telemetry=None if args.no_telemetry else True,

@@ -1,15 +1,16 @@
-"""Fleet execution plane: sharded serving of many machine instances.
+"""Fleet execution plane: serving many machine instances.
 
 Scales the paper's single-machine deployment story (§4) to a population:
-instances are partitioned by session key across shards
-(:mod:`repro.serve.store`), every event is interned to a ``(slot,
-column)`` int pair at intake, queues in its shard's flat ``[slot, col,
-...]`` schedule and is dispatched in batches by one of three modes
-(:mod:`repro.serve.fleet`): ``naive``, the per-instance reference the
-differential suites compare against; ``encoded``, int arithmetic over
-the machine's flat dispatch table; ``vector``, the same table as numpy
-gather/scatter.  Snapshot/restore and a metrics surface
-(:mod:`repro.serve.metrics`) come with every mode.  Both execution
+instances live in columnar slots (:mod:`repro.serve.store`), every event
+is interned to a ``(slot, column)`` int pair at intake, queues in one
+flat ``[slot, col, ...]`` schedule and is dispatched in batches by one
+of three modes (:mod:`repro.serve.fleet`): ``naive``, the per-instance
+reference the differential suites compare against; ``encoded``, int
+arithmetic over the machine's flat dispatch table; ``vector``, the same
+table as numpy gather/scatter.  Keys are partitioned once, across
+worker processes, by :mod:`repro.serve.mpfleet`.  Snapshot/restore and
+a metrics surface (:mod:`repro.serve.metrics`) come with every mode.
+Both execution
 backends of the ``naive`` mode — interpreter and compiled generated
 class — plug in through :mod:`repro.serve.adapter`;
 :mod:`repro.serve.workload` fabricates arrival patterns and

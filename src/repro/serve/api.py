@@ -34,7 +34,7 @@ The protocol's guarantees (what a caller may rely on from *any* fleet):
   boundary — rejected them.
 * **Portable snapshots.**  ``snapshot()`` returns a
   :class:`~repro.serve.fleet.FleetSnapshot` that any fleet of the same
-  machine can ``restore()``, whatever its worker/shard layout.
+  machine can ``restore()``, whatever its worker layout.
 * **One metrics model.**  ``telemetry_registry()`` returns the fleet's
   one :class:`~repro.obs.metrics.MetricsRegistry` — counters, depth
   gauges and, instrumented, latency histograms, never ``None`` — and
@@ -197,7 +197,6 @@ def make_fleet(
     mode: str = "encoded",
     backend: str = "interp",
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     log_policy: str = "full",
     optimize=None,
     telemetry=None,
@@ -257,21 +256,11 @@ def make_fleet(
         log_policy=log_policy,
         optimize=optimize,
         auto_recycle=auto_recycle,
+        telemetry=telemetry,
         **kwargs,
     )
     if workers is None:
-        return FleetEngine(
-            machine,
-            telemetry=telemetry,
-            **({"shards": shards} if shards is not None else {}),
-            **common,
-        )
+        return FleetEngine(machine, **common)
     from repro.serve.mpfleet import MultiprocessFleet
 
-    return MultiprocessFleet(
-        machine,
-        workers=workers,
-        telemetry=telemetry,
-        **({"shards": shards} if shards is not None else {}),
-        **common,
-    )
+    return MultiprocessFleet(machine, workers=workers, **common)

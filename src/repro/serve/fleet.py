@@ -2,8 +2,8 @@
 
 The paper's deployment story (§4) generates, compiles and binds a *single*
 state machine; this module is the production-scale counterpart: it hosts
-thousands-to-millions of instances of one generated machine, partitioned
-by session key across shards, and dispatches events in batches.
+thousands-to-millions of instances of one generated machine and
+dispatches events to them in batches.
 
 Every event enters the same way: it is *interned at intake* — the session
 key resolves to its dense store slot and the message to its column id
@@ -41,14 +41,13 @@ fleet's acts table has no action to append, only the auto-recycle
 sentinels.  ``naive`` backends always keep their logs.
 
 Event intake has three doors and one dispatch tail.
-:meth:`FleetEngine.post` appends one interned pair to its shard's
-pending schedule (the shard id is memoized per slot at spawn time, so
-routing never re-hashes a key) and :meth:`FleetEngine.drain_shard`
+:meth:`FleetEngine.post` appends one interned pair to the engine's one
+pending schedule, in arrival order, and :meth:`FleetEngine.drain_all`
 dispatches that schedule in one pass; :meth:`FleetEngine.run` dispatches
 a materialised event list as one arrival batch, or — as
 ``run(schedule, encoding="flat")`` — a schedule *already* interned by
 :meth:`FleetEngine.encode_flat`, so a generator can pay the interning
-cost once per workload instead of once per run.  Queues are unbounded:
+cost once per workload instead of once per run.  The queue is unbounded:
 a producer that outruns the fleet drains it (every ``run`` starts with
 :meth:`FleetEngine.drain_all`).
 
@@ -71,8 +70,8 @@ The cost model is deliberate: the hot loops are untouched — batches pay
 two clock reads and two histogram observations *per batch* — while
 per-event stamping exists only on the posted path, which is already the
 slower intake door.  The default ``telemetry=None`` leaves every path
-exactly as before.  Shard queue depths, by contrast, are always
-observed: every drain records the drained batch's depth into the
+exactly as before.  The queue depth, by contrast, is always observed:
+every drain records the drained batch's depth into the
 ``fleet_shard_depth_*`` gauges, so ``shard_depths`` /
 ``peak_shard_depth`` are live without caller polling.
 """
@@ -147,15 +146,13 @@ def check_key(key) -> None:
         raise DeploymentError(f"instance key must be a string, got {key!r}")
 
 
-def check_count(count) -> None:
-    """Refuse a ``spawn_many`` count that is not a non-negative int."""
+def check_count(count, name: str = "count") -> None:
+    """Refuse a count or a start index that is not a non-negative int."""
     if type(count) is not int or count < 0:
-        raise DeploymentError(
-            f"count must be a non-negative integer, got {count!r}"
-        )
+        raise DeploymentError(f"{name} must be a non-negative integer, got {count!r}")
 
 
-def _check_options(mode: str, backend: str, log_policy: str, shards: int) -> None:
+def _check_options(mode: str, backend: str, log_policy: str) -> None:
     """Refuse a fleet configuration that cannot run or means nothing.
 
     Both fleet implementations call this before they build anything —
@@ -185,8 +182,6 @@ def _check_options(mode: str, backend: str, log_policy: str, shards: int) -> Non
             "naive-mode backends always retain their action logs; "
             f"log_policy {log_policy!r} needs a table-dispatch mode"
         )
-    if shards < 1:
-        raise DeploymentError(f"shards must be >= 1, got {shards}")
     if mode == "naive":
         # Here, not in the first make_backend: a multiprocess parent's
         # workers then share one import of the runtime they execute.
@@ -215,8 +210,12 @@ class FleetSnapshot:
     """Portable state of a whole fleet at a quiescent point.
 
     Pending (queued, undelivered) events are *not* part of a snapshot:
-    :meth:`FleetEngine.snapshot` drains every shard queue first so the capture
+    :meth:`FleetEngine.snapshot` drains its queue first so the capture
     is consistent.
+
+    ``instances`` are in spawn order in-process (a respawned key comes
+    last) and worker by worker across processes: compare snapshots of
+    different layouts as key -> record maps.
 
     ``lost`` is the manifest of a *partial* snapshot: keys whose shard
     partition was unavailable at capture time
@@ -314,7 +313,6 @@ class FleetEngine:
         self,
         machine: StateMachine,
         *,
-        shards: int = 8,
         backend: str = "interp",
         mode: str = "encoded",
         auto_recycle: bool = False,
@@ -322,7 +320,7 @@ class FleetEngine:
         log_policy: str = "full",
         telemetry: Optional[FleetTelemetry] = None,
     ):
-        _check_options(mode, backend, log_policy, shards)
+        _check_options(mode, backend, log_policy)
         self._machine = machine
         self._mode = mode
         self._backend_kind = backend
@@ -363,7 +361,6 @@ class FleetEngine:
         )
         self._store = InstanceStore(
             self._table,
-            shards=shards,
             log_policy=log_policy,
             vector=(mode == "vector"),
         )
@@ -467,15 +464,11 @@ class FleetEngine:
         self.close()
 
     @property
-    def shard_count(self) -> int:
-        return self._store.shard_count
-
-    @property
     def store(self) -> InstanceStore:
         """The columnar instance store backing this fleet.
 
         Exposed for planes layered on top of the engine (the scenario
-        plane reads the timer columns and shard membership directly);
+        plane reads the timer columns and the membership directly);
         treat it as read-mostly — lifecycle goes through
         :meth:`spawn`/:meth:`despawn`.
         """
@@ -486,18 +479,6 @@ class FleetEngine:
 
     def __contains__(self, key: str) -> bool:
         return key in self._store
-
-    def shard_id(self, key: str) -> int:
-        """The shard a session key routes to (stable across engines)."""
-        return self._store.shard_id(key)
-
-    def shard_sizes(self) -> list[int]:
-        """Instance population per shard."""
-        return self._store.shard_sizes()
-
-    def depths(self) -> list[int]:
-        """Events queued per shard right now."""
-        return [len(queue) // 2 for queue in self._queues]
 
     # ------------------------------------------------------------------
     # instance lifecycle
@@ -526,14 +507,12 @@ class FleetEngine:
     def despawn(self, key: str) -> None:
         """Remove one instance; its slot returns to the free list for reuse.
 
-        Events still queued on the key's shard are dispatched first:
-        they were interned to the key's slot at :meth:`post`, so they
-        reach the instance they were addressed to and never the slot's
-        next occupant.
+        Queued events are dispatched first: they were interned to their
+        keys' slots at :meth:`post`, so they reach the instances they
+        were addressed to and never this slot's next occupant.
         """
-        shard_id = self._store.shard_ids[self._store.slot(key)]
-        if self._queues[shard_id]:
-            self.drain_shard(shard_id)
+        self._store.slot(key)  # an unknown key drains nothing
+        self.drain_all()
         self._store.release(key)
         self._count.instances_released.value += 1
 
@@ -579,11 +558,13 @@ class FleetEngine:
         The incremental form of :meth:`trace` for observers that poll
         after every batch (the scenario plane routes each *new* action
         once): callers remember the count they have seen and pass it as
-        ``start``.  Requires a retained log — ``naive`` backends always
-        have one; table modes need ``log_policy='full'``.
+        ``start``, a non-negative int.  Requires a retained log —
+        ``naive`` backends always have one; table modes need
+        ``log_policy='full'``.
         """
         store = self._store
         slot = store.slot(key)
+        check_count(start, "start")
         if self._mode == "naive":
             return tuple(store.backends[slot].sent[start:])
         if self._log_policy != "full":
@@ -701,13 +682,12 @@ class FleetEngine:
         source: Optional[str] = None,
         trace_id: Optional[int] = None,
     ) -> bool:
-        """Queue one event for its shard's next drain; always ``True``.
+        """Queue one event for the next drain; always ``True``.
 
         The event is interned here and its ``slot, column`` pair appended
-        to the flat schedule of the shard memoized for the slot at spawn
-        time, so an unknown key or message raises at intake, in every
-        mode.  Queues are unbounded: the next :meth:`drain_shard` of the
-        shard dispatches every accepted event.
+        to the pending flat schedule, so an unknown key or message raises
+        at intake, in every mode.  The queue is unbounded: the next
+        :meth:`drain_all` dispatches every accepted event.
 
         With tracing attached, the event gets a trace id — minted here,
         or the caller-propagated ``trace_id`` when the event already has
@@ -715,23 +695,19 @@ class FleetEngine:
         record whose detail is ``source``, the enqueue's provenance (the
         scenario plane marks timed and routed traffic).
         """
-        store = self._store
-        slot = store.slot_of.get(key)
-        if slot is None:
-            raise DeploymentError(f"unknown instance {key!r}")
+        slot = self._store.slot(key)
         try:
             col = self._columns[message]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DeploymentError(f"unknown message {message!r}") from None
-        shard_id = store.shard_ids[slot]
-        queue = self._queues[shard_id]
+        queue = self._queue
         queue.append(slot)
         queue.append(col)
         self._count.events_offered.value += 1
         telemetry = self._telemetry
         if telemetry is not None:
             now = perf_counter()
-            self._post_times[shard_id].append(now)
+            self._post_times.append(now)
             trace = telemetry.trace
             if trace is not None:
                 if trace_id is None:
@@ -742,7 +718,7 @@ class FleetEngine:
         return True
 
     def deliver(self, key: str, message: str) -> bool:
-        """Dispatch one event immediately, bypassing the shard queues.
+        """Dispatch one event immediately, bypassing the queue.
 
         This is the per-event path — full routing, dispatch and metrics
         accounting for a single event; in ``naive`` mode one complete
@@ -756,7 +732,7 @@ class FleetEngine:
         slot = store.slot(key)
         try:
             offset = self._columns[message]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DeploymentError(f"unknown message {message!r}") from None
         counted = self._count
         counted.events_dispatched.value += 1
@@ -834,7 +810,7 @@ class FleetEngine:
         return flat
 
     def _dispatch(self, batch, count: int) -> float:
-        """The one dispatch tail of :meth:`run` and :meth:`drain_shard`.
+        """The one dispatch tail of :meth:`run` and :meth:`drain_all`.
 
         Hands the batch of ``count`` events to the vector kernel or the
         scalar loop, counts it from the ``(ignored, recycled)`` tally
@@ -908,47 +884,35 @@ class FleetEngine:
 
     def _discard_pending(self) -> None:
         """Drop every queued event with its post stamps (restore, rehydrate)."""
-        shards = self._store.shard_count
-        self._queues = [array("q") for _ in range(shards)]
-        #: Per-shard post() timestamps, parallel to the queued pairs; only
-        #: stamped when telemetry is attached, consumed at drain.
-        self._post_times: list[list[float]] = [[] for _ in range(shards)]
+        self._queue = array("q")
+        #: post() timestamps, parallel to the queued pairs; only stamped
+        #: when telemetry is attached, consumed at drain.
+        self._post_times: list[float] = []
 
-    def drain_shard(self, shard_id: int) -> int:
-        """Dispatch every queued event of one shard in a single pass.
+    def drain_all(self) -> int:
+        """Dispatch every queued event, in arrival order, as one batch
+        through the tail of ``run(flat)``; returns how many.
 
-        The shard's pending schedule runs through the same tail as
-        ``run(flat)``.  The drained batch's depth is recorded into the
-        depth gauges automatically, so ``metrics.shard_depths`` /
-        ``peak_shard_depth`` are live without caller polling.  With
-        telemetry attached the pass is wall-clocked (two clock reads per
-        batch) and every drained event's queue wait lands in
-        ``fleet_queue_latency_seconds``.
+        The batch's depth lands in the depth gauges, so
+        ``metrics.shard_depths`` / ``peak_shard_depth`` are live without
+        caller polling.  With telemetry attached the pass is wall-clocked
+        (two clock reads per batch) and every drained event's queue wait
+        lands in ``fleet_queue_latency_seconds``.
         """
-        queue = self._queues[shard_id]
+        queue = self._queue
         if not queue:
             return 0
-        self._queues[shard_id] = array("q")
+        self._queue = array("q")
         count = len(queue) // 2
-        self._depths.drained(shard_id, count)
+        self._depths.drained(0, count)
         started = self._dispatch(self._batch_of(queue), count)
         if self._telemetry is not None:
-            times = self._post_times[shard_id]
-            self._post_times[shard_id] = []
+            times = self._post_times
+            self._post_times = []
             observe = self._telemetry.queue_latency.observe
             for stamp in times:
                 observe(started - stamp)
         return count
-
-    def drain_all(self) -> int:
-        """Drain every shard; returns the number of events dispatched."""
-        # An empty shard would drain to nothing anyway; skipping it keeps
-        # back-to-back drains (every run starts with one) allocation-free.
-        return sum(
-            self.drain_shard(shard_id)
-            for shard_id, queue in enumerate(self._queues)
-            if queue
-        )
 
     def run(self, events, encoding: str = "auto") -> FleetMetrics:
         """Feed a whole workload through the engine — the one entry point.
@@ -1019,7 +983,7 @@ class FleetEngine:
     # ------------------------------------------------------------------
 
     def snapshot(self, allow_partial: bool = False) -> FleetSnapshot:
-        """Capture every instance's state after draining every shard queue.
+        """Capture every instance's state, in spawn order, after a drain.
 
         ``allow_partial`` is accepted for protocol uniformity with the
         multiprocess fleet; an in-process engine cannot lose a

@@ -59,9 +59,9 @@ class QueueDepths:
     feeds: ``fleet_shard_depth_max``, the deepest of those, and
     ``fleet_shard_depth_peak``, the deepest ever drained.
 
-    In-process a queue is a shard's; in a multiprocess fleet it is the
-    parent's pending buffer for one worker, the only queue posted
-    traffic waits in.  ``last`` grows to the highest queue drained.
+    In-process there is one queue, the engine's; a multiprocess fleet has
+    one per worker, the parent's pending buffer for it, where posted
+    traffic waits.  ``last`` grows to the highest queue drained.
     """
 
     __slots__ = ("last", "deepest", "peak")

@@ -1,15 +1,15 @@
-"""Process-parallel fleet: shards pinned to worker processes.
+"""Process-parallel fleet: key partitions pinned to worker processes.
 
 Every dispatch plane built so far runs on one CPU core; this module is
-the scale-out step.  A :class:`MultiprocessFleet` partitions the session
-key space across ``N`` worker processes with the same stable CRC-32
-routing the in-process engine uses for shards
+the scale-out step, and the fleet's one partition layer.  A
+:class:`MultiprocessFleet` partitions the session key space across ``N``
+worker processes by a stable CRC-32 bucket
 (:func:`~repro.serve.store.shard_of` over the worker count), so one key
 always lives in exactly one worker and per-key event order is preserved
 end to end.  Each worker owns a full private
-:class:`~repro.serve.fleet.FleetEngine` — the columnar
-:class:`~repro.serve.store.InstanceStore` columns are already
-shard-independent state, so nothing is shared between processes.
+:class:`~repro.serve.fleet.FleetEngine` — one partition's columnar
+:class:`~repro.serve.store.InstanceStore` — so nothing is shared
+between processes.
 
 The wire protocol is deliberately small.  Parent and worker speak
 request tuples ``(op, *operands)`` and replies ``(status, payload,
@@ -200,19 +200,10 @@ def _worker_main(conn, machine, options, inherited) -> None:
         parent_end.close()
     channel = Channel(conn)
     try:
-        telemetry = (
-            FleetTelemetry(tracing=False) if options["telemetry"] else None
-        )
-        engine = FleetEngine(
-            machine,
-            shards=options["shards"],
-            backend=options["backend"],
-            mode=options["mode"],
-            log_policy=options["log_policy"],
-            optimize=options["optimize"],
-            auto_recycle=options["auto_recycle"],
-            telemetry=telemetry,
-        )
+        # The options are the engine's keywords; telemetry is a flag
+        # here, since each worker feeds a context of its own.
+        telemetry = FleetTelemetry(tracing=False) if options["telemetry"] else None
+        engine = FleetEngine(machine, **(options | {"telemetry": telemetry}))
     except Exception as exc:  # construction failed: report, then exit
         _reply(channel, "fail", f"{type(exc).__name__}: {exc}", None)
         channel.close()
@@ -307,7 +298,6 @@ class MultiprocessFleet:
         machine: StateMachine,
         *,
         workers: int = 2,
-        shards: int = 4,
         backend: str = "interp",
         mode: str = "encoded",
         log_policy: str = "full",
@@ -322,7 +312,7 @@ class MultiprocessFleet:
     ):
         # Every worker would build its engine with these options: check
         # them here, with the engine's own check, before anything forks.
-        _check_options(mode, backend, log_policy, shards)
+        _check_options(mode, backend, log_policy)
         if workers < 1:
             raise DeploymentError(f"workers must be >= 1, got {workers}")
         if checkpoint_every < 1:
@@ -365,7 +355,6 @@ class MultiprocessFleet:
             start_method = "fork" if "fork" in methods else methods[0]
         self._ctx = multiprocessing.get_context(start_method)
         self._options = {
-            "shards": shards,
             "backend": backend,
             "mode": mode,
             "log_policy": log_policy,
@@ -787,10 +776,10 @@ class MultiprocessFleet:
 
     def _locate(self, key: str) -> tuple[int, int]:
         """``(worker id, worker-local slot)`` of an existing key."""
-        code = self._route.get(key)
-        if code is None:
-            raise DeploymentError(f"unknown instance {key!r}")
-        slot, wid = divmod(code, len(self._workers))
+        try:
+            slot, wid = divmod(self._route[key], len(self._workers))
+        except (KeyError, TypeError):
+            raise DeploymentError(f"unknown instance {key!r}") from None
         return wid, slot
 
     # ------------------------------------------------------------------
@@ -986,7 +975,9 @@ class MultiprocessFleet:
         return self._request(self._locate(key)[0], "action_count", key)
 
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]:
-        return self._request(self._locate(key)[0], "actions_since", key, start)
+        wid = self._locate(key)[0]
+        check_count(start, "start")
+        return self._request(wid, "actions_since", key, start)
 
     def trace(self, key: str) -> InstanceSnapshot:
         return self._request(self._locate(key)[0], "trace", key)
@@ -1057,17 +1048,23 @@ class MultiprocessFleet:
         buffer is parent-side and the flush defers through the journal.
         """
         wid, slot = self._locate(key)
-        col = self._columns.get(message)
-        if col is None:
-            raise DeploymentError(f"unknown message {message!r}")
+        col = self._column(message)
         buffer = self._pending[wid]
         buffer.append(slot)
         buffer.append(col)
         return True
 
+    def _column(self, message: str) -> int:
+        """The column of a known message (:class:`DeploymentError` otherwise)."""
+        try:
+            return self._columns[message]
+        except (KeyError, TypeError):
+            raise DeploymentError(f"unknown message {message!r}") from None
+
     def deliver(self, key: str, message: str) -> bool:
-        """Dispatch one event immediately on its owning worker."""
+        """Dispatch one event on its owning worker, checked here first."""
         wid, _slot = self._locate(key)
+        self._column(message)
         result = self._request(wid, "deliver", key, message)
         self._journal_record(wid, ("deliver", key, message), 1)
         return result
@@ -1205,7 +1202,7 @@ class MultiprocessFleet:
         raises with every partition still on its old population.
         Otherwise the current population and any pending parent-side
         traffic are discarded; each worker restores the partition its
-        keys route to, so a snapshot taken under any worker/shard layout
+        keys route to, so a snapshot taken under any worker layout
         lands correctly here.  A *partial* snapshot (non-empty ``lost``
         manifest) is refused unless ``allow_partial=True`` — restoring
         one silently drops the lost instances.

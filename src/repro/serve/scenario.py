@@ -27,9 +27,10 @@ one instance per member, so sibling actions have no recipient here:
 * **Faults** — :class:`ScenarioFaultPlan` (the scenario-plane adaptation
   of :class:`repro.storage.faults.FaultPlan`) injects failures: routed
   messages can be dropped, duplicated or delayed (one seeded draw per
-  routed copy), and a shard can be killed mid-burst — its instances are
-  despawned fail-stop, then the whole scenario rolls back to the last
-  :class:`ScenarioSnapshot` and replays.  Because every wheel record is
+  routed copy), and a shard — one CRC-32 bucket of the keys — can be
+  killed mid-burst: its instances are despawned fail-stop, then the
+  whole scenario rolls back to the last :class:`ScenarioSnapshot` and
+  replays.  Because every wheel record is
   plain data and every fault draw comes from a seeded stream captured in
   the snapshot, the replay is exact: a killed-and-restored run converges
   to the same per-instance traces as an undisturbed run, which is the
@@ -68,12 +69,16 @@ from repro.core.wiring import Wiring
 from repro.obs.metrics import CounterView, MetricsRegistry
 from repro.serve.api import Fleet
 from repro.serve.fleet import FleetSnapshot
-from repro.serve.store import InstanceSnapshot
+from repro.serve.store import InstanceSnapshot, shard_of
 from repro.storage.sim.kernel import Simulator
 
 #: Wheel-record kinds (also the ``post`` provenance tags).
 EXTERNAL, ROUTED, TIMER = "external", "routed", "timer"
 _KILL, _SNAP = "kill", "snapshot"
+
+#: A kill fault fail-stops the live keys of one of this many CRC-32
+#: buckets (``shard_of(key, KILL_SHARDS) == kill_shard``).
+KILL_SHARDS = 8
 
 
 class GroupTopology:
@@ -131,10 +136,10 @@ class ScenarioFaultPlan:
     for the simulated storage system; this plan configures the fleet
     analogue at scenario granularity:
 
-    * ``kill_at`` schedules a fail-stop of one shard (``kill_shard``, or
-      a seeded pick when ``None``) at the given virtual time: its
-      instances are despawned mid-burst, then the scenario restores from
-      the last snapshot and replays;
+    * ``kill_at`` schedules a fail-stop of one shard (``kill_shard`` in
+      ``range(KILL_SHARDS)``, or a seeded pick when ``None``) at the
+      given virtual time: its instances are despawned mid-burst, then
+      the scenario restores from the last snapshot and replays;
     * ``drop`` / ``duplicate`` / ``delay`` are per-routed-copy
       probabilities (one seeded draw decides each copy's fate; the three
       rates must sum to <= 1); ``delay_by`` is the extra latency a
@@ -163,6 +168,11 @@ class ScenarioFaultPlan:
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value >= 0):
                 raise SimulationError(f"{name} must be finite and >= 0, got {value}")
+        shard = self.kill_shard
+        if shard is not None and not 0 <= shard < KILL_SHARDS:
+            raise SimulationError(
+                f"kill_shard must be in range({KILL_SHARDS}), got {shard}"
+            )
 
     @property
     def active(self) -> bool:
@@ -268,7 +278,7 @@ class ScenarioEngine:
 
     The engine owns a :class:`Simulator` wheel whose records are plain
     data; at each distinct virtual instant it pops every due record,
-    posts the deliveries into the fleet's shard queues (tagged with
+    posts the deliveries into the fleet's queue (tagged with
     their provenance), drains, and — when the wiring declares a timer or
     peer routes — observes the touched instances to cancel/arm timers and
     turn newly fired actions into routed traffic.  See the module
@@ -311,11 +321,6 @@ class ScenarioEngine:
                 "in-process fleet exposing its instance store (timer marks "
                 "live in store columns); this fleet has none — passthrough "
                 "scenarios (no observation) run on any Fleet"
-            )
-        shard = faults.kill_shard if kills else None
-        if shard is not None and not 0 <= shard < fleet.shard_count:
-            raise SimulationError(
-                f"kill_shard must be in range({fleet.shard_count}), got {shard}"
             )
         #: Peer action -> (message, delay) its group peers receive.
         self._routes = {a: (m, d) for a, m, d in self._wiring.peers}
@@ -762,9 +767,9 @@ class ScenarioEngine:
 
     def _kill(self, shard: Optional[int]) -> None:
         if shard is None:
-            shard = self._rng.randrange(self._fleet.shard_count)
-        store = self._fleet.store
-        victims = list(store.shards[shard].keys)
+            shard = self._rng.randrange(KILL_SHARDS)
+        keys = self._fleet.store.keys()
+        victims = [key for key in keys if shard_of(key, KILL_SHARDS) == shard]
         self._count.shards_killed.value += 1
         self._count.instances_lost.value += len(victims)
         if self._trace is not None:

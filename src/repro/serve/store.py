@@ -13,8 +13,6 @@ The columns are parallel arrays:
   anyway, and ``array.__getitem__``/``__setitem__`` box/unbox on every
   access — measured at 25-40% of the whole dispatch loop at 10k
   instances, far more than the 4-byte-vs-pointer density buys;
-* ``shard_ids[slot]`` — the slot's CRC-32 shard, memoized at spawn so
-  routing an event for an interned key never re-hashes the key;
 * ``logs[slot]``      — the performed-action log as a list of per-transition
   action *chunks* (``log_policy="full"``), or ``None`` when the store does
   not retain logs (``"off"``);
@@ -28,12 +26,11 @@ The columns are parallel arrays:
   record and ``armed_state`` the state name the timer was armed in, so
   the engine can cancel on state exit with one column read.
 
-Shard routing stays a *stable* hash of the session key (CRC-32, not
-Python's per-process-randomised ``hash``), so the same key always routes
-to the same shard — across calls, across store rebuilds, and across
-processes; ``shard_ids`` merely caches that hash per slot.  Shards carry
-the membership (ordered key lists, used for snapshots, per-shard
-population counts and the per-shard queue alignment).
+A store holds one partition whole: ``slot_of`` is its membership, in
+spawn order (:meth:`InstanceStore.keys`).  Worker processes partition
+keys by :func:`shard_of`, a *stable* CRC-32 (not Python's
+per-process-randomised ``hash``), so a key always routes to the same
+worker — across calls, fleet rebuilds and processes.
 
 Released slots go on a free list and are reused by the next spawn, so a
 long-lived fleet with session churn keeps its columns dense; reuse always
@@ -47,7 +44,6 @@ to rebuild an equivalent fleet on either backend for recycling/failover.
 from __future__ import annotations
 
 import zlib
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -62,7 +58,7 @@ LOG_POLICIES = ("full", "off")
 
 
 def shard_of(key: str, shards: int) -> int:
-    """Stable shard index for a session key (CRC-32 based)."""
+    """Stable CRC-32 bucket of a session key among ``shards`` buckets."""
     return zlib.crc32(key.encode("utf-8")) % shards
 
 
@@ -80,41 +76,19 @@ class InstanceSnapshot:
     actions: tuple[str, ...]
 
 
-class Shard:
-    """Membership of one partition: session keys in spawn order.
-
-    Backed by an insertion-ordered dict (values unused) so that both
-    spawn and release are O(1) — a churning fleet despawns sessions
-    without scanning its shard — while iteration still yields spawn
-    order for snapshots.
-    """
-
-    __slots__ = ("keys",)
-
-    def __init__(self) -> None:
-        self.keys: dict[str, None] = {}
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-
 class InstanceStore:
-    """All instances of one fleet: columnar slot state, sharded membership."""
+    """All instances of one fleet partition: columnar slot state."""
 
     def __init__(
         self,
         table: FlatDispatchTable,
-        shards: int = 8,
         log_policy: str = "full",
         vector: bool = False,
     ):
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
         if log_policy not in LOG_POLICIES:
             raise DeploymentError(
                 f"unknown log policy {log_policy!r}; choose from {LOG_POLICIES}"
             )
-        self._table = table
         self._start = table.start_index * table.width
         self.log_policy = log_policy
         #: Whether ``states`` is a numpy-backed :class:`StateColumn` (the
@@ -128,9 +102,6 @@ class InstanceStore:
         #: Premultiplied state per slot (dense list — see module docstring
         #: — or a :class:`StateColumn` for vector fleets).
         self.states = self._new_states()
-        #: Memoized CRC-32 shard per slot (cold column: intake-time reads
-        #: only, so the compact array representation costs nothing).
-        self.shard_ids = array("i")
         #: Action-log column (``full``; ``None`` entries under ``off``).
         self.logs: list[Optional[list]] = []
         #: Backend objects (naive-mode fleets only).
@@ -139,7 +110,6 @@ class InstanceStore:
         self.timers: list = []
         #: Released slots awaiting reuse (LIFO keeps the columns dense).
         self.free_slots: list[int] = []
-        self.shards: list[Shard] = [Shard() for _ in range(shards)]
 
     def _new_states(self):
         """A fresh, empty states column in this store's representation."""
@@ -149,30 +119,11 @@ class InstanceStore:
             return StateColumn()
         return []
 
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
     def __len__(self) -> int:
         return len(self.slot_of)
 
     def __contains__(self, key: str) -> bool:
         return key in self.slot_of
-
-    def shard_id(self, key: str) -> int:
-        """The shard a key routes to — memoized for interned keys.
-
-        Unknown keys still route (the hash is computed on the spot), so
-        a caller can ask where a key *would* live before spawning it.
-        """
-        slot = self.slot_of.get(key)
-        if slot is not None:
-            return self.shard_ids[slot]
-        return shard_of(key, len(self.shards))
-
-    def shard_sizes(self) -> list[int]:
-        """Instance population per shard."""
-        return [len(shard) for shard in self.shards]
 
     def spawn(self, key: str, backend=None) -> int:
         """Create an instance at the start state; returns its slot.
@@ -183,13 +134,11 @@ class InstanceStore:
         """
         if key in self.slot_of:
             raise DeploymentError(f"instance {key!r} already exists")
-        shard_id = shard_of(key, len(self.shards))
         log = [] if self.log_policy == "full" else None
         if self.free_slots:
             slot = self.free_slots.pop()
             self.key_of[slot] = key
             self.states[slot] = self._start
-            self.shard_ids[slot] = shard_id
             self.logs[slot] = log
             self.backends[slot] = backend
             self.timers[slot] = None
@@ -197,19 +146,17 @@ class InstanceStore:
             slot = len(self.key_of)
             self.key_of.append(key)
             self.states.append(self._start)
-            self.shard_ids.append(shard_id)
             self.logs.append(log)
             self.backends.append(backend)
             self.timers.append(None)
         self.slot_of[key] = slot
-        self.shards[shard_id].keys[key] = None
         return slot
 
     def slot(self, key: str) -> int:
         """The slot of an existing key (:class:`DeploymentError` otherwise)."""
         try:
             return self.slot_of[key]
-        except KeyError:
+        except (KeyError, TypeError):
             raise DeploymentError(f"unknown instance {key!r}") from None
 
     def release(self, key: str) -> int:
@@ -220,23 +167,19 @@ class InstanceStore:
         self.logs[slot] = None
         self.backends[slot] = None
         self.timers[slot] = None
-        del self.shards[self.shard_ids[slot]].keys[key]
         self.free_slots.append(slot)
         return slot
 
     def keys(self) -> list[str]:
-        """All session keys, shard by shard, in spawn order."""
-        return [key for shard in self.shards for key in shard.keys]
+        """All session keys in spawn order (a respawned key comes last)."""
+        return list(self.slot_of)
 
     def clear(self) -> None:
         """Drop every instance and every recycled slot (used by restore)."""
         self.slot_of.clear()
         self.key_of = []
         self.states = self._new_states()
-        self.shard_ids = array("i")
         self.logs = []
         self.backends = []
         self.timers = []
         self.free_slots = []
-        for shard in self.shards:
-            shard.keys.clear()

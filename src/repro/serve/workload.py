@@ -15,9 +15,9 @@ Arrival scenarios:
 
 * ``uniform`` — every event targets a uniformly random session;
 * ``hotkey``  — a small hot set of sessions receives most of the traffic
-  (skew stresses a single shard's queue and dispatch batch);
+  (skew stresses a few instances' state and log columns);
 * ``burst``   — one session receives a run of consecutive events before
-  the next session is drawn (bursty arrival, deep per-shard batches).
+  the next session is drawn (bursty arrival, long per-instance runs).
 """
 
 from __future__ import annotations

@@ -85,9 +85,7 @@ def test_compiled_class_matches_direct_simulation(model_name, engine):
 def test_fleet_matches_direct_simulation(model_name, engine, mode, backend):
     model = build(model_name)
     machine = model.flatten(engine)
-    fleet = FleetEngine(
-        machine, shards=4, backend=backend, mode=mode, auto_recycle=True
-    )
+    fleet = FleetEngine(machine, backend=backend, mode=mode, auto_recycle=True)
     keys = fleet.spawn_many(100)
     events = generate_workload(
         machine,
@@ -105,9 +103,7 @@ def test_fleet_matches_direct_simulation_skewed_arrivals(
 ):
     model = build(model_name)
     machine = model.flatten("lazy")
-    fleet = FleetEngine(
-        machine, shards=4, backend=backend, mode=mode, auto_recycle=True
-    )
+    fleet = FleetEngine(machine, backend=backend, mode=mode, auto_recycle=True)
     keys = fleet.spawn_many(100)
     events = generate_workload(
         machine,
@@ -123,14 +119,14 @@ def test_fleet_snapshot_restore_roundtrip_on_flattened_machine(model_name, mode)
     """Flattened machines ride the fleet's snapshot/restore unchanged."""
     model = build(model_name)
     machine = model.flatten()
-    fleet = FleetEngine(machine, shards=4, mode=mode, auto_recycle=True)
+    fleet = FleetEngine(machine, mode=mode, auto_recycle=True)
     keys = fleet.spawn_many(50)
     events = generate_workload(
         machine, WorkloadSpec(instances=50, events=1000, seed=3)
     )
     fleet.run(events)
     snapshot = fleet.snapshot()
-    replacement = FleetEngine(machine, shards=8, mode=mode, auto_recycle=True)
+    replacement = FleetEngine(machine, mode=mode, auto_recycle=True)
     replacement.restore(snapshot)
     assert {k: replacement.trace(k) for k in keys} == {
         k: fleet.trace(k) for k in keys

@@ -295,9 +295,7 @@ class TestFleetDifferential:
         events = generate_workload(
             machine, WorkloadSpec(instances=150, events=4000, seed=5)
         )
-        fleet = FleetEngine(
-            machine, shards=4, mode=mode, auto_recycle=True, optimize=3
-        )
+        fleet = FleetEngine(machine, mode=mode, auto_recycle=True, optimize=3)
         keys = fleet.spawn_many(150)
         fleet.run(events)
         assert diff_against_standalone(fleet, keys, events) == []
@@ -307,10 +305,8 @@ class TestFleetDifferential:
         events = generate_workload(
             machine, WorkloadSpec(instances=100, events=3000, seed=9)
         )
-        raw = FleetEngine(machine, shards=4, mode=mode, auto_recycle=True)
-        opt = FleetEngine(
-            machine, shards=4, mode=mode, auto_recycle=True, optimize=3
-        )
+        raw = FleetEngine(machine, mode=mode, auto_recycle=True)
+        opt = FleetEngine(machine, mode=mode, auto_recycle=True, optimize=3)
         keys = raw.spawn_many(100)
         opt.spawn_many(100)
         raw.run(events)
@@ -333,9 +329,7 @@ class TestHierarchicalOracle:
         events = generate_workload(
             machine, WorkloadSpec(instances=120, events=3000, seed=13)
         )
-        fleet = FleetEngine(
-            machine, shards=4, mode=mode, auto_recycle=True, optimize="full"
-        )
+        fleet = FleetEngine(machine, mode=mode, auto_recycle=True, optimize="full")
         keys = fleet.spawn_many(120)
         fleet.run(events)
         assert diff_against_hierarchical(fleet, model, keys, events) == []
@@ -381,12 +375,12 @@ class TestSnapshotAcrossOptimization:
 
     def test_unoptimized_snapshot_restores_into_optimized_fleet(self, mode):
         machine = build_hierarchical_model("commit", 4).flatten()
-        raw = FleetEngine(machine, shards=2, mode=mode)
+        raw = FleetEngine(machine, mode=mode)
         self.drive_to_merged_state(raw)
         snap = raw.snapshot()
         assert snap.instances[0].state == "Aborted"
 
-        opt = FleetEngine(machine, shards=2, mode=mode, optimize="full")
+        opt = FleetEngine(machine, mode=mode, optimize="full")
         opt.restore(snap)
         trace = opt.trace("a")
         assert trace.state == opt.state_map["Aborted"]
@@ -395,10 +389,10 @@ class TestSnapshotAcrossOptimization:
 
     def test_optimized_snapshot_restores_into_optimized_fleet(self, mode):
         machine = build_hierarchical_model("commit", 4).flatten()
-        first = FleetEngine(machine, shards=2, mode=mode, optimize="full")
+        first = FleetEngine(machine, mode=mode, optimize="full")
         self.drive_to_merged_state(first)
         snap = first.snapshot()
-        second = FleetEngine(machine, shards=4, mode=mode, optimize="full")
+        second = FleetEngine(machine, mode=mode, optimize="full")
         second.restore(snap)
         assert second.trace("a") == first.trace("a")
 
@@ -408,7 +402,7 @@ class TestSnapshotAcrossOptimization:
         from repro.serve.store import InstanceSnapshot
 
         machine = build_hierarchical_model("commit", 4).flatten()
-        fleet = FleetEngine(machine, shards=2, mode=mode, optimize="full")
+        fleet = FleetEngine(machine, mode=mode, optimize="full")
         bogus = FleetSnapshot(
             machine_name=machine.name,
             instances=(InstanceSnapshot("a", "NoSuchState", ()),),

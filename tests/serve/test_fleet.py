@@ -14,7 +14,6 @@ from repro.serve import (
     WorkloadSpec,
     diff_against_standalone,
     generate_workload,
-    shard_of,
 )
 from tests.serve.conftest import BUNDLED_MODELS, machine_for
 
@@ -42,9 +41,7 @@ class TestDifferential:
         events = generate_workload(
             machine, WorkloadSpec(instances=23, events=1_500, seed=11)
         )
-        fleet = make_fleet(
-            machine, dispatch=mode, backend=backend, shards=5, auto_recycle=True
-        )
+        fleet = make_fleet(machine, dispatch=mode, backend=backend, auto_recycle=True)
         keys = fleet.spawn_many(23)
         fleet.run(events)
         assert diff_against_standalone(fleet, keys, events) == []
@@ -58,7 +55,7 @@ class TestDifferential:
         events = generate_workload(
             machine, WorkloadSpec(instances=17, events=1_200, seed=29)
         )
-        fleet = make_fleet(machine, dispatch=mode, shards=3, auto_recycle=True)
+        fleet = make_fleet(machine, dispatch=mode, auto_recycle=True)
         keys = fleet.spawn_many(17)
         fleet.run(fleet.encode_flat(events), encoding="flat")
         assert diff_against_standalone(fleet, keys, events) == []
@@ -68,13 +65,13 @@ class TestDifferential:
     def test_every_arrival_scenario_equals_standalone(
         self, make_fleet, scenario, mode
     ):
-        """Hot keys and bursts reorder per-shard work, never per-key order."""
+        """Hot keys and bursts reorder cross-key work, never per-key order."""
         machine = machine_for("commit")
         events = generate_workload(
             machine,
             WorkloadSpec(scenario=scenario, instances=120, events=3_000, seed=3),
         )
-        fleet = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        fleet = make_fleet(machine, dispatch=mode, auto_recycle=True)
         keys = fleet.spawn_many(120)
         fleet.run(events)
         assert diff_against_standalone(fleet, keys, events) == []
@@ -86,14 +83,14 @@ class TestDifferential:
         events = generate_workload(
             machine, WorkloadSpec(instances=10, events=400, seed=2)
         )
-        fleet = make_fleet(dispatch=mode, shards=3, auto_recycle=False)
+        fleet = make_fleet(dispatch=mode, auto_recycle=False)
         keys = fleet.spawn_many(10)
         fleet.run(events)
         assert diff_against_standalone(fleet, keys, events) == []
 
     @pytest.mark.parametrize("mode", MODES)
     def test_posted_events_dispatch_before_bulk_run(self, make_fleet, mode):
-        fleet = make_fleet(dispatch=mode, shards=2)
+        fleet = make_fleet(dispatch=mode)
         fleet.spawn("s")
         fleet.post("s", "free")
         fleet.run([("s", "update")])
@@ -135,15 +132,12 @@ class TestLifecycle:
             fleet.spawn("a")
         assert fleet.metrics.instances_spawned == spawned
 
-    def test_spawn_duplicate_leaves_shard_membership_intact(self):
-        fleet = self.make_fleet(shards=4)
+    def test_spawn_duplicate_leaves_membership_intact(self):
+        fleet = self.make_fleet()
         fleet.spawn("a")
-        sizes = fleet.shard_sizes()
         with pytest.raises(DeploymentError):
             fleet.spawn("a")
-        assert fleet.shard_sizes() == sizes
-        # The key still routes and snapshots exactly once.
-        assert sum(fleet.shard_sizes()) == 1
+        # The key still snapshots exactly once.
         assert len(fleet.snapshot().instances) == 1
 
     def test_unknown_instance_rejected(self):
@@ -166,7 +160,7 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_bad_event_does_not_poison_batch(self, mode, backend):
-        fleet = self.make_fleet(dispatch=mode, backend=backend, shards=1)
+        fleet = self.make_fleet(dispatch=mode, backend=backend)
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="unknown message"):
             fleet.post("a", "bogus")
@@ -267,7 +261,7 @@ class TestDeliverNormalisation:
 
 
 class TestEncodedIntake:
-    """Every mode interns events at intake: shard queues carry (slot,
+    """Every mode interns events at intake: the queue carries (slot,
     column) int pairs and unknown keys/messages fail fast."""
 
     @pytest.fixture(autouse=True)
@@ -277,23 +271,23 @@ class TestEncodedIntake:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_post_rejects_unknown_at_intake(self, mode):
-        fleet = self.make_fleet(dispatch=mode, shards=2)
+        fleet = self.make_fleet(dispatch=mode)
         fleet.spawn("a")
         with pytest.raises(DeploymentError, match="unknown instance"):
             fleet.post("ghost", "free")
         with pytest.raises(DeploymentError, match="unknown message"):
             fleet.post("a", "bogus")
-        assert fleet.depths() == [0, 0]
+        assert fleet.drain_all() == 0
 
     def test_queues_carry_int_pairs(self):
         # The reference mode too: its backends receive the message the
         # column names, but the queue holds no string — it is the flat
         # schedule run(flat) takes.
-        fleet = self.make_fleet(dispatch="naive", shards=2)
+        fleet = self.make_fleet(dispatch="naive")
         slot = fleet.spawn("a")
         fleet.post("a", "free")
         column = fleet.indexed_machine.message_index()["free"]
-        assert fleet._queues[fleet.shard_id("a")] == array("q", [slot, column])
+        assert fleet._queue == array("q", [slot, column])
         fleet.post("a", "update")
         fleet.drain_all()
         assert fleet.trace("a").actions == ("vote", "not_free")
@@ -416,10 +410,8 @@ class TestLogPolicies:
 
     @pytest.mark.parametrize("mode", TABLE_MODES)
     def test_off_policy_tracks_states_only(self, mode):
-        full = self.make_fleet(dispatch=mode, shards=3, auto_recycle=True)
-        off = self.make_fleet(
-            dispatch=mode, shards=3, auto_recycle=True, log_policy="off"
-        )
+        full = self.make_fleet(dispatch=mode, auto_recycle=True)
+        off = self.make_fleet(dispatch=mode, auto_recycle=True, log_policy="off")
         full.spawn_many(15)
         off.spawn_many(15)
         full.run(self.events)
@@ -449,7 +441,7 @@ class TestSlotRecycling:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_despawn_frees_and_reuses_slot_without_leaking(self, mode):
-        fleet = self.make_fleet(dispatch=mode, shards=4)
+        fleet = self.make_fleet(dispatch=mode)
         slot = fleet.spawn("a")
         fleet.deliver("a", "free")
         fleet.deliver("a", "update")
@@ -469,7 +461,7 @@ class TestSlotRecycling:
         """Posted pairs name the slot, not the key: despawn dispatches
         them to the instance they were addressed to, never to the
         slot's next occupant."""
-        fleet = self.make_fleet(dispatch=mode, shards=1)
+        fleet = self.make_fleet(dispatch=mode)
         slot = fleet.spawn("a")
         fleet.post("a", "free")
         fleet.post("a", "update")
@@ -480,10 +472,37 @@ class TestSlotRecycling:
         assert fleet.drain_all() == 0
         assert fleet.trace("b").actions == ()
 
-    def test_routing_is_stable_across_spawn_and_recycle(self):
-        """The memoized shard id always equals the CRC-32 contract, even
-        after despawn churn hands slots to differently-hashing keys."""
-        fleet = self.make_fleet(dispatch="encoded", shards=8)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_despawn_delivers_every_queued_event_to_its_own_instance(self, mode):
+        """Despawn drains the one queue whole: other keys' queued events
+        reach their instances, and none reaches the slot's next occupant."""
+        fleet = self.make_fleet(dispatch=mode)
+        slots = {key: fleet.spawn(key) for key in (f"k{i}" for i in range(16))}
+        for key in slots:
+            fleet.post(key, "free")
+            fleet.post(key, "update")
+        fleet.despawn("k5")
+        assert fleet.metrics.events_dispatched == 2 * len(slots)
+        assert fleet.spawn("heir") == slots["k5"]
+        assert fleet.drain_all() == 0
+        assert fleet.trace("heir").actions == ()
+        for key in slots.keys() - {"k5"}:
+            assert fleet.trace(key).actions == ("vote", "not_free")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_drain_all_dispatches_one_batch(self, mode):
+        fleet = self.make_fleet(dispatch=mode)
+        keys = fleet.spawn_many(40)
+        for key in keys:
+            fleet.post(key, "free")
+        assert fleet.drain_all() == len(keys)
+        assert fleet.metrics.batches_drained == 1
+        assert fleet.metrics.shard_depths == [len(keys)]
+
+    def test_posts_dispatch_after_spawn_and_recycle_churn(self):
+        """After despawn churn hands slots to new keys, one post per
+        live key dispatches exactly once per key."""
+        fleet = self.make_fleet(dispatch="encoded")
         keys = fleet.spawn_many(64)
         for key in keys[::3]:
             fleet.despawn(key)
@@ -491,16 +510,7 @@ class TestSlotRecycling:
         for key in replacements:
             fleet.spawn(key)
         for key in [k for k in keys if k in fleet] + replacements:
-            assert fleet.shard_id(key) == shard_of(key, 8)
             fleet.post(key, "free")
-        # Every posted event sits in the queue of the shard its key hashes to.
-        for shard_id, depth in enumerate(fleet.depths()):
-            expected = sum(
-                1
-                for k in [k for k in keys if k in fleet] + replacements
-                if shard_of(k, 8) == shard_id
-            )
-            assert depth == expected
         fleet.drain_all()
         assert fleet.metrics.events_dispatched == len(fleet)
 
@@ -517,7 +527,7 @@ class TestSnapshotRestore:
     @pytest.mark.parametrize("mode", MODES)
     def test_round_trip_resumes_identically(self, mode):
         midpoint = len(self.events) // 2
-        fleet = self.make_fleet(dispatch=mode, shards=3, auto_recycle=True)
+        fleet = self.make_fleet(dispatch=mode, auto_recycle=True)
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:midpoint])
         snapshot = fleet.snapshot()
@@ -529,13 +539,25 @@ class TestSnapshotRestore:
         fleet.run(self.events[midpoint:])
         assert {key: fleet.trace(key) for key in keys} == expected
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_snapshot_lists_instances_in_spawn_order(self, mode):
+        fleet = self.make_fleet(dispatch=mode)
+        keys = [f"k{i}" for i in range(12)]
+        for key in keys:
+            fleet.spawn(key)
+        # A despawned and respawned key moves to the end.
+        fleet.despawn("k3")
+        fleet.spawn("k3")
+        order = [inst.key for inst in fleet.snapshot().instances]
+        assert order == keys[:3] + keys[4:] + ["k3"]
+
     def test_restore_across_modes_and_backends(self):
-        fleet = self.make_fleet(shards=3)
+        fleet = self.make_fleet()
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:300])
         snapshot = fleet.snapshot()
 
-        other = self.make_fleet(dispatch="naive", backend="compiled", shards=5)
+        other = self.make_fleet(dispatch="naive", backend="compiled")
         other.restore(snapshot)
         assert {k: other.trace(k) for k in keys} == {
             k: fleet.trace(k) for k in keys
@@ -563,12 +585,12 @@ class TestSnapshotRestore:
         table grew in a different order (and through despawn churn, so
         reused slots shuffle the layout further) must restore every
         per-key trace exactly."""
-        fleet = self.make_fleet(dispatch="encoded", shards=3)
+        fleet = self.make_fleet(dispatch="encoded")
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:300])
         snapshot = fleet.snapshot()
 
-        other = self.make_fleet(dispatch="encoded", shards=5)
+        other = self.make_fleet(dispatch="encoded")
         for key in reversed(keys):
             other.spawn(key)
         for key in keys[::4]:
@@ -589,14 +611,14 @@ class TestSnapshotRestore:
         """A restored population re-interns from slot zero; logs of the
         pre-restore occupants (including recycled slots) must not bleed
         into the restored instances."""
-        fleet = self.make_fleet(dispatch="encoded", shards=2)
+        fleet = self.make_fleet(dispatch="encoded")
         fleet.spawn("old-a")
         fleet.spawn("old-b")
         fleet.deliver("old-a", "free")
         fleet.deliver("old-b", "free")
         fleet.despawn("old-b")
 
-        pristine = self.make_fleet(dispatch="encoded", shards=2)
+        pristine = self.make_fleet(dispatch="encoded")
         pristine.spawn("new-a")
         pristine.spawn("new-b")
         snapshot = pristine.snapshot()
@@ -610,12 +632,12 @@ class TestSnapshotRestore:
         assert len(fleet) == 2
 
     def test_restore_across_encoded_and_string_planes(self):
-        fleet = self.make_fleet(dispatch="encoded", shards=3)
+        fleet = self.make_fleet(dispatch="encoded")
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:300])
         snapshot = fleet.snapshot()
         for mode, backend in CONFIGS:
-            other = self.make_fleet(dispatch=mode, backend=backend, shards=4)
+            other = self.make_fleet(dispatch=mode, backend=backend)
             other.restore(snapshot)
             assert {k: other.trace(k) for k in keys} == {
                 k: fleet.trace(k) for k in keys
@@ -625,7 +647,7 @@ class TestSnapshotRestore:
     def test_restore_after_recycle_rewinds_recycled_instances(self, mode):
         """Restoring a snapshot whose keys were recycled *after* the
         capture must rewind them to their snapshotted state and log."""
-        fleet = self.make_fleet(dispatch=mode, shards=3)
+        fleet = self.make_fleet(dispatch=mode)
         keys = fleet.spawn_many(12)
         fleet.run(self.events[:300])
         snapshot = fleet.snapshot()
@@ -650,7 +672,7 @@ class TestSnapshotRestore:
             assert trace.actions == expected[key].actions
         # Restored instances keep executing correctly from the rewound state.
         fleet.run(self.events[300:])
-        replacement = self.make_fleet(dispatch=mode, shards=3)
+        replacement = self.make_fleet(dispatch=mode)
         replacement.restore(snapshot)
         replacement.run(self.events[300:])
         assert {k: fleet.trace(k) for k in keys} == {
@@ -665,7 +687,7 @@ class TestSnapshotRestore:
     def test_restore_is_all_or_nothing(self, mode, kind):
         """A snapshot that fails validation anywhere leaves the whole
         population as it was — never cleared and half respawned."""
-        fleet = self.make_fleet(dispatch=mode, shards=2)
+        fleet = self.make_fleet(dispatch=mode)
         fleet.spawn_many(12)
         fleet.run(self.events[:300])
         before = fleet.snapshot()
@@ -692,7 +714,7 @@ class TestMetricsSurface:
         events = generate_workload(
             machine, WorkloadSpec(instances=20, events=500, seed=9, noise=0.5)
         )
-        fleet = make_fleet(shards=4, auto_recycle=True)
+        fleet = make_fleet(auto_recycle=True)
         fleet.spawn_many(20)
         fleet.run(events)
         metrics = fleet.metrics

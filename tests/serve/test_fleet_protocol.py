@@ -85,7 +85,7 @@ def build_fleet(impl: str, **overrides):
     ``mp`` runs two workers; ``mp1``/``mp4`` name another worker count.
     """
     kind, _, mode = impl.partition("-")
-    kwargs = dict(mode=mode or "encoded", shards=4)
+    kwargs = dict(mode=mode or "encoded")
     if kind.startswith("mp"):
         kwargs["workers"] = int(kind[2:] or 2)
     kwargs.update(overrides)
@@ -409,10 +409,6 @@ def test_multiprocess_refuses_raw_schedules_under_every_encoding(impl):
     "options,error",
     [
         (
-            {"shards": 0},
-            "shards must be >= 1, got 0",
-        ),
-        (
             {"backend": "compiled"},
             "backend 'compiled' is read only by dispatch mode 'naive'; "
             "mode 'encoded' executes the dispatch table itself",
@@ -437,7 +433,6 @@ def test_multiprocess_refuses_raw_schedules_under_every_encoding(impl):
         ),
     ],
     ids=[
-        "no-shards",
         "compiled-encoded",
         "compiled-vector",
         "unknown-mode",

@@ -48,7 +48,7 @@ def gateway_test(body, fleet_kwargs=None, **gateway_kwargs):
     in-process fleet, or one built with ``fleet_kwargs``."""
 
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4, **(fleet_kwargs or {}))
+        fleet = make_fleet("commit", mode="encoded", **(fleet_kwargs or {}))
         gateway = FleetGateway(fleet, port=0, **gateway_kwargs)
         await gateway.start()
         try:
@@ -157,7 +157,7 @@ def test_shutdown_is_gated():
 
 def test_shutdown_stops_the_server_when_allowed():
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        fleet = make_fleet("commit", mode="encoded")
         gateway = FleetGateway(fleet, port=0, allow_remote_shutdown=True)
         serving = asyncio.ensure_future(gateway.serve_until_shutdown())
         await asyncio.sleep(0)  # let it bind
@@ -205,7 +205,7 @@ def test_snapshot_scrape_restores_into_fresh_fleet():
         status, snap = await http(reader, writer, "GET", "/snapshot")
         assert status == 200
 
-        replica = make_fleet("commit", mode="naive", shards=2)
+        replica = make_fleet("commit", mode="naive")
         replica.restore(snapshot_from_json(snap))
         assert diff_fleets(gateway.fleet, replica, keys) == []
         replica.close()
@@ -596,7 +596,7 @@ def test_recovering_partition_degrades_to_503_with_retry_after():
 
 def test_healthz_surfaces_worker_states_on_mp_fleet():
     async def main():
-        fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+        fleet = make_fleet("commit", mode="encoded", workers=2)
         gateway = FleetGateway(fleet, port=0)
         await gateway.start()
         try:
@@ -620,7 +620,7 @@ def test_healthz_surfaces_worker_states_on_mp_fleet():
 
 def test_partial_snapshot_carries_lost_manifest_over_the_wire():
     async def main():
-        fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+        fleet = make_fleet("commit", mode="encoded", workers=2)
         gateway = FleetGateway(fleet, port=0)
         await gateway.start()
         try:

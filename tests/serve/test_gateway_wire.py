@@ -329,7 +329,7 @@ def live(body, **gateway_kwargs):
     sent) and returns everything the server wrote until it closed."""
 
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        fleet = make_fleet("commit", mode="encoded")
         fleet.spawn_many(4)
         gateway = FleetGateway(fleet, port=0, **gateway_kwargs)
         await gateway.start()
@@ -594,7 +594,7 @@ def test_live_half_closed_request_is_answered_then_closed(capfd, caplog):
     # The client sends a request and shuts its write side down: the
     # reply still arrives whole, then the gateway closes (eof_received).
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        fleet = make_fleet("commit", mode="encoded")
         (key,) = fleet.spawn_many(1)
         gateway = FleetGateway(fleet, port=0)
         await gateway.start()
@@ -654,7 +654,7 @@ def test_live_body_that_is_not_utf8_is_a_400():
 
 def test_stop_with_a_keepalive_connection_open_is_quiet(capfd, caplog):
     async def main():
-        fleet = make_fleet("commit", mode="encoded", shards=4)
+        fleet = make_fleet("commit", mode="encoded")
         gateway = FleetGateway(fleet, port=0)
         await gateway.start()
         reader, writer = await asyncio.open_connection("127.0.0.1", gateway.port)

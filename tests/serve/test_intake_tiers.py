@@ -17,9 +17,10 @@ from tests.serve.conftest import machine_for
 
 TIERS = ("posted", "events", "flat")
 
-#: The counters every tier must agree on (batch counts legitimately
-#: differ: a drain dispatches one batch per shard).
+#: The counters every tier must agree on: a drain dispatches one batch,
+#: as a run does, so the batch counts agree too.
 COUNTERS = (
+    "batches_drained",
     "events_dispatched",
     "transitions_fired",
     "events_ignored",
@@ -43,9 +44,7 @@ INSTANCES = 10
 
 def build(impl: str, mode: str, **kwargs):
     workers = 2 if impl == "mp" else None
-    return make_fleet(
-        "commit", mode=mode, workers=workers, shards=3, auto_recycle=True, **kwargs
-    )
+    return make_fleet("commit", mode=mode, workers=workers, auto_recycle=True, **kwargs)
 
 
 def phases():
@@ -89,15 +88,9 @@ def drive(fleet, tier: str, keys, first, gone, heir, second) -> None:
             fleet.run(fleet.encode_flat(events))
 
     feed(first)
-    depths = getattr(fleet, "depths", None)
-    if tier == "posted" and depths is not None:
-        # In process, the despawn drains the departing key's shard only.
-        expected = depths()
-        expected[fleet.shard_id(gone)] = 0
-        fleet.despawn(gone)
-        assert depths() == expected
-    else:
-        fleet.despawn(gone)
+    fleet.despawn(gone)
+    # The despawn delivered everything queued before it freed the slot.
+    assert fleet.drain_all() == 0
     assert fleet.spawn(heir) == slots[gone]
     feed(second)
     if tier == "posted":

@@ -4,7 +4,7 @@ Both fleets declare the same counters and depth gauges in the registry
 ``telemetry_registry()`` returns, ``fleet.metrics`` is a read-only view
 over it, and ``/metrics`` renders it with a ``# HELP`` line for every
 family.  The same traffic script on an in-process fleet and on a
-journaled 2-worker fleet must leave the two registries reading alike.
+journaled 1-worker fleet must leave the two registries reading alike.
 """
 
 import asyncio
@@ -12,18 +12,15 @@ import asyncio
 from repro.serve import make_fleet
 from repro.serve.gateway import FleetGateway
 from repro.serve.metrics import FleetMetrics
-from repro.serve.store import shard_of
 from tests.serve.test_gateway import http
 
 
 def drive(fleet) -> None:
     """Spawn, one run batch, posts and a drain, a deliver, snapshot and
-    restore.  The run batch addresses one routing partition only, so an
-    in-process fleet with two shards and a fleet of two workers split
-    every batch alike."""
+    restore.  An in-process fleet and a fleet of one worker each hold one
+    queue, so they split every batch alike."""
     keys = fleet.spawn_many(12)
-    first = [key for key in keys if shard_of(key, 2) == 0]
-    assert fleet.run([(key, "update") for key in first]) is fleet.metrics
+    assert fleet.run([(key, "update") for key in keys[::2]]) is fleet.metrics
     for key in keys:
         fleet.post(key, "free")
     assert fleet.drain_all() == len(keys)
@@ -39,8 +36,8 @@ def fleet_counts(registry) -> dict:
 
 
 def test_same_traffic_same_registry_on_both_fleets():
-    inproc = make_fleet("commit", shards=2, telemetry=True)
-    mp = make_fleet("commit", workers=2, journal=True, telemetry=True)
+    inproc = make_fleet("commit", telemetry=True)
+    mp = make_fleet("commit", workers=1, journal=True, telemetry=True)
     try:
         held = mp.metrics  # a live view: read it after the traffic
         for fleet in (inproc, mp):
@@ -50,17 +47,17 @@ def test_same_traffic_same_registry_on_both_fleets():
         assert registries[1] is mp.telemetry_registry()
         counts = [fleet_counts(registry) for registry in registries]
         assert counts[0] == counts[1]
-        assert counts[0]["batches_drained"] == 3
+        assert counts[0]["batches_drained"] == 2
         assert counts[0]["snapshots_taken"] == counts[0]["snapshots_restored"] == 1
         # Batches split alike, so the batch histograms count alike.  Queue
         # latency is stamped in-process only: a multiprocess fleet's
         # posted traffic waits in the parent, whose buffers carry no clock.
         for name in ("fleet_batch_events", "fleet_batch_seconds"):
             hists = [registry.histograms[name] for registry in registries]
-            assert hists[0].count == hists[1].count == 3
+            assert hists[0].count == hists[1].count == 2
         sizes = [registry.histograms["fleet_batch_events"] for registry in registries]
         assert sizes[0].total == sizes[1].total
-        # One shard per worker: the depth gauges read alike too.
+        # One queue each: the depth gauges read alike too.
         assert inproc.metrics.as_dict() == held.as_dict()
         assert held.peak_shard_depth == max(held.shard_depths) > 0
         for gauge in ("fleet_shard_depth_max", "fleet_shard_depth_peak"):

@@ -52,11 +52,15 @@ def workload(machine, instances, events, seed=11):
 def test_error_shapes_match_inprocess(mode, backend):
     if mode == "vector" and not HAS_NUMPY:
         pytest.skip(NUMPY_UNAVAILABLE_REASON)
-    inproc = make_fleet("commit", mode=mode, backend=backend, shards=2)
-    mp = make_fleet("commit", mode=mode, backend=backend, workers=2, shards=2)
+    inproc = make_fleet("commit", mode=mode, backend=backend)
+    mp = make_fleet("commit", mode=mode, backend=backend, workers=2)
+    journaled = make_fleet(
+        "commit", mode=mode, backend=backend, workers=2, journal=True
+    )
     try:
-        for fleet in (inproc, mp):
+        for fleet in (inproc, mp, journaled):
             fleet.spawn("present")
+        pids = {fleet: fleet.worker_pids() for fleet in (mp, journaled)}
 
         def shape(fleet, fn):
             with pytest.raises(DeploymentError) as err:
@@ -73,11 +77,37 @@ def test_error_shapes_match_inprocess(mode, backend):
             "duplicate spawn": lambda f: f.spawn("present"),
             "despawn unknown": lambda f: f.despawn("ghost"),
         }
+        # Keys, messages and starts of the wrong type are refused, never
+        # sent: none may fail a worker or start a recovery.
+        for key in (["a"], 5, None):
+            probes |= {
+                f"deliver key {key!r}": lambda f, k=key: f.deliver(k, "update"),
+                f"post key {key!r}": lambda f, k=key: f.post(k, "update"),
+                f"despawn key {key!r}": lambda f, k=key: f.despawn(k),
+                f"recycle key {key!r}": lambda f, k=key: f.recycle(k),
+                f"state_name key {key!r}": lambda f, k=key: f.state_name(k),
+                f"actions_since key {key!r}": lambda f, k=key: f.actions_since(k),
+            }
+        for message in (["m"], 5, None):
+            probes |= {
+                f"deliver {message!r}": lambda f, m=message: f.deliver("present", m),
+                f"post {message!r}": lambda f, m=message: f.post("present", m),
+            }
+        for s in (-1, "x", 1.5, None, True):
+            probes[f"start {s!r}"] = lambda f, s=s: f.actions_since("present", s)
         for label, probe in probes.items():
-            assert shape(inproc, probe) == shape(mp, probe), label
+            expected = shape(inproc, probe)
+            assert shape(mp, probe) == expected, label
+            assert shape(journaled, probe) == expected, label
+        for fleet in (mp, journaled):
+            assert fleet.worker_states() == ["live", "live"]
+            assert fleet.worker_pids() == pids[fleet]
+            assert fleet.drain_all() == 0
+            assert fleet.state_name("present") == inproc.state_name("present")
     finally:
         inproc.close()
         mp.close()
+        journaled.close()
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +116,7 @@ def test_error_shapes_match_inprocess(mode, backend):
 
 
 def test_worker_death_leaves_survivors_consistent():
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(16)
         events = workload(fleet.machine, 16, 200)
@@ -129,8 +159,8 @@ def test_worker_death_leaves_survivors_consistent():
 
 
 def test_snapshot_mp_to_inprocess_trace_parity():
-    mp = make_fleet("commit", mode="encoded", workers=4, shards=4)
-    inproc = make_fleet("commit", mode="encoded", shards=1)
+    mp = make_fleet("commit", mode="encoded", workers=4)
+    inproc = make_fleet("commit", mode="encoded")
     try:
         keys = mp.spawn_many(24)
         events = workload(mp.machine, 24, 400, seed=5)
@@ -184,8 +214,8 @@ def test_spawn_started_workers_match_an_inprocess_fleet():
 
 
 def test_snapshot_inprocess_to_mp_trace_parity():
-    inproc = make_fleet("commit", mode="encoded", shards=1)
-    mp = make_fleet("commit", mode="encoded", workers=4, shards=4)
+    inproc = make_fleet("commit", mode="encoded")
+    mp = make_fleet("commit", mode="encoded", workers=4)
     try:
         keys = inproc.spawn_many(24)
         events = workload(inproc.machine, 24, 400, seed=7)
@@ -204,7 +234,7 @@ def test_restore_is_validated_before_fan_out():
     """One unknown state in worker 1's partition must not restore worker
     0 and leave worker 1 on the old population: the parent checks the
     whole snapshot before any worker sees its share."""
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         fleet.spawn_many(8)
         before = fleet.snapshot()
@@ -231,7 +261,7 @@ def test_restore_is_validated_before_fan_out():
 
 
 def test_encoded_schedule_concatenates_per_worker():
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         fleet.spawn_many(8)
         events = workload(fleet.machine, 8, 40)
@@ -248,8 +278,8 @@ def test_encoded_schedule_concatenates_per_worker():
 
 
 def test_encoded_schedule_rejects_mismatched_worker_counts():
-    two = make_fleet("commit", mode="encoded", workers=2, shards=2)
-    three = make_fleet("commit", mode="encoded", workers=3, shards=3)
+    two = make_fleet("commit", mode="encoded", workers=2)
+    three = make_fleet("commit", mode="encoded", workers=3)
     try:
         two.spawn("a")
         three.spawn("a")
@@ -267,9 +297,7 @@ def test_encoded_schedule_rejects_mismatched_worker_counts():
 
 
 def test_telemetry_registry_merges_all_workers():
-    fleet = make_fleet(
-        "commit", mode="encoded", workers=2, shards=2, telemetry=True
-    )
+    fleet = make_fleet("commit", mode="encoded", workers=2, telemetry=True)
     try:
         fleet.spawn_many(8)
         events = workload(fleet.machine, 8, 80)
@@ -285,7 +313,7 @@ def test_telemetry_registry_merges_all_workers():
 def test_telemetry_registry_without_telemetry_holds_the_counters():
     # The fleet's one registry exists whether or not it is instrumented:
     # uninstrumented, it holds the counters and depth gauges, no histogram.
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(4)
         fleet.run([(key, "update") for key in keys])
@@ -309,7 +337,7 @@ def test_a_telemetry_instance_is_refused_before_any_fork():
 def test_depth_gauges_read_the_pending_buffers():
     # A multiprocess fleet's queues are its per-worker pending buffers:
     # each drain records their depths, as a shard drain does in-process.
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=4)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(10)
         for key in keys:

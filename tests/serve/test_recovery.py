@@ -57,7 +57,6 @@ def sigkill_worker(fleet, wid):
 def supervised(model="commit", **kwargs):
     kwargs.setdefault("mode", "encoded")
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("shards", 2)
     return make_fleet(model, journal=True, **kwargs)
 
 
@@ -68,7 +67,7 @@ def supervised(model="commit", **kwargs):
 
 def test_journal_noop_parity_without_failures():
     fleet = supervised(checkpoint_every=100)
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -110,7 +109,7 @@ def test_journaled_flat_run_matches_standalone(mode):
 def test_sigkill_mid_burst_recovers_to_twin_parity(model, seed, mode):
     # Every mode journals and replays the same interned int buffers.
     fleet = supervised(model, mode=mode, checkpoint_every=120)
-    twin = make_fleet(model, mode=mode, workers=2, shards=2)
+    twin = make_fleet(model, mode=mode, workers=2)
     try:
         keys = fleet.spawn_many(16)
         twin.spawn_many(16)
@@ -141,7 +140,7 @@ def test_spawn_started_worker_recovers_to_inprocess_twin():
     # A respawn started without fork gets its end of the pipe pickled
     # across: the channel must come up on it and replay the journal.
     fleet = supervised(start_method="spawn", checkpoint_every=100)
-    twin = make_fleet("commit", mode="encoded", shards=2)
+    twin = make_fleet("commit", mode="encoded")
     try:
         fleet.spawn_many(16)
         twin.spawn_many(16)
@@ -165,7 +164,7 @@ def test_spawn_started_worker_recovers_to_inprocess_twin():
 
 def test_all_workers_killed_recover_to_twin_parity():
     fleet = supervised(checkpoint_every=90)
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(16)
         twin.spawn_many(16)
@@ -209,7 +208,7 @@ def test_checkpoint_cadence_bounds_replay():
 def test_lifecycle_ops_survive_recovery():
     """Spawn/despawn/recycle/deliver journal after their ack and replay."""
     fleet = supervised(checkpoint_every=10_000)
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -405,7 +404,7 @@ def slow_launch(fleet, delay=0.4):
 
 def test_sync_ops_raise_transient_error_during_recovery():
     fleet = supervised(recovery=RecoveryPolicy(retry_after_s=0.5))
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(8)
         twin.spawn_many(8)
@@ -446,7 +445,7 @@ def test_kill_during_recovery_retries_and_heals():
     fleet = supervised(
         recovery=RecoveryPolicy(max_restarts=4, backoff_s=0.02)
     )
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -642,9 +641,7 @@ def test_recovery_registry_exists_without_worker_telemetry():
 
 def test_telemetry_merge_monotonic_across_recovery():
     fleet = supervised(telemetry=True, checkpoint_every=80)
-    twin = make_fleet(
-        "commit", mode="encoded", workers=2, shards=2, telemetry=True
-    )
+    twin = make_fleet("commit", mode="encoded", workers=2, telemetry=True)
     try:
         fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -688,7 +685,7 @@ def test_no_counter_falls_during_a_recovery_window():
     # Only the initial checkpoint exists: the dead worker's partition is
     # rebuilt from an empty layout plus the whole journal.
     fleet = supervised(telemetry=True, checkpoint_every=10_000)
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2, telemetry=True)
+    twin = make_fleet("commit", mode="encoded", workers=2, telemetry=True)
     try:
         fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -722,7 +719,7 @@ def test_the_swap_loses_no_count_under_a_tiny_switch_interval():
     # rebuilt partition in, while the main thread keeps counting the
     # survivors' replies: a lost update would leave them off the twin's.
     fleet = supervised(workers=3, checkpoint_every=10_000)
-    twin = make_fleet("commit", mode="encoded", workers=3, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=3)
     interval = sys.getswitchinterval()
     try:
         keys = fleet.spawn_many(30)
@@ -774,7 +771,7 @@ def test_snapshot_counts_survive_recovery():
 
 
 def test_partial_snapshot_survivors_and_manifest():
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(16)
         events = workload(fleet.machine, 16, 200)
@@ -793,7 +790,7 @@ def test_partial_snapshot_survivors_and_manifest():
         # Restore-side validation: a partial snapshot refuses to restore
         # silently, then restores the survivors when the loss is
         # explicitly accepted.
-        target = make_fleet("commit", mode="encoded", shards=2)
+        target = make_fleet("commit", mode="encoded")
         try:
             with pytest.raises(DeploymentError, match="snapshot is partial"):
                 target.restore(partial)
@@ -804,7 +801,7 @@ def test_partial_snapshot_survivors_and_manifest():
         finally:
             target.close()
 
-        mp_target = make_fleet("commit", mode="encoded", workers=2, shards=2)
+        mp_target = make_fleet("commit", mode="encoded", workers=2)
         try:
             with pytest.raises(DeploymentError, match="snapshot is partial"):
                 mp_target.restore(partial)
@@ -817,7 +814,7 @@ def test_partial_snapshot_survivors_and_manifest():
 
 
 def test_whole_snapshot_has_empty_manifest():
-    fleet = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    fleet = make_fleet("commit", mode="encoded", workers=2)
     try:
         fleet.spawn_many(8)
         snapshot = fleet.snapshot(allow_partial=True)
@@ -828,7 +825,7 @@ def test_whole_snapshot_has_empty_manifest():
 
 def test_supervised_snapshot_waits_out_recovery():
     fleet = supervised()
-    twin = make_fleet("commit", mode="encoded", workers=2, shards=2)
+    twin = make_fleet("commit", mode="encoded", workers=2)
     try:
         keys = fleet.spawn_many(12)
         twin.spawn_many(12)
@@ -864,9 +861,7 @@ def _stubborn(ready):
 def test_close_escalates_past_wedged_worker():
     import multiprocessing
 
-    fleet = make_fleet(
-        "commit", mode="encoded", workers=2, shards=2, join_timeout=0.2
-    )
+    fleet = make_fleet("commit", mode="encoded", workers=2, join_timeout=0.2)
     ctx = multiprocessing.get_context(
         "fork"
         if "fork" in multiprocessing.get_all_start_methods()
@@ -904,7 +899,7 @@ import os, signal, sys, time
 from repro.serve import make_fleet
 
 fleet = make_fleet(
-    "commit", mode="encoded", workers=2, shards=2, journal=True,
+    "commit", mode="encoded", workers=2, journal=True,
     start_method=sys.argv[1],
 )
 victim = fleet._workers[0].process

@@ -70,7 +70,7 @@ class TestRuleValidation:
 
     @pytest.mark.parametrize("shard", [-1, 8, 99])
     def test_kill_shard_out_of_range_refused_at_construction(self, make_fleet, shard):
-        fleet = make_fleet(shards=8)
+        fleet = make_fleet()
         with pytest.raises(SimulationError, match=r"kill_shard must be in range\(8\)"):
             ScenarioEngine(
                 fleet,
@@ -221,13 +221,13 @@ class TestPassthrough:
             ),
             until=50.0,
         )
-        timed = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        timed = make_fleet(machine, dispatch=mode, auto_recycle=True)
         engine = ScenarioEngine(timed, scenario.wiring, scenario.topology)
         engine.spawn_topology()
         engine.schedule_events(scenario.events)
         engine.run(scenario.until)
 
-        raw = make_fleet(machine, dispatch=mode, shards=4, auto_recycle=True)
+        raw = make_fleet(machine, dispatch=mode, auto_recycle=True)
         raw.spawn_many(100)
         raw.run(raw.encode_flat(schedule), encoding="flat")
         assert diff_fleets(timed, raw, scenario.topology.keys) == []
@@ -567,7 +567,7 @@ class TestKillRestore:
             ScenarioSpec(groups=3, group_size=4, seed=4),
             faults=ScenarioFaultPlan.kill(at=15.0, shard=1),
         )
-        fleet = make_fleet(machine, shards=4)
+        fleet = make_fleet(machine)
         engine = run_scenario(fleet, scenario)
         assert engine.metrics.shards_killed == 1
         assert engine.metrics.snapshots_restored == 1
@@ -575,7 +575,7 @@ class TestKillRestore:
 
 class TestMetricsAndGeneration:
     def test_metrics_dict_includes_derived_total(self, make_fleet):
-        fleet = make_fleet(machine_for("commit"), shards=4)
+        fleet = make_fleet(machine_for("commit"))
         engine = ScenarioEngine(fleet)
         keys = fleet.spawn_many(3)
         engine.schedule_events(TimedEvent(1.0, key, "update") for key in keys)

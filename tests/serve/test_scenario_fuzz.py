@@ -100,7 +100,7 @@ def _draw_scenario(rng):
 
 
 def _run(machine, scenario, mode, backend):
-    fleet = FleetEngine(machine, shards=4, mode=mode, backend=backend)
+    fleet = FleetEngine(machine, mode=mode, backend=backend)
     engine = run_scenario(fleet, scenario)
     traces = {key: fleet.trace(key) for key in scenario.topology.keys}
     return traces, engine.metrics.as_dict()

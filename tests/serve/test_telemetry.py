@@ -114,7 +114,7 @@ class TestFleetTracing:
         assert telemetry.trace.next_id == tid + 1
 
 
-def scenario_fixture(shards=4, groups=4, seed=2, model="commit"):
+def scenario_fixture(groups=4, seed=2, model="commit"):
     machine = machine_for(model)
     if model == "commit":
         wiring, size = CommitModel.wiring, 4
@@ -128,7 +128,7 @@ def scenario_fixture(shards=4, groups=4, seed=2, model="commit"):
 
 def run_traced_scenario(make_fleet, scenario, until=None, model="commit"):
     telemetry = FleetTelemetry()
-    fleet = make_fleet(model, dispatch="encoded", shards=4, telemetry=telemetry)
+    fleet = make_fleet(model, dispatch="encoded", telemetry=telemetry)
     engine = ScenarioEngine(
         fleet, scenario.wiring, scenario.topology, seed=scenario.seed
     )
@@ -160,9 +160,7 @@ class TestScenarioTracing:
     def test_trace_ids_replay_exactly_across_snapshot_restore(self, make_fleet):
         _machine, scenario = scenario_fixture()
         telemetry = FleetTelemetry()
-        fleet = make_fleet(
-            "commit", dispatch="encoded", shards=4, telemetry=telemetry
-        )
+        fleet = make_fleet("commit", dispatch="encoded", telemetry=telemetry)
         engine = ScenarioEngine(
             fleet, scenario.wiring, scenario.topology, seed=scenario.seed
         )
@@ -184,9 +182,7 @@ class TestScenarioTracing:
     def test_snapshot_restore_records_marker(self, make_fleet):
         _machine, scenario = scenario_fixture()
         telemetry = FleetTelemetry()
-        fleet = make_fleet(
-            "commit", dispatch="encoded", shards=4, telemetry=telemetry
-        )
+        fleet = make_fleet("commit", dispatch="encoded", telemetry=telemetry)
         engine = ScenarioEngine(
             fleet, scenario.wiring, scenario.topology, seed=scenario.seed
         )
@@ -205,7 +201,7 @@ class TestScenarioTracing:
         traced_fleet, _engine, _telemetry = run_traced_scenario(
             make_fleet, scenario
         )
-        plain = make_fleet("commit", dispatch="encoded", shards=4)
+        plain = make_fleet("commit", dispatch="encoded")
         engine = ScenarioEngine(
             plain, scenario.wiring, scenario.topology, seed=scenario.seed
         )

@@ -47,7 +47,6 @@ if HAS_NUMPY:
 
 
 def build(machine, mode, **kwargs):
-    kwargs.setdefault("shards", 4)
     return FleetEngine(machine, mode=mode, **kwargs)
 
 
