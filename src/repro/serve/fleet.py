@@ -140,6 +140,14 @@ def raise_rejected(rejected: list[tuple[str, str]]) -> None:
     )
 
 
+def known(value, table) -> bool:
+    """Whether ``value`` is in ``table``; an unhashable value is not."""
+    try:
+        return value in table
+    except TypeError:
+        return False
+
+
 def check_key(key) -> None:
     """Refuse an instance key that is not a string, for both fleets."""
     if type(key) is not str:
@@ -616,9 +624,9 @@ class FleetEngine:
 
         Keys resolve through the store's intern table and messages
         through the IR's message index into two parallel id lists, with
-        no per-event tuple or call.  Bad events (unknown instance or
-        message) are collected, not raised: the valid remainder still
-        interns, so callers can dispatch it before rejecting.
+        no per-event tuple or call.  Bad events (an unknown or unhashable
+        instance or message) are collected, not raised: the valid remainder
+        still interns, so callers can dispatch it before rejecting.
         """
         if not isinstance(events, (list, tuple)):
             events = list(events)
@@ -630,13 +638,13 @@ class FleetEngine:
                 [columns[message] for _, message in events],
                 (),
             )
-        except KeyError:
-            # Walk again only to name the offenders.
+        except (KeyError, TypeError):
+            # Walk again only to name the offenders; a non-pair raises again.
             valid: list[tuple[str, str]] = []
             rejected: list[tuple[str, str]] = []
             for key, message in events:
-                known = key in slot_of and message in columns
-                (valid if known else rejected).append((key, message))
+                ok = known(key, slot_of) and known(message, columns)
+                (valid if ok else rejected).append((key, message))
             slots, cols, _ = self._intern(valid)
             return slots, cols, rejected
 
@@ -962,8 +970,8 @@ class FleetEngine:
                 events = list(events)
             self.drain_all()
             # Intern before counting: a batch that raises here (a
-            # non-pair, an unhashable key) was never offered, and a
-            # rejected event is not accepted for dispatch.
+            # non-pair) was never offered, and a rejected event is not
+            # accepted for dispatch.
             slots, cols, rejected = self._intern(events)
             count = len(slots)
             batch = (

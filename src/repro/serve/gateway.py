@@ -102,10 +102,11 @@ from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii as _quote
 from math import ceil
 from time import perf_counter
 from typing import TYPE_CHECKING, Optional
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import unquote, urlsplit
 
 from repro.core.errors import DeploymentError
 from repro.obs.metrics import MetricsRegistry
@@ -140,6 +141,49 @@ _STATUS_TEXT = {
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+_JSON = "application/json"
+
+#: Reply heads by ``(status, content type, close)``, as byte templates
+#: of the body length, the extra header lines and the body.
+_REPLY_HEADS: dict = {}
+
+
+def _json_body(obj) -> bytes:
+    """The body of every JSON reply: ``json.dumps(obj)`` and a newline."""
+    return (json.dumps(obj) + "\n").encode("utf-8")
+
+
+#: The one-event paths' replies, by the fleet's answer: two bodies each.
+_FIRED = {f: (200, _json_body({"fired": f}), _JSON) for f in (False, True)}
+_ACCEPTED = {f: (200, _json_body({"accepted": f}), _JSON) for f in (False, True)}
+
+
+def _dispatched_reply(count: int):
+    """``{"dispatched": count}``, formatted as ``_json_body`` would."""
+    return 200, b'{"dispatched": %d}\n' % count, _JSON
+
+
+def _state_reply(key: str, state: str, finished: bool):
+    """``{"key", "state", "finished"}``, formatted as ``_json_body`` would
+    (its escaper, its separators) with ``finished`` a bool."""
+    body = '{"key": %s, "state": %s, "finished": %s}\n' % (
+        _quote(key), _quote(state), "true" if finished else "false"
+    )
+    return 200, body.encode("ascii"), _JSON
+
+
+def _query(string: str) -> dict:
+    """A query string's fields, the first value of each name:
+    ``{n: v[0] for n, v in parse_qs(string).items()}`` in one pass."""
+    fields = {}
+    for field in string.split("&"):
+        name, _, value = field.partition("=")
+        if value:
+            name = unquote(name.replace("+", " "))
+            if name not in fields:
+                fields[name] = unquote(value.replace("+", " "))
+    return fields
 
 
 def snapshot_to_json(snapshot: FleetSnapshot) -> dict:
@@ -208,8 +252,9 @@ class _HttpError(Exception):
 #: reader this parser replaced imposed on each line.
 _MAX_HEAD = 1 << 16
 
-#: The blank line that ends a head; bare ``\n`` line ends are accepted.
-_HEAD_END = re.compile(rb"\r?\n\r?\n")
+#: The blank line that ends a head (bare ``\n`` line ends are accepted),
+#: from its first ``\n``: a leading ``\r?`` would cost 4x to scan for.
+_HEAD_END = re.compile(rb"\n\r?\n")
 
 
 def parse_request(buffer: bytes, max_body: int):
@@ -221,33 +266,63 @@ def parse_request(buffer: bytes, max_body: int):
     or ``413`` for a declared body over ``max_body``) for a request that
     no further bytes can repair.  ``None`` is never returned for a buffer
     longer than ``_MAX_HEAD + 4 + max_body``, which bounds what a
-    connection buffers.
+    connection buffers.  ``headers`` is the caller's own copy.
     """
     head = _parse_head(buffer, max_body)
     if head is None or len(buffer) < head[4]:
         return None
-    method, target, headers, body_start, end = head
-    return method, target, headers, buffer[body_start:end], end
+    method, target, headers, body_start, end = head[:5]
+    return method, target, dict(headers), buffer[body_start:end], end
+
+
+#: Parsed header blocks (the head after the request line) by their raw
+#: bytes: ``(headers, length, close, upgrade)``, as a keep-alive client
+#: sends the same few again and again.  At most ``_BLOCKS_KEPT`` blocks of
+#: at most ``_BLOCK_BYTES`` (cleared when full), never a refused one.
+_BLOCKS: dict = {}
+_BLOCKS_KEPT = 256
+_BLOCK_BYTES = 1024
 
 
 def _parse_head(buffer: bytes, max_body: int):
     """:func:`parse_request` up to the body: ``(method, target, headers,
-    body_start, end)`` once the head is whole, whether or not the body
-    has arrived (``end`` is where it will stop), else ``None``."""
+    body_start, end, close, upgrade)`` once the head is whole (``end`` is
+    where the body will stop), else ``None``.  ``close``/``upgrade`` flag
+    ``Connection: close``/``Upgrade: websocket``; ``headers`` is shared."""
     found = _HEAD_END.search(buffer)
     # Without the blank line yet, the last three bytes may be the start
     # of it rather than head.
-    head_end = len(buffer) - 3 if found is None else found.start()
+    at = len(buffer) - 3 if found is None else found.start()
+    head_end = at - 1 if found and buffer[at - 1 : at] == b"\r" else at
     if head_end > _MAX_HEAD:
         raise _HttpError(400, f"request head exceeds {_MAX_HEAD} bytes")
     if found is None:
         return None
-    lines = buffer[:head_end].decode("latin-1").split("\n")
-    request_line = lines[0].split()
+    line, _, block = buffer[:head_end].partition(b"\n")
+    request_line = line.decode("latin-1").split()
     if len(request_line) < 2:
         raise _HttpError(400, "malformed request line")
+    parsed = _BLOCKS.get(block)
+    if parsed is None:
+        parsed = _parse_block(block)
+        if len(block) <= _BLOCK_BYTES:
+            if len(_BLOCKS) >= _BLOCKS_KEPT:
+                _BLOCKS.clear()
+            _BLOCKS[block] = parsed
+    headers, length, close, upgrade = parsed
+    if length > max_body:
+        raise _HttpError(
+            413, f"request body of {length} bytes exceeds the {max_body}-byte limit"
+        )
+    body_start = found.end()
+    method, target = request_line[0].upper(), request_line[1]
+    return method, target, headers, body_start, body_start + length, close, upgrade
+
+
+def _parse_block(block: bytes):
+    """A header block as ``(headers, length, close, upgrade)``."""
     headers: dict[str, str] = {}
-    for line in lines[1:]:
+    for line in block.decode("latin-1").split("\n") if block else ():
         name, colon, value = line.partition(":")
         if not colon:
             raise _HttpError(400, "malformed header line (no colon)")
@@ -265,21 +340,9 @@ def _parse_head(buffer: bytes, max_body: int):
     declared = headers.get("content-length") or "0"
     if not (declared.isascii() and declared.isdigit() and len(declared) < 20):
         raise _HttpError(400, f"malformed Content-Length {declared[:32]!r}")
-    length = int(declared)
-    if length > max_body:
-        raise _HttpError(
-            413,
-            f"request body of {length} bytes exceeds the "
-            f"{max_body}-byte limit",
-        )
-    body_start = found.end()
-    return (
-        request_line[0].upper(),
-        request_line[1],
-        headers,
-        body_start,
-        body_start + length,
-    )
+    close = headers.get("connection", "").lower() == "close"
+    upgrade = headers.get("upgrade", "").lower() == "websocket"
+    return headers, int(declared), close, upgrade
 
 
 def parse_frame(buffer: bytes, max_body: int):
@@ -473,14 +536,10 @@ class _Connection:
                 self._head, self._missing = head, head[4] - len(self._buffer)
                 return False
         self._head = None
-        method, target, headers, body_start, end = head
+        method, target, headers, body_start, end, close, upgrade = head
         body = self._buffer[body_start:end]
         self._buffer = self._buffer[end:]
-        if (
-            "upgrade" in headers
-            and headers["upgrade"].lower() == "websocket"
-            and target.split("?", 1)[0] == "/ws"
-        ):
+        if upgrade and target.split("?", 1)[0] == "/ws":
             return self._upgrade(headers)
         status, payload, content_type, extra = gateway._route(
             method, target, body
@@ -488,7 +547,6 @@ class _Connection:
         gateway._requests.add(1)
         if status >= 400:
             gateway._errors.add(1)
-        close = headers.get("connection", "").lower() == "close"
         self._transport.write(
             gateway._response(status, payload, content_type, close, extra)
         )
@@ -673,40 +731,35 @@ class FleetGateway:
         close: bool,
         extra_headers: tuple = (),
     ) -> bytes:
-        extra = (
-            "".join(f"{name}: {value}\r\n" for name, value in extra_headers)
-            if extra_headers
-            else ""
-        )
-        head = (
-            f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
-            f"Content-Type: {content_type}\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: {'close' if close else 'keep-alive'}\r\n"
-            f"{extra}"
-            "\r\n"
-        )
-        return head.encode("latin-1") + payload
+        head = _REPLY_HEADS.get((status, content_type, close))
+        if head is None:
+            text = (
+                f"HTTP/1.1 {status} {_STATUS_TEXT.get(status, 'Unknown')}\r\n"
+                f"Content-Type: {content_type}\r\n"
+                "Content-Length: %d\r\n"
+                f"Connection: {'close' if close else 'keep-alive'}\r\n"
+                "%s\r\n%s"
+            )
+            head = _REPLY_HEADS[status, content_type, close] = text.encode("latin-1")
+        extra = b""
+        if extra_headers:
+            extra = "".join(f"{n}: {v}\r\n" for n, v in extra_headers).encode("latin-1")
+        return head % (len(payload), extra, payload)
 
     @staticmethod
     def _json(status: int, obj) -> tuple[int, bytes, str]:
-        return (
-            status,
-            (json.dumps(obj) + "\n").encode("utf-8"),
-            "application/json",
-        )
+        return status, _json_body(obj), _JSON
 
     def _route(self, method: str, target: str, body: bytes):
         """Dispatch one request; returns ``(status, payload, type, headers)``."""
-        if target.startswith("/") and "?" not in target and "#" not in target:
-            path, query = target, {}  # nothing for urlsplit to take apart
+        if target.startswith("/") and not target.startswith("//"):
+            # Origin form: a path, then a query, then a fragment.
+            path, _, query = target.partition("#")[0].partition("?")
+            query = _query(query) if query else {}
         else:
             split = urlsplit(target)
             path = split.path
-            query = {
-                name: values[0]
-                for name, values in parse_qs(split.query).items()
-            }
+            query = _query(split.query)
         try:
             result = self._dispatch(method, path, query, body)
         except _HttpError as exc:
@@ -750,19 +803,23 @@ class FleetGateway:
         are not), every other field a string.  The fleet would hash,
         encode or ``int()`` whatever it is handed, so a mistyped field is
         refused here as the client's error, not answered as a 500."""
-        try:
-            values = [payload[name] for name in names]
-        except KeyError:
-            missing = ", ".join(name for name in names if name not in payload)
-            raise _HttpError(400, f"missing field(s): {missing}") from None
-        for name, value in zip(names, values):
-            if name == "count":
-                if type(value) is not int or value < 0:
+        values = []
+        for name in names:
+            value = payload.get(name)
+            if (
+                type(value) is not int or value < 0
+                if name == "count"
+                else type(value) is not str
+            ):
+                missing = ", ".join(n for n in names if n not in payload)
+                if missing:
+                    raise _HttpError(400, f"missing field(s): {missing}")
+                if name == "count":
                     raise _HttpError(
                         400, "field 'count' must be a non-negative integer"
                     )
-            elif type(value) is not str:
                 raise _HttpError(400, f"field {name!r} must be a string")
+            values.append(value)
         return values
 
     def _deliver_events(self, events) -> None:
@@ -829,36 +886,27 @@ class FleetGateway:
             payload = self._body_json(body)
             if "events" in payload:
                 self._deliver_events(payload["events"])
-                return self._json(200, {"dispatched": len(payload["events"])})
+                return _dispatched_reply(len(payload["events"]))
             key, message = self._fields(payload, "key", "message")
-            fired = fleet.deliver(key, message)
-            return self._json(200, {"fired": bool(fired)})
+            return _FIRED[bool(fleet.deliver(key, message))]
         if path == "/post":
             if method != "POST":
                 raise _HttpError(405, "use POST /post")
             key, message = self._fields(
                 self._body_json(body), "key", "message"
             )
-            accepted = fleet.post(key, message, source="gateway")
-            return self._json(200, {"accepted": bool(accepted)})
+            return _ACCEPTED[bool(fleet.post(key, message, source="gateway"))]
         if path == "/drain":
             if method != "POST":
                 raise _HttpError(405, "use POST /drain")
-            return self._json(200, {"dispatched": fleet.drain_all()})
+            return _dispatched_reply(fleet.drain_all())
         if path == "/state":
             if method != "GET":
                 raise _HttpError(405, "use GET /state?key=...")
             key = query.get("key")
             if key is None:
                 raise _HttpError(400, "use GET /state?key=...")
-            return self._json(
-                200,
-                {
-                    "key": key,
-                    "state": fleet.state_name(key),
-                    "finished": fleet.is_finished(key),
-                },
-            )
+            return _state_reply(key, fleet.state_name(key), fleet.is_finished(key))
         if path == "/trace":
             if method != "GET":
                 raise _HttpError(405, "use GET /trace?key=...")

@@ -107,6 +107,7 @@ from repro.serve.fleet import (
     _check_options,
     check_count,
     check_key,
+    known,
     optimized_ir,
     raise_rejected,
     resolve_snapshot,
@@ -815,14 +816,6 @@ class MultiprocessFleet:
         return sum(1 for worker in self._workers if worker.alive)
 
     @property
-    def journal_enabled(self) -> bool:
-        return self._journal_enabled
-
-    @property
-    def recovery_policy(self) -> RecoveryPolicy:
-        return self._policy
-
-    @property
     def state_map(self) -> Optional[dict]:
         if self.opt_report is None or self.opt_report.identity:
             return None
@@ -992,9 +985,9 @@ class MultiprocessFleet:
     def _partition(self, events) -> tuple[list, list]:
         """``(parts, rejected)`` — events interned into one flat
         ``[slot, col, ...]`` buffer per owning worker in one walk (a
-        routing int and a column per event); bad events (unknown instance
-        or message) are collected, not raised: only a ``KeyError`` walks
-        again, to sort valid from rejected as the engine's ``_intern`` does."""
+        routing int and a column per event); bad events (an unknown or
+        unhashable instance or message) are collected, not raised: only a
+        ``KeyError`` or ``TypeError`` walks again, as in the engine's ``_intern``."""
         if not isinstance(events, (list, tuple)):
             events = list(events)
         workers = len(self._workers)
@@ -1008,12 +1001,12 @@ class MultiprocessFleet:
                 append = appends[code % workers]
                 append(code // workers)
                 append(columns[message])
-        except KeyError:
+        except (KeyError, TypeError):
             valid: list[tuple[str, str]] = []
             rejected: list[tuple[str, str]] = []
             for key, message in events:
-                known = key in route and message in columns
-                (valid if known else rejected).append((key, message))
+                ok = known(key, route) and known(message, columns)
+                (valid if ok else rejected).append((key, message))
             return self._partition(valid)[0], rejected
         return [array("q", part) for part in parts], ()
 

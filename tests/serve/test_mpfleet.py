@@ -110,6 +110,44 @@ def test_error_shapes_match_inprocess(mode, backend):
         journaled.close()
 
 
+@pytest.mark.parametrize("mode", ["naive", "encoded", "vector"])
+def test_unhashable_batch_events_are_rejected_like_unknown_ones(mode):
+    # An unhashable key or message in a batch is one more event the fleet
+    # does not know: the valid traffic is dispatched, then the canonical
+    # rejection names it, on both fleets alike; encode_flat refuses it.
+    if mode == "vector" and not HAS_NUMPY:
+        pytest.skip(NUMPY_UNAVAILABLE_REASON)
+    valid = [("a", "free"), ("b", "update"), ("a", "update")]
+    bad = [(["a"], "update"), ("b", ["update"]), ({"a": 1}, {"m"})]
+    batch = [valid[0], bad[0], valid[1], bad[1], bad[2], valid[2]]
+    reference = make_fleet("commit", mode=mode)
+    inproc = make_fleet("commit", mode=mode)
+    mp = make_fleet("commit", mode=mode, workers=2)
+    try:
+        for fleet in (reference, inproc, mp):
+            fleet.spawn("a")
+            fleet.spawn("b")
+        reference.run(valid)
+        shapes = []
+        for fleet in (inproc, mp):
+            with pytest.raises(DeploymentError) as err:
+                fleet.encode_flat(batch)
+            shapes.append(str(err.value))
+            with pytest.raises(DeploymentError) as err:
+                fleet.run(batch)
+            shapes.append(str(err.value))
+            assert diff_fleets(fleet, reference, ["a", "b"]) == []
+            assert fleet.metrics.events_dispatched == 3
+        assert shapes == [shapes[0]] * 4
+        assert shapes[0].startswith("dispatch rejected 3 event(s)")
+        assert "(['a'], 'update')" in shapes[0]
+        assert mp.worker_states() == ["live", "live"]
+    finally:
+        reference.close()
+        inproc.close()
+        mp.close()
+
+
 # ---------------------------------------------------------------------------
 # worker death mid-batch
 # ---------------------------------------------------------------------------
