@@ -16,9 +16,10 @@ one instance per member, so sibling actions have no recipient here:
 * **Creation** — each spawned instance first receives ``on_create``.
 * **Timers** — an instance sitting in one non-final state for the
   ``timer`` delay receives its message; the armed timer is cancelled on
-  state exit and tracked in the store's per-slot ``timers`` column.
-  Observation is batch-granular (states are inspected between dispatch
-  instants), so a state entered and left within one batch arms nothing.
+  state exit.  The engine keeps one ``(rid, armed_state)`` mark per
+  key.  Observation is batch-granular (states are inspected between
+  dispatch instants), so a state entered and left within one batch
+  arms nothing.
 * **Routing** — when an instance performs a ``peers`` action, every
   peer in its :class:`GroupTopology` group is scheduled to receive the
   mapped message after its delay: one member's ``vote`` becomes
@@ -36,23 +37,19 @@ one instance per member, so sibling actions have no recipient here:
   to the same per-instance traces as an undisturbed run, which is the
   testable recovery claim (``tests/serve/test_scenario_fuzz.py``).
 
-Determinism is the load-bearing property.  The wheel orders records by
-``(time, seq)``; all records due at one virtual instant dispatch as one
-batch, in schedule order; observation (which actions fired, which states
+Determinism is the load-bearing property.  The wheel holds one entry
+per distinct pending instant, whose records keep their schedule order;
+all records due at one virtual instant are posted into the fleet and
+drained as one batch; observation (which actions fired, which states
 are current) happens engine-side between instants, reading per-instance
-data that is provably identical across dispatch modes (the differential
-guarantee of PR 2-5).  A scenario therefore produces byte-identical
-per-instance traces on ``naive``, ``encoded`` and ``vector`` fleets, on
-either backend — the fuzz suite's claim (a).
+data that is provably identical across dispatch modes (the fleet
+plane's differential guarantee).  A scenario therefore produces
+byte-identical per-instance traces on ``naive``, ``encoded`` and
+``vector`` fleets, on either backend, in-process or across worker
+processes — the fuzz suite's claim (a).
 
-When a wiring has no timer and no peer routes and no faults are configured,
-the engine runs *passthrough*: externally scheduled events are collected
-per instant at schedule time and pre-encoded to one flat ``[slot, col,
-...]`` schedule each, so the wheel adds one heap pop per distinct
-timestamp, not per event.
-
-Timers, routes and faults require an observable fleet: ``naive`` mode or
-``log_policy='full'`` (actions must be countable), and
+Timers, routes and kill-shard faults require an observable fleet:
+``naive`` mode or ``log_policy='full'`` (actions must be countable), and
 ``auto_recycle=False`` (recycling clears logs mid-run, which would break
 the seen-action bookkeeping).
 """
@@ -62,6 +59,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.core.errors import DeploymentError, SimulationError
@@ -276,13 +274,15 @@ class ScenarioSnapshot:
 class ScenarioEngine:
     """Drive one fleet through virtual time with timers, routing and faults.
 
-    The engine owns a :class:`Simulator` wheel whose records are plain
-    data; at each distinct virtual instant it pops every due record,
-    posts the deliveries into the fleet's queue (tagged with
-    their provenance), drains, and — when the wiring declares a timer or
-    peer routes — observes the touched instances to cancel/arm timers and
-    turn newly fired actions into routed traffic.  See the module
-    docstring for the determinism argument.
+    The engine owns a :class:`Simulator` wheel with one entry per distinct
+    pending instant; each entry's records are plain data, kept in
+    schedule order.  At each instant the engine posts the still-pending
+    deliveries into the fleet's queue (tagged with their provenance),
+    drains, and — when the wiring declares a timer or peer routes —
+    observes the touched instances to cancel/arm timers and turn newly
+    fired actions into routed traffic.  Only the :class:`Fleet` protocol
+    is used, so any fleet runs any scenario.  See the module docstring
+    for the determinism argument.
     """
 
     def __init__(
@@ -315,24 +315,18 @@ class ScenarioEngine:
                 "run on an auto_recycle fleet: recycling clears action logs "
                 "mid-run, breaking action observation and replay"
             )
-        if needs_trace and getattr(fleet, "store", None) is None:
-            raise DeploymentError(
-                "scenarios with timers, routes or kill-shard faults need an "
-                "in-process fleet exposing its instance store (timer marks "
-                "live in store columns); this fleet has none — passthrough "
-                "scenarios (no observation) run on any Fleet"
-            )
         #: Peer action -> (message, delay) its group peers receive.
         self._routes = {a: (m, d) for a, m, d in self._wiring.peers}
         self._sim = Simulator(seed)
         self._rng = self._sim.new_rng("scenario-faults")
-        #: rid -> (record, Timer); records are (rid, time, kind, payload).
+        #: rid -> record ``(rid, time, kind, payload)``, until it fires or
+        #: is cancelled.
         self._pending: dict[int, tuple] = {}
-        #: rid -> flat pre-encoded [slot, col, ...] array for external
-        #: batches (passthrough only; rebuilt after restore).
-        self._pairs: dict[int, object] = {}
-        self._pre_encode = not self._observing and self._faults is None
-        self._due: list[tuple] = []
+        #: time -> rids due then, in schedule order: one wheel entry per
+        #: instant.  A cancelled rid stays listed; the instant skips it.
+        self._instants: dict[float, list[int]] = {}
+        #: key -> ``(rid, armed_state)`` of the key's armed timer.
+        self._armed: dict[str, tuple[int, str]] = {}
         #: Intern table for scheduled (key, message) tuples — engine-lived
         #: (size is population x message alphabet, the same order as the
         #: store's own key intern dict) so consuming a wheel record only
@@ -342,7 +336,6 @@ class ScenarioEngine:
         self._rid = itertools.count()
         #: Actions already observed (and routed) per key.
         self._seen: dict[str, int] = {}
-        self._cancels = 0
         self._primed = False
         self._kill_scheduled = False
         self._kills_done: set[int] = set()
@@ -415,10 +408,7 @@ class ScenarioEngine:
 
         Events are collected by timestamp so the wheel pays one record
         per distinct instant, not per event; within an instant, schedule
-        order is preserved.  On passthrough scenarios (no timers, routes
-        or faults) each batch is pre-encoded here, once — the dispatch
-        loop then never touches a string.  Spawn the population
-        (:meth:`spawn_topology`) before scheduling such a scenario.
+        order is preserved.
         """
         batches: dict[float, list] = {}
         interned = self._interned
@@ -430,8 +420,6 @@ class ScenarioEngine:
         for time in sorted(batches):
             batch = tuple(batches[time])
             rid = self._schedule_at(time, EXTERNAL, batch)
-            if self._pre_encode:
-                self._pairs[rid] = self._fleet.encode_flat(batch)
             if trace is not None:
                 ids = trace.mint_range(len(batch))
                 for tid, (key, message) in zip(ids, batch):
@@ -448,13 +436,8 @@ class ScenarioEngine:
         those records live — their delivery then raises
         :class:`DeploymentError`, never corrupting a reused slot.)
         """
-        store = getattr(self._fleet, "store", None)
-        if store is not None:
-            armed = store.timers[store.slot(key)]
-            if armed is not None:
-                self._cancel(armed[0])
-        for rid, (record, _) in list(self._pending.items()):
-            kind, payload = record[2], record[3]
+        self._armed.pop(key, None)
+        for rid, (_rid, _time, kind, payload) in list(self._pending.items()):
             if kind in (ROUTED, TIMER) and payload[0] == key:
                 self._cancel(rid)
         self._seen.pop(key, None)
@@ -467,45 +450,36 @@ class ScenarioEngine:
     def _schedule_at(self, time, kind, payload, rid=None) -> int:
         if rid is None:
             rid = next(self._rid)
-        record = (rid, time, kind, payload)
-        handle = self._sim.schedule_at(time, lambda r=record: self._fire(r))
-        self._pending[rid] = (record, handle)
+        self._pending[rid] = (rid, time, kind, payload)
+        rids = self._instants.get(time)
+        if rids is None:
+            self._instants[time] = [rid]
+            self._sim.schedule_at(time, partial(self._instant, time))
+        else:
+            rids.append(rid)
         return rid
 
     def _schedule(self, delay, kind, payload) -> int:
         return self._schedule_at(self._sim.now + delay, kind, payload)
 
-    def _fire(self, record) -> None:
-        self._pending.pop(record[0], None)
-        self._due.append(record)
-
     def _cancel(self, rid) -> None:
-        entry = self._pending.pop(rid, None)
-        if entry is None:
+        record = self._pending.pop(rid, None)
+        if record is None or self._trace is None:
             return
-        entry[1].cancel()
-        if self._trace is not None:
-            tids = self._tids.pop(rid, None)
-            if tids:
-                record = entry[0]
-                payload = record[3]
-                key = message = None
-                if record[2] in (ROUTED, TIMER):
-                    key, message = payload
-                self._trace.record(
-                    tids[0],
-                    self._sim.now,
-                    "cancel",
-                    key=key,
-                    message=message,
-                    detail=record[2],
-                )
-        self._cancels += 1
-        if self._cancels >= 4096:
-            # Cancelled entries are tombstones until popped; compact the
-            # heap periodically so long runs don't accumulate them.
-            self._sim.drain()
-            self._cancels = 0
+        tids = self._tids.pop(rid, None)
+        if tids:
+            kind, payload = record[2], record[3]
+            key = message = None
+            if kind in (ROUTED, TIMER):
+                key, message = payload
+            self._trace.record(
+                tids[0],
+                self._sim.now,
+                "cancel",
+                key=key,
+                message=message,
+                detail=kind,
+            )
 
     def run(self, until: float) -> _ScenarioCounters:
         """Advance virtual time to ``until``, processing every due instant."""
@@ -522,26 +496,29 @@ class ScenarioEngine:
             self._snap_scheduled = True
         if self._observing and not self._primed:
             self._primed = True
-            self._observe(self._fleet.store.keys())
-        while True:
-            t = sim.next_time()
-            if t > until:  # inf when the wheel is empty
-                break
-            del self._due[:]
-            while sim.next_time() == t:
-                sim.step()
-            self._process(tuple(self._due))
+            self._observe(self._topology.keys)
+        while sim.next_time() <= until:  # inf when the wheel is empty
+            sim.step()
         sim.run(until=until)
         return self.metrics
 
+    def _instant(self, time) -> None:
+        """One wheel entry is due: process its records still pending.
+
+        An instant whose records were all cancelled is neither processed
+        nor counted.
+        """
+        pending = self._pending
+        due = [pending.pop(rid) for rid in self._instants.pop(time) if rid in pending]
+        if due:
+            self._process(due)
+
     def _process(self, due) -> None:
-        observing = self._observing
         trace = self._trace
-        #: (kind, key, message, trace_id) — observing only.
+        #: (kind, (key, message) pairs, trace ids or None) per delivering
+        #: record, in schedule order.
         deliveries: list[tuple] = []
-        batches: list[tuple] = []  # raw (key, message) payloads — passthrough
-        pair_lists: list = []
-        timer_payloads: list[tuple] = []
+        fired: list[str] = []  # keys whose timer fired
         kills: list[tuple] = []
         snaps = 0
         external = routed = timers = 0
@@ -549,40 +526,19 @@ class ScenarioEngine:
             tids = self._tids.pop(rid, None) if trace is not None else None
             if kind == EXTERNAL:
                 external += len(payload)
-                if observing:
-                    if tids is None:
-                        deliveries.extend(
-                            (EXTERNAL, k, m, None) for k, m in payload
-                        )
-                    else:
-                        deliveries.extend(
-                            (EXTERNAL, k, m, t)
-                            for (k, m), t in zip(payload, tids)
-                        )
-                else:
-                    batches.append(payload)
-                    pair_lists.append(self._pairs.pop(rid, None))
+                deliveries.append((kind, payload, tids))
             elif kind == ROUTED:
                 routed += 1
-                tid = tids[0] if tids else None
-                if observing:
-                    deliveries.append((ROUTED, payload[0], payload[1], tid))
-                else:
-                    batches.append((payload,))
-                    pair_lists.append(None)
+                deliveries.append((kind, (payload,), tids))
             elif kind == TIMER:
                 timers += 1
-                timer_payloads.append(payload)
-                tid = tids[0] if tids else None
-                if tid is not None:
+                key, message = payload
+                fired.append(key)
+                if tids:
                     trace.record(
-                        tid, rtime, "timer_fire", key=payload[0], message=payload[1]
+                        tids[0], rtime, "timer_fire", key=key, message=message
                     )
-                if observing:
-                    deliveries.append((TIMER, payload[0], payload[1], tid))
-                else:
-                    batches.append((payload,))
-                    pair_lists.append(None)
+                deliveries.append((kind, (payload,), tids))
             elif kind == _KILL:
                 if rid not in self._kills_done:
                     kills.append((rid, payload))
@@ -601,9 +557,7 @@ class ScenarioEngine:
                 "deliveries — routing livelock?"
             )
         if deliveries:
-            self._dispatch(deliveries, timer_payloads)
-        elif batches:
-            self._passthrough(batches, pair_lists)
+            self._deliver(deliveries, fired)
         for _ in range(snaps):
             self.snapshot()
             if self._snapshot_every is not None:
@@ -612,49 +566,29 @@ class ScenarioEngine:
             self._kills_done.add(rid)
             self._kill(shard)
 
-    def _passthrough(self, batches, pair_lists) -> None:
-        """One instant's arrivals with no observation: a single fleet call.
-
-        When the whole instant was pre-encoded at schedule time its flat
-        slot/column array goes straight to
-        ``fleet.run(flat, encoding="flat")`` — the usual one-record
-        instant without even a copy — so passthrough pays the raw encoded
-        per-event cost plus one heap pop per distinct timestamp.
-        Anything not interned (records added via :meth:`schedule_event`)
-        falls back to the string path.
-        """
-        fleet = self._fleet
-        if None not in pair_lists:
-            flat = pair_lists[0]
-            for extra in pair_lists[1:]:
-                flat = flat + extra
-            fleet.run(flat, encoding="flat")
-        else:
-            fleet.run([pair for batch in batches for pair in batch])
-
-    def _dispatch(self, deliveries, timer_payloads) -> None:
+    def _deliver(self, deliveries, fired) -> None:
+        """One instant's arrivals: post each, drain once, then observe."""
         fleet = self._fleet
         post = fleet.post
-        if self._trace is None:
-            for kind, key, message, _tid in deliveries:
-                post(key, message, source=kind)
-        else:
-            last = self._last_tid
-            for kind, key, message, tid in deliveries:
-                post(key, message, source=kind, trace_id=tid)
-                if tid is not None:
+        last = self._last_tid
+        for kind, pairs, tids in deliveries:
+            if tids is None:
+                for key, message in pairs:
+                    post(key, message, kind)
+            else:
+                for (key, message), tid in zip(pairs, tids):
+                    post(key, message, kind, tid)
                     last[key] = tid
         fleet.drain_all()
-        # A fired timer is no longer armed: clear its column mark before
-        # observation (which may immediately re-arm it — periodic timers).
-        # Timers only ever arm on store-backed fleets.
-        store = getattr(fleet, "store", None)
-        if store is not None:
-            for key, _message in timer_payloads:
-                slot = store.slot_of.get(key)
-                if slot is not None and store.timers[slot] is not None:
-                    store.timers[slot] = None
-        self._observe(dict.fromkeys(key for _, key, _m, _t in deliveries))
+        if self._observing:
+            # A fired timer is no longer armed: drop its mark before
+            # observation (which may immediately re-arm it — periodic
+            # timers).
+            for key in fired:
+                self._armed.pop(key, None)
+            self._observe(
+                dict.fromkeys(key for _, pairs, _t in deliveries for key, _m in pairs)
+            )
 
     # ------------------------------------------------------------------
     # observation: timers armed/cancelled, actions routed
@@ -662,29 +596,26 @@ class ScenarioEngine:
 
     def _observe(self, keys) -> None:
         fleet = self._fleet
-        store = fleet.store
         counted = self._count
-        slot_of = store.slot_of
-        timers_col = store.timers
+        armed_of = self._armed
         timer = self._wiring.timer
         routes = self._routes
         seen = self._seen
         trace = self._trace
         for key in keys:
-            slot = slot_of.get(key)
-            if slot is None:
+            if key not in fleet:
                 continue
             state = fleet.state_name(key)
-            armed = timers_col[slot]
+            armed = armed_of.get(key)
             if armed is not None and armed[1] != state:
                 self._cancel(armed[0])
-                timers_col[slot] = None
+                del armed_of[key]
                 armed = None
                 counted.timers_cancelled.value += 1
             if timer is not None and armed is None and not fleet.is_finished(key):
                 message, delay = timer
                 rid = self._schedule(delay, TIMER, (key, message))
-                timers_col[slot] = (rid, state)
+                armed_of[key] = (rid, state)
                 counted.timers_armed.value += 1
                 if trace is not None:
                     tid = trace.mint()
@@ -768,8 +699,12 @@ class ScenarioEngine:
     def _kill(self, shard: Optional[int]) -> None:
         if shard is None:
             shard = self._rng.randrange(KILL_SHARDS)
-        keys = self._fleet.store.keys()
-        victims = [key for key in keys if shard_of(key, KILL_SHARDS) == shard]
+        fleet = self._fleet
+        victims = [
+            key
+            for key in self._topology.keys
+            if shard_of(key, KILL_SHARDS) == shard and key in fleet
+        ]
         self._count.shards_killed.value += 1
         self._count.instances_lost.value += len(victims)
         if self._trace is not None:
@@ -794,12 +729,7 @@ class ScenarioEngine:
 
     def snapshot(self) -> ScenarioSnapshot:
         """Capture the scenario at the current instant (fleet + future)."""
-        pending = tuple(
-            record
-            for record, _handle in sorted(
-                self._pending.values(), key=lambda e: (e[0][1], e[0][0])
-            )
-        )
+        pending = tuple(sorted(self._pending.values(), key=lambda r: (r[1], r[0])))
         snap = ScenarioSnapshot(
             fleet=self._fleet.snapshot(),
             now=self._sim.now,
@@ -824,14 +754,14 @@ class ScenarioEngine:
         sim.reset()
         sim.run(until=snap.now)
         self._pending.clear()
-        del self._due[:]
-        self._pairs.clear()
-        self._cancels = 0
-        for record in snap.pending:
-            rid, time, kind, payload = record
+        self._instants.clear()
+        self._armed.clear()
+        for rid, time, kind, payload in snap.pending:
             self._schedule_at(time, kind, payload, rid=rid)
-            if kind == EXTERNAL and self._pre_encode:
-                self._pairs[rid] = fleet.encode_flat(payload)
+            if kind == TIMER and payload[0] in fleet:
+                # A pending timer is its key's armed one, armed in the
+                # state the key was snapshotted (and is restored) in.
+                self._armed[payload[0]] = (rid, fleet.state_name(payload[0]))
         self._seen = dict(snap.seen)
         self._rng.setstate(snap.rng_state)
         self._tids = {rid: tuple(tids) for rid, tids in snap.tids}
@@ -843,16 +773,6 @@ class ScenarioEngine:
             self._trace.record(
                 0, self._sim.now, "restore", detail=f"now={snap.now}"
             )
-        # Re-mark armed timers: every pending TIMER record corresponds to
-        # a slot-level arm in the restored population (timers only ever
-        # arm on store-backed fleets).
-        store = getattr(fleet, "store", None)
-        if store is not None:
-            for rid, _time, kind, payload in snap.pending:
-                if kind == TIMER:
-                    slot = store.slot_of.get(payload[0])
-                    if slot is not None:
-                        store.timers[slot] = (rid, fleet.state_name(payload[0]))
         self._last_snapshot = snap
         self._count.snapshots_restored.value += 1
 

@@ -19,12 +19,7 @@ The columns are parallel arrays:
 * ``backends[slot]``  — the backing interpreter/compiled instance, present
   only when the owning fleet dispatches in ``naive`` mode;
 * ``key_of[slot]``    — the session key owning the slot (``None`` while the
-  slot sits on the free list);
-* ``timers[slot]``    — the armed scenario timer as an ``(rid, armed_state)``
-  pair (``None`` when no timer is armed).  Owned by the scenario plane
-  (:mod:`repro.serve.scenario`): ``rid`` identifies the pending wheel
-  record and ``armed_state`` the state name the timer was armed in, so
-  the engine can cancel on state exit with one column read.
+  slot sits on the free list).
 
 A store holds one partition whole: ``slot_of`` is its membership, in
 spawn order (:meth:`InstanceStore.keys`).  Worker processes partition
@@ -106,8 +101,6 @@ class InstanceStore:
         self.logs: list[Optional[list]] = []
         #: Backend objects (naive-mode fleets only).
         self.backends: list = []
-        #: Armed scenario timer per slot — ``(rid, armed_state)`` or ``None``.
-        self.timers: list = []
         #: Released slots awaiting reuse (LIFO keeps the columns dense).
         self.free_slots: list[int] = []
 
@@ -141,14 +134,12 @@ class InstanceStore:
             self.states[slot] = self._start
             self.logs[slot] = log
             self.backends[slot] = backend
-            self.timers[slot] = None
         else:
             slot = len(self.key_of)
             self.key_of.append(key)
             self.states.append(self._start)
             self.logs.append(log)
             self.backends.append(backend)
-            self.timers.append(None)
         self.slot_of[key] = slot
         return slot
 
@@ -166,7 +157,6 @@ class InstanceStore:
         self.key_of[slot] = None
         self.logs[slot] = None
         self.backends[slot] = None
-        self.timers[slot] = None
         self.free_slots.append(slot)
         return slot
 
@@ -181,5 +171,4 @@ class InstanceStore:
         self.states = self._new_states()
         self.logs = []
         self.backends = []
-        self.timers = []
         self.free_slots = []

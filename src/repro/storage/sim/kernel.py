@@ -181,23 +181,6 @@ class Simulator:
     # reuse
     # ------------------------------------------------------------------
 
-    def drain(self) -> int:
-        """Compact the heap by dropping cancelled tombstones; returns count.
-
-        ``Timer.cancel`` only marks an entry — the ``_Scheduled`` record
-        stays in the heap until its time is popped.  A long-lived caller
-        that arms and cancels timers at a high rate (the fleet scenario
-        plane cancels one timer per observed state change) would
-        otherwise accumulate tombstones without bound.  Draining
-        preserves the live entries and their (time, seq) order.
-        """
-        before = len(self._queue)
-        if before == 0:
-            return 0
-        self._queue = [entry for entry in self._queue if not entry.cancelled]
-        heapq.heapify(self._queue)
-        return before - len(self._queue)
-
     def reset(self) -> None:
         """Return to virtual time zero with an empty queue.
 

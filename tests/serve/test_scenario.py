@@ -32,6 +32,7 @@ MODES = ["naive", "encoded"] + (["vector"] if HAS_NUMPY else [])
 
 COMMIT_WIRING = CommitModel.wiring
 CT_WIRING = CoordinatorRoundModel.wiring
+LOSSY_KILL = ScenarioFaultPlan(kill_at=20.0, drop=0.05, duplicate=0.05, delay=0.05)
 
 
 def _events(*triples):
@@ -178,9 +179,8 @@ class TestPassthrough:
         assert traces == {k: plain.trace(k) for k in ("g0000-m0", "g0000-m1")}
 
     def test_runs_on_a_multiprocess_fleet(self, make_fleet):
-        """Passthrough scenarios observe nothing, so they run on any
-        Fleet: a 2-worker fleet ends on the in-process fleet's traces.
-        An observing scenario still needs the in-process store."""
+        """Passthrough scenarios run on any Fleet: a 2-worker fleet ends
+        on the in-process fleet's traces."""
         machine = machine_for("commit")
         topology = GroupTopology.regular(2, 4)
         kicks = ("free", "update", "vote", "vote")
@@ -200,8 +200,6 @@ class TestPassthrough:
             assert engine.metrics.events_delivered == 32
             traces = {key: fleet.trace(key) for key in topology.keys}
             assert len(traces) == 8 and traces == expected
-            with pytest.raises(DeploymentError, match="in-process fleet"):
-                ScenarioEngine(fleet, COMMIT_WIRING, topology)
 
     @pytest.mark.parametrize("mode", MODES)
     def test_recorded_workload_matches_raw_flat_run(self, make_fleet, mode):
@@ -329,6 +327,38 @@ class TestTimers:
         engine.despawn("g0000-m0")
         engine.run(until=25.0)  # must not raise
         assert engine.metrics.timers_fired == 1  # only the survivor's
+
+    def test_wheel_holds_one_entry_per_instant(self, make_fleet):
+        """However many records share an instant, the wheel holds one
+        entry for it; a cancelled record leaves its instant's entry in
+        place, and an instant whose records were all cancelled passes
+        uncounted."""
+        machine = machine_for("chandra-toueg")
+        scenario = generate_scenario(
+            machine, CT_WIRING, ScenarioSpec(groups=4, group_size=5, seed=1)
+        )
+        engine = ScenarioEngine(
+            make_fleet(machine), scenario.wiring, scenario.topology, seed=1
+        )
+        engine.spawn_topology()
+        engine.schedule_events(scenario.events)
+        engine.schedule_event(500.0, "g0000-m0", "suspect")
+        engine.schedule_event(500.0, "g0000-m1", "suspect")
+        shared = False
+        for until in (0.0, 5.0, 20.0, 60.0, 250.0):
+            engine.run(until=until)
+            entries = engine._sim.pending_events()
+            assert entries == len(engine._instants)
+            assert {rec[1] for rec in engine._pending.values()} <= set(engine._instants)
+            shared |= engine.pending_records > entries
+        assert shared
+        for rid in [r for r, rec in engine._pending.items() if rec[1] == 500.0]:
+            engine._cancel(rid)
+        counted = engine.metrics.instants
+        engine.run(until=500.0)
+        assert engine.now == 500.0
+        assert engine.metrics.instants == counted
+        assert engine._sim.pending_events() == 0
 
 
 class TestRouting:
@@ -493,9 +523,9 @@ class TestSnapshotRestore:
 
     @pytest.mark.parametrize("mode", MODES)
     def test_restore_with_inflight_encoded_batches(self, make_fleet, mode):
-        """Snapshot while pre-encoded external batches are still pending:
-        the restore must rebuild the (slot, column) pairs so the replay
-        still runs the fast path — and still matches exactly."""
+        """Snapshot while external batches are still pending: the
+        restore re-files them on the wheel and the replay matches
+        exactly."""
         machine = machine_for("commit")
         events = _events(
             *[(float(t), f"g{g:04d}-m{m}", msg)
@@ -521,7 +551,6 @@ class TestSnapshotRestore:
         expected = {k: fleet.trace(k) for k in scenario.topology.keys}
 
         engine.restore(snap)
-        assert engine._pairs  # pre-encoding was rebuilt, not dropped
         engine.run(until=60.0)
         assert {k: fleet.trace(k) for k in scenario.topology.keys} == expected
 
@@ -571,6 +600,84 @@ class TestKillRestore:
         engine = run_scenario(fleet, scenario)
         assert engine.metrics.shards_killed == 1
         assert engine.metrics.snapshots_restored == 1
+
+
+class TestAnyFleet:
+    """Observing scenarios use only the Fleet protocol: routed, timed and
+    kill-shard runs on a 2-worker fleet end on the in-process fleet's
+    traces and counters."""
+
+    @pytest.mark.parametrize(
+        "model, wiring, size, faults",
+        [
+            pytest.param("commit", COMMIT_WIRING, 4, None, id="commit-routes"),
+            pytest.param("chandra-toueg", CT_WIRING, 5, None, id="ct-timers"),
+            pytest.param(
+                "commit", COMMIT_WIRING, 4, LOSSY_KILL, id="commit-kill-lossy"
+            ),
+        ],
+    )
+    def test_multiprocess_fleet_matches_in_process(
+        self, make_fleet, model, wiring, size, faults
+    ):
+        machine = machine_for(model)
+        scenario = generate_scenario(
+            machine,
+            wiring,
+            ScenarioSpec(groups=3, group_size=size, seed=3),
+            faults=faults,
+        )
+        reference = make_fleet(machine)
+        expected = run_scenario(reference, scenario).metrics.as_dict()
+        if faults is not None:
+            assert expected["shards_killed"] == 1
+            assert expected["messages_dropped"] + expected["messages_delayed"] > 0
+        with make_fleet(machine, workers=2) as fleet:
+            engine = run_scenario(fleet, scenario)
+            assert engine.metrics.as_dict() == expected
+            assert diff_fleets(fleet, reference, scenario.topology.keys) == []
+
+
+class TestPinnedFaultCounts:
+    """The seeded counters of ``serve-scenario --faults
+    kill-shard,drop,duplicate,delay`` (20 groups, default spread and
+    horizon): any change to wheel order, fault draws or timer marks
+    moves them."""
+
+    @pytest.mark.parametrize(
+        "model, seed, expected",
+        [
+            ("commit", 0, (1296, 44, 60, 54, 86)),
+            ("commit", 1, (1286, 44, 50, 40, 82)),
+            ("commit", 2, (1280, 46, 46, 46, 88)),
+            ("chandra-toueg", 1, (1242, 34, 44, 32, 101)),
+        ],
+    )
+    def test_cli_fault_run_counts(self, make_fleet, model, seed, expected):
+        machine = machine_for(model)
+        wiring = COMMIT_WIRING if model == "commit" else CT_WIRING
+        size = 4 if model == "commit" else 5
+        until = 600.0
+        scenario = generate_scenario(
+            machine,
+            wiring,
+            ScenarioSpec(groups=20, group_size=size, seed=seed, until=until),
+            faults=ScenarioFaultPlan(
+                kill_at=until / 3, drop=0.05, duplicate=0.05, delay=0.05
+            ),
+        )
+        m = run_scenario(make_fleet(machine), scenario).metrics
+        assert (
+            m.events_delivered,
+            m.messages_dropped,
+            m.messages_duplicated,
+            m.messages_delayed,
+            m.instants,
+        ) == expected
+        assert m.shards_killed == m.snapshots_restored == 1
+        if model == "chandra-toueg":
+            timers = (m.timers_armed, m.timers_cancelled, m.timers_fired)
+            assert timers == (633, 569, 32)
 
 
 class TestMetricsAndGeneration:

@@ -70,44 +70,8 @@ class TestTimers:
 
 
 class TestHeapMaintenance:
-    """``drain`` and ``reset`` must clear cancelled-timer tombstones —
-    long-lived wheels (the scenario plane re-arms a timer per observed
-    state change) would otherwise grow the heap without bound."""
-
-    def test_drain_compacts_ten_thousand_cancelled_timers(self):
-        sim = Simulator()
-        timers = [sim.schedule(float(i + 1), lambda: None) for i in range(10_000)]
-        keeper = sim.schedule(20_000.0, lambda: None)
-        for timer in timers:
-            timer.cancel()
-        # Tombstones linger in the heap until compaction...
-        assert len(sim._queue) == 10_001
-        assert sim.drain() == 10_000
-        # ...then only the live entry remains, and it still fires.
-        assert len(sim._queue) == 1
-        assert sim.pending_events() == 1
-        assert keeper.active
-        assert sim.next_time() == 20_000.0
-        sim.run()
-        assert sim.now == 20_000.0
-
-    def test_drain_on_empty_heap_is_a_noop(self):
-        sim = Simulator()
-        assert sim.drain() == 0
-        assert sim.drain() == 0
-
-    def test_drain_preserves_firing_order(self):
-        sim = Simulator()
-        log = []
-        sim.schedule(2.0, lambda: log.append("b"))
-        doomed = [sim.schedule(1.5, lambda: log.append("x")) for _ in range(100)]
-        sim.schedule(1.0, lambda: log.append("a"))
-        sim.schedule(3.0, lambda: log.append("c"))
-        for timer in doomed:
-            timer.cancel()
-        sim.drain()
-        sim.run()
-        assert log == ["a", "b", "c"]
+    """``reset`` must clear cancelled-timer tombstones with the live
+    entries, so a reused simulator starts from an empty heap."""
 
     def test_reset_discards_everything_and_rewinds(self):
         sim = Simulator(seed=9)
