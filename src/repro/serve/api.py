@@ -104,8 +104,6 @@ class Fleet(Protocol):
     # -- per-instance observation --------------------------------------
     def state_name(self, key: str) -> str: ...
 
-    def action_count(self, key: str) -> int: ...
-
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]: ...
 
     def trace(self, key: str) -> InstanceSnapshot: ...

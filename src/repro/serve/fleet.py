@@ -543,23 +543,6 @@ class FleetEngine:
             return self._store.backends[slot].get_state()
         return self._table.state_names[self._store.states[slot] // self._width]
 
-    def action_count(self, key: str) -> int:
-        """Number of actions the instance has performed since its last reset.
-
-        Counted from the retained log; ``log_policy='off'`` retains
-        nothing to count.
-        """
-        store = self._store
-        slot = store.slot(key)
-        if self._mode == "naive":
-            return len(store.backends[slot].sent)
-        if self._log_policy != "full":
-            raise DeploymentError(
-                "log_policy 'off' retains no action information; "
-                "action_count needs log_policy='full'"
-            )
-        return sum(len(chunk) for chunk in store.logs[slot])
-
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]:
         """The instance's actions from index ``start`` onward, in fire order.
 
@@ -669,9 +652,8 @@ class FleetEngine:
         gather/scatter.  It holds O(1) arrays in compact dtypes — 5 bytes
         per event below 65 536 instances, 256 messages and 65 536 events.
         The schedule rebuilds the flat buffer on each read of ``.flat``
-        (it keeps no copy), supports ``+`` concatenation, and ``run``
-        accepts it anywhere a flat array is accepted — on a scalar fleet
-        too.
+        (it keeps no copy), and ``run`` accepts it anywhere a flat array
+        is accepted — on a scalar fleet too.
         """
         slots, cols, rejected = self._intern(events)
         if rejected:

@@ -32,7 +32,9 @@ error-shape guarantee of the Fleet protocol extends over the wire.
 Fields are typed before the fleet sees them: ``key``, ``message`` and
 ``prefix`` must be JSON strings and ``count`` a non-negative integer;
 anything else is a ``400`` (``field 'count' must be ...``) counted in
-``gateway_errors_total``, over HTTP and in ``/ws`` frames alike.  A
+``gateway_errors_total``, over HTTP and in ``/ws`` frames alike: that
+counter takes every HTTP reply with a status of 400 or more, every
+``/ws`` error reply and every refused frame (close 1002 or 1009).  A
 batch body is the exception that keeps the same refusals without a
 per-event check: the gateway checks in C that every pair is a list and
 lets the fleet's one interning walk (``encode_flat``) type the rest;
@@ -587,14 +589,13 @@ class _Connection:
         """Serve one buffered WebSocket frame; false when none is complete."""
         gateway = self._gateway
         if self._buffer[0] not in _WS_SERVABLE:
-            gateway._errors.add(1)
-            self._transport.write(gateway._frame(0x8, _WS_PROTOCOL_ERROR))
+            self._send_frame(0x8, _WS_PROTOCOL_ERROR, failed=True)
             self.close()
             return False
         try:
             parsed = parse_frame(self._buffer, gateway._max_body)
         except _HttpError:
-            self._transport.write(gateway._frame(0x8, _WS_TOO_BIG))
+            self._send_frame(0x8, _WS_TOO_BIG, failed=True)
             self.close()
             return False
         if parsed is None:
@@ -606,13 +607,18 @@ class _Connection:
             self.close()
             return False
         if opcode == 0x9:  # ping -> pong
-            self._transport.write(gateway._frame(0xA, payload))
+            self._send_frame(0xA, payload)
         elif opcode in (0x1, 0x2):
             gateway._ws_messages.add(1)
-            self._transport.write(
-                gateway._frame(0x1, gateway._ws_reply(payload))
-            )
+            self._send_frame(0x1, *gateway._ws_reply(payload))
         return True
+
+    def _send_frame(self, opcode: int, payload: bytes, failed: bool = False) -> None:
+        """Write one frame; the one place a ``/ws`` error is counted: an
+        error reply, or a close for a frame the gateway refuses."""
+        if failed:
+            self._gateway._errors.add(1)
+        self._transport.write(self._gateway._frame(opcode, payload))
 
 
 class FleetGateway:
@@ -643,7 +649,8 @@ class FleetGateway:
             "gateway_requests_total", "HTTP requests handled"
         )
         self._errors = self.registry.counter(
-            "gateway_errors_total", "HTTP requests answered with an error status"
+            "gateway_errors_total",
+            "HTTP replies with an error status and /ws error replies or refusals",
         )
         self._latency = self.registry.histogram(
             "gateway_request_seconds", "request receipt to response written"
@@ -966,7 +973,8 @@ class FleetGateway:
     # WebSocket
     # ------------------------------------------------------------------
 
-    def _ws_reply(self, payload: bytes) -> bytes:
+    def _ws_reply(self, payload: bytes) -> tuple[bytes, bool]:
+        """The reply to one ``/ws`` text frame and whether it is an error."""
         fleet = self._fleet
         try:
             message = json.loads(payload)
@@ -989,14 +997,13 @@ class FleetGateway:
             else:
                 result = {"error": f"unknown op {op!r}"}
         except _HttpError as exc:  # a missing or mistyped field
-            self._errors.add(1)
             result = {"error": exc.message}
         except DeploymentError as exc:
             result = {"error": str(exc)}
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             # Not JSON (or not UTF-8), or not an object.
             result = {"error": f"malformed frame: {exc}"}
-        return json.dumps(result).encode("utf-8")
+        return json.dumps(result).encode("utf-8"), "error" in result
 
     @staticmethod
     def _frame(opcode: int, payload: bytes) -> bytes:

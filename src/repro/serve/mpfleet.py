@@ -154,15 +154,6 @@ class EncodedFleetSchedule:
     def __bool__(self) -> bool:
         return any(self.parts)
 
-    def __add__(self, other: "EncodedFleetSchedule") -> "EncodedFleetSchedule":
-        if len(self.parts) != len(other.parts):
-            raise DeploymentError(
-                "cannot concatenate schedules encoded for different fleets"
-            )
-        return EncodedFleetSchedule(
-            tuple(mine + theirs for mine, theirs in zip(self.parts, other.parts))
-        )
-
 
 #: A fresh partition's counts: nothing counted yet.
 _UNCOUNTED = (0,) * len(FleetMetrics.COUNTERS)
@@ -258,8 +249,6 @@ def _handle(engine: FleetEngine, request: tuple):
         return engine.deliver(request[1], request[2])
     if op == "state":
         return engine.state_name(request[1])
-    if op == "action_count":
-        return engine.action_count(request[1])
     if op == "actions_since":
         return engine.actions_since(request[1], request[2])
     if op == "trace":
@@ -812,10 +801,6 @@ class MultiprocessFleet:
         return len(self._workers)
 
     @property
-    def live_workers(self) -> int:
-        return sum(1 for worker in self._workers if worker.alive)
-
-    @property
     def state_map(self) -> Optional[dict]:
         if self.opt_report is None or self.opt_report.identity:
             return None
@@ -963,9 +948,6 @@ class MultiprocessFleet:
 
     def state_name(self, key: str) -> str:
         return self._request(self._locate(key)[0], "state", key)
-
-    def action_count(self, key: str) -> int:
-        return self._request(self._locate(key)[0], "action_count", key)
 
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]:
         wid = self._locate(key)[0]

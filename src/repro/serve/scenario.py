@@ -630,11 +630,11 @@ class ScenarioEngine:
                     )
                     self._tids[rid] = (tid,)
             if routes:
-                total = fleet.action_count(key)
                 done = seen.get(key, 0)
-                if total > done:
-                    seen[key] = total
-                    for action in fleet.actions_since(key, done):
+                new = fleet.actions_since(key, done)
+                if new:
+                    seen[key] = done + len(new)
+                    for action in new:
                         route = routes.get(action)
                         if route is not None:
                             self._route(key, action, *route)

@@ -216,8 +216,8 @@ class VectorSchedule:
     costs 5 bytes (``uint16`` slot, ``uint8`` column, ``uint16``
     position), not the 24 of three ``int64`` values.  Narrowing never
     changes a value: a column with a negative id keeps ``int64``.  The
-    schedule keeps no derived copy — ``.flat`` and ``+`` rebuild arrival
-    order from the compact columns on each use.
+    schedule keeps no derived copy — ``.flat`` rebuilds arrival order
+    from the compact columns on each read.
     """
 
     __slots__ = ("slots", "cols", "bounds", "count", "_order")
@@ -312,14 +312,6 @@ class VectorSchedule:
 
     def __len__(self) -> int:
         return self.count
-
-    def __add__(self, other: "VectorSchedule") -> "VectorSchedule":
-        (slots, cols), (more_slots, more_cols) = self._arrival(), other._arrival()
-        merged = VectorSchedule.__new__(VectorSchedule)
-        merged._split(
-            _np.concatenate((slots, more_slots)), _np.concatenate((cols, more_cols))
-        )
-        return merged
 
 
 class VectorKernel:

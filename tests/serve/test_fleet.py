@@ -106,12 +106,6 @@ class TestLifecycle:
         self.make_fleet = make_fleet
         self.machine = machine_for("commit")
 
-    def test_spawn_duplicate_rejected(self):
-        fleet = self.make_fleet()
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError):
-            fleet.spawn("a")
-
     @pytest.mark.parametrize("mode", MODES)
     def test_spawn_duplicate_preserves_existing_instance(self, mode):
         """A rejected duplicate must not clobber the live instance's state."""
@@ -123,40 +117,9 @@ class TestLifecycle:
             fleet.spawn("a")
         assert fleet.trace("a") == before
         assert len(fleet) == 1
-
-    def test_spawn_duplicate_does_not_inflate_metrics(self):
-        fleet = self.make_fleet()
-        fleet.spawn("a")
-        spawned = fleet.metrics.instances_spawned
-        with pytest.raises(DeploymentError):
-            fleet.spawn("a")
-        assert fleet.metrics.instances_spawned == spawned
-
-    def test_spawn_duplicate_leaves_membership_intact(self):
-        fleet = self.make_fleet()
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError):
-            fleet.spawn("a")
-        # The key still snapshots exactly once.
+        # Counted once, and the key still snapshots exactly once.
+        assert fleet.metrics.instances_spawned == 1
         assert len(fleet.snapshot().instances) == 1
-
-    def test_unknown_instance_rejected(self):
-        fleet = self.make_fleet()
-        with pytest.raises(DeploymentError):
-            fleet.trace("ghost")
-        with pytest.raises(DeploymentError):
-            fleet.deliver("ghost", "free")
-
-    @pytest.mark.parametrize("mode,backend", CONFIGS)
-    def test_unknown_message_rejected(self, mode, backend):
-        fleet = self.make_fleet(dispatch=mode, backend=backend)
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError):
-            fleet.deliver("a", "bogus")
-        # Every mode interns at post, so the bad event never queues.
-        with pytest.raises(DeploymentError, match="unknown message 'bogus'"):
-            fleet.post("a", "bogus")
-        assert fleet.drain_all() == 0
 
     @pytest.mark.parametrize("mode,backend", CONFIGS)
     def test_bad_event_does_not_poison_batch(self, mode, backend):
@@ -218,20 +181,6 @@ class TestLifecycle:
         assert fleet.metrics.instances_recycled == 1
         assert not fleet.is_finished("a")
 
-    def test_bad_mode_and_backend_rejected(self):
-        # Deleted modes and policies are unknown, not deprecated.
-        for mode in ("warp", "batched", "grouped"):
-            with pytest.raises(DeploymentError, match="unknown dispatch mode"):
-                self.make_fleet(dispatch=mode)
-        with pytest.raises(DeploymentError):
-            self.make_fleet(backend="quantum")
-        for policy in ("verbose", "count"):
-            with pytest.raises(DeploymentError, match="unknown log policy"):
-                self.make_fleet(log_policy=policy)
-        # Naive backends always log; reduced policies need table dispatch.
-        with pytest.raises(DeploymentError):
-            self.make_fleet(dispatch="naive", log_policy="off")
-
 
 class TestDeliverNormalisation:
     """Unknown instance and unknown message raise the same API error type
@@ -268,16 +217,6 @@ class TestEncodedIntake:
     def _setup(self, make_fleet):
         self.make_fleet = make_fleet
         self.machine = machine_for("commit")
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_post_rejects_unknown_at_intake(self, mode):
-        fleet = self.make_fleet(dispatch=mode)
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError, match="unknown instance"):
-            fleet.post("ghost", "free")
-        with pytest.raises(DeploymentError, match="unknown message"):
-            fleet.post("a", "bogus")
-        assert fleet.drain_all() == 0
 
     def test_queues_carry_int_pairs(self):
         # The reference mode too: its backends receive the message the
@@ -322,12 +261,6 @@ class TestEncodedIntake:
             slot_of["b"], columns["update"],
             slot_of["a"], columns["update"],
         ]  # fmt: skip
-
-    def test_encode_flat_names_bad_events(self):
-        fleet = self.make_fleet(dispatch="encoded")
-        fleet.spawn("a")
-        with pytest.raises(DeploymentError, match="'ghost'"):
-            fleet.encode_flat([("a", "free"), ("ghost", "free")])
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize(
@@ -420,7 +353,7 @@ class TestLogPolicies:
             assert off.state_name(key) == full.state_name(key)
         assert off.metrics.as_dict() == full.metrics.as_dict()
         with pytest.raises(DeploymentError, match="log"):
-            off.action_count(self.keys[0])
+            off.actions_since(self.keys[0])
 
     def test_reduced_policies_reject_traces_and_snapshots(self):
         fleet = self.make_fleet(dispatch="encoded", log_policy="off")
@@ -457,22 +390,6 @@ class TestSlotRecycling:
         assert trace.actions == ()
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_despawn_delivers_queued_events_first(self, mode):
-        """Posted pairs name the slot, not the key: despawn dispatches
-        them to the instance they were addressed to, never to the
-        slot's next occupant."""
-        fleet = self.make_fleet(dispatch=mode)
-        slot = fleet.spawn("a")
-        fleet.post("a", "free")
-        fleet.post("a", "update")
-        fleet.despawn("a")
-        assert fleet.metrics.events_dispatched == 2
-        assert fleet.metrics.transitions_fired == 2
-        assert fleet.spawn("b") == slot
-        assert fleet.drain_all() == 0
-        assert fleet.trace("b").actions == ()
-
-    @pytest.mark.parametrize("mode", MODES)
     def test_despawn_delivers_every_queued_event_to_its_own_instance(self, mode):
         """Despawn drains the one queue whole: other keys' queued events
         reach their instances, and none reaches the slot's next occupant."""
@@ -483,6 +400,7 @@ class TestSlotRecycling:
             fleet.post(key, "update")
         fleet.despawn("k5")
         assert fleet.metrics.events_dispatched == 2 * len(slots)
+        assert fleet.metrics.transitions_fired == 2 * len(slots)
         assert fleet.spawn("heir") == slots["k5"]
         assert fleet.drain_all() == 0
         assert fleet.trace("heir").actions == ()
@@ -550,18 +468,6 @@ class TestSnapshotRestore:
         fleet.spawn("k3")
         order = [inst.key for inst in fleet.snapshot().instances]
         assert order == keys[:3] + keys[4:] + ["k3"]
-
-    def test_restore_across_modes_and_backends(self):
-        fleet = self.make_fleet()
-        keys = fleet.spawn_many(12)
-        fleet.run(self.events[:300])
-        snapshot = fleet.snapshot()
-
-        other = self.make_fleet(dispatch="naive", backend="compiled")
-        other.restore(snapshot)
-        assert {k: other.trace(k) for k in keys} == {
-            k: fleet.trace(k) for k in keys
-        }
 
     def test_restore_rejects_foreign_machine(self):
         fleet = self.make_fleet()
@@ -709,21 +615,6 @@ class TestSnapshotRestore:
 
 
 class TestMetricsSurface:
-    def test_counters_and_dict(self, make_fleet):
-        machine = machine_for("commit")
-        events = generate_workload(
-            machine, WorkloadSpec(instances=20, events=500, seed=9, noise=0.5)
-        )
-        fleet = make_fleet(auto_recycle=True)
-        fleet.spawn_many(20)
-        fleet.run(events)
-        metrics = fleet.metrics
-        assert metrics.events_dispatched == 500
-        assert metrics.transitions_fired + metrics.events_ignored == 500
-        assert metrics.instances_spawned == 20
-        as_dict = metrics.as_dict()
-        assert as_dict["events_dispatched"] == 500
-
     def test_metrics_are_slotted(self, make_fleet):
         metrics = make_fleet().metrics
         assert isinstance(metrics, FleetMetrics)

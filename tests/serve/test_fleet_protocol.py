@@ -65,20 +65,6 @@ WORKER_COUNTS = tuple(
 )
 
 
-#: Every dispatch mode, each built in-process and multiprocess.
-EVERY_MODE = [
-    pytest.param(
-        impl,
-        mode,
-        marks=pytest.mark.skipif(
-            mode == "vector" and not HAS_NUMPY, reason="numpy not available"
-        ),
-    )
-    for mode in DISPATCH_MODES
-    for impl in ("inproc", "mp")
-]
-
-
 def build_fleet(impl: str, **overrides):
     """One fleet of the requested implementation, encoded mode by default.
 
@@ -126,7 +112,6 @@ def test_spawn_observe_lifecycle(any_fleet):
     assert "solo" in fleet
     assert len(fleet) == 1
     assert fleet.state_name("solo") == fleet.machine.start_state.name
-    assert fleet.action_count("solo") == 0
     assert fleet.actions_since("solo", 0) == ()
     assert not fleet.is_finished("solo")
     trace = fleet.trace("solo")
@@ -252,6 +237,11 @@ def test_unknown_message_error_shape(any_fleet):
     any_fleet.spawn("one")
     with pytest.raises(DeploymentError, match="unknown message 'flarp'"):
         any_fleet.deliver("one", "flarp")
+    # Interned at post, so the bad event never queues.
+    with pytest.raises(DeploymentError, match="^unknown message 'flarp'$"):
+        any_fleet.post("one", "flarp")
+    assert any_fleet.drain_all() == 0
+    assert any_fleet.metrics.events_dispatched == 0
 
 
 def test_batch_rejection_error_shape(any_fleet):
@@ -346,27 +336,6 @@ def test_metrics_counts_dispatches(any_fleet):
     assert metrics.transitions_fired + metrics.events_ignored == len(events)
 
 
-@pytest.mark.parametrize("impl,mode", EVERY_MODE)
-def test_every_mode_runs_flat_schedules(impl, mode):
-    with build_fleet(impl, mode=mode) as fleet:
-        keys, events = workload(fleet)
-        schedule = fleet.encode_flat(events)
-        assert fleet.run(schedule).events_dispatched == len(events)
-        assert diff_against_standalone(fleet, keys, events) == []
-
-
-@pytest.mark.parametrize("impl,mode", EVERY_MODE)
-def test_every_mode_rejects_unknown_at_post(impl, mode):
-    with build_fleet(impl, mode=mode) as fleet:
-        fleet.spawn("one")
-        with pytest.raises(DeploymentError, match="^unknown instance 'ghost'$"):
-            fleet.post("ghost", "update")
-        with pytest.raises(DeploymentError, match="^unknown message 'flarp'$"):
-            fleet.post("one", "flarp")
-        assert fleet.drain_all() == 0
-        assert fleet.metrics.events_dispatched == 0
-
-
 def test_close_is_idempotent_and_context_managed(request):
     impls = ["inproc", "mp", "inproc-naive", "mp-naive"] + (
         ["inproc-vector", "mp-vector"] if HAS_NUMPY else []
@@ -431,6 +400,10 @@ def test_multiprocess_refuses_raw_schedules_under_every_encoding(impl):
             "naive-mode backends always retain their action logs; "
             "log_policy 'off' needs a table-dispatch mode",
         ),
+        (
+            {"log_policy": "verbose"},
+            "unknown log policy 'verbose'; choose from ('full', 'off')",
+        ),
     ],
     ids=[
         "compiled-encoded",
@@ -438,6 +411,7 @@ def test_multiprocess_refuses_raw_schedules_under_every_encoding(impl):
         "unknown-mode",
         "unknown-backend",
         "naive-off",
+        "unknown-log-policy",
     ],
 )
 def test_both_fleets_refuse_options_with_one_error(workers, options, error):

@@ -432,23 +432,27 @@ def test_batch_with_unknown_keys_dispatches_the_valid_events(shape):
     gateway_test(body, GATEWAY_FLEETS[shape])
 
 
-MISTYPED_FRAMES = [
+WS_ERROR_FRAMES = [
     ({"op": "deliver", "key": ["a"], "message": "update"}, _STRING("key")),
     ({"op": "deliver", "key": 5, "message": "update"}, _STRING("key")),
     ({"op": "post", "key": "session-0000000", "message": ["x"]}, _STRING("message")),
     ({"op": "state", "key": 5}, _STRING("key")),
     ({"op": "state"}, "missing field(s): key"),
+    ({"op": "deliver", "key": "nope", "message": "update"}, "unknown instance 'nope'"),
+    ({"op": "bogus"}, "unknown op 'bogus'"),
+    (["op", "len"], "malformed frame: 'list' object has no attribute 'get'"),
 ]
 
 
 @pytest.mark.parametrize(
     "frame, refusal",
-    MISTYPED_FRAMES,
-    ids=[json.dumps(frame) for frame, _ in MISTYPED_FRAMES],
+    WS_ERROR_FRAMES,
+    ids=[json.dumps(frame) for frame, _ in WS_ERROR_FRAMES],
 )
-def test_mistyped_websocket_field_is_a_counted_error(frame, refusal):
-    # At the parent: "malformed frame: unhashable type: 'list'" and the
-    # like (the exception's text), and gateway_errors_total stayed 0.
+def test_websocket_error_reply_is_a_counted_error(frame, refusal):
+    # Every /ws error reply counts, as every HTTP status >= 400 does; the
+    # last three rows (unknown instance, unknown op, not an object) were
+    # answered but not counted.
     async def body(gateway, reader, writer):
         await http(reader, writer, "POST", "/spawn", {"count": 1})
         ws = await ws_open(reader, writer)

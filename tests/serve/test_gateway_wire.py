@@ -91,15 +91,6 @@ FRAMES = [
     frame(0x1, b"", wide=2),
     frame(0x8, b"", mask=b"\x00\x00\x00\x00"),
 ]
-FRAME_PAYLOADS = [
-    (0x1, LEN_OP),
-    (0x1, LEN_OP),
-    (0x9, b"are you there"),
-    (0x1, LONG_OP),
-    (0x1, LEN_OP),
-    (0x1, b""),
-    (0x8, b""),
-]
 
 
 def feed(parser, chunks, max_body=MAX_BODY) -> list:
@@ -144,27 +135,6 @@ def test_request_split_at_every_offset(request_bytes):
     for cut in range(1, len(request_bytes)):
         assert parse_request(request_bytes[:cut], MAX_BODY) is None
         assert feed(parse_request, [request_bytes[:cut], request_bytes[cut:]]) == whole
-
-
-def test_requests_pipelined_and_split_at_every_offset():
-    stream = b"".join(REQUESTS)
-    one_by_one = [feed(parse_request, [request])[0] for request in REQUESTS]
-    assert feed(parse_request, [stream]) == one_by_one
-    for cut in range(1, len(stream)):
-        assert feed(parse_request, [stream[:cut], stream[cut:]]) == one_by_one
-    assert feed(parse_request, [stream[i : i + 1] for i in range(len(stream))]) == (
-        one_by_one
-    )
-
-
-def test_frames_whole_split_and_pipelined():
-    assert [feed(parse_frame, [data])[0] for data in FRAMES] == FRAME_PAYLOADS
-    for data in FRAMES:
-        for cut in range(1, len(data)):
-            assert parse_frame(data[:cut], MAX_BODY) is None
-    stream = b"".join(FRAMES)
-    for cut in range(1, len(stream)):
-        assert feed(parse_frame, [stream[:cut], stream[cut:]]) == FRAME_PAYLOADS
 
 
 def test_frame_with_a_real_64_bit_length():
@@ -233,6 +203,8 @@ def test_declared_sizes_over_max_body_are_refused_before_the_payload():
             parse_frame(bytes((0x81, 0x80 | 127)) + declared.to_bytes(8, "big"), 64)
         assert caught.value.status == 413
     assert parse_frame(frame(0x1, b"x" * 64), 64) == (0x1, b"x" * 64, 66)
+    at_limit = b"POST /restore HTTP/1.1\r\nContent-Length: 64\r\n\r\n" + b"x" * 64
+    assert parse_request(at_limit, 64)[3] == b"x" * 64
 
 
 def check_request_outcome(data: bytes, max_body: int) -> None:
@@ -431,21 +403,6 @@ def test_batch_fed_one_byte_at_a_time_parses_its_head_once(monkeypatch):
     live(body)
 
 
-def test_two_pipelined_requests_in_one_send_get_two_in_order_replies():
-    async def body(gateway, exchange):
-        reply = await exchange(
-            b"GET /state?key=session-0000002 HTTP/1.1\r\nHost: test\r\n\r\n" + CLOSE
-        )
-        first, second = responses(reply)
-        assert first[0] == 200 and json.loads(first[2])["key"] == "session-0000002"
-        assert first[1]["connection"] == "keep-alive"
-        assert second[0] == 200 and json.loads(second[2])["status"] == "ok"
-        assert second[1]["connection"] == "close"
-        assert gateway._requests.value == 2
-
-    live(body)
-
-
 HANDSHAKE = (
     b"GET /ws HTTP/1.1\r\nHost: test\r\nUpgrade: websocket\r\n"
     b"Connection: Upgrade\r\nSec-WebSocket-Version: 13\r\n"
@@ -504,6 +461,7 @@ def test_live_oversized_frame_is_closed_with_1009(capfd, caplog):
         )
         frames = reply.partition(b"\r\n\r\n")[2]
         assert feed(parse_frame, [frames]) == [(0x8, (1009).to_bytes(2, "big"))]
+        assert gateway._errors.value == 1
 
     live(body)
     assert_quiet(capfd, caplog)

@@ -136,3 +136,4 @@ def test_queue_latency_counts_every_posted_event(mode):
         drive(fleet, "posted", keys, first, gone, heir, second)
         latency = fleet.telemetry.queue_latency
         assert latency.count == len(first) + len(second)
+        assert latency.total > 0.0

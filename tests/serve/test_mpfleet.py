@@ -21,11 +21,9 @@ from repro.serve import (
     NUMPY_UNAVAILABLE_REASON,
     FleetSnapshot,
     InstanceSnapshot,
-    MultiprocessFleet,
     diff_fleets,
     make_fleet,
 )
-from repro.serve.mpfleet import EncodedFleetSchedule
 from repro.serve.workload import WorkloadSpec, generate_workload
 
 
@@ -173,7 +171,7 @@ def test_worker_death_leaves_survivors_consistent():
         spanning = [(k, "update") for k in (survivors[0], casualties[0])]
         with pytest.raises(DeploymentError, match="fleet worker 1"):
             fleet.run(spanning)
-        assert fleet.live_workers == 1
+        assert fleet.worker_states() == ["live", "dead"]
 
         # Survivors are intact and still serve traffic...
         after = fleet.trace(survivors[0])
@@ -251,23 +249,6 @@ def test_spawn_started_workers_match_an_inprocess_fleet():
         inproc.close()
 
 
-def test_snapshot_inprocess_to_mp_trace_parity():
-    inproc = make_fleet("commit", mode="encoded")
-    mp = make_fleet("commit", mode="encoded", workers=4)
-    try:
-        keys = inproc.spawn_many(24)
-        events = workload(inproc.machine, 24, 400, seed=7)
-        half = len(events) // 2
-        inproc.run(events[:half])
-        mp.restore(inproc.snapshot())
-        inproc.run(events[half:])
-        mp.run(events[half:])
-        assert diff_fleets(inproc, mp, keys) == []
-    finally:
-        inproc.close()
-        mp.close()
-
-
 def test_restore_is_validated_before_fan_out():
     """One unknown state in worker 1's partition must not restore worker
     0 and leave worker 1 on the old population: the parent checks the
@@ -298,23 +279,6 @@ def test_restore_is_validated_before_fan_out():
 # ---------------------------------------------------------------------------
 
 
-def test_encoded_schedule_concatenates_per_worker():
-    fleet = make_fleet("commit", mode="encoded", workers=2)
-    try:
-        fleet.spawn_many(8)
-        events = workload(fleet.machine, 8, 40)
-        first = fleet.encode_flat(events[:25])
-        second = fleet.encode_flat(events[25:])
-        combined = first + second
-        assert isinstance(combined, EncodedFleetSchedule)
-        assert len(combined) == len(events)
-        assert bool(combined)
-        metrics = fleet.run(combined, encoding="flat")
-        assert metrics.events_dispatched == len(events)
-    finally:
-        fleet.close()
-
-
 def test_encoded_schedule_rejects_mismatched_worker_counts():
     two = make_fleet("commit", mode="encoded", workers=2)
     three = make_fleet("commit", mode="encoded", workers=3)
@@ -322,46 +286,11 @@ def test_encoded_schedule_rejects_mismatched_worker_counts():
         two.spawn("a")
         three.spawn("a")
         left = two.encode_flat([("a", "update")])
-        right = three.encode_flat([("a", "update")])
-        with pytest.raises(
-            DeploymentError, match="encoded for different fleets"
-        ):
-            left + right
         with pytest.raises(DeploymentError):
             three.run(left, encoding="flat")
     finally:
         two.close()
         three.close()
-
-
-def test_telemetry_registry_merges_all_workers():
-    fleet = make_fleet("commit", mode="encoded", workers=2, telemetry=True)
-    try:
-        fleet.spawn_many(8)
-        events = workload(fleet.machine, 8, 80)
-        fleet.run(events)
-        registry = fleet.telemetry_registry()
-        assert registry is not None
-        # Both workers dispatched, and the merged counter sees the union.
-        assert registry.histograms["fleet_batch_events"].total == len(events)
-    finally:
-        fleet.close()
-
-
-def test_telemetry_registry_without_telemetry_holds_the_counters():
-    # The fleet's one registry exists whether or not it is instrumented:
-    # uninstrumented, it holds the counters and depth gauges, no histogram.
-    fleet = make_fleet("commit", mode="encoded", workers=2)
-    try:
-        keys = fleet.spawn_many(4)
-        fleet.run([(key, "update") for key in keys])
-        registry = fleet.telemetry_registry()
-        assert registry is fleet.telemetry_registry()
-        assert registry.histograms == {}
-        assert registry.counters["fleet_events_dispatched_total"].value == 4
-        assert registry.counters["fleet_instances_spawned_total"].value == 4
-    finally:
-        fleet.close()
 
 
 def test_a_telemetry_instance_is_refused_before_any_fork():

@@ -65,24 +65,6 @@ def supervised(model="commit", **kwargs):
 # ---------------------------------------------------------------------------
 
 
-def test_journal_noop_parity_without_failures():
-    fleet = supervised(checkpoint_every=100)
-    twin = make_fleet("commit", mode="encoded", workers=2)
-    try:
-        keys = fleet.spawn_many(12)
-        twin.spawn_many(12)
-        events = workload(fleet.machine, 12, 300)
-        fleet.run(events)
-        twin.run(events)
-        fleet.deliver(keys[0], "update")
-        twin.deliver(keys[0], "update")
-        assert diff_fleets(fleet, twin, keys) == []
-        assert fleet.metrics.as_dict() == twin.metrics.as_dict()
-    finally:
-        fleet.close()
-        twin.close()
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_journaled_flat_run_matches_standalone(mode):
     # The journal records the same interned buffers the workers run:
@@ -474,34 +456,6 @@ def test_kill_during_recovery_retries_and_heals():
         twin.close()
 
 
-def test_restart_policy_exhaustion_declares_partition_lost():
-    fleet = supervised(
-        recovery=RecoveryPolicy(max_restarts=2, backoff_s=0.01)
-    )
-    try:
-        keys = fleet.spawn_many(8)
-        original = fleet._launch_worker
-
-        def doomed_launch():
-            handle = original()
-            handle.process.kill()  # every respawn dies
-            return handle
-
-        fleet._launch_worker = doomed_launch
-        victim = [k for k in keys if fleet.worker_of(k) == 0][0]
-        sigkill_worker(fleet, 0)
-        fleet.check_workers()
-        assert fleet.await_recovery(timeout=30)
-        assert fleet.worker_states()[0] == "dead"
-        # Back to the permanent-loss contract of the unsupervised fleet.
-        with pytest.raises(DeploymentError, match="shard partition is lost"):
-            fleet.deliver(victim, "update")
-        registry = fleet.telemetry_registry()
-        assert registry.counters["fleet_recovery_failures_total"].value == 1
-    finally:
-        fleet.close()
-
-
 def never_starting(fleet, monkeypatch, on_launch=lambda: None):
     """Make every respawn a worker that never starts, and record the
     supervisor's back-off sleeps instead of sleeping them.  Returns the
@@ -554,6 +508,10 @@ def test_worker_that_never_starts_is_launched_max_restarts_times(monkeypatch):
         assert fleet.worker_states()[0] == "dead"
         registry = fleet.telemetry_registry()
         assert registry.counters["fleet_recovery_failures_total"].value == 1
+        # Back to the permanent-loss contract of the unsupervised fleet.
+        victim = next(key for key in fleet._route if fleet.worker_of(key) == 0)
+        with pytest.raises(DeploymentError, match="shard partition is lost"):
+            fleet.deliver(victim, "update")
     finally:
         fleet.close()
 
@@ -625,44 +583,6 @@ def test_recovery_trace_chains_incident_causality():
         assert registry.histograms["fleet_recovery_seconds"].count == 2
     finally:
         fleet.close()
-
-
-def test_recovery_registry_exists_without_worker_telemetry():
-    fleet = supervised()
-    try:
-        # journal=True alone instruments the supervisor; the merged
-        # registry surfaces it even with per-worker telemetry off.
-        registry = fleet.telemetry_registry()
-        assert registry is not None
-        assert "fleet_worker_restarts_total" in registry.counters
-    finally:
-        fleet.close()
-
-
-def test_telemetry_merge_monotonic_across_recovery():
-    fleet = supervised(telemetry=True, checkpoint_every=80)
-    twin = make_fleet("commit", mode="encoded", workers=2, telemetry=True)
-    try:
-        fleet.spawn_many(12)
-        twin.spawn_many(12)
-        events = workload(fleet.machine, 12, 300, seed=4)
-        half = len(events) // 2
-        fleet.run(events[:half])
-        twin.run(events[:half])
-        before = fleet.telemetry_registry().histograms["fleet_batch_events"].total
-        sigkill_worker(fleet, 0)
-        fleet.run(events[half:])
-        twin.run(events[half:])
-        assert fleet.await_recovery(timeout=30)
-        merged = fleet.telemetry_registry()
-        after = merged.histograms["fleet_batch_events"].total
-        # No counter reset leaked into the merge: the respawned worker's
-        # registry resumes from its checkpoint.
-        assert after >= before
-        assert after == twin.telemetry_registry().histograms["fleet_batch_events"].total
-    finally:
-        fleet.close()
-        twin.close()
 
 
 def counter_readings(fleet):

@@ -21,7 +21,6 @@ from repro.serve import (
     generate_scenario,
     generate_workload,
     run_scenario,
-    scenario_traces,
     session_keys,
 )
 from repro.serve.scenario import EXTERNAL
@@ -153,53 +152,6 @@ class TestEngineValidation:
 
 class TestPassthrough:
     """No timers, no routes, no faults: the wheel is a thin timed front."""
-
-    @pytest.mark.parametrize("mode", MODES)
-    def test_matches_untimed_fleet_run(self, make_fleet, mode):
-        machine = machine_for("commit")
-        events = _events(
-            (0.0, "g0000-m0", "free"),
-            (0.0, "g0000-m1", "free"),
-            (1.0, "g0000-m0", "update"),
-            (2.0, "g0000-m1", "update"),
-        )
-        scenario = Scenario(
-            wiring=Wiring(),
-            topology=GroupTopology.regular(1, 2),
-            events=events,
-            until=10.0,
-        )
-        fleet = make_fleet(machine, dispatch=mode)
-        traces = scenario_traces(fleet, scenario)
-
-        plain = make_fleet(machine, dispatch=mode)
-        plain.spawn("g0000-m0")
-        plain.spawn("g0000-m1")
-        plain.run([(e.key, e.message) for e in events])
-        assert traces == {k: plain.trace(k) for k in ("g0000-m0", "g0000-m1")}
-
-    def test_runs_on_a_multiprocess_fleet(self, make_fleet):
-        """Passthrough scenarios run on any Fleet: a 2-worker fleet ends
-        on the in-process fleet's traces."""
-        machine = machine_for("commit")
-        topology = GroupTopology.regular(2, 4)
-        kicks = ("free", "update", "vote", "vote")
-        scenario = Scenario(
-            wiring=Wiring(),
-            topology=topology,
-            events=tuple(
-                TimedEvent(float(tick), key, message)
-                for tick, message in enumerate(kicks)
-                for key in topology.keys
-            ),
-            until=10.0,
-        )
-        expected = scenario_traces(make_fleet(machine), scenario)
-        with make_fleet(machine, workers=2) as fleet:
-            engine = run_scenario(fleet, scenario)
-            assert engine.metrics.events_delivered == 32
-            traces = {key: fleet.trace(key) for key in topology.keys}
-            assert len(traces) == 8 and traces == expected
 
     @pytest.mark.parametrize("mode", MODES)
     def test_recorded_workload_matches_raw_flat_run(self, make_fleet, mode):
@@ -362,20 +314,6 @@ class TestTimers:
 
 
 class TestRouting:
-    def test_action_fans_out_to_group_peers(self, make_fleet):
-        fleet = make_fleet()
-        # One member's 'vote' action becomes 'vote' messages to peers.
-        wiring = Wiring(peers=(("vote", "vote", 1.0),))
-        engine = ScenarioEngine(fleet, wiring, GroupTopology.regular(1, 4))
-        engine.spawn_topology()
-        # update+free completes the pair: m0 fires 'vote' (and
-        # 'not_free', which no rule routes).
-        engine.schedule_event(1.0, "g0000-m0", "update")
-        engine.schedule_event(2.0, "g0000-m0", "free")
-        engine.run(until=10.0)
-        assert engine.metrics.messages_routed == 3
-        assert engine.metrics.routed_delivered == 3
-
     def test_routing_respects_topology_boundaries(self, make_fleet):
         fleet = make_fleet()
         wiring = Wiring(peers=(("vote", "vote", 1.0),))
@@ -463,12 +401,6 @@ class TestMessageFaults:
         )
         assert engine.metrics.messages_delayed > 0
         assert engine.metrics.routed_delivered == engine.metrics.messages_routed
-
-    def test_fault_draws_are_seeded(self, make_fleet):
-        faults = ScenarioFaultPlan.lossy(drop=0.2, duplicate=0.1, delay=0.1)
-        a, _ = self._run(make_fleet, faults)
-        b, _ = self._run(make_fleet, faults)
-        assert a.metrics.as_dict() == b.metrics.as_dict()
 
     def test_every_stranded_group_lost_a_copy(self, make_fleet):
         """The deployed wiring has no retry timer, so a dropped vote or
@@ -565,41 +497,6 @@ class TestSnapshotRestore:
         engine = run_scenario(fleet, scenario)
         # until=400 with a 50-unit cadence: several captures happened.
         assert engine.metrics.snapshots_taken >= 4
-
-
-class TestKillRestore:
-    @pytest.mark.parametrize("model", ["commit", "chandra-toueg"])
-    def test_kill_shard_converges_to_undisturbed_run(self, make_fleet, model):
-        machine = machine_for(model)
-        wiring = COMMIT_WIRING if model == "commit" else CT_WIRING
-        size = 4 if model == "commit" else 5
-        spec = ScenarioSpec(groups=4, group_size=size, seed=13)
-        baseline = generate_scenario(machine, wiring, spec)
-        faulted = generate_scenario(
-            machine, wiring, spec, faults=ScenarioFaultPlan.kill(at=25.0)
-        )
-
-        clean = scenario_traces(make_fleet(machine), baseline)
-        fleet = make_fleet(machine)
-        engine = run_scenario(fleet, faulted)
-        assert engine.metrics.shards_killed == 1
-        assert engine.metrics.snapshots_restored >= 1
-        assert {k: fleet.trace(k) for k in faulted.topology.keys} == clean
-
-    def test_kill_fires_once_across_restore(self, make_fleet):
-        """The kill record precedes the snapshot it restores to only by
-        identity: after the rollback it must not fire again."""
-        machine = machine_for("commit")
-        scenario = generate_scenario(
-            machine,
-            COMMIT_WIRING,
-            ScenarioSpec(groups=3, group_size=4, seed=4),
-            faults=ScenarioFaultPlan.kill(at=15.0, shard=1),
-        )
-        fleet = make_fleet(machine)
-        engine = run_scenario(fleet, scenario)
-        assert engine.metrics.shards_killed == 1
-        assert engine.metrics.snapshots_restored == 1
 
 
 class TestAnyFleet:
