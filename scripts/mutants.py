@@ -1,16 +1,15 @@
 #!/usr/bin/env python3
 """The mutation gate: every declared mutant must be killed by its tests.
 
-    python scripts/mutants.py                  # the gate (a blocking CI step)
-    python scripts/mutants.py --only vector    # mutants whose id contains it
+    python scripts/mutants.py              # the gate (a blocking CI step)
     python scripts/mutants.py --matrix tests/serve tests/opt > matrix.jsonl
 
 Each row of :data:`MUTANTS` changes one AST node of one function under
 ``src/repro``; a locator that matches no node or two refuses the run.  The
 mutant is spliced into a private copy of ``src/`` (one per job), and
 ``pytest -x -q -p no:cacheprovider --hypothesis-seed=0`` runs its test
-files against it from the repository root, with a fresh Hypothesis
-database; a named file that fails unmutated refuses the run.  Per mutant
+file against it from the repository root, with a fresh Hypothesis
+database; a named test file that fails unmutated refuses the run.  Per mutant
 it prints killed, survived, timeout (counted as killed) or equivalent (a
 declared survivor), the seconds taken and the first failing test id.
 Exit status 0: no undeclared survivor; 1: a survivor, or a declared
@@ -64,7 +63,7 @@ class Mutant(NamedTuple):
     function: str  #: dotted class/function path inside the file
     node: str | tuple  #: unparsed source of the node (or an anchor path)
     operator: str  #: a key of OPERATORS
-    tests: tuple  #: test files that must kill it
+    test: str  #: the test file that must kill it
     equivalent: Optional[str] = None  #: why no test can kill it
 
     @property
@@ -73,11 +72,11 @@ class Mutant(NamedTuple):
         return f"{self.function} {self.operator} `{node}`"
 
 
-def _of(file: str, function: str, tests: str, *changes) -> list:
-    """The mutants of one function that ``tests`` (a test file under the
+def _of(file: str, function: str, test: str, *changes) -> list:
+    """The mutants of one function that ``test`` (a test file under the
     repository root) must kill; each change is ``(node, operator)``, or
     ``(node, operator, why no test can tell it from the original)``."""
-    return [Mutant(file, function, *c[:2], (tests,), *c[2:]) for c in changes]
+    return [Mutant(file, function, *c[:2], test, *c[2:]) for c in changes]
 
 
 _SERVE = "tests/serve/test_{}.py".format
@@ -392,22 +391,17 @@ class Workspaces:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.partition("\n\n")[0])
-    parser.add_argument("--only", default="", help="run the mutants whose id has this")
     parser.add_argument(
         "--matrix", nargs="+", metavar="PATH",
         help="run every mutant against these test paths without -x; "
         "print each mutant's failing test ids as JSON",
     )  # fmt: skip
-    args = parser.parse_args(argv)
-    out = sys.stderr if args.matrix else sys.stdout
-    chosen = [
-        (i, m) for i, m in enumerate(MUTANTS, 1) if args.only in f"{m.file} {m.ident}"
-    ]
+    matrix = parser.parse_args(argv).matrix
     try:
-        sources = {m: mutate(m, (PACKAGE / m.file).read_text()) for _, m in chosen}
+        sources = {m: mutate(m, (PACKAGE / m.file).read_text()) for m in MUTANTS}
         spaces = Workspaces(JOBS)
         try:
-            return _run(args, chosen, sources, spaces, out)
+            return _run(matrix, sources, spaces, sys.stderr if matrix else sys.stdout)
         finally:
             spaces.close()
     except Refused as exc:
@@ -415,41 +409,37 @@ def main(argv=None) -> int:
         return 2
 
 
-def _run(args, chosen, sources, spaces, out) -> int:
+def _run(matrix, sources, spaces, out) -> int:
     started = time.perf_counter()
+    # Each mutant's test run, by name: its own file, or the matrix paths.
+    whole = " ".join(matrix or ())
+    runs = {whole: matrix} if matrix else {m.test: [m.test] for m in MUTANTS}
     with ThreadPoolExecutor(JOBS) as pool:
         # Unmutated first: a named file that fails here would kill anything.
-        if args.matrix:
-            groups = [tuple(args.matrix)]
-        else:
-            groups = sorted({(f,) for _, m in chosen for f in m.tests})
         baseline = {}
-        for group, future in [
-            (group, pool.submit(spaces.run, None, "", group, False, 900))
-            for group in groups
+        for name, future in [
+            (name, pool.submit(spaces.run, None, "", targets, False, 900))
+            for name, targets in sorted(runs.items())
         ]:
             outcome = future.result()
             if outcome.verdict != "survived":
                 raise Refused(
-                    f"{' '.join(group)} fails with no mutation applied: "
+                    f"{name} fails with no mutation applied: "
                     f"{outcome.failed[:1] or outcome.verdict}"
                 )
-            baseline[group] = outcome.seconds
+            baseline[name] = outcome.seconds
         print(
-            f"baseline: {len(groups)} test run(s) pass unmutated in "
+            f"baseline: {len(runs)} test run(s) pass unmutated in "
             f"{time.perf_counter() - started:.1f} s",
             file=out,
         )
         futures = []
-        for index, mutant in chosen:
-            if args.matrix:
-                targets, seconds = groups[0], baseline[groups[0]]
-            else:
-                targets = mutant.tests
-                seconds = sum(baseline[(name,)] for name in targets)
+        for index, mutant in enumerate(MUTANTS, 1):
+            name = whole or mutant.test
             # A mutant that runs three times as long as its unmutated
             # tests is looping: a timeout, which counts as killed.
-            run = (mutant, sources[mutant], targets, not args.matrix, 30 + 3 * seconds)
+            timeout = 30 + 3 * baseline[name]
+            run = (mutant, sources[mutant], runs[name], not matrix, timeout)
             futures.append((index, mutant, pool.submit(spaces.run, *run)))
         counts: dict[str, int] = {}
         bad = []
@@ -469,14 +459,14 @@ def _run(args, chosen, sources, spaces, out) -> int:
                 print(f"{'':>23}{outcome.failed[0][:100]}", file=out)
             if verdict == "survived" or (verdict == "killed" and mutant.equivalent):
                 bad.append(index)
-            if args.matrix:
+            if matrix:
                 row = {"mutant": index, "id": f"{mutant.file} {mutant.ident}"}
                 print(json.dumps(row | {"failed": outcome.failed}), flush=True)
-    total = len(chosen)
+    total = len(MUTANTS)
     killed = counts.get("killed", 0) + counts.get("timeout", 0)
     summary = ", ".join(f"{n} {v}" for v, n in sorted(counts.items()))
     print(
-        f"mutants: {total} run, {summary}; {killed / max(total, 1):.1%} killed "
+        f"mutants: {total} run, {summary}; {killed / total:.1%} killed "
         f"(timeouts count as killed) in {time.perf_counter() - started:.1f} s "
         f"with {JOBS} jobs",
         file=out,
