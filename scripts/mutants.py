@@ -83,6 +83,7 @@ _SERVE = "tests/serve/test_{}.py".format
 _FLEET, _TIERS, _VECTOR = _SERVE("fleet"), _SERVE("intake_tiers"), _SERVE("vector")
 _MP, _RECOVERY, _CHANNEL = _SERVE("mpfleet"), _SERVE("recovery"), _SERVE("channel")
 _WIRE, _REPLIES = _SERVE("gateway_wire"), _SERVE("gateway_replies")
+_LOOP = _SERVE("gateway_loop")
 _CORE = "tests/core/test_{}.py".format
 _ELAB, _WIRING = _CORE("elaboration"), _CORE("wiring")
 _PARTITION = _CORE("coarsest_partition")
@@ -160,6 +161,14 @@ MUTANTS = [
          ("length == 126", "flip"),
          ("start += 4", "delete"),
          ("length // 4 + 1", "-1")),
+    # The gateway's loop: read deadlines, back-pressure, partial sends,
+    # and the body decoder's fast path.
+    *_of("serve/gateway.py", "_Connection._serve_request", _LOOP,
+         ("self._deadline = monotonic() + gateway._read_timeout", "delete")),
+    *_of("serve/gateway.py", "_Transport.write", _LOOP,
+         ("len(self._pending) > _HIGH_WATER", "false"),
+         ("data = data[sent:]", "delete")),
+    *_of("serve/gateway.py", "_json_loads", _LOOP, ("end == len(text)", "flip")),
     # Generation: the memoised elaborator.
     *_of("core/model.py", "Elaborator.successors", _ELAB,
          ("target != vector or actions", "flip"),

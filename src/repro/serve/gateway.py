@@ -1,10 +1,10 @@
-"""Asyncio HTTP/WebSocket gateway: a fleet serving real traffic.
+"""HTTP/WebSocket gateway: a fleet serving real traffic.
 
 The front door of the serve plane.  A :class:`FleetGateway` binds any
 :class:`~repro.serve.api.Fleet` — in-process engine or multiprocess
 fleet alike — behind a small HTTP/1.1 + WebSocket API, hand-rolled on
-:mod:`asyncio` (the repository has a no-dependencies rule).
-All fleet calls run on the event-loop thread, so the gateway serializes
+one :mod:`selectors` loop (the repository has a no-dependencies rule).
+All fleet calls run on the loop's thread, so the gateway serializes
 access to the fleet without any locking; the fleet's own batch paths
 stay the throughput story, the gateway is the *operability* story —
 spawn, deliver, snapshot and scrape over the wire.
@@ -46,15 +46,11 @@ return one parsed request (or frame) and how many bytes it took,
 ``None`` when the buffer does not hold a whole one yet, or raise
 :class:`_HttpError`; they read no socket and keep no state, so they are
 tested byte by byte without a gateway.  :class:`_Connection` is the
-protocol around them, one per client — it defines every callback an
-asyncio transport calls rather than subclassing :class:`asyncio.Protocol`,
-and :mod:`asyncio` itself is imported by :meth:`FleetGateway.start`, so a
-process that imports the gateway but never serves (each worker a
-multiprocess fleet forks) maps no event loop and no TLS stack.
-``data_received`` appends to the connection's buffer, answers *every*
-complete request in it in arrival order (pipelining) and writes each
-reply to the transport before it returns — a request costs one
-event-loop turn, with no task, future or stream reader in between.  A
+protocol around them, one per client, and :class:`_Transport` its
+socket.  ``data_received`` appends to the connection's buffer, answers
+*every* complete request in it in arrival order (pipelining) and writes
+each reply to the transport before it returns — a request costs one
+turn of the loop, with no task, future or stream reader in between.  A
 head is parsed once: while its body arrives, segments are collected and
 joined when the declared length is in, so buffering a body costs linear
 time however the client splits it.  Replies that outrun the client
@@ -62,10 +58,19 @@ pause the connection (reading and answering both) until the transport
 has drained, so a client that pipelines without reading cannot grow the
 write buffer without bound.
 
+The loop is :meth:`FleetGateway._serve`: it runs on the caller's thread
+under :meth:`~FleetGateway.run_blocking` (the CLI's), and on a daemon
+thread under the coroutines :meth:`~FleetGateway.start`,
+:meth:`~FleetGateway.stop` and :meth:`~FleetGateway.serve_until_shutdown`,
+which await it.  Serving through ``run_blocking`` loads no
+:mod:`asyncio`, ``ssl`` or :mod:`concurrent.futures`, nor does any
+worker a multiprocess fleet forks from that process.
+
 The gateway degrades rather than wedges.  Each connection carries one
-read deadline, re-armed after every reply: a connection that stalls
-mid-request (or idles past the keep-alive window) is answered with
-``408`` and closed after ``read_timeout`` seconds.  A request whose
+read deadline, pushed forward by every reply and taken by the loop as
+its select timeout: a connection that stalls mid-request (or idles past
+the keep-alive window) is answered with ``408`` and closed after
+``read_timeout`` seconds.  A request whose
 ``Content-Length`` exceeds ``max_body`` is refused with ``413`` before
 the body is read, and a WebSocket frame that declares more than
 ``max_body`` bytes is refused with close code 1009 — a slow or hostile
@@ -102,12 +107,16 @@ fleet's registry on every ``/metrics`` scrape.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
+import selectors
+import socket
 from json.encoder import encode_basestring_ascii as _quote
+from json.scanner import make_scanner
 from math import ceil
-from time import perf_counter
-from typing import TYPE_CHECKING, Optional
+from time import monotonic, perf_counter
+from typing import Optional
 from urllib.parse import unquote, urlsplit
 
 from repro.core.errors import DeploymentError
@@ -115,9 +124,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve.fleet import FleetSnapshot
 from repro.serve.recovery import FleetRecoveringError
 from repro.serve.store import InstanceSnapshot
-
-if TYPE_CHECKING:
-    import asyncio
 
 __all__ = ["FleetGateway", "snapshot_from_json", "snapshot_to_json"]
 
@@ -154,6 +160,23 @@ _REPLY_HEADS: dict = {}
 def _json_body(obj) -> bytes:
     """The body of every JSON reply: ``json.dumps(obj)`` and a newline."""
     return (json.dumps(obj) + "\n").encode("utf-8")
+
+
+_SCAN = make_scanner(json.JSONDecoder())
+
+
+def _json_loads(body: bytes):
+    """``json.loads(body)``: the C scanner alone for UTF-8 that is one
+    JSON value with nothing around it, ``json.loads`` for anything else
+    (a BOM, UTF-16/32, surrounding whitespace, an error and its text)."""
+    try:
+        text = body.decode()
+        value, end = _SCAN(text, 0)
+        if end == len(text):
+            return value
+    except (ValueError, StopIteration):
+        pass
+    return json.loads(body)
 
 
 #: The one-event paths' replies, by the fleet's answer: two bodies each.
@@ -387,12 +410,97 @@ def parse_frame(buffer: bytes, max_body: int):
     return buffer[0] & 0x0F, payload, end
 
 
-class _Connection:
-    """One client connection: bytes in, replies out, in the same loop turn.
+_READ, _WRITE = selectors.EVENT_READ, selectors.EVENT_WRITE
+#: Bytes read per ``recv``, as asyncio's socket transport reads.
+_READ_SIZE = 1 << 18
+#: Unsent reply bytes past which a connection stops reading and answering
+#: until its client has taken them all.
+_HIGH_WATER = 1 << 16
+#: The read deadline of a connection that has none: upgraded or closing.
+_NEVER = float("inf")
 
-    Every callback of :class:`asyncio.Protocol` is defined here rather
-    than inherited, so importing the gateway loads no event loop.
-    """
+
+class _Transport:
+    """One accepted socket, as :class:`_Connection` writes to it: a reply
+    is sent at once as far as the kernel takes it and the rest is kept;
+    past ``_HIGH_WATER`` kept bytes the connection pauses (the socket is
+    not read) until all are sent.  ``close`` flushes, then closes."""
+
+    __slots__ = ("_sock", "_selector", "_connection", "_pending", "_closing")
+
+    def __init__(self, sock, selector, connection):
+        self._sock = sock
+        self._selector = selector
+        self._connection = connection
+        self._pending = bytearray()
+        self._closing = False
+        selector.register(sock, _READ, self.ready)
+
+    def ready(self, mask: int) -> None:
+        """The loop's callback: send what is kept, then read."""
+        if mask & _WRITE:
+            self._flush()
+        if mask & _READ and not self._closing:
+            try:
+                data = self._sock.recv(_READ_SIZE)
+            except OSError:  # reset by the peer
+                return self.abort()
+            if data:
+                self._connection.data_received(data)
+            else:  # end of stream: flush the replies, then close
+                self._connection.close()
+
+    def write(self, data: bytes) -> None:
+        if self._closing:
+            return
+        if not self._pending:
+            try:
+                sent = self._sock.send(data)
+            except OSError:  # full, or reset: _flush finds out which
+                sent = 0
+            if sent == len(data):
+                return
+            data = data[sent:]
+            self._watch(_READ | _WRITE)
+        self._pending += data
+        if len(self._pending) > _HIGH_WATER and not self._connection._paused:
+            self._connection._paused = True
+            self._watch(_WRITE)
+
+    def _flush(self) -> None:
+        try:  # the socket is writable: an error is the peer's
+            del self._pending[: self._sock.send(self._pending)]
+        except OSError:
+            return self.abort()
+        if self._pending:
+            return
+        if self._closing:
+            return self.abort()
+        self._watch(_READ)
+        if self._connection._paused:
+            self._connection.resume_writing()
+
+    def _watch(self, events: int) -> None:
+        self._selector.modify(self._sock, events, self.ready)
+
+    def close(self) -> None:
+        self._closing = True
+        if self._pending:
+            self._watch(_WRITE)
+        else:
+            self.abort()
+
+    def abort(self) -> None:
+        """Close at once, dropping whatever is kept."""
+        self._closing = True
+        if self._sock.fileno() >= 0:
+            self._selector.unregister(self._sock)
+            self._sock.close()
+        self._connection.connection_lost()
+
+
+class _Connection:
+    """One client connection: bytes in, replies out, in the same loop turn."""
 
     __slots__ = (
         "_gateway",
@@ -404,7 +512,6 @@ class _Connection:
         "_websocket",
         "_paused",
         "_deadline",
-        "_timer",
     )
 
     def __init__(self, gateway: "FleetGateway"):
@@ -418,23 +525,13 @@ class _Connection:
         self._missing = 0
         self._websocket = False  # upgraded: the buffer holds frames
         self._paused = False  # the transport's write buffer is full
-        self._deadline = 0.0
-        self._timer = None
+        #: Once this has passed the loop answers ``408`` and closes.
+        self._deadline = monotonic() + gateway._read_timeout
 
     # -- transport callbacks -------------------------------------------
 
-    def connection_made(self, transport) -> None:
-        gateway = self._gateway
-        self._transport = transport
-        gateway._connections.add(self)
-        self._deadline = gateway._loop.time() + gateway._read_timeout
-        self._timer = gateway._loop.call_later(
-            gateway._read_timeout, self._on_deadline
-        )
-
-    def connection_lost(self, exc) -> None:
+    def connection_lost(self) -> None:
         self._gateway._connections.discard(self)
-        self._disarm()
 
     def data_received(self, data: bytes) -> None:
         if self._head is not None:
@@ -450,42 +547,11 @@ class _Connection:
             self._buffer = self._buffer + data if self._buffer else data
         self._pump()
 
-    def eof_received(self) -> None:
-        # None, as asyncio.Protocol's default: the transport closes
-        # itself once the replies already written are flushed.
-        return None
-
-    def pause_writing(self) -> None:
-        self._paused = True
-        self._transport.pause_reading()
-
     def resume_writing(self) -> None:
+        # The client took every reply: the deadline runs from here.
         self._paused = False
-        self._transport.resume_reading()
+        self._deadline = monotonic() + self._gateway._read_timeout
         self._pump()
-
-    # -- the read deadline ---------------------------------------------
-
-    def _on_deadline(self) -> None:
-        """Fires ``read_timeout`` after it was armed.  Replies push
-        ``_deadline`` forward instead of re-creating the timer, so an
-        expired timer on a live connection only re-arms for what is left.
-        """
-        gateway = self._gateway
-        remaining = self._deadline - gateway._loop.time()
-        if self._paused:
-            # Waiting for the client to read replies, not for a request.
-            remaining = gateway._read_timeout
-        if remaining > 0:
-            self._timer = gateway._loop.call_later(remaining, self._on_deadline)
-            return
-        self._timer = None
-        self._refuse(408, "request read timed out")
-
-    def _disarm(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
 
     # -- requests and frames -------------------------------------------
 
@@ -494,7 +560,7 @@ class _Connection:
         self._buffer = b""
         self._head = None
         self._chunks = []
-        self._disarm()
+        self._deadline = _NEVER
         self._transport.close()
 
     def _refuse(self, status: int, message: str) -> None:
@@ -556,7 +622,7 @@ class _Connection:
         if close:
             self.close()
             return False
-        self._deadline = gateway._loop.time() + gateway._read_timeout
+        self._deadline = monotonic() + gateway._read_timeout
         return True
 
     def _upgrade(self, headers: dict) -> bool:
@@ -581,7 +647,7 @@ class _Connection:
             ).encode("latin-1")
         )
         # A WebSocket may idle: the read deadline guards HTTP requests.
-        self._disarm()
+        self._deadline = _NEVER
         self._websocket = True
         return True
 
@@ -640,9 +706,11 @@ class FleetGateway:
         self._allow_remote_shutdown = allow_remote_shutdown
         self._read_timeout = read_timeout
         self._max_body = max_body
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._shutdown: Optional[asyncio.Event] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._server: Optional[socket.socket] = None  # listening, once bound
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wake: tuple = ()  # a socket pair: stop() writes, the loop wakes
+        self._stopping = False
+        self._done = None  # start()'s future, resolved when the loop ends
         self._connections: set[_Connection] = set()
         self.registry = MetricsRegistry()
         self._requests = self.registry.counter(
@@ -668,63 +736,115 @@ class FleetGateway:
     # ------------------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind and start serving; ``self.port`` becomes the bound port."""
-        # Imported here, not at module load: a process that only imports
-        # the gateway — every worker a multiprocess fleet forks from the
-        # serving process — never maps the event loop or its TLS stack.
-        import asyncio
+        """Bind, then serve on a daemon thread; ``self.port`` becomes the
+        bound port."""
+        import asyncio  # loaded already: this coroutine runs on it
+        import threading
 
-        self._shutdown = asyncio.Event()
-        self._loop = asyncio.get_running_loop()
-        self._server = await self._loop.create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+        loop = asyncio.get_running_loop()
+        self._bind()
+        self._done = done = loop.create_future()
+
+        def serve() -> None:
+            try:
+                self._serve()
+            finally:
+                with contextlib.suppress(RuntimeError):  # its loop has closed
+                    loop.call_soon_threadsafe(lambda: done.done() or done.set_result(0))
+
+        threading.Thread(target=serve, daemon=True).start()
 
     async def stop(self) -> None:
-        """Stop accepting, close open connections, close the server
-        (idempotent)."""
-        import asyncio
-
-        if self._shutdown is not None:
-            self._shutdown.set()
-        if self._server is not None:
-            self._server.close()
-            for connection in tuple(self._connections):
-                connection.close()
-            await self._server.wait_closed()
-            # Python 3.11's wait_closed() does not wait for connections:
-            # one more turn lets the closed transports release their
-            # sockets before the loop can end.
-            await asyncio.sleep(0)
-            self._server = None
+        """Stop accepting, flush and close open connections (idempotent;
+        from any thread).  Waits for the loop to end when :meth:`start`
+        hosts it; a :meth:`run_blocking` caller returns on its own."""
+        self._stopping = True
+        with contextlib.suppress(IndexError, OSError):  # not bound, or ended
+            self._wake[1].send(b"\0")
+        if self._done is not None:
+            await self._done
 
     async def serve_until_shutdown(self) -> None:
         """Start, then serve until ``/shutdown`` or :meth:`stop`."""
         if self._server is None:
             await self.start()
-        await self._shutdown.wait()
-        await self.stop()
+        await self._done
 
     def run_blocking(self, announce=None, port_file: Optional[str] = None) -> None:
-        """Synchronous entry point for the CLI: serve until shutdown.
+        """Synchronous entry point for the CLI: serve on this thread until
+        shutdown (or a ``KeyboardInterrupt``, which propagates).
 
         ``announce`` is called with the listening URL once bound;
         ``port_file`` (when given) receives the bound port as text — the
         robust way for a parent process to learn a ``--port 0`` binding.
         """
-        import asyncio
+        self._bind()
+        if announce is not None:
+            announce(f"http://{self.host}:{self.port}")
+        if port_file is not None:
+            with open(port_file, "w", encoding="utf-8") as handle:
+                handle.write(str(self.port))
+        self._serve()
 
-        async def _main() -> None:
-            await self.start()
-            if announce is not None:
-                announce(f"http://{self.host}:{self.port}")
-            if port_file is not None:
-                with open(port_file, "w", encoding="utf-8") as handle:
-                    handle.write(str(self.port))
-            await self.serve_until_shutdown()
+    def _bind(self) -> None:
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
+        self._server = socket.create_server((self.host, self.port), family=family)
+        self._server.setblocking(False)
+        self.port = self._server.getsockname()[1]
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._server, _READ, self._accept)
+        self._wake = wake, _ = socket.socketpair()
+        wake.setblocking(False)
+        self._selector.register(wake, _READ, lambda _: wake.recv(64))
+        self._stopping = False
 
-        asyncio.run(_main())
+    def _accept(self, mask: int) -> None:
+        try:
+            sock, _ = self._server.accept()
+        except OSError:  # gone before it was accepted, or out of descriptors
+            return
+        sock.setblocking(False)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        connection = _Connection(self)
+        connection._transport = _Transport(sock, self._selector, connection)
+        self._connections.add(connection)
+
+    def _serve(self) -> None:
+        """The loop: dispatch socket events, and answer ``408`` on every
+        connection past its read deadline (the nearest one is the select
+        timeout; a paused connection has none, nor does an idle server).
+        Once stopping it accepts no more and closes every connection when
+        its replies are flushed, waiting at most ``read_timeout`` for
+        clients that do not read."""
+        select = self._selector.select
+        check = 0.0  # no deadline passes before this time
+        try:
+            while not self._stopping:
+                wait = max(0.0, check - monotonic()) if self._connections else None
+                for key, mask in select(wait):
+                    key.data(mask)
+                now = monotonic()
+                if now >= check:
+                    check = now + self._read_timeout
+                    for connection in tuple(self._connections):
+                        if connection._paused:
+                            continue
+                        if connection._deadline <= now:
+                            connection._refuse(408, "request read timed out")
+                        check = min(check, connection._deadline)
+            self._selector.unregister(self._server)
+            for connection in tuple(self._connections):
+                connection.close()
+            give_up = monotonic() + self._read_timeout
+            while self._connections and monotonic() < give_up:
+                for key, mask in select(give_up - monotonic()):
+                    key.data(mask)
+        finally:
+            for connection in tuple(self._connections):
+                connection._transport.abort()
+            self._selector.close()
+            for sock in (self._server, *self._wake):
+                sock.close()
 
     # ------------------------------------------------------------------
     # HTTP plumbing
@@ -796,7 +916,7 @@ class FleetGateway:
         if not body:
             return {}
         try:
-            parsed = json.loads(body)
+            parsed = _json_loads(body)
         except ValueError as exc:  # JSONDecodeError, or bytes not UTF-8
             raise _HttpError(400, f"request body is not JSON: {exc}") from exc
         if not isinstance(parsed, dict):
@@ -965,7 +1085,7 @@ class FleetGateway:
                     403, "remote shutdown disabled; start the gateway "
                     "with allow_remote_shutdown=True (--allow-remote-shutdown)"
                 )
-            self._shutdown.set()
+            self._stopping = True
             return self._json(200, {"status": "shutting down"})
         raise _HttpError(404, f"unknown path {path!r}")
 
@@ -977,7 +1097,7 @@ class FleetGateway:
         """The reply to one ``/ws`` text frame and whether it is an error."""
         fleet = self._fleet
         try:
-            message = json.loads(payload)
+            message = _json_loads(payload)
             op = message.get("op")
             if op == "deliver":
                 key, text = self._fields(message, "key", "message")

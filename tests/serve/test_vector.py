@@ -306,7 +306,9 @@ def test_vector_matches_encoded_metrics_and_states(model, log_policy):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("source,target", [("vector", "encoded"), ("encoded", "vector")])
+@pytest.mark.parametrize(
+    "source,target", [("vector", "encoded"), ("encoded", "vector")]
+)
 def test_snapshot_restores_bit_identically_across_modes(source, target):
     machine = machine_for("commit")
     events = workload(machine, instances=80, events=2500, seed=17)

@@ -448,8 +448,10 @@ import socket, threading
 from repro.serve import make_fleet
 from repro.serve.gateway import FleetGateway
 
-network = ("asyncio", "ssl", "_ssl", "hashlib", "_hashlib", "base64")
-fleet = make_fleet("commit", mode="encoded", telemetry=True, workers=2, journal=True)
+stack = ("asyncio", "ssl", "_ssl", "concurrent.futures")
+network = (*stack, "hashlib", "_hashlib", "base64")
+supervision = {"workers": WORKERS, "journal": True} if WORKERS else {}
+fleet = make_fleet("commit", mode="encoded", telemetry=True, **supervision)
 try:
     # What each forked worker inherits: the gateway imported, no loop run.
     assert not loaded(*network), loaded(*network)
@@ -486,7 +488,7 @@ try:
     )
     assert seen["healthz"] == b"HTTP/1.1 200 OK", seen
     assert seen["ws"] == b"HTTP/1.1 101 Switching Protocols", seen
-    assert "asyncio" in seen["started"], seen
+    assert not set(stack) & {*seen["started"], *seen["served"], *seen["upgraded"]}
     assert not {"hashlib", "_hashlib"} & {*seen["started"], *seen["served"]}, seen
     assert "_hashlib" in seen["upgraded"], seen
 finally:
@@ -494,9 +496,10 @@ finally:
 """
 
 
-def test_gateway_loads_its_network_stack_only_when_it_serves():
+@pytest.mark.parametrize("workers", [0, 2], ids=["in-process", "workers-2-parent"])
+def test_gateway_loads_its_network_stack_only_when_it_serves(workers):
     # A multiprocess fleet forks its workers from the serving process, so
-    # whatever importing the gateway loads is mapped once per worker:
-    # asyncio (with ssl, libssl and libcrypto) loads when serving starts,
-    # hashlib at the first WebSocket handshake.
-    probe(_FORKED_GATEWAY)
+    # whatever the gateway loads is mapped once per worker.  Serving loads
+    # no asyncio (with ssl, libssl and libcrypto) nor concurrent.futures at
+    # all, and hashlib only at the first WebSocket handshake.
+    probe(f"WORKERS = {workers}\n" + _FORKED_GATEWAY)
