@@ -162,12 +162,16 @@ MUTANTS = [
          ("start += 4", "delete"),
          ("length // 4 + 1", "-1")),
     # The gateway's loop: read deadlines, back-pressure, partial sends,
-    # and the body decoder's fast path.
+    # one connection's failure, the loop's own, and the body decoder's
+    # fast path.
     *_of("serve/gateway.py", "_Connection._serve_request", _LOOP,
          ("self._deadline = monotonic() + gateway._read_timeout", "delete")),
     *_of("serve/gateway.py", "_Transport.write", _LOOP,
          ("len(self._pending) > _HIGH_WATER", "false"),
          ("data = data[sent:]", "delete")),
+    *_of("serve/gateway.py", "_Transport.ready", _LOOP, ("self.abort()", "delete")),
+    *_of("serve/gateway.py", "FleetGateway.start", _LOOP,
+         ("done.set_exception(exc)", "delete")),
     *_of("serve/gateway.py", "_json_loads", _LOOP, ("end == len(text)", "flip")),
     # Generation: the memoised elaborator.
     *_of("core/model.py", "Elaborator.successors", _ELAB,

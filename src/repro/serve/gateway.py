@@ -3,11 +3,12 @@
 The front door of the serve plane.  A :class:`FleetGateway` binds any
 :class:`~repro.serve.api.Fleet` — in-process engine or multiprocess
 fleet alike — behind a small HTTP/1.1 + WebSocket API, hand-rolled on
-one :mod:`selectors` loop (the repository has a no-dependencies rule).
-All fleet calls run on the loop's thread, so the gateway serializes
-access to the fleet without any locking; the fleet's own batch paths
-stay the throughput story, the gateway is the *operability* story —
-spawn, deliver, snapshot and scrape over the wire.
+one :mod:`selectors` loop, :meth:`FleetGateway._serve` (the repository
+has a no-dependencies rule, and the CLI's server loads no asyncio or
+TLS stack).  All fleet calls run on the loop's thread, so the gateway
+serializes access to the fleet without any locking; the fleet's own
+batch paths stay the throughput story, the gateway is the
+*operability* story — spawn, deliver, snapshot and scrape over the wire.
 
 Endpoints::
 
@@ -56,21 +57,13 @@ joined when the declared length is in, so buffering a body costs linear
 time however the client splits it.  Replies that outrun the client
 pause the connection (reading and answering both) until the transport
 has drained, so a client that pipelines without reading cannot grow the
-write buffer without bound.
-
-The loop is :meth:`FleetGateway._serve`: it runs on the caller's thread
-under :meth:`~FleetGateway.run_blocking` (the CLI's), and on a daemon
-thread under the coroutines :meth:`~FleetGateway.start`,
-:meth:`~FleetGateway.stop` and :meth:`~FleetGateway.serve_until_shutdown`,
-which await it.  Serving through ``run_blocking`` loads no
-:mod:`asyncio`, ``ssl`` or :mod:`concurrent.futures`, nor does any
-worker a multiprocess fleet forks from that process.
+write buffer without bound.  Whatever else serving one connection raises
+closes that connection alone.
 
 The gateway degrades rather than wedges.  Each connection carries one
-read deadline, pushed forward by every reply and taken by the loop as
-its select timeout: a connection that stalls mid-request (or idles past
-the keep-alive window) is answered with ``408`` and closed after
-``read_timeout`` seconds.  A request whose
+read deadline, pushed forward by every reply: a connection that stalls
+mid-request (or idles past the keep-alive window) is answered with
+``408`` and closed after ``read_timeout`` seconds.  A request whose
 ``Content-Length`` exceeds ``max_body`` is refused with ``413`` before
 the body is read, and a WebSocket frame that declares more than
 ``max_body`` bytes is refused with close code 1009 — a slow or hostile
@@ -437,18 +430,23 @@ class _Transport:
         selector.register(sock, _READ, self.ready)
 
     def ready(self, mask: int) -> None:
-        """The loop's callback: send what is kept, then read."""
-        if mask & _WRITE:
-            self._flush()
-        if mask & _READ and not self._closing:
-            try:
-                data = self._sock.recv(_READ_SIZE)
-            except OSError:  # reset by the peer
-                return self.abort()
-            if data:
-                self._connection.data_received(data)
-            else:  # end of stream: flush the replies, then close
-                self._connection.close()
+        """The loop's callback: send what is kept, then read.  Whatever
+        serving this connection raises closes it alone, as an error."""
+        try:
+            if mask & _WRITE:
+                self._flush()
+            if mask & _READ and not self._closing:
+                try:
+                    data = self._sock.recv(_READ_SIZE)
+                except OSError:  # reset by the peer
+                    return self.abort()
+                if data:
+                    self._connection.data_received(data)
+                else:  # end of stream: flush the replies, then close
+                    self._connection.close()
+        except Exception:  # e.g. a /ws frame nested past the recursion limit
+            self._connection._gateway._errors.add(1)
+            self.abort()
 
     def write(self, data: bytes) -> None:
         if self._closing:
@@ -706,7 +704,7 @@ class FleetGateway:
         self._allow_remote_shutdown = allow_remote_shutdown
         self._read_timeout = read_timeout
         self._max_body = max_body
-        self._server: Optional[socket.socket] = None  # listening, once bound
+        self._server: Optional[tuple] = None  # the listening sockets, once bound
         self._selector: Optional[selectors.BaseSelector] = None
         self._wake: tuple = ()  # a socket pair: stop() writes, the loop wakes
         self._stopping = False
@@ -737,22 +735,24 @@ class FleetGateway:
 
     async def start(self) -> None:
         """Bind, then serve on a daemon thread; ``self.port`` becomes the
-        bound port."""
+        bound port.  Awaiting :meth:`stop` or :meth:`serve_until_shutdown`
+        returns once that loop has ended, or raises what ended it."""
         import asyncio  # loaded already: this coroutine runs on it
         import threading
+        from concurrent.futures import Future
 
-        loop = asyncio.get_running_loop()
         self._bind()
-        self._done = done = loop.create_future()
+        done = Future()
+        done.set_running_or_notify_cancel()  # only the loop's end settles it
 
         def serve() -> None:
             try:
-                self._serve()
-            finally:
-                with contextlib.suppress(RuntimeError):  # its loop has closed
-                    loop.call_soon_threadsafe(lambda: done.done() or done.set_result(0))
+                done.set_result(self._serve())
+            except BaseException as exc:
+                done.set_exception(exc)
 
         threading.Thread(target=serve, daemon=True).start()
+        self._done = asyncio.wrap_future(done)
 
     async def stop(self) -> None:
         """Stop accepting, flush and close open connections (idempotent;
@@ -787,20 +787,38 @@ class FleetGateway:
         self._serve()
 
     def _bind(self) -> None:
-        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
-        self._server = socket.create_server((self.host, self.port), family=family)
-        self._server.setblocking(False)
-        self.port = self._server.getsockname()[1]
+        """Listen on every address ``host`` resolves to, as asyncio does
+        (``""`` is every interface of both families), on one port."""
+        # A numeric host is its own address; the resolver maps ≈ 0.4 MB.
+        addresses = {}
+        for family in (socket.AF_INET, socket.AF_INET6):
+            with contextlib.suppress(OSError):
+                socket.inet_pton(family, self.host)
+                addresses[self.host] = family
+        if not addresses:
+            passive = (0, socket.SOCK_STREAM, 0, socket.AI_PASSIVE)
+            found = socket.getaddrinfo(self.host or None, self.port, *passive)
+            addresses = {info[4][0]: info[0] for info in found}
+        servers = []
+        with contextlib.ExitStack() as bound:  # closes them all if one fails
+            for address, family in addresses.items():
+                server = socket.create_server((address, self.port), family=family)
+                servers.append(bound.enter_context(server))
+                self.port = server.getsockname()[1]
+            bound.pop_all()
+        self._server = tuple(servers)
         self._selector = selectors.DefaultSelector()
-        self._selector.register(self._server, _READ, self._accept)
+        for server in servers:
+            server.setblocking(False)
+            self._selector.register(server, _READ, lambda _, s=server: self._accept(s))
         self._wake = wake, _ = socket.socketpair()
         wake.setblocking(False)
         self._selector.register(wake, _READ, lambda _: wake.recv(64))
         self._stopping = False
 
-    def _accept(self, mask: int) -> None:
+    def _accept(self, server: socket.socket) -> None:
         try:
-            sock, _ = self._server.accept()
+            sock, _ = server.accept()
         except OSError:  # gone before it was accepted, or out of descriptors
             return
         sock.setblocking(False)
@@ -832,7 +850,8 @@ class FleetGateway:
                         if connection._deadline <= now:
                             connection._refuse(408, "request read timed out")
                         check = min(check, connection._deadline)
-            self._selector.unregister(self._server)
+            for server in self._server:
+                self._selector.unregister(server)
             for connection in tuple(self._connections):
                 connection.close()
             give_up = monotonic() + self._read_timeout
@@ -843,7 +862,7 @@ class FleetGateway:
             for connection in tuple(self._connections):
                 connection._transport.abort()
             self._selector.close()
-            for sock in (self._server, *self._wake):
+            for sock in (*self._server, *self._wake):
                 sock.close()
 
     # ------------------------------------------------------------------

@@ -180,6 +180,73 @@ def test_stop_from_another_thread_closes_idle_keepalive_connections():
         fleet.close()
 
 
+def test_a_frame_that_fails_to_serve_closes_its_connection_alone():
+    fleet = make_fleet("commit", mode="encoded")
+    upgrade = (
+        b"GET /ws HTTP/1.1\r\nUpgrade: websocket\r\nConnection: Upgrade\r\n"
+        b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n\r\n"
+    )
+    # Nested past the recursion limit: decoding raises RecursionError,
+    # which no /ws reply path catches.
+    nested = b"[" * 5000
+    try:
+        with serving(fleet) as gateway:
+            with connect(gateway.port) as client:
+                client.sendall(upgrade)
+                assert client.recv(1 << 12).startswith(b"HTTP/1.1 101")
+                client.sendall(b"\x81\x7e" + len(nested).to_bytes(2, "big") + nested)
+                assert client.recv(1) == b""
+            assert gateway._errors.value == 1
+            with connect(gateway.port) as other:
+                other.sendall(get("/healthz", close=True))
+                ((status, _),) = read_replies(other, 1)
+                assert status == 200
+    finally:
+        fleet.close()
+
+
+def test_a_loop_that_crashes_raises_where_it_is_awaited():
+    fleet = make_fleet("commit", mode="encoded")
+    gateway = FleetGateway(fleet, port=0)
+    gateway._accept = lambda server: 1 / 0
+
+    async def main():
+        await gateway.start()
+        with contextlib.suppress(ConnectionError):  # reset as the loop fails
+            connect(gateway.port).close()
+        with pytest.raises(ZeroDivisionError):
+            await asyncio.wait_for(gateway.serve_until_shutdown(), timeout=10)
+        with pytest.raises(ZeroDivisionError):
+            await gateway.stop()
+
+    try:
+        asyncio.run(main())
+        assert all(server.fileno() == -1 for server in gateway._server)
+    finally:
+        fleet.close()
+
+
+def test_the_host_is_served_on_every_address_it_resolves_to():
+    found = socket.getaddrinfo(None, 0, 0, socket.SOCK_STREAM, 0, socket.AI_PASSIVE)
+    loopback = {socket.AF_INET: "127.0.0.1", socket.AF_INET6: "::1"}
+    fleet = make_fleet("commit", mode="encoded")
+    try:
+        with serving(fleet, host="") as gateway:
+            families = sorted(server.family for server in gateway._server)
+            assert families == sorted(info[0] for info in found)
+            for server in gateway._server:
+                if server.family == socket.AF_INET6:  # IPv6 only, as asyncio
+                    option = server.getsockopt(socket.IPPROTO_IPV6, socket.IPV6_V6ONLY)
+                    assert option == 1
+                address = (loopback[server.family], gateway.port)
+                with socket.create_connection(address, timeout=10) as client:
+                    client.sendall(get("/healthz", close=True))
+                    ((status, _),) = read_replies(client, 1)
+                    assert status == 200
+    finally:
+        fleet.close()
+
+
 # ----------------------------------------------------------------------
 # bodies and /ws frames decode exactly as json.loads decodes them
 # ----------------------------------------------------------------------
