@@ -11,7 +11,7 @@ timed alone:
 * ``_route``          routing, the body's JSON, the fleet call, the reply body;
 * ``_response``       the status line and headers around a reply body;
 * ``_serve_request``  all of it on one connection with a stub transport
-  (no event loop, no socket), the latency histogram included.
+  (no selector loop, no socket), the latency histogram included.
 
 A figure is the median of 5 rounds, each the best of 3 timed loops over
 ``--count`` requests, with the garbage collector off and the process
@@ -63,14 +63,6 @@ class StubTransport:
         pass
 
 
-class StubLoop:
-    """The one loop method ``_serve_request`` calls."""
-
-    @staticmethod
-    def time() -> float:
-        return perf_counter()
-
-
 def pin_to_one_cpu() -> str:
     if not hasattr(os, "sched_setaffinity"):
         return "not pinned"
@@ -103,7 +95,6 @@ def build(instances: int, count: int):
     keys = fleet.spawn_many(instances)
     messages = sorted(fleet.machine.message_set)
     gateway = FleetGateway(fleet, port=0)
-    gateway._loop = StubLoop()
     connection = _Connection(gateway)
     connection._transport = StubTransport()
     shapes = {

@@ -88,6 +88,7 @@ _CORE = "tests/core/test_{}.py".format
 _ELAB, _WIRING = _CORE("elaboration"), _CORE("wiring")
 _PARTITION = _CORE("coarsest_partition")
 _PASSES, _SOURCE = "tests/opt/test_passes.py", "tests/render/test_source.py"
+_HOPS = "tests/opt/test_opt_differential.py"
 _NO_COLON = "raise _HttpError(400, 'malformed header line (no colon)')"
 
 MUTANTS = [
@@ -101,6 +102,12 @@ MUTANTS = [
          ("states[slot] + col", "flip")),
     *_of("serve/fleet.py", "FleetEngine._run_pairs", _VECTOR,
          (("if instance.receive(messages[col]):", "ignored += 1"), "delete")),
+    # The one-event doors: queue for the next drain, or dispatch now.
+    *_of("serve/fleet.py", "FleetEngine.post", _TIERS,
+         ("queue.append(col)", "delete")),
+    *_of("serve/fleet.py", "FleetEngine.deliver", _FLEET,
+         ("next_state < 0", "flip"),
+         ("store.logs[slot].append(acts)", "delete")),
     # The vector kernel and the schedule's narrowed columns.
     *_of("serve/vector.py", "VectorKernel.dispatch", _VECTOR,
          ("states[slots] = jump[window]", "delete"),
@@ -199,6 +206,20 @@ MUTANTS = [
          ("chooser = deliver(other, claim, chooser)", "delete"),
          ("chooser is not None", "flip"),
          ("chooser == me", "flip")),
+    # Each representation change, decided by repro.analysis.equivalent.
+    *_of("core/minimize.py", "_quotient", _HOPS,
+         (("rows = _remap_rows(im, _seq_key(im), keep, cls)", "keep"), "reverse")),
+    *_of("opt/indexed.py", "IndexedMachine.from_machine", _HOPS,
+         ("t.actions", "reverse")),
+    *_of("opt/indexed.py", "IndexedMachine.jump_arrays", _HOPS,
+         ("target * width", "flip")),
+    *_of("render/xml.py", "parse_machine_xml", _HOPS,
+         ("[a.get('name') for a in t_element.findall('action')]", "reverse")),
+    *_of("core/hsm.py", "HierarchicalModel._flat_transitions_of", _HOPS,
+         (("rows.append((message, target_leaf, actions, tuple(annotations), "
+           "inherited))", "actions"), "empty")),
+    *_of("serve/vector.py", "VectorKernel.__init__", _HOPS,
+         ("offsets % width", "flip")),
     # The generated module's row writer.
     *_of("render/source.py", "PythonSourceRenderer._transition_table", _SOURCE,
          ("target < 0", "flip"),

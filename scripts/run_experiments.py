@@ -9,11 +9,15 @@ the repository documents.  Usage::
 engine (:mod:`repro.core.lazy`) instead of the paper's eager pipeline;
 state counts are identical, only the generation times change.
 
-Assertions beside the rows gate Table 1's counts and growth, the §4.2
-policy counts, the §4.4 protocol runs, Chord's hop bound and the
-model-checking outcomes, so the script exits non-zero when one of them
-no longer holds.  Runtime is a few minutes, dominated by the
-model-checking sweeps.
+Every claim the report prints is asserted beside the row that prints
+it — Table 1's counts and growth, the r=4 pipeline counts, Fig 14's
+description and targets, the artefacts (the XML round trip, bold phase
+transitions, the compiled run, Fig 16's shape), §3.1's state count, the
+9-state EFSM, the §4.2 policy counts, the §4.4 protocol runs, §2's
+commits under faults and contention, Chord's hop bound and the model-checking outcomes —
+so the script exits non-zero when one of them no longer holds.  Times
+and the spreads between them are measured, not asserted.  Runtime is a
+minute or so, dominated by the model-checking sweeps.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import math
 import statistics
 import time
 
+from repro.analysis.equivalence import equivalent
 from repro.analysis.peerset_check import check_contending_updates, check_single_update
 from repro.analysis.properties import commit_protocol_properties
 from repro.analysis.spectrum import efsm_phase_transitions, phase_quotient
@@ -35,7 +40,7 @@ from repro.models.commit_efsm import build_commit_efsm, commit_efsm_executor
 from repro.render.dot import DotRenderer
 from repro.render.source import JavaSourceRenderer, PythonSourceRenderer
 from repro.render.text import TextRenderer
-from repro.render.xml import XmlRenderer
+from repro.render.xml import XmlRenderer, parse_machine_xml
 from repro.runtime.compile import compile_efsm, compile_machine
 from repro.runtime.interp import MachineInterpreter
 from repro.runtime.policy import GenerationPolicy, MachineFactory
@@ -119,6 +124,9 @@ def section_pipeline(out: list[str]) -> None:
     out.append(f"| 3: after pruning | 48 | {report.reachable_states} |")
     out.append(f"| 4: after merging | 33 | {report.merged_states} |")
     terminals = sum(1 for s in unmerged.states if s.final)
+    counts = (report.initial_states, report.reachable_states, report.merged_states)
+    assert counts == (512, 48, 33), counts
+    assert report.reachable_states - terminals == 32, terminals
     out.append(
         f"\nThe 48 pruned states comprise 32 live states and {terminals} "
         "concrete terminal states that step 4 merges into the single "
@@ -142,6 +150,8 @@ def section_fig14(out: list[str]) -> None:
         "commit": "T/2/F/1/F/F/F",
         "free": "T/2/T/0/T/T/T",
     }
+    assert verbatim, rendered
+    assert targets == expected_targets, targets
     out.append(f"- all 8 description lines reproduced verbatim: **{verbatim}**")
     out.append(
         f"- transitions and targets match the figure exactly: "
@@ -161,10 +171,22 @@ def section_artefacts(out: list[str]) -> None:
     instance = compiled.new_instance()
     for message in ["free", "update", "vote", "vote", "commit", "commit"]:
         instance.receive(message)
+    parsed = parse_machine_xml(xml)
+    round_trip = equivalent(machine, parsed)
+    assert round_trip, str(round_trip)
+    assert all(left == right for left, right in round_trip.pairs)
+    bold = dot.count("style=bold];")
+    assert bold == machine.phase_transition_count() > 0, bold
+    assert dot.count("style=solid];") == machine.transition_count() - bold
+    assert instance.is_finished()
     out.append(
-        f"- XML diagram document: {len(xml)} bytes, 33 states, round-trips isomorphically"
+        f"- XML diagram document: {len(xml)} bytes, {len(parsed)} states, "
+        "round-trips to an equivalent machine with every state name kept"
     )
-    out.append(f"- DOT diagram: {len(dot)} bytes; phase transitions drawn bold (Fig 8)")
+    out.append(
+        f"- DOT diagram: {len(dot)} bytes; the {bold} phase transitions drawn "
+        "bold (Fig 8)"
+    )
     out.append(
         f"- generated Python implementation: {len(python_source)} bytes; "
         f"compiles and completes a commit run (finished={instance.is_finished()})"
@@ -173,6 +195,7 @@ def section_artefacts(out: list[str]) -> None:
         "void receiveVote()" in java_source
         and "case (F-0-F-0-F-F-F) :" in java_source
     )
+    assert fig16_shape
     out.append(
         f"- generated Java (Fig 16 shape: receiveVote switch, dash-encoded "
         f"states): **{fig16_shape}**"
@@ -183,6 +206,7 @@ def section_artefacts(out: list[str]) -> None:
 def section_structure(out: list[str]) -> None:
     out.append("## §3.1 — \"33 states with 3-4 transitions from each\"\n")
     stats = machine_stats(CommitModel(4).generate_state_machine())
+    assert stats.states == 33 and stats.transitions_per_state[0] == 1, stats
     out.append(
         f"- measured: {stats.states} states; transitions-per-state histogram "
         f"{stats.transitions_per_state} (the finish state has 0; states "
@@ -194,11 +218,13 @@ def section_structure(out: list[str]) -> None:
 def section_efsm(out: list[str]) -> None:
     out.append("## §5.3 — the 9-state EFSM\n")
     efsm = build_commit_efsm()
+    assert len(efsm) == 9, len(efsm)
     out.append(f"- hand-built commit EFSM: **{len(efsm)} states** (paper: 9)")
     matches = []
     for r in (4, 7, 13):
         pruned = CommitModel(r).generate_state_machine(merge=False)
         matches.append(phase_quotient(pruned) == efsm_phase_transitions(efsm))
+    assert all(matches), matches
     out.append(
         f"- phase quotient of the generated FSM equals the EFSM's transition "
         f"structure for r=4/7/13: **{all(matches)}**"
@@ -336,6 +362,8 @@ def section_system(out: list[str]) -> None:
     append = endpoint.append_version(guid, block.pid)
     cluster.run_until(lambda: append.done, timeout=3000)
     cluster.run(100)
+    assert store.success and len(store.acked) >= 3 and retrieve.success
+    assert append.success and len(append.confirmations) >= 2
     out.append(
         f"- store: success={store.success} with {len(store.acked)}/4 acks "
         f"(threshold r-f=3); retrieve verified={retrieve.success}; "
@@ -353,6 +381,7 @@ def section_system(out: list[str]) -> None:
     append = endpoint.append_version(guid, block.pid)
     byz.run_until(lambda: append.done, timeout=3000)
     byz.run(150)
+    assert append.success and byz.histories_prefix_consistent(guid.hex)
     out.append(
         f"- with 1 Byzantine (promiscuous) peer-set member: append "
         f"success={append.success}, correct members' histories "
@@ -372,6 +401,7 @@ def section_system(out: list[str]) -> None:
         op_b = b.append_version(guid, DataBlock(b"b").pid)
         race.run_until(lambda: op_a.done and op_b.done, timeout=10_000)
         race.run(300)
+        assert op_a.success and op_b.success, seed
         attempts.append(op_a.attempts + op_b.attempts)
         consistent += race.histories_prefix_consistent(guid.hex)
     out.append(

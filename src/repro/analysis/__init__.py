@@ -1,8 +1,10 @@
-"""Analysis utilities: state-space statistics, machine diffing, spectrum.
+"""Analysis utilities: state-space statistics, equivalence, spectrum.
 
 * :mod:`repro.analysis.stats` — structural statistics and the regenerated
   Table 1 (including the merged-size closed form ``12 f^2 + 16 f + 5``);
-* :mod:`repro.analysis.diff` — isomorphism checking between machines;
+* :mod:`repro.analysis.equivalence` — :func:`equivalent`, the exhaustive
+  check that two machines behave the same, with the shortest trace that
+  tells them apart when they do not;
 * :mod:`repro.analysis.spectrum` — the FSM/EFSM/algorithm spectrum and the
   phase-quotient derivation that cross-validates the 9-state commit EFSM;
 * :mod:`repro.analysis.flatten_stats` — state/transition blow-up factors
@@ -14,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro._lazy import lazy_exports
 
 if TYPE_CHECKING:
-    from repro.analysis.diff import MachineDiff, diff_machines, machines_isomorphic
+    from repro.analysis.equivalence import Equivalence, equivalent
     from repro.analysis.flatten_stats import (
         bundled_flatten_reports,
         flatten_blowup,
@@ -60,6 +62,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "COMMIT_PHASE_FLAGS",
+    "Equivalence",
     "ExplorationResult",
     "PeerSetExplorer",
     "PropertyReport",
@@ -72,14 +75,13 @@ __all__ = [
     "commit_protocol_properties",
     "finish_always_reachable",
     "FINISHED_PHASE",
-    "MachineDiff",
     "MachineStats",
     "PAPER_TABLE1",
     "PhaseTransition",
     "Table1Row",
     "commit_spectrum",
-    "diff_machines",
     "efsm_phase_transitions",
+    "equivalent",
     "flatten_blowup",
     "flatten_comparison",
     "format_flatten_table",
@@ -87,7 +89,6 @@ __all__ = [
     "fsm_vs_efsm_table",
     "initial_state_count",
     "machine_stats",
-    "machines_isomorphic",
     "merged_state_count",
     "merged_state_formula",
     "phase_names",
@@ -99,7 +100,7 @@ __all__ = [
 # Resolved on first use (see repro._lazy): a table1 run loads the
 # statistics, not the peer-set explorer or the flattening reports.
 _EXPORTS = {
-    "repro.analysis.diff": ("MachineDiff", "diff_machines", "machines_isomorphic"),
+    "repro.analysis.equivalence": ("Equivalence", "equivalent"),
     "repro.analysis.flatten_stats": (
         "bundled_flatten_reports",
         "flatten_blowup",

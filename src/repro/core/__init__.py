@@ -70,13 +70,6 @@ if TYPE_CHECKING:
         generate_with_engine,
     )
     from repro.core.state import State, Transition
-    from repro.core.trace import (
-        Trace,
-        TraceRecorder,
-        TraceStep,
-        enumerate_traces,
-        replay,
-    )
     from repro.core.wiring import Wiring
 
 __all__ = [
@@ -106,24 +99,19 @@ __all__ = [
     "StateMachine",
     "StateSpace",
     "StateView",
-    "Trace",
-    "TraceRecorder",
-    "TraceStep",
     "Transition",
     "TransitionBuilder",
     "Wiring",
     "equivalence_classes",
-    "enumerate_traces",
     "generate",
     "generate_lazy",
     "generate_with_engine",
-    "replay",
     "merge_equivalent",
     "one_shot_merge",
 ]
 
 # Resolved on first use (see repro._lazy): a process that only serves a
-# generated table never loads the hierarchical, EFSM or trace layers.
+# generated table never loads the hierarchical or EFSM layers.
 _EXPORTS = {
     "repro.core.components": (
         "BooleanComponent",
@@ -166,13 +154,6 @@ _EXPORTS = {
         "generate_with_engine",
     ),
     "repro.core.state": ("State", "Transition"),
-    "repro.core.trace": (
-        "Trace",
-        "TraceRecorder",
-        "TraceStep",
-        "enumerate_traces",
-        "replay",
-    ),
     "repro.core.wiring": ("Wiring",),
 }
 __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

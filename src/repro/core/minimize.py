@@ -229,6 +229,7 @@ def _quotient(im, cls: Sequence[int]):
                 f"Represents {len(group)} equivalent states: " + ", ".join(merged),
             )
         annotations.append(lines)
+    rows = _remap_rows(im, _seq_key(im), keep, cls)
     return replace(
         im,
         state_names=tuple(
@@ -243,7 +244,7 @@ def _quotient(im, cls: Sequence[int]):
         if im.state_vectors
         else (),
         state_merged=tuple(members),
-        **_remap_rows(im, _seq_key(im), keep, cls),
+        **rows,
     )
 
 

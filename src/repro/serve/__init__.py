@@ -38,10 +38,8 @@ if TYPE_CHECKING:
         make_fleet,
     )
     from repro.serve.differential import (
-        diff_against_hierarchical,
         diff_against_standalone,
         diff_fleets,
-        hierarchical_traces,
         standalone_traces,
     )
     from repro.obs.telemetry import FleetTelemetry
@@ -121,13 +119,11 @@ __all__ = [
     "VectorSchedule",
     "WorkerJournal",
     "WorkloadSpec",
-    "diff_against_hierarchical",
     "diff_against_standalone",
     "diff_fleets",
     "fleet_machine",
     "generate_scenario",
     "generate_workload",
-    "hierarchical_traces",
     "make_backend",
     "make_fleet",
     "require_numpy",
@@ -151,10 +147,8 @@ _EXPORTS = {
         "make_fleet",
     ),
     "repro.serve.differential": (
-        "diff_against_hierarchical",
         "diff_against_standalone",
         "diff_fleets",
-        "hierarchical_traces",
         "standalone_traces",
     ),
     "repro.obs.telemetry": ("FleetTelemetry",),

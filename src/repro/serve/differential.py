@@ -21,24 +21,6 @@ from repro.runtime.interp import MachineInterpreter
 from repro.serve.store import InstanceSnapshot
 
 
-def _replay_traces(executors, events, auto_recycle) -> dict[str, InstanceSnapshot]:
-    """Drive one executor per key through a schedule; snapshot each.
-
-    The executors only need the common protocol (``receive`` /
-    ``is_finished`` / ``reset`` / ``get_state`` / ``sent``), so the
-    interpreter and the hierarchical simulator replay identically.
-    """
-    for key, message in events:
-        executor = executors[key]
-        if executor.receive(message):
-            if auto_recycle and executor.is_finished():
-                executor.reset()
-    return {
-        key: InstanceSnapshot(key, executor.get_state(), tuple(executor.sent))
-        for key, executor in executors.items()
-    }
-
-
 def standalone_traces(
     machine: StateMachine,
     keys,
@@ -51,33 +33,16 @@ def standalone_traces(
     final state is immediately ``reset()``.
     """
     machine.check_integrity()
-    return _replay_traces(
-        {key: MachineInterpreter(machine, validate=False) for key in keys},
-        events,
-        auto_recycle,
-    )
-
-
-def hierarchical_traces(
-    model,
-    keys,
-    events,
-    auto_recycle: bool = False,
-) -> dict[str, InstanceSnapshot]:
-    """Replay a recorded schedule through direct hierarchical simulation.
-
-    One :class:`~repro.core.hsm.HierarchicalSimulator` per session key —
-    the hierarchy executed *without* flattening.  Because the simulator
-    reports flat leaf names and logs actions exactly like the
-    interpreter, the resulting snapshots are directly comparable with a
-    fleet hosting the flattened machine.
-    """
-    model.validate()
-    return _replay_traces(
-        {key: model.simulator(validate=False) for key in keys},
-        events,
-        auto_recycle,
-    )
+    executors = {key: MachineInterpreter(machine, validate=False) for key in keys}
+    for key, message in events:
+        executor = executors[key]
+        if executor.receive(message):
+            if auto_recycle and executor.is_finished():
+                executor.reset()
+    return {
+        key: InstanceSnapshot(key, executor.get_state(), tuple(executor.sent))
+        for key, executor in executors.items()
+    }
 
 
 def _require_full_logs(fleet) -> None:
@@ -104,27 +69,6 @@ def _trace_matches(actual: InstanceSnapshot, expected: InstanceSnapshot, state_m
     if state_map is None:
         return actual.state == expected.state
     return actual.state == state_map.get(expected.state, expected.state)
-
-
-def diff_against_hierarchical(fleet, model, keys, events) -> list[str]:
-    """Keys whose fleet trace differs from direct hierarchical simulation.
-
-    ``fleet`` must host a machine flattened from ``model`` and must
-    already have processed ``events``.  An empty list is the end-to-end
-    flattening correctness claim: hierarchy simulated directly ==
-    flattened machine served at fleet scale (modulo the fleet's
-    ``state_map`` when it served an optimized machine).
-    """
-    _require_full_logs(fleet)
-    expected = hierarchical_traces(
-        model, keys, events, auto_recycle=fleet.auto_recycle
-    )
-    state_map = getattr(fleet, "state_map", None)
-    return [
-        key
-        for key in keys
-        if not _trace_matches(fleet.trace(key), expected[key], state_map)
-    ]
 
 
 def diff_fleets(fleet_a, fleet_b, keys) -> list[str]:

@@ -227,9 +227,10 @@ def snapshot_from_json(payload: dict) -> FleetSnapshot:
     """Rebuild a :class:`FleetSnapshot` from its wire form.
 
     Wire types are checked here — every ``key`` and ``state`` a string,
-    every ``actions`` a list of strings — so a mistyped body is the
-    client's ``400`` (a :class:`DeploymentError`), never an integer key
-    or a string split into one-letter actions reaching the fleet.
+    every ``actions`` and the ``lost`` manifest a list of strings — so a
+    mistyped body is the client's ``400`` (a :class:`DeploymentError`),
+    never an integer key or a string split into one-letter actions or
+    lost keys reaching the fleet.
     """
     try:
         instances = []
@@ -246,10 +247,15 @@ def snapshot_from_json(payload: dict) -> FleetSnapshot:
                     "string 'key' and 'state' and a list of strings as 'actions'"
                 )
             instances.append(InstanceSnapshot(key, state, tuple(actions)))
+        lost = payload.get("lost", [])
+        if type(lost) is not list or not all(type(key) is str for key in lost):
+            raise DeploymentError(
+                "malformed snapshot payload: 'lost' must be a list of strings"
+            )
         return FleetSnapshot(
             machine_name=payload["machine"],
             instances=tuple(instances),
-            lost=tuple(payload.get("lost", ())),
+            lost=tuple(lost),
         )
     except (KeyError, TypeError) as exc:
         raise DeploymentError(f"malformed snapshot payload: {exc}") from exc

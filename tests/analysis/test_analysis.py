@@ -1,8 +1,8 @@
-"""Tests for the analysis package: stats, diffing, spectrum."""
+"""Tests for the analysis package: stats, equivalence, spectrum."""
 
 import pytest
 
-from repro.analysis.diff import diff_machines, machines_isomorphic
+from repro.analysis import equivalent
 from repro.analysis.spectrum import (
     commit_spectrum,
     efsm_phase_transitions,
@@ -77,48 +77,68 @@ def toy(name: str, action: str = "") -> StateMachine:
     return machine
 
 
-class TestDiff:
-    def test_isomorphic_to_self(self):
+def renamed(final_y: bool = True, loop: bool = False) -> StateMachine:
+    """``toy`` with states X, Y; ``loop`` gives Y a self-loop on m."""
+    machine = StateMachine(["m"], name="renamed")
+    machine.add_state(State("X"))
+    machine.add_state(State("Y", final=final_y))
+    machine.get_state("X").record_transition(Transition("m", "Y"))
+    if loop:
+        machine.get_state("Y").record_transition(Transition("m", "Y"))
+    machine.set_start("X")
+    return machine
+
+
+class TestEquivalent:
+    def test_equivalent_to_self_with_every_state_paired(self):
         machine = commit_machine(4)
-        assert machines_isomorphic(machine, machine)
+        verdict = equivalent(machine, machine)
+        assert verdict.one_to_one
+        assert set(verdict.pairs) == {(n, n) for n in machine.state_names()}
 
-    def test_isomorphic_up_to_renaming(self):
-        left = toy("left")
-        right = StateMachine(["m"], name="right")
-        right.add_state(State("X"))
-        right.add_state(State("Y", final=True))
-        right.get_state("X").record_transition(Transition("m", "Y"))
-        right.set_start("X")
-        diff = machines_isomorphic(left, right)
-        assert diff.isomorphic
-        assert diff.mapping == {"A": "X", "B": "Y"}
+    def test_pairs_follow_renaming(self):
+        verdict = equivalent(toy("left"), renamed())
+        assert verdict.one_to_one
+        assert verdict.pairs == (("A", "X"), ("B", "Y"))
 
-    def test_action_difference_detected(self):
-        diff = machines_isomorphic(toy("a"), toy("b", action="->x"))
-        assert not diff.isomorphic
-        assert any("actions differ" in d for d in diff.differences)
+    def test_action_difference_names_the_trace(self):
+        verdict = equivalent(toy("a"), toy("b", action="->x"))
+        assert not verdict
+        assert verdict.trace == ("m",)
+        assert verdict.at == ("A", "A", "m")
+        assert verdict.difference == "actions () vs ('x',)"
+        assert "after ['m'] at ('A', 'A', 'm')" in str(verdict)
 
-    def test_alphabet_difference_detected(self):
-        other = StateMachine(["n"], name="other")
-        other.add_state(State("A", final=True))
+    def test_alphabets_are_united(self):
+        other = StateMachine(["m", "n"], name="other")
+        other.add_state(State("A"))
+        other.add_state(State("B", final=True))
+        other.get_state("A").record_transition(Transition("m", "B"))
+        other.get_state("A").record_transition(Transition("n", "A"))
         other.set_start("A")
-        assert not machines_isomorphic(toy("a"), other)
+        verdict = equivalent(toy("a"), other)
+        assert (verdict.trace, verdict.at) == (("n",), ("A", "A", "n"))
+        assert verdict.difference == "accepted by the right only"
 
-    def test_finality_difference_detected(self):
-        left = toy("left")
-        right = StateMachine(["m"], name="right")
-        right.add_state(State("X"))
-        right.add_state(State("Y"))
-        right.get_state("X").record_transition(Transition("m", "Y"))
-        right.get_state("Y").record_transition(Transition("m", "Y"))
-        right.set_start("X")
-        assert not machines_isomorphic(left, right)
+    def test_finality_difference_after_the_shortest_trace(self):
+        verdict = equivalent(toy("left"), renamed(final_y=False, loop=True))
+        assert (verdict.trace, verdict.at) == (("m",), ("B", "Y", None))
+        assert verdict.difference == "final True vs False"
 
-    def test_diff_machines_empty_for_isomorphic(self):
-        assert diff_machines(toy("a"), toy("b")) == []
+    def test_merged_states_pair_many_to_one(self):
+        machine = StateMachine(["m"], name="chain")
+        for name in ("A", "B"):
+            machine.add_state(State(name))
+        machine.get_state("A").record_transition(Transition("m", "B"))
+        machine.get_state("B").record_transition(Transition("m", "A"))
+        machine.set_start("A")
+        verdict = equivalent(machine, renamed(final_y=False, loop=True))
+        assert verdict and not verdict.one_to_one
+        assert verdict.pairs == (("A", "X"), ("B", "Y"), ("A", "Y"))
 
-    def test_different_r_machines_not_isomorphic(self):
-        assert not machines_isomorphic(commit_machine(4), commit_machine(7))
+    def test_different_r_machines_differ(self):
+        verdict = equivalent(commit_machine(4), commit_machine(7))
+        assert not verdict and verdict.pairs == ()
 
 
 class TestSpectrum:

@@ -30,6 +30,7 @@ from repro.models.termination import TerminationModel
 from repro.models.threshold_sig import ThresholdSignatureModel
 from repro.opt import IndexedMachine, MergeEquivalentPass
 from tests.core.moore_reference import blocks, moore_partition
+from tests.readback import check
 
 #: Action sequences the drawn machines choose from: few, so states collide.
 ACTION_POOL = ((), ("->a",), ("->b",), ("->a", "->b"))
@@ -123,26 +124,15 @@ def with_duplicate_pool_entries(im: IndexedMachine, rng) -> IndexedMachine:
     return replace(im, action_seqs=im.action_seqs * 2, action_seq=action_seq)
 
 
-def assert_trace_equivalent(machine, merged, rng, walks=20, steps=30):
-    """From any state and its representative, every message sequence fires
-    the same transitions with the same actions and stays in step."""
+def assert_quotient(machine, merged):
+    """``merged`` behaves as ``machine`` does, each reachable state paired
+    with the representative of its class."""
     representative = {
         member: state.name for state in merged.states for member in state.merged_names
     }
-    names = machine.state_names()
-    for _ in range(walks):
-        here = rng.choice(names)
-        there = representative[here]
-        for _ in range(steps):
-            message = rng.choice(machine.messages)
-            t = machine.get_state(here).get_transition(message)
-            u = merged.get_state(there).get_transition(message)
-            assert (t is None) == (u is None)
-            if t is None:
-                continue
-            assert t.actions == u.actions
-            here, there = t.target_name, u.target_name
-            assert representative[here] == there
+    assert check(machine, merged) == {
+        (name, representative[name]) for name in machine.reachable_names()
+    }
 
 
 BUNDLED_UNMERGED = [
@@ -228,7 +218,7 @@ class TestBothCallers:
         assert len(merge_equivalent(merged)) == len(merged)
         again, _ = MergeEquivalentPass().run(IndexedMachine.from_machine(merged))
         assert again.state_count == len(merged)
-        assert_trace_equivalent(machine, merged, rng)
+        assert_quotient(machine, merged)
 
     @pytest.mark.parametrize("factory", BUNDLED_UNMERGED)
     def test_bundled_machines(self, factory):
@@ -238,7 +228,7 @@ class TestBothCallers:
         merged = merge_equivalent(machine)
         assert len(merged) == len(classes)
         assert len(merge_equivalent(merged)) == len(merged)
-        assert_trace_equivalent(machine, merged, random.Random(15))
+        assert_quotient(machine, merged)
 
 
 class TestWorstCase:

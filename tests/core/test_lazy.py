@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.diff import machines_isomorphic
+from repro.analysis import equivalent
 from repro.analysis.stats import merged_state_count, table1_row
 from repro.cli import main
 from repro.core.lazy import generate_lazy
@@ -32,11 +32,11 @@ class TestDifferentialEquivalence:
     """generate_lazy and generate must agree for every bundled model."""
 
     @pytest.mark.parametrize("make_model", BUNDLED_MODELS)
-    def test_merged_machines_isomorphic(self, make_model):
+    def test_merged_machines_pair_one_to_one(self, make_model):
         eager_machine, eager_report = generate(make_model())
         lazy_machine, lazy_report = generate_lazy(make_model())
-        diff = machines_isomorphic(lazy_machine, eager_machine)
-        assert diff, diff.differences
+        verdict = equivalent(lazy_machine, eager_machine)
+        assert verdict.one_to_one, str(verdict)
         assert lazy_report.merged_states == eager_report.merged_states
         assert len(lazy_machine) == len(eager_machine)
 
@@ -112,7 +112,7 @@ class TestEngineSelection:
     def test_generate_state_machine_engine_kwarg(self):
         eager = CommitModel(4).generate_state_machine()
         lazy = CommitModel(4).generate_state_machine(engine="lazy")
-        assert machines_isomorphic(lazy, eager)
+        assert equivalent(lazy, eager).one_to_one
 
     def test_generate_with_engine_dispatch(self):
         _, eager_report = generate_with_engine(CommitModel(4), "eager")

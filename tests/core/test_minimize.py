@@ -1,6 +1,6 @@
 """Tests for equivalence merging (paper §3.4 step 4, Fig 13)."""
 
-from repro.analysis.diff import machines_isomorphic
+from repro.analysis import equivalent
 from repro.core.machine import StateMachine
 from repro.core.minimize import (
     FINISH_NAME,
@@ -76,7 +76,7 @@ class TestMergeEquivalent:
     def test_idempotent(self):
         merged = merge_equivalent(chain_machine())
         again = merge_equivalent(merged)
-        assert machines_isomorphic(merged, again)
+        assert equivalent(merged, again).one_to_one
 
 
 class TestOneShotMerge:
@@ -93,7 +93,7 @@ class TestOneShotMerge:
         while len(current) < previous_size:
             previous_size = len(current)
             current = one_shot_merge(current)
-        assert machines_isomorphic(current, merge_equivalent(machine))
+        assert equivalent(current, merge_equivalent(machine)).one_to_one
 
     def test_commit_machine_one_shot_fixpoint_matches_moore(self):
         pruned = commit_machine(4, merge=False)
@@ -103,7 +103,7 @@ class TestOneShotMerge:
             previous_size = len(current)
             current = one_shot_merge(current)
         assert len(current) == 33
-        assert machines_isomorphic(current, commit_machine(4))
+        assert equivalent(current, commit_machine(4)).one_to_one
 
 
 class TestCommitMerging:

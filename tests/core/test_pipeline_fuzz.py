@@ -6,13 +6,14 @@ from a hash) and check toolchain invariants that must hold for every
 model:
 
 * pruning removes only unreachable states;
-* merging is a bisimulation quotient: the merged machine is trace-
-  equivalent to the pruned one on every enumerated message sequence;
+* merging is a bisimulation quotient: the merged machine is equivalent
+  to the pruned one, each state paired with its class's representative;
 * merging is idempotent and never grows the machine;
 * the one-shot merge fixpoint agrees with partition refinement;
-* generated source compiles and behaves exactly like the interpreted
-  machine;
-* the XML round-trip is an isomorphism.
+* generated source compiles and behaves exactly like the machine;
+* the XML round-trip is an isomorphism that keeps every name.
+
+Each "behaves like" is decided by :func:`repro.analysis.equivalent`.
 """
 
 import hashlib
@@ -20,14 +21,13 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis.diff import machines_isomorphic
+from repro.analysis import equivalent
 from repro.core.components import BooleanComponent, IntComponent
 from repro.core.minimize import merge_equivalent, one_shot_merge
 from repro.core.model import AbstractModel, StateView, TransitionBuilder
-from repro.core.trace import enumerate_traces
 from repro.render.xml import XmlRenderer, parse_machine_xml
 from repro.runtime.compile import compile_machine
-from repro.runtime.interp import MachineInterpreter
+from tests.readback import check, read_executor, same_names
 
 
 class RandomModel(AbstractModel):
@@ -102,7 +102,7 @@ class TestFuzzedPipeline:
 
     def test_merge_is_idempotent(self, seed):
         merged = RandomModel(seed).generate_state_machine()
-        assert machines_isomorphic(merged, merge_equivalent(merged))
+        assert equivalent(merged, merge_equivalent(merged)).one_to_one
 
     def test_one_shot_fixpoint_matches_moore(self, seed):
         pruned = RandomModel(seed).generate_state_machine(merge=False)
@@ -111,38 +111,28 @@ class TestFuzzedPipeline:
         while len(current) < previous:
             previous = len(current)
             current = one_shot_merge(current)
-        assert machines_isomorphic(current, merge_equivalent(pruned))
+        assert equivalent(current, merge_equivalent(pruned)).one_to_one
 
     def test_merged_trace_equivalent_to_pruned(self, seed):
         model = RandomModel(seed)
         pruned = model.generate_state_machine(merge=False)
         merged = model.generate_state_machine()
-        for trace in enumerate_traces(pruned, 5):
-            left = MachineInterpreter(pruned)
-            right = MachineInterpreter(merged)
-            left.run(trace)
-            right.run(trace)
-            assert left.sent == right.sent, trace
-            assert left.is_finished() == right.is_finished(), trace
+        assert check(pruned, merged) == {
+            (member, state.name)
+            for state in merged.states
+            for member in state.merged_names
+        }
 
-    def test_generated_source_matches_interpreter(self, seed):
-        model = RandomModel(seed)
-        machine = model.generate_state_machine()
-        compiled = compile_machine(machine)
-        for trace in enumerate_traces(machine, 4):
-            interp = MachineInterpreter(machine)
-            instance = compiled.new_instance()
-            interp.run(trace)
-            for message in trace:
-                instance.receive(message)
-            assert interp.sent == instance.sent, trace
-            assert interp.get_state() == instance.get_state(), trace
+    def test_generated_source_matches_machine(self, seed):
+        machine = RandomModel(seed).generate_state_machine()
+        instance = compile_machine(machine).new_instance()
+        read = read_executor(instance, machine.messages)
+        assert check(machine, read) == same_names(machine)
 
     def test_xml_roundtrip_isomorphic(self, seed):
         machine = RandomModel(seed).generate_state_machine()
         parsed = parse_machine_xml(XmlRenderer().render(machine))
-        diff = machines_isomorphic(machine, parsed)
-        assert diff.isomorphic, diff.differences
+        assert check(machine, parsed) == same_names(machine)
 
 
 @settings(max_examples=20, deadline=None)

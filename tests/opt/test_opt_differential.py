@@ -1,17 +1,18 @@
-"""Differential acceptance suite: optimized == unoptimized behaviour.
+"""Every representation change preserves behaviour, for every bundled model.
 
-For every bundled model — the four generated abstract models plus both
-hierarchical models flattened — an optimized machine must be
-trace-identical to its unoptimized input: action logs match exactly and
-state names match through the pipeline's ``state_map`` (a merged state
-answers to its representative's name).  Verified across:
+For the four generated abstract models and both hierarchical models
+flattened, :func:`repro.analysis.equivalent` decides each hop
+exhaustively (``TestEveryHop``): the step-4 quotient, each optimisation
+pass and the standard pipeline (modulo their ``state_map``), the
+``IndexedMachine`` and XML round trips, the generated class, a fleet's
+jump/acts table and the vector kernel's remapped table; and the
+flattened hierarchies against ``HierarchicalSimulator`` under both
+flatten engines.  A failure names a shortest message sequence that tells
+the two sides apart.
 
-* the interpreter and compiled backends, the latter under every way of
-  supplying its action methods and against a bare indexed-array walk;
-* every fleet dispatch mode (``naive`` / ``encoded`` / ``vector``), with
-  the fleet's own ``optimize=`` hook;
-* both generation engines for the generated models and both flatten
-  engines for the hierarchical ones (via the shared machine cache).
+The executors that run batches are compared by replay: the compiled
+class under every way of supplying its action methods, and every fleet
+dispatch mode with the fleet's own ``optimize=`` hook.
 """
 
 import json
@@ -21,13 +22,18 @@ import sys
 
 import pytest
 
-from repro.models import build_hierarchical_model
+from repro.core.machine import StateMachine
+from repro.core.minimize import merge_equivalent
+from repro.core.pipeline import ENGINES
+from repro.core.state import State, Transition
+from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
 from repro.models.chandra_toueg import CoordinatorRoundModel
 from repro.models.commit import CommitModel
 from repro.models.termination import TerminationModel
 from repro.models.threshold_sig import ThresholdSignatureModel
-from repro.opt import IndexedMachine, standard_pipeline
+from repro.opt import PASSES, IndexedMachine, PassPipeline, standard_pipeline
 from repro.render.source import machine_class_name
+from repro.render.xml import XmlRenderer, parse_machine_xml
 from repro.runtime.actions import CallbackActions, RecordingActions
 from repro.runtime.compile import compile_machine
 from repro.runtime.export import export_machine_module
@@ -36,39 +42,49 @@ from repro.serve import (
     HAS_NUMPY,
     FleetEngine,
     WorkloadSpec,
-    diff_against_hierarchical,
     diff_against_standalone,
     generate_workload,
 )
+from tests.readback import check, read_executor, same_names
 
 #: Every bundled machine the optimizer must preserve, including both HSMs.
+#: ``factory(merge=False)`` is the machine before step 4; flattening
+#: merges nothing, so the HSM entries ignore it.
 BUNDLED_MACHINES = [
     pytest.param(
-        lambda: CommitModel(4).generate_state_machine(), id="commit-r4"
+        lambda merge=True: CommitModel(4).generate_state_machine(merge=merge),
+        id="commit-r4",
     ),
     pytest.param(
-        lambda: CommitModel(4).generate_state_machine(engine="lazy"),
+        lambda merge=True: CommitModel(4).generate_state_machine(
+            engine="lazy", merge=merge
+        ),
         id="commit-r4-lazy",
     ),
     pytest.param(
-        lambda: CoordinatorRoundModel(processes=5).generate_state_machine(),
+        lambda merge=True: CoordinatorRoundModel(processes=5).generate_state_machine(
+            merge=merge
+        ),
         id="chandra-toueg-n5",
     ),
     pytest.param(
-        lambda: TerminationModel(max_tasks=3).generate_state_machine(),
+        lambda merge=True: TerminationModel(max_tasks=3).generate_state_machine(
+            merge=merge
+        ),
         id="termination-t3",
     ),
     pytest.param(
-        lambda: ThresholdSignatureModel(
+        lambda merge=True: ThresholdSignatureModel(
             signers=4, threshold=3
-        ).generate_state_machine(),
+        ).generate_state_machine(merge=merge),
         id="threshold-sig",
     ),
     pytest.param(
-        lambda: build_hierarchical_model("session").flatten(), id="session-hsm"
+        lambda merge=True: build_hierarchical_model("session").flatten(),
+        id="session-hsm",
     ),
     pytest.param(
-        lambda: build_hierarchical_model("commit", 4).flatten("lazy"),
+        lambda merge=True: build_hierarchical_model("commit", 4).flatten("lazy"),
         id="commit-hsm-r4",
     ),
 ]
@@ -94,17 +110,6 @@ def random_schedule(machine, steps: int, seed: int) -> list[str]:
     return [rng.choice(machine.messages) for _ in range(steps)]
 
 
-def replay(executor, schedule, recycle=True) -> tuple:
-    """Drive one executor; returns (state sequence, action log)."""
-    states = []
-    for message in schedule:
-        executor.receive(message)
-        states.append(executor.get_state())
-        if recycle and executor.is_finished():
-            executor.reset()
-    return states, list(executor.sent)
-
-
 def step_log(executor, schedule, log) -> list:
     """Per step ``[fired, state after, actions performed]``, recycling a
     finished executor; ``log`` is the list the executor's actions land in
@@ -118,36 +123,6 @@ def step_log(executor, schedule, log) -> list:
             executor.reset()
             log.clear()
     return steps
-
-
-class IndexedWalk:
-    """The executor protocol over bare ``IndexedMachine`` arrays."""
-
-    def __init__(self, machine):
-        self.im = IndexedMachine.from_machine(machine)
-        self.columns = self.im.message_index()
-        self.state = self.im.start
-        self.sent: list[str] = []
-
-    def receive(self, message):
-        offset = self.state * self.im.width + self.columns[message]
-        target = self.im.next_state[offset]
-        if target < 0:
-            return False
-        for action in self.im.action_seqs[self.im.action_seq[offset]]:
-            self.sent.append(self.im.actions[action].removeprefix("->"))
-        self.state = target
-        return True
-
-    def get_state(self):
-        return self.im.state_names[self.state]
-
-    def is_finished(self):
-        return self.im.final[self.state]
-
-    def reset(self):
-        self.state = self.im.start
-        self.sent.clear()
 
 
 def run_recording(machine, schedule, _tmp_path):
@@ -236,53 +211,116 @@ COMPILED_FLAVOURS = {
 }
 
 
-@pytest.mark.parametrize("factory", BUNDLED_MACHINES)
-class TestInterpreterDifferential:
-    def test_optimized_interpreter_replay_matches(self, factory, request):
-        machine, optimized, report = cached(request)
-        schedule = random_schedule(machine, 4000, seed=11)
-        base_states, base_actions = replay(MachineInterpreter(machine), schedule)
-        opt_states, opt_actions = replay(MachineInterpreter(optimized), schedule)
-        assert opt_actions == base_actions
-        mapped = [report.state_map[state] for state in base_states]
-        assert opt_states == mapped
+def read_table(im, move) -> StateMachine:
+    """A dispatch table laid out like ``im`` (offset ``state * width +
+    column``) as a machine: ``move(offset)`` is ``None`` or ``(target id,
+    action names)``; names, finality and start come from ``im``."""
+    read = StateMachine(im.messages, name="table")
+    for s, name in enumerate(im.state_names):
+        state = read.add_state(State(name, final=im.final[s]))
+        for col, message in enumerate(im.messages):
+            found = move(s * im.width + col)
+            if found is not None:
+                target, actions = found
+                state.record_transition(
+                    Transition(message, im.state_names[target], actions)
+                )
+    read.set_start(im.state_names[im.start])
+    return read
 
-    def test_fired_flags_identical(self, factory, request):
-        machine, optimized, _ = cached(request)
-        a = MachineInterpreter(machine)
-        b = MachineInterpreter(optimized)
-        for message in random_schedule(machine, 1500, seed=7):
-            assert a.receive(message) == b.receive(message)
-            assert a.is_finished() == b.is_finished()
-            if a.is_finished():
-                a.reset()
-                b.reset()
+
+@pytest.mark.parametrize("factory", BUNDLED_MACHINES)
+class TestEveryHop:
+    """Each representation change, decided exhaustively."""
+
+    def test_step4_quotient(self, factory):
+        unmerged = factory(merge=False)
+        im = IndexedMachine.from_machine(merge_equivalent(unmerged))
+        representative = {
+            (member, name)
+            for name, members in zip(im.state_names, im.state_merged)
+            for member in members
+        }
+        assert check(unmerged, im) == representative
+
+    @pytest.mark.parametrize("passes", [*PASSES, "standard"])
+    def test_opt_pass(self, factory, passes):
+        machine = factory(merge=False)
+        pipeline = (
+            standard_pipeline(3)
+            if passes == "standard"
+            else PassPipeline((PASSES[passes](),))
+        )
+        optimized, report = pipeline.optimize_machine(machine)
+        assert check(machine, optimized) == set(report.state_map.items())
+
+    def test_indexed_round_trip(self, factory):
+        machine = factory()
+        machine.states  # built objects drop the carried IR: intern them anew
+        round_trip = IndexedMachine.from_machine(machine).to_machine()
+        assert check(machine, round_trip) == same_names(machine)
+
+    def test_xml_round_trip(self, factory):
+        machine = factory()
+        parsed = parse_machine_xml(XmlRenderer().render(machine))
+        assert check(machine, parsed) == same_names(machine)
+
+    def test_compiled_class(self, factory):
+        machine = factory()
+        instance = compile_machine(machine).new_instance()
+        read = read_executor(instance, machine.messages)
+        assert check(machine, read) == same_names(machine)
+
+    def test_fleet_jump_table(self, factory):
+        machine = factory(merge=False)
+        fleet = FleetEngine(machine, optimize=3)
+        im, jump, acts = fleet.indexed_machine, fleet._jump, fleet._acts
+
+        def move(offset):
+            if jump[offset] < 0:
+                return None
+            return jump[offset] // im.width, acts[offset]
+
+        pairs = check(machine, read_table(im, move))
+        assert pairs == set(fleet.opt_report.state_map.items())
+
+    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy not available")
+    def test_vector_kernel_table(self, factory):
+        """An ignored event must leave the state it read: an offset
+        flagged inapplicable whose jump goes elsewhere is a transition."""
+        machine = factory(merge=False)
+        fleet = FleetEngine(machine, mode="vector", optimize=3)
+        im, kernel, acts = fleet.indexed_machine, fleet._kernel, fleet._acts
+
+        def move(offset):
+            target = int(kernel._jump[offset])
+            if kernel._flags[offset] & 1 and target == offset - offset % im.width:
+                return None
+            return target // im.width, acts[offset] if kernel._logged[offset] else ()
+
+        pairs = check(machine, read_table(im, move))
+        assert pairs == set(fleet.opt_report.state_map.items())
+
+
+@pytest.mark.parametrize("name", HIERARCHICAL_MODELS)
+@pytest.mark.parametrize("engine", ENGINES)
+def test_flattened_hsm_matches_simulator(name, engine):
+    model = build_hierarchical_model(name, 4)
+    flat = model.flatten(engine)
+    read = read_executor(model.simulator(), flat.messages)
+    assert check(flat, read) == same_names(flat)
 
 
 @pytest.mark.parametrize("factory", BUNDLED_MACHINES)
 class TestCompiledDifferential:
-    def test_compiled_optimized_matches_interpreter(self, factory, request):
-        machine, optimized, report = cached(request)
-        schedule = random_schedule(machine, 2000, seed=23)
-        base_states, base_actions = replay(MachineInterpreter(machine), schedule)
-        compiled = compile_machine(optimized).new_instance()
-        opt_states, opt_actions = replay(compiled, schedule)
-        assert opt_actions == base_actions
-        assert opt_states == [report.state_map[state] for state in base_states]
-
     @pytest.mark.parametrize("flavour", sorted(COMPILED_FLAVOURS))
-    def test_compiled_matches_interpreter_and_indexed_walk(
-        self, flavour, factory, request, tmp_path
-    ):
-        """Three executors, one schedule, step for step: the generated
-        class (under every way of supplying its action methods), the
-        interpreter, and a bare walk over the IndexedMachine arrays."""
+    def test_compiled_matches_interpreter(self, flavour, factory, request, tmp_path):
+        """One schedule, step for step: the generated class, under every
+        way of supplying its action methods, and the interpreter."""
         _, optimized, _ = cached(request)
         schedule = random_schedule(optimized, 2000, seed=31)
         interp = MachineInterpreter(optimized)
         expected = step_log(interp, schedule, interp.sent)
-        walk = IndexedWalk(optimized)
-        assert step_log(walk, schedule, walk.sent) == expected
         assert any(actions for _, _, actions in expected)
         assert COMPILED_FLAVOURS[flavour](optimized, schedule, tmp_path) == expected
 
@@ -316,23 +354,6 @@ class TestFleetDifferential:
             opt_trace = opt.trace(key)
             assert opt_trace.actions == raw_trace.actions
             assert opt_trace.state == report.state_map[raw_trace.state]
-
-
-@pytest.mark.parametrize("hsm", ["session", "commit"])
-@pytest.mark.parametrize("mode", MODES)
-class TestHierarchicalOracle:
-    """Optimized flattened HSMs still match direct hierarchical simulation."""
-
-    def test_optimized_fleet_matches_simulator(self, hsm, mode):
-        model = build_hierarchical_model(hsm, 4)
-        machine = model.flatten()
-        events = generate_workload(
-            machine, WorkloadSpec(instances=120, events=3000, seed=13)
-        )
-        fleet = FleetEngine(machine, mode=mode, auto_recycle=True, optimize="full")
-        keys = fleet.spawn_many(120)
-        fleet.run(events)
-        assert diff_against_hierarchical(fleet, model, keys, events) == []
 
 
 class TestBlowupRecovery:

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from repro.analysis.diff import machines_isomorphic
+from repro.analysis import equivalent
 from repro.core.errors import RenderError
 from repro.render.dot import DotRenderer
 from repro.render.markdown import MarkdownRenderer
@@ -96,8 +96,8 @@ class TestXmlRenderer:
     def test_roundtrip_isomorphic(self):
         machine = commit_machine(4)
         parsed = parse_machine_xml(XmlRenderer().render(machine))
-        diff = machines_isomorphic(machine, parsed)
-        assert diff.isomorphic, diff.differences
+        verdict = equivalent(machine, parsed)
+        assert verdict.one_to_one, str(verdict)
 
     def test_roundtrip_preserves_finality(self):
         parsed = parse_machine_xml(XmlRenderer().render(commit_machine(4)))

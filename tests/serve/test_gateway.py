@@ -217,27 +217,43 @@ def test_snapshot_scrape_restores_into_fresh_fleet():
     gateway_test(body)
 
 
-#: Wire snapshot instances whose types are wrong.  At the parent
-#: ``snapshot_from_json`` accepted all three: the int key reached the
-#: fleet, which cleared its population and then failed with a 500; the
-#: int state was refused only by the fleet; "ab" restored as the actions
-#: ('a', 'b').
+#: Wire snapshots whose types are wrong, as (field, value, the error's
+#: start).  Before the checks ``snapshot_from_json`` accepted them all:
+#: the int key reached the fleet, which cleared its population and then
+#: failed with a 500; the int state was refused only by the fleet; "ab"
+#: restored as the actions ('a', 'b'); and a ``lost`` manifest of "ab"
+#: or a dict made a bogus partial snapshot of the lost keys ('a', 'b')
+#: or the dict's keys.
 MISTYPED_SNAPSHOTS = {
-    "int-key": {"key": 5, "state": "T/0/F/0/F/F/F", "actions": []},
-    "int-state": {"key": "fresh", "state": 3, "actions": []},
-    "str-actions": {"key": "fresh", "state": "T/0/F/0/F/F/F", "actions": "ab"},
+    "int-key": ("instances", {"key": 5, "state": "T/0/F/0/F/F/F", "actions": []}),
+    "int-state": ("instances", {"key": "fresh", "state": 3, "actions": []}),
+    "str-actions": (
+        "instances",
+        {"key": "fresh", "state": "T/0/F/0/F/F/F", "actions": "ab"},
+    ),
+    "str-lost": ("lost", "ab"),
+    "dict-lost": ("lost", {"fresh": 1}),
+    "int-in-lost": ("lost", ["fresh", 7]),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(MISTYPED_SNAPSHOTS))
-def test_mistyped_snapshot_is_a_400_and_restores_nothing(kind):
+@pytest.mark.parametrize("partial", ["", "?partial=1"], ids=["whole", "partial"])
+def test_mistyped_snapshot_is_a_400_and_restores_nothing(kind, partial):
+    field, value = MISTYPED_SNAPSHOTS[kind]
+
     async def body(gateway, reader, writer):
         await http(reader, writer, "POST", "/spawn", {"count": 2})
         status, snap = await http(reader, writer, "GET", "/snapshot")
-        snap["instances"].append(MISTYPED_SNAPSHOTS[kind])
-        status, out = await http(reader, writer, "POST", "/restore", snap)
+        if field == "lost":
+            snap["lost"] = value
+            error = "malformed snapshot payload: 'lost' must be a list of strings"
+        else:
+            snap["instances"].append(value)
+            error = "malformed snapshot payload: instance 2"
+        status, out = await http(reader, writer, "POST", "/restore" + partial, snap)
         assert status == 400
-        assert out["error"].startswith("malformed snapshot payload: instance 2")
+        assert out["error"].startswith(error)
         assert len(gateway.fleet) == 2
         assert "fresh" not in gateway.fleet
 

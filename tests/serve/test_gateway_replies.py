@@ -12,7 +12,6 @@ drive a :class:`_Connection` on a stub transport: no socket, no loop.
 
 import json
 import re
-import time
 from itertools import product
 from urllib.parse import parse_qs, quote, urlsplit
 
@@ -317,10 +316,6 @@ class StubTransport:
         self.closed = True
 
 
-class StubLoop:
-    time = staticmethod(time.monotonic)
-
-
 def replies(data: bytes) -> list:
     """``[(status, body), ...]`` for back-to-back replies."""
     out = []
@@ -337,7 +332,6 @@ def gateway():
     fleet = make_fleet("commit", mode="encoded")
     fleet.spawn_many(4)
     gateway = FleetGateway(fleet, port=0)
-    gateway._loop = StubLoop()
     yield gateway
     fleet.close()
 

@@ -45,9 +45,9 @@ SERVE_ALL = [
     "ScenarioSnapshot", "ScenarioSpec",
     "SessionSimulator", "TimedEvent", "VectorKernel",
     "VectorSchedule", "WorkerJournal", "WorkloadSpec",
-    "diff_against_hierarchical", "diff_against_standalone", "diff_fleets",
+    "diff_against_standalone", "diff_fleets",
     "fleet_machine", "generate_scenario", "generate_workload",
-    "hierarchical_traces", "make_backend", "make_fleet", "require_numpy",
+    "make_backend", "make_fleet", "require_numpy",
     "run_scenario", "scenario_traces", "session_keys", "shard_of",
     "standalone_traces",
 ]  # fmt: skip
@@ -58,11 +58,10 @@ CORE_ALL = [
     "HierarchicalSimulator", "HsmTransition", "LeafState", "IntComponent",
     "InvalidStateError", "MachineStructureError", "ModelDefinitionError",
     "RenderError", "ReproError", "SimulationError", "State", "StateComponent",
-    "StateMachine", "StateSpace", "StateView", "Trace", "TraceRecorder",
-    "TraceStep", "Transition", "TransitionBuilder", "Wiring",
-    "equivalence_classes",
-    "enumerate_traces", "generate", "generate_lazy", "generate_with_engine",
-    "replay", "merge_equivalent", "one_shot_merge",
+    "StateMachine", "StateSpace", "StateView", "Transition",
+    "TransitionBuilder", "Wiring", "equivalence_classes", "generate",
+    "generate_lazy", "generate_with_engine", "merge_equivalent",
+    "one_shot_merge",
 ]  # fmt: skip
 MODELS_ALL = [
     "CommitModel", "CoordinatorRoundModel", "HIERARCHICAL_MODELS", "MESSAGES",
@@ -99,16 +98,16 @@ OBS_ALL = [
 ]  # fmt: skip
 
 ANALYSIS_ALL = [
-    "COMMIT_PHASE_FLAGS", "ExplorationResult", "PeerSetExplorer",
+    "COMMIT_PHASE_FLAGS", "Equivalence", "ExplorationResult", "PeerSetExplorer",
     "PropertyReport", "action_at_most_once", "action_exactly_once",
     "action_required", "bundled_flatten_reports", "check_contending_updates",
     "check_single_update", "commit_protocol_properties",
-    "finish_always_reachable", "FINISHED_PHASE", "MachineDiff", "MachineStats",
+    "finish_always_reachable", "FINISHED_PHASE", "MachineStats",
     "PAPER_TABLE1", "PhaseTransition", "Table1Row", "commit_spectrum",
-    "diff_machines", "efsm_phase_transitions", "flatten_blowup",
+    "efsm_phase_transitions", "equivalent", "flatten_blowup",
     "flatten_comparison", "format_flatten_table", "format_table1",
     "fsm_vs_efsm_table", "initial_state_count", "machine_stats",
-    "machines_isomorphic", "merged_state_count", "merged_state_formula",
+    "merged_state_count", "merged_state_formula",
     "phase_names", "phase_quotient", "table1", "table1_row",
 ]  # fmt: skip
 BASELINES_ALL = ["FINISHED_NAME", "GenericCommitAlgorithm"]
@@ -157,7 +156,7 @@ OWN = {
 }
 
 #: The toolchain a serving process never runs: the renderers, the
-#: compiler and exporter, the hierarchical, EFSM and trace layers, the
+#: compiler and exporter, the hierarchical and EFSM layers, the
 #: models it does not serve, exposition (loaded at the first scrape),
 #: workload fabrication and the pass pipeline.
 TOOLCHAIN = (
@@ -166,7 +165,6 @@ TOOLCHAIN = (
     "repro.runtime.export",
     "repro.core.hsm",
     "repro.core.efsm",
-    "repro.core.trace",
     "repro.models.commit_efsm",
     "repro.models.commit_hsm",
     "repro.models.session_hsm",
