@@ -196,7 +196,10 @@ MUTANTS = [
     *_of("opt/passes.py", "PruneUnreachablePass.run", _PASSES,
          ("i in reachable", "flip")),
     *_of("opt/passes.py", "MergeEquivalentPass.run", _PASSES,
-         ("group[0]", "-1")),
+         ("group[0]", "-1"),
+         ("a is b", "true")),
+    *_of("core/minimize.py", "_quotient", _PASSES,
+         ("quotient._quotient_arrays()", "none")),
     *_of("opt/passes.py", "DeadActionEliminationPass.run", _PASSES,
          (("if old_seq < 0:", "continue"), "delete")),
     *_of("opt/passes.py", "HotStateRenumberPass.run", _PASSES,
@@ -207,7 +210,7 @@ MUTANTS = [
          ("chooser is not None", "flip"),
          ("chooser == me", "flip")),
     # Each representation change, decided by repro.analysis.equivalent.
-    *_of("core/minimize.py", "_quotient", _HOPS,
+    *_of("core/minimize.py", "_collapse", _HOPS,
          (("rows = _remap_rows(im, _seq_key(im), keep, cls)", "keep"), "reverse")),
     *_of("opt/indexed.py", "IndexedMachine.from_machine", _HOPS,
          ("t.actions", "reverse")),
@@ -262,6 +265,7 @@ OPERATORS = {
     "+1": (ast.expr, lambda node: f"({ast.unparse(node)}) + 1"),
     "-1": (ast.expr, lambda node: f"({ast.unparse(node)}) - 1"),
     "false": (ast.expr, lambda node: "False"),
+    "true": (ast.expr, lambda node: "True"),
     "none": (ast.expr, lambda node: "None"),
     "empty": (ast.expr, lambda node: "''"),
     "reverse": (ast.expr, lambda node: f"({ast.unparse(node)})[::-1]"),

@@ -14,8 +14,8 @@ Both run on the arrays of an :class:`~repro.opt.indexed.IndexedMachine`:
 the generation engines hand step 4 the IR they enumerated, and a
 hand-built machine is interned first.  The fixpoint is
 :func:`coarsest_partition`, the one implementation of the relation in the
-library (the optimizer's ``merge`` pass runs it too), Hopcroft's
-partition refinement:
+library (the optimizer's ``merge`` pass runs it too, on every IR that
+does not carry a quotient's proof), Hopcroft's partition refinement:
 
 * the *initial partition* separates states by finality and, per message,
   by whether they accept it and with which action sequence — everything
@@ -40,6 +40,15 @@ annotations; every class records its members' names, and a class of more
 than one is annotated "Represents N equivalent states".  All reachable
 final states merge into one state named :data:`FINISH_NAME`, the
 machine's ``finish_state`` (paper Fig 5).
+
+A quotient is its own coarsest partition, so refining it again can only
+return the identity.  :func:`_quotient` (step 4, and
+:func:`merge_equivalent`) therefore records the quotient's own array
+objects as its proof, and the ``merge`` pass accepts an IR whose arrays
+are still those very objects without running :func:`coarsest_partition`.
+``dataclasses.replace`` keeps the proof, so an annotation-only replace
+keeps it valid and one that swaps an array voids it.  The literal
+:func:`one_shot_merge` partition is not the coarsest and records none.
 """
 
 from __future__ import annotations
@@ -162,8 +171,7 @@ def equivalence_classes(machine: StateMachine) -> list[list[State]]:
 
 def merge_equivalent(machine: StateMachine) -> StateMachine:
     """Return a new machine with each equivalence class collapsed to one state."""
-    im = _indexed(machine)
-    return StateMachine._over(_quotient(im, _classes(im)), machine.space)
+    return StateMachine._over(_quotient(_indexed(machine)), machine.space)
 
 
 def one_shot_merge(machine: StateMachine) -> StateMachine:
@@ -186,7 +194,7 @@ def one_shot_merge(machine: StateMachine) -> StateMachine:
         )
         for s, final in enumerate(im.final)
     ]
-    return StateMachine._over(_quotient(im, cls), machine.space)
+    return StateMachine._over(_collapse(im, cls), machine.space)
 
 
 def _indexed(machine: StateMachine):
@@ -208,7 +216,15 @@ def _classes(im) -> list[int]:
     return coarsest_partition(im.width, im.next_state, output, im.final)
 
 
-def _quotient(im, cls: Sequence[int]):
+def _quotient(im):
+    """Step 4 on an IR: its bisimulation quotient, carrying the proof
+    that it is one (its own arrays), so the optimizer's ``merge`` pass
+    accepts it instead of refining it again."""
+    quotient = _collapse(im, _classes(im))
+    return replace(quotient, _proof=quotient._quotient_arrays())
+
+
+def _collapse(im, cls: Sequence[int]):
     """The quotient IR for a partition of ``im``'s states into classes.
 
     ``cls`` numbers classes by lowest member, so class ``c`` becomes

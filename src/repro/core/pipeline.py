@@ -31,7 +31,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
-from repro.core.minimize import _classes, _quotient, _remap_rows
+from repro.core.minimize import _quotient, _remap_rows
 from repro.core.model import AbstractModel, Elaborator, StateView
 
 #: The generation engines selectable via ``engine=`` / ``--engine``.
@@ -256,7 +256,7 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
     )
     if merge:
         started = time.perf_counter()
-        im = _quotient(im, _classes(im))
+        im = _quotient(im)
         report.timings["merge"] = time.perf_counter() - started
     elif im.final.count(True) == 1:
         im = replace(im, finish=im.final.index(True))

@@ -69,6 +69,11 @@ class IndexedMachine:
     state_merged: tuple[tuple[str, ...], ...] = ()
     #: Sparse transition annotations, keyed by flat offset.
     transition_annotations: dict[int, tuple[str, ...]] = field(default_factory=dict)
+    #: The array objects this IR had when step 4 or the merge pass made
+    #: it a bisimulation quotient (see :meth:`_quotient_arrays`), else
+    #: ``None``.  ``dataclasses.replace`` copies it, so a replace that
+    #: swaps an array leaves a proof that no longer matches.
+    _proof: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     # ------------------------------------------------------------------
     # shape
@@ -260,6 +265,19 @@ class IndexedMachine:
         for offset in self.transition_annotations:
             if not (0 <= offset < n * width and targets[offset] >= 0):
                 fail(f"transition_annotations[{offset}] annotates no transition")
+
+    def _quotient_arrays(self) -> tuple:
+        """The arrays coarsest-partition refinement reads, as objects: what
+        a proof records and what :class:`~repro.opt.passes.MergeEquivalentPass`
+        compares it with, one ``is`` per array."""
+        return (
+            self.messages,
+            self.final,
+            self.next_state,
+            self.action_seq,
+            self.action_seqs,
+            self.actions,
+        )
 
     def reachable_ids(self) -> set[int]:
         """State ids reachable from the start state (array BFS)."""

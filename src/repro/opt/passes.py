@@ -22,7 +22,12 @@ Shipped passes (see :data:`~repro.opt.pipeline.PASSES` for the registry):
   the classes do not depend on the algorithm).  This is the pass that
   claws back hierarchical-flattening blow-up: flattening copies
   inherited transitions into every leaf and routinely leaves
-  behaviourally identical leaves behind.
+  behaviourally identical leaves behind.  An IR that step 4 or this
+  pass made a quotient carries the proof (its own array objects); while
+  every array still ``is`` the recorded one, the pass returns the IR and
+  the identity mapping without refining it again.  Flattened HSMs,
+  ``merge=False`` output and hand-built or parsed machines carry no
+  proof and are refined.
 * :class:`DeadActionEliminationPass` — compact the interned action and
   action-sequence pools: sequences no transition references (typically
   orphaned by pruning/merging) and duplicate sequences disappear.
@@ -35,6 +40,7 @@ Shipped passes (see :data:`~repro.opt.pipeline.PASSES` for the registry):
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 from repro.core.minimize import _classes
@@ -117,12 +123,21 @@ class MergeEquivalentPass:
     (:func:`repro.core.minimize.coarsest_partition`), fed here with the
     IR's own arrays.  Classes keep the name of their lowest-id member,
     and the mapping records every member -> that representative.
+
+    A quotient is already its coarsest partition: an IR whose arrays
+    are the very objects its proof recorded is returned as it is, and
+    the merged IR this pass returns records its own proof.
     """
 
     name = "merge"
 
     def run(self, im: IndexedMachine) -> tuple[IndexedMachine, StateMapping]:
         n = len(im.state_names)
+        proof = im._proof
+        if proof is not None and all(
+            a is b for a, b in zip(proof, im._quotient_arrays())
+        ):
+            return im, _identity_mapping(im)
         # Sequences compare by their action strings, so duplicate pool
         # entries (legal in hand-built IRs) still compare equal.
         cls = _classes(im)
@@ -137,8 +152,9 @@ class MergeEquivalentPass:
         if len(groups) == n:
             return im, _identity_mapping(im)
         keep = [group[0] for group in groups]
-        merged = _rebuild(im, keep, cls.__getitem__)
-        merged = _record_merges(merged, im, groups)
+        merged = _record_merges(_rebuild(im, keep, cls.__getitem__), im, groups)
+        # Merged by the coarsest partition, the result is a quotient.
+        merged = replace(merged, _proof=merged._quotient_arrays())
         return merged, dict(enumerate(cls))
 
 
@@ -147,8 +163,6 @@ def _record_merges(
 ) -> IndexedMachine:
     """Fold member names/annotations of multi-state classes into sidecars;
     ``groups[i]`` lists the original ids merged into new state ``i``."""
-    from dataclasses import replace
-
     state_merged = list(merged.state_merged) or [()] * len(merged.state_names)
     state_annotations = list(merged.state_annotations) or [()] * len(
         merged.state_names
@@ -186,8 +200,6 @@ class DeadActionEliminationPass:
     name = "dead-actions"
 
     def run(self, im: IndexedMachine) -> tuple[IndexedMachine, StateMapping]:
-        from dataclasses import replace
-
         seq_pool: dict[tuple[int, ...], int] = {(): 0}
         action_pool: dict[str, int] = {}
         new_seq_id: dict[int, int] = {}

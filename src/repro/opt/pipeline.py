@@ -15,7 +15,10 @@ pipelines):
 1. ``prune`` first — later passes assume every state matters; merging
    unreachable garbage wastes refinement work and in-degree estimates.
 2. ``merge`` before ``dead-actions`` — merging orphans pool entries that
-   compaction then collects.
+   compaction then collects.  ``merge`` refines only an IR that carries
+   no quotient's proof: a generated machine is step 4's quotient, and
+   while its arrays are the objects step 4 made (``prune`` removing
+   nothing keeps them) the pass returns it with the identity mapping.
 3. ``renumber`` last — it fixes the final dense-array layout; any pass
    that adds or removes states after it would scramble the hot-first
    ordering it computed.

@@ -38,6 +38,9 @@ HEADER = Struct("<BQ")
 FLAT, PICKLED = 0, 1
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
+#: The largest frame read with one ``read``: under glibc's 128 KiB mmap
+#: threshold, so a small reply is never a mapped block.
+_ONE_READ = 1 << 16
 
 
 class Channel:
@@ -102,17 +105,21 @@ class Channel:
 def _read_exact(fd: int, size: int):
     """Exactly ``size`` bytes from ``fd``; EOF first is an EOFError.
 
-    One ``read`` is enough for a frame the socket buffer holds whole.
-    A bigger one fills one preallocated buffer in place, so reading
-    stays linear in the frame size.
+    A frame up to :data:`_ONE_READ` bytes is one ``read`` when the socket
+    buffer holds it whole.  A bigger one is read into one preallocated
+    buffer from its first byte: ``read`` allocates the whole size it is
+    asked for before it shrinks to what arrived, so asking for a big
+    frame would map a frame-sized block and copy what it got.
     """
     if not size:
         return b""
-    data = os.read(fd, size)
-    if len(data) == size:
-        return data
-    if not data:
-        raise EOFError("channel closed by its peer")
+    data = b""
+    if size <= _ONE_READ:
+        data = os.read(fd, size)
+        if len(data) == size:
+            return data
+        if not data:
+            raise EOFError("channel closed by its peer")
     buffer = bytearray(size)
     view = memoryview(buffer)
     got = len(data)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.machine import StateMachine
 from repro.core.state import State, Transition
+from repro.models.commit import CommitModel
 from repro.opt import (
     DeadActionEliminationPass,
     HotStateRenumberPass,
@@ -166,6 +167,102 @@ class TestMerge:
         flat = build_hierarchical_model("commit", 4).flatten()
         merged, _ = MergeEquivalentPass().run(indexed(flat))
         assert len(merged.state_names) < len(flat)
+
+
+class TestQuotientProof:
+    """Step 4's quotient carries a proof the merge pass accepts as long as
+    every array is still the object step 4 produced."""
+
+    @staticmethod
+    def count_refinements(monkeypatch) -> list:
+        """From now on, record each ``coarsest_partition`` call's state count."""
+        from repro.core import minimize
+
+        calls = []
+        kernel = minimize.coarsest_partition
+
+        def counted(*arrays):
+            calls.append(len(arrays[-1]))
+            return kernel(*arrays)
+
+        monkeypatch.setattr(minimize, "coarsest_partition", counted)
+        return calls
+
+    def test_a_swapped_array_voids_the_proof(self, monkeypatch):
+        from dataclasses import replace
+
+        from repro.core.minimize import merge_equivalent
+
+        # P and Q both fire x on a, into F and R: distinct, until Q's
+        # target becomes F.
+        machine = build(
+            ["S", "P", "Q", "R", "F"],
+            [
+                ("S", "a", "P", ()),
+                ("S", "b", "Q", ()),
+                ("P", "a", "F", ("->x",)),
+                ("Q", "a", "R", ("->x",)),
+                ("R", "b", "F", ("->y",)),
+            ],
+            ["a", "b"],
+            "S",
+            finals=["F"],
+        )
+        quotient = indexed(merge_equivalent(machine))
+        assert quotient.state_names == ("S", "P", "Q", "R", "F")
+        next_state = list(quotient.next_state)
+        next_state[2 * quotient.width] = 4  # Q --a--> F
+        doctored = replace(quotient, next_state=tuple(next_state))
+        assert doctored._proof is quotient._proof
+        refinements = self.count_refinements(monkeypatch)
+        merged, mapping = MergeEquivalentPass().run(doctored)
+        assert merged.state_names == ("S", "P", "R", "F")
+        assert mapping == {0: 0, 1: 1, 2: 1, 3: 2, 4: 3}
+        # What the pass merged is a quotient too.
+        assert MergeEquivalentPass().run(merged)[0] is merged
+        assert refinements == [5]
+
+    def test_a_one_shot_merge_is_refined(self):
+        from repro.core.minimize import one_shot_merge
+
+        # One literal pass merges D1/D2 only; refinement then merges C1/C2.
+        machine = build(
+            ["A", "C1", "C2", "D1", "D2", "End"],
+            [
+                ("A", "left", "C1", ()),
+                ("A", "right", "C2", ()),
+                ("C1", "go", "D1", ()),
+                ("C2", "go", "D2", ()),
+                ("D1", "go", "End", ("->fire",)),
+                ("D2", "go", "End", ("->fire",)),
+            ],
+            ["left", "right", "go"],
+            "A",
+            finals=["End"],
+        )
+        once = indexed(one_shot_merge(machine))
+        assert once.state_names == ("A", "C1", "C2", "D1", "End")
+        merged, _ = MergeEquivalentPass().run(once)
+        assert merged.state_names == ("A", "C1", "D1", "End")
+
+    def test_a_generated_machine_is_not_refined_again(self, monkeypatch):
+        im = indexed(CommitModel(8).generate_state_machine())
+        refinements = self.count_refinements(monkeypatch)
+        merged, mapping = MergeEquivalentPass().run(im)
+        assert merged is im
+        assert mapping == {i: i for i in range(im.state_count)}
+        assert refinements == []
+
+    def test_the_proof_survives_pickling(self, monkeypatch):
+        import pickle
+
+        # Pickle's memo keeps the shared tuples one object each, as a
+        # worker started by ``spawn`` receives them.
+        machine = CommitModel(8).generate_state_machine()
+        im = indexed(pickle.loads(pickle.dumps(machine)))
+        refinements = self.count_refinements(monkeypatch)
+        assert MergeEquivalentPass().run(im)[0] is im
+        assert refinements == []
 
 
 class TestDeadActions:

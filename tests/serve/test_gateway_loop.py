@@ -9,7 +9,11 @@ sockets, so nothing here imports asyncio except ``stop()``'s caller.
 import asyncio
 import contextlib
 import json
+import os
+import pathlib
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -55,6 +59,11 @@ def connect(port: int, receive_buffer: int = 0) -> socket.socket:
 def get(path: str, close: bool = False) -> bytes:
     connection = "Connection: close\r\n" if close else ""
     return f"GET {path} HTTP/1.1\r\nHost: test\r\n{connection}\r\n".encode()
+
+
+def post(path: str, body: bytes) -> bytes:
+    head = f"POST {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}"
+    return head.encode() + b"\r\n\r\n" + body
 
 
 def read_replies(client: socket.socket, count: int) -> list:
@@ -159,6 +168,56 @@ def test_every_reply_pushes_the_read_deadline_forward():
                 assert client.recv(1) == b""
     finally:
         fleet.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_reads_on_a_first_connection_map_no_memory(tmp_path):
+    """A read buffer past the mmap threshold costs page faults on every
+    ``recv`` of a served process's first connection."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    port_file = tmp_path / "port"
+    server = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro.cli", "serve", "--port", "0",
+            "--port-file", str(port_file),
+        ],
+        # glibc's default mmap threshold, pinned: no large block freed
+        # earlier in the process can raise it, so every run sees it.
+        env={
+            **os.environ,
+            "PYTHONPATH": str(src),
+            "MALLOC_MMAP_THRESHOLD_": str(128 << 10),
+        },
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )  # fmt: skip
+
+    def minor_faults() -> int:
+        stat = pathlib.Path(f"/proc/{server.pid}/stat").read_text()
+        return int(stat.rpartition(")")[2].split()[7])
+
+    deliver = post("/deliver", b'{"key": "k", "message": "vote"}')
+    requests = [deliver, get("/state?key=k")]
+    try:
+        deadline = time.monotonic() + 30
+        while not (port_file.exists() and port_file.read_text().strip()):
+            assert server.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        with connect(int(port_file.read_text())) as client:
+            client.sendall(post("/spawn", b'{"key": "k"}'))
+            read_replies(client, 1)
+            for request in requests * 50:  # warm up
+                client.sendall(request)
+                read_replies(client, 1)
+            before = minor_faults()
+            for request in requests * 1000:
+                client.sendall(request)
+                read_replies(client, 1)
+            faults = minor_faults() - before
+        assert faults < 0.1 * 2000, f"{faults} minor faults in 2000 requests"
+    finally:
+        server.kill()
+        server.wait()
 
 
 def test_stop_from_another_thread_closes_idle_keepalive_connections():
