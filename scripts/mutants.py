@@ -86,7 +86,7 @@ _WIRE, _REPLIES = _SERVE("gateway_wire"), _SERVE("gateway_replies")
 _LOOP = _SERVE("gateway_loop")
 _CORE = "tests/core/test_{}.py".format
 _ELAB, _WIRING = _CORE("elaboration"), _CORE("wiring")
-_PARTITION = _CORE("coarsest_partition")
+_PARTITION, _MINIMIZE = _CORE("coarsest_partition"), _CORE("minimize")
 _PASSES, _SOURCE = "tests/opt/test_passes.py", "tests/render/test_source.py"
 _HOPS = "tests/opt/test_opt_differential.py"
 _NO_COLON = "raise _HttpError(400, 'malformed header line (no colon)')"
@@ -198,12 +198,14 @@ MUTANTS = [
     *_of("opt/passes.py", "MergeEquivalentPass.run", _PASSES,
          ("group[0]", "-1"),
          ("a is b", "true")),
-    *_of("core/minimize.py", "_quotient", _PASSES,
+    *_of("core/minimize.py", "_proved", _PASSES,
          ("quotient._quotient_arrays()", "none")),
     *_of("opt/passes.py", "DeadActionEliminationPass.run", _PASSES,
          (("if old_seq < 0:", "continue"), "delete")),
     *_of("opt/passes.py", "HotStateRenumberPass.run", _PASSES,
          ("score[im.start] = max(score) + 1", "delete")),
+    *_of("opt/passes.py", "_rebuild", _PASSES,
+         ("[next_state[o] for o in offsets]", "reverse")),
     # The deployed wiring.
     *_of("core/wiring.py", "Wiring.cascade", _WIRING,
          ("chooser = deliver(other, claim, chooser)", "delete"),
@@ -212,6 +214,16 @@ MUTANTS = [
     # Each representation change, decided by repro.analysis.equivalent.
     *_of("core/minimize.py", "_collapse", _HOPS,
          (("rows = _remap_rows(im, _seq_key(im), keep, cls)", "keep"), "reverse")),
+    *_of("core/minimize.py", "_merged_states", _HOPS, ("keep[c] != s", "flip")),
+    # Generation's own step 4: explored rows straight into the quotient,
+    # and the names it spells.
+    *_of("core/minimize.py", "_quotient_rows", _MINIMIZE,
+         ("[keep[r] for r in reps]", "reverse")),
+    *_of("core/components.py", "StateSpace.__init__", _CORE("components"),
+         ("c.encode(value)", "reverse")),
+    # Flattening's exit chains, against a resolution written apart.
+    *_of("core/hsm.py", "HierarchicalModel.fire", _CORE("hsm_differential"),
+         ("actions.extend(node.exit_actions)", "delete")),
     *_of("opt/indexed.py", "IndexedMachine.from_machine", _HOPS,
          ("t.actions", "reverse")),
     *_of("opt/indexed.py", "IndexedMachine.jump_arrays", _HOPS,
@@ -225,9 +237,9 @@ MUTANTS = [
          ("offsets % width", "flip")),
     # The generated module's row writer.
     *_of("render/source.py", "PythonSourceRenderer._transition_table", _SOURCE,
-         ("target < 0", "flip"),
-         ("names[target]", "-1"),
-         ("performs[im.action_seq[offset]]", "empty")),
+         ("next_state[o] >= 0", "flip"),
+         ("names[next_state[o]]", "-1"),
+         ("performs[seqs[o]]", "empty")),
 ]  # fmt: skip
 
 

@@ -21,6 +21,9 @@ from typing import Any
 
 from repro.core.errors import ComponentError
 
+#: The largest component whose spellings :class:`StateSpace` tabulates.
+_SPELLED = 1 << 12
+
 
 class StateComponent:
     """One named dimension of an abstract state space.
@@ -182,6 +185,14 @@ class StateSpace:
             raise ComponentError(f"duplicate component names: {names}")
         self._components = tuple(components)
         self._index = {c.name: i for i, c in enumerate(self._components)}
+        #: Per component, each legal value -> its encoding in a state name
+        #: (left empty for a component of more than _SPELLED values).
+        self._spellings = tuple(
+            {value: c.encode(value) for value in c.values()}
+            if len(c.values()) <= _SPELLED
+            else {}
+            for c in self._components
+        )
 
     @property
     def components(self) -> tuple[StateComponent, ...]:
@@ -251,10 +262,17 @@ class StateSpace:
         return tuple(out)
 
     def vector_name(self, vector: Sequence[Any]) -> str:
-        """Encode a vector as a state name, e.g. ``T/2/F/0/F/F/F`` (Fig 14)."""
-        return self.SEPARATOR.join(
-            c.encode(v) for c, v in zip(self._components, vector)
-        )
+        """Encode a vector as a state name, e.g. ``T/2/F/0/F/F/F`` (Fig 14).
+
+        Each value is spelled from its component's table of encodings,
+        with no call per component; a value the table lacks (one outside
+        the component's range) is encoded by the component itself."""
+        try:
+            return self.SEPARATOR.join(map(dict.__getitem__, self._spellings, vector))
+        except (KeyError, TypeError):
+            return self.SEPARATOR.join(
+                c.encode(v) for c, v in zip(self._components, vector)
+            )
 
     def parse_name(self, name: str) -> tuple:
         """Inverse of :meth:`vector_name`; raises on malformed names."""

@@ -10,9 +10,11 @@ computes the bisimulation quotient of the machine.  We implement both:
 * :func:`equivalence_classes` / :func:`merge_equivalent` — the fixpoint,
   the variant whose output matches the paper's published Table 1 counts.
 
-Both run on the arrays of an :class:`~repro.opt.indexed.IndexedMachine`:
-the generation engines hand step 4 the IR they enumerated, and a
-hand-built machine is interned first.  The fixpoint is
+Both run on row-major arrays: the generation engines hand step 4 the
+rows they explored (:func:`_quotient_rows` partitions them as they stand
+and remaps the representatives' rows once, straight into the quotient
+IR), and every other caller an :class:`~repro.opt.indexed.IndexedMachine`,
+interned first for a hand-built machine.  The fixpoint is
 :func:`coarsest_partition`, the one implementation of the relation in the
 library (the optimizer's ``merge`` pass runs it too, on every IR that
 does not carry a quotient's proof), Hopcroft's partition refinement:
@@ -37,15 +39,18 @@ nor the splitter order can change the classes.  The oracles are kept in
 The quotient keeps each class under its first member (lowest id, i.e.
 original insertion order), with that member's row, vector and
 annotations; every class records its members' names, and a class of more
-than one is annotated "Represents N equivalent states".  All reachable
-final states merge into one state named :data:`FINISH_NAME`, the
-machine's ``finish_state`` (paper Fig 5).
+than one is annotated "Represents N equivalent states".  Only those
+larger classes cost a walk of their members: a class of one keeps its
+state's fields as they are.  All reachable final states merge into one
+state named :data:`FINISH_NAME`, the machine's ``finish_state`` (paper
+Fig 5).
 
 A quotient is its own coarsest partition, so refining it again can only
-return the identity.  :func:`_quotient` (step 4, and
-:func:`merge_equivalent`) therefore records the quotient's own array
-objects as its proof, and the ``merge`` pass accepts an IR whose arrays
-are still those very objects without running :func:`coarsest_partition`.
+return the identity.  Step 4 (:func:`_quotient_rows`, and
+:func:`_quotient` for :func:`merge_equivalent`) therefore records the
+quotient's own array objects as its proof (:func:`_proved`), and the
+``merge`` pass accepts an IR whose arrays are still those very objects
+without running :func:`coarsest_partition`.
 ``dataclasses.replace`` keeps the proof, so an annotation-only replace
 keeps it valid and one that swaps an array voids it.  The literal
 :func:`one_shot_merge` partition is not the coarsest and records none.
@@ -217,10 +222,43 @@ def _classes(im) -> list[int]:
 
 
 def _quotient(im):
-    """Step 4 on an IR: its bisimulation quotient, carrying the proof
-    that it is one (its own arrays), so the optimizer's ``merge`` pass
-    accepts it instead of refining it again."""
-    quotient = _collapse(im, _classes(im))
+    """Step 4 on an IR: its bisimulation quotient, proved (:func:`_proved`)."""
+    return _proved(_collapse(im, _classes(im)))
+
+
+def _quotient_rows(arrays, keep, new_id, start, names, final, vectors, **identity):
+    """Step 4 on a generation engine's explored rows, straight into the
+    proved quotient IR, with one remap of the rows that are left.
+
+    ``arrays`` is the engine's :class:`~repro.core.pipeline._Arrays`; state
+    ``i`` is its row ``keep[i]``, ``new_id[row]`` the state of a kept row
+    and ``start`` the start state.  ``names``, ``final`` and ``vectors``
+    are per state, and ``identity`` holds the IR's ``name``,
+    ``parameters`` and ``messages``.  The engines intern each action
+    sequence once, so sequence ids compare as their actions do and are
+    the partition's output as they stand."""
+    from repro.opt.indexed import IndexedMachine
+
+    width = arrays.width
+    targets, seqs = arrays.next_state, arrays.action_seq
+    if len(keep) * width < len(targets):
+        # Rows were pruned: the partition reads the kept ones, renumbered.
+        offsets = _row_offsets(keep, width)
+        targets = [targets[o] for o in offsets]
+        targets = [new_id[t] if t >= 0 else -1 for t in targets]
+        seqs = [seqs[o] for o in offsets]
+    cls = coarsest_partition(width, targets, seqs, final)
+    reps, fields = _merged_states(cls, names, final, (), vectors)
+    target_of = [cls[s] if s >= 0 else -1 for s in new_id]
+    rows = _remap_rows(arrays, list(arrays.seqs), [keep[r] for r in reps], target_of)
+    quotient = IndexedMachine(**identity, start=cls[start], **fields, **rows)
+    return _proved(quotient)
+
+
+def _proved(quotient):
+    """``quotient`` carrying the proof that it is a bisimulation quotient
+    (its own arrays), so the optimizer's ``merge`` pass accepts it
+    instead of refining it again."""
     return replace(quotient, _proof=quotient._quotient_arrays())
 
 
@@ -231,37 +269,47 @@ def _collapse(im, cls: Sequence[int]):
     state ``c`` and the quotient keeps the original order of first
     members (see the module docstring for names and annotations).
     """
-    groups: list[list[int]] = [[] for _ in range(max(cls) + 1)]
-    for s, c in enumerate(cls):
-        groups[c].append(s)
-    names, final, notes = im.state_names, im.final, im.state_annotations
-    keep = [group[0] for group in groups]
-    members = [tuple(sorted(names[s] for s in group)) for group in groups]
-    annotations = []
-    for group, merged in zip(groups, members):
-        lines = notes[group[0]] if notes else ()
-        if len(group) > 1:
-            lines += (
+    keep, fields = _merged_states(
+        cls, im.state_names, im.final, im.state_annotations, im.state_vectors
+    )
+    rows = _remap_rows(im, _seq_key(im), keep, cls)
+    return replace(im, start=cls[im.start], **fields, **rows)
+
+
+def _merged_states(cls, names, final, notes, vectors) -> tuple[list[int], dict]:
+    """The lowest member of each class of ``cls``, in class order, and the
+    quotient's per-state fields as keywords, for states with ``names``,
+    ``final``, annotations ``notes`` and ``vectors`` (either of those two
+    may be empty).  A class of one state keeps that state's fields as
+    they are; only the members of larger classes are walked."""
+    # A dict keeps the last value stored under a key, so walking the
+    # states from the last leaves each class's lowest member.
+    lowest = dict(zip(reversed(cls), range(len(cls) - 1, -1, -1)))
+    keep = sorted(lowest.values())
+    state_names = [names[s] for s in keep]
+    members = [(name,) for name in state_names]
+    annotations = [notes[s] for s in keep] if notes else [()] * len(keep)
+    if len(keep) < len(cls):
+        groups: dict[int, list[int]] = {}
+        for s in [s for s, c in enumerate(cls) if keep[c] != s]:
+            groups.setdefault(cls[s], [keep[cls[s]]]).append(s)
+        for c, group in groups.items():
+            merged = tuple(sorted([names[s] for s in group]))
+            members[c] = merged
+            annotations[c] += (
                 f"Represents {len(group)} equivalent states: " + ", ".join(merged),
             )
-        annotations.append(lines)
-    rows = _remap_rows(im, _seq_key(im), keep, cls)
-    return replace(
-        im,
-        state_names=tuple(
-            FINISH_NAME if len(group) > 1 and final[group[0]] else names[group[0]]
-            for group in groups
-        ),
-        start=cls[im.start],
-        finish=next((c for c, s in enumerate(keep) if final[s]), -1),
-        final=tuple(final[s] for s in keep),
-        state_annotations=tuple(annotations),
-        state_vectors=tuple(im.state_vectors[s] for s in keep)
-        if im.state_vectors
-        else (),
-        state_merged=tuple(members),
-        **rows,
-    )
+            if final[group[0]]:
+                state_names[c] = FINISH_NAME
+    kept_final = [final[s] for s in keep]
+    return keep, {
+        "state_names": tuple(state_names),
+        "finish": kept_final.index(True) if True in kept_final else -1,
+        "final": tuple(kept_final),
+        "state_annotations": tuple(annotations),
+        "state_vectors": tuple([vectors[s] for s in keep]) if vectors else (),
+        "state_merged": tuple(members),
+    }
 
 
 def _remap_rows(arrays, seq_actions, keep, target_of) -> dict:
@@ -274,9 +322,9 @@ def _remap_rows(arrays, seq_actions, keep, target_of) -> dict:
     Returns the matching :class:`~repro.opt.indexed.IndexedMachine`
     fields as keywords."""
     width, notes = arrays.width, arrays.transition_annotations
-    offsets = [o for row in keep for o in range(row * width, (row + 1) * width)]
-    targets = [arrays.next_state[o] for o in offsets]
-    seqs = [arrays.action_seq[o] for o in offsets]
+    next_state, action_seq = arrays.next_state, arrays.action_seq
+    offsets = _row_offsets(keep, width)
+    seqs = [action_seq[o] for o in offsets]
     pool: dict[tuple[int, ...], int] = {(): 0}
     actions: dict[str, int] = {}
     seq_id = {-1: -1}
@@ -285,11 +333,21 @@ def _remap_rows(arrays, seq_actions, keep, target_of) -> dict:
             ids = tuple(actions.setdefault(a, len(actions)) for a in seq_actions[seq])
             seq_id[seq] = pool.setdefault(ids, len(pool))
     return {
-        "next_state": tuple([target_of[t] if t >= 0 else -1 for t in targets]),
+        "next_state": tuple(
+            [target_of[t] if t >= 0 else -1 for t in [next_state[o] for o in offsets]]
+        ),
         "action_seq": tuple([seq_id[seq] for seq in seqs]),
         "action_seqs": tuple(pool),
         "actions": tuple(actions),
         "transition_annotations": {
-            new: notes[old] for new, old in enumerate(offsets) if old in notes
+            new: note
+            for new, note in enumerate(map(notes.get, offsets))
+            if note is not None
         },
     }
+
+
+def _row_offsets(rows, width: int) -> list[int]:
+    """The flat offsets of ``rows`` of a row-major array, row by row."""
+    columns = range(width)
+    return [start + c for start in [row * width for row in rows] for c in columns]

@@ -14,14 +14,20 @@
 4. **Combine equivalent states** — bisimulation quotient (48 → 33, Fig 13).
 
 Both engines (this one and :mod:`repro.core.lazy`) intern each vector to
-a state id and write step 2 straight into the rows of an
-:class:`~repro.opt.indexed.IndexedMachine`.  Names and the model's
-commentary are computed only for the states steps 3 and 4 leave, and the
-machine returned is a :class:`~repro.core.machine.StateMachine` view.
+a state id and write step 2 straight into row-major arrays.  Their shared
+tail (``_finish``) names the states step 3 leaves, spelled from the state
+space's per-component tables, and runs step 4 on those explored rows
+directly: the partition reads the arrays as they stand (renumbered only
+when step 3 removed rows), and one remap writes the representatives' rows
+into the quotient :class:`~repro.opt.indexed.IndexedMachine`, with no
+intermediate IR.  The model's commentary is computed for the states
+step 4 leaves, and the machine returned is a
+:class:`~repro.core.machine.StateMachine` view.
 
 The returned :class:`GenerationReport` records the state counts after each
 step together with wall-clock timings, which is exactly the data behind the
-paper's Table 1.
+paper's Table 1.  The timings cover the whole engine: ``finish`` is the
+tail outside step 4 (names, the IR, commentary, the one validation).
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
-from repro.core.minimize import _quotient, _remap_rows
+from repro.core.minimize import _quotient_rows, _remap_rows
 from repro.core.model import AbstractModel, Elaborator, StateView
 
 #: The generation engines selectable via ``engine=`` / ``--engine``.
@@ -230,36 +236,49 @@ def _reachable(next_state, width: int, start: int) -> set[int]:
 
 
 def _finish(model, report, vectors, final, arrays, start, keep, merge):
-    """Both engines' tail once the reachable ids ``keep`` are known: those
-    rows as an IR, step 4 when ``merge`` (else the finish state is the one
-    final state, if there is exactly one), the model's commentary on the
-    states that are left, one validation, and the machine view."""
+    """Both engines' tail once the reachable ids ``keep`` are known (in id
+    order): the states' names, step 4 when ``merge`` (the explored rows
+    remapped once, into the quotient), else those rows as an IR whose
+    finish state is the one final state, if there is exactly one; then
+    the model's commentary on the states that are left, one validation,
+    and the machine view.  ``timings["finish"]`` is all of it but step 4."""
     from repro.opt.indexed import IndexedMachine
 
+    started = time.perf_counter()
     space = model.space
     report.elaborations = arrays.hooks.elaborations
     report.transition_count = len(arrays.next_state) - arrays.next_state.count(-1)
     report.reachable_states = len(keep)
-    new_id = [-1] * len(vectors)
-    for new, old in enumerate(keep):
-        new_id[old] = new
-    im = IndexedMachine(
-        name=model.machine_name(),
-        parameters=model.parameters,
-        messages=model.messages,
-        state_names=tuple(space.vector_name(vectors[s]) for s in keep),
-        start=new_id[start],
-        finish=-1,
-        final=tuple(final[s] for s in keep),
-        state_vectors=tuple(vectors[s] for s in keep),
-        **_remap_rows(arrays, list(arrays.seqs), keep, new_id),
-    )
+    if len(keep) < len(vectors):
+        new_id = [-1] * len(vectors)
+        for new, old in enumerate(keep):
+            new_id[old] = new
+        vectors = [vectors[s] for s in keep]
+        final = [final[s] for s in keep]
+    else:
+        new_id = range(len(vectors))
+    names = list(map(space.vector_name, vectors))
+    identity = {
+        "name": model.machine_name(),
+        "parameters": model.parameters,
+        "messages": model.messages,
+    }
     if merge:
-        started = time.perf_counter()
-        im = _quotient(im)
-        report.timings["merge"] = time.perf_counter() - started
-    elif im.final.count(True) == 1:
-        im = replace(im, finish=im.final.index(True))
+        merging = time.perf_counter()
+        im = _quotient_rows(
+            arrays, keep, new_id, new_id[start], names, final, vectors, **identity
+        )
+        report.timings["merge"] = time.perf_counter() - merging
+    else:
+        im = IndexedMachine(
+            **identity,
+            state_names=tuple(names),
+            start=new_id[start],
+            finish=final.index(True) if final.count(True) == 1 else -1,
+            final=tuple(final),
+            state_vectors=tuple(vectors),
+            **_remap_rows(arrays, list(arrays.seqs), keep, new_id),
+        )
     notes = im.state_annotations or [()] * im.state_count
     im = replace(
         im,
@@ -270,4 +289,7 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
     )
     report.merged_states = im.state_count
     im.check_integrity()
+    report.timings["finish"] = (
+        time.perf_counter() - started - report.timings.get("merge", 0.0)
+    )
     return StateMachine._over(im, space), report

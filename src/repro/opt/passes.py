@@ -36,6 +36,9 @@ Shipped passes (see :data:`~repro.opt.pipeline.PASSES` for the registry):
   the arrays for the bulk of its traffic.  "Most visited" comes from an
   observed visit-count profile when one is supplied, otherwise from a
   static in-degree estimate (start state counted as permanently hot).
+
+The passes that move states share :func:`_rebuild`, which writes each
+array of the new IR with one comprehension over the kept rows' offsets.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Optional
 
-from repro.core.minimize import _classes
+from repro.core.minimize import _classes, _row_offsets
 from repro.opt.indexed import IndexedMachine
 
 #: Mapping produced by a pass: old state id -> new state id (None = removed).
@@ -57,44 +60,48 @@ def _identity_mapping(im: IndexedMachine) -> StateMapping:
 def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
     """New IR keeping old state ids ``keep`` (in new-id order).
 
-    ``target_of(old_target_id) -> new id`` rewrites transition targets;
-    action pools are carried over untouched (compaction is its own pass).
+    ``target_of[old_target_id]`` is the new id of every target a kept
+    row names; action pools are carried over untouched (compaction is
+    its own pass).  Each array is one comprehension over the kept rows'
+    offsets.
     """
-    width = len(im.messages)
-    offsets = [o for row in keep for o in range(row * width, (row + 1) * width)]
-    targets = [im.next_state[o] for o in offsets]
+    offsets = _row_offsets(keep, len(im.messages))
+    next_state, action_seq = im.next_state, im.action_seq
     notes = im.transition_annotations
     finish = -1
     if im.finish >= 0:
         try:
-            finish = target_of(im.finish)
+            finish = target_of[im.finish]
         except KeyError:
             finish = -1  # the finish state itself was removed
     return IndexedMachine(
         name=im.name,
         parameters=im.parameters,
         messages=im.messages,
-        state_names=tuple(im.state_names[i] for i in keep),
-        next_state=tuple([target_of(t) if t >= 0 else -1 for t in targets]),
-        action_seq=tuple([im.action_seq[o] for o in offsets]),
+        state_names=tuple([im.state_names[i] for i in keep]),
+        next_state=tuple(
+            [target_of[t] if t >= 0 else -1 for t in [next_state[o] for o in offsets]]
+        ),
+        action_seq=tuple([action_seq[o] for o in offsets]),
         action_seqs=im.action_seqs,
         actions=im.actions,
-        start=target_of(im.start),
+        start=target_of[im.start],
         finish=finish,
-        final=tuple(im.final[i] for i in keep),
-        state_annotations=tuple(im.state_annotations[i] for i in keep)
-        if im.state_annotations
-        else (),
-        state_vectors=tuple(im.state_vectors[i] for i in keep)
-        if im.state_vectors
-        else (),
-        state_merged=tuple(im.state_merged[i] for i in keep)
-        if im.state_merged
-        else (),
+        final=tuple([im.final[i] for i in keep]),
+        state_annotations=_kept(im.state_annotations, keep),
+        state_vectors=_kept(im.state_vectors, keep),
+        state_merged=_kept(im.state_merged, keep),
         transition_annotations={
-            new: notes[old] for new, old in enumerate(offsets) if old in notes
+            new: note
+            for new, note in enumerate(map(notes.get, offsets))
+            if note is not None
         },
     )
+
+
+def _kept(sidecar: tuple, keep: list[int]) -> tuple:
+    """Entries ``keep`` of a per-state sidecar; an absent one stays empty."""
+    return tuple([sidecar[i] for i in keep]) if sidecar else ()
 
 
 class PruneUnreachablePass:
@@ -109,7 +116,7 @@ class PruneUnreachablePass:
         keep = [i for i in range(len(im.state_names)) if i in reachable]
         new_id = {old: new for new, old in enumerate(keep)}
         mapping: StateMapping = {i: new_id.get(i) for i in range(len(im.state_names))}
-        return _rebuild(im, keep, new_id.__getitem__), mapping
+        return _rebuild(im, keep, new_id), mapping
 
 
 class MergeEquivalentPass:
@@ -152,7 +159,7 @@ class MergeEquivalentPass:
         if len(groups) == n:
             return im, _identity_mapping(im)
         keep = [group[0] for group in groups]
-        merged = _record_merges(_rebuild(im, keep, cls.__getitem__), im, groups)
+        merged = _record_merges(_rebuild(im, keep, cls), im, groups)
         # Merged by the coarsest partition, the result is a quotient.
         merged = replace(merged, _proof=merged._quotient_arrays())
         return merged, dict(enumerate(cls))
@@ -254,9 +261,10 @@ class HotStateRenumberPass:
                     score[target] += 1
             # Start is hottest by construction; ties keep id order.
             score[im.start] = max(score) + 1
-        keep = sorted(range(n), key=lambda i: (-score[i], i))
+        # A stable sort keeps id order among equal scores, reversed too.
+        keep = sorted(range(n), key=score.__getitem__, reverse=True)
         if keep == list(range(n)):
             return im, _identity_mapping(im)
         new_id = {old: new for new, old in enumerate(keep)}
         mapping: StateMapping = dict(new_id)
-        return _rebuild(im, keep, new_id.__getitem__), mapping
+        return _rebuild(im, keep, new_id), mapping

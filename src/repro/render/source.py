@@ -70,6 +70,8 @@ the paper notes for its generated Java (§3.5).
 The renderer walks the machine's :class:`~repro.opt.indexed.IndexedMachine`
 (carried by a generated machine, interned for a hand-built one) one
 message column at a time, reading commentary from the IR's sidecars.
+Each table's rows, and the state-name rows, are built by one
+comprehension and written to the buffer as one joined string.
 """
 
 from __future__ import annotations
@@ -244,9 +246,8 @@ class PythonSourceRenderer(Renderer):
         row's spelling to the name object every other constant shares."""
         buffer.add_line("# State names, one per row.")
         buffer.add_line('_NAME_ROWS = r"""')
-        for name in names:
-            buffer.add_line(name)
-        buffer.add_line('"""[1:-1].split("\\n")')
+        rows = "".join([f"{name}\n" for name in names])
+        buffer.add_line(rows, '"""[1:-1].split("\\n")')
         buffer.add_line("STATE_NAMES = tuple(map(_unescape, _NAME_ROWS))")
         buffer.add_line("_STATE = dict(zip(_NAME_ROWS, STATE_NAMES))")
         buffer.add_line("START_STATE = _STATE[", repr(names[im.start]), "]")
@@ -309,24 +310,22 @@ class PythonSourceRenderer(Renderer):
         )
         buffer.add_line(table, ' = _cases(r"""')
         notes = im.transition_annotations if self._include_commentary else {}
+        next_state, seqs, width = im.next_state, im.action_seq, im.width
+        offsets = [
+            o for o in range(column, len(next_state), width) if next_state[o] >= 0
+        ]
+        above = [notes.get(o, ()) for o in offsets]
         # Cases share their commentary: each distinct block is escaped once.
-        comments: dict[tuple[str, ...], str] = {(): ""}
-        width = im.width
-        for offset in range(column, len(im.next_state), width):
-            target = im.next_state[offset]
-            if target < 0:
-                continue
-            above = notes.get(offset, ())
-            comment = comments.get(above)
-            if comment is None:
-                comment = comments[above] = "".join(
-                    f"# {_escape(note, _NOTE_ESCAPED)}\n" for note in above
-                )
-            buffer.add_line(
-                f"{comment}{names[offset // width]} -> {names[target]}"
-                f"{performs[im.action_seq[offset]]}"
-            )
-        buffer.add_line('""")')
+        comments = {
+            lines: "".join(f"# {_escape(note, _NOTE_ESCAPED)}\n" for note in lines)
+            for lines in dict.fromkeys(above)
+        }
+        rows = [
+            f"{comments[lines]}{names[o // width]} -> {names[next_state[o]]}"
+            f"{performs[seqs[o]]}\n"
+            for o, lines in zip(offsets, above)
+        ]
+        buffer.add_line("".join(rows), '""")')
         buffer.blank()
 
     def _table_index(

@@ -685,7 +685,10 @@ class FleetEngine:
         record whose detail is ``source``, the enqueue's provenance (the
         scenario plane marks timed and routed traffic).
         """
-        slot = self._store.slot(key)
+        try:
+            slot = self._store.slot_of[key]
+        except (KeyError, TypeError):
+            raise DeploymentError(f"unknown instance {key!r}") from None
         try:
             col = self._columns[message]
         except (KeyError, TypeError):

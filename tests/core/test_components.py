@@ -124,6 +124,27 @@ class TestStateSpace:
     def test_vector_name(self):
         assert make_space().vector_name((True, 2, "q")) == "T/2/q"
 
+    def test_vector_name_spells_as_each_component_encodes(self):
+        """The per-component spelling tables give what ``encode`` gives,
+        also for multi-character spellings; a value outside a
+        component's range, and any value of a component too large to
+        tabulate, is encoded by the component itself."""
+        space = StateSpace(
+            [
+                IntComponent("count", 12),
+                EnumComponent("phase", ["idle", "busy"]),
+                BooleanComponent("flag"),
+            ]
+        )
+        for vector in space.enumerate_vectors():
+            expected = "/".join(
+                c.encode(v) for c, v in zip(space.components, vector)
+            )
+            assert space.vector_name(vector) == expected
+        assert space.vector_name((13, "idle", False)) == "13/idle/F"
+        wide = StateSpace([IntComponent("big", 1 << 13), BooleanComponent("f")])
+        assert wide.vector_name((8000, True)) == "8000/T"
+
     def test_parse_name_roundtrip(self):
         space = make_space()
         for vector in space.enumerate_vectors():

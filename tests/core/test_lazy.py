@@ -84,16 +84,14 @@ class TestLazyReport:
         assert report.initial_states == model.space.size() == 512
         assert report.reachable_states == 48
         assert report.frontier_peak >= 1
-        assert set(report.timings) == {"explore", "merge"}
+        assert set(report.timings) == {"explore", "merge", "finish"}
         assert report.timings["merge"] > 0
-        assert report.total_time == pytest.approx(
-            report.timings["explore"] + report.timings["merge"]
-        )
+        assert report.total_time == pytest.approx(sum(report.timings.values()))
         assert "[lazy]" in str(report)
 
     def test_no_merge_timings(self):
         _, report = generate_lazy(CommitModel(4), merge=False)
-        assert set(report.timings) == {"explore"}
+        assert set(report.timings) == {"explore", "finish"}
         assert report.merged_states == report.reachable_states == 48
 
     def test_frontier_peak_bounded_by_reachable(self):

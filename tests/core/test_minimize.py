@@ -1,5 +1,7 @@
 """Tests for equivalence merging (paper §3.4 step 4, Fig 13)."""
 
+import pytest
+
 from repro.analysis import equivalent
 from repro.core.machine import StateMachine
 from repro.core.minimize import (
@@ -8,7 +10,13 @@ from repro.core.minimize import (
     merge_equivalent,
     one_shot_merge,
 )
+from repro.core.pipeline import ENGINES, generate_with_engine
 from repro.core.state import State, Transition
+from repro.models.chandra_toueg import CoordinatorRoundModel
+from repro.models.commit import CommitModel
+from repro.models.termination import TerminationModel
+from repro.models.threshold_sig import ThresholdSignatureModel
+from repro.opt.indexed import IndexedMachine
 from tests.conftest import commit_machine
 
 
@@ -118,3 +126,52 @@ class TestCommitMerging:
         merged = commit_machine(4)
         classes = equivalence_classes(merged)
         assert all(len(group) == 1 for group in classes)
+
+
+def _generated(model, engine, prune=True):
+    return IndexedMachine.from_machine(
+        generate_with_engine(model, engine, prune=prune)[0]
+    )
+
+
+def _merged_after(model, engine, prune=True):
+    unmerged = generate_with_engine(model, engine, prune=prune, merge=False)[0]
+    return IndexedMachine.from_machine(merge_equivalent(unmerged))
+
+
+class TestGenerationStep4:
+    """The engines run step 4 on their explored rows, straight into the
+    quotient; it must be, field for field, what ``merge_equivalent``
+    makes of the same machine generated without step 4."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "model",
+        [
+            CommitModel(4),
+            CommitModel(7),
+            CoordinatorRoundModel(processes=5),
+            TerminationModel(max_tasks=3),
+            ThresholdSignatureModel(signers=4, threshold=3),
+        ],
+        ids=["commit-r4", "commit-r7", "chandra-toueg-n5", "termination", "threshold"],
+    )
+    def test_quotient_is_merge_equivalent_of_the_unmerged_machine(
+        self, model, engine
+    ):
+        self.assert_same(_generated(model, engine), _merged_after(model, engine))
+
+    def test_unpruned_rows_merge_too(self):
+        model = CommitModel(4)
+        generated = _generated(model, "eager", prune=False)
+        assert generated.state_count < 512
+        self.assert_same(generated, _merged_after(model, "eager", prune=False))
+
+    @staticmethod
+    def assert_same(generated, reference):
+        assert generated == reference
+        assert list(generated.transition_annotations) == list(
+            reference.transition_annotations
+        )
+        for im in (generated, reference):
+            assert all(a is b for a, b in zip(im._proof, im._quotient_arrays()))

@@ -1,10 +1,13 @@
 """Tests for the four-step generation pipeline (paper §3.4, Figs 7-13)."""
 
+import time
+
 import pytest
 
 from repro.core.components import BooleanComponent, IntComponent
 from repro.core.model import AbstractModel, StateView, TransitionBuilder
-from repro.core.pipeline import generate
+from repro.core.pipeline import ENGINES, generate, generate_with_engine
+from repro.models.commit import CommitModel
 from tests.conftest import commit_machine, commit_report
 
 
@@ -69,14 +72,26 @@ class TestPipelineSteps:
 
     def test_timings_cover_all_steps(self):
         _, report = generate(TwoCounterModel())
-        assert set(report.timings) == {"enumerate", "transitions", "prune", "merge"}
-        assert report.timings["merge"] > 0
+        steps = ("enumerate", "transitions", "prune", "merge", "finish")
+        assert set(report.timings) == set(steps)
+        assert report.timings["merge"] > 0 and report.timings["finish"] > 0
         assert report.total_time == pytest.approx(
-            sum(
-                report.timings[step]
-                for step in ("enumerate", "transitions", "prune", "merge")
-            )
+            sum(report.timings[step] for step in steps)
         )
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_total_time_counts_all_of_generation(self, engine):
+        """Table 1's generation time is the engine's wall time: without
+        ``finish`` a lazy r=8 run counted about two thirds of it."""
+        shares = []
+        for _ in range(3):
+            model = CommitModel(8)
+            started = time.perf_counter()
+            _, report = generate_with_engine(model, engine)
+            wall = time.perf_counter() - started
+            assert report.total_time <= wall
+            shares.append(report.total_time / wall)
+        assert max(shares) > 0.9
 
 
 class TestCommitPipelineCounts:
@@ -104,8 +119,6 @@ class TestCommitPipelineCounts:
         assert row["generation_time_s"] >= 0
 
     def test_unpruned_commit_machine_keeps_512(self):
-        from repro.models.commit import CommitModel
-
         machine = CommitModel(4).generate_state_machine(prune=False, merge=False)
         assert len(machine) == 512
 
