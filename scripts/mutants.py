@@ -89,6 +89,7 @@ _ELAB, _WIRING = _CORE("elaboration"), _CORE("wiring")
 _PARTITION, _MINIMIZE = _CORE("coarsest_partition"), _CORE("minimize")
 _PASSES, _SOURCE = "tests/opt/test_passes.py", "tests/render/test_source.py"
 _HOPS = "tests/opt/test_opt_differential.py"
+_FIG14 = "tests/render/test_text_fig14.py"
 _NO_COLON = "raise _HttpError(400, 'malformed header line (no colon)')"
 
 MUTANTS = [
@@ -235,6 +236,17 @@ MUTANTS = [
            "inherited))", "actions"), "empty")),
     *_of("serve/vector.py", "VectorKernel.__init__", _HOPS,
          ("offsets % width", "flip")),
+    # Commentary on demand: a built state's annotations are the model's
+    # lines on its vector, then the notes the IR stores.
+    *_of("opt/indexed.py", "IndexedMachine.annotations", _FIG14,
+         ("self.describe is None", "true")),
+    *_of("opt/indexed.py", "IndexedMachine.annotations", _CORE("commentary"),
+         ("describe(v) + lines", "swap")),
+    # The supervisor's write-ahead journal.
+    *_of("serve/recovery.py", "WorkerJournal.append", _RECOVERY,
+         ("self.events += events", "delete")),
+    *_of("serve/recovery.py", "WorkerJournal.truncate", _RECOVERY,
+         ("self.ops = []", "delete")),
     # The generated module's row writer.
     *_of("render/source.py", "PythonSourceRenderer._transition_table", _SOURCE,
          ("next_state[o] >= 0", "flip"),
@@ -270,6 +282,13 @@ def _flip(node: ast.AST) -> str:
     return ast.unparse(node)
 
 
+def _swap(node: ast.AST) -> str:
+    """Exchange the operands of a binary operation (``b + a`` for ``a + b``)."""
+    node = copy.deepcopy(node)
+    node.left, node.right = node.right, node.left
+    return ast.unparse(node)
+
+
 OPERATORS = {
     # name: (node type it applies to, replacement source)
     "delete": (ast.stmt, lambda node: "pass"),
@@ -281,6 +300,7 @@ OPERATORS = {
     "none": (ast.expr, lambda node: "None"),
     "empty": (ast.expr, lambda node: "''"),
     "reverse": (ast.expr, lambda node: f"({ast.unparse(node)})[::-1]"),
+    "swap": (ast.BinOp, _swap),
 }
 
 

@@ -20,8 +20,8 @@ expands **only reachable states**, breadth first:
    is discovered once whatever its fan-in; ids follow discovery order, so
    the frontier is simply the ids not yet expanded;
 4. once every id is expanded, every state is reachable by construction —
-   step 3 disappears — and the engines' shared tail (step 4, names and
-   commentary for the states that are left) finishes the job.
+   step 3 disappears — and the engines' shared tail (step 4 and names
+   for the states that are left) finishes the job.
 
 Work and memory are proportional to the *reachable* state count (roughly
 linear in ``r`` for the commit family) instead of the product-space size

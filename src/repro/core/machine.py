@@ -119,16 +119,19 @@ class StateMachine:
     def _objects(self) -> dict[str, State]:
         """The states by name, built from the carried arrays on first use
         (transitions in alphabet order); the arrays are dropped, so no
-        consumer ever reads arrays the objects have since diverged from."""
+        consumer ever reads arrays the objects have since diverged from.
+        A generated IR's states are described here, not when the IR is
+        made (:meth:`~repro.opt.indexed.IndexedMachine.annotations`)."""
         ir, self._ir = self._ir, None
         if ir is not None:
             width, names = len(ir.messages), ir.state_names
             actions = [tuple(ir.actions[a] for a in seq) for seq in ir.action_seqs]
+            annotations = ir.annotations()
             for i, name in enumerate(names):
                 state = self._states[name] = State(
                     name,
                     ir.state_vectors[i] if ir.state_vectors else None,
-                    ir.state_annotations[i] if ir.state_annotations else (),
+                    annotations[i],
                     ir.final[i],
                 )
                 state.set_merged_names(ir.state_merged[i] if ir.state_merged else ())

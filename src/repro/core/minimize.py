@@ -234,7 +234,7 @@ def _quotient_rows(arrays, keep, new_id, start, names, final, vectors, **identit
     ``i`` is its row ``keep[i]``, ``new_id[row]`` the state of a kept row
     and ``start`` the start state.  ``names``, ``final`` and ``vectors``
     are per state, and ``identity`` holds the IR's ``name``,
-    ``parameters`` and ``messages``.  The engines intern each action
+    ``parameters``, ``messages`` and ``describe``.  The engines intern each action
     sequence once, so sequence ids compare as their actions do and are
     the partition's output as they stand."""
     from repro.opt.indexed import IndexedMachine

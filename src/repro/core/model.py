@@ -72,6 +72,33 @@ class StateView:
         return f"StateView({self.name})"
 
 
+class Describer:
+    """A model's Fig 14 commentary on one state vector, as a tuple of lines.
+
+    A generated IR carries one instead of the prose
+    (:attr:`~repro.opt.indexed.IndexedMachine.describe`): it pickles with
+    its model, and :meth:`AbstractModel.describe_state` runs only when a
+    machine's ``State`` objects are built.  Two describers are equal when
+    their models are of one class with equal parameters, which is what
+    names a generated machine (:meth:`AbstractModel.machine_name`).
+    """
+
+    __slots__ = ("model",)
+
+    def __init__(self, model: AbstractModel):
+        self.model = model
+
+    def __call__(self, vector: tuple) -> tuple[str, ...]:
+        model = self.model
+        return tuple(model.describe_state(StateView(model.space, vector)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Describer):
+            return NotImplemented
+        mine, theirs = self.model, other.model
+        return type(mine) is type(theirs) and mine.parameters == theirs.parameters
+
+
 class TransitionBuilder(StateView):
     """Mutable elaboration of one transition's consequences (paper Fig 10).
 

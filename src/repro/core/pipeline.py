@@ -20,25 +20,32 @@ space's per-component tables, and runs step 4 on those explored rows
 directly: the partition reads the arrays as they stand (renumbered only
 when step 3 removed rows), and one remap writes the representatives' rows
 into the quotient :class:`~repro.opt.indexed.IndexedMachine`, with no
-intermediate IR.  The model's commentary is computed for the states
-step 4 leaves, and the machine returned is a
-:class:`~repro.core.machine.StateMachine` view.
+intermediate IR.  The machine returned is a
+:class:`~repro.core.machine.StateMachine` view over it.
+
+The model's Fig 14 commentary is not part of generation.  The IR carries
+the model's :class:`~repro.core.model.Describer` beside the state
+vectors, every pass carries both, and the commentary is computed when a
+machine's ``State`` objects are built (:meth:`StateMachine._objects`),
+each state's lines before the notes the IR stores ("Represents N
+equivalent states").  Optimising, rendering source and compiling read
+the arrays only, so model → code writes no prose.
 
 The returned :class:`GenerationReport` records the state counts after each
 step together with wall-clock timings, which is exactly the data behind the
 paper's Table 1.  The timings cover the whole engine: ``finish`` is the
-tail outside step 4 (names, the IR, commentary, the one validation).
+tail outside step 4 (names, the IR, the one validation).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.core.errors import MachineStructureError
 from repro.core.machine import StateMachine
 from repro.core.minimize import _quotient_rows, _remap_rows
-from repro.core.model import AbstractModel, Elaborator, StateView
+from repro.core.model import AbstractModel, Describer, Elaborator
 
 #: The generation engines selectable via ``engine=`` / ``--engine``.
 ENGINES = ("eager", "lazy")
@@ -240,8 +247,10 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
     order): the states' names, step 4 when ``merge`` (the explored rows
     remapped once, into the quotient), else those rows as an IR whose
     finish state is the one final state, if there is exactly one; then
-    the model's commentary on the states that are left, one validation,
-    and the machine view.  ``timings["finish"]`` is all of it but step 4."""
+    one validation and the machine view.  The IR carries the model's
+    describer, not its commentary: states are described when they are
+    built (:meth:`StateMachine._objects`).  ``timings["finish"]`` is all
+    of it but step 4."""
     from repro.opt.indexed import IndexedMachine
 
     started = time.perf_counter()
@@ -262,6 +271,7 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
         "name": model.machine_name(),
         "parameters": model.parameters,
         "messages": model.messages,
+        "describe": Describer(model),
     }
     if merge:
         merging = time.perf_counter()
@@ -279,14 +289,6 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
             state_vectors=tuple(vectors),
             **_remap_rows(arrays, list(arrays.seqs), keep, new_id),
         )
-    notes = im.state_annotations or [()] * im.state_count
-    im = replace(
-        im,
-        state_annotations=tuple(
-            tuple(model.describe_state(StateView(space, vector))) + lines
-            for vector, lines in zip(im.state_vectors, notes)
-        ),
-    )
     report.merged_states = im.state_count
     im.check_integrity()
     report.timings["finish"] = (

@@ -26,7 +26,9 @@ Interning makes the structural passes cheap: equivalent-state merging
 compares ``action_seq`` ids instead of string tuples, and dead/duplicate
 action elimination is pool compaction.  The sidecars (state annotations,
 vectors and merged-name sets, sparse transition annotations) carry the
-commentary the renderers emit.
+commentary the renderers emit; a generated IR also carries its model's
+describer (``describe``), so the per-state prose of Fig 14 is written
+from the vectors when states are built, not when the IR is.
 
 Instances are immutable by convention: passes build new ones.  Whoever
 builds one validates it once (:meth:`check_integrity`); consumers trust it.
@@ -34,7 +36,8 @@ builds one validates it once (:meth:`check_integrity`); consumers trust it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.core.errors import MachineStructureError
@@ -64,6 +67,10 @@ class IndexedMachine:
     finish: int
     final: tuple[bool, ...]
     #: Sidecars: documentation and provenance, indexed by state id.
+    #: Annotations hold only what a state's vector cannot give: a
+    #: hand-built state's own lines, step 4's and the merge pass's
+    #: "Represents N equivalent states" notes.  A state built from an IR
+    #: with ``describe`` carries ``describe(vector)`` before them.
     state_annotations: tuple[tuple[str, ...], ...] = ()
     state_vectors: tuple[Optional[tuple], ...] = ()
     state_merged: tuple[tuple[str, ...], ...] = ()
@@ -74,6 +81,13 @@ class IndexedMachine:
     #: ``None``.  ``dataclasses.replace`` copies it, so a replace that
     #: swaps an array leaves a proof that no longer matches.
     _proof: Optional[tuple] = field(default=None, compare=False, repr=False)
+    #: The model's commentary on a state vector (a generated IR's
+    #: :class:`~repro.core.model.Describer`, picklable with its model),
+    #: called only by :meth:`annotations`; ``None`` when every annotation
+    #: is stored.  Passes carry it beside the vectors.
+    describe: Optional[Callable[[tuple], tuple[str, ...]]] = field(
+        default=None, compare=False, repr=False
+    )
 
     # ------------------------------------------------------------------
     # shape
@@ -99,6 +113,24 @@ class IndexedMachine:
     def message_index(self) -> dict[str, int]:
         """Message -> column map (computed)."""
         return {message: i for i, message in enumerate(self.messages)}
+
+    def annotations(self) -> list[tuple[str, ...]]:
+        """Each state's annotations as the ``State`` built from it carries
+        them: the commentary on its vector (when the IR has ``describe``),
+        then its notes."""
+        notes = self.state_annotations or [()] * self.state_count
+        if self.describe is None:
+            return list(notes)
+        describe = self.describe
+        return [describe(v) + lines for v, lines in zip(self.state_vectors, notes)]
+
+    def __eq__(self, other) -> bool:
+        """Field by field, the annotations as built states carry them, so
+        an IR interned from a view's states equals the view's own."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = all(getattr(self, f) == getattr(other, f) for f in _COMPARED)
+        return same and self.annotations() == other.annotations()
 
     def transition(self, state_id: int, message_id: int):
         """``(target id, action-id tuple)`` or ``None`` when inapplicable."""
@@ -238,6 +270,8 @@ class IndexedMachine:
             size = len(getattr(self, name))
             if size != n and (size or name == "final"):
                 fail(f"{name} has {size} entries for {n} states")
+        if self.describe is not None and len(self.state_vectors) != n:
+            fail(f"describe needs a vector per state, has {len(self.state_vectors)}")
         if len(targets) != n * width or len(seqs) != n * width:
             fail(f"array lengths {len(targets)}/{len(seqs)} != {n} x {width}")
         if not 0 <= self.start < n:
@@ -289,3 +323,11 @@ class IndexedMachine:
             f"{self.transition_count()} transitions, "
             f"{len(self.actions)} actions/{len(self.action_seqs)} sequences)"
         )
+
+
+#: The fields :meth:`IndexedMachine.__eq__` compares as they are stored.
+_COMPARED = tuple(
+    f.name
+    for f in fields(IndexedMachine)
+    if f.compare and f.name != "state_annotations"
+)

@@ -62,8 +62,8 @@ def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
 
     ``target_of[old_target_id]`` is the new id of every target a kept
     row names; action pools are carried over untouched (compaction is
-    its own pass).  Each array is one comprehension over the kept rows'
-    offsets.
+    its own pass), and so is the model's describer.  Each array is one
+    comprehension over the kept rows' offsets.
     """
     offsets = _row_offsets(keep, len(im.messages))
     next_state, action_seq = im.next_state, im.action_seq
@@ -96,6 +96,7 @@ def _rebuild(im: IndexedMachine, keep: list[int], target_of) -> IndexedMachine:
             for new, note in enumerate(map(notes.get, offsets))
             if note is not None
         },
+        describe=im.describe,
     )
 
 
