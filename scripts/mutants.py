@@ -181,6 +181,15 @@ MUTANTS = [
     *_of("serve/gateway.py", "FleetGateway.start", _LOOP,
          ("done.set_exception(exc)", "delete")),
     *_of("serve/gateway.py", "_json_loads", _LOOP, ("end == len(text)", "flip")),
+    # The workload's sessions restart when they finish, as recycled
+    # fleet instances do.
+    *_of("serve/workload.py", "SessionSimulator.next_message",
+         _SERVE("workload"), ("im.final[target]", "false")),
+    # The scenario plane's observer: timers re-armed on a state change,
+    # each new action routed once.
+    *_of("serve/scenario.py", "ScenarioEngine._observe", _SERVE("scenario"),
+         ("armed[1] != state", "flip"),
+         ("seen[key] = done + len(new)", "delete")),
     # Generation: the memoised elaborator.
     *_of("core/model.py", "Elaborator.successors", _ELAB,
          ("target != vector or actions", "flip"),
@@ -222,18 +231,20 @@ MUTANTS = [
          ("[keep[r] for r in reps]", "reverse")),
     *_of("core/components.py", "StateSpace.__init__", _CORE("components"),
          ("c.encode(value)", "reverse")),
-    # Flattening's exit chains, against a resolution written apart.
+    # Flattening's exit chains, against a resolution written apart, and
+    # its step 3 (session-hsm's Maintenance leaf is unreachable).
     *_of("core/hsm.py", "HierarchicalModel.fire", _CORE("hsm_differential"),
          ("actions.extend(node.exit_actions)", "delete")),
+    *_of("core/hsm.py", "HierarchicalModel.flatten_with_report",
+         _CORE("render_digests"), ("i in reachable", "true")),
     *_of("opt/indexed.py", "IndexedMachine.from_machine", _HOPS,
          ("t.actions", "reverse")),
     *_of("opt/indexed.py", "IndexedMachine.jump_arrays", _HOPS,
          ("target * width", "flip")),
     *_of("render/xml.py", "parse_machine_xml", _HOPS,
          ("[a.get('name') for a in t_element.findall('action')]", "reverse")),
-    *_of("core/hsm.py", "HierarchicalModel._flat_transitions_of", _HOPS,
-         (("rows.append((message, target_leaf, actions, tuple(annotations), "
-           "inherited))", "actions"), "empty")),
+    *_of("core/hsm.py", "_LeafRows.successors", _HOPS,
+         (("yield (message, target, actions, annotations)", "actions"), "empty")),
     *_of("serve/vector.py", "VectorKernel.__init__", _HOPS,
          ("offsets % width", "flip")),
     # Commentary on demand: a built state's annotations are the model's

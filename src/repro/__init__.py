@@ -32,8 +32,8 @@ snapshot/restore — see
 
 Hierarchical designs (nested regions, inherited transitions, entry/exit
 actions) are authored with :class:`repro.HierarchicalModel`
-(:mod:`repro.core.hsm`) and flattened — eagerly or lazily — into plain
-machines that run unchanged on every backend and on the fleet;
+(:mod:`repro.core.hsm`) and flattened into plain machines — views over
+the generator's IR — that run unchanged on every backend and on the fleet;
 :class:`repro.HierarchicalSimulator` executes the hierarchy directly for
 differential verification.
 """

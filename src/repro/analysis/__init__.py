@@ -20,7 +20,6 @@ if TYPE_CHECKING:
     from repro.analysis.flatten_stats import (
         bundled_flatten_reports,
         flatten_blowup,
-        flatten_comparison,
         format_flatten_table,
     )
     from repro.analysis.peerset_check import (
@@ -83,7 +82,6 @@ __all__ = [
     "efsm_phase_transitions",
     "equivalent",
     "flatten_blowup",
-    "flatten_comparison",
     "format_flatten_table",
     "format_table1",
     "fsm_vs_efsm_table",
@@ -104,7 +102,6 @@ _EXPORTS = {
     "repro.analysis.flatten_stats": (
         "bundled_flatten_reports",
         "flatten_blowup",
-        "flatten_comparison",
         "format_flatten_table",
     ),
     "repro.analysis.peerset_check": (

@@ -168,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         + [f"flat-{name}" for name in sorted(_RENDERERS)],
         default="stats",
         dest="fmt",
-        help="'stats' prints blow-up factors for both flatten engines; "
+        help="'stats' prints the flattening's blow-up factors; "
         "'outline'/'dot' render the hierarchy itself (text outline, "
         "clustered Graphviz); 'flat-*' renders the flattened machine "
         "with the corresponding flat renderer",
@@ -554,16 +554,13 @@ def _flatten(args) -> int:
         # Stats always show the optimization recovery (the 'opt' column):
         # with no --opt, the default prune+merge+compaction pipeline runs.
         optimize = args.opt if args.opt is not None else DEFAULT_STATS_OPT
-        reports = [
-            flatten_blowup(model, engine, optimize=optimize) for engine in ENGINES
-        ]
-        text = format_flatten_table(reports) + "\n"
+        text = format_flatten_table([flatten_blowup(model, optimize=optimize)]) + "\n"
     elif args.fmt == "outline":
         text = HierarchicalOutlineRenderer().render(model)
     elif args.fmt == "dot":
         text = HierarchicalDotRenderer().render(model)
     else:
-        machine = model.flatten(engine=args.engine, optimize=args.opt)
+        machine = model.flatten(optimize=args.opt)
         text = _renderer(args.fmt.removeprefix("flat-")).render(machine)
     return _emit(text, args.output)
 
@@ -578,7 +575,7 @@ def _optimize(args) -> int:
         hsm_name = "session" if args.model == "session-hsm" else "commit"
         machine = build_hierarchical_model(
             hsm_name, args.replication_factor, engine=args.engine
-        ).flatten(engine=args.engine)
+        ).flatten()
     pipeline = parse_opt_spec(args.opt)
     if pipeline is None:  # --opt none: run the (empty) identity pipeline
         pipeline = standard_pipeline(0)

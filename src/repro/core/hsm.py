@@ -39,23 +39,25 @@ Semantics (UML-style, external transitions, deterministic):
   so that direct hierarchical execution and the flattened machine are
   trace-identical.
 
-Two flattening engines mirror the generation engines of
-:mod:`repro.core.pipeline`: ``eager`` materialises every leaf and then
-prunes the unreachable ones; ``lazy`` expands only leaves reachable from
-the initial configuration via a BFS frontier.  Both produce machines
-with identical reachable behaviour.
+Flattening is the generator's steps 2 and 3 run on the leaves: every
+leaf, in declaration order, becomes a row of the arrays
+:mod:`repro.core.pipeline` writes, its transitions resolved by
+:meth:`HierarchicalModel.effective_transitions` and
+:meth:`HierarchicalModel.fire`; step 3 keeps the rows reachable from the
+initial leaf, and those rows become the
+:class:`~repro.opt.indexed.IndexedMachine` the flat machine is a view
+over — the one form a generated machine takes too.
 
 :class:`HierarchicalSimulator` executes the hierarchy *directly* —
 same ``receive``/``get_state``/``is_finished``/``sent``/``reset``
 protocol as :class:`~repro.runtime.interp.MachineInterpreter` — and is
 the oracle the differential tests replay against flattened machines on
-both backends, both flatten engines, and both fleet dispatch modes.
+both backends and every fleet dispatch mode.
 """
 
 from __future__ import annotations
 
 import time
-from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -66,8 +68,7 @@ from repro.core.errors import (
     ModelDefinitionError,
 )
 from repro.core.machine import StateMachine
-from repro.core.pipeline import ENGINES
-from repro.core.state import State, Transition
+from repro.core.pipeline import _Arrays, _explored, _reachable, _renumber
 
 #: Separator between path segments in flattened state names.  Chosen to be
 #: distinct from the ``/`` used inside generated commit-state names so the
@@ -294,13 +295,10 @@ class FlattenReport:
     """
 
     model_name: str
-    engine: str
     composite_count: int = 0
     leaf_count: int = 0
     max_depth: int = 0
     declared_transitions: int = 0
-    expanded_states: int = 0
-    expanded_transitions: int = 0
     inherited_expansions: int = 0
     flat_states: int = 0
     flat_transitions: int = 0
@@ -339,7 +337,7 @@ class FlattenReport:
 
     def __str__(self) -> str:
         return (
-            f"{self.model_name} [{self.engine}]: {self.composite_count} groups + "
+            f"{self.model_name}: {self.composite_count} groups + "
             f"{self.leaf_count} leaves (depth {self.max_depth}), "
             f"{self.declared_transitions} declared transitions -> "
             f"{self.flat_states} states / {self.flat_transitions} transitions "
@@ -540,50 +538,74 @@ class HierarchicalModel:
     # flattening
     # ------------------------------------------------------------------
 
-    def flatten(self, engine: str = "eager", optimize=None) -> StateMachine:
+    def flatten(self, *, optimize=None) -> StateMachine:
         """Expand the hierarchy into a flat machine (see module docs).
 
         ``optimize`` optionally runs a :class:`repro.opt.PassPipeline`
         (or a level / pass-list spec) over the flattened machine — the
         hook that recovers the state blow-up flattening produces.
         """
-        machine, _ = self.flatten_with_report(engine, optimize=optimize)
+        machine, _ = self.flatten_with_report(optimize=optimize)
         return machine
 
     def flatten_with_report(
-        self, engine: str = "eager", optimize=None
+        self, *, optimize=None
     ) -> tuple[StateMachine, FlattenReport]:
-        """Flatten and report blow-up statistics for the chosen engine."""
-        if engine not in ENGINES:
-            raise ModelDefinitionError(
-                f"unknown flatten engine {engine!r}; choose from {ENGINES}"
-            )
+        """Flatten and report blow-up statistics.
+
+        Every leaf is a row, in declaration order; step 3 keeps the rows
+        reachable from the initial leaf, renumbered in that order.  The
+        finish state is the designated finish leaf, when it is kept, else
+        the one final leaf, if there is exactly one.
+        """
         self.validate()
         leaves = self.leaves()
         composites = [n for n in self.nodes() if isinstance(n, CompositeState)]
         report = FlattenReport(
             model_name=self.name,
-            engine=engine,
             composite_count=len(composites),
             leaf_count=len(leaves),
             max_depth=max(leaf.depth() for leaf in leaves),
             declared_transitions=sum(len(n.transitions) for n in self.nodes()),
         )
-        machine = StateMachine(
-            self.messages(),
+        started = time.perf_counter()
+        rows = _LeafRows(self)
+        arrays = _Arrays(self.messages(), rows)
+        ids = {leaf: i for i, leaf in enumerate(leaves)}
+        for leaf in leaves:
+            arrays.add_row(leaf, leaf.final, ids.__getitem__)
+        report.inherited_expansions = rows.inherited
+        report.timings["expand"] = time.perf_counter() - started
+
+        started = time.perf_counter()
+        start = ids[self.initial_leaf()]
+        reachable = _reachable(arrays.next_state, arrays.width, start)
+        keep = [i for i in range(len(leaves)) if i in reachable]
+        new_id = _renumber(keep, len(leaves))
+        kept = [leaves[i] for i in keep]
+        final = [leaf.final for leaf in kept]
+        if self._finish_name is not None:
+            finish = new_id[ids[self.find(self._finish_name)]]
+        else:
+            finish = final.index(True) if final.count(True) == 1 else -1
+        ir = _explored(
+            arrays,
+            keep,
+            new_id,
             name=self.name,
             parameters=dict(self.parameters),
+            messages=self.messages(),
+            state_names=tuple(leaf.flat_name() for leaf in kept),
+            start=new_id[start],
+            finish=finish,
+            final=tuple(final),
+            state_annotations=tuple(map(_leaf_notes, kept)),
         )
-        if engine == "eager":
-            self._flatten_eager(machine, leaves, report)
-        else:
-            self._flatten_lazy(machine, report)
-        report.flat_states = len(machine)
-        report.flat_transitions = machine.transition_count()
-        finish = self._finish_flat_name(machine)
-        if finish is not None:
-            machine.set_finish(finish)
-        machine.check_integrity()
+        ir.check_integrity()
+        machine = StateMachine._over(ir)
+        report.timings["prune"] = time.perf_counter() - started
+        report.flat_states = ir.state_count
+        report.flat_transitions = ir.transition_count()
         if optimize is not None:
             from repro.core.pipeline import _run_optimizer
 
@@ -593,98 +615,6 @@ class HierarchicalModel:
                 report.opt_transitions = machine.transition_count()
                 report.timings["optimize"] = report.opt_report.total_time
         return machine, report
-
-    def _add_flat_state(self, machine: StateMachine, leaf: LeafState) -> State:
-        """Materialise one leaf as a flat state, with hierarchy commentary."""
-        path = " > ".join(node.name for node in leaf.path()[1:])
-        annotations = [f"Hierarchical leaf: {path}."]
-        annotations.extend(leaf.annotations)
-        return machine.add_state(
-            State(leaf.flat_name(), annotations=annotations, final=leaf.final)
-        )
-
-    def _flat_transitions_of(
-        self, leaf: LeafState
-    ) -> list[tuple[str, LeafState, tuple[str, ...], tuple[str, ...], bool]]:
-        """Every flat transition out of a leaf, in alphabet order.
-
-        Yields ``(message, target leaf, actions, annotations, inherited)``.
-        """
-        rows = []
-        for message, (owner, transition) in self.effective_transitions(leaf).items():
-            target_leaf, actions = self.fire(leaf, owner, transition)
-            annotations = list(transition.annotations)
-            inherited = owner is not leaf
-            if inherited:
-                annotations.append(f"Inherited from enclosing state {owner.name!r}.")
-            rows.append((message, target_leaf, actions, tuple(annotations), inherited))
-        return rows
-
-    def _flatten_eager(self, machine, leaves, report) -> None:
-        """Materialise every leaf, then prune the unreachable ones."""
-        started = time.perf_counter()
-        for leaf in leaves:
-            self._add_flat_state(machine, leaf)
-        inherited_count = 0
-        for leaf in leaves:
-            state = machine.get_state(leaf.flat_name())
-            for message, target, actions, annotations, inherited in (
-                self._flat_transitions_of(leaf)
-            ):
-                state.record_transition(
-                    Transition(message, target.flat_name(), actions, annotations)
-                )
-                inherited_count += inherited
-        machine.set_start(self.initial_leaf().flat_name())
-        report.expanded_states = len(machine)
-        report.expanded_transitions = machine.transition_count()
-        report.inherited_expansions = inherited_count
-        report.timings["expand"] = time.perf_counter() - started
-
-        started = time.perf_counter()
-        machine.prune_unreachable()
-        report.timings["prune"] = time.perf_counter() - started
-
-    def _flatten_lazy(self, machine, report) -> None:
-        """Expand only leaves reachable from the initial configuration."""
-        started = time.perf_counter()
-        start_leaf = self.initial_leaf()
-        self._add_flat_state(machine, start_leaf)
-        machine.set_start(start_leaf.flat_name())
-        frontier: deque[LeafState] = deque([start_leaf])
-        seen = {start_leaf.flat_name()}
-        inherited_count = 0
-        frontier_peak = 1
-        while frontier:
-            frontier_peak = max(frontier_peak, len(frontier))
-            leaf = frontier.popleft()
-            state = machine.get_state(leaf.flat_name())
-            for message, target, actions, annotations, inherited in (
-                self._flat_transitions_of(leaf)
-            ):
-                flat_target = target.flat_name()
-                if flat_target not in seen:
-                    seen.add(flat_target)
-                    self._add_flat_state(machine, target)
-                    frontier.append(target)
-                state.record_transition(
-                    Transition(message, flat_target, actions, annotations)
-                )
-                inherited_count += inherited
-        report.expanded_states = len(machine)
-        report.expanded_transitions = machine.transition_count()
-        report.inherited_expansions = inherited_count
-        report.timings["expand"] = time.perf_counter() - started
-
-    def _finish_flat_name(self, machine: StateMachine) -> Optional[str]:
-        """The finish state of the flat machine, when unambiguous."""
-        if self._finish_name is not None:
-            flat = self.find(self._finish_name).flat_name()
-            return flat if flat in machine else None
-        finals = machine.final_states()
-        if len(finals) == 1:
-            return finals[0].name
-        return None
 
     # ------------------------------------------------------------------
     # direct execution
@@ -702,6 +632,35 @@ class HierarchicalModel:
         like ``MachineInterpreter(machine, validate=False)``.
         """
         return HierarchicalSimulator(self, sink=sink, validate=validate)
+
+
+class _LeafRows:
+    """The flattener's step 2 hooks (see :class:`repro.core.pipeline._Arrays`):
+    a leaf's flat transitions, in alphabet order."""
+
+    def __init__(self, model: HierarchicalModel):
+        self._model = model
+        #: Transitions the rows so far copied from an enclosing state.
+        self.inherited = 0
+
+    def successors(self, leaf: LeafState):
+        """Yield ``(message, target leaf, actions, annotations)`` per
+        message the leaf handles, inherited ones annotated as such."""
+        model = self._model
+        for message, (owner, transition) in model.effective_transitions(leaf).items():
+            target, actions = model.fire(leaf, owner, transition)
+            annotations = transition.annotations
+            if owner is not leaf:
+                annotations += (f"Inherited from enclosing state {owner.name!r}.",)
+                self.inherited += 1
+            yield message, target, actions, annotations
+
+
+def _leaf_notes(leaf: LeafState) -> tuple[str, ...]:
+    """A flat state's commentary: its place in the hierarchy, then the
+    leaf's own annotations."""
+    path = " > ".join(node.name for node in leaf.path()[1:])
+    return (f"Hierarchical leaf: {path}.", *leaf.annotations)
 
 
 def _least_common_proper_ancestor(a: _Node, b: _Node) -> Optional[_Node]:

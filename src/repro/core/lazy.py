@@ -38,7 +38,7 @@ import time
 
 from repro.core.machine import StateMachine
 from repro.core.model import AbstractModel
-from repro.core.pipeline import GenerationReport, _Arrays, _finish
+from repro.core.pipeline import GenerationReport, _finish, _model_arrays
 
 
 def generate_lazy(
@@ -55,7 +55,7 @@ def generate_lazy(
     """
     report = GenerationReport(model.machine_name(), model.parameters, engine="lazy")
     report.initial_states = model.space.size()
-    arrays = _Arrays(model)
+    arrays = _model_arrays(model)
 
     started = time.perf_counter()
     vectors: list[tuple] = []

@@ -14,12 +14,12 @@ start state and (optionally) a finish state.  It is the public currency
 between the abstract model and the renderers / runtime, in two forms:
 
 * **hand-built** through the object API (``add_state``,
-  ``State.record_transition``, ``set_start``), as the HSM flattener and
-  the XML reader build theirs; a consumer that reads arrays interns it
+  ``State.record_transition``, ``set_start``), as the XML reader builds
+  its machines; a consumer that reads arrays interns it
   (:meth:`repro.opt.IndexedMachine.from_machine`);
-* a **view** over the :class:`~repro.opt.IndexedMachine` the generator
-  and the pass pipeline produce, which array consumers (passes, source
-  renderer, fleet) read as it is.  ``State``/``Transition`` objects are
+* a **view** over the :class:`~repro.opt.IndexedMachine` the generator,
+  the HSM flattener and the pass pipeline produce, which array consumers
+  (passes, source renderer, fleet) read as it is.  ``State``/``Transition`` objects are
   built only when someone asks for them; they are mutable, so building
   them drops the arrays and the view becomes a hand-built machine.  Its
   producer validated the arrays, so a view's ``check_integrity`` has
@@ -29,56 +29,11 @@ between the abstract model and the renderers / runtime, in two forms:
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.components import StateSpace
 from repro.core.errors import MachineStructureError
 from repro.core.state import State, Transition
-
-
-@dataclass(frozen=True)
-class FlatDispatchTable:
-    """A machine flattened to index arithmetic for table-driven execution.
-
-    ``entries`` is row-major: slot ``state_index * len(messages) +
-    message_index`` holds ``None`` (message not applicable in that state —
-    ignored, per protocol semantics) or a ``(next_state_index, actions)``
-    pair with actions stripped of their ``->`` prefix: one list lookup and
-    one tuple unpack per event for the fleet plane (:mod:`repro.serve`).
-    """
-
-    state_names: tuple[str, ...]
-    messages: tuple[str, ...]
-    state_index: dict[str, int]
-    message_index: dict[str, int]
-    entries: tuple[Optional[tuple[int, tuple[str, ...]]], ...]
-    start_index: int
-    final: tuple[bool, ...]
-
-    @property
-    def width(self) -> int:
-        """Number of message columns per state row."""
-        return len(self.messages)
-
-    def lookup(self, state_name: str, message: str):
-        """Convenience name-based lookup (hot paths use index arithmetic).
-
-        Raises :class:`MachineStructureError` for a state the table does
-        not contain or a message outside the machine's alphabet; final
-        states yield ``None`` for every message (they absorb silently).
-        """
-        try:
-            row = self.state_index[state_name]
-        except KeyError:
-            raise MachineStructureError(f"unknown state {state_name!r}") from None
-        try:
-            col = self.message_index[message]
-        except KeyError:
-            raise MachineStructureError(
-                f"message {message!r} is not in the alphabet {self.messages}"
-            ) from None
-        return self.entries[row * len(self.messages) + col]
 
 
 class StateMachine:
@@ -213,16 +168,6 @@ class StateMachine:
         except KeyError:
             raise MachineStructureError(f"unknown state {name!r}") from None
 
-    def remove_states(self, names: Iterable[str]) -> None:
-        """Drop states (used by the pruning step)."""
-        states = self._objects()
-        for name in names:
-            states.pop(name, None)
-        if self._start_name is not None and self._start_name not in self._states:
-            raise MachineStructureError("pruning removed the start state")
-        if self._finish_name is not None and self._finish_name not in self._states:
-            self._finish_name = None
-
     # ------------------------------------------------------------------
     # start / finish
     # ------------------------------------------------------------------
@@ -292,27 +237,6 @@ class StateMachine:
                     seen.add(target)
                     frontier.append(target)
         return seen
-
-    def prune_unreachable(self) -> int:
-        """Remove every state unreachable from the start state.
-
-        The name-graph form, for machines built by hand (the eager
-        flattening engine); the generator and
-        :class:`repro.opt.passes.PruneUnreachablePass` prune arrays.
-        Returns the number of states removed.
-        """
-        reachable = self.reachable_names()
-        doomed = [name for name in self._objects() if name not in reachable]
-        self.remove_states(doomed)
-        return len(doomed)
-
-    def dispatch_table(self) -> FlatDispatchTable:
-        """Export the machine as a :class:`FlatDispatchTable`: replayed
-        through it, an event sequence visits the states and performs the
-        actions :class:`~repro.runtime.interp.MachineInterpreter` does."""
-        from repro.opt.indexed import IndexedMachine
-
-        return IndexedMachine.from_machine(self).dispatch_table()
 
     def check_integrity(self) -> None:
         """Raise if any transition dangles or a final state has outgoing edges.

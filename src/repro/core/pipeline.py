@@ -21,7 +21,10 @@ directly: the partition reads the arrays as they stand (renumbered only
 when step 3 removed rows), and one remap writes the representatives' rows
 into the quotient :class:`~repro.opt.indexed.IndexedMachine`, with no
 intermediate IR.  The machine returned is a
-:class:`~repro.core.machine.StateMachine` view over it.
+:class:`~repro.core.machine.StateMachine` view over it.  The HSM
+flattener (:meth:`repro.core.hsm.HierarchicalModel.flatten`) writes the
+same arrays, one row per leaf, and runs the same step 3 and unmerged
+tail (``_explored``).
 
 The model's Fig 14 commentary is not part of generation.  The IR carries
 the model's :class:`~repro.core.model.Describer` beside the state
@@ -112,7 +115,7 @@ def generate(
     intermediate data structures (Figs 7–13).
     """
     report = GenerationReport(model.machine_name(), model.parameters)
-    arrays = _Arrays(model)
+    arrays = _model_arrays(model)
 
     # ------------------------------------------------------------- step 1
     started = time.perf_counter()
@@ -199,12 +202,17 @@ def _run_optimizer(machine: StateMachine, optimize):
 
 
 class _Arrays:
-    """A machine under construction: one row per state id, in id order."""
+    """A machine under construction: one row per state id, in id order.
 
-    def __init__(self, model: AbstractModel):
-        #: The model's hooks, memoised for this generation call.
-        self.hooks = Elaborator(model)
-        self.column = {message: c for c, message in enumerate(model.messages)}
+    ``hooks.successors(state)`` yields ``(message, target, actions,
+    annotations)`` per transition out of ``state``: the model's
+    :class:`~repro.core.model.Elaborator` here and in the lazy engine, a
+    hierarchy's leaf resolution in :meth:`~repro.core.hsm.HierarchicalModel.flatten`.
+    """
+
+    def __init__(self, messages, hooks):
+        self.hooks = hooks
+        self.column = {message: c for c, message in enumerate(messages)}
         self.width = len(self.column)
         self.next_state: list[int] = []
         self.action_seq: list[int] = []
@@ -212,21 +220,27 @@ class _Arrays:
         self.seqs: dict[tuple[str, ...], int] = {(): 0}
         self.transition_annotations: dict[int, tuple[str, ...]] = {}
 
-    def add_row(self, vector: tuple, final: bool, target_id) -> None:
+    def add_row(self, state, final: bool, target_id) -> None:
         """Step 2 for the next state id: its transitions written into a new
-        row, each target vector turned into an id by ``target_id``."""
+        row, each target state turned into an id by ``target_id``."""
         row = len(self.next_state)
         self.next_state += [-1] * self.width
         self.action_seq += [-1] * self.width
         if final:
             return  # terminal: the algorithm has completed here
         seqs, notes = self.seqs, self.transition_annotations
-        for message, target, actions, annotations in self.hooks.successors(vector):
+        for message, target, actions, annotations in self.hooks.successors(state):
             offset = row + self.column[message]
             self.next_state[offset] = target_id(target)
             self.action_seq[offset] = seqs.setdefault(actions, len(seqs))
             if annotations:
                 notes[offset] = annotations
+
+
+def _model_arrays(model: AbstractModel) -> _Arrays:
+    """Both engines' step 2 arrays: ``model``'s hooks, memoised for one
+    generation call."""
+    return _Arrays(model.messages, Elaborator(model))
 
 
 def _reachable(next_state, width: int, start: int) -> set[int]:
@@ -242,6 +256,27 @@ def _reachable(next_state, width: int, start: int) -> set[int]:
     return seen
 
 
+def _renumber(keep, count: int):
+    """Step 3's renumbering: the new id of each of ``count`` old ids once
+    the ids ``keep`` (in id order) are kept, ``-1`` for a dropped one."""
+    if len(keep) == count:
+        return range(count)
+    new_id = [-1] * count
+    for new, old in enumerate(keep):
+        new_id[old] = new
+    return new_id
+
+
+def _explored(arrays, keep, new_id, **fields):
+    """Rows ``keep`` of ``arrays`` as they were explored (no step 4),
+    renumbered by ``new_id``, as an IR with the per-state ``fields``; the
+    caller validates it."""
+    from repro.opt.indexed import IndexedMachine
+
+    rows = _remap_rows(arrays, list(arrays.seqs), keep, new_id)
+    return IndexedMachine(**fields, **rows)
+
+
 def _finish(model, report, vectors, final, arrays, start, keep, merge):
     """Both engines' tail once the reachable ids ``keep`` are known (in id
     order): the states' names, step 4 when ``merge`` (the explored rows
@@ -251,21 +286,15 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
     describer, not its commentary: states are described when they are
     built (:meth:`StateMachine._objects`).  ``timings["finish"]`` is all
     of it but step 4."""
-    from repro.opt.indexed import IndexedMachine
-
     started = time.perf_counter()
     space = model.space
     report.elaborations = arrays.hooks.elaborations
     report.transition_count = len(arrays.next_state) - arrays.next_state.count(-1)
     report.reachable_states = len(keep)
+    new_id = _renumber(keep, len(vectors))
     if len(keep) < len(vectors):
-        new_id = [-1] * len(vectors)
-        for new, old in enumerate(keep):
-            new_id[old] = new
         vectors = [vectors[s] for s in keep]
         final = [final[s] for s in keep]
-    else:
-        new_id = range(len(vectors))
     names = list(map(space.vector_name, vectors))
     identity = {
         "name": model.machine_name(),
@@ -280,14 +309,16 @@ def _finish(model, report, vectors, final, arrays, start, keep, merge):
         )
         report.timings["merge"] = time.perf_counter() - merging
     else:
-        im = IndexedMachine(
+        im = _explored(
+            arrays,
+            keep,
+            new_id,
             **identity,
             state_names=tuple(names),
             start=new_id[start],
             finish=final.index(True) if final.count(True) == 1 else -1,
             final=tuple(final),
             state_vectors=tuple(vectors),
-            **_remap_rows(arrays, list(arrays.seqs), keep, new_id),
         )
     report.merged_states = im.state_count
     im.check_integrity()

@@ -20,9 +20,9 @@ from repro.core.errors import MachineStructureError
 
 def strip_action_prefix(action: str) -> str:
     """Action name without the ``->`` send marker — the form action logs
-    and dispatch tables hold.  The one strip implementation, shared by
-    :attr:`Transition.action_names` and
-    :meth:`repro.opt.IndexedMachine.dispatch_table`."""
+    and the fleet's jump arrays hold.  The one strip implementation,
+    shared by :attr:`Transition.action_names` and
+    :meth:`repro.opt.IndexedMachine.jump_arrays`."""
     return action[2:] if action.startswith("->") else action
 
 

@@ -22,9 +22,8 @@ the connected super-state, and root-level escape transitions
     ├── Maintenance                     (deliberately unreachable)
     └── Closed                          (final)
 
-The ``Maintenance`` leaf is targeted by nothing: the eager flattening
-engine materialises and then prunes it, the lazy engine never expands it
-— the bundled model exercises both paths of the pipeline.
+The ``Maintenance`` leaf is targeted by nothing: flattening writes its
+row and step 3 drops it, so the bundled model exercises the pruning.
 """
 
 from __future__ import annotations
@@ -107,8 +106,8 @@ def build_session_hsm() -> HierarchicalModel:
 
     connected.leaf("Suspended").on("resume", "Active", actions=("->restore_context",))
 
-    # Deliberately unreachable: nothing targets Maintenance, so eager
-    # flattening prunes it and lazy flattening never materialises it.
+    # Deliberately unreachable: nothing targets Maintenance, so
+    # flattening prunes it.
     root.leaf(
         "Maintenance",
         annotations=("Operator-only state, not reachable from the protocol.",),

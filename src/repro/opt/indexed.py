@@ -4,8 +4,9 @@
 rendered class: states, messages and actions interned to contiguous
 integer ids, transitions stored as flat row-major arrays of length
 ``len(states) * len(messages)``.  Both generation engines write it
-directly, step 4 and the optimization passes map it to new instances,
-and the source renderer and the fleet read it.  The public
+directly and the HSM flattener writes it with their arrays, step 4 and
+the optimization passes map it to new instances, and the source renderer
+and the fleet read it.  The public
 :class:`~repro.core.machine.StateMachine` a producer hands out is a view
 over it: :meth:`from_machine` on such a view returns the carried IR
 without interning anything, and the ``State``/``Transition`` objects are
@@ -41,7 +42,7 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from repro.core.errors import MachineStructureError
-from repro.core.machine import FlatDispatchTable, StateMachine
+from repro.core.machine import StateMachine
 from repro.core.pipeline import _reachable
 from repro.core.state import strip_action_prefix
 
@@ -227,22 +228,6 @@ class IndexedMachine:
                 jump.append(target * width)
                 acts.append(seq_names[self.action_seq[offset]])
         return jump, acts
-
-    def dispatch_table(self) -> FlatDispatchTable:
-        """Export the IR as the fleet plane's :class:`FlatDispatchTable`."""
-        seq_names = self._action_names()
-        return FlatDispatchTable(
-            state_names=self.state_names,
-            messages=self.messages,
-            state_index=self.state_index(),
-            message_index=self.message_index(),
-            entries=tuple(
-                (target, seq_names[seq]) if target >= 0 else None
-                for target, seq in zip(self.next_state, self.action_seq)
-            ),
-            start_index=self.start,
-            final=self.final,
-        )
 
     def _action_names(self) -> list[tuple[str, ...]]:
         """Each pool sequence as action names without the ``->`` marker."""

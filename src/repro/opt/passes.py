@@ -10,9 +10,8 @@ modulo the map.
 Shipped passes (see :data:`~repro.opt.pipeline.PASSES` for the registry):
 
 * :class:`PruneUnreachablePass` — drop states unreachable from the start
-  state.  The array form of the name-graph pruning that
-  :meth:`~repro.core.machine.StateMachine.prune_unreachable` performs for
-  the generation and flattening pipelines.
+  state, with the array walk (:func:`repro.core.pipeline._reachable`)
+  the generator and the HSM flattener run as their step 3.
 * :class:`MergeEquivalentPass` — equivalent-state merging: the IR's
   arrays handed to :func:`repro.core.minimize.coarsest_partition`, the
   Hopcroft partition refinement generator step 4 also runs (initial

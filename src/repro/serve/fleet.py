@@ -342,12 +342,12 @@ class FleetEngine:
         # Materialised lazily from the IR: only the naive backend and the
         # serving_machine accessor ever need the full object graph.
         self._serving_machine: Optional[StateMachine] = None
-        self._table = self._indexed.dispatch_table()
-        self._width = self._table.width
-        self._columns = self._table.message_index
-        self._messages = self._table.messages
-        self._final = self._table.final
-        self._start = self._indexed.start * self._width
+        indexed = self._indexed
+        self._width = indexed.width
+        self._columns = indexed.message_index()
+        self._messages = indexed.messages
+        self._final = indexed.final
+        self._start = indexed.start * self._width
         # The specialised jump/acts arrays serve every table-dispatch
         # mode; naive fleets execute through backend objects instead.
         if mode == "naive":
@@ -368,7 +368,7 @@ class FleetEngine:
             else None
         )
         self._store = InstanceStore(
-            self._table,
+            self._start,
             log_policy=log_policy,
             vector=(mode == "vector"),
         )
@@ -541,7 +541,7 @@ class FleetEngine:
         slot = self._store.slot(key)
         if self._mode == "naive":
             return self._store.backends[slot].get_state()
-        return self._table.state_names[self._store.states[slot] // self._width]
+        return self._indexed.state_names[self._store.states[slot] // self._width]
 
     def actions_since(self, key: str, start: int = 0) -> tuple[str, ...]:
         """The instance's actions from index ``start`` onward, in fire order.
@@ -587,7 +587,7 @@ class FleetEngine:
             )
         return InstanceSnapshot(
             key,
-            self._table.state_names[store.states[slot] // self._width],
+            self._indexed.state_names[store.states[slot] // self._width],
             tuple(action for chunk in store.logs[slot] for action in chunk),
         )
 
@@ -1012,18 +1012,14 @@ class FleetEngine:
     def _load(self, snapshot: FleetSnapshot, allow_partial: bool = False) -> None:
         """:meth:`restore` uncounted: a multiprocess worker's share of a
         fleet-wide restore, which its parent counts once."""
+        state_index = self._indexed.state_index()
         states = resolve_snapshot(
-            snapshot,
-            self._machine.name,
-            self._table.state_index,
-            self.state_map,
-            allow_partial,
+            snapshot, self._machine.name, state_index, self.state_map, allow_partial
         )
         self._discard_pending()
         store = self._store
         store.clear()
         adapter = self._adapter
-        state_index = self._table.state_index
         full = self._log_policy == "full"
         for inst, state in zip(snapshot.instances, states):
             if adapter is not None:

@@ -324,8 +324,7 @@ class MultiprocessFleet:
         # (optimized) IR the workers will — column ids and state names
         # are deterministic functions of (machine, optimize).
         self._indexed, self.opt_report = optimized_ir(machine, optimize)
-        self._table = self._indexed.dispatch_table()
-        self._columns = self._table.message_index
+        self._columns = self._indexed.message_index()
         #: key -> ``slot * workers + wid`` (worker-local slot, owning
         #: worker) as one int; the authoritative population map —
         #: workers never report membership back.
@@ -1185,7 +1184,7 @@ class MultiprocessFleet:
         resolve_snapshot(
             snapshot,
             self._machine.name,
-            self._table.state_index,
+            self._indexed.state_index(),
             self.state_map,
             allow_partial,
         )

@@ -159,7 +159,7 @@ def partition_checkpoint(engine) -> bytes:
     states = store.states
     logs = store.logs if engine.log_policy == "full" else None
     if engine.mode == "naive":
-        index = engine._table.state_index
+        index = engine._indexed.state_index()
         width = engine._width
         backends = store.backends
         states = [0 if b is None else index[b.get_state()] * width for b in backends]
@@ -206,7 +206,7 @@ def rehydrate(engine, blob: bytes) -> None:
     except Exception as exc:  # corrupt pickle bytes can raise almost anything
         raise DeploymentError(f"corrupt partition checkpoint: {exc!r}") from None
     width = engine._width
-    names = engine._table.state_names
+    names = engine._indexed.state_names
     for state in set(states):
         if not 0 <= state < len(names) * width or state % width:
             raise DeploymentError(

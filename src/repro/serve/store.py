@@ -7,7 +7,7 @@ inside a dispatch loop, which indexes the flat columns directly by slot.
 The columns are parallel arrays:
 
 * ``states[slot]``    — current state, premultiplied by the message-alphabet
-  width, so a dispatch-table offset is one addition
+  width, so a jump-array offset is one addition
   (``states[slot] + column``).  A flat dense list, deliberately not an
   ``array('i')``: the premultiplied values are small ints CPython caches
   anyway, and ``array.__getitem__``/``__setitem__`` box/unbox on every
@@ -43,7 +43,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import DeploymentError
-from repro.core.machine import FlatDispatchTable
 
 #: Action-log retention policies.  ``full`` keeps every action chunk (the
 #: only policy under which traces, snapshots and differential comparison
@@ -76,7 +75,7 @@ class InstanceStore:
 
     def __init__(
         self,
-        table: FlatDispatchTable,
+        start: int,
         log_policy: str = "full",
         vector: bool = False,
     ):
@@ -84,7 +83,8 @@ class InstanceStore:
             raise DeploymentError(
                 f"unknown log policy {log_policy!r}; choose from {LOG_POLICIES}"
             )
-        self._start = table.start_index * table.width
+        #: The start state, premultiplied by the alphabet width.
+        self._start = start
         self.log_policy = log_policy
         #: Whether ``states`` is a numpy-backed :class:`StateColumn` (the
         #: vector kernel gathers/scatters against its flat buffer) rather

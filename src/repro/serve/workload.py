@@ -106,7 +106,7 @@ def generate_scenario(machine: StateMachine, wiring, spec: ScenarioSpec, faults=
         for key in topology.keys
         for kick in wiring.client
     ]
-    messages = machine.dispatch_table().messages
+    messages = machine.messages
     for _ in range(int(spec.noise * len(events))):
         events.append(
             TimedEvent(
@@ -128,7 +128,7 @@ def generate_scenario(machine: StateMachine, wiring, spec: ScenarioSpec, faults=
 
 
 class SessionSimulator:
-    """Per-session protocol positions over a machine's dispatch table.
+    """Per-session protocol positions over a machine's indexed IR.
 
     The message-choosing core of :func:`generate_workload`, also driven
     directly by the end-to-end benchmark's inputs: each session tracks its
@@ -142,42 +142,43 @@ class SessionSimulator:
     the message pick), so schedules are reproducible per seed.
     """
 
-    __slots__ = ("_table", "_enabled", "_rng", "_noise", "_state")
+    __slots__ = ("_im", "_column", "_enabled", "_rng", "_noise", "_state")
 
     def __init__(self, machine: StateMachine, keys, rng, noise: float = 0.1):
+        from repro.opt.indexed import IndexedMachine
+
         if not 0.0 <= noise <= 1.0:
             raise SimulationError("noise must be in [0, 1]")
-        table = machine.dispatch_table()
-        self._table = table
+        im = self._im = IndexedMachine.from_machine(machine)
+        self._column = im.message_index()
+        messages, next_state, width = im.messages, im.next_state, im.width
         # Enabled messages per state, precomputed once.
         self._enabled: list[tuple[str, ...]] = [
             tuple(
-                table.messages[col]
-                for col in range(table.width)
-                if table.entries[row * table.width + col] is not None
+                message
+                for message, target in zip(messages, next_state[row : row + width])
+                if target >= 0
             )
-            for row in range(len(table.state_names))
+            for row in range(0, len(next_state), width)
         ]
         self._rng = rng
         self._noise = noise
-        self._state = {key: table.start_index for key in keys}
+        self._state = {key: im.start for key in keys}
 
     def next_message(self, key: str) -> str:
         """Draw the session's next message and advance its position."""
-        table = self._table
+        im = self._im
         rng = self._rng
         state = self._state[key]
         options = self._enabled[state]
         if not options or rng.random() < self._noise:
-            message = table.messages[rng.randrange(table.width)]
+            message = im.messages[rng.randrange(im.width)]
         else:
             message = options[rng.randrange(len(options))]
-        entry = table.entries[state * table.width + table.message_index[message]]
-        if entry is not None:
+        target = im.next_state[state * im.width + self._column[message]]
+        if target >= 0:
             # Mirror auto-recycling: completed sessions restart.
-            self._state[key] = (
-                table.start_index if table.final[entry[0]] else entry[0]
-            )
+            self._state[key] = im.start if im.final[target] else target
         return message
 
 

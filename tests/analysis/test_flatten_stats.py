@@ -3,17 +3,14 @@
 from repro.analysis.flatten_stats import (
     bundled_flatten_reports,
     flatten_blowup,
-    flatten_comparison,
     format_flatten_table,
 )
-from repro.core.pipeline import ENGINES
 from repro.models import HIERARCHICAL_MODELS, build_session_hsm
 
 
 def test_flatten_blowup_reports_counts():
-    report = flatten_blowup(build_session_hsm(), "eager")
+    report = flatten_blowup(build_session_hsm())
     assert report.model_name == "session"
-    assert report.engine == "eager"
     assert report.composite_count == 5  # root, Connecting, Connected, Auth, Active
     assert report.leaf_count == 10
     assert report.max_depth == 3
@@ -23,29 +20,19 @@ def test_flatten_blowup_reports_counts():
     assert report.inherited_expansions > 0
 
 
-def test_comparison_covers_both_engines():
-    comparison = flatten_comparison(build_session_hsm())
-    assert set(comparison) == set(ENGINES)
-    eager, lazy = comparison["eager"], comparison["lazy"]
-    # Eager materialises the unreachable leaf; lazy never does.
-    assert eager.expanded_states > lazy.expanded_states
-    assert eager.flat_states == lazy.flat_states
-    assert eager.flat_transitions == lazy.flat_transitions
-
-
-def test_bundled_reports_cover_models_times_engines():
+def test_bundled_reports_cover_every_model_once():
     reports = bundled_flatten_reports(replication_factor=4)
-    assert len(reports) == len(HIERARCHICAL_MODELS) * len(ENGINES)
+    assert len(reports) == len(HIERARCHICAL_MODELS)
     names = {report.model_name for report in reports}
-    assert "session" in names
-    assert "commit_hsm[r=4]" in names
+    assert names == {"session", "commit_hsm[r=4]"}
 
 
 def test_format_flatten_table_alignment():
-    reports = [flatten_blowup(build_session_hsm(), engine) for engine in ENGINES]
+    reports = bundled_flatten_reports(replication_factor=4)
     table = format_flatten_table(reports)
     lines = table.splitlines()
     assert lines[0].startswith("model")
     assert "trans x" in lines[0]
     assert len(lines) == 2 + len(reports)
-    assert all("session" in line for line in lines[2:])
+    assert {len(line) for line in lines} == {len(lines[0])}
+    assert lines[2].startswith("session")

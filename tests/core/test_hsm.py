@@ -8,7 +8,6 @@ from repro.core.errors import (
     ModelDefinitionError,
 )
 from repro.core.hsm import HierarchicalModel, HierarchicalSimulator
-from repro.core.pipeline import ENGINES
 
 
 def two_level_model() -> HierarchicalModel:
@@ -127,40 +126,26 @@ def test_flat_machine_carries_parameters_and_name():
 
 
 # ----------------------------------------------------------------------
-# engines
+# pruning and reports
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_engines_produce_valid_machines(engine):
-    machine = two_level_model().flatten(engine)
+def test_flatten_produces_a_valid_machine():
+    machine = two_level_model().flatten()
     machine.check_integrity()
     assert machine.start_state.name == "Off"
 
 
-def test_engines_agree_on_reachable_behaviour():
-    model = two_level_model()
-    eager = model.flatten("eager")
-    lazy = model.flatten("lazy")
-    assert set(eager.state_names()) == set(lazy.state_names())
-    for name in eager.state_names():
-        assert (
-            eager.get_state(name).transition_signature()
-            == lazy.get_state(name).transition_signature()
-        )
-
-
-def test_eager_prunes_unreachable_lazy_never_expands():
+def test_unreachable_leaf_is_pruned():
     model = HierarchicalModel("p", messages=("a",))
     model.root.leaf("Start", initial=True).on("a", "Start")
-    model.root.leaf("Orphan").on("a", "Start")
-    eager_machine, eager_report = model.flatten_with_report("eager")
-    lazy_machine, lazy_report = model.flatten_with_report("lazy")
-    assert "Orphan" not in eager_machine
-    assert "Orphan" not in lazy_machine
-    assert eager_report.expanded_states == 2  # materialised, then pruned
-    assert lazy_report.expanded_states == 1  # never materialised
-    assert eager_report.flat_states == lazy_report.flat_states == 1
+    model.root.leaf("Orphan", final=True)
+    model.set_finish("Orphan")
+    machine, report = model.flatten_with_report()
+    assert "Orphan" not in machine
+    assert machine.finish_state is None  # the designated finish was pruned
+    assert report.leaf_count == 2
+    assert report.flat_states == 1
 
 
 def test_flatten_report_blowup_factors():
@@ -174,11 +159,6 @@ def test_flatten_report_blowup_factors():
         report.flat_transitions / report.declared_transitions
     )
     assert report.total_time >= 0.0
-
-
-def test_unknown_engine_rejected():
-    with pytest.raises(ModelDefinitionError, match="unknown flatten engine"):
-        two_level_model().flatten("psychic")
 
 
 # ----------------------------------------------------------------------

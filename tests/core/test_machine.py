@@ -89,25 +89,6 @@ class TestStructure:
         machine.add_state(State("ORPHAN"))
         assert machine.reachable_names() == {"A", "B", "C"}
 
-    def test_remove_states(self):
-        machine = small_machine()
-        machine.add_state(State("ORPHAN"))
-        machine.remove_states(["ORPHAN"])
-        assert "ORPHAN" not in machine
-
-    def test_remove_start_state_rejected(self):
-        machine = small_machine()
-        with pytest.raises(MachineStructureError):
-            machine.remove_states(["A"])
-
-    def test_remove_finish_state_clears_designation(self):
-        machine = small_machine()
-        machine.get_state("B").replace_transitions(
-            [Transition("stop", "A")]
-        )
-        machine.remove_states(["C"])
-        assert machine.finish_state is None
-
     def test_integrity_detects_dangling_target(self):
         machine = small_machine()
         machine.get_state("A").replace_transitions([Transition("go", "MISSING")])

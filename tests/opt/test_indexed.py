@@ -104,15 +104,6 @@ class TestRoundTrip:
                     assert b.target_name == a.target_name
                     assert b.actions == a.actions
 
-    def test_dispatch_table_matches_machine_export(self):
-        machine = commit_machine(4)
-        table = IndexedMachine.from_machine(machine).dispatch_table()
-        assert table == machine.dispatch_table()
-
-    def test_dispatch_table_strips_action_prefixes(self):
-        table = IndexedMachine.from_machine(tiny_machine()).dispatch_table()
-        assert table.lookup("A", "go") == (1, ("ping",))
-
 
 class TestIntegrity:
     def test_check_integrity_accepts_well_formed(self):

@@ -24,7 +24,6 @@ import pytest
 
 from repro.core.machine import StateMachine
 from repro.core.minimize import merge_equivalent
-from repro.core.pipeline import ENGINES
 from repro.core.state import State, Transition
 from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
 from repro.models.chandra_toueg import CoordinatorRoundModel
@@ -84,7 +83,7 @@ BUNDLED_MACHINES = [
         id="session-hsm",
     ),
     pytest.param(
-        lambda merge=True: build_hierarchical_model("commit", 4).flatten("lazy"),
+        lambda merge=True: build_hierarchical_model("commit", 4).flatten(),
         id="commit-hsm-r4",
     ),
 ]
@@ -303,10 +302,9 @@ class TestEveryHop:
 
 
 @pytest.mark.parametrize("name", HIERARCHICAL_MODELS)
-@pytest.mark.parametrize("engine", ENGINES)
-def test_flattened_hsm_matches_simulator(name, engine):
+def test_flattened_hsm_matches_simulator(name):
     model = build_hierarchical_model(name, 4)
-    flat = model.flatten(engine)
+    flat = model.flatten()
     read = read_executor(model.simulator(), flat.messages)
     assert check(flat, read) == same_names(flat)
 
@@ -368,7 +366,7 @@ class TestBlowupRecovery:
 
     def test_flatten_optimize_hook_reports_recovery(self):
         model = build_hierarchical_model("commit", 4)
-        machine, report = model.flatten_with_report("eager", optimize=2)
+        machine, report = model.flatten_with_report(optimize=2)
         assert report.opt_states == len(machine)
         assert report.opt_states < report.flat_states
         assert report.recovered_states >= 1

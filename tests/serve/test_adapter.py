@@ -126,8 +126,8 @@ class TestCompiledCacheKey:
         cache = GeneratedCodeCache(max_entries=None)
         model = build_session_hsm()
         model.parameters["tuning"] = {"retries": [1, 2, 3]}
-        make_backend("compiled", model.flatten("eager"), cache=cache)
-        make_backend("compiled", model.flatten("lazy"), cache=cache)
+        make_backend("compiled", model.flatten(), cache=cache)
+        make_backend("compiled", model.flatten(), cache=cache)
         # Same name, same parameters, same reachable structure -> one entry.
         assert cache.stats.misses == 1
         assert cache.stats.hits == 1

@@ -345,7 +345,7 @@ def test_bad_checkpoint_blob_is_refused_before_anything_changes():
     key_of, free, states, logs, registry = pickle.loads(blob)
     width = source._width
     out_of_range = array("q", states)
-    out_of_range[0] = len(source._table.state_names) * width
+    out_of_range[0] = len(source._indexed.state_names) * width
     misaligned = array("q", states)
     misaligned[0] += 1
     bad = {

@@ -3,12 +3,19 @@
 import pytest
 
 from repro.core.errors import DeploymentError
+from repro.opt import IndexedMachine
 from repro.serve import InstanceStore, shard_of
 from tests.serve.conftest import machine_for
 
 
-def commit_table():
-    return machine_for("commit").dispatch_table()
+def commit_ir() -> IndexedMachine:
+    return IndexedMachine.from_machine(machine_for("commit"))
+
+
+def commit_start() -> int:
+    """The commit machine's start state, premultiplied by its width."""
+    im = commit_ir()
+    return im.start * im.width
 
 
 class TestShardRouting:
@@ -33,25 +40,24 @@ class TestShardRouting:
 
 class TestInstanceStore:
     def test_spawn_interns_columns(self):
-        table = commit_table()
-        store = InstanceStore(table)
+        store = InstanceStore(commit_start())
         slot = store.spawn("a")
         assert store.slot("a") == slot
         assert store.slot_of["a"] == slot
         assert store.key_of[slot] == "a"
-        assert store.states[slot] == table.start_index * table.width
+        assert store.states[slot] == commit_start()
         assert store.logs[slot] == []
         assert store.backends[slot] is None
         assert "a" in store
         assert len(store) == 1
 
     def test_slots_are_dense_in_spawn_order(self):
-        store = InstanceStore(commit_table())
+        store = InstanceStore(commit_start())
         assert [store.spawn(f"k{i}") for i in range(10)] == list(range(10))
         assert len(store.states) == len(store.logs) == len(store.key_of) == 10
 
     def test_duplicate_and_unknown(self):
-        store = InstanceStore(commit_table())
+        store = InstanceStore(commit_start())
         store.spawn("a")
         with pytest.raises(DeploymentError):
             store.spawn("a")
@@ -62,10 +68,9 @@ class TestInstanceStore:
 
     def test_release_reuses_slot_without_leaking_log(self):
         """A recycled slot must hand its next occupant pristine columns."""
-        table = commit_table()
-        store = InstanceStore(table)
+        store = InstanceStore(commit_start())
         slot = store.spawn("a", backend="sentinel-backend")
-        store.states[slot] = 3 * table.width
+        store.states[slot] = 3 * commit_ir().width
         store.logs[slot].append(("vote",))
         assert store.release("a") == slot
         assert "a" not in store
@@ -74,13 +79,13 @@ class TestInstanceStore:
         # Reuse: same slot, fresh state/log/backend columns.
         assert store.spawn("b") == slot
         assert store.key_of[slot] == "b"
-        assert store.states[slot] == table.start_index * table.width
+        assert store.states[slot] == commit_start()
         assert store.logs[slot] == []
         assert store.backends[slot] is None
         assert store.free_slots == []
 
     def test_release_updates_membership(self):
-        store = InstanceStore(commit_table())
+        store = InstanceStore(commit_start())
         for i in range(20):
             store.spawn(f"k{i}")
         store.release("k7")
@@ -89,19 +94,19 @@ class TestInstanceStore:
         assert len(store.keys()) == 19
 
     def test_log_policy_columns(self):
-        full = InstanceStore(commit_table(), log_policy="full")
+        full = InstanceStore(commit_start(), log_policy="full")
         assert full.logs[full.spawn("a")] == []
-        off = InstanceStore(commit_table(), log_policy="off")
+        off = InstanceStore(commit_start(), log_policy="off")
         assert off.logs[off.spawn("a")] is None
 
     def test_invalid_log_policy(self):
         with pytest.raises(DeploymentError):
-            InstanceStore(commit_table(), log_policy="verbose")
+            InstanceStore(commit_start(), log_policy="verbose")
         with pytest.raises(DeploymentError):
-            InstanceStore(commit_table(), log_policy="count")
+            InstanceStore(commit_start(), log_policy="count")
 
     def test_keys_in_spawn_order(self):
-        store = InstanceStore(commit_table())
+        store = InstanceStore(commit_start())
         keys = [f"k{i}" for i in range(40)]
         for key in keys:
             store.spawn(key)
@@ -112,7 +117,7 @@ class TestInstanceStore:
         assert store.keys() == keys[:7] + keys[8:] + ["k7"]
 
     def test_clear(self):
-        store = InstanceStore(commit_table())
+        store = InstanceStore(commit_start())
         store.spawn("a")
         store.spawn("b")
         store.release("a")

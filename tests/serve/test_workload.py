@@ -114,7 +114,6 @@ class TestWorkload:
 class TestSessionSimulator:
     def test_messages_are_valid_and_deterministic(self):
         machine = commit_machine()
-        table = machine.dispatch_table()
         keys = ["a", "b"]
         first = SessionSimulator(machine, keys, random.Random(7), noise=0.2)
         second = SessionSimulator(machine, keys, random.Random(7), noise=0.2)
@@ -122,7 +121,7 @@ class TestSessionSimulator:
             key = "a" if i % 2 else "b"
             m1, m2 = first.next_message(key), second.next_message(key)
             assert m1 == m2
-            assert m1 in table.messages
+            assert m1 in machine.messages
 
     def test_noise_validated(self):
         with pytest.raises(SimulationError):

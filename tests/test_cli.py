@@ -149,9 +149,9 @@ class TestFlattenCommand:
     def test_stats_default(self, capsys):
         assert main(["flatten", "--model", "session"]) == 0
         output = capsys.readouterr().out
-        assert "session" in output
-        assert "eager" in output and "lazy" in output
-        assert "trans x" in output
+        lines = output.splitlines()
+        assert "trans x" in lines[0]
+        assert len(lines) == 3 and lines[2].startswith("session")
 
     def test_outline(self, capsys):
         assert main(["flatten", "--model", "session", "--format", "outline"]) == 0

@@ -105,7 +105,7 @@ class TestOptFlags:
         assert main(["flatten", "--model", "commit", "--format", "stats"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert "opt" in lines[0].split()
-        # 36 flat states recover to 35 after merging, on both engines.
+        # 36 flat states recover to 35 after merging.
         assert all("35" in line for line in lines[2:])
 
     def test_flatten_flat_render_with_opt(self, capsys):

@@ -105,7 +105,7 @@ ANALYSIS_ALL = [
     "finish_always_reachable", "FINISHED_PHASE", "MachineStats",
     "PAPER_TABLE1", "PhaseTransition", "Table1Row", "commit_spectrum",
     "efsm_phase_transitions", "equivalent", "flatten_blowup",
-    "flatten_comparison", "format_flatten_table", "format_table1",
+    "format_flatten_table", "format_table1",
     "fsm_vs_efsm_table", "initial_state_count", "machine_stats",
     "merged_state_count", "merged_state_formula",
     "phase_names", "phase_quotient", "table1", "table1_row",
