@@ -148,6 +148,47 @@ def test_unreachable_leaf_is_pruned():
     assert report.flat_states == 1
 
 
+def test_flat_rows_follow_leaf_declaration_order():
+    """Kept leaves keep their declaration order, not the order step 3
+    reaches them in (A reaches C before B)."""
+    model = HierarchicalModel("o", messages=("a", "b"))
+    model.root.leaf("A", initial=True).on("a", "C")
+    model.root.leaf("B").on("a", "A")
+    model.root.leaf("C").on("b", "B")
+    machine = model.flatten()
+    assert machine.state_names() == ("A", "B", "C")
+    assert machine.start_state.name == "A"
+
+
+def test_sole_final_leaf_is_the_finish_when_none_designated():
+    model = HierarchicalModel("f", messages=("a",))
+    model.root.leaf("Start", initial=True).on("a", "Done")
+    model.root.leaf("Done", final=True)
+    assert model.flatten().finish_state.name == "Done"
+
+
+def test_no_finish_among_several_final_leaves_when_none_designated():
+    model = HierarchicalModel("f", messages=("a", "b"))
+    start = model.root.leaf("Start", initial=True)
+    start.on("a", "Done")
+    start.on("b", "Failed")
+    model.root.leaf("Done", final=True)
+    model.root.leaf("Failed", final=True)
+    machine = model.flatten()
+    assert machine.finish_state is None
+    assert {s.name for s in machine.states if s.final} == {"Done", "Failed"}
+
+
+def test_positional_engine_rejected():
+    """``optimize`` is keyword-only, so a stale engine name passed where
+    the flatten engine used to go fails loudly instead of being read as a
+    pass spec."""
+    with pytest.raises(TypeError):
+        two_level_model().flatten("eager")
+    with pytest.raises(TypeError):
+        two_level_model().flatten_with_report("lazy")
+
+
 def test_flatten_report_blowup_factors():
     _, report = two_level_model().flatten_with_report()
     assert report.composite_count == 2  # root + Running

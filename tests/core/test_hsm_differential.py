@@ -19,6 +19,7 @@ from hypothesis import given, settings, strategies as st
 from repro.analysis import equivalent
 from repro.core.hsm import HierarchicalModel
 from repro.models import HIERARCHICAL_MODELS, build_hierarchical_model
+from repro.opt import IndexedMachine
 from repro.serve import HAS_NUMPY, FleetEngine, WorkloadSpec, generate_workload
 from tests.core.hsm_reference import reference_flatten
 from tests.readback import check, read_executor, same_names
@@ -49,6 +50,25 @@ def test_fleet_snapshot_restore_roundtrip_on_flattened_machine(model_name, mode)
     assert {k: replacement.trace(k) for k in keys} == {
         k: fleet.trace(k) for k in keys
     }
+
+
+@pytest.mark.parametrize("model_name", HIERARCHICAL_MODELS)
+def test_fleet_dispatches_on_the_flattened_ir(model_name):
+    """A fleet over a flattened hierarchy reads the IR the flattener
+    wrote, and its dispatch arrays cover every flat transition."""
+    machine = build(model_name).flatten()
+    ir = IndexedMachine.from_machine(machine)
+    assert ir is machine._ir
+    assert FleetEngine(machine)._indexed is ir
+    assert ir.state_names == machine.state_names()
+    assert ir.state_names[ir.start] == machine.start_state.name
+    jump, _ = ir.jump_arrays()
+    states, columns = ir.state_index(), ir.message_index()
+    for state in machine.states:
+        row = states[state.name] * ir.width
+        for transition in state.transitions:
+            target = jump[row + columns[transition.message]] // ir.width
+            assert ir.state_names[target] == transition.target_name
 
 
 @pytest.mark.parametrize("model_name", HIERARCHICAL_MODELS)

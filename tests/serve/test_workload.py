@@ -1,11 +1,13 @@
 """Workload generator tests: determinism, scenario shapes, validity."""
 
+import hashlib
 import random
 from collections import Counter
 
 import pytest
 
 from repro.core.errors import SimulationError
+from repro.models import build_hierarchical_model
 from repro.serve import (
     SessionSimulator,
     WorkloadSpec,
@@ -126,3 +128,30 @@ class TestSessionSimulator:
     def test_noise_validated(self):
         with pytest.raises(SimulationError):
             SessionSimulator(commit_machine(), ["a"], random.Random(0), noise=2.0)
+
+
+#: sha256 (first 16 hex digits) of
+#: ``repr(generate_workload(machine, WorkloadSpec(seed=seed)))``:
+#: the simulator's draw order, pinned so that a change to how it reads the
+#: machine cannot reorder a benchmark's schedule unnoticed.
+PINNED_SCHEDULES = [
+    ("commit", 0, "4625b74052945832"),
+    ("commit", 1, "db7e50bd3f78714a"),
+    ("commit", 2, "04782e013332beea"),
+    ("session-hsm", 7, "1666d46fcfc573c2"),
+    ("commit-hsm", 7, "8235c34419777976"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, seed, digest",
+    PINNED_SCHEDULES,
+    ids=[f"{name}-{seed}" for name, seed, _ in PINNED_SCHEDULES],
+)
+def test_schedule_is_pinned(name, seed, digest):
+    if name == "commit":
+        machine = commit_machine()
+    else:
+        machine = build_hierarchical_model(name.removesuffix("-hsm"), 4).flatten()
+    schedule = generate_workload(machine, WorkloadSpec(seed=seed))
+    assert hashlib.sha256(repr(schedule).encode()).hexdigest()[:16] == digest
